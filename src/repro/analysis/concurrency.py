@@ -116,7 +116,9 @@ class LockClass:
 #: The canonical lock order: outermost first.  Acquire left-to-right
 #: only.  Referenced by every "Lock order:" comment in the tree.
 LOCK_ORDER: tuple[LockClass, ...] = (
-    LockClass("shard", 0, blocking_ok=("execute", "acquire")),
+    # "join": store_corpus waits for its bulk-session close threads —
+    # that shard's own SQL — with the shard locks held.
+    LockClass("shard", 0, blocking_ok=("execute", "acquire", "join")),
     LockClass("map", 1, blocking_ok=("execute",)),
     LockClass("pool", 2),
     LockClass("metrics", 3),

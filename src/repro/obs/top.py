@@ -105,11 +105,10 @@ def render_snapshot(snapshot: dict) -> str:
     docs_rate = win_counters.get("ingest.documents", {}).get("rate", 0) or 0
     rows_rate = win_counters.get("ingest.rows", {}).get("rate", 0) or 0
     if ingest_shards or docs_rate or rows_rate:
-        depth = gauges.get("ingest.queue_depth", {}).get("value", 0)
         lines.append("")
         lines.append(
             f"ingest ({window_key}): {docs_rate:.1f} docs/s"
-            f"  {rows_rate:.1f} rows/s  queue={depth:g}"
+            f"  {rows_rate:.1f} rows/s"
         )
         for shard in sorted(
             ingest_shards, key=lambda s: int(s) if s.isdigit() else 0

@@ -2,7 +2,7 @@
 
 Proves the crash-safety claim mechanically: for every mapping scheme
 and every fault-sensitive operation (subtree insert/delete, document
-rebalance, replica ship, parallel corpus load), run the operation once
+rebalance, replica ship, corpus load), run the operation once
 uninjured to count how
 many statements it executes on each shard, then re-run it once per
 statement boundary with a :class:`~repro.reliability.faults.
@@ -61,10 +61,10 @@ SWEEP_XML = """\
 
 FRAGMENT_XML = "<book year='2003'><title>Holistic twig joins</title></book>"
 
-#: The corpus fed to the ``load`` sweep (the parallel streaming
-#: loader): three documents, which round-robin placement spreads over
-#: both shards, so the crash can land in either loader thread's
-#: statement stream.
+#: The corpus fed to the ``load`` sweep (``store_corpus``): three
+#: documents, which round-robin placement spreads over both shards, so
+#: the crash can land in either shard's statement stream — row
+#: production or session close.
 CORPUS_XMLS = tuple(
     f'<bib><book year="199{n}"><title>Corpus {n}</title></book></bib>'
     for n in range(3)

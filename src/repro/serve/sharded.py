@@ -36,6 +36,8 @@ per-process salted, which would scatter a reopened store differently);
 **Writes.**  Each shard has a single-writer lock, so writes to
 *different* shards proceed concurrently while writes to one shard
 serialize; reads never take a shard lock (WAL keeps them consistent).
+A corpus load (:meth:`store_corpus`) holds every shard lock for its
+duration.
 Subtree updates (:meth:`insert_subtree` / :meth:`delete_subtree`) run
 the :mod:`repro.updates` machinery inside an outer writer transaction,
 turning the update's internal transactions into savepoints — one fault
@@ -82,11 +84,10 @@ from __future__ import annotations
 
 import gc
 import os
-import queue as queue_module
 import threading
 import time
 import zlib
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
 from repro import updates as updates_module
@@ -110,6 +111,7 @@ from repro.relational.shardmap import (
 from repro.serve.executor import QueryExecutor, ScatterResult
 from repro.serve.pool import ConnectionPool
 from repro.serve.replicas import ReplicaSet
+from repro.storage.base import BulkSession
 from repro.updates import UpdateStats
 from repro.xml.dom import Document, Element, Node
 from repro.xml.events import parse_events, stream_events
@@ -473,48 +475,9 @@ class ShardedStore:
         documents: list[Document],
         names: list[str] | None = None,
     ) -> list[int]:
-        """Store many documents, bulk-loading per shard.
-
-        Documents are partitioned by placement, each shard's batch goes
-        through that writer's bulk session (one transaction, one
-        ANALYZE), then the shard map is registered in input order so
-        global ids stay store-ordered.
-        """
-        if names is not None and len(names) != len(documents):
-            raise StorageError(
-                f"{len(documents)} document(s) but {len(names)} name(s)"
-            )
-        with self._map_lock:
-            placed: list[tuple[int, str]] = []
-            batches: dict[int, list[tuple[int, Document, str]]] = {}
-            for position, document in enumerate(documents):
-                name = (
-                    names[position] if names is not None
-                    else f"document-{position}"
-                )
-                shard = self.place(name)
-                self._rr_counter += 1
-                placed.append((shard, name))
-                batches.setdefault(shard, []).append(
-                    (position, document, name)
-                )
-        locals_by_position: dict[int, int] = {}
-        for shard, batch in batches.items():
-            with self._shard_locks[shard]:
-                with self.writers[shard].bulk_session() as session:
-                    for position, document, name in batch:
-                        result = session.store(document, name)
-                        locals_by_position[position] = result.doc_id
-                self._post_write(shard)
-        with self._map_lock:
-            doc_ids = [
-                self.shard_map.register(
-                    shard, locals_by_position[position], name
-                )
-                for position, (shard, name) in enumerate(placed)
-            ]
-        self.metrics.counter("serve.documents_stored").inc(len(documents))
-        return doc_ids
+        """Store already-parsed documents: :meth:`store_corpus` over
+        :class:`Document` payloads (one lane, one atomicity contract)."""
+        return self.store_corpus(documents, names)
 
     def _corpus_events(self, source, keep_whitespace: bool):
         """Event stream of one corpus payload: a parsed
@@ -531,26 +494,32 @@ class ShardedStore:
         self,
         sources,
         names: list[str] | None = None,
-        queue_depth: int = 8,
         keep_whitespace: bool = True,
     ) -> list[int]:
-        """Stream a corpus into all shards concurrently.
+        """Stream a corpus into the shards, one bulk session per shard.
 
         *sources* is any iterable of payloads — XML text, open file
         objects, filesystem paths, or already-parsed
-        :class:`~repro.xml.dom.Document` objects; it is consumed
-        lazily, so a generator over a multi-gigabyte corpus never has
-        more than ``shards × queue_depth`` payloads in flight.  Each
-        shard gets one loader thread running the streaming shredder
-        inside that writer's bulk session (one transaction, one
-        ANALYZE), so N shards parse and insert concurrently while the
-        bounded per-shard queues push back on the producer.
+        :class:`~repro.xml.dom.Document` objects; it is pulled one
+        payload at a time, each stored before the next is asked for, so
+        a generator over a multi-gigabyte corpus never has more than
+        one payload in flight.
 
-        Atomicity matches :meth:`store_many`: shard-map entries
-        register only after **every** shard committed, so any failure
-        (including an injected crash) leaves zero registered documents
-        and only orphans that :meth:`recover` sweeps — never a map
-        entry pointing at missing rows.
+        Row production (pull parse, shredding, ``executemany``) holds
+        the interpreter lock, so it runs on the calling thread for every
+        shard: loader threads would only trade the GIL row by row.  Each
+        shard's bulk session (one transaction, deferred indexes, one
+        ANALYZE) opens on the shard's first document; what does
+        parallelize — the session closes, a few long GIL-free C calls —
+        fans out to one short-lived thread per opened session.  Every
+        shard writer lock is held for the whole load.
+
+        Atomicity: a failure while producing rows rolls back every open
+        session; shard-map entries register only after **every** shard
+        committed, so any failure (including an injected crash during a
+        close) leaves zero registered documents and only orphans that
+        :meth:`recover` sweeps — never a map entry pointing at missing
+        rows.
 
         Returns global doc ids in input order.
         """
@@ -559,125 +528,110 @@ class ShardedStore:
             raise StorageError(
                 f"{len(sources)} document(s) but {len(names)} name(s)"
             )
-        sentinel = object()
-        queues: dict[int, queue_module.Queue] = {}
-        threads: dict[int, threading.Thread] = {}
-        errors: dict[int, BaseException] = {}
-        locals_by_position: dict[int, int] = {}
-        placed: list[tuple[int, str]] = []
-        captured = self.tracer.capture()
-        depth_gauge = self.metrics.gauge("ingest.queue_depth")
-        docs_counter = self.metrics.counter("ingest.documents")
-        rows_counter = self.metrics.counter("ingest.rows")
-
-        def worker(shard: int) -> None:
-            shard_queue = queues[shard]
-            consumed_sentinel = False
-            load_seconds = self.metrics.histogram(
-                f"ingest.shard{shard}.load_seconds"
-            )
-            try:
-                with self.tracer.adopt(captured), \
-                        self.tracer.span("ingest_shard") as span:
-                    loaded = 0
-                    with self._shard_locks[shard]:
-                        with self.writers[shard].bulk_session() as session:
-                            while True:
-                                # Waiting for work under the shard lock
-                                # is the design: the lock *is* the
-                                # single-writer serialization for the
-                                # whole bulk session, and the bounded
-                                # queue provides the backpressure.
-                                # lint: allow(C002)
-                                item = shard_queue.get()
-                                if item is sentinel:
-                                    consumed_sentinel = True
-                                    break
-                                depth_gauge.add(-1)
-                                position, name, source = item
-                                started = time.perf_counter()
-                                result = session.store_stream(
-                                    self._corpus_events(
-                                        source, keep_whitespace
-                                    ),
-                                    name,
-                                )
-                                load_seconds.observe(
-                                    time.perf_counter() - started
-                                )
-                                locals_by_position[position] = result.doc_id
-                                loaded += 1
-                                docs_counter.inc()
-                                rows_counter.inc(
-                                    sum(result.row_counts.values())
-                                )
-                        self._post_write(shard)
-                    if span:
-                        span.set(shard=shard, documents=loaded)
-            except BaseException as error:  # noqa: BLE001 — reported to caller
-                errors[shard] = error
-                # Keep the producer from blocking on a full queue: eat
-                # the backlog (and the sentinel, unless already taken).
-                while not consumed_sentinel:
-                    if shard_queue.get() is sentinel:
-                        consumed_sentinel = True
-                    else:
-                        depth_gauge.add(-1)
-
-        with self._observed_update("load", queue_depth=queue_depth):
+        with self._observed_update("load"):
             # Bulk-load GC stance: the streaming shredder allocates
             # millions of short-lived, cycle-free tuples per document,
-            # and every generational sweep stops all loader threads.
+            # and every generational sweep stalls the row producer.
             # Collect once up front, switch the cycle detector off for
             # the load, and restore it afterwards.
             gc_was_enabled = gc.isenabled()
             if gc_was_enabled:
                 gc.collect()
                 gc.disable()
+            for lock in self._shard_locks:
+                lock.acquire()
             try:
-                for position, source in enumerate(sources):
-                    name = (
-                        names[position] if names is not None
-                        else f"document-{position}"
-                    )
-                    with self._map_lock:
-                        shard = self.place(name)
-                        self._rr_counter += 1
-                    placed.append((shard, name))
-                    shard_queue = queues.get(shard)
-                    if shard_queue is None:
-                        shard_queue = queue_module.Queue(maxsize=queue_depth)
-                        queues[shard] = shard_queue
-                        thread = threading.Thread(
-                            target=worker,
-                            args=(shard,),
-                            name=f"ingest-shard-{shard}",
-                            daemon=True,
-                        )
-                        threads[shard] = thread
-                        thread.start()
-                    depth_gauge.add(1)
-                    shard_queue.put((position, name, source))
-                    if errors:
-                        break  # a shard already failed; stop feeding
+                doc_ids = self._load_corpus_locked(
+                    sources, names, keep_whitespace
+                )
             finally:
-                for shard_queue in queues.values():
-                    shard_queue.put(sentinel)
-                for thread in threads.values():
-                    thread.join()
+                for lock in reversed(self._shard_locks):
+                    lock.release()
                 if gc_was_enabled:
                     gc.enable()
-            if errors:
-                raise errors[min(errors)]
-            with self._map_lock:
-                doc_ids = [
-                    self.shard_map.register(
-                        shard, locals_by_position[position], name
-                    )
-                    for position, (shard, name) in enumerate(placed)
-                ]
             self.metrics.counter("serve.documents_stored").inc(len(doc_ids))
             return doc_ids
+
+    def _load_corpus_locked(
+        self, sources, names: list[str] | None, keep_whitespace: bool
+    ) -> list[int]:
+        """:meth:`store_corpus` with every shard lock held — including
+        across the join of the close threads: the locks are the
+        single-writer serialization for the whole bulk session."""
+        sessions: dict[int, BulkSession] = {}
+        placed: list[tuple[int, int, str]] = []  # (shard, local id, name)
+        docs_counter = self.metrics.counter("ingest.documents")
+        rows_counter = self.metrics.counter("ingest.rows")
+        with ExitStack() as rollback:
+            for position, source in enumerate(sources):
+                if names is None:
+                    name = f"document-{position}"
+                elif position < len(names):
+                    name = names[position]
+                else:
+                    raise StorageError(
+                        f"payload at position {position} has no name: "
+                        f"only {len(names)} name(s) given"
+                    )
+                with self._map_lock:
+                    shard = self.place(name)
+                    self._rr_counter += 1
+                session = sessions.get(shard)
+                if session is None:
+                    session = sessions[shard] = rollback.enter_context(
+                        self.writers[shard].bulk_session()
+                    )
+                started = time.perf_counter()
+                result = session.store_stream(
+                    self._corpus_events(source, keep_whitespace), name
+                )
+                self.metrics.histogram(
+                    f"ingest.shard{shard}.load_seconds"
+                ).observe(time.perf_counter() - started)
+                placed.append((shard, result.doc_id, name))
+                docs_counter.inc()
+                rows_counter.inc(sum(result.row_counts.values()))
+            # Every payload is stored: from here the sessions close
+            # (below) instead of rolling back.
+            rollback.pop_all()
+
+        errors: dict[int, BaseException] = {}
+        captured = self.tracer.capture()
+
+        def close(shard: int, session: BulkSession) -> None:
+            try:
+                with self.tracer.adopt(captured), self.tracer.span(
+                    "ingest_shard",
+                    shard=shard,
+                    documents=len(session.results),
+                ):
+                    session.__exit__(None, None, None)
+            except BaseException as error:  # noqa: BLE001 — reported to caller
+                errors[shard] = error
+
+        threads = [
+            threading.Thread(
+                target=close,
+                args=(shard, session),
+                name=f"ingest-close-{shard}",
+                daemon=True,
+            )
+            for shard, session in sessions.items()
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for shard in sessions:
+            if shard not in errors:
+                self._post_write(shard)
+        if errors:
+            raise errors[min(errors)]
+        with self._map_lock:
+            return [
+                self.shard_map.register(shard, local, name)
+                for shard, local, name in placed
+            ]
 
     def delete(self, doc_id: int) -> None:
         """Remove a document from its shard and the shard map.

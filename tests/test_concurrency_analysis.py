@@ -403,15 +403,12 @@ class TestLockModel:
 
     def test_src_repro_passes_the_strict_gate(self):
         """The acceptance criterion: zero unsuppressed findings over
-        the real tree (suppressed intentional ones may exist)."""
+        the real tree, and nothing suppressed either."""
         findings, suppressed, locks = lint_concurrency(
             [SRC_ROOT / "repro"], root=SRC_ROOT
         )
         assert findings == []
-        # The one designed-in suppression: the ingest worker's
-        # queue.get() under the single-writer shard lock.
-        assert [d.code for d in suppressed] == ["C002"]
-        assert "serve/sharded.py" in suppressed[0].location
+        assert suppressed == []
         assert len(locks) >= 15
 
 
@@ -460,7 +457,7 @@ class TestConcurrencyReport:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["count"] == 0
         assert report["tool"] == "xmlrel-concurrency"
-        assert len(report["suppressed"]) == 1
+        assert report["suppressed"] == []
 
 
 # -- the runtime lock-order harness ------------------------------------------------

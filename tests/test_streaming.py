@@ -15,11 +15,18 @@ Plus the bulk machinery around them: file/corpus ingestion, deferred
 index rebuilds, and the ``ingest.*`` telemetry.
 """
 
+import threading
+
 import pytest
 
+from repro.analysis.lockharness import LockWatcher, instrument_sharded_store
 from repro.core.store import XmlRelStore
 from repro.errors import StorageError, XmlRelError, XmlSyntaxError
+from repro.obs.events import RequestLog
+from repro.obs.trace import Tracer
+from repro.reliability.faults import FaultInjected, ShardFaultPolicy
 from repro.serve import ShardedStore
+from repro.storage.base import BulkSession
 from repro.storage.numbering import shred_into, shred_stream
 from repro.workloads import (
     auction_dtd,
@@ -269,7 +276,7 @@ def test_store_corpus_parallel_load(tmp_path):
         snapshot = store.metrics.snapshot()
         assert snapshot["counters"]["ingest.documents"] == len(texts)
         assert snapshot["counters"]["ingest.rows"] > 0
-        assert snapshot["gauges"]["ingest.queue_depth"]["value"] == 0
+        assert "ingest.queue_depth" not in snapshot["gauges"]
         shard_histograms = [
             name
             for name in snapshot["histograms"]
@@ -332,6 +339,187 @@ def test_store_corpus_empty(tmp_path):
         str(tmp_path), scheme="interval", shards=2,
     ) as store:
         assert store.store_corpus([]) == []
+
+
+def _tiny_corpus(count):
+    texts = [f'<d n="{i}"><t>text {i}</t></d>' for i in range(count)]
+    return texts, [f"tiny-{i}" for i in range(count)]
+
+
+def test_store_corpus_lazy_sources_outrun_names(tmp_path):
+    """More lazy payloads than names: a typed error naming the
+    position, every open session rolled back, nothing registered."""
+    with ShardedStore.open(
+        str(tmp_path), scheme="interval", shards=2,
+        placement="round_robin",
+    ) as store:
+        with pytest.raises(StorageError, match="position 2"):
+            store.store_corpus(
+                iter(["<a/>", "<b/>", "<c/>"]), names=["a", "b"]
+            )
+        assert store.documents() == []
+        assert sum(store.shard_counts().values()) == 0
+        assert not store.recover().acted  # rolled back: no orphans
+
+
+def test_store_corpus_pulls_one_payload_at_a_time(tmp_path):
+    """Payload n+1 is not asked for before payload n is stored."""
+    texts, names = _tiny_corpus(12)
+    with ShardedStore.open(
+        str(tmp_path), scheme="interval", shards=3,
+        placement="round_robin",
+    ) as store:
+        stored_at_pull = []
+
+        def recording():
+            for text in texts:
+                counters = store.metrics.snapshot()["counters"]
+                stored_at_pull.append(counters.get("ingest.documents", 0))
+                yield text
+
+        doc_ids = store.store_corpus(recording(), names=names)
+        assert stored_at_pull == list(range(len(texts)))
+        assert len(doc_ids) == len(texts)
+
+
+def test_store_corpus_threads(tmp_path, monkeypatch):
+    """Rows are produced on the caller's thread only; the session
+    closes run on named threads that are gone when the call returns."""
+    texts, names = _tiny_corpus(6)
+    producers, closers, loaders_during_production = set(), [], []
+    real_store_stream = BulkSession.store_stream
+    real_exit = BulkSession.__exit__
+
+    def store_stream(self, events, name="document"):
+        producers.add(threading.current_thread())
+        return real_store_stream(self, events, name)
+
+    def exit_(self, exc_type, exc, tb):
+        closers.append(threading.current_thread().name)
+        return real_exit(self, exc_type, exc, tb)
+
+    monkeypatch.setattr(BulkSession, "store_stream", store_stream)
+    monkeypatch.setattr(BulkSession, "__exit__", exit_)
+
+    def ingest_threads():
+        return [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("ingest")
+        ]
+
+    def sources():
+        for text in texts:
+            loaders_during_production.extend(ingest_threads())
+            yield text
+
+    with ShardedStore.open(
+        str(tmp_path), scheme="interval", shards=3,
+        placement="round_robin",
+    ) as store:
+        store.store_corpus(sources(), names=names)
+        assert producers == {threading.current_thread()}
+        assert loaders_during_production == []
+        assert sorted(closers) == [
+            "ingest-close-0", "ingest-close-1", "ingest-close-2"
+        ]
+        assert ingest_threads() == []
+
+
+def test_store_corpus_unused_shard_is_untouched(tmp_path):
+    """A shard that hash placement sends nothing to gets no bulk
+    session: no statement at all, so no index drop or rebuild."""
+    policy = ShardFaultPolicy()
+    with ShardedStore.open(
+        str(tmp_path), scheme="interval", shards=3, placement="hash",
+        fault_policy=policy,
+    ) as store:
+        watcher = LockWatcher()
+        instrument_sharded_store(store, watcher)
+        names = [
+            name
+            for name in (f"doc-{i}" for i in range(60))
+            if store.place(name) != 2
+        ][:6]
+        assert {store.place(name) for name in names} == {0, 1}
+        indexes_before = _index_names(store.writers[2].db)
+        statements_before = policy.statement_count(2)
+        doc_ids = store.store_corpus(
+            [f"<d>{name}</d>" for name in names], names=names
+        )
+        assert len(doc_ids) == len(names)
+        assert policy.statement_count(2) == statements_before
+        assert _index_names(store.writers[2].db) == indexes_before
+        assert store.shard_counts()[2] == 0
+        histograms = store.metrics.snapshot()["histograms"]
+        assert "ingest.shard2.load_seconds" not in histograms
+        assert store.verify_ok()
+        watcher.assert_clean()
+
+
+def test_store_corpus_close_failure_registers_nothing(tmp_path):
+    """A fault in one shard's index rebuild (the first statement of its
+    session close) surfaces; the shard that did commit holds only
+    orphans, which recover() sweeps; the store stays usable."""
+    texts, names = _tiny_corpus(4)
+    policy = ShardFaultPolicy()
+    with ShardedStore.open(
+        str(tmp_path), scheme="interval", shards=2,
+        placement="round_robin", fault_policy=policy,
+    ) as store:
+        indexes_before = _index_names(store.writers[1].db)
+        assert indexes_before
+
+        def sources():
+            yield from texts
+            # Every payload is stored; the next statement shard 1 sees
+            # is the first CREATE INDEX of its close.
+            policy.fail_shard(1)
+
+        with pytest.raises(FaultInjected):
+            store.store_corpus(sources(), names=names)
+        policy.heal_shard(1)
+        assert store.documents() == []
+        assert _index_names(store.writers[1].db) == indexes_before
+        report = store.recover()
+        assert sorted(shard for shard, _ in report.orphans_removed) == [0, 0]
+        assert sum(
+            len(writer.documents()) for writer in store.writers
+        ) == 0
+        doc_ids = store.store_corpus(texts, names=names)
+        for doc_id, text in zip(doc_ids, texts):
+            assert store.reconstruct_xml(doc_id) == serialize(
+                parse_document(text)
+            )
+        assert store.verify_ok()
+
+
+def test_store_corpus_close_spans_join_the_request_trace(tmp_path):
+    """index_rebuild / analyze run on the close threads yet hang under
+    the caller's open span; the load event has no queue_depth."""
+    texts, names = _tiny_corpus(4)
+    tracer = Tracer()
+    log = RequestLog(capacity=16)
+    with ShardedStore.open(
+        str(tmp_path), scheme="interval", shards=2,
+        placement="round_robin", tracer=tracer, request_log=log,
+    ) as store:
+        with tracer.span("request") as request:
+            store.store_corpus(texts, names=names)
+        closes = [
+            span for span in request.children
+            if span.name == "ingest_shard"
+        ]
+        assert sorted(span.attributes["shard"] for span in closes) == [0, 1]
+        for span in closes:
+            assert span.attributes["documents"] == 2
+            assert span.thread_id != threading.get_ident()
+            assert {"index_rebuild", "analyze"} <= {
+                child.name for child in span.children
+            }
+        [event] = [e for e in log.tail() if e.get("op") == "load"]
+        assert event["outcome"] == "ok"
+        assert "queue_depth" not in event
 
 
 # -- deferred index rebuilds --------------------------------------------------
