@@ -132,6 +132,7 @@ LOCK_CLASSES: dict[str, LockClass] = {c.name: c for c in LOCK_ORDER}
 #: :data:`repro.analysis.lint.SQL_ALLOWED`.
 LOCK_SITES: dict[str, dict[str, str]] = {
     "repro/serve/sharded.py": {"_shard_locks": "shard", "_map_lock": "map"},
+    # ConnectionPool._lock and ResultCache._lock (one name, one class).
     "repro/serve/pool.py": {"_lock": "pool"},
     "repro/serve/executor.py": {"_replica_lock": "pool", "_gate": "pool"},
     "repro/serve/gateway.py": {"_lock": "pool"},

@@ -346,11 +346,11 @@ def instrument_sharded_store(store, watcher: LockWatcher) -> None:
     for watched :class:`OrderedLock` shims (idempotent).
 
     Wraps the store's shard/map locks, the shard-map and shard-state
-    mirrors, every primary pool's bookkeeping and plan-cache locks, the
-    executor's replica round-robin lock, and the metrics registry lock
-    — the lock set whose relative order the registry declares.  Queue
-    internals, per-instrument metric locks, and replica pools built
-    after instrumentation stay unwrapped.
+    mirrors, every primary pool's bookkeeping, plan-cache and
+    result-cache locks, the executor's replica round-robin lock, and
+    the metrics registry lock — the lock set whose relative order the
+    registry declares.  Queue internals, per-instrument metric locks,
+    and replica pools built after instrumentation stay unwrapped.
     """
     store._shard_locks = [
         watcher.wrap(lock, f"shard[{index}]", "shard", index=index)
@@ -369,6 +369,9 @@ def instrument_sharded_store(store, watcher: LockWatcher) -> None:
         )
         pool.plan_cache._lock = watcher.wrap(
             pool.plan_cache._lock, f"pool[{shard}].plans", "pool"
+        )
+        pool.result_cache._lock = watcher.wrap(
+            pool.result_cache._lock, f"pool[{shard}].results", "pool"
         )
     store.executor._replica_lock = watcher.wrap(
         store.executor._replica_lock, "pool.replica_rr", "pool"

@@ -102,8 +102,16 @@ def _observe(store: ShardedStore, doc_id: int) -> str:
     part of the observation: a rebalance re-stores the document on its
     destination shard, and some schemes (inlining) assign fresh ids
     there — content is the invariant, ids are not.
+
+    The title count comes through ``query_all``, the path the pools'
+    result caches serve: the same query runs before the crash, so a
+    cache that outlived a committed write (or kept rows of one rolled
+    back) shows up as a count that disagrees with the XML beside it.
     """
-    parts = [store.reconstruct_xml(doc_id)]
+    parts = [
+        store.reconstruct_xml(doc_id),
+        f"titles={len(store.query_all('//title').rows)}",
+    ]
     for entry in sorted(store.documents(), key=lambda e: e.name):
         parts.append(f"{entry.name}={store.reconstruct_xml(entry.doc_id)}")
     return "\n".join(parts)

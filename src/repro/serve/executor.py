@@ -31,6 +31,14 @@ decides whether a partial answer is better than none.  Deadline misses
 always raise: a partial answer is a *complete* answer from fewer
 shards, never a timing accident.
 
+Result cache: each pool keeps finished per-document rows
+(:class:`~repro.serve.pool.ResultCache`), consulted in the one place
+SQL runs (``_query_on_pool``) by every request that targets more than
+one document.  A shard whose targeted documents are all cached answers
+without acquiring a connection; every committed write on a shard, and
+every replica re-ship, drops that pool's cache.  A request for a single
+document is one statement on one connection and executes it.
+
 Replica routing (``read_from="replica"``): when a shard has shipped
 read replicas (``replica_pools``), its read lands on one of them
 (round-robin) instead of the primary, and the answer carries the
@@ -88,6 +96,10 @@ class _ShardAnswer:
     """One shard's rows plus where they were read from."""
 
     rows: list
+    #: ``"hit"`` (no SQL ran), ``"miss"``, or ``"partial"`` — what the
+    #: answering pool's result cache did for this shard's documents;
+    #: None when the request did not go through it (a single document).
+    result_cache: str | None = None
     replica: int | None = None
     lag_writes: int | None = None
     age_seconds: float | None = None
@@ -126,6 +138,12 @@ class ScatterResult:
     def doc_ids(self) -> list[int]:
         """Distinct matching document ids, in order."""
         return list(dict.fromkeys(doc for doc, _ in self.rows))
+
+
+def _spans_documents(targets: dict[int, list[tuple[int, int]]]) -> bool:
+    """Whether a request's reads go through the pools' result caches:
+    it targets more than one document."""
+    return sum(len(docs) for docs in targets.values()) > 1
 
 
 class QueryExecutor:
@@ -250,6 +268,7 @@ class QueryExecutor:
         read_from: str,
         ctx: RequestContext | None = None,
         breakdown: dict | None = None,
+        cached: bool = False,
     ) -> _ShardAnswer:
         """Run *xpath* over every targeted document of one shard.
 
@@ -260,7 +279,9 @@ class QueryExecutor:
         shard's spans nest under the request root even on a pool
         thread); *breakdown* — when the wide-event log is on — collects
         this shard's entry of the per-shard fan-out record (latency,
-        replica choice, plan-cache warmth, lint verdict, outcome).
+        replica choice, plan- and result-cache warmth, lint verdict,
+        outcome); *cached* says whether the read goes through the
+        answering pool's result cache.
         """
         if not docs:
             return _ShardAnswer(rows=[])
@@ -270,7 +291,7 @@ class QueryExecutor:
             ) as span:
                 return self._query_shard_traced(
                     shard, docs, xpath, deadline_at, deadline_budget,
-                    read_from, span, breakdown,
+                    read_from, span, breakdown, cached,
                 )
 
     def _query_shard_traced(
@@ -283,6 +304,7 @@ class QueryExecutor:
         read_from: str,
         span,
         breakdown: dict | None,
+        cached: bool,
     ) -> _ShardAnswer:
         started = time.perf_counter()
         info: dict | None = None
@@ -292,7 +314,7 @@ class QueryExecutor:
         try:
             answer = self._route_shard_read(
                 shard, docs, xpath, deadline_at, deadline_budget,
-                read_from, info,
+                read_from, info, cached,
             )
         except XmlRelError as error:
             elapsed = time.perf_counter() - started
@@ -312,6 +334,8 @@ class QueryExecutor:
             info["elapsed_seconds"] = elapsed
             info["outcome"] = "ok"
             info["rows"] = len(answer.rows)
+            if answer.result_cache is not None:
+                info["result_cache"] = answer.result_cache
             if answer.replica is not None:
                 info["read_from"] = "replica"
                 info["replica"] = answer.replica
@@ -334,6 +358,7 @@ class QueryExecutor:
         deadline_budget: float | None,
         read_from: str,
         info: dict | None,
+        cached: bool,
     ) -> _ShardAnswer:
         """Replica-or-primary routing (the pre-telemetry body of
         ``_query_shard``)."""
@@ -343,10 +368,15 @@ class QueryExecutor:
         if picked is not None:
             pool, replica = picked
             try:
-                with self.tracer.span("serve.replica_read", replica=replica):
-                    rows = self._query_on_pool(
-                        pool, docs, xpath, deadline_at, deadline_budget
+                with self.tracer.span(
+                    "serve.replica_read", replica=replica
+                ) as span:
+                    rows, served = self._query_on_pool(
+                        pool, docs, xpath, deadline_at, deadline_budget,
+                        cached,
                     )
+                    if span and served is not None:
+                        span.set(result_cache=served)
             except (Overloaded, StorageError):
                 # The replica could not answer; its primary still can.
                 self.metrics.counter("serve.replica_fallbacks").inc()
@@ -361,15 +391,19 @@ class QueryExecutor:
                         lag, age = staleness
                 return _ShardAnswer(
                     rows=rows,
+                    result_cache=served,
                     replica=replica,
                     lag_writes=lag,
                     age_seconds=age,
                 )
-        with self.tracer.span("serve.execute", shard=shard):
-            rows = self._query_on_pool(
-                self.pools[shard], docs, xpath, deadline_at, deadline_budget
+        with self.tracer.span("serve.execute", shard=shard) as span:
+            rows, served = self._query_on_pool(
+                self.pools[shard], docs, xpath, deadline_at, deadline_budget,
+                cached,
             )
-        return _ShardAnswer(rows=rows)
+            if span and served is not None:
+                span.set(result_cache=served)
+        return _ShardAnswer(rows=rows, result_cache=served)
 
     @staticmethod
     def _lint_verdict(pool: ConnectionPool, plans) -> str:
@@ -394,28 +428,60 @@ class QueryExecutor:
         xpath: str,
         deadline_at: float | None,
         deadline_budget: float | None,
-    ) -> list[tuple[int, int]]:
-        """Returns ``(global_doc_id, pre)`` pairs.  Checks the deadline
-        between documents so a slow shard stops burning its pool slot
-        once the query has already missed."""
+        cached: bool,
+    ) -> tuple[list[tuple[int, int]], str | None]:
+        """Returns ``(global_doc_id, pre)`` pairs plus what the pool's
+        result cache did: ``"hit"`` (every document cached — no
+        connection acquired, no SQL), ``"miss"`` or ``"partial"`` — or
+        None when *cached* is false and the read went past it (nothing
+        looked up, nothing published).
+
+        The data version is taken with the lookups, before the acquire
+        and before any statement runs, so rows read across a write or a
+        recycle are refused by ``put``.  Checks the deadline between
+        documents so a slow shard stops burning its pool slot once the
+        query has already missed."""
         timeout = pool.acquire_timeout
         if deadline_at is not None:
             remaining = deadline_at - time.monotonic()
             if remaining <= 0:
                 raise self._deadline_error(deadline_budget, deadline_at)
             timeout = min(timeout, remaining)
+        cache = pool.result_cache if cached else None
+        if cache is None:
+            version, found = 0, [None] * len(docs)
+        else:
+            version, found = cache.lookup(docs, xpath)
+        rows: list[tuple[int, int]] = []
+        misses = found.count(None)
+        if not misses:
+            for held in found:
+                rows.extend(held)
+            return rows, "hit"
         session = pool.acquire(timeout=timeout)
         try:
-            rows: list[tuple[int, int]] = []
-            for global_doc, local_doc in docs:
-                if (
-                    deadline_at is not None
-                    and time.monotonic() > deadline_at
-                ):
-                    raise self._deadline_error(deadline_budget, deadline_at)
-                for pre in session.scheme.query_pres(local_doc, xpath):
-                    rows.append((global_doc, pre))
-            return rows
+            for doc, held in zip(docs, found):
+                if held is None:
+                    if (
+                        deadline_at is not None
+                        and time.monotonic() > deadline_at
+                    ):
+                        raise self._deadline_error(
+                            deadline_budget, deadline_at
+                        )
+                    global_doc, local_doc = doc
+                    held = tuple(
+                        (global_doc, pre)
+                        for pre in session.scheme.query_pres(
+                            local_doc, xpath
+                        )
+                    )
+                    if cache is not None:
+                        cache.put(version, doc, xpath, held)
+                rows.extend(held)
+            if cache is None:
+                return rows, None
+            return rows, "miss" if misses == len(docs) else "partial"
         finally:
             pool.release(session)
 
@@ -643,12 +709,13 @@ class QueryExecutor:
         """The pruned path: one shard, executed on the calling thread."""
         failures: list[tuple[int, str]] = []
         answers: list[_ShardAnswer] = []
+        cached = _spans_documents(targets)
         for shard, docs in targets.items():  # 0 or 1 iterations
             try:
                 answers.append(
                     self._query_shard(
                         shard, docs, xpath, deadline_at, budget,
-                        read_from, ctx, breakdown,
+                        read_from, ctx, breakdown, cached,
                     )
                 )
             except DeadlineExceeded:
@@ -664,6 +731,7 @@ class QueryExecutor:
         ctx=None, breakdown=None,
     ) -> ScatterResult:
         """Fan out one task per shard; gather, merge, and sort."""
+        cached = _spans_documents(targets)
         futures = {
             self._threads.submit(
                 self._query_shard,
@@ -675,6 +743,7 @@ class QueryExecutor:
                 read_from,
                 ctx,
                 breakdown,
+                cached,
             ): shard
             for shard, docs in targets.items()
         }
@@ -947,6 +1016,7 @@ class ScatterStream:
         #: ``{future: shard}`` — all submitted at construction; a shard
         #: with no targeted documents still gets a (trivial) task so
         #: the stream always announces every shard it covers.
+        cached = _spans_documents(targets)
         self.futures = {
             executor._threads.submit(
                 executor._query_shard,
@@ -958,6 +1028,7 @@ class ScatterStream:
                 route,
                 self.ctx,
                 self.breakdown,
+                cached,
             ): shard
             for shard, docs in targets.items()
         }

@@ -49,6 +49,7 @@ runs under it.
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 import threading
 import time
@@ -93,6 +94,12 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: Header lines one request may carry.
+MAX_HEADERS = 100
+
+#: Distinct XPath strings whose syntax check the gateway remembers.
+XPATH_PARSE_CACHE = 256
 
 #: Route labels used in ``gateway.route.<route>.seconds`` histograms.
 ROUTES = ("query", "query_stream", "healthz", "stats", "other")
@@ -211,6 +218,12 @@ class Gateway:
         self.analyzer = analyzer
         self.idle_timeout = idle_timeout
         self.quotas = ClientQuotas(quota_rate, quota_burst)
+        #: The early syntax check (typed 400 before admission),
+        #: remembered per string; a syntax error raises and so is never
+        #: cached.  Only the event loop calls it.
+        self._parse_xpath = functools.lru_cache(maxsize=XPATH_PARSE_CACHE)(
+            parse_xpath
+        )
         self._dispatch = ThreadPoolExecutor(
             max_workers=max_dispatch_workers
             or max(4, len(store.pools)),
@@ -375,13 +388,8 @@ class Gateway:
                     close = True
                 if close:
                     break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            TimeoutError,
-        ):
-            pass
+        except ConnectionError:
+            pass  # hangup mid-response; reads end in _read_request
         finally:
             self.metrics.gauge("gateway.connections").add(-1)
             writer.close()
@@ -392,35 +400,39 @@ class Gateway:
 
     async def _read_request(self, reader):
         """One HTTP request off the wire: ``(method, path, params,
-        headers, body)``, or None at EOF/idle timeout."""
+        headers, body)``, or None when the connection should just
+        close: EOF, a head or body cut short, or *idle_timeout* seconds
+        without a complete request — head and body share the one
+        timeout, so a client that stalls mid-body is dropped like one
+        that never speaks."""
         try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.idle_timeout
+            return await asyncio.wait_for(
+                self._read_head_and_body(reader), timeout=self.idle_timeout
             )
-        except (asyncio.TimeoutError, TimeoutError):
+        except (
+            asyncio.TimeoutError, TimeoutError, asyncio.IncompleteReadError
+        ):
             return None
-        except ValueError:
-            # readline() raises ValueError past the stream limit.
-            raise ProtocolError("request line too long") from None
-        if not line:
-            return None
-        parts = line.decode("latin-1").strip().split()
+
+    async def _read_head_and_body(self, reader):
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            # No blank line within the stream limit: an over-long
+            # request line, header line, or head as a whole.
+            raise ProtocolError("request head too long") from None
+        request_line, *header_lines = (
+            head[:-4].decode("latin-1").split("\r\n")
+        )
+        parts = request_line.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise ProtocolError(f"malformed request line: {line!r}")
+            raise ProtocolError(f"malformed request line: {request_line!r}")
         method, target = parts[0].upper(), parts[1]
+        if len(header_lines) > MAX_HEADERS:
+            raise ProtocolError("too many request headers")
         headers: dict[str, str] = {}
-        while True:
-            try:
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.idle_timeout
-                )
-            except ValueError:
-                raise ProtocolError("request header too long") from None
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if len(headers) > 100:
-                raise ProtocolError("too many request headers")
-            name, _, value = line.decode("latin-1").partition(":")
+        for line in header_lines:
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "").strip()
         if raw_length:
@@ -509,7 +521,7 @@ class Gateway:
                     stream=spec.stream,
                     client=spec.client,
                 )
-            parsed = parse_xpath(spec.xpath)
+            parsed = self._parse_xpath(spec.xpath)
         with self.tracer.span("gateway.admit", client=spec.client):
             retry_after = self.quotas.try_admit(spec.client)
         if retry_after is not None:
@@ -823,6 +835,7 @@ class Gateway:
         extra_headers: dict | None = None,
     ) -> None:
         body = ndjson_line(obj)  # compact JSON + trailing newline
+        # One write: one send, one client wake-up per response.
         writer.write(
             self._head(
                 status,
@@ -831,8 +844,8 @@ class Gateway:
                 keep_alive=keep_alive,
                 extra_headers=extra_headers,
             )
+            + body
         )
-        writer.write(body)
         await writer.drain()
         self.metrics.counter("gateway.bytes_sent").inc(len(body))
 

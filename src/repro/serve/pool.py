@@ -30,6 +30,16 @@ Two invalidation channels exist for writable shards:
   file is atomically replaced underneath the pool (replica snapshot
   ship); new acquires build connections against the new file.
 
+**Result cache.**  Beside the plan cache every pool carries a
+:class:`ResultCache`: finished ``(global_doc_id, pre)`` rows per
+``(document, xpath)``, so a multi-document read that repeats one seen
+since the shard's last write executes no SQL and acquires no connection
+(the executor sends single-document requests past it).  Its
+invalidation is a third channel, the **data version**:
+:meth:`ConnectionPool.bump_data_version` (every committed write on the
+shard; :meth:`ConnectionPool.recycle`) drops the whole cache and makes
+rows read under the previous version unpublishable.
+
 A fresh connection failing its health check normally means the shard is
 down; with a ``retry`` policy the pool backs off and rebuilds up to
 ``max_attempts`` times before reporting shard-down, riding out
@@ -40,7 +50,9 @@ Pool state is observable through gauges/counters in the owning
 ``pool.<name>.in_use``, ``pool.<name>.open`` (gauges),
 ``pool.<name>.acquires``, ``pool.<name>.releases``,
 ``pool.<name>.timeouts``, ``pool.<name>.health_failures``,
-``pool.<name>.health_retries``, ``pool.<name>.recycled`` (counters).
+``pool.<name>.health_retries``, ``pool.<name>.recycled`` (counters),
+and the result cache's ``pool.<name>.result_cache.hits`` / ``misses`` /
+``evictions`` / ``invalidations`` (counters) and ``rows`` (gauge).
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from collections.abc import Callable
 
@@ -58,6 +71,130 @@ from repro.relational.database import Database
 from repro.relational.plancache import PlanCache
 from repro.relational.retry import RetryPolicy
 from repro.relational.shardmap import connection_alive
+
+
+#: Rows one pool's :class:`ResultCache` may hold (an empty result
+#: counts as one).  A row is a 2-tuple of ints, about 100 bytes, so a
+#: full cache is about 3 MB per pool.
+RESULT_CACHE_ROWS = 32_768
+
+
+def _cost(rows: tuple) -> int:
+    """What one cached result charges against the row budget."""
+    return len(rows) or 1
+
+
+class ResultCache:
+    """Finished per-document query results of one shard file.
+
+    Maps ``(global_doc_id, local_doc_id, xpath)`` to that document's
+    ``(global_doc_id, pre)`` rows, LRU-bounded by *rows held*, not by
+    entries.  The global id is part of the key because local ids are
+    sqlite rowids and are reused after a delete: a reader still holding
+    pre-delete targets must never publish rows another document's
+    readers can hit.
+
+    Invalidation is by **version**.  A reader takes the version together
+    with its lookups (:meth:`lookup`, one lock hold), runs its
+    statements, and offers the rows back under that version;
+    :meth:`put` refuses a version that is no longer current.  A write
+    commits, then calls :meth:`invalidate`, then returns: a statement
+    that ran before the commit can only ever publish under a dead
+    version, and a reader that starts after the write returned finds
+    only rows read after the commit.
+    """
+
+    def __init__(self, metrics: MetricsRegistry, prefix: str) -> None:
+        # Lock class "pool" (repro.analysis.concurrency.LOCK_SITES):
+        # dict bookkeeping and the rows gauge (class "metrics", ranked
+        # inside) only, nothing blocking.
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._version = 0
+        self._rows = 0
+        self._hits = metrics.counter(f"{prefix}.hits")
+        self._misses = metrics.counter(f"{prefix}.misses")
+        self._evictions = metrics.counter(f"{prefix}.evictions")
+        self._invalidations = metrics.counter(f"{prefix}.invalidations")
+        self._rows_gauge = metrics.gauge(f"{prefix}.rows")
+
+    def lookup(
+        self, docs: list[tuple[int, int]], xpath: str
+    ) -> tuple[int, list[tuple | None]]:
+        """``(version, found)``: the current data version and, per
+        ``(global, local)`` pair of *docs*, its cached rows or None."""
+        found: list[tuple | None] = []
+        with self._lock:
+            entries = self._entries
+            for global_doc, local_doc in docs:
+                key = (global_doc, local_doc, xpath)
+                rows = entries.get(key)
+                if rows is not None:
+                    entries.move_to_end(key)
+                found.append(rows)
+            version = self._version
+        hits = len(found) - found.count(None)
+        if hits:
+            self._hits.inc(hits)
+        if hits < len(found):
+            self._misses.inc(len(found) - hits)
+        return version, found
+
+    def put(
+        self, version: int, doc: tuple[int, int], xpath: str, rows: tuple
+    ) -> None:
+        """Publish *rows*, read under *version*, for one document —
+        unless the version is dead or the result alone exceeds the
+        budget."""
+        cost = _cost(rows)
+        if cost > RESULT_CACHE_ROWS:
+            return
+        evicted = 0
+        with self._lock:
+            if version != self._version:
+                return
+            entries = self._entries
+            key = (doc[0], doc[1], xpath)
+            previous = entries.pop(key, None)
+            if previous is not None:
+                self._rows -= _cost(previous)
+            entries[key] = rows
+            self._rows += cost
+            while self._rows > RESULT_CACHE_ROWS:
+                _, coldest = entries.popitem(last=False)
+                self._rows -= _cost(coldest)
+                evicted += 1
+            self._rows_gauge.set(self._rows)
+        if evicted:
+            self._evictions.inc(evicted)
+
+    def invalidate(self) -> int:
+        """Drop everything and start the next version (returned)."""
+        with self._lock:
+            self._version += 1
+            version = self._version
+            self._entries.clear()
+            self._rows = 0
+            self._rows_gauge.set(0)
+        self._invalidations.inc()
+        return version
+
+    def stats(self) -> dict[str, int]:
+        """Cumulative counters plus what is held now."""
+        with self._lock:
+            entries, rows, version = (
+                len(self._entries), self._rows, self._version
+            )
+        return {
+            "hits": self._hits.value,
+            "misses": self._misses.value,
+            "evictions": self._evictions.value,
+            "invalidations": self._invalidations.value,
+            "rows": rows,
+            "entries": entries,
+            "version": version,
+            "capacity_rows": RESULT_CACHE_ROWS,
+        }
 
 
 class ReadSession:
@@ -129,6 +266,10 @@ class ConnectionPool:
         self.tracer = tracer
         #: One warm translation cache for the whole pool.
         self.plan_cache = PlanCache()
+        #: Finished rows per (document, xpath); see :class:`ResultCache`.
+        self.result_cache = ResultCache(
+            self.metrics, f"pool.{name}.result_cache"
+        )
         self._idle: queue.LifoQueue[ReadSession] = queue.LifoQueue()
         self._lock = threading.Lock()
         self._created = 0
@@ -339,13 +480,24 @@ class ConnectionPool:
         with self._lock:
             return self._generation
 
+    def bump_data_version(self) -> int:
+        """The shard file's committed contents changed: drop every
+        cached result and refuse rows still in flight from before."""
+        return self.result_cache.invalidate()
+
     def recycle(self) -> None:
         """Retire every pooled connection: idle ones now, checked-out
         ones when released.  Called after the shard file was atomically
         replaced (replica snapshot ship) so no connection keeps reading
-        the unlinked old file."""
+        the unlinked old file.
+
+        The generation moves *before* the data version: a reader takes
+        its version before it acquires, so one that still got an
+        old-generation connection took the old version too.
+        """
         with self._lock:
             self._generation += 1
+        self.bump_data_version()
         self._drain_idle(recycled=True)
 
     # -- lifecycle ----------------------------------------------------------------
@@ -365,7 +517,8 @@ class ConnectionPool:
         self.close()
 
     def stats(self) -> dict[str, int]:
-        """Point-in-time pool accounting (plus plan-cache stats)."""
+        """Point-in-time pool accounting (plus plan- and result-cache
+        stats)."""
         with self._lock:
             open_count = self._created
             epoch = self._epoch
@@ -377,4 +530,5 @@ class ConnectionPool:
             "epoch": epoch,
             "generation": generation,
             "plan_cache": self.plan_cache.stats(),
+            "result_cache": self.result_cache.stats(),
         }

@@ -42,9 +42,10 @@ Subtree updates (:meth:`insert_subtree` / :meth:`delete_subtree`) run
 the :mod:`repro.updates` machinery inside an outer writer transaction,
 turning the update's internal transactions into savepoints — one fault
 anywhere rolls the whole update back.  After a write the shard's read
-pool bumps its *shard-local* plan epoch (only for schemes whose
-translations depend on stored data), so cached plans of other shards
-are untouched.
+pool drops its cached results (its *data version* moves) and bumps its
+*shard-local* plan epoch (only for schemes whose translations depend on
+stored data), so cached plans and results of other shards are
+untouched.
 
 **Crash-safe ordering.**  A ``store`` commits shard rows *before*
 registering the shard-map entry; a ``delete`` removes the map entry
@@ -415,13 +416,17 @@ class ShardedStore:
 
     def _post_write(self, shard: int) -> None:
         """Bookkeeping after one committed write to *shard* (shard lock
-        held): bump the persistent write sequence (the replica
-        staleness denominator) and — only for schemes whose
-        translations depend on stored data (universal's label columns,
-        binary's partition tables) — bump the shard-local plan epoch so
-        this shard's pooled readers stop using stale cached plans.
+        held), before the write returns to its caller: drop the shard
+        pool's cached results (every scheme — first, so a failing
+        catalog write below cannot leave stale rows being served), bump
+        the persistent write sequence (the replica staleness
+        denominator) and — only for schemes whose translations depend
+        on stored data (universal's label columns, binary's partition
+        tables) — bump the shard-local plan epoch so this shard's
+        pooled readers stop using stale cached plans.
         Other shards' caches are never touched.
         """
+        self.pools[shard].bump_data_version()
         with self._map_lock:
             self.shard_state.bump_write(shard)
         if self.writers[shard].scheme.translation_depends_on_data:

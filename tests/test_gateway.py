@@ -579,6 +579,173 @@ class TestWireRobustness:
             assert b'"short_circuit"' in data
 
 
+    # -- the request head and body share one idle timeout ----------------------
+
+    @staticmethod
+    def _loop_tasks(gateway) -> int:
+        """Tasks alive on the gateway's loop (besides the probe)."""
+        async def count():
+            return len(asyncio.all_tasks()) - 1
+
+        return asyncio.run_coroutine_threadsafe(
+            count(), gateway._loop
+        ).result(timeout=5)
+
+    def _settled(self, store, gateway, idle_tasks) -> bool:
+        return _wait_for(
+            lambda: store.metrics.gauge("gateway.connections").value == 0
+            and self._loop_tasks(gateway) == idle_tasks
+        )
+
+    def test_truncated_body_closes_without_a_leak(self, tmp_path):
+        """``Content-Length: 100``, ten bytes, then EOF: the connection
+        just closes — no slot, no task, no response to a half request."""
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            idle_tasks = self._loop_tasks(gateway)
+            data = self._raw_half_closed(
+                gateway,
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n" + b"x" * 10,
+            )
+            assert data == b""
+            assert self._settled(store, gateway, idle_tasks)
+            assert store.metrics.gauge("serve.in_flight").value == 0
+            status, _ = _post(gateway.url + "/query", {"xpath": "/bib/book"})
+            assert status == 200
+
+    @staticmethod
+    def _raw_half_closed(gateway, request: bytes) -> bytes:
+        raw = socket.create_connection(
+            ("127.0.0.1", gateway.port), timeout=5
+        )
+        try:
+            raw.sendall(request)
+            raw.shutdown(socket.SHUT_WR)
+            data = b""
+            while True:
+                chunk = raw.recv(4096)
+                if not chunk:
+                    return data
+                data += chunk
+        finally:
+            raw.close()
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"POST /query HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 100\r\n\r\n" + b"x" * 10,
+            b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Le",
+        ],
+        ids=["slow-loris-body", "slow-loris-head"],
+    )
+    def test_a_stalled_request_is_dropped_at_the_idle_timeout(
+        self, tmp_path, sent
+    ):
+        """The sender stalls with the connection open.  The body read
+        used to have no timeout at all and held the connection forever."""
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway(idle_timeout=0.3)
+            idle_tasks = self._loop_tasks(gateway)
+            raw = socket.create_connection(
+                ("127.0.0.1", gateway.port), timeout=5
+            )
+            try:
+                raw.sendall(sent)
+                started = time.monotonic()
+                assert raw.recv(4096) == b""  # closed, nothing said
+                assert time.monotonic() - started < 3.0
+            finally:
+                raw.close()
+            assert self._settled(store, gateway, idle_tasks)
+            assert store.metrics.gauge("serve.in_flight").value == 0
+
+    def test_over_limit_head_is_400(self, tmp_path):
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            for request in (
+                b"GET /query?xpath=/" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                b"GET /stats HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+                + b"\r\n\r\n",
+            ):
+                data = self._raw(gateway, request)
+                assert data.startswith(b"HTTP/1.1 400")
+                body = json.loads(data.partition(b"\r\n\r\n")[2])
+                assert body["error"] == "ProtocolError"
+                assert "too long" in body["message"]
+
+    def test_too_many_headers_is_400(self, tmp_path):
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            padding = b"".join(
+                b"X-Pad-%d: 1\r\n" % n for n in range(101)
+            )
+            data = self._raw(
+                gateway, b"GET /stats HTTP/1.1\r\n" + padding + b"\r\n"
+            )
+            assert data.startswith(b"HTTP/1.1 400")
+            body = json.loads(data.partition(b"\r\n\r\n")[2])
+            assert "too many request headers" in body["message"]
+
+    def test_malformed_request_line_is_400(self, tmp_path):
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            data = self._raw(gateway, b"NONSENSE\r\nHost: x\r\n\r\n")
+            assert data.startswith(b"HTTP/1.1 400")
+            body = json.loads(data.partition(b"\r\n\r\n")[2])
+            assert "malformed request line" in body["message"]
+
+    def test_a_response_is_one_write(self, tmp_path):
+        """Head and body leave in a single ``write``: one send, one
+        client wake-up per response."""
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+
+            class Recorder:
+                def __init__(self):
+                    self.writes = []
+
+                def write(self, data):
+                    self.writes.append(data)
+
+                async def drain(self):
+                    pass
+
+            writer = Recorder()
+            asyncio.run(gateway._respond_json(writer, 200, {"ok": True}))
+            (sent,) = writer.writes
+            head, _, body = sent.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200")
+            assert json.loads(body) == {"ok": True}
+            assert f"Content-Length: {len(body)}".encode() in head
+
+    def test_syntax_check_is_remembered_but_errors_are_not(self, tmp_path):
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            for _ in range(3):
+                status, _ = _post(
+                    gateway.url + "/query", {"xpath": "/bib/book"}
+                )
+                assert status == 200
+                status, body = _post(
+                    gateway.url + "/query", {"xpath": "/bib/book["},
+                    expect_error=True,
+                )
+                assert status == 400
+                assert body["error"] == "XPathSyntaxError"
+            info = gateway._parse_xpath.cache_info()
+            assert (info.hits, info.currsize) == (2, 1)
+            assert info.misses == 1 + 3  # the bad string parses each time
+
+
 # -- tracing + wide events ----------------------------------------------------
 
 

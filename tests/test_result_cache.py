@@ -1,0 +1,642 @@
+"""The per-shard result cache (``repro.serve.pool.ResultCache``).
+
+A request over several documents that repeats a ``(document, xpath)``
+is answered without SQL and without a pooled connection; every
+committed write on a shard, and every replica re-ship, drops that
+pool's cache; a request for one document goes past the cache and
+executes.  The suites below hold
+the cache to the in-memory evaluator through generated write/read
+interleavings, race a reader against a writer, pin the row budget and
+the LRU order, and check that a rolled-back write changes nothing.
+
+Runs under ``XMLREL_LOCK_HARNESS=1`` in CI next to the serving suites.
+"""
+
+import shutil
+import sys
+import tempfile
+import threading
+from concurrent.futures import as_completed
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.errors import DeadlineExceeded
+from repro.obs.events import RequestLog
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.ops import parse_prometheus, to_prometheus
+from repro.reliability.crashsweep import sweep
+from repro.reliability.faults import ShardFaultPolicy, SimulatedCrash
+from repro.serve import ShardedStore
+from repro.serve import pool as pool_module
+from repro.serve.pool import ResultCache
+from repro.xml import parse_document, parse_fragment
+from repro.xml.serialize import serialize
+from repro.xpath import evaluate_nodes
+
+TEMPLATES = (
+    "<inventory>"
+    "<shelf m='s1'><box m='b1'><item m='i1'>one</item></box></shelf>"
+    "<shelf m='s2'><box m='b2'><item m='i2'>two</item>"
+    "<item m='i3'>three</item></box></shelf>"
+    "</inventory>",
+    "<inventory><shelf m='s1'/></inventory>",
+    "<inventory><shelf m='s9'><box m='b9'/></shelf>"
+    "<shelf m='s8'><box m='b8'><item m='i2'>two</item></box></shelf>"
+    "</inventory>",
+)
+
+FRAGMENTS = (
+    "<item m='n1'>fresh</item>",
+    "<box m='n2'><item m='i2'>v</item></box>",
+    "<shelf m='n3'><box m='n4'/></shelf>",
+)
+
+QUERIES = (
+    "//item",
+    "//box/item",
+    "/inventory/shelf/box",
+    "//item[@m = 'i2']",
+    "//shelf[not(box)]",
+    "//item/text()",
+)
+
+PICK = st.integers(0, 10**6)
+
+
+def open_store(directory, **kwargs):
+    kwargs.setdefault("scheme", "interval")
+    kwargs.setdefault("shards", 2)
+    kwargs.setdefault("placement", "round_robin")
+    kwargs.setdefault("profile", "bulk_load")
+    kwargs.setdefault("pool_size", 2)
+    return ShardedStore.open(str(directory), **kwargs)
+
+
+def evaluator_rows(doc_id, document, xpath):
+    """What the store must answer for one document: the evaluator's
+    nodes as ``(doc_id, pre)``.  The interval scheme renumbers on every
+    update, so ``pre`` is the mutated DOM's document order."""
+    return [
+        (doc_id, node.order_key) for node in evaluate_nodes(document, xpath)
+    ]
+
+
+def acquires(store) -> int:
+    """Connections handed out so far, over every pool of the store."""
+    counters = store.metrics.snapshot()["counters"]
+    return sum(
+        value for name, value in counters.items()
+        if name.startswith("pool.") and name.endswith(".acquires")
+    )
+
+
+def cache_stats(store, shard):
+    return store.pools[shard].result_cache.stats()
+
+
+# -- (a) generated interleavings against the evaluator -------------------------
+
+
+class CacheMachine(RuleBasedStateMachine):
+    """Writes of every kind interleaved with reads of every kind on a
+    2-shard store with one replica per shard.  Every read is issued
+    twice: both answers equal the evaluator's; the repeat of a request
+    over several documents — a full hit — hands out no connection, the
+    repeat of a single-document request exactly one.  ``verify_ok()``
+    after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="xmlrel-result-cache-")
+        self.store = open_store(self.directory, replicas=1)
+        #: doc id -> the DOM the primary must equal.
+        self.docs = {}
+        #: shard -> {local doc id: DOM} as of that shard's last ship.
+        self.shipped = {}
+        self.stored = 0
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    # writes ------------------------------------------------------------------
+
+    @rule(pick=PICK)
+    def store_text(self, pick):
+        text = TEMPLATES[pick % len(TEMPLATES)]
+        self.stored += 1
+        doc_id = self.store.store_text(text, name=f"doc-{self.stored}")
+        self.docs[doc_id] = parse_document(text)
+
+    def _doc(self, pick):
+        doc_id = sorted(self.docs)[pick % len(self.docs)]
+        return doc_id, self.docs[doc_id]
+
+    @precondition(lambda self: self.docs)
+    @rule(pick=PICK, where=PICK, what=PICK, index=PICK)
+    def insert_subtree(self, pick, where, what, index):
+        doc_id, document = self._doc(pick)
+        parents = [
+            element for element in document.iter_elements()
+            if element.tag in ("inventory", "shelf", "box")
+        ]
+        parent = parents[where % len(parents)]
+        position = index % (len(parent.children) + 1)
+        source = FRAGMENTS[what % len(FRAGMENTS)]
+        self.store.insert_subtree(
+            doc_id, parent.order_key, parse_fragment(source), position
+        )
+        parent.insert_child(position, parse_fragment(source))
+
+    @precondition(lambda self: self.docs)
+    @rule(pick=PICK, where=PICK)
+    def delete_subtree(self, pick, where):
+        doc_id, document = self._doc(pick)
+        victims = [
+            element for element in document.iter_elements()
+            if element.tag != "inventory"
+        ]
+        if not victims:
+            return
+        victim = victims[where % len(victims)]
+        self.store.delete_subtree(doc_id, victim.order_key)
+        victim.parent.remove_child(victim)
+
+    @precondition(lambda self: self.docs)
+    @rule(pick=PICK)
+    def delete(self, pick):
+        doc_id, _ = self._doc(pick)
+        self.store.delete(doc_id)
+        del self.docs[doc_id]
+
+    @precondition(lambda self: self.docs)
+    @rule(pick=PICK)
+    def rebalance(self, pick):
+        doc_id, _ = self._doc(pick)
+        self.store.rebalance(doc_id, 1 - self.store.resolve(doc_id).shard)
+
+    @rule()
+    def ship_replicas(self):
+        self.store.ship_replicas()
+        self.shipped = {shard: {} for shard in self.store.pools}
+        for doc_id, document in self.docs.items():
+            record = self.store.resolve(doc_id)
+            self.shipped[record.shard][record.local_doc_id] = (
+                parse_document(serialize(document))
+            )
+
+    # reads -------------------------------------------------------------------
+
+    def _expected(self, xpath, doc_ids, replica):
+        rows = []
+        for doc_id in doc_ids:
+            document = self.docs[doc_id]
+            if replica:
+                record = self.store.resolve(doc_id)
+                snapshot = self.shipped.get(record.shard)
+                if snapshot is not None:  # else: the primary answers
+                    document = snapshot.get(record.local_doc_id)
+            if document is not None:
+                rows.extend(evaluator_rows(doc_id, document, xpath))
+        return sorted(rows)
+
+    def _streamed(self, xpath):
+        targets = {
+            shard: self.store.shard_map.docs_for_shard(shard)
+            for shard in self.store.pools
+        }
+        stream = self.store.executor.stream(xpath, targets)
+        rows = []
+        try:
+            for future in as_completed(stream.futures, timeout=10):
+                rows.extend(stream.collect(future)[1])
+        finally:
+            result = stream.finish()
+        assert sorted(rows) == list(result.rows)
+        return sorted(rows)
+
+    @rule(
+        pick=PICK,
+        mode=st.sampled_from(
+            ("doc", "scatter", "stream", "replica_doc", "replica_scatter")
+        ),
+    )
+    def read(self, pick, mode):
+        """Every query of the pool through one delivery path, twice."""
+        replica = mode.startswith("replica")
+        route = "replica" if replica else "primary"
+        if mode.endswith("doc"):
+            if not self.docs:
+                return
+            doc_id, _ = self._doc(pick)
+            doc_ids = [doc_id]
+
+            def run(xpath):
+                return [
+                    (doc_id, pre) for pre in self.store.query_pres(
+                        doc_id, xpath, read_from=route
+                    )
+                ]
+        elif mode == "stream":
+            doc_ids, run = sorted(self.docs), self._streamed
+        else:
+            doc_ids = sorted(self.docs)
+
+            def run(xpath):
+                return list(
+                    self.store.query_all(xpath, read_from=route).rows
+                )
+        for xpath in QUERIES:
+            expected = self._expected(xpath, doc_ids, replica)
+            assert run(xpath) == expected
+            before = acquires(self.store)
+            assert run(xpath) == expected
+            # One targeted document executes, every time; the repeat of
+            # anything wider ran no SQL.
+            assert acquires(self.store) - before == (len(doc_ids) == 1)
+
+    @invariant()
+    def audits_clean(self):
+        assert self.store.verify_ok()
+
+
+CacheMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None
+)
+TestGeneratedInterleavings = CacheMachine.TestCase
+
+
+# -- (b) a reader racing a writer ---------------------------------------------------
+
+
+TOGGLE = "<box m='toggle'><item m='t1'>x</item></box>"
+
+
+class TestReaderWriterRace:
+    def _loaded(self, tmp_path):
+        store = open_store(tmp_path)
+        ids = [store.store_text(TEMPLATES[0], name=f"d{n}") for n in range(4)]
+        return store, ids
+
+    def test_every_answer_is_a_legal_state_and_own_writes_are_seen(
+        self, tmp_path
+    ):
+        """A writer toggles a subtree of one document 200 times while a
+        reader hammers one doc-scoped and one scatter query.  Every
+        answer is the state before or after the toggle; the first reads
+        after each write call returns — the executed doc-scoped one and
+        the cache-served scatter — are exactly that write's state."""
+        store, ids = self._loaded(tmp_path)
+        with store:
+            target = ids[1]
+            root = store.query_pres(target, "/inventory")[0]
+            before = parse_document(TEMPLATES[0])
+            after = parse_document(TEMPLATES[0])
+            after.root_element.insert_child(0, parse_fragment(TOGGLE))
+            doc_legal = [
+                [pre for _, pre in evaluator_rows(target, state, "//item")]
+                for state in (before, after)
+            ]
+            scatter_legal = [
+                sorted(
+                    row for doc_id in ids for row in evaluator_rows(
+                        doc_id, state if doc_id == target else before,
+                        "//item",
+                    )
+                )
+                for state in (before, after)
+            ]
+            done = threading.Event()
+            illegal = []
+            reads = [0]
+
+            def reader():
+                while not done.is_set():
+                    answer = store.query_pres(target, "//item")
+                    if answer not in doc_legal:
+                        illegal.append(("doc", answer))
+                    answer = list(store.query_all("//item").rows)
+                    if answer not in scatter_legal:
+                        illegal.append(("scatter", answer))
+                    reads[0] += 1
+
+            thread = threading.Thread(
+                target=reader, name="cache-race-reader", daemon=True
+            )
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            thread.start()
+            try:
+                for _ in range(100):
+                    store.insert_subtree(
+                        target, root, parse_fragment(TOGGLE), 0
+                    )
+                    assert store.query_pres(target, "//item") == doc_legal[1]
+                    assert (
+                        list(store.query_all("//item").rows)
+                        == scatter_legal[1]
+                    )
+                    toggled = store.query_pres(
+                        target, "/inventory/box[@m = 'toggle']"
+                    )[0]
+                    store.delete_subtree(target, toggled)
+                    assert store.query_pres(target, "//item") == doc_legal[0]
+                    assert (
+                        list(store.query_all("//item").rows)
+                        == scatter_legal[0]
+                    )
+            finally:
+                done.set()
+                thread.join(timeout=30)
+                sys.setswitchinterval(interval)
+            assert not thread.is_alive()
+            assert not illegal, illegal[:3]
+            assert reads[0] > 0
+            assert list(store.query_all("//item").rows) == scatter_legal[0]
+            assert store.verify_ok()
+
+    def test_rows_read_before_a_commit_are_not_published_after_it(
+        self, tmp_path, monkeypatch
+    ):
+        """Forced interleaving: the reader's statement runs, the write
+        commits and bumps the version, only then does the reader reach
+        ``put`` — which must store nothing on the written shard."""
+        store, ids = self._loaded(tmp_path)
+        with store:
+            target = ids[0]
+            shard = store.resolve(target).shard
+            cache = store.pools[shard].result_cache
+            root = store.query_pres(target, "/inventory")[0]
+            stale = sorted(
+                row for doc_id in ids for row in evaluator_rows(
+                    doc_id, parse_document(TEMPLATES[0]), "//item"
+                )
+            )
+            real_put = cache.put
+            reached, release = threading.Event(), threading.Event()
+
+            def held_put(version, doc, xpath, rows):
+                # The shard's first document is the target: its
+                # statement has run when the reader gets here.
+                reached.set()
+                assert release.wait(timeout=10)
+                real_put(version, doc, xpath, rows)
+
+            monkeypatch.setattr(cache, "put", held_put)
+            answers = []
+            thread = threading.Thread(
+                target=lambda: answers.append(
+                    list(store.query_all("//item").rows)
+                ),
+                name="cache-race-stale-reader",
+                daemon=True,
+            )
+            thread.start()
+            assert reached.wait(timeout=10)
+            store.insert_subtree(target, root, parse_fragment(TOGGLE), 0)
+            release.set()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            monkeypatch.undo()
+            assert answers == [stale]  # concurrent with the write: legal
+            assert cache.stats()["entries"] == 0
+            assert len(store.query_all("//item").rows) == len(stale) + 1
+
+
+# -- (c) the row budget ----------------------------------------------------------------
+
+
+class TestBudget:
+    @pytest.fixture()
+    def cache(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "RESULT_CACHE_ROWS", 10)
+        return ResultCache(MetricsRegistry(), "pool.test.result_cache")
+
+    @staticmethod
+    def rows(doc, count):
+        return tuple((doc, pre) for pre in range(count))
+
+    def held(self, cache, docs):
+        """Which of *docs* are cached, asked without touching the
+        counters' meaning for the test: one lookup per call."""
+        _, found = cache.lookup([(doc, doc) for doc in docs], "//x")
+        return [doc for doc, rows in zip(docs, found) if rows is not None]
+
+    def test_rows_never_exceed_the_budget(self, cache):
+        for doc in range(40):
+            cache.put(0, (doc, doc), "//x", self.rows(doc, doc % 5))
+            assert cache.stats()["rows"] <= 10
+        assert cache.stats()["evictions"] > 0
+
+    def test_an_empty_result_counts_one_row(self, cache):
+        for doc in range(11):
+            cache.put(0, (doc, doc), "//x", ())
+        stats = cache.stats()
+        assert (stats["rows"], stats["entries"], stats["evictions"]) == (
+            10, 10, 1,
+        )
+
+    def test_a_result_over_the_budget_is_not_stored(self, cache):
+        cache.put(0, (1, 1), "//x", self.rows(1, 4))
+        cache.put(0, (2, 2), "//x", self.rows(2, 11))
+        assert self.held(cache, [1, 2]) == [1]
+        assert cache.stats()["evictions"] == 0
+
+    def test_the_coldest_entry_goes_first(self, cache):
+        cache.put(0, (1, 1), "//x", self.rows(1, 4))
+        cache.put(0, (2, 2), "//x", self.rows(2, 4))
+        assert self.held(cache, [1]) == [1]  # 1 is now warmer than 2
+        cache.put(0, (3, 3), "//x", self.rows(3, 4))
+        assert self.held(cache, [1, 2, 3]) == [1, 3]
+
+    def test_replacing_an_entry_recounts_it(self, cache):
+        cache.put(0, (1, 1), "//x", self.rows(1, 6))
+        cache.put(0, (1, 1), "//x", self.rows(1, 2))
+        assert cache.stats()["rows"] == 2
+
+    def test_a_dead_version_is_refused(self, cache):
+        version, _ = cache.lookup([(1, 1)], "//x")
+        assert cache.invalidate() == version + 1
+        cache.put(version, (1, 1), "//x", self.rows(1, 2))
+        assert cache.stats()["entries"] == 0
+        cache.put(version + 1, (1, 1), "//x", self.rows(1, 2))
+        assert cache.stats()["entries"] == 1
+
+    def test_a_reused_local_id_is_another_key(self, cache):
+        """Local ids are rowids, reused after a delete: rows read for
+        ``(global 1, local 5)`` must not answer ``(global 2, local 5)``."""
+        cache.put(0, (1, 5), "//x", self.rows(1, 2))
+        _, found = cache.lookup([(2, 5)], "//x")
+        assert found == [None]
+
+
+# -- (d) failed writes --------------------------------------------------------------------
+
+
+class TestFailedWrites:
+    def test_a_rolled_back_write_neither_invalidates_nor_poisons(
+        self, tmp_path
+    ):
+        policy = ShardFaultPolicy()
+        with open_store(tmp_path, shards=1, fault_policy=policy) as store:
+            doc = store.store_text(TEMPLATES[0], name="a")
+            store.store_text(TEMPLATES[0], name="b")
+            root = store.query_pres(doc, "/inventory")[0]
+            items = store.query_all("//item").rows
+            warm = cache_stats(store, 0)
+            policy.crash_shard(0, 3)  # mid-update, before its commit
+            with pytest.raises(SimulatedCrash):
+                store.insert_subtree(doc, root, parse_fragment(TOGGLE), 0)
+            policy.heal_all()
+            store.recover()
+            after = cache_stats(store, 0)
+            assert after["version"] == warm["version"]
+            assert after["invalidations"] == warm["invalidations"]
+            assert after["entries"] == warm["entries"] == 2
+            # The cached answer and a fresh statement agree: nothing of
+            # the rolled-back update is visible either way.
+            assert store.query_all("//item").rows == items
+            assert cache_stats(store, 0)["hits"] == after["hits"] + 2
+            assert store.query_all("//box/item").rows == items
+            store.insert_subtree(doc, root, parse_fragment(TOGGLE), 0)
+            assert len(store.query_all("//item").rows) == len(items) + 1
+            assert store.verify_ok()
+
+    def test_the_crash_sweep_stays_green(self):
+        """Every statement boundary of insert, delete, rebalance, ship
+        and load on the renumbering scheme; the sweep's observation
+        includes a read the result cache serves."""
+        report = sweep(schemes=["interval"])
+        assert report["points_run"] > 0
+        assert report["points_failed"] == 0, [
+            point for point in report["points"] if not point["ok"]
+        ][:3]
+
+
+# -- (e) hits, connections, deadlines, and what observers see ------------------
+
+
+class TestHits:
+    @staticmethod
+    def first_two(store):
+        """Targets naming the first two documents of shard 0 only."""
+        return {0: store.shard_map.docs_for_shard(0)[:2]}
+
+    def test_a_full_hit_acquires_nothing(self, tmp_path):
+        with open_store(tmp_path) as store:
+            for n in range(4):
+                store.store_text(TEMPLATES[0], name=f"d{n}")
+            first = store.query_all("//item")
+            before = acquires(store)
+            assert store.query_all("//item").rows == first.rows
+            assert acquires(store) == before
+            for shard in store.pools:
+                stats = cache_stats(store, shard)
+                assert stats["hits"] == 2 and stats["rows"] > 0
+
+    def test_a_single_document_request_goes_past_the_cache(self, tmp_path):
+        log = RequestLog(capacity=16)
+        with open_store(tmp_path, request_log=log) as store:
+            ids = [
+                store.store_text(TEMPLATES[0], name=f"d{n}") for n in range(4)
+            ]
+            scattered = store.query_all("//item")  # caches ids[0]'s rows
+            shard = store.resolve(ids[0]).shard
+            held = cache_stats(store, shard)
+            before = acquires(store)
+            for _ in range(2):
+                assert store.query_pres(ids[0], "//item") == [
+                    pre for doc, pre in scattered.rows if doc == ids[0]
+                ]
+            assert acquires(store) == before + 2
+            assert cache_stats(store, shard) == held
+            events = [e for e in log.tail() if e["event"] == "query"]
+            assert "result_cache" in events[0]["per_shard"][0]
+            assert "result_cache" not in events[-1]["per_shard"][0]
+
+    def test_a_full_hit_still_honours_an_expired_deadline(self, tmp_path):
+        with open_store(tmp_path) as store:
+            doc = store.store_text(TEMPLATES[0], name="a")
+            store.store_text(TEMPLATES[0], name="b")
+            store.query_all("//item")
+            with pytest.raises(DeadlineExceeded):
+                store.query_all("//item", deadline=0.0)
+            with pytest.raises(DeadlineExceeded):
+                store.query_pres(doc, "//item", deadline=0.0)
+
+    def test_a_partial_hit_executes_only_the_missing_documents(
+        self, tmp_path
+    ):
+        with open_store(tmp_path, shards=1) as store:
+            ids = [
+                store.store_text(text, name=f"d{n}")
+                for n, text in enumerate(TEMPLATES)
+            ]
+            store.executor.query("//item", self.first_two(store))
+            before = cache_stats(store, 0)
+            result = store.query_all("//item")
+            after = cache_stats(store, 0)
+            assert after["hits"] == before["hits"] + 2
+            assert after["misses"] == before["misses"] + 1
+            assert result.doc_ids() == [ids[0], ids[2]]
+
+    def test_the_wide_event_and_metrics_report_without_perturbing(
+        self, tmp_path
+    ):
+        log = RequestLog(capacity=16)
+        with open_store(tmp_path, shards=1, request_log=log) as store:
+            for n, text in enumerate(TEMPLATES):
+                store.store_text(text, name=f"d{n}")
+            store.executor.query("//item", self.first_two(store))  # miss
+            store.query_all("//item")                              # partial
+            store.query_all("//item")                              # hit
+            seen = [
+                event["per_shard"][0]["result_cache"]
+                for event in log.tail() if event["event"] == "query"
+            ]
+            assert seen == ["miss", "partial", "hit"]
+            stats = cache_stats(store, 0)
+            # 2 + 3 + 3 lookups: the events above added none.
+            assert (stats["hits"], stats["misses"]) == (5, 3)
+            assert store.pools[0].stats()["result_cache"] == stats
+            counters = store.metrics.snapshot()["counters"]
+            assert counters["pool.shard0.result_cache.hits"] == 5
+            assert counters["pool.shard0.result_cache.misses"] == 3
+            gauges = store.metrics.snapshot()["gauges"]
+            assert (
+                gauges["pool.shard0.result_cache.rows"]["value"]
+                == stats["rows"]
+            )
+            scraped = {
+                sample["name"]: sample["value"] for sample in
+                parse_prometheus(to_prometheus(store.metrics))["samples"]
+            }
+            assert scraped["xmlrel_pool_shard0_result_cache_hits_total"] == 5
+
+    def test_a_reship_drops_the_replica_cache(self, tmp_path):
+        with open_store(tmp_path, shards=1, replicas=1) as store:
+            doc = store.store_text(TEMPLATES[0], name="a")
+            store.store_text(TEMPLATES[0], name="b")
+            root = store.query_pres(doc, "/inventory")[0]
+            store.ship_replicas()
+            shipped = store.query_all("//item", read_from="replica").rows
+            store.insert_subtree(doc, root, parse_fragment(TOGGLE), 0)
+            # The primary's write leaves the replica's snapshot — and
+            # its cache — alone.
+            before = acquires(store)
+            assert (
+                store.query_all("//item", read_from="replica").rows
+                == shipped
+            )
+            assert acquires(store) == before
+            store.ship_replicas()
+            assert len(
+                store.query_all("//item", read_from="replica").rows
+            ) == len(shipped) + 1

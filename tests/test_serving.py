@@ -436,7 +436,9 @@ class TestScatterGather:
         policy = ShardFaultPolicy()
         store, _ = open_rr(tmp_path, fault_policy=policy)
         with store:
-            store.query_all("//book")  # warm every pool
+            # Warm every pool — with another XPath than the timed one,
+            # which must execute, not hit the result cache.
+            store.query_all("//title")
             policy.stall_shard(1, 0.5)
             started = time.monotonic()
             with pytest.raises(DeadlineExceeded) as excinfo:
