@@ -16,12 +16,16 @@ file, so a multi-hundred-MB corpus costs one small DOM to build):
   its in-RAM rollback journal and temp-store sorter — speed knobs, not
   pipeline state — would dominate the reading.)
 * **ingest throughput** — the same corpus under the ``bulk_load``
-  profile: a sequential DOM ``store()`` loop versus the streaming
-  ``store_corpus`` at 4 shards.  Normalized MB/s must favor
-  streaming by ``XMLREL_E19_MIN_SPEEDUP`` (default 2x): the streaming
-  side skips tree construction entirely, produces every shard's rows
-  on one thread (no interpreter-lock convoy), defers index builds to
-  one rebuild per shard, and overlaps only the shards' session closes
+  profile: a per-document loop (``parse_document`` + ``store()``)
+  versus ``store_corpus`` at 4 shards.  Since PR 14 both shred through
+  the one stream lane, so the ratio no longer compares two writers: it
+  is what the corpus loader buys over the naive loop, which still pays
+  a DOM per file, a commit and an ``ANALYZE`` per document, and
+  incrementally maintained indexes.  Normalized MB/s must favor
+  ``store_corpus`` by ``XMLREL_E19_MIN_SPEEDUP`` (default 1.5x): it
+  skips tree construction entirely, produces every shard's rows on one
+  thread (no interpreter-lock convoy), defers index builds to one
+  rebuild per shard, and overlaps only the shards' session closes
   (index rebuild, COMMIT, ANALYZE — long C calls that drop the GIL).
 * **telemetry** — the ``ingest.*`` instruments (documents, rows,
   per-shard load seconds) recorded during the streaming run land in
@@ -64,15 +68,21 @@ TILE_SCALE = _env_float("XMLREL_E19_TILE_SCALE", 1.0)
 TILES = _env_int("XMLREL_E19_TILES", 80)
 #: Corpus files (streamed by every phase).
 FILES = _env_int("XMLREL_E19_FILES", 6)
-#: Files the sequential DOM baseline loads (it is ~2x slower per MB,
-#: so the baseline reads a prefix and rates are compared per MB).
+#: Files the per-document loop loads (it is ~2x slower per MB, so it
+#: reads a prefix and rates are compared per MB).
 DOM_FILES = _env_int("XMLREL_E19_DOM_FILES", 2)
 SHARDS = _env_int("XMLREL_E19_SHARDS", 4)
 #: The fixed memory budget (MiB of peak-RSS growth) the streaming load
 #: must meet and a single-file DOM parse must not.
 RSS_BUDGET_MB = _env_float("XMLREL_E19_RSS_BUDGET_MB", 150.0)
-#: Required streaming-vs-DOM throughput ratio (per-MB).
-MIN_SPEEDUP = _env_float("XMLREL_E19_MIN_SPEEDUP", 2.0)
+#: Required ``store_corpus``-vs-per-document-loop throughput ratio
+#: (per MB).  Re-derived in PR 14, when the loop stopped having a
+#: slower writer of its own: measured 2.18x at full scale and
+#: 2.15-2.20x at the CI scale (2.55x at the parent commit, same
+#: machine); the floor sits ~30 % under that because the loop is one
+#: unrepeated timing and the two ``store_corpus`` phases of a single
+#: run already differ by 7-8 %.
+MIN_SPEEDUP = _env_float("XMLREL_E19_MIN_SPEEDUP", 1.5)
 
 
 def _build_corpus(directory):
@@ -158,7 +168,9 @@ def test_e19_ingest(tmp_path):
     dom_parse_rss_mb = dom_parse_rss_kb / 1024
     del document
 
-    # Phase 3 — ingest throughput, bulk_load profile on both sides.
+    # Phase 3 — ingest throughput, bulk_load profile on both sides
+    # (the "dom_*" names and JSON keys predate PR 14: the loop still
+    # builds a DOM per file, it just no longer has its own writer).
     dom_dir = tmp_path / "dom-store"
     dom_paths = paths[:DOM_FILES]
     with ShardedStore.open(
@@ -206,7 +218,8 @@ def test_e19_ingest(tmp_path):
         expectation=(
             f"streaming load stays under {RSS_BUDGET_MB:.0f} MB of "
             "RSS growth (one file's DOM does not) and beats the "
-            f"sequential DOM loop by >= {MIN_SPEEDUP:.1f}x per MB"
+            f"parse_document + store() loop by >= {MIN_SPEEDUP:.1f}x "
+            "per MB"
         ),
     )
     result.add_row(
@@ -222,7 +235,7 @@ def test_e19_ingest(tmp_path):
         rss_growth_mb=round(dom_parse_rss_mb, 1),
     )
     result.add_row(
-        "DOM store loop (bulk_load)",
+        "parse_document + store() loop (bulk_load)",
         seconds=round(dom_s, 2),
         mb_per_s=round(dom_rate, 3),
     )
@@ -277,8 +290,8 @@ def test_e19_ingest(tmp_path):
         handle.write("\n")
 
     # Acceptance: the streaming load met the budget, the DOM parse of
-    # a single file could not, every document landed, and streaming
-    # out-ingested the DOM loop by the required factor.
+    # a single file could not, every document landed, and store_corpus
+    # out-ingested the per-document loop by the required factor.
     assert stream_rss_mb <= RSS_BUDGET_MB, (
         f"streaming load grew RSS by {stream_rss_mb:.0f} MB "
         f"(budget {RSS_BUDGET_MB:.0f} MB)"
@@ -290,7 +303,7 @@ def test_e19_ingest(tmp_path):
     )
     assert sum(shard_counts.values()) == len(paths)
     assert speedup >= MIN_SPEEDUP, (
-        f"streaming ingest at {stream_rate:.2f} MB/s is only "
-        f"{speedup:.2f}x the DOM loop's {dom_rate:.2f} MB/s "
+        f"store_corpus at {stream_rate:.2f} MB/s is only "
+        f"{speedup:.2f}x the per-document loop's {dom_rate:.2f} MB/s "
         f"(required {MIN_SPEEDUP:.1f}x)"
     )

@@ -30,8 +30,8 @@ from repro.relational.sql import bind_doc_id
 from repro.reliability.audit import IntegrityReport
 from repro.storage.base import BulkSession, MappingScheme, ShredResult
 from repro.xml.dom import Document, Node
-from repro.xml.events import parse_events
-from repro.xml.parser import ParseOptions, parse_document
+from repro.xml.events import payload_events
+from repro.xml.parser import ParseOptions
 from repro.xml.serialize import serialize
 
 
@@ -148,14 +148,8 @@ class XmlRelStore:
         name: str = "document",
         keep_whitespace: bool = True,
     ) -> int:
-        """Parse and store XML *text*."""
-        with self.tracer.span("parse") as span:
-            document = parse_document(
-                text, ParseOptions(keep_whitespace=keep_whitespace)
-            )
-            if span:
-                span.set(chars=len(text), document=name)
-        return self.store(document, name)
+        """Parse and store XML *text* (:meth:`store_stream` over it)."""
+        return self.store_stream(text, name, keep_whitespace)
 
     def store_stream(
         self,
@@ -163,11 +157,12 @@ class XmlRelStore:
         name: str = "document",
         keep_whitespace: bool = True,
     ) -> int:
-        """Shred *source* (XML text, an open file object, or a path)
-        without ever building a DOM: the pull parser feeds the scheme's
-        streaming inserter, so memory stays O(document depth) plus one
-        row batch regardless of document size."""
-        events = parse_events(
+        """Shred *source* (XML text, an open file object, a path, or an
+        already-parsed :class:`Document`) without ever building a DOM:
+        the pull parser feeds the scheme's streaming inserter, so memory
+        stays O(document depth) plus one row batch regardless of
+        document size."""
+        events = payload_events(
             source, ParseOptions(keep_whitespace=keep_whitespace)
         )
         return self.scheme.store_stream(events, name).doc_id

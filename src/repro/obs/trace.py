@@ -1,7 +1,7 @@
 """Hierarchical tracing for the store/translate/execute pipeline.
 
 A :class:`Tracer` records a tree of :class:`Span` objects — one per
-pipeline phase (``store`` → ``shred``/``insert``, ``query`` →
+pipeline phase (``store`` → ``stream_shred``/``analyze``, ``query`` →
 ``translate``/``execute``/``reconstruct``) down to individual SQL
 statements (``sql.statement`` spans emitted by
 :class:`~repro.relational.database.Database`).  Spans carry monotonic

@@ -87,11 +87,10 @@ class Catalog:
     ) -> None:
         """Fill in the fields a streaming load only knows at the end.
 
-        ``store_stream`` registers the catalog row first (same crash
-        ordering as the DOM path: catalog row and node rows commit or
-        roll back together) with placeholder root_tag/node_count, then
-        patches them here once the stream is exhausted — all inside the
-        same transaction.
+        ``store_stream`` registers the catalog row first (so catalog
+        row and node rows commit or roll back together) with
+        placeholder root_tag/node_count, then patches them here once
+        the stream is exhausted — all inside the same transaction.
         """
         self.db.execute(
             "UPDATE xmlrel_documents SET root_tag = ?, node_count = ? "

@@ -115,8 +115,8 @@ from repro.serve.replicas import ReplicaSet
 from repro.storage.base import BulkSession
 from repro.updates import UpdateStats
 from repro.xml.dom import Document, Element, Node
-from repro.xml.events import parse_events, stream_events
-from repro.xml.parser import ParseOptions, parse_document
+from repro.xml.events import payload_events
+from repro.xml.parser import ParseOptions
 from repro.xml.serialize import serialize
 
 #: Document-placement strategies.
@@ -458,22 +458,25 @@ class ShardedStore:
         between the two leaves an orphan for :meth:`recover` to sweep,
         never a map entry pointing at nothing.
         """
+        return self._store_payload(document, name)
+
+    def store_text(self, text: str, name: str = "document") -> int:
+        """Parse and shred XML *text* onto its shard (no DOM is built);
+        same contract as :meth:`store`."""
+        return self._store_payload(text, name)
+
+    def _store_payload(self, source, name: str) -> int:
         with self._observed_update("store", name=name):
             with self._map_lock:
                 shard = self.place(name)
                 self._rr_counter += 1
             with self._shard_locks[shard]:
-                local = self.writers[shard].store(document, name)
+                local = self.writers[shard].store_stream(source, name)
                 with self._map_lock:
                     doc_id = self.shard_map.register(shard, local, name)
                 self._post_write(shard)
             self.metrics.counter("serve.documents_stored").inc()
             return doc_id
-
-    def store_text(self, text: str, name: str = "document") -> int:
-        return self.store(
-            parse_document(text, ParseOptions(keep_whitespace=True)), name
-        )
 
     def store_many(
         self,
@@ -483,17 +486,6 @@ class ShardedStore:
         """Store already-parsed documents: :meth:`store_corpus` over
         :class:`Document` payloads (one lane, one atomicity contract)."""
         return self.store_corpus(documents, names)
-
-    def _corpus_events(self, source, keep_whitespace: bool):
-        """Event stream of one corpus payload: a parsed
-        :class:`Document` replays through ``stream_events``; XML text,
-        open file objects, and paths go through the pull parser without
-        ever materializing a tree."""
-        if isinstance(source, Document):
-            return stream_events(source)
-        return parse_events(
-            source, ParseOptions(keep_whitespace=keep_whitespace)
-        )
 
     def store_corpus(
         self,
@@ -563,6 +555,7 @@ class ShardedStore:
         """:meth:`store_corpus` with every shard lock held — including
         across the join of the close threads: the locks are the
         single-writer serialization for the whole bulk session."""
+        options = ParseOptions(keep_whitespace=keep_whitespace)
         sessions: dict[int, BulkSession] = {}
         placed: list[tuple[int, int, str]] = []  # (shard, local id, name)
         docs_counter = self.metrics.counter("ingest.documents")
@@ -588,7 +581,7 @@ class ShardedStore:
                     )
                 started = time.perf_counter()
                 result = session.store_stream(
-                    self._corpus_events(source, keep_whitespace), name
+                    payload_events(source, options), name
                 )
                 self.metrics.histogram(
                     f"ingest.shard{shard}.load_seconds"

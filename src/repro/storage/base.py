@@ -31,10 +31,10 @@ from repro.storage.numbering import (
     NodeRecord,
     build_document,
     build_subtree,
-    number_document,
     shred_into,
 )
 from repro.xml.dom import Document, Node
+from repro.xml.events import stream_events
 
 
 #: Batched-fetch statements bind a handful of parameters per subtree
@@ -67,15 +67,15 @@ STREAM_BATCH = 2048
 
 
 class StreamInserter:
-    """Per-scheme sink for :func:`~repro.storage.numbering.shred_stream`.
+    """Per-scheme sink for :func:`~repro.storage.numbering.shred_into`.
 
     ``store_stream`` drives one of these per document: :meth:`enter` at
     every element start tag (pre order — the hook order-sensitive side
     tables need), :meth:`add` at every node completion, :meth:`finish`
     once the stream is exhausted.  True-streaming schemes buffer at most
     :data:`STREAM_BATCH` rows; schemes whose row layout needs the whole
-    document (universal's leaf chains, inlining's DTD walk) use the
-    :class:`BufferedStreamInserter` fallback instead.
+    document (universal's leaf chains, inlining's DTD walk) use
+    :class:`BufferedStreamInserter` instead.
     """
 
     #: True for inserters whose :meth:`enter` does real work (binary's
@@ -96,39 +96,38 @@ class StreamInserter:
         raise NotImplementedError
 
     def finish(self) -> dict[str, int]:
-        """Flush remaining rows; return per-table inserted-row counts."""
+        """Flush remaining rows; return per-table inserted-row counts —
+        the accounting that feeds :class:`ShredResult` without
+        rescanning any table."""
         raise NotImplementedError
 
 
 class BufferedStreamInserter(StreamInserter):
-    """Fallback inserter: collect every record, then run the scheme's
-    ordinary :meth:`MappingScheme._insert_records`.
+    """Inserter for schemes whose rows need global context: collect
+    every record, then hand the whole set to *insert_all(doc_id,
+    records, contents)* — *records* in pre order, *contents* the
+    shredder's text-only-element cache keyed by ``pre``.
 
-    Memory is O(document) — the price of schemes that genuinely need
-    global context.  ``needs_document`` additionally rebuilds the DOM
-    for schemes whose insert path walks it (inlining); universal's
-    insert ignores the document, so it skips that copy.
+    Memory is O(document), the price of such layouts; it is still one
+    pass over the input.
     """
 
     def __init__(
-        self, scheme: "MappingScheme", doc_id: int,
-        needs_document: bool = False,
+        self, scheme: "MappingScheme", doc_id: int, insert_all
     ) -> None:
         super().__init__(scheme, doc_id)
-        self.needs_document = needs_document
+        self._insert_all = insert_all
         self._records: list[NodeRecord] = []
+        self._contents: dict[int, str] = {}
 
     def add(self, record: NodeRecord, content: str | None) -> None:
         self._records.append(record)
+        if content is not None:
+            self._contents[record.pre] = content
 
     def finish(self) -> dict[str, int]:
         self._records.sort(key=lambda r: r.pre)
-        document = (
-            build_document(self._records) if self.needs_document else None
-        )
-        return self.scheme._insert_records(
-            self.doc_id, self._records, document
-        )
+        return self._insert_all(self.doc_id, self._records, self._contents)
 
 
 class MappingScheme(abc.ABC):
@@ -187,72 +186,19 @@ class MappingScheme(abc.ABC):
     # -- storing ----------------------------------------------------------------
 
     def store(self, document: Document, name: str = "document") -> ShredResult:
-        """Shred *document* into rows; returns ids and row accounting."""
-        tracer = self.db.tracer
-        with tracer.span("store") as span:
-            if span:
-                span.set(scheme=self.name, document=name)
-            with tracer.span("shred") as shred_span:
-                records = number_document(document)
-                if shred_span:
-                    shred_span.set(nodes=len(records))
-            if not records:
-                raise StorageError("refusing to store an empty document")
-            root_tag = next(
-                (
-                    r.name
-                    for r in records
-                    if r.is_element and r.parent_pre == 0
-                ),
-                "",
-            )
-            # The catalog row and the shredded rows commit (or roll
-            # back) together: a fault mid-shred must never leave a
-            # catalog entry pointing at a partial document.
-            with tracer.span("insert"):
-                with self.db.transaction():
-                    doc_id = self.catalog.register(
-                        name, self.name, root_tag or "", len(records)
-                    )
-                    # Row accounting comes from the insert side itself —
-                    # no per-table COUNT(*) rescans after every store.
-                    row_counts = self._insert_records(
-                        doc_id, records, document
-                    )
-            if self.translation_depends_on_data:
-                self.invalidate_plans()
-            # Refresh planner statistics: several translations (XRel's
-            # path-table-driven plans in particular) rely on the
-            # optimizer knowing the relative table sizes.  A bulk-load
-            # session defers this to its close.
-            if not self._defer_analyze:
-                with tracer.span("analyze"):
-                    self.db.analyze()
-            if span:
-                span.set(doc_id=doc_id, rows=sum(row_counts.values()))
-                tracer.metrics.counter("store.documents").inc()
-                tracer.metrics.counter("store.nodes_shredded").inc(
-                    len(records)
-                )
-            return ShredResult(doc_id, len(records), row_counts)
+        """Shred a parsed *document* into rows: :meth:`store_stream`
+        over its replayed token stream."""
+        return self.store_stream(stream_events(document), name)
 
     @abc.abstractmethod
-    def _insert_records(
-        self, doc_id: int, records: list[NodeRecord], document: Document
-    ) -> dict[str, int]:
-        """Insert the rows for one document (inside a transaction) and
-        return per-table inserted-row counts — the accounting that feeds
-        :class:`ShredResult` without rescanning any table."""
-
     def stream_inserter(self, doc_id: int) -> StreamInserter:
-        """The streaming row sink for one document.
+        """The row sink for one document.
 
-        Schemes with a one-record-one-row layout override this with a
-        constant-memory inserter; the default buffers and replays
-        through :meth:`_insert_records` (still one pass over the input,
-        just not memory-bounded).
+        Schemes with a one-record-one-row layout return a
+        constant-memory inserter; those whose rows span the whole
+        record set (universal, inlining) return a
+        :class:`BufferedStreamInserter`.
         """
-        return BufferedStreamInserter(self, doc_id, needs_document=True)
 
     def store_stream(
         self, events, name: str = "document"
@@ -264,13 +210,14 @@ class MappingScheme(abc.ABC):
         file, in which case parsing, numbering and insertion all
         interleave and (for schemes with a streaming inserter) peak
         memory is O(depth) + one row batch, independent of document
-        size.  Same atomicity as :meth:`store`: the catalog row
-        registers first and commits or rolls back with the node rows.
+        size.  The catalog row registers first and commits or rolls
+        back with the node rows: a fault mid-shred must never leave a
+        catalog entry pointing at a partial document.
         """
         tracer = self.db.tracer
         with tracer.span("store") as span:
             if span:
-                span.set(scheme=self.name, document=name, streaming=True)
+                span.set(scheme=self.name, document=name)
             with tracer.span("stream_shred"):
                 with self.db.transaction():
                     doc_id = self.catalog.register(name, self.name, "", 0)
@@ -288,6 +235,10 @@ class MappingScheme(abc.ABC):
                     self.catalog.finalize(doc_id, root_tag, node_count)
             if self.translation_depends_on_data:
                 self.invalidate_plans()
+            # Refresh planner statistics: several translations (XRel's
+            # path-table-driven plans in particular) rely on the
+            # optimizer knowing the relative table sizes.  A bulk-load
+            # session defers this to its close.
             if not self._defer_analyze:
                 with tracer.span("analyze"):
                     self.db.analyze()
@@ -601,8 +552,8 @@ class BulkSession:
     The load is atomic: an exception inside the ``with`` block rolls back
     *every* document of the session (and the catalog rows with them).
     Row accounting comes from the insert side (see
-    :meth:`MappingScheme._insert_records`), so closing a session never
-    rescans any table.
+    :meth:`StreamInserter.finish`), so closing a session never rescans
+    any table.
 
     Secondary indexes are dropped for the session's duration and rebuilt
     in one pass at close — incremental b-tree maintenance per inserted
@@ -646,14 +597,8 @@ class BulkSession:
     def store(
         self, document: Document, name: str = "document"
     ) -> ShredResult:
-        """Store one document inside the session's transaction."""
-        if self._txn is None:
-            raise StorageError(
-                "bulk session is not active (use it as a context manager)"
-            )
-        result = self.scheme.store(document, name)
-        self.results.append(result)
-        return result
+        """Store one parsed document inside the session's transaction."""
+        return self.store_stream(stream_events(document), name)
 
     def store_stream(self, events, name: str = "document") -> ShredResult:
         """Stream-shred one document inside the session's transaction

@@ -38,9 +38,7 @@ from repro.storage.edge import (
     fetch_edge_subtrees,
     order_edge_rows,
 )
-from repro.storage.interval import element_content
 from repro.storage.numbering import NodeRecord
-from repro.xml.dom import Document
 
 LABELS_TABLE = Table(
     name="binary_labels",
@@ -97,8 +95,8 @@ class _BinaryStreamInserter(StreamInserter):
     element labels at the start tag (:meth:`enter`), other labels at
     their node's completion, which for non-elements is their document
     position — so the ``binary_labels`` registry fills in exactly the
-    pre-order first-seen sequence the DOM insert path produces.  Memory
-    is bounded by labels × one row batch.
+    pre-order first-seen sequence of the document.  Memory is bounded
+    by labels × one row batch.
     """
 
     def __init__(self, scheme, doc_id):
@@ -205,43 +203,10 @@ class BinaryScheme(MappingScheme):
     def table_names(self) -> list[str]:
         return ["binary_labels"] + sorted(self.partitions().values())
 
-    def stream_inserter(self, doc_id):
-        return _BinaryStreamInserter(self, doc_id)
-
     # -- shred / fetch / delete ------------------------------------------------------
 
-    def _insert_records(
-        self, doc_id: int, records: list[NodeRecord], document: Document
-    ) -> dict[str, int]:
-        contents = element_content(records)
-        by_label: dict[str, list[tuple]] = {}
-        for r in records:
-            label = edge_label(r)
-            by_label.setdefault(label, []).append(
-                (
-                    doc_id,
-                    r.parent_pre,
-                    r.ordinal,
-                    label,
-                    r.kind,
-                    r.pre,
-                    r.value,
-                    contents.get(r.pre),
-                )
-            )
-        row_counts: dict[str, int] = {}
-        for label, rows in by_label.items():
-            table_name = self._ensure_partition(label)
-            self.db.executemany(
-                f"INSERT INTO {quote_identifier(table_name)} "
-                "(doc_id, source, ordinal, label, kind, target, value, "
-                "content) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-            row_counts[table_name] = (
-                row_counts.get(table_name, 0) + len(rows)
-            )
-        return row_counts
+    def stream_inserter(self, doc_id):
+        return _BinaryStreamInserter(self, doc_id)
 
     def fetch_records(
         self, doc_id: int, root_pre: int | None = None

@@ -28,13 +28,11 @@ from repro.storage.base import (
     StreamInserter,
     iter_batches,
 )
-from repro.storage.interval import element_content
 from repro.storage.numbering import (
     DEWEY_SEPARATOR,
     NodeRecord,
     dewey_parent,
 )
-from repro.xml.dom import Document
 
 # The smallest character strictly greater than the separator '.' — used to
 # close prefix ranges: descendants of label p are in (p + '.', p + '/').
@@ -107,28 +105,6 @@ class DeweyScheme(MappingScheme):
 
     def stream_inserter(self, doc_id):
         return _DeweyStreamInserter(self, doc_id)
-
-    def _insert_records(
-        self, doc_id: int, records: list[NodeRecord], document: Document
-    ) -> dict[str, int]:
-        contents = element_content(records)
-        rows = (
-            (
-                doc_id,
-                r.dewey,
-                dewey_parent(r.dewey),
-                r.level,
-                r.kind,
-                r.name,
-                r.value,
-                contents.get(r.pre),
-                r.pre,
-                r.ordinal,
-            )
-            for r in records
-        )
-        self.db.insert_rows(DEWEY_TABLE, rows)
-        return {DEWEY_TABLE.name: len(records)}
 
     @staticmethod
     def _rows_to_records(rows) -> list[NodeRecord]:

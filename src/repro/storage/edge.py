@@ -28,9 +28,8 @@ from repro.storage.base import (
     StreamInserter,
     iter_batches,
 )
-from repro.storage.interval import element_content
 from repro.storage.numbering import NodeRecord
-from repro.xml.dom import Document, NodeKind
+from repro.xml.dom import NodeKind
 
 # Reserved labels for non-element, non-attribute nodes.
 TEXT_LABEL = "#text"
@@ -204,26 +203,6 @@ class EdgeScheme(MappingScheme):
 
     def stream_inserter(self, doc_id):
         return _EdgeStreamInserter(self, doc_id)
-
-    def _insert_records(
-        self, doc_id: int, records: list[NodeRecord], document: Document
-    ) -> dict[str, int]:
-        contents = element_content(records)
-        rows = (
-            (
-                doc_id,
-                r.parent_pre,
-                r.ordinal,
-                edge_label(r),
-                r.kind,
-                r.pre,
-                r.value,
-                contents.get(r.pre),
-            )
-            for r in records
-        )
-        self.db.insert_rows(EDGE_TABLE, rows)
-        return {EDGE_TABLE.name: len(records)}
 
     def fetch_records(
         self, doc_id: int, root_pre: int | None = None

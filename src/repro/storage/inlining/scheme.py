@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.errors import SchemaMappingError, StorageError
 from repro.relational.database import Database
 from repro.relational.schema import Column, INTEGER, Table, TEXT, quote_identifier
-from repro.storage.base import MappingScheme
+from repro.storage.base import BufferedStreamInserter, MappingScheme
 from repro.storage.inlining.graph import SHARED, STRATEGIES
 from repro.storage.inlining.mapping import (
     InlinedPosition,
@@ -22,14 +22,8 @@ from repro.storage.inlining.mapping import (
     build_mapping,
 )
 from repro.storage.numbering import NodeRecord
-from repro.xml.dom import (
-    Comment,
-    Document,
-    Element,
-    NodeKind,
-    ProcessingInstruction,
-    Text,
-)
+from repro.xml.chars import is_whitespace
+from repro.xml.dom import NodeKind
 from repro.xml.dtd import Dtd, dtd_to_text, parse_dtd
 
 SCHEMA_TABLE = Table(
@@ -129,69 +123,91 @@ class InliningScheme(MappingScheme):
 
     # -- shredding ------------------------------------------------------------------
 
-    def _insert_records(
-        self, doc_id: int, records: list[NodeRecord], document: Document
+    def stream_inserter(self, doc_id):
+        # A relation row gathers an element's inlined descendants, so it
+        # is complete only once the element's whole subtree has arrived.
+        return BufferedStreamInserter(self, doc_id, self._insert_all)
+
+    def _insert_all(
+        self,
+        doc_id: int,
+        records: list[NodeRecord],
+        contents: dict[int, str],
     ) -> dict[str, int]:
         mapping = self.require_mapping()
-        for node in document.iter():
-            if isinstance(node, (Comment, ProcessingInstruction)):
+        children: dict[int, list[NodeRecord]] = {}
+        for record in records:
+            if record.kind in (
+                NodeKind.COMMENT, NodeKind.PROCESSING_INSTRUCTION
+            ):
                 raise StorageError(
                     "inlining stores data-centric documents only "
                     "(no comments/processing instructions)"
                 )
-        ordinal_of = {r.pre: r.ordinal for r in records}
-        root = document.root_element
-        if mapping.relation_of(root.tag) is None:
+            children.setdefault(record.parent_pre, []).append(record)
+        # Document-level text never gets here (the shredder rejects it),
+        # so every root-level record is an element.
+        roots = children[0]
+        if len(roots) != 1:
+            raise StorageError(
+                f"document has {len(roots)} element children, expected 1"
+            )
+        root = roots[0]
+        if mapping.relation_of(root.name) is None:
             raise SchemaMappingError(
-                f"document root {root.tag!r} has no relation in the mapping"
+                f"document root {root.name!r} has no relation in the mapping"
             )
         rows: dict[str, list[dict[str, object]]] = {}
 
-        def store_instance(element: Element, parent_pre: int) -> None:
-            relation = mapping.relations[element.tag]
+        def store_instance(element: NodeRecord) -> None:
+            relation = mapping.relations[element.name]
             row: dict[str, object] = {
                 "doc_id": doc_id,
-                "parent_pre": parent_pre,
-                "ordinal": ordinal_of[element.order_key],
+                "parent_pre": element.parent_pre,
+                "ordinal": element.ordinal,
             }
             fill_position(relation.root, element, row)
             rows.setdefault(relation.table.name, []).append(row)
 
         def fill_position(
-            position: InlinedPosition, element: Element, row: dict
+            position: InlinedPosition, element: NodeRecord, row: dict
         ) -> None:
-            pre = element.order_key
-            row[position.pre_column] = pre
-            self._fill_text(position, element, row)
-            self._fill_attributes(position, element, row)
-            for child in element.children:
-                if isinstance(child, Text):
+            row[position.pre_column] = element.pre
+            kids = children.get(element.pre, ())
+            self._fill_text(
+                position, element,
+                [k for k in kids if k.kind == NodeKind.TEXT], row,
+            )
+            for child in kids:
+                if child.kind == NodeKind.TEXT:
                     continue
-                assert isinstance(child, Element)
-                name = child.tag
+                if child.kind == NodeKind.ATTRIBUTE:
+                    self._fill_attribute(position, element, child, row)
+                    continue
+                name = child.name
                 if name in position.inlined_children:
                     child_position = mapping.relations[
                         position.relation_element
                     ].positions[position.inlined_children[name]]
                     if row.get(child_position.pre_column) is not None:
                         raise StorageError(
-                            f"element {element.tag!r} has multiple "
+                            f"element {element.name!r} has multiple "
                             f"{name!r} children but the DTD allows one"
                         )
                     fill_position(child_position, child, row)
                 elif name in position.relation_children:
-                    store_instance(child, pre)
+                    store_instance(child)
                 elif mapping.relation_of(name) is not None and (
                     self._allows_any(position.element)
                 ):
-                    store_instance(child, pre)
+                    store_instance(child)
                 else:
                     raise SchemaMappingError(
                         f"child {name!r} of {position.element!r} is not "
                         "allowed by the installed DTD"
                     )
 
-        store_instance(root, 0)
+        store_instance(root)
         row_counts: dict[str, int] = {}
         for table_name, table_rows in rows.items():
             relation = next(
@@ -216,34 +232,41 @@ class InliningScheme(MappingScheme):
         return mapping.dtd.elements[element].model.is_any
 
     def _fill_text(
-        self, position: InlinedPosition, element: Element, row: dict
+        self,
+        position: InlinedPosition,
+        element: NodeRecord,
+        texts: list[NodeRecord],
+        row: dict,
     ) -> None:
-        texts = [c for c in element.children if isinstance(c, Text)]
-        significant = [t for t in texts if not t.is_whitespace]
         if position.content_column is None:
-            if significant:
+            if not all(is_whitespace(t.value or "") for t in texts):
                 raise SchemaMappingError(
-                    f"element {element.tag!r} carries text but its model "
+                    f"element {element.name!r} carries text but its model "
                     f"({position.element}) has element content"
                 )
             return
         if texts:
-            row[position.content_column] = "".join(t.data for t in texts)
-            row[position.content_pre_column] = texts[0].order_key
+            row[position.content_column] = "".join(
+                t.value or "" for t in texts
+            )
+            row[position.content_pre_column] = texts[0].pre
 
-    def _fill_attributes(
-        self, position: InlinedPosition, element: Element, row: dict
+    def _fill_attribute(
+        self,
+        position: InlinedPosition,
+        element: NodeRecord,
+        attribute: NodeRecord,
+        row: dict,
     ) -> None:
-        for attribute in element.attributes:
-            columns = position.attr_columns.get(attribute.name)
-            if columns is None:
-                raise SchemaMappingError(
-                    f"attribute {attribute.name!r} of {element.tag!r} "
-                    "is not declared in the installed DTD"
-                )
-            val_column, pre_column = columns
-            row[val_column] = attribute.value
-            row[pre_column] = attribute.order_key
+        columns = position.attr_columns.get(attribute.name)
+        if columns is None:
+            raise SchemaMappingError(
+                f"attribute {attribute.name!r} of {element.name!r} "
+                "is not declared in the installed DTD"
+            )
+        val_column, pre_column = columns
+        row[val_column] = attribute.value
+        row[pre_column] = attribute.pre
 
     # -- retrieval --------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.storage.base import (
     iter_batches,
 )
 from repro.storage.numbering import NodeRecord
-from repro.xml.dom import Document, NodeKind
+from repro.xml.dom import NodeKind
 
 ACCEL_TABLE = Table(
     name="accel",
@@ -114,29 +114,6 @@ class IntervalScheme(MappingScheme):
 
     def stream_inserter(self, doc_id):
         return _IntervalStreamInserter(self, doc_id)
-
-    def _insert_records(
-        self, doc_id: int, records: list[NodeRecord], document: Document
-    ) -> dict[str, int]:
-        contents = element_content(records)
-        rows = (
-            (
-                doc_id,
-                r.pre,
-                r.post,
-                r.size,
-                r.level,
-                r.kind,
-                r.name,
-                r.value,
-                contents.get(r.pre),
-                r.parent_pre,
-                r.ordinal,
-            )
-            for r in records
-        )
-        self.db.insert_rows(ACCEL_TABLE, rows)
-        return {ACCEL_TABLE.name: len(records)}
 
     def fetch_records(
         self, doc_id: int, root_pre: int | None = None

@@ -183,224 +183,39 @@ class _StreamFrame:
         self.text_parts: list[str] = []
 
 
-def shred_stream(events):
-    """Number an event stream incrementally — the streaming analogue of
-    :func:`number_document` with O(depth) memory.
+def shred_into(events, add, enter=None) -> tuple[int, str]:
+    """Number an event stream incrementally — :func:`number_document`
+    computed from events with O(depth) memory.
 
-    Yields two item kinds, in parse order:
+    *enter(pre, name, parent_pre)*, when given, is called as each
+    element opens.  These calls arrive in **pre order** and let
+    order-sensitive side tables (binary's partition registry, XRel's
+    path dictionary) be populated first-seen (the
+    :meth:`StreamInserter.enter` hook).
 
-    ``("enter", pre, name, parent_pre)``
-        An element just opened.  These arrive in **pre order** and let
-        order-sensitive side tables (binary's partition registry,
-        XRel's path dictionary) be populated first-seen exactly as a
-        pre-order walk over :func:`number_document` records would.
+    *add(record, content)* receives every completed node: its full
+    :class:`NodeRecord` plus the text-only-element ``content`` cache
+    (the :func:`~repro.storage.interval.element_content` value — ``""``
+    for childless elements, the concatenated text for text-only
+    elements, ``None`` otherwise; always ``None`` for non-elements).
+    Attributes/text/comments/PIs complete at their own position, so
+    the subsequence of non-element nodes is in pre order; elements
+    complete at their end tag — **post order** — which is the earliest
+    moment ``post`` and ``size`` exist.
 
-    ``("node", record, content)``
-        A node is complete: its full :class:`NodeRecord` plus the
-        text-only-element ``content`` cache (the
-        :func:`~repro.storage.interval.element_content` value — ``""``
-        for childless elements, the concatenated text for text-only
-        elements, ``None`` otherwise; always ``None`` for non-elements).
-        Attributes/text/comments/PIs complete at their own position, so
-        the subsequence of non-element nodes is also in pre order;
-        elements complete at their end tag — **post order** — which is
-        the earliest moment ``post`` and ``size`` exist.
-
-    This close-time emission *is* the "two-pass / patch-up" numbering
+    This close-time delivery *is* the "two-pass / patch-up" numbering
     the interval, Dewey and XRel-region schemes need: instead of
     inserting half-numbered element rows at the start tag and patching
     ``post``/``size`` with SQL UPDATEs afterwards (twice the statements
     and a non-monotonic write pattern), the element's row is simply
     withheld for the lifetime of its subtree — bounded by depth, not
-    document size — and emitted complete.
-    """
-    from repro.xml.events import EventKind
+    document size — and delivered complete.
 
-    pre_counter = 0
-    post_counter = 0
-    doc_ordinal = 1
-    stack: list[_StreamFrame] = []
-
-    attribute_kind = int(NodeKind.ATTRIBUTE)
-    element_kind = int(NodeKind.ELEMENT)
-    text_kind = int(NodeKind.TEXT)
-    comment_kind = int(NodeKind.COMMENT)
-    pi_kind = int(NodeKind.PROCESSING_INSTRUCTION)
-
-    # Hot-loop locals: one enum attribute lookup per event kind instead
-    # of one per event, and the cached small-ordinal Dewey components.
-    kind_start = EventKind.START_ELEMENT
-    kind_end = EventKind.END_ELEMENT
-    kind_attribute = EventKind.ATTRIBUTE
-    kind_text_event = EventKind.TEXT
-    dewey_cache = _DEWEY_CACHE
-    cache_size = len(dewey_cache)
-
-    for kind, ev_name, ev_value in events:
-        if kind is kind_start:
-            pre_counter += 1
-            if stack:
-                parent = stack[-1]
-                ordinal = parent.next_ordinal
-                parent.next_ordinal = ordinal + 1
-                parent.kid_count += 1
-                if parent.all_text:
-                    parent.all_text = False
-                    parent.text_parts.clear()
-                frame = _StreamFrame(
-                    pre_counter, ev_name or "", parent.level + 1,
-                    ordinal,
-                    parent.dewey + DEWEY_SEPARATOR
-                    + (dewey_cache[ordinal] if ordinal < cache_size
-                       else dewey_component(ordinal)),
-                    parent.pre,
-                )
-            else:
-                ordinal = doc_ordinal
-                doc_ordinal += 1
-                frame = _StreamFrame(
-                    pre_counter, ev_name or "", 1, ordinal,
-                    dewey_component(ordinal), 0,
-                )
-            stack.append(frame)
-            yield ("enter", frame.pre, frame.name, frame.parent_pre)
-        elif kind is kind_end:
-            frame = stack.pop()
-            post_counter += 1
-            if frame.kid_count == 0:
-                content = ""
-            elif frame.all_text:
-                content = "".join(frame.text_parts)
-            else:
-                content = None
-            record = NodeRecord(
-                frame.pre,
-                post_counter,
-                frame.size,
-                frame.level,
-                element_kind,
-                frame.name,
-                None,
-                frame.parent_pre,
-                frame.ordinal,
-                frame.dewey,
-            )
-            if stack:
-                stack[-1].size += frame.size + 1
-            yield ("node", record, content)
-        elif kind is kind_attribute:
-            if not stack:
-                raise StorageError("attribute event outside an element")
-            parent = stack[-1]
-            pre_counter += 1
-            post_counter += 1
-            ordinal = parent.next_ordinal
-            parent.next_ordinal = ordinal + 1
-            parent.size += 1
-            record = NodeRecord(
-                pre_counter,
-                post_counter,
-                0,
-                parent.level + 1,
-                attribute_kind,
-                ev_name,
-                ev_value,
-                parent.pre,
-                ordinal,
-                parent.dewey + DEWEY_SEPARATOR
-                + (dewey_cache[ordinal] if ordinal < cache_size
-                   else dewey_component(ordinal)),
-            )
-            yield ("node", record, None)
-        elif kind is kind_text_event:
-            if not stack:
-                raise StorageError("text event at document level")
-            parent = stack[-1]
-            pre_counter += 1
-            post_counter += 1
-            ordinal = parent.next_ordinal
-            parent.next_ordinal = ordinal + 1
-            parent.size += 1
-            parent.kid_count += 1
-            if parent.all_text:
-                parent.text_parts.append(ev_value or "")
-            record = NodeRecord(
-                pre_counter,
-                post_counter,
-                0,
-                parent.level + 1,
-                text_kind,
-                None,
-                ev_value,
-                parent.pre,
-                ordinal,
-                parent.dewey + DEWEY_SEPARATOR
-                + (dewey_cache[ordinal] if ordinal < cache_size
-                   else dewey_component(ordinal)),
-            )
-            yield ("node", record, None)
-        elif kind in (
-            EventKind.COMMENT, EventKind.PROCESSING_INSTRUCTION
-        ):
-            pre_counter += 1
-            post_counter += 1
-            node_kind = (
-                comment_kind if kind is EventKind.COMMENT else pi_kind
-            )
-            if stack:
-                parent = stack[-1]
-                ordinal = parent.next_ordinal
-                parent.next_ordinal += 1
-                parent.size += 1
-                parent.kid_count += 1
-                if parent.all_text:
-                    parent.all_text = False
-                    parent.text_parts.clear()
-                level = parent.level + 1
-                parent_pre = parent.pre
-                dewey = (
-                    parent.dewey + DEWEY_SEPARATOR
-                    + dewey_component(ordinal)
-                )
-            else:
-                ordinal = doc_ordinal
-                doc_ordinal += 1
-                level = 1
-                parent_pre = 0
-                dewey = dewey_component(ordinal)
-            record = NodeRecord(
-                pre=pre_counter,
-                post=post_counter,
-                size=0,
-                level=level,
-                kind=node_kind,
-                name=ev_name if node_kind == pi_kind else None,
-                value=ev_value,
-                parent_pre=parent_pre,
-                ordinal=ordinal,
-                dewey=dewey,
-            )
-            yield ("node", record, None)
-        # START_DOCUMENT / END_DOCUMENT carry no stored node.
-    if stack:
-        raise StorageError(
-            f"event stream ended with {len(stack)} open element(s)"
-        )
-
-
-def shred_into(events, add, enter=None) -> tuple[int, str]:
-    """Fused twin of :func:`shred_stream`: same numbering, delivered by
-    direct callback instead of a generator.
-
-    *add(record, content)* receives every completed node; *enter(pre,
-    name, parent_pre)*, when given, receives element opens in pre order
-    (the :meth:`StreamInserter.enter` hook).  Returns ``(node_count,
-    root_tag)``.  Semantically identical to driving
-    :func:`shred_stream` — the generator stays as the readable
-    reference and the differential tests hold the two to byte-identical
-    output — but the bulk-ingest path calls this one: dropping the
-    per-node item tuple, the yield/resume hop and the consumer-side
-    dispatch is a measurable win at millions of nodes.
+    *events* may come from any caller, so a stream no parser would
+    produce (an end tag with nothing open or naming another element, an
+    attribute after its element's first child, text at document level,
+    elements left open) raises :class:`~repro.errors.StorageError`.
+    Returns ``(node_count, root_tag)``.
     """
     from repro.xml.events import EventKind
 
@@ -417,6 +232,8 @@ def shred_into(events, add, enter=None) -> tuple[int, str]:
     comment_kind = int(NodeKind.COMMENT)
     pi_kind = int(NodeKind.PROCESSING_INSTRUCTION)
 
+    # Hot-loop locals: one enum attribute lookup per event kind instead
+    # of one per event, and the cached small-ordinal Dewey components.
     kind_start = EventKind.START_ELEMENT
     kind_end = EventKind.END_ELEMENT
     kind_attribute = EventKind.ATTRIBUTE
@@ -457,7 +274,14 @@ def shred_into(events, add, enter=None) -> tuple[int, str]:
             if enter is not None:
                 enter(frame.pre, frame.name, frame.parent_pre)
         elif kind is kind_end:
+            if not stack:
+                raise StorageError("end-element event with nothing open")
             frame = stack.pop()
+            if ev_name is not None and ev_name != frame.name:
+                raise StorageError(
+                    f"end-element event {ev_name!r} does not match open "
+                    f"element {frame.name!r}"
+                )
             post_counter += 1
             if frame.kid_count == 0:
                 content = ""
@@ -487,6 +311,11 @@ def shred_into(events, add, enter=None) -> tuple[int, str]:
             if not stack:
                 raise StorageError("attribute event outside an element")
             parent = stack[-1]
+            if parent.kid_count:
+                raise StorageError(
+                    f"attribute event {ev_name!r} after the first child "
+                    f"of element {parent.name!r}"
+                )
             pre_counter += 1
             post_counter += 1
             ordinal = parent.next_ordinal
@@ -591,18 +420,6 @@ def shred_into(events, add, enter=None) -> tuple[int, str]:
             f"event stream ended with {len(stack)} open element(s)"
         )
     return node_count, root_tag
-
-
-def stream_records(events) -> list[NodeRecord]:
-    """Materialize :func:`shred_stream` output as records in pre order —
-    the exact :func:`number_document` list, computed from events.  (A
-    convenience for tests and buffered fallbacks; it is O(document), so
-    the memory-bounded path consumes :func:`shred_stream` directly.)
-    """
-    records = [item[1] for item in shred_stream(events)
-               if item[0] == "node"]
-    records.sort(key=lambda r: r.pre)
-    return records
 
 
 def _node_name(node: Node) -> str | None:

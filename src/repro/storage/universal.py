@@ -28,9 +28,8 @@ from __future__ import annotations
 from repro.errors import SchemaMappingError, StorageError
 from repro.relational.schema import Column, INTEGER, Table, TEXT
 from repro.storage.base import BufferedStreamInserter, MappingScheme
-from repro.storage.interval import element_content
 from repro.storage.numbering import NodeRecord
-from repro.xml.dom import Document, NodeKind
+from repro.xml.dom import NodeKind
 
 LABELS_TABLE = Table(
     name="universal_labels",
@@ -109,9 +108,9 @@ class UniversalScheme(MappingScheme):
         return [LABELS_TABLE, PATHS_TABLE]
 
     def stream_inserter(self, doc_id):
-        # The wide relation needs the whole record set (each tuple spans a
-        # root-to-leaf chain), but not the DOM — buffer records only.
-        return BufferedStreamInserter(self, doc_id, needs_document=False)
+        # The wide relation needs the whole record set: each tuple spans
+        # a root-to-leaf chain.
+        return BufferedStreamInserter(self, doc_id, self._insert_all)
 
     def create_schema(self) -> None:
         super().create_schema()
@@ -163,10 +162,12 @@ class UniversalScheme(MappingScheme):
 
     # -- shredding ---------------------------------------------------------------------
 
-    def _insert_records(
-        self, doc_id: int, records: list[NodeRecord], document: Document
+    def _insert_all(
+        self,
+        doc_id: int,
+        records: list[NodeRecord],
+        contents: dict[int, str],
     ) -> dict[str, int]:
-        contents = element_content(records)
         by_pre = {r.pre: r for r in records}
         children_of: dict[int, list[NodeRecord]] = {}
         for record in records:

@@ -35,9 +35,8 @@ from repro.storage.base import (
     StreamInserter,
     iter_batches,
 )
-from repro.storage.interval import element_content
 from repro.storage.numbering import NodeRecord
-from repro.xml.dom import Document, NodeKind
+from repro.xml.dom import NodeKind
 
 PATH_SEP = "#/"
 
@@ -118,28 +117,17 @@ TEXT_TABLE = Table(
 )
 
 
-def record_pathexp(record: NodeRecord, parent_path: str) -> str:
-    """XRel path expression of one node given its parent's."""
-    kind = record.kind
-    if kind == int(NodeKind.ELEMENT):
-        return f"{parent_path}{PATH_SEP}{record.name}"
-    if kind == int(NodeKind.ATTRIBUTE):
-        return f"{parent_path}{PATH_SEP}@{record.name}"
-    # Text/comment/PI rows reuse the parent's path, as in the paper.
-    return parent_path
-
-
 class _XRelStreamInserter(StreamInserter):
     """Streaming sink tracking the open-element path expressions.
 
     The path dictionary is numbered by first use: element paths at the
     start tag (:meth:`enter`), attribute paths at the attribute node,
-    non-element paths by reuse of the open parent's — the same order the
-    DOM insert path's pre-order walk assigns, so ``xrel_paths`` comes out
-    identical.  Node rows land in completion order (elements close after
-    their descendants); the tables are keyed and queried by ``start``, so
-    insertion order is immaterial.  Memory is bounded by the path
-    dictionary plus one row batch per table.
+    non-element paths by reuse of the open parent's — the order a
+    pre-order walk of the document would assign.  Node rows land in
+    completion order (elements close after their descendants); the
+    tables are keyed and queried by ``start``, so insertion order is
+    immaterial.  Memory is bounded by the path dictionary plus one row
+    batch per table.
     """
 
     def __init__(self, scheme, doc_id):
@@ -224,53 +212,6 @@ class XRelScheme(MappingScheme):
 
     def stream_inserter(self, doc_id):
         return _XRelStreamInserter(self, doc_id)
-
-    def _insert_records(
-        self, doc_id: int, records: list[NodeRecord], document: Document
-    ) -> dict[str, int]:
-        contents = element_content(records)
-        path_of: dict[int, str] = {0: ""}
-        path_ids: dict[str, int] = {}
-        element_rows, attribute_rows, text_rows = [], [], []
-
-        def path_id_for(pathexp: str) -> int:
-            if pathexp not in path_ids:
-                path_ids[pathexp] = len(path_ids) + 1
-            return path_ids[pathexp]
-
-        for r in records:
-            pathexp = record_pathexp(r, path_of[r.parent_pre])
-            path_of[r.pre] = pathexp
-            pid = path_id_for(pathexp)
-            start, end = r.pre, r.pre + r.size
-            if r.kind == int(NodeKind.ELEMENT):
-                element_rows.append(
-                    (doc_id, pid, start, end, r.ordinal, r.name,
-                     contents.get(r.pre))
-                )
-            elif r.kind == int(NodeKind.ATTRIBUTE):
-                attribute_rows.append(
-                    (doc_id, pid, start, end, r.ordinal, r.name, r.value)
-                )
-            else:
-                text_rows.append(
-                    (doc_id, pid, start, end, r.ordinal, r.kind, r.name,
-                     r.value)
-                )
-        self.db.executemany(
-            "INSERT INTO xrel_paths (doc_id, path_id, pathexp) "
-            "VALUES (?, ?, ?)",
-            [(doc_id, pid, exp) for exp, pid in path_ids.items()],
-        )
-        self.db.insert_rows(ELEMENT_TABLE, element_rows)
-        self.db.insert_rows(ATTRIBUTE_TABLE, attribute_rows)
-        self.db.insert_rows(TEXT_TABLE, text_rows)
-        return {
-            PATHS_TABLE.name: len(path_ids),
-            ELEMENT_TABLE.name: len(element_rows),
-            ATTRIBUTE_TABLE.name: len(attribute_rows),
-            TEXT_TABLE.name: len(text_rows),
-        }
 
     @staticmethod
     def _rows_to_records(rows) -> list[NodeRecord]:

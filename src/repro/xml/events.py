@@ -9,7 +9,10 @@ conversions in both directions:
 * :func:`build_tree` — event iterator → DOM tree,
 * :func:`parse_events` — XML text/file → events through the streaming
   pull parser (:mod:`repro.xml.stream`): the tree is never built, so
-  memory stays O(depth) however large the document.
+  memory stays O(depth) however large the document,
+* :func:`payload_events` — :func:`stream_events` or
+  :func:`parse_events`, chosen by payload type (what every ``store``
+  entry point feeds the shredder).
 
 Shredders consume events so that every storage scheme is implementable in
 one pass over the stream — this keeps shredding O(n) and mirrors how a
@@ -192,6 +195,16 @@ def parse_events(source, options=None) -> Iterator[Event]:
     from repro.xml.stream import iter_events
 
     return iter_events(source, options)
+
+
+def payload_events(source, options=None) -> Iterator[Event]:
+    """Token stream of one ingest payload, whatever its form: a parsed
+    :class:`Document` replays through :func:`stream_events`; XML text,
+    open file objects and paths go through :func:`parse_events` without
+    ever materializing a tree."""
+    if isinstance(source, Document):
+        return stream_events(source)
+    return parse_events(source, options)
 
 
 def count_events(events: Iterable[Event]) -> dict[EventKind, int]:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.relational.database import Database
 from repro.core.registry import available_schemes, create_scheme
+from repro.storage.numbering import shred_into
 from repro.xml import parse_document
 
 # Schemes whose translators support the full core query set on
@@ -71,6 +72,23 @@ def db():
 @pytest.fixture()
 def bib_doc():
     return parse_document(BIB_XML)
+
+
+def shred_records(events, enter=None):
+    """Drive the store path's shredder over *events*; returns
+    ``(records in pre order, content cache by pre, node_count,
+    root_tag)`` — the shape ``number_document`` + ``element_content``
+    produce from a DOM, so the two can be compared."""
+    records, contents = [], {}
+
+    def add(record, content):
+        records.append(record)
+        if content is not None:
+            contents[record.pre] = content
+
+    count, root = shred_into(events, add, enter)
+    records.sort(key=lambda record: record.pre)
+    return records, contents, count, root
 
 
 def make_scheme(name, db, dtd=None, **kwargs):

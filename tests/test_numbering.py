@@ -15,13 +15,19 @@ from repro.storage.numbering import (
     dewey_parent,
     number_document,
 )
+from repro.xml.events import parse_events
+
+from tests.conftest import shred_records
 
 SRC = '<r a="1"><x><y>t</y></x><z b="2"/><!--c--></r>'
 
 
-@pytest.fixture()
-def records():
-    return number_document(parse_document(SRC))
+def number_by_dom_walk(xml):
+    return number_document(parse_document(xml))
+
+
+def number_by_event_stack(xml):
+    return shred_records(parse_events(xml))[0]
 
 
 def by_name(records, name):
@@ -29,6 +35,16 @@ def by_name(records, name):
 
 
 class TestNumbering:
+    """Numbering properties, on the recursive DOM walk (the reference
+    the shredder is tested against, and what updates number fragments
+    with)."""
+
+    number = staticmethod(number_by_dom_walk)
+
+    @pytest.fixture()
+    def records(self):
+        return self.number(SRC)
+
     def test_pre_matches_document_order(self, records):
         assert [r.pre for r in records] == list(range(1, len(records) + 1))
 
@@ -97,12 +113,18 @@ class TestNumbering:
             assert dewey_is_ancestor(root.dewey, record.dewey)
 
     def test_multiple_root_level_nodes(self):
-        records = number_document(parse_document("<!--before--><r/>"))
+        records = self.number("<!--before--><r/>")
         assert [r.kind for r in records] == [
             int(NodeKind.COMMENT), int(NodeKind.ELEMENT),
         ]
         assert records[0].ordinal == 1
         assert records[1].ordinal == 2
+
+
+class TestEventStackNumbering(TestNumbering):
+    """Every property above, on the numbering the store path uses."""
+
+    number = staticmethod(number_by_event_stack)
 
 
 class TestDeweyHelpers:

@@ -46,12 +46,18 @@ class TestSpans:
         assert tracer.max_depth() >= 3
         # The pipeline phases are all present...
         names = {span.name for span in tracer.finished}
-        assert {"parse", "store", "shred", "insert", "analyze",
+        assert {"store", "stream_shred", "analyze",
                 "query", "translate", "execute",
                 "sql.statement"} <= names
-        # ...and SQL statements nest under the insert and execute phases.
-        insert = tracer.spans_named("insert")[0]
-        assert any(c.name == "sql.statement" for c in insert.children)
+        # ...and SQL statements nest under the shred and execute phases.
+        shred = tracer.spans_named("stream_shred")[0]
+        assert any(c.name == "sql.statement" for c in shred.children)
+        # One vocabulary for every store door: nodes and rows sit on
+        # the store span, and nothing marks a lane.
+        store = tracer.spans_named("store")[0]
+        assert store.attributes["nodes"] > 0
+        assert store.attributes["rows"] > 0
+        assert "streaming" not in store.attributes
         execute = tracer.spans_named("execute")[0]
         assert any(c.name == "sql.statement" for c in execute.children)
 
@@ -95,7 +101,7 @@ class TestSpans:
     def test_span_tree_renders_every_phase(self):
         tracer = traced_session()
         tree = format_span_tree(tracer)
-        for name in ("store", "insert", "query", "sql.statement"):
+        for name in ("store", "stream_shred", "query", "sql.statement"):
             assert name in tree
         assert "ms" in tree
 

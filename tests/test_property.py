@@ -35,10 +35,11 @@ from repro.xml.dom import (
     Text,
     deep_equal,
 )
-from repro.xml.events import build_tree, stream_events
+from repro.storage.interval import element_content
+from repro.xml.events import build_tree, parse_events, stream_events
 from repro.xpath import evaluate_nodes
 
-from tests.conftest import make_scheme
+from tests.conftest import make_scheme, shred_records
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -137,6 +138,24 @@ class TestNumberingInvariants:
                         break
                     current = by_pre[current.parent_pre]
             assert window == descendants
+
+    @given(documents())
+    @settings(max_examples=40, deadline=None)
+    def test_event_stack_matches_dom_walk(self, document):
+        """The store path's numbering (an event stack, content cached
+        at close time) against the recursive walk + second content
+        pass — from the tree's own events and from its re-parsed text."""
+        reference = number_document(document)
+        contents = element_content(reference)
+        for events in (
+            stream_events(document),
+            parse_events(serialize(document)),
+        ):
+            records, shredded_contents, count, root = shred_records(events)
+            assert records == reference
+            assert shredded_contents == contents
+            assert count == len(reference)
+            assert root == document.root_element.tag
 
     @given(documents())
     @settings(max_examples=40, deadline=None)

@@ -20,6 +20,7 @@ from repro.reliability import (
     FaultInjectingDatabase,
     SimulatedCrash,
 )
+from repro.storage.base import STREAM_BATCH
 from repro.updates import delete_subtree, insert_subtree
 from repro.xml.dom import deep_equal
 from repro.xml.parser import parse_document
@@ -83,11 +84,26 @@ def assert_all_or_nothing(db, scheme, before, doc_name, original=None):
     return "committed"
 
 
+def multi_batch_document():
+    """A bib large enough that every scheme's store issues several
+    row-insert statements: more than ``STREAM_BATCH`` text nodes, so
+    the one-row-per-node inserters flush mid-stream and again at the
+    end, and binary flushes its ``#text`` partition mid-stream and the
+    other partitions at the end."""
+    books = "".join(
+        f"<book year='{1990 + i % 30}'><title>T{i}</title>"
+        f"<price>{i}.5</price></book>"
+        for i in range(STREAM_BATCH // 2 + 8)
+    )
+    return parse_document(f"<bib>{books}</bib>")
+
+
 class TestStoreAtomicity:
-    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
-    def test_fault_at_every_statement(self, scheme_name):
-        document = small_document()
-        outcomes = set()
+    def sweep(self, scheme_name, document):
+        """Fault every statement of storing *document* after a first
+        store committed; returns the SQL of the statements that were
+        faulted and rolled back."""
+        rolled_back = []
         for n in range(1, 300):
             db = FaultInjectingDatabase()
             scheme = make_scheme(scheme_name, db)
@@ -97,11 +113,12 @@ class TestStoreAtomicity:
             try:
                 scheme.store(document, "second")
             except FaultInjected:
-                outcomes.add(
-                    assert_all_or_nothing(
-                        db, scheme, before, "second", document
-                    )
+                faulted = db.statement_log[-1]
+                outcome = assert_all_or_nothing(
+                    db, scheme, before, "second", document
                 )
+                if outcome == "rolled-back":
+                    rolled_back.append(faulted)
                 db.close()
             else:
                 db.reset_faults()
@@ -110,11 +127,28 @@ class TestStoreAtomicity:
                 )
                 assert report.ok, report.issues
                 db.close()
-                break
-        else:
-            pytest.fail("fault never stopped firing; sweep too short")
+                return rolled_back
+        pytest.fail("fault never stopped firing; sweep too short")
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_fault_at_every_statement(self, scheme_name):
         # At least one injection point must have exercised rollback.
-        assert "rolled-back" in outcomes
+        assert self.sweep(scheme_name, small_document())
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_fault_between_flushes(self, scheme_name):
+        """A fault *after* earlier row batches were already written
+        still takes everything back, catalog row included."""
+        rolled_back = self.sweep(scheme_name, multi_batch_document())
+        row_inserts = [
+            sql for sql in rolled_back
+            if sql.startswith("INSERT") and "xmlrel_documents" not in sql
+            and "_labels" not in sql
+        ]
+        assert len(row_inserts) >= 2, rolled_back
+        if scheme_name == "binary":
+            # Flushes of at least two different partitions were hit.
+            assert len(set(row_inserts)) >= 2
 
     @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
     def test_crash_mid_store_then_recover(self, scheme_name):
@@ -122,8 +156,10 @@ class TestStoreAtomicity:
         scheme = make_scheme(scheme_name, db)
         scheme.store(small_document(), "first")
         before = snapshot(db)
-        # Statement 1 is the catalog INSERT, statement 2 the first row
-        # insert — always inside the store transaction.
+        # Statement 1 is the catalog INSERT, statement 2 the row sink's
+        # first (a row insert; binary's partition lookup) — always
+        # inside the store transaction, whose last statement is the
+        # catalog finalize UPDATE.
         db.crash_on(2)
         with pytest.raises(SimulatedCrash):
             scheme.store(small_document(), "second")

@@ -1,15 +1,17 @@
-"""PR 8 — the streaming ingest pipeline.
+"""The ingest pipeline (streaming since PR 8, the only lane since PR 14).
 
-Three layers of differential evidence, each against the DOM path as
-the oracle:
+Three layers of differential evidence, each against an independent
+DOM-side algorithm as the oracle:
 
 * the pull parser's event stream is *byte-identical* to
   ``stream_events(parse_document(text))`` — including every syntax
   error's message, line and column — at several read-chunk sizes;
-* the fused shredder (:func:`shred_into`) emits exactly what the
-  reference generator (:func:`shred_stream`) yields;
-* storing via the stream produces byte-identical tables, catalog rows
-  and reconstruction output across **all seven schemes**.
+* the event-stack shredder (:func:`shred_into`) delivers exactly the
+  records of the recursive DOM walk (:func:`number_document`) and the
+  content cache of :func:`element_content`;
+* every store entry point (parsed document, text, event stream) leaves
+  byte-identical tables, catalog rows and reconstruction output across
+  **all seven schemes**, and the audit is clean.
 
 Plus the bulk machinery around them: file/corpus ingestion, deferred
 index rebuilds, and the ``ingest.*`` telemetry.
@@ -27,7 +29,8 @@ from repro.obs.trace import Tracer
 from repro.reliability.faults import FaultInjected, ShardFaultPolicy
 from repro.serve import ShardedStore
 from repro.storage.base import BulkSession
-from repro.storage.numbering import shred_into, shred_stream
+from repro.storage.interval import element_content
+from repro.storage.numbering import number_document, shred_into
 from repro.workloads import (
     auction_dtd,
     dblp_dtd,
@@ -35,9 +38,11 @@ from repro.workloads import (
     generate_dblp,
 )
 from repro.xml import parse_document, serialize
-from repro.xml.events import parse_events, stream_events
+from repro.xml.events import Event, EventKind, parse_events, stream_events
 from repro.xml.parser import ParseOptions
 from repro.xml.stream import iter_events
+
+from tests.conftest import shred_records
 
 XML_SMALL = """<?xml version="1.0"?>
 <!DOCTYPE bib [<!ENTITY co "Company">]>
@@ -138,22 +143,38 @@ def test_text_source_and_path_source(tmp_path):
 # -- shredder parity ---------------------------------------------------------
 
 
-def test_shred_into_matches_shred_stream():
-    text = serialize(generate_auction(0.02, seed=9))
-    reference = list(shred_stream(parse_events(text)))
-    collected = []
-    count, root = shred_into(
-        parse_events(text),
-        lambda record, content: collected.append(
-            ("node", record, content)
+def _corpora():
+    return {
+        "auction": (
+            serialize(generate_auction(0.01, seed=42)), auction_dtd
         ),
-        lambda pre, name, parent: collected.append(
-            ("enter", pre, name, parent)
+        "dblp": (
+            serialize(generate_dblp(record_count=40, seed=7)), dblp_dtd
         ),
-    )
-    assert collected == reference
-    assert count == sum(1 for item in reference if item[0] == "node")
-    assert root == "site"
+        "small": (XML_SMALL, None),
+    }
+
+
+def test_shred_into_matches_number_document():
+    """Two algorithms, one answer: the event-stack numbering against
+    the recursive DOM walk, and the shredder's content cache against
+    :func:`element_content`'s second pass over the records."""
+    for label, (text, _) in _corpora().items():
+        document = parse_document(text)
+        reference = number_document(document)
+        enters = []
+        records, contents, count, root = shred_records(
+            parse_events(text), lambda *entered: enters.append(entered)
+        )
+        assert records == reference, label
+        assert contents == element_content(reference), label
+        assert count == len(reference)
+        assert root == document.root_element.tag
+        # Element opens are announced in pre order, before their rows.
+        assert enters == [
+            (r.pre, r.name, r.parent_pre)
+            for r in reference if r.is_element
+        ], label
 
 
 def test_shred_into_rejects_unbalanced_stream():
@@ -162,7 +183,55 @@ def test_shred_into_rejects_unbalanced_stream():
         shred_into(events, lambda record, content: None)
 
 
-# -- whole-store differential: stream vs DOM across all schemes --------------
+def _start(name):
+    return Event(EventKind.START_ELEMENT, name)
+
+
+def _end(name):
+    return Event(EventKind.END_ELEMENT, name)
+
+
+#: Event streams no parser emits but a caller can hand to store_stream.
+HOSTILE_STREAMS = {
+    "end with nothing open": (
+        [_start("a"), _end("a"), _end("a")], "nothing open"
+    ),
+    "end names another element": (
+        [_start("a"), _start("b"), _end("a"), _end("b")],
+        "does not match",
+    ),
+    "attribute after first child": (
+        [_start("a"), Event(EventKind.TEXT, None, "x"),
+         Event(EventKind.ATTRIBUTE, "k", "v"), _end("a")],
+        "after the first child",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_STREAMS)
+def test_shred_into_rejects_hostile_stream(case):
+    events, message = HOSTILE_STREAMS[case]
+    with pytest.raises(StorageError, match=message):
+        shred_into(events, lambda record, content: None)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("case", HOSTILE_STREAMS)
+def test_store_stream_rejects_hostile_stream(scheme, case):
+    """Typed error, whole transaction rolled back: no node row and no
+    catalog row survives."""
+    events, message = HOSTILE_STREAMS[case]
+    kwargs = {"dtd": dblp_dtd()} if scheme == "inlining" else {}
+    with XmlRelStore.open(scheme=scheme, **kwargs) as store:
+        before = _dump_tables(store)
+        with pytest.raises(StorageError, match=message):
+            store.scheme.store_stream(iter(events), "hostile")
+        assert store.documents() == []
+        assert _dump_tables(store) == before
+        assert store.db.query("SELECT * FROM xmlrel_documents") == []
+
+
+# -- whole-store differential: every entry point, all schemes ----------------
 
 
 def _dump_tables(store):
@@ -179,52 +248,39 @@ def _dump_tables(store):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_stream_store_tables_identical_to_dom(scheme):
-    corpora = {
-        "auction": (
-            serialize(generate_auction(0.01, seed=42)), auction_dtd
-        ),
-        "dblp": (
-            serialize(generate_dblp(record_count=40, seed=7)), dblp_dtd
-        ),
-    }
-    if scheme != "inlining":
-        corpora["small"] = (XML_SMALL, None)
-    for label, (xml, dtd_factory) in corpora.items():
+    """``store(parse_document(xml))``, ``store_text(xml)`` and
+    ``store_stream(parse_events(xml))`` are one lane behind three
+    doors: same tables, same catalog row, same reconstruction, clean
+    audit.  (What the rows must *be* is pinned by the evaluator
+    differentials that run on every scheme.)"""
+    for label, (xml, dtd_factory) in _corpora().items():
+        if scheme == "inlining" and dtd_factory is None:
+            continue
         kwargs = (
             {"dtd": dtd_factory()} if scheme == "inlining" else {}
         )
-        dom_store = XmlRelStore.open(scheme=scheme, **kwargs)
-        dom_store.scheme.create_schema()
-        stream_store = XmlRelStore.open(scheme=scheme, **kwargs)
-        stream_store.scheme.create_schema()
-        try:
-            dom_result = dom_store.scheme.store(
-                parse_document(xml), name="doc"
-            )
-            stream_result = stream_store.scheme.store_stream(
-                parse_events(xml), name="doc"
-            )
-            assert dom_result.doc_id == stream_result.doc_id
-            assert dom_result.node_count == stream_result.node_count
-            assert dom_result.row_counts == stream_result.row_counts, (
-                scheme, label
-            )
-            dom_tables = _dump_tables(dom_store)
-            stream_tables = _dump_tables(stream_store)
-            assert dom_tables.keys() == stream_tables.keys()
-            for table in dom_tables:
-                assert dom_tables[table] == stream_tables[table], (
-                    scheme, label, table
+        doors = {
+            "document": lambda s: s.store(parse_document(xml), "doc"),
+            "text": lambda s: s.store_text(xml, "doc"),
+            "events": lambda s: s.scheme.store_stream(
+                parse_events(xml), "doc"
+            ).doc_id,
+        }
+        outcomes = {}
+        for door, run in doors.items():
+            with XmlRelStore.open(scheme=scheme, **kwargs) as store:
+                doc_id = run(store)
+                report = store.verify(doc_id)
+                assert report.ok, (scheme, label, door, report.issues)
+                outcomes[door] = (
+                    doc_id,
+                    _dump_tables(store),
+                    store.db.query("SELECT * FROM xmlrel_documents"),
+                    store.reconstruct_xml(doc_id),
                 )
-            assert dom_store.db.query(
-                "SELECT * FROM xmlrel_documents"
-            ) == stream_store.db.query("SELECT * FROM xmlrel_documents")
-            assert dom_store.reconstruct_xml(
-                dom_result.doc_id
-            ) == stream_store.reconstruct_xml(stream_result.doc_id)
-        finally:
-            dom_store.close()
-            stream_store.close()
+        reference = outcomes.pop("document")
+        for door, outcome in outcomes.items():
+            assert outcome == reference, (scheme, label, door)
 
 
 # -- file and corpus ingestion -----------------------------------------------
