@@ -3,14 +3,21 @@
 A :class:`QueryExecutor` owns a thread pool and one
 :class:`~repro.serve.pool.ConnectionPool` per shard.  A query arrives
 with its *targets* — ``{shard: [(global_doc_id, local_doc_id), ...]}``,
-computed by the shard map — and either
+computed by the shard map — and becomes one :class:`ScatterStream`: the
+object that admits the request, runs one read per shard, merges the
+answers into ``(doc_id, pre)`` pairs sorted by global doc id then
+document order (the natural order key, since ``pre`` *is* document
+order within one document), releases the admission slot and accounts
+for the request — on one exit path, whoever drives it:
 
-* **prunes to one shard** (doc-scoped query: exactly one target shard),
-  running inline on the calling thread with no fan-out overhead, or
-* **scatters** one task per shard onto the worker pool and **gathers**
-  the partial answers, merging them into ``(doc_id, pre)`` pairs sorted
-  by global doc id then document order — the natural order key, since
-  ``pre`` *is* document order within one document.
+* :meth:`QueryExecutor.query` drives it to completion on the calling
+  thread (:meth:`ScatterStream.gather`): a doc-scoped query (exactly
+  one target shard) is read right there with no fan-out overhead,
+  anything else **scatters** one task per shard onto the worker pool
+  and **gathers** the partial answers;
+* :meth:`QueryExecutor.stream` hands the per-shard futures to an async
+  caller (the network gateway), which folds each shard's rows into its
+  response as that shard completes.
 
 Admission control and deadlines:
 
@@ -33,7 +40,7 @@ shards, never a timing accident.
 
 Result cache: each pool keeps finished per-document rows
 (:class:`~repro.serve.pool.ResultCache`), consulted in the one place
-SQL runs (``_query_on_pool``) by every request that targets more than
+SQL runs (``ScatterStream._read_pool``) by every request that targets more than
 one document.  A shard whose targeted documents are all cached answers
 without acquiring a connection; every committed write on a shard, and
 every replica re-ship, drops that pool's cache.  A request for a single
@@ -60,7 +67,6 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -96,10 +102,6 @@ class _ShardAnswer:
     """One shard's rows plus where they were read from."""
 
     rows: list
-    #: ``"hit"`` (no SQL ran), ``"miss"``, or ``"partial"`` — what the
-    #: answering pool's result cache did for this shard's documents;
-    #: None when the request did not go through it (a single document).
-    result_cache: str | None = None
     replica: int | None = None
     lag_writes: int | None = None
     age_seconds: float | None = None
@@ -209,9 +211,9 @@ class QueryExecutor:
 
     # -- admission control --------------------------------------------------------
 
-    @contextmanager
-    def _admitted(self):
-        """One slot of the max-in-flight gate, or immediate shed."""
+    def _admit(self) -> None:
+        """Take one slot of the max-in-flight gate, or shed at once.
+        Whoever is admitted owes exactly one :meth:`_release`."""
         if not self._gate.acquire(blocking=False):
             self.metrics.counter("serve.overloaded").inc()
             raise Overloaded(
@@ -221,11 +223,11 @@ class QueryExecutor:
                 limit=self.max_in_flight,
             )
         self.metrics.gauge("serve.in_flight").add(1)
-        try:
-            yield
-        finally:
-            self.metrics.gauge("serve.in_flight").add(-1)
-            self._gate.release()
+
+    def _release(self) -> None:
+        """Give back the slot :meth:`_admit` took."""
+        self.metrics.gauge("serve.in_flight").add(-1)
+        self._gate.release()
 
     def _shard_histogram(self, shard: int):
         """``serve.shard{N}.query_seconds``, resolved once per shard."""
@@ -246,7 +248,7 @@ class QueryExecutor:
             )
         return pair
 
-    # -- per-shard work -----------------------------------------------------------
+    # -- replica routing ----------------------------------------------------------
 
     def _pick_replica(self, shard: int) -> tuple[ConnectionPool, int] | None:
         """The next replica pool for *shard*, round-robin, if any."""
@@ -258,125 +260,25 @@ class QueryExecutor:
             self._replica_rr[shard] = index + 1
         return replicas[index], index
 
-    def _query_shard(
-        self,
-        shard: int,
-        docs: list[tuple[int, int]],
-        xpath: str,
-        deadline_at: float | None,
-        deadline_budget: float | None,
-        read_from: str,
-        ctx: RequestContext | None = None,
-        breakdown: dict | None = None,
-        cached: bool = False,
-    ) -> _ShardAnswer:
-        """Run *xpath* over every targeted document of one shard.
+    def _read_routed(
+        self, shard: int, read_from: str, read, info: dict | None = None
+    ) -> tuple:
+        """Run ``read(pool, replica)`` where *read_from* says: on the
+        next replica of *shard* when asked and one exists, else — or
+        when that replica is down or overloaded — on the primary
+        (``replica`` is then None).  Returns ``(result, replica)``: what
+        *read* returned and the replica index that served it.
 
-        Routes to a read replica when asked (and one exists), falling
-        back to the primary if the replica is down or overloaded.
-
-        *ctx* is the request's trace context (adopted here, so this
-        shard's spans nest under the request root even on a pool
-        thread); *breakdown* — when the wide-event log is on — collects
-        this shard's entry of the per-shard fan-out record (latency,
-        replica choice, plan- and result-cache warmth, lint verdict,
-        outcome); *cached* says whether the read goes through the
-        answering pool's result cache.
+        *info*, when given, is the shard's entry of a wide event's
+        per-shard breakdown; a fallback is flagged on it.
         """
-        if not docs:
-            return _ShardAnswer(rows=[])
-        with self.tracer.adopt(ctx):
-            with self.tracer.span(
-                "serve.shard", shard=shard, docs=len(docs)
-            ) as span:
-                return self._query_shard_traced(
-                    shard, docs, xpath, deadline_at, deadline_budget,
-                    read_from, span, breakdown, cached,
-                )
-
-    def _query_shard_traced(
-        self,
-        shard: int,
-        docs: list[tuple[int, int]],
-        xpath: str,
-        deadline_at: float | None,
-        deadline_budget: float | None,
-        read_from: str,
-        span,
-        breakdown: dict | None,
-        cached: bool,
-    ) -> _ShardAnswer:
-        started = time.perf_counter()
-        info: dict | None = None
-        if breakdown is not None:
-            info = {"shard": shard, "docs": len(docs), "read_from": "primary"}
-            breakdown[shard] = info
-        try:
-            answer = self._route_shard_read(
-                shard, docs, xpath, deadline_at, deadline_budget,
-                read_from, info, cached,
-            )
-        except XmlRelError as error:
-            elapsed = time.perf_counter() - started
-            self._shard_histogram(shard).observe(elapsed)
-            if info is not None:
-                info["elapsed_seconds"] = elapsed
-                info["outcome"] = "error"
-                info["error"] = f"{type(error).__name__}: {error}"
-            raise
-        elapsed = time.perf_counter() - started
-        self._shard_histogram(shard).observe(elapsed)
-        if span:
-            span.set(rows=len(answer.rows))
-            if answer.replica is not None:
-                span.set(replica=answer.replica)
-        if info is not None:
-            info["elapsed_seconds"] = elapsed
-            info["outcome"] = "ok"
-            info["rows"] = len(answer.rows)
-            if answer.result_cache is not None:
-                info["result_cache"] = answer.result_cache
-            if answer.replica is not None:
-                info["read_from"] = "replica"
-                info["replica"] = answer.replica
-                info["replica_lag_writes"] = answer.lag_writes
-                info["replica_age_seconds"] = answer.age_seconds
-            pool = self.pools[shard]
-            plans = pool.plan_cache.peek(
-                (pool.scheme_name, pool.epoch, xpath)
-            )
-            info["plan_cached"] = plans is not None
-            info["lint"] = self._lint_verdict(pool, plans)
-        return answer
-
-    def _route_shard_read(
-        self,
-        shard: int,
-        docs: list[tuple[int, int]],
-        xpath: str,
-        deadline_at: float | None,
-        deadline_budget: float | None,
-        read_from: str,
-        info: dict | None,
-        cached: bool,
-    ) -> _ShardAnswer:
-        """Replica-or-primary routing (the pre-telemetry body of
-        ``_query_shard``)."""
         picked = (
             self._pick_replica(shard) if read_from == "replica" else None
         )
         if picked is not None:
             pool, replica = picked
             try:
-                with self.tracer.span(
-                    "serve.replica_read", replica=replica
-                ) as span:
-                    rows, served = self._query_on_pool(
-                        pool, docs, xpath, deadline_at, deadline_budget,
-                        cached,
-                    )
-                    if span and served is not None:
-                        span.set(result_cache=served)
+                result = read(pool, replica)
             except (Overloaded, StorageError):
                 # The replica could not answer; its primary still can.
                 self.metrics.counter("serve.replica_fallbacks").inc()
@@ -384,26 +286,8 @@ class QueryExecutor:
                     info["replica_fallback"] = True
             else:
                 self.metrics.counter("serve.replica_reads").inc()
-                lag = age = None
-                if self.shard_state is not None:
-                    staleness = self.shard_state.staleness(shard, replica)
-                    if staleness is not None:
-                        lag, age = staleness
-                return _ShardAnswer(
-                    rows=rows,
-                    result_cache=served,
-                    replica=replica,
-                    lag_writes=lag,
-                    age_seconds=age,
-                )
-        with self.tracer.span("serve.execute", shard=shard) as span:
-            rows, served = self._query_on_pool(
-                self.pools[shard], docs, xpath, deadline_at, deadline_budget,
-                cached,
-            )
-            if span and served is not None:
-                span.set(result_cache=served)
-        return _ShardAnswer(rows=rows, result_cache=served)
+                return result, replica
+        return read(self.pools[shard], None), None
 
     @staticmethod
     def _lint_verdict(pool: ConnectionPool, plans) -> str:
@@ -421,82 +305,21 @@ class QueryExecutor:
             return "warn"
         return "clean"
 
-    def _query_on_pool(
+    def _note_shard_failure(
         self,
-        pool: ConnectionPool,
-        docs: list[tuple[int, int]],
-        xpath: str,
-        deadline_at: float | None,
-        deadline_budget: float | None,
-        cached: bool,
-    ) -> tuple[list[tuple[int, int]], str | None]:
-        """Returns ``(global_doc_id, pre)`` pairs plus what the pool's
-        result cache did: ``"hit"`` (every document cached — no
-        connection acquired, no SQL), ``"miss"`` or ``"partial"`` — or
-        None when *cached* is false and the read went past it (nothing
-        looked up, nothing published).
+        shard: int,
+        error: XmlRelError,
+        failures: list[tuple[int, str]],
+    ) -> None:
+        """Record one shard's failure, or raise in fail-fast mode."""
+        self.metrics.counter("serve.shard_failures").inc()
+        if self.on_shard_error == "fail":
+            if isinstance(error, ServingError):
+                raise error
+            raise ShardError(shard, error) from error
+        failures.append((shard, str(error)))
 
-        The data version is taken with the lookups, before the acquire
-        and before any statement runs, so rows read across a write or a
-        recycle are refused by ``put``.  Checks the deadline between
-        documents so a slow shard stops burning its pool slot once the
-        query has already missed."""
-        timeout = pool.acquire_timeout
-        if deadline_at is not None:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                raise self._deadline_error(deadline_budget, deadline_at)
-            timeout = min(timeout, remaining)
-        cache = pool.result_cache if cached else None
-        if cache is None:
-            version, found = 0, [None] * len(docs)
-        else:
-            version, found = cache.lookup(docs, xpath)
-        rows: list[tuple[int, int]] = []
-        misses = found.count(None)
-        if not misses:
-            for held in found:
-                rows.extend(held)
-            return rows, "hit"
-        session = pool.acquire(timeout=timeout)
-        try:
-            for doc, held in zip(docs, found):
-                if held is None:
-                    if (
-                        deadline_at is not None
-                        and time.monotonic() > deadline_at
-                    ):
-                        raise self._deadline_error(
-                            deadline_budget, deadline_at
-                        )
-                    global_doc, local_doc = doc
-                    held = tuple(
-                        (global_doc, pre)
-                        for pre in session.scheme.query_pres(
-                            local_doc, xpath
-                        )
-                    )
-                    if cache is not None:
-                        cache.put(version, doc, xpath, held)
-                rows.extend(held)
-            if cache is None:
-                return rows, None
-            return rows, "miss" if misses == len(docs) else "partial"
-        finally:
-            pool.release(session)
-
-    def _deadline_error(
-        self, budget: float | None, deadline_at: float
-    ) -> DeadlineExceeded:
-        elapsed = (budget or 0.0) + (time.monotonic() - deadline_at)
-        return DeadlineExceeded(
-            f"query exceeded its {budget if budget is not None else 0.0:.3f}s "
-            f"deadline",
-            deadline_seconds=budget or 0.0,
-            elapsed=elapsed,
-        )
-
-    # -- the public query paths ---------------------------------------------------
+    # -- the public doors ---------------------------------------------------------
 
     def query(
         self,
@@ -515,7 +338,8 @@ class QueryExecutor:
         executor default per query (``"primary"`` or ``"replica"``).
         *ctx* carries an upstream request's identity (e.g. the
         gateway's): the wide event and span tree reuse its request id
-        instead of minting a fresh one.
+        instead of minting a fresh one, and the ``serve.query`` span
+        parents under its span.
 
         Every exit — success, Overloaded shed, deadline miss, shard
         failure — lands in ``serve.query_seconds`` (plus the
@@ -523,287 +347,13 @@ class QueryExecutor:
         ``serve.query.outcome.<outcome>`` series) and, when a
         :class:`~repro.obs.events.RequestLog` is attached, emits one
         wide event carrying the full per-shard breakdown.
+
+        This is :class:`ScatterStream` driven to completion on the
+        calling thread (:meth:`ScatterStream.gather`).
         """
-        if self._closed:
-            raise StorageError("query executor is closed")
-        route = self.read_from if read_from is None else read_from
-        if route not in READ_FROM_MODES:
-            raise StorageError(
-                f"unknown read-from mode {route!r}; available: "
-                + ", ".join(READ_FROM_MODES)
-            )
-        budget = self.default_deadline if deadline is None else deadline
-        deadline_at = (
-            None if budget is None else time.monotonic() + budget
-        )
-        started = time.perf_counter()
-        breakdown: dict | None = (
-            {} if self.request_log is not None else None
-        )
-        upstream_id = ctx.request_id if ctx is not None else None
-        ctx = None
-        result: ScatterResult | None = None
-        outcome = "error"
-        error_text: str | None = None
-        try:
-            with self._admitted():
-                self.metrics.counter("serve.queries").inc()
-                with self.tracer.span(
-                    "serve.query", xpath=str(xpath), shards=len(targets)
-                ) as root:
-                    ctx = self.tracer.capture(request_id=upstream_id)
-                    if root:
-                        root.set(request_id=ctx.request_id)
-                    if len(targets) <= 1:
-                        self.metrics.counter(
-                            "serve.doc_scoped_queries"
-                        ).inc()
-                        result = self._run_single(
-                            xpath, targets, deadline_at, budget, started,
-                            route, ctx, breakdown,
-                        )
-                    else:
-                        self.metrics.counter("serve.scatter_queries").inc()
-                        result = self._scatter(
-                            xpath, targets, deadline_at, budget, started,
-                            route, ctx, breakdown,
-                        )
-                    if root:
-                        root.set(rows=len(result.rows))
-            outcome = "partial" if result.partial else "ok"
-            return result
-        except Overloaded as error:
-            outcome, error_text = "overloaded", str(error)
-            raise
-        except DeadlineExceeded as error:
-            outcome, error_text = "deadline_exceeded", str(error)
-            raise
-        except ShardError as error:
-            outcome, error_text = "shard_error", str(error)
-            raise
-        except BaseException as error:
-            error_text = f"{type(error).__name__}: {error}"
-            raise
-        finally:
-            self._finish_query(
-                xpath=xpath,
-                targets=targets,
-                route=route,
-                budget=budget,
-                started=started,
-                outcome=outcome,
-                error_text=error_text,
-                result=result,
-                ctx=ctx,
-                breakdown=breakdown,
-            )
-
-    def _finish_query(
-        self,
-        xpath,
-        targets,
-        route: str,
-        budget: float | None,
-        started: float,
-        outcome: str,
-        error_text: str | None,
-        result: ScatterResult | None,
-        ctx: RequestContext | None,
-        breakdown: dict | None,
-    ) -> None:
-        """Latency + outcome accounting and the wide event, on every
-        exit path of :meth:`query` (success and all raises alike)."""
-        elapsed = (
-            result.elapsed_seconds if result is not None
-            else time.perf_counter() - started
-        )
-        self.metrics.histogram("serve.query_seconds").observe(elapsed)
-        outcome_histogram, outcome_counter = self._outcome_pair(outcome)
-        outcome_histogram.observe(elapsed)
-        outcome_counter.inc()
-        if self.request_log is None:
-            return
-        request_id = (
-            ctx.request_id if ctx is not None
-            else self.tracer.capture().request_id
-        )
-        event = {
-            "event": "query",
-            "request_id": request_id,
-            "ts": time.time(),
-            "xpath": str(xpath),
-            "read_from": route,
-            "shards": len(targets),
-            "docs": sum(len(docs) for docs in targets.values()),
-            "outcome": outcome,
-            "elapsed_seconds": elapsed,
-            "deadline_seconds": budget,
-            "deadline_slack_seconds": (
-                None if budget is None else budget - elapsed
-            ),
-        }
-        if error_text is not None:
-            event["error"] = error_text
-        if result is not None:
-            event["rows"] = len(result.rows)
-            event["partial"] = result.partial
-            if result.failed_shards:
-                event["failed_shards"] = list(result.failed_shards)
-            event["replica_reads"] = result.replica_reads
-            if result.max_replica_lag_writes is not None:
-                event["max_replica_lag_writes"] = (
-                    result.max_replica_lag_writes
-                )
-            if result.max_replica_age_seconds is not None:
-                event["max_replica_age_seconds"] = (
-                    result.max_replica_age_seconds
-                )
-        if breakdown:
-            event["per_shard"] = [
-                breakdown[shard] for shard in sorted(breakdown)
-            ]
-        self.request_log.emit(event)
-
-    @staticmethod
-    def _merge(
-        answers: list[_ShardAnswer],
-        shards_queried: int,
-        started: float,
-        failures: list[tuple[int, str]],
-    ) -> ScatterResult:
-        """Fold per-shard answers into one sorted, staleness-bounded
-        result."""
-        rows: list[tuple[int, int]] = []
-        replica_reads = 0
-        max_lag: int | None = None
-        max_age: float | None = None
-        for answer in answers:
-            rows.extend(answer.rows)
-            if answer.replica is not None:
-                replica_reads += 1
-                if answer.lag_writes is not None:
-                    max_lag = (
-                        answer.lag_writes if max_lag is None
-                        else max(max_lag, answer.lag_writes)
-                    )
-                if answer.age_seconds is not None:
-                    max_age = (
-                        answer.age_seconds if max_age is None
-                        else max(max_age, answer.age_seconds)
-                    )
-        return ScatterResult(
-            rows=tuple(sorted(rows)),
-            shards_queried=shards_queried,
-            elapsed_seconds=time.perf_counter() - started,
-            partial=bool(failures),
-            failed_shards=tuple(failures),
-            replica_reads=replica_reads,
-            max_replica_lag_writes=max_lag,
-            max_replica_age_seconds=max_age,
-        )
-
-    def _run_single(
-        self, xpath, targets, deadline_at, budget, started, read_from,
-        ctx=None, breakdown=None,
-    ) -> ScatterResult:
-        """The pruned path: one shard, executed on the calling thread."""
-        failures: list[tuple[int, str]] = []
-        answers: list[_ShardAnswer] = []
-        cached = _spans_documents(targets)
-        for shard, docs in targets.items():  # 0 or 1 iterations
-            try:
-                answers.append(
-                    self._query_shard(
-                        shard, docs, xpath, deadline_at, budget,
-                        read_from, ctx, breakdown, cached,
-                    )
-                )
-            except DeadlineExceeded:
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                raise
-            except XmlRelError as error:
-                self._note_shard_failure(shard, error, failures)
-        with self.tracer.span("serve.merge", answers=len(answers)):
-            return self._merge(answers, len(targets), started, failures)
-
-    def _scatter(
-        self, xpath, targets, deadline_at, budget, started, read_from,
-        ctx=None, breakdown=None,
-    ) -> ScatterResult:
-        """Fan out one task per shard; gather, merge, and sort."""
-        cached = _spans_documents(targets)
-        futures = {
-            self._threads.submit(
-                self._query_shard,
-                shard,
-                docs,
-                xpath,
-                deadline_at,
-                budget,
-                read_from,
-                ctx,
-                breakdown,
-                cached,
-            ): shard
-            for shard, docs in targets.items()
-        }
-        remaining = (
-            None if deadline_at is None
-            else max(0.0, deadline_at - time.monotonic())
-        )
-        # Fail-fast wakes on the first failure; partial mode must sit
-        # out the full fan-out (a late shard is still a good shard).
-        return_when = (
-            FIRST_EXCEPTION if self.on_shard_error == "fail"
-            else ALL_COMPLETED
-        )
-        done, not_done = wait(
-            futures, timeout=remaining, return_when=return_when
-        )
-        if not_done:
-            for future in not_done:
-                future.cancel()  # abandon; running tasks self-abort
-            failed = next(
-                (f for f in done if f.exception() is not None), None
-            )
-            if failed is None:
-                # Nothing failed — the fan-out simply missed the clock.
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                raise self._deadline_error(budget, deadline_at or 0.0)
-            error = failed.exception()
-            if isinstance(error, DeadlineExceeded):
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                raise error
-            if isinstance(error, XmlRelError):
-                self._note_shard_failure(futures[failed], error, [])
-            raise error
-        answers: list[_ShardAnswer] = []
-        failures: list[tuple[int, str]] = []
-        for future in futures:
-            shard = futures[future]
-            try:
-                answers.append(future.result())
-            except DeadlineExceeded:
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                raise
-            except XmlRelError as error:
-                self._note_shard_failure(shard, error, failures)
-        with self.tracer.span("serve.merge", answers=len(answers)):
-            return self._merge(answers, len(targets), started, failures)
-
-    def _note_shard_failure(
-        self,
-        shard: int,
-        error: XmlRelError,
-        failures: list[tuple[int, str]],
-    ) -> None:
-        """Record one shard's failure, or raise in fail-fast mode."""
-        self.metrics.counter("serve.shard_failures").inc()
-        if self.on_shard_error == "fail":
-            if isinstance(error, ServingError):
-                raise error
-            raise ShardError(shard, error) from error
-        failures.append((shard, str(error)))
+        return ScatterStream(
+            self, xpath, targets, deadline, read_from, ctx
+        ).gather()
 
     def stream(
         self,
@@ -813,66 +363,26 @@ class QueryExecutor:
         read_from: str | None = None,
         ctx: RequestContext | None = None,
     ) -> "ScatterStream":
-        """Begin an *incremental* scatter: per-shard futures surfaced to
-        the caller as they run, instead of one materialized
-        :class:`ScatterResult`.
+        """Begin the same request as :meth:`query`, but hand the
+        per-shard futures to the caller instead of waiting on them: the
+        caller (the network gateway) folds each shard's rows into its
+        response the moment that shard completes.  Every shard's read
+        is already on the worker pool when this returns — never on the
+        calling thread, which may be an event loop.
 
-        Admission, deadlines, replica routing, tracing, and outcome
-        accounting all match :meth:`query`; what changes is delivery —
-        the caller (the network gateway) folds each shard's rows into
-        its response the moment that shard completes.  *ctx* optionally
-        parents the ``serve.query`` span under an outer request span.
-
-        Caller contract: consume the handle's futures (collecting each
-        through :meth:`ScatterStream.collect`), then call
-        :meth:`ScatterStream.finish` exactly once — on success *and* on
-        error paths — to release the admission slot and land the
+        Caller contract: consume the handle's futures (each through
+        :meth:`ScatterStream.collect`) inside ``with stream:``, or call
+        :meth:`ScatterStream.finish` exactly once on every path — that
+        is what releases the admission slot and lands the
         latency/outcome metrics and the wide event.
         """
-        if self._closed:
-            raise StorageError("query executor is closed")
-        route = self.read_from if read_from is None else read_from
-        if route not in READ_FROM_MODES:
-            raise StorageError(
-                f"unknown read-from mode {route!r}; available: "
-                + ", ".join(READ_FROM_MODES)
-            )
-        budget = self.default_deadline if deadline is None else deadline
-        deadline_at = (
-            None if budget is None else time.monotonic() + budget
-        )
-        started = time.perf_counter()
-        if not self._gate.acquire(blocking=False):
-            self.metrics.counter("serve.overloaded").inc()
-            error = Overloaded(
-                f"serving layer at max in-flight capacity "
-                f"({self.max_in_flight})",
-                in_flight=self.max_in_flight,
-                limit=self.max_in_flight,
-            )
-            self._finish_query(
-                xpath=xpath, targets=targets, route=route, budget=budget,
-                started=started, outcome="overloaded",
-                error_text=str(error), result=None, ctx=ctx,
-                breakdown=None,
-            )
-            raise error
-        self.metrics.gauge("serve.in_flight").add(1)
-        self.metrics.counter("serve.queries").inc()
-        self.metrics.counter("serve.streamed_queries").inc()
-        if len(targets) <= 1:
-            self.metrics.counter("serve.doc_scoped_queries").inc()
-        else:
-            self.metrics.counter("serve.scatter_queries").inc()
+        stream = ScatterStream(self, xpath, targets, deadline, read_from, ctx)
         try:
-            return ScatterStream(
-                self, xpath, targets, route, budget, deadline_at,
-                started, ctx,
-            )
-        except BaseException:
-            self.metrics.gauge("serve.in_flight").add(-1)
-            self._gate.release()
+            stream._submit()
+        except BaseException as error:
+            stream.finish(error)
             raise
+        return stream
 
     def run_on_shard(
         self, shard: int, fn, timeout: float | None = None
@@ -897,30 +407,19 @@ class QueryExecutor:
         a replica fallback)."""
         if self._closed:
             raise StorageError("query executor is closed")
-        with self._admitted():
-            picked = (
-                self._pick_replica(shard)
-                if read_from == "replica" else None
-            )
-            if picked is not None:
-                pool, replica = picked
-                try:
-                    session = pool.acquire(timeout=timeout)
-                except (Overloaded, StorageError):
-                    self.metrics.counter("serve.replica_fallbacks").inc()
-                else:
-                    try:
-                        result = fn(session)
-                    finally:
-                        pool.release(session)
-                    self.metrics.counter("serve.replica_reads").inc()
-                    return result, replica
-            pool = self.pools[shard]
+
+        def read(pool: ConnectionPool, _replica):
             session = pool.acquire(timeout=timeout)
             try:
-                return fn(session), None
+                return fn(session)
             finally:
                 pool.release(session)
+
+        self._admit()
+        try:
+            return self._read_routed(shard, read_from, read)
+        finally:
+            self._release()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -952,17 +451,26 @@ def outcome_for(error: BaseException) -> str:
 
 
 class ScatterStream:
-    """One in-flight incremental scatter, created by
-    :meth:`QueryExecutor.stream`.
+    """One request, from admission to its wide event — the only
+    execution path: :meth:`QueryExecutor.query` and
+    :meth:`QueryExecutor.stream` both open one.
 
-    Holds the admission slot from construction until :meth:`finish`;
-    exposes the per-shard ``concurrent.futures`` handles in
-    :attr:`futures` so an async caller can wrap and await them in
-    completion order.  Rows flow shard-by-shard through
-    :meth:`collect`; the handle accumulates answers/failures so the
-    terminal :meth:`finish` can report the same merged
-    :class:`ScatterResult`, metrics, and wide event the materialized
-    path would have.
+    Construction validates, fixes the deadline, takes the admission
+    slot, counts the request and opens its ``serve.query`` root;
+    :meth:`finish` (also ``__exit__``) merges what was collected,
+    releases the slot and lands the latency/outcome metrics plus the
+    wide event — once, whichever way the request ends.  A request shed
+    at the gate is finished (outcome ``overloaded``) before the
+    constructor raises.
+
+    In between, a *driver* runs the per-shard reads and folds each
+    answer in through :meth:`collect`:
+
+    * :meth:`gather` blocks the calling thread (``query()``); a
+      single-shard request runs its read right there, with no pool
+      hand-off;
+    * an async caller (the gateway) takes :attr:`futures`, already
+      submitted by ``stream()``, and awaits them in completion order.
 
     The ``serve.query`` root span is opened and closed *synchronously*
     at construction (the creating thread may be an event loop
@@ -977,61 +485,76 @@ class ScatterStream:
         executor: QueryExecutor,
         xpath: str,
         targets: dict[int, list[tuple[int, int]]],
-        route: str,
-        budget: float | None,
-        deadline_at: float | None,
-        started: float,
-        parent_ctx: RequestContext | None,
+        deadline: float | None,
+        read_from: str | None,
+        ctx: RequestContext | None,
     ) -> None:
+        if executor._closed:
+            raise StorageError("query executor is closed")
+        route = executor.read_from if read_from is None else read_from
+        if route not in READ_FROM_MODES:
+            raise StorageError(
+                f"unknown read-from mode {route!r}; available: "
+                + ", ".join(READ_FROM_MODES)
+            )
         self.executor = executor
         self.xpath = xpath
         self.targets = targets
         self.route = route
-        self.budget = budget
-        self.deadline_at = deadline_at
-        self.started = started
+        self.budget = (
+            executor.default_deadline if deadline is None else deadline
+        )
+        self.deadline_at = (
+            None if self.budget is None else time.monotonic() + self.budget
+        )
+        self.started = time.perf_counter()
+        #: The request's trace context: the upstream one (or None)
+        #: until the ``serve.query`` root exists, then the root's, under
+        #: the same request id.
+        self.ctx = ctx
+        #: Per-shard entries of the wide event (None: no request log).
         self.breakdown: dict | None = (
             {} if executor.request_log is not None else None
         )
+        #: ``{future: shard}`` for the reads on the worker pool; empty
+        #: until (unless) a driver submits them.
+        self.futures: dict = {}
+        #: The merged answer, once :meth:`finish` ran without an error.
+        self.result: ScatterResult | None = None
+        self._cached = _spans_documents(targets)
         self._answers: list[_ShardAnswer] = []
         self._failures: list[tuple[int, str]] = []
+        self._holds_slot = False
         self._finished = False
-        self._result: ScatterResult | None = None
+        metrics = executor.metrics
         tracer = executor.tracer
-        upstream_id = (
-            parent_ctx.request_id if parent_ctx is not None else None
-        )
-        with tracer.adopt(parent_ctx):
-            with tracer.span(
-                "serve.query",
-                xpath=str(xpath),
-                shards=len(targets),
-                streaming=True,
-            ) as root:
-                self.ctx = tracer.capture(
-                    root if root else None, request_id=upstream_id
-                )
-                if root:
-                    root.set(request_id=self.ctx.request_id)
-        #: ``{future: shard}`` — all submitted at construction; a shard
-        #: with no targeted documents still gets a (trivial) task so
-        #: the stream always announces every shard it covers.
-        cached = _spans_documents(targets)
-        self.futures = {
-            executor._threads.submit(
-                executor._query_shard,
-                shard,
-                docs,
-                xpath,
-                deadline_at,
-                budget,
-                route,
-                self.ctx,
-                self.breakdown,
-                cached,
-            ): shard
-            for shard, docs in targets.items()
-        }
+        try:
+            executor._admit()
+            self._holds_slot = True
+            metrics.counter("serve.queries").inc()
+            metrics.counter(
+                "serve.doc_scoped_queries" if len(targets) <= 1
+                else "serve.scatter_queries"
+            ).inc()
+            upstream_id = ctx.request_id if ctx is not None else None
+            with tracer.adopt(ctx):
+                with tracer.span(
+                    "serve.query", xpath=str(xpath), shards=len(targets)
+                ) as root:
+                    self.ctx = tracer.capture(
+                        root if root else None, request_id=upstream_id
+                    )
+                    if root:
+                        root.set(request_id=self.ctx.request_id)
+        except BaseException as error:
+            self.finish(error)
+            raise
+
+    def __enter__(self) -> "ScatterStream":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.finish(exc)
 
     @property
     def request_id(self) -> str:
@@ -1043,12 +566,212 @@ class ScatterStream:
             return None
         return max(0.0, self.deadline_at - time.monotonic())
 
+    def _deadline_error(self) -> DeadlineExceeded:
+        budget = self.budget or 0.0
+        return DeadlineExceeded(
+            f"query exceeded its {budget:.3f}s deadline",
+            deadline_seconds=budget,
+            elapsed=budget + (time.monotonic() - (self.deadline_at or 0.0)),
+        )
+
     def expire(self) -> DeadlineExceeded:
         """The typed error for a stream that missed its deadline."""
         self.executor.metrics.counter("serve.deadline_exceeded").inc()
-        return self.executor._deadline_error(
-            self.budget, self.deadline_at or 0.0
-        )
+        return self._deadline_error()
+
+    # -- per-shard work -----------------------------------------------------------
+
+    def _read_shard(
+        self, shard: int, docs: list[tuple[int, int]]
+    ) -> _ShardAnswer:
+        """Run the request's XPath over every targeted document of one
+        shard — on a read replica when the route asks (and one exists),
+        falling back to the primary if the replica is down or
+        overloaded.
+
+        Adopts the request's trace context, so this shard's spans nest
+        under the request root even on a pool thread, and — when the
+        wide-event log is on — fills this shard's entry of the
+        per-shard fan-out record (latency, replica choice, plan- and
+        result-cache warmth, lint verdict, outcome).
+        """
+        if not docs:
+            return _ShardAnswer(rows=[])
+        executor = self.executor
+        tracer = executor.tracer
+        with tracer.adopt(self.ctx), tracer.span(
+            "serve.shard", shard=shard, docs=len(docs)
+        ) as span:
+            info: dict | None = None
+            if self.breakdown is not None:
+                info = self.breakdown[shard] = {
+                    "shard": shard, "docs": len(docs), "read_from": "primary",
+                }
+
+            def read(pool: ConnectionPool, replica: int | None):
+                opened = (
+                    tracer.span("serve.execute", shard=shard)
+                    if replica is None
+                    else tracer.span("serve.replica_read", replica=replica)
+                )
+                with opened as read_span:
+                    rows, served = self._read_pool(pool, docs)
+                    if read_span and served is not None:
+                        read_span.set(result_cache=served)
+                return rows, served
+
+            started = time.perf_counter()
+            try:
+                (rows, served), replica = executor._read_routed(
+                    shard, self.route, read, info
+                )
+            except XmlRelError as error:
+                if info is not None:
+                    info["outcome"] = "error"
+                    info["error"] = f"{type(error).__name__}: {error}"
+                raise
+            finally:
+                elapsed = time.perf_counter() - started
+                executor._shard_histogram(shard).observe(elapsed)
+                if info is not None:
+                    info["elapsed_seconds"] = elapsed
+            lag = age = None
+            if replica is not None and executor.shard_state is not None:
+                staleness = executor.shard_state.staleness(shard, replica)
+                if staleness is not None:
+                    lag, age = staleness
+            if span:
+                span.set(rows=len(rows))
+                if replica is not None:
+                    span.set(replica=replica)
+            if info is not None:
+                info["outcome"] = "ok"
+                info["rows"] = len(rows)
+                if served is not None:
+                    info["result_cache"] = served
+                if replica is not None:
+                    info["read_from"] = "replica"
+                    info["replica"] = replica
+                    info["replica_lag_writes"] = lag
+                    info["replica_age_seconds"] = age
+                pool = executor.pools[shard]
+                plans = pool.plan_cache.peek(
+                    (pool.scheme_name, pool.epoch, self.xpath)
+                )
+                info["plan_cached"] = plans is not None
+                info["lint"] = executor._lint_verdict(pool, plans)
+            return _ShardAnswer(
+                rows=rows,
+                replica=replica,
+                lag_writes=lag,
+                age_seconds=age,
+            )
+
+    def _read_pool(
+        self, pool: ConnectionPool, docs: list[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int]], str | None]:
+        """The one place SQL runs for a request.  Returns
+        ``(global_doc_id, pre)`` pairs plus what the pool's result
+        cache did: ``"hit"`` (every document cached — no connection
+        acquired, no SQL), ``"miss"`` or ``"partial"`` — or None when
+        the request targets a single document and the read went past
+        the cache (nothing looked up, nothing published).
+
+        The data version is taken with the lookups, before the acquire
+        and before any statement runs, so rows read across a write or a
+        recycle are refused by ``put``.  Checks the deadline between
+        documents so a slow shard stops burning its pool slot once the
+        query has already missed."""
+        xpath = self.xpath
+        deadline_at = self.deadline_at
+        timeout = pool.acquire_timeout
+        if deadline_at is not None:
+            remaining = deadline_at - time.monotonic()
+            if remaining <= 0:
+                raise self._deadline_error()
+            timeout = min(timeout, remaining)
+        cache = pool.result_cache if self._cached else None
+        if cache is None:
+            version, found = 0, [None] * len(docs)
+        else:
+            version, found = cache.lookup(docs, xpath)
+        rows: list[tuple[int, int]] = []
+        misses = found.count(None)
+        if not misses:
+            for held in found:
+                rows.extend(held)
+            return rows, "hit"
+        session = pool.acquire(timeout=timeout)
+        try:
+            for doc, held in zip(docs, found):
+                if held is None:
+                    if (
+                        deadline_at is not None
+                        and time.monotonic() > deadline_at
+                    ):
+                        raise self._deadline_error()
+                    global_doc, local_doc = doc
+                    held = tuple(
+                        (global_doc, pre)
+                        for pre in session.scheme.query_pres(
+                            local_doc, xpath
+                        )
+                    )
+                    if cache is not None:
+                        cache.put(version, doc, xpath, held)
+                rows.extend(held)
+            if cache is None:
+                return rows, None
+            return rows, "miss" if misses == len(docs) else "partial"
+        finally:
+            pool.release(session)
+
+    # -- the two drivers ----------------------------------------------------------
+
+    def _submit(self) -> None:
+        """Put every shard's read on the worker pool.  A shard with no
+        targeted documents still gets a (trivial) task, so
+        :attr:`futures` always covers every shard of the request."""
+        threads = self.executor._threads
+        self.futures = {
+            threads.submit(self._read_shard, shard, docs): shard
+            for shard, docs in self.targets.items()
+        }
+
+    def gather(self) -> ScatterResult:
+        """The blocking driver: run the request to its end on the
+        calling thread and return the merged answer.
+
+        One target shard (the doc-scoped fast lane) is read right here,
+        with no pool hand-off.  Otherwise the reads scatter across the
+        worker pool and this waits for them — fail-fast wakes on the
+        first failure, ``partial`` mode sits out the full fan-out (a
+        late shard is still a good shard) — then collects in target
+        order.  Shards still running at the deadline are abandoned.
+        """
+        with self:
+            if len(self.targets) <= 1:
+                for shard, docs in self.targets.items():  # 0 or 1 iterations
+                    self._fold(
+                        shard, lambda: self._read_shard(shard, docs)
+                    )
+            else:
+                self._submit()
+                done, not_done = wait(
+                    self.futures,
+                    timeout=self.deadline_remaining(),
+                    return_when=(
+                        FIRST_EXCEPTION
+                        if self.executor.on_shard_error == "fail"
+                        else ALL_COMPLETED
+                    ),
+                )
+                for future in self.futures:
+                    if future in done:
+                        self.collect(future)  # raises what fail-fast woke on
+                if not_done:
+                    raise self.expire()  # the fan-out missed the clock
+        return self.result
 
     def collect(self, future) -> tuple[int, list | None]:
         """Fold one *completed* future into the stream.
@@ -1056,68 +779,146 @@ class ScatterStream:
         Returns ``(shard, rows)``; ``rows`` is ``None`` when the shard
         failed under the ``"partial"`` degraded mode (the failure is
         recorded for the terminal event).  Fail-fast mode and deadline
-        misses raise, exactly like the materialized gather.
+        misses raise.
         """
         shard = self.futures[future]
+        return shard, self._fold(shard, future.result)
+
+    def _fold(self, shard: int, answer_of) -> list | None:
+        """Take one shard's answer from ``answer_of()`` — a finished
+        future's ``result``, or the read itself on the fast lane."""
         try:
-            answer = future.result()
+            answer = answer_of()
         except DeadlineExceeded:
             self.executor.metrics.counter("serve.deadline_exceeded").inc()
             raise
         except XmlRelError as error:
             self.executor._note_shard_failure(shard, error, self._failures)
-            return shard, None
+            return None
         self._answers.append(answer)
-        return shard, answer.rows
+        return answer.rows
 
     def failures(self) -> list[tuple[int, str]]:
         """Shard failures recorded so far (``partial`` mode only)."""
         return list(self._failures)
 
+    # -- the one exit -------------------------------------------------------------
+
     def finish(
         self, error: BaseException | None = None
     ) -> ScatterResult | None:
-        """Terminate the stream: release the admission slot and land
-        the outcome metrics plus the wide event.
+        """End the request: release the admission slot and land the
+        outcome metrics plus the wide event.
 
-        With no *error*, merges the collected answers into the
-        :class:`ScatterResult` the materialized path would have
-        returned.  Idempotent — the first call wins.
+        With no *error*, merges the collected answers into
+        :attr:`result` and returns it.  Idempotent — the first call
+        wins.
         """
         if self._finished:
-            return self._result
+            return self.result
         self._finished = True
         for future in self.futures:
             future.cancel()  # abandon stragglers; running tasks self-abort
         error_text: str | None = None
         if error is None:
             tracer = self.executor.tracer
-            with tracer.adopt(self.ctx):
-                with tracer.span(
-                    "serve.merge", answers=len(self._answers)
-                ):
-                    self._result = QueryExecutor._merge(
-                        self._answers,
-                        len(self.targets),
-                        self.started,
-                        self._failures,
-                    )
-            outcome = "partial" if self._result.partial else "ok"
+            with tracer.adopt(self.ctx), tracer.span(
+                "serve.merge", answers=len(self._answers)
+            ):
+                self.result = self._merge()
+            outcome = "partial" if self.result.partial else "ok"
         else:
             outcome = outcome_for(error)
             error_text = f"{type(error).__name__}: {error}"
-        self.executor.metrics.gauge("serve.in_flight").add(-1)
-        self.executor._gate.release()
-        self.executor._finish_query(
-            xpath=self.xpath,
-            targets=self.targets,
-            route=self.route,
-            budget=self.budget,
-            started=self.started,
-            outcome=outcome,
-            error_text=error_text,
-            result=self._result,
-            ctx=self.ctx,
-            breakdown=self.breakdown,
+        if self._holds_slot:
+            self.executor._release()
+        self._finish_query(outcome, error_text)
+        return self.result
+
+    def _merge(self) -> ScatterResult:
+        """Fold the collected per-shard answers into one sorted,
+        staleness-bounded result."""
+        rows: list[tuple[int, int]] = []
+        replica_reads = 0
+        max_lag: int | None = None
+        max_age: float | None = None
+        for answer in self._answers:
+            rows.extend(answer.rows)
+            if answer.replica is not None:
+                replica_reads += 1
+                if answer.lag_writes is not None:
+                    max_lag = (
+                        answer.lag_writes if max_lag is None
+                        else max(max_lag, answer.lag_writes)
+                    )
+                if answer.age_seconds is not None:
+                    max_age = (
+                        answer.age_seconds if max_age is None
+                        else max(max_age, answer.age_seconds)
+                    )
+        return ScatterResult(
+            rows=tuple(sorted(rows)),
+            shards_queried=len(self.targets),
+            elapsed_seconds=time.perf_counter() - self.started,
+            partial=bool(self._failures),
+            failed_shards=tuple(self._failures),
+            replica_reads=replica_reads,
+            max_replica_lag_writes=max_lag,
+            max_replica_age_seconds=max_age,
         )
-        return self._result
+
+    def _finish_query(self, outcome: str, error_text: str | None) -> None:
+        """Latency + outcome accounting and the wide event, for every
+        way a request can end (success and all raises alike)."""
+        executor = self.executor
+        result = self.result
+        elapsed = (
+            result.elapsed_seconds if result is not None
+            else time.perf_counter() - self.started
+        )
+        executor.metrics.histogram("serve.query_seconds").observe(elapsed)
+        outcome_histogram, outcome_counter = executor._outcome_pair(outcome)
+        outcome_histogram.observe(elapsed)
+        outcome_counter.inc()
+        if executor.request_log is None:
+            return
+        request_id = (
+            self.ctx.request_id if self.ctx is not None
+            else executor.tracer.capture().request_id
+        )
+        event = {
+            "event": "query",
+            "request_id": request_id,
+            "ts": time.time(),
+            "xpath": str(self.xpath),
+            "read_from": self.route,
+            "shards": len(self.targets),
+            "docs": sum(len(docs) for docs in self.targets.values()),
+            "outcome": outcome,
+            "elapsed_seconds": elapsed,
+            "deadline_seconds": self.budget,
+            "deadline_slack_seconds": (
+                None if self.budget is None else self.budget - elapsed
+            ),
+        }
+        if error_text is not None:
+            event["error"] = error_text
+        if result is not None:
+            event["rows"] = len(result.rows)
+            event["partial"] = result.partial
+            if result.failed_shards:
+                event["failed_shards"] = list(result.failed_shards)
+            event["replica_reads"] = result.replica_reads
+            if result.max_replica_lag_writes is not None:
+                event["max_replica_lag_writes"] = (
+                    result.max_replica_lag_writes
+                )
+            if result.max_replica_age_seconds is not None:
+                event["max_replica_age_seconds"] = (
+                    result.max_replica_age_seconds
+                )
+        if self.breakdown:
+            event["per_shard"] = [
+                self.breakdown[shard] for shard in sorted(self.breakdown)
+            ]
+        executor.request_log.emit(event)

@@ -17,10 +17,11 @@ with a small JSON protocol (:mod:`repro.serve.protocol`):
 work: HTTP parsing, XPath parsing, the optional DTD/path-summary lint
 (unsatisfiable queries short-circuit to an empty answer with zero SQL),
 per-client quota admission, and shard-map target resolution.  Execution
-always happens off-loop — materialized queries dispatch the existing
-thread-pool :class:`~repro.serve.executor.QueryExecutor` through a
-small dispatch pool; streamed queries consume the executor's
-:class:`~repro.serve.executor.ScatterStream` futures as asyncio
+always happens off-loop, and both routes run the executor's one request
+path (:class:`~repro.serve.executor.ScatterStream`): materialized
+queries hand its blocking driver
+(:meth:`~repro.serve.executor.QueryExecutor.query`) to a small dispatch
+pool; streamed queries await its per-shard futures as asyncio
 awaitables.  Nothing on the loop ever touches SQLite.
 
 **Admission is layered.**  A per-client token bucket
@@ -538,15 +539,7 @@ class Gateway:
                 short_circuit = self.analyzer.satisfiable(parsed) is False
             if short_circuit:
                 self.metrics.counter("gateway.short_circuits").inc()
-        if spec.doc_id is not None:
-            record = self.store.shard_map.resolve(spec.doc_id)
-            targets = {record.shard: [(spec.doc_id, record.local_doc_id)]}
-        else:
-            targets = {
-                shard: self.store.shard_map.docs_for_shard(shard)
-                for shard in self.store.pools
-            }
-        return spec, targets, short_circuit
+        return spec, self.store.targets(spec.doc_id), short_circuit
 
     async def _handle_query(
         self, writer, method, params, headers, body, keep_alive
@@ -668,21 +661,20 @@ class Gateway:
     async def _materialized_query(
         self, writer, spec, targets, ctx, request_id, keep_alive
     ):
-        """Dispatch the classic materialized scatter to the executor's
-        thread world; the loop only awaits the handoff future."""
-        loop = asyncio.get_running_loop()
-
-        def run():
-            with self.tracer.adopt(ctx):
-                return self.executor.query(
-                    spec.xpath,
-                    targets,
-                    deadline=spec.deadline,
-                    read_from=spec.read_from,
-                    ctx=ctx,
-                )
-
-        result = await loop.run_in_executor(self._dispatch, run)
+        """Dispatch the blocking driver (``executor.query``) to the
+        executor's thread world; the loop only awaits the handoff
+        future."""
+        result = await asyncio.get_running_loop().run_in_executor(
+            self._dispatch,
+            functools.partial(
+                self.executor.query,
+                spec.xpath,
+                targets,
+                deadline=spec.deadline,
+                read_from=spec.read_from,
+                ctx=ctx,
+            ),
+        )
         status = 206 if result.partial else 200
         await self._respond_json(
             writer,
@@ -693,9 +685,9 @@ class Gateway:
         return status, len(result.rows)
 
     async def _stream_query(self, writer, spec, targets, ctx, request_id):
-        """The incremental path: NDJSON rows per shard as each
-        completes, a terminal ``end`` (or ``error``) event as the
-        in-band status line."""
+        """The non-blocking driver of the request: NDJSON rows per
+        shard as each completes, a terminal ``end`` (or ``error``)
+        event as the in-band status line."""
         stream = self.executor.stream(
             spec.xpath,
             targets,
@@ -703,85 +695,70 @@ class Gateway:
             read_from=spec.read_from,
             ctx=ctx,
         )
-        # The stream owns an admission slot from here on: every write —
-        # including the head and the start event, where a client hangup
-        # raises — must sit under the try so finish() releases it.
         first_byte = None
         rows_sent = 0
         try:
-            writer.write(
-                self._head(200, NDJSON_CONTENT_TYPE, chunked=True)
-            )
-            await self._chunk(
-                writer,
-                ndjson_line(
-                    {
-                        "event": "start",
-                        "request_id": stream.request_id,
-                        "shards": len(targets),
-                        "xpath": spec.xpath,
-                    }
-                ),
-            )
-            first_byte = time.perf_counter()
-            pending = {}
-            for future in stream.futures:
-                wrapped = asyncio.wrap_future(future)
-                # Consume late results/exceptions so abandoned shard
-                # tasks never log "exception was never retrieved".
-                wrapped.add_done_callback(
-                    lambda f: f.cancelled() or f.exception()
+            # The stream holds an admission slot from here on.  Leaving
+            # this block is the one place it is finished — slot
+            # released, metrics and wide event landed — so every write
+            # that can see a client hangup, the head and the start
+            # event included, sits inside it.
+            with stream:
+                writer.write(
+                    self._head(200, NDJSON_CONTENT_TYPE, chunked=True)
                 )
-                pending[wrapped] = future
-            while pending:
-                done, _ = await asyncio.wait(
-                    pending,
-                    timeout=stream.deadline_remaining(),
-                    return_when=asyncio.FIRST_COMPLETED,
+                await self._chunk(
+                    writer,
+                    ndjson_line(
+                        {
+                            "event": "start",
+                            "request_id": stream.request_id,
+                            "shards": len(targets),
+                            "xpath": spec.xpath,
+                        }
+                    ),
                 )
-                if not done:
-                    raise stream.expire()
-                for wrapped in done:
-                    shard, rows = stream.collect(pending.pop(wrapped))
-                    if rows is None:
-                        message = dict(stream.failures()).get(
-                            shard, "shard failed"
-                        )
+                first_byte = time.perf_counter()
+                pending = {}
+                for future in stream.futures:
+                    wrapped = asyncio.wrap_future(future)
+                    # Consume late results/exceptions so abandoned shard
+                    # tasks never log "exception was never retrieved".
+                    wrapped.add_done_callback(
+                        lambda f: f.cancelled() or f.exception()
+                    )
+                    pending[wrapped] = future
+                while pending:
+                    done, _ = await asyncio.wait(
+                        pending,
+                        timeout=stream.deadline_remaining(),
+                        return_when=asyncio.FIRST_COMPLETED,
+                    )
+                    if not done:
+                        raise stream.expire()
+                    for wrapped in done:
+                        shard, rows = stream.collect(pending.pop(wrapped))
+                        if rows is None:
+                            message = dict(stream.failures()).get(
+                                shard, "shard failed"
+                            )
+                            await self._chunk(
+                                writer,
+                                ndjson_line(
+                                    {"event": "shard_error", "shard": shard,
+                                     "message": message}
+                                ),
+                            )
+                            continue
+                        rows_sent += len(rows)
                         await self._chunk(
                             writer,
                             ndjson_line(
-                                {"event": "shard_error", "shard": shard,
-                                 "message": message}
+                                {"event": "rows", "shard": shard,
+                                 "rows": [list(row) for row in rows]}
                             ),
                         )
-                        continue
-                    rows_sent += len(rows)
-                    await self._chunk(
-                        writer,
-                        ndjson_line(
-                            {"event": "rows", "shard": shard,
-                             "rows": [list(row) for row in rows]}
-                        ),
-                    )
-            result = stream.finish()
-            end_event = {
-                "event": "end",
-                "outcome": "partial" if result.partial else "ok",
-                "rows": len(result.rows),
-                "elapsed_seconds": result.elapsed_seconds,
-            }
-            if result.partial:
-                end_event["failed_shards"] = [
-                    {"shard": shard, "message": message}
-                    for shard, message in result.failed_shards
-                ]
-            await self._chunk(writer, ndjson_line(end_event))
-            await self._end_chunks(writer)
-            return (
-                206 if result.partial else 200, first_byte, rows_sent,
-            )
         except XmlRelError as error:
-            stream.finish(error)
             await self._chunk(
                 writer,
                 ndjson_line(
@@ -790,12 +767,21 @@ class Gateway:
             )
             await self._end_chunks(writer)
             return http_status(error), first_byte, rows_sent
-        except BaseException as error:
-            # Client hangup / loop shutdown: still release the slot.
-            # finish() is idempotent, so a write failure after the
-            # happy-path merge cannot double-release.
-            stream.finish(error)
-            raise
+        result = stream.result
+        end_event = {
+            "event": "end",
+            "outcome": "partial" if result.partial else "ok",
+            "rows": len(result.rows),
+            "elapsed_seconds": result.elapsed_seconds,
+        }
+        if result.partial:
+            end_event["failed_shards"] = [
+                {"shard": shard, "message": message}
+                for shard, message in result.failed_shards
+            ]
+        await self._chunk(writer, ndjson_line(end_event))
+        await self._end_chunks(writer)
+        return 206 if result.partial else 200, first_byte, rows_sent
 
     # -- response plumbing --------------------------------------------------------
 

@@ -378,7 +378,7 @@ class ShardedStore:
     def _observed_update(self, op: str, **fields):
         """Outcome accounting + one wide event around a write operation.
 
-        The write-side twin of the executor's ``_finish_query``: every
+        The write-side twin of ``ScatterStream._finish_query``: every
         exit (commit or raise) lands in ``serve.update_seconds`` with an
         outcome dimension, and — when a request log is attached — emits
         one ``update`` event with the operation, target, and error.
@@ -1027,6 +1027,21 @@ class ShardedStore:
 
     # -- querying -----------------------------------------------------------------
 
+    def targets(
+        self, doc_id: int | None = None
+    ) -> dict[int, list[tuple[int, int]]]:
+        """What a read addresses, in the executor's terms — ``{shard:
+        [(global_doc_id, local_doc_id), ...]}``: the one shard owning
+        *doc_id*, or every shard with all its documents (empty shards
+        included — they are queried and contribute nothing)."""
+        if doc_id is not None:
+            record = self.shard_map.resolve(doc_id)
+            return {record.shard: [(doc_id, record.local_doc_id)]}
+        return {
+            shard: self.shard_map.docs_for_shard(shard)
+            for shard in self.pools
+        }
+
     def query_pres(
         self,
         doc_id: int,
@@ -1036,14 +1051,12 @@ class ShardedStore:
     ) -> list[int]:
         """Matching node ids of one document — pruned to its shard,
         executed on a pooled read connection."""
-        record = self.shard_map.resolve(doc_id)
-        result = self.executor.query(
+        return self.executor.query(
             xpath,
-            {record.shard: [(doc_id, record.local_doc_id)]},
+            self.targets(doc_id),
             deadline=deadline,
             read_from=read_from,
-        )
-        return result.pres
+        ).pres
 
     def query(
         self, doc_id: int, xpath: str, deadline: float | None = None
@@ -1078,12 +1091,8 @@ class ShardedStore:
         rows merged in (document, document-order).  Every shard is
         queried — including empty ones, which simply contribute nothing.
         """
-        targets = {
-            shard: self.shard_map.docs_for_shard(shard)
-            for shard in self.pools
-        }
         return self.executor.query(
-            xpath, targets, deadline=deadline, read_from=read_from
+            xpath, self.targets(), deadline=deadline, read_from=read_from
         )
 
     def query_report(

@@ -425,6 +425,38 @@ class TestGatewayAdmission:
             status, _ = _get(gateway.url + "/query?xpath=/bib")
             assert status == 200
 
+    def test_executor_gate_429_keeps_one_request_id(self, tmp_path):
+        """A request shed at the executor's gate on the materialized
+        route is still one request: its ``http`` and ``query`` wide
+        events carry the same id."""
+        store, _ = _open(tmp_path, max_in_flight=1)
+        with store:
+            gateway = store.serve_gateway()
+            log = store.executor.request_log
+            assert store.executor._gate.acquire(blocking=False)
+            try:
+                status, body = _post(
+                    gateway.url + "/query", {"xpath": "/bib"},
+                    expect_error=True,
+                )
+            finally:
+                store.executor._gate.release()
+            assert status == 429
+            assert _wait_for(
+                lambda: any(e["event"] == "http" for e in log.tail())
+            )
+            (http_event,) = [e for e in log.tail() if e["event"] == "http"]
+            (query_event,) = [
+                e for e in log.tail() if e["event"] == "query"
+            ]
+            assert http_event["status"] == 429
+            assert query_event["outcome"] == "overloaded"
+            assert (
+                http_event["request_id"]
+                == query_event["request_id"]
+                == body["request_id"]
+            )
+
     def test_deadline_504(self, tmp_path):
         store, _ = _open(tmp_path)
         with store:

@@ -3,6 +3,8 @@
 import os
 import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, wait
+from dataclasses import replace
 
 import pytest
 
@@ -14,13 +16,16 @@ from repro.errors import (
     ShardError,
     StorageError,
 )
+from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import RequestContext, Tracer
 from repro.relational.database import Database
 from repro.relational.plancache import PlanCache
 from repro.reliability.faults import ShardFaultPolicy
 from repro.serve import ConnectionPool, ShardedStore
+from repro.serve import executor as executor_module
 from repro.xml.parser import parse_document
+from repro.xpath import evaluate_nodes
 
 from .conftest import BIB_XML
 
@@ -515,3 +520,299 @@ class TestScatterGather:
             result = store.query_all("//book")
             assert new in result.doc_ids()
             assert len(result.rows) == 4
+
+
+# -- one request path: both doors, every exit -------------------------------------
+
+
+def drive_query(store, xpath, targets, **kwargs):
+    """The blocking door."""
+    return store.executor.query(xpath, targets, **kwargs)
+
+
+def drive_stream(store, xpath, targets, **kwargs):
+    """The non-blocking door, driven the way the gateway drives it:
+    shards collected in completion order inside ``with stream``."""
+    stream = store.executor.stream(xpath, targets, **kwargs)
+    with stream:
+        pending = set(stream.futures)
+        while pending:
+            done, pending = wait(
+                pending,
+                timeout=stream.deadline_remaining(),
+                return_when=FIRST_COMPLETED,
+            )
+            if not done:
+                raise stream.expire()
+            for future in done:
+                stream.collect(future)
+    return stream.result
+
+
+DOORS = {"query": drive_query, "stream": drive_stream}
+
+#: exit -> (store options, expected raise, expected outcome)
+EXITS = {
+    "ok": ({}, None, "ok"),
+    "partial": ({"on_shard_error": "partial"}, None, "partial"),
+    "shed": ({}, Overloaded, "overloaded"),
+    "deadline": ({}, DeadlineExceeded, "deadline_exceeded"),
+    "fail_fast": ({"on_shard_error": "fail"}, ShardError, "shard_error"),
+    "raw_error": ({}, RuntimeError, "error"),
+    "empty": ({}, None, "ok"),
+}
+
+MAX_IN_FLIGHT = 2
+
+
+def free_slots(executor):
+    """How many admission slots the gate hands out right now."""
+    taken = 0
+    while executor._gate.acquire(blocking=False):
+        taken += 1
+    for _ in range(taken):
+        executor._gate.release()
+    return taken
+
+
+def evaluator_rows(ids, xpath):
+    """The in-memory evaluator's answer over the ``open_rr`` corpus,
+    as ``(doc_id, pre)`` in document then document order."""
+    return tuple(
+        (doc_id, node.order_key)
+        for index, doc_id in enumerate(ids)
+        for node in evaluate_nodes(
+            parse_document(SMALL_XML.format(y=index)), xpath
+        )
+    )
+
+
+@pytest.fixture
+def opened_streams(monkeypatch):
+    """Every ScatterStream either door opens, shed ones included."""
+    opened = []
+
+    class Recorded(executor_module.ScatterStream):
+        def __init__(self, *args):
+            opened.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(executor_module, "ScatterStream", Recorded)
+    return opened
+
+
+class TestOneRequestPath:
+    @pytest.mark.parametrize("exit_name", EXITS)
+    @pytest.mark.parametrize("door", DOORS)
+    def test_every_exit_releases_the_slot_and_accounts_once(
+        self, tmp_path, door, exit_name, opened_streams
+    ):
+        options, raises, outcome = EXITS[exit_name]
+        policy = ShardFaultPolicy()
+        log = RequestLog(capacity=16)
+        store, ids = open_rr(
+            tmp_path, max_in_flight=MAX_IN_FLIGHT, fault_policy=policy,
+            request_log=log, **options,
+        )
+        with store:
+            executor = store.executor
+            targets = {} if exit_name == "empty" else store.targets()
+            store.query_all("//title")  # warm every pool
+            kwargs = {}
+            held = 0
+            if exit_name in ("partial", "fail_fast"):
+                policy.fail_shard(1)
+            elif exit_name == "raw_error":
+                policy.fail_shard(1, error=RuntimeError("not an XmlRelError"))
+            elif exit_name == "deadline":
+                policy.stall_shard(1, 0.3)
+                kwargs["deadline"] = 0.05
+            elif exit_name == "shed":
+                while executor._gate.acquire(blocking=False):
+                    held += 1
+            seconds = store.metrics.histogram("serve.query_seconds")
+            observed, logged = seconds.count, len(log.tail())
+            del opened_streams[:]
+            try:
+                if raises is None:
+                    result = DOORS[door](store, "//book", targets, **kwargs)
+                    assert result.partial == (exit_name == "partial")
+                    assert result.shards_queried == len(targets)
+                else:
+                    with pytest.raises(raises):
+                        DOORS[door](store, "//book", targets, **kwargs)
+            finally:
+                for _ in range(held):
+                    executor._gate.release()
+
+            def settled():
+                assert store.metrics.gauge("serve.in_flight").value == 0
+                assert free_slots(executor) == MAX_IN_FLIGHT
+                assert seconds.count == observed + 1
+                events = log.tail()[logged:]
+                assert [e["event"] for e in events] == ["query"]
+                assert events[0]["outcome"] == outcome
+
+            settled()
+            # finish() again — bare or with a late error — changes nothing.
+            (stream,) = opened_streams
+            first = stream.result
+            assert stream.finish() is first
+            assert stream.finish(RuntimeError("late")) is first
+            settled()
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_shed_request_keeps_its_upstream_request_id(self, tmp_path, door):
+        log = RequestLog(capacity=16)
+        store, _ = open_rr(tmp_path, max_in_flight=1, request_log=log)
+        with store:
+            assert store.executor._gate.acquire(blocking=False)
+            try:
+                with pytest.raises(Overloaded):
+                    DOORS[door](
+                        store, "//book", store.targets(),
+                        ctx=RequestContext(request_id="req-UPSTREAM"),
+                    )
+            finally:
+                store.executor._gate.release()
+            event = log.tail()[-1]
+            assert event["outcome"] == "overloaded"
+            assert event["request_id"] == "req-UPSTREAM"
+
+    @pytest.mark.parametrize(
+        "shape", ("doc_scoped", "scatter", "replica", "partial")
+    )
+    def test_both_doors_give_one_answer_and_one_event_shape(
+        self, tmp_path, shape
+    ):
+        policy = ShardFaultPolicy()
+        log = RequestLog(capacity=16)
+        store, ids = open_rr(
+            tmp_path,
+            fault_policy=policy,
+            request_log=log,
+            replicas=1 if shape == "replica" else 0,
+            on_shard_error="partial" if shape == "partial" else "fail",
+        )
+        xpath = "//book | //title"
+        with store:
+            kwargs = {}
+            targets = store.targets()
+            expected = evaluator_rows(ids, xpath)
+            if shape == "doc_scoped":
+                targets = store.targets(ids[1])
+                expected = tuple(row for row in expected if row[0] == ids[1])
+            elif shape == "replica":
+                store.ship_replicas()
+                kwargs["read_from"] = "replica"
+            store.executor.query(xpath, targets, **kwargs)  # warm the plans
+            if shape == "partial":
+                policy.fail_shard(1)
+                expected = tuple(
+                    row for row in expected
+                    if store.resolve(row[0]).shard != 1
+                )
+            pools = list(store.pools.values()) + [
+                pool
+                for replicas in store.executor.replica_pools.values()
+                for pool in replicas
+            ]
+            answers, events = {}, {}
+            for door, drive in DOORS.items():
+                for pool in pools:  # both doors execute; neither hits
+                    pool.result_cache.invalidate()
+                answers[door] = drive(store, xpath, targets, **kwargs)
+                events[door] = log.tail()[-1]
+
+            def comparable(result):
+                return replace(
+                    result, elapsed_seconds=0.0, max_replica_age_seconds=None
+                )
+
+            assert answers["query"].rows == expected
+            assert comparable(answers["query"]) == comparable(
+                answers["stream"]
+            )
+            if shape == "replica":
+                assert answers["query"].replica_reads == len(targets)
+            if shape == "partial":
+                assert [s for s, _ in answers["query"].failed_shards] == [1]
+
+            timing = {
+                "request_id", "ts", "elapsed_seconds",
+                "deadline_slack_seconds", "max_replica_age_seconds",
+                "replica_age_seconds",
+            }
+
+            def stable(record):
+                return {
+                    key: value for key, value in record.items()
+                    if key not in timing and key != "per_shard"
+                }
+
+            by_query, by_stream = events["query"], events["stream"]
+            assert set(by_query) == set(by_stream)
+            assert stable(by_query) == stable(by_stream)
+            assert [set(entry) for entry in by_query["per_shard"]] == [
+                set(entry) for entry in by_stream["per_shard"]
+            ]
+            assert [stable(entry) for entry in by_query["per_shard"]] == [
+                stable(entry) for entry in by_stream["per_shard"]
+            ]
+
+    def test_run_on_shard_routed_uses_the_same_router_and_slot(
+        self, tmp_path
+    ):
+        store, ids = open_rr(tmp_path, replicas=1, max_in_flight=MAX_IN_FLIGHT)
+        with store:
+            store.ship_replicas()
+            executor = store.executor
+            sessions = []
+
+            def fn(session):
+                sessions.append(session)
+                if len(sessions) == 1:
+                    raise StorageError("the replica cannot answer")
+                assert free_slots(executor) == MAX_IN_FLIGHT - 1
+                return "from the primary"
+
+            answer = executor.run_on_shard_routed(
+                store.resolve(ids[0]).shard, fn, read_from="replica"
+            )
+            assert answer == ("from the primary", None)
+            assert len(sessions) == 2
+            counters = store.metrics.snapshot()["counters"]
+            assert counters["serve.replica_fallbacks"] == 1
+            assert "serve.replica_reads" not in counters
+            assert store.metrics.gauge("serve.in_flight").value == 0
+            assert free_slots(executor) == MAX_IN_FLIGHT
+
+    def test_fast_lane_reads_on_the_caller_and_stream_never_does(
+        self, tmp_path
+    ):
+        tracer = Tracer()
+        store, ids = open_rr(tmp_path, tracer=tracer)
+        with store:
+            me = threading.get_ident()
+            tracer.reset()
+            store.executor.query("//title", store.targets(ids[0]))
+            (root,) = [r for r in tracer.roots if r.name == "serve.query"]
+            names = [span.name for span in root.walk()]
+            assert "serve.execute" in names and "sql.statement" in names
+            # Doc-scoped query(): the whole read, SQL included, ran here.
+            assert {span.thread_id for span in root.walk()} == {me}
+
+            for targets in (store.targets(ids[0]), store.targets()):
+                tracer.reset()
+                assert drive_stream(store, "//title", targets).rows
+                (root,) = [
+                    r for r in tracer.roots if r.name == "serve.query"
+                ]
+                reads = [
+                    span for span in root.walk()
+                    if span.name in ("serve.shard", "serve.execute",
+                                     "sql.statement")
+                ]
+                assert reads
+                # stream(): no read, however small, runs on its caller.
+                assert me not in {span.thread_id for span in reads}
