@@ -3,7 +3,9 @@
 This subpackage is a self-contained XML 1.0 processor built from scratch (no
 ``lxml``/``expat`` dependency) so the rest of the library has full control
 over document order, node identity, and DTD content models — the three
-properties the relational mappings depend on.
+properties the relational mappings depend on.  There is one parser, the
+pull parser in :mod:`repro.xml.stream`; a tree is ``build_tree`` over its
+events.  Expat appears only in the test suite, as that parser's oracle.
 """
 
 from repro.xml.dom import (

@@ -214,7 +214,7 @@ class _DtdParser:
         name = s.read_name("element name")
         s.require_whitespace("ELEMENT declaration")
         self._expand_pe_references_inline()
-        model = self._parse_content_model()
+        model = self._parse_model()
         s.skip_whitespace()
         s.expect(">", "ELEMENT declaration")
         if name in self.dtd.elements:
@@ -233,7 +233,7 @@ class _DtdParser:
             self._splice_parameter_entity(name)
             s.skip_whitespace()
 
-    def _parse_content_model(self) -> ContentModel:
+    def _parse_model(self) -> ContentModel:
         s = self.scanner
         if s.match("EMPTY"):
             return ContentModel.empty()

@@ -187,10 +187,10 @@ def parse_events(source, options=None) -> Iterator[Event]:
 
     *source* may be XML text, an open text-mode file object, or a path
     (:class:`os.PathLike`); *options* a
-    :class:`~repro.xml.parser.ParseOptions`.  Since PR 8 this is a true
-    pull parser (:mod:`repro.xml.stream`): memory is O(depth), so the
-    stream works for documents far larger than RAM.  The events are
-    exactly ``stream_events(parse_document(text))``.
+    :class:`~repro.xml.parser.ParseOptions`.  This is the pull parser
+    (:mod:`repro.xml.stream`): memory is O(depth), so the stream works
+    for documents far larger than RAM, and ``build_tree`` over it is
+    what :func:`~repro.xml.parser.parse_document` returns.
     """
     from repro.xml.stream import iter_events
 
@@ -205,11 +205,3 @@ def payload_events(source, options=None) -> Iterator[Event]:
     if isinstance(source, Document):
         return stream_events(source)
     return parse_events(source, options)
-
-
-def count_events(events: Iterable[Event]) -> dict[EventKind, int]:
-    """Histogram of event kinds — handy for size accounting in benches."""
-    counts: dict[EventKind, int] = {}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    return counts

@@ -1,6 +1,9 @@
-"""XML 1.0 document parser (non-validating, DTD-aware).
+"""XML 1.0 documents as trees (non-validating, DTD-aware).
 
-Implements a single-pass recursive-descent parser over the source string:
+:func:`parse_document` is :func:`~repro.xml.events.build_tree` over the
+one XML parser the package has — the pull parser in
+:mod:`repro.xml.stream` — so a tree and a token stream of the same
+source cannot disagree.  What that parser implements:
 
 * prolog: XML declaration, comments, PIs, one DOCTYPE with an internal
   subset (handed to :mod:`repro.xml.dtd`),
@@ -10,7 +13,7 @@ Implements a single-pass recursive-descent parser over the source string:
   in the DTD (with a recursion guard),
 * CDATA sections, comments (``--`` inside rejected) and PIs,
 * well-formedness: matching end tags, single root element, no content after
-  the root.
+  the root, only legal XML characters, XML 1.0 line-end normalization.
 
 Parsing options mirror what the storage layer needs: whitespace-only text
 between elements can be kept (default) or dropped, and adjacent text runs
@@ -21,33 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import XmlSyntaxError
-from repro.xml import dtd as dtd_module
-from repro.xml.chars import is_name_char, is_name_start_char, is_xml_char
-from repro.xml.dom import (
-    Comment,
-    Document,
-    Element,
-    ProcessingInstruction,
-    Text,
-)
-from repro.xml.lexer import Scanner
+from repro.xml.dom import Document, Element
+from repro.xml.events import build_tree
 
-_PREDEFINED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
-
-_MAX_ENTITY_DEPTH = 32
-
-# Element nesting bound: the parser (like the numbering and
-# serialization passes) is recursive at ~3 Python frames per level, so
-# unbounded depth would surface as an opaque RecursionError mid-parse;
-# reject early with a clear message instead.  200 is far beyond any
-# data-centric document and safely inside Python's default stack.
+# Element nesting bound: the passes over a parsed tree (numbering,
+# serialization, evaluation) are recursive at ~3 Python frames per
+# level, so unbounded depth would surface as an opaque RecursionError
+# downstream; the parser rejects it early with a clear message instead.
+# 200 is far beyond any data-centric document and safely inside
+# Python's default stack.
 MAX_ELEMENT_DEPTH = 200
 
 
@@ -72,8 +57,13 @@ def parse_document(
     source: str, options: ParseOptions | None = None
 ) -> Document:
     """Parse a complete XML document and return its :class:`Document`."""
-    parser = _XmlParser(source, options or ParseOptions())
-    return parser.parse_document()
+    from repro.xml.stream import PullParser  # it imports ParseOptions
+
+    parser = PullParser(source, options)
+    document = build_tree(parser.events())
+    document.doctype_name = parser.doctype_name
+    document.dtd = parser.dtd
+    return document
 
 
 def parse_fragment(
@@ -88,345 +78,3 @@ def parse_fragment(
     root = document.root_element
     document.remove_child(root)
     return root
-
-
-class _XmlParser:
-    def __init__(self, source: str, options: ParseOptions) -> None:
-        if source.startswith("﻿"):
-            source = source[1:]
-        self.scanner = Scanner(source)
-        self.options = options
-        self.document = Document()
-        self.entities: dict[str, str] = {}
-        self._depth = 0
-
-    # -- top level -------------------------------------------------------------
-
-    def parse_document(self) -> Document:
-        s = self.scanner
-        self._parse_xml_declaration()
-        self._parse_misc(allow_doctype=True)
-        if s.at_end or not s.looking_at("<"):
-            s.error("expected root element")
-        root = self._parse_element()
-        self.document.append_child(root)
-        self._parse_misc(allow_doctype=False)
-        if not s.at_end:
-            s.error("unexpected content after root element")
-        return self.document
-
-    def _parse_xml_declaration(self) -> None:
-        s = self.scanner
-        if not s.looking_at("<?xml") or is_name_char(s.peek(5)):
-            return
-        s.advance(5)
-        body = s.read_until("?>", "XML declaration")
-        # Loose validation: version must be present and 1.x.
-        if "version" not in body:
-            s.error("XML declaration missing version")
-
-    def _parse_misc(self, allow_doctype: bool) -> None:
-        """Parse comments/PIs/whitespace (and at most one DOCTYPE)."""
-        s = self.scanner
-        while True:
-            s.skip_whitespace()
-            if s.looking_at("<!--"):
-                self.document.append_child(self._parse_comment())
-            elif s.looking_at("<?"):
-                self.document.append_child(self._parse_pi())
-            elif allow_doctype and s.looking_at("<!DOCTYPE"):
-                self._parse_doctype()
-                allow_doctype = False
-            else:
-                return
-
-    def _parse_doctype(self) -> None:
-        s = self.scanner
-        s.advance(len("<!DOCTYPE"))
-        s.require_whitespace("DOCTYPE declaration")
-        self.document.doctype_name = s.read_name("doctype name")
-        s.skip_whitespace()
-        if s.looking_at("SYSTEM") or s.looking_at("PUBLIC"):
-            # External identifier: parsed for well-formedness, not fetched.
-            if s.match("SYSTEM"):
-                s.require_whitespace("SYSTEM identifier")
-                s.read_quoted("system literal")
-            else:
-                s.match("PUBLIC")
-                s.require_whitespace("PUBLIC identifier")
-                s.read_quoted("public literal")
-                s.require_whitespace("PUBLIC identifier")
-                s.read_quoted("system literal")
-            s.skip_whitespace()
-        if s.match("["):
-            subset = self._read_internal_subset()
-            self.document.dtd = dtd_module.parse_dtd(
-                subset, root_name=self.document.doctype_name
-            )
-            for decl in self.document.dtd.general_entities.values():
-                if decl.is_internal:
-                    assert decl.value is not None
-                    self.entities[decl.name] = decl.value
-            s.skip_whitespace()
-        s.expect(">", "DOCTYPE declaration")
-
-    def _read_internal_subset(self) -> str:
-        """Read the internal subset text up to the matching ']'.
-
-        Quoted literals and comments may contain ']' so they are skipped
-        atomically rather than scanning for a bare bracket.
-        """
-        s = self.scanner
-        start = s.pos
-        while True:
-            ch = s.peek()
-            if not ch:
-                s.error("unterminated internal DTD subset")
-            if ch == "]":
-                subset = s.source[start:s.pos]
-                s.advance()
-                return subset
-            if ch in ("'", '"'):
-                s.advance()
-                s.read_until(ch, "quoted literal in DTD")
-            elif s.looking_at("<!--"):
-                s.advance(4)
-                s.read_until("-->", "comment in DTD")
-            else:
-                s.advance()
-
-    # -- elements -------------------------------------------------------------
-
-    def _parse_element(self) -> Element:
-        s = self.scanner
-        self._depth += 1
-        if self._depth > MAX_ELEMENT_DEPTH:
-            s.error(
-                f"element nesting exceeds {MAX_ELEMENT_DEPTH} levels"
-            )
-        try:
-            return self._parse_element_body()
-        finally:
-            self._depth -= 1
-
-    def _parse_element_body(self) -> Element:
-        s = self.scanner
-        s.expect("<", "element start tag")
-        tag = s.read_name("element name")
-        element = Element(tag, validate=False)
-        self._parse_attributes(element)
-        if s.match("/>"):
-            return element
-        s.expect(">", f"start tag of <{tag}>")
-        self._parse_content(element)
-        # _parse_content consumed "</"; match the closing name.
-        end_tag = s.read_name("end tag name")
-        if end_tag != tag:
-            s.error(f"mismatched end tag: expected </{tag}>, got </{end_tag}>")
-        s.skip_whitespace()
-        s.expect(">", f"end tag of <{tag}>")
-        return element
-
-    def _parse_attributes(self, element: Element) -> None:
-        s = self.scanner
-        while True:
-            had_ws = s.skip_whitespace()
-            ch = s.peek()
-            if ch in (">", "/") or not ch:
-                return
-            if not had_ws:
-                s.error("expected whitespace before attribute")
-            name = s.read_name("attribute name")
-            s.skip_whitespace()
-            s.expect("=", f"attribute {name}")
-            s.skip_whitespace()
-            quote = s.peek()
-            if quote not in ("'", '"'):
-                s.error(f"attribute {name} value must be quoted")
-            s.advance()
-            raw = s.read_until(quote, f"attribute {name} value")
-            if "<" in raw:
-                s.error(f"'<' not allowed in attribute value of {name}")
-            value = self._expand_entities(raw, normalize_ws=True)
-            if element.get_attribute_node(name) is not None:
-                s.error(f"duplicate attribute: {name}")
-            element.set_attribute(name, value)
-
-    def _parse_content(self, element: Element) -> None:
-        """Parse element content until the matching ``</`` is consumed."""
-        s = self.scanner
-        while True:
-            if s.at_end:
-                s.error(f"unterminated element <{element.tag}>")
-            if s.looking_at("</"):
-                s.advance(2)
-                if not self.options.keep_whitespace:
-                    self._drop_whitespace_children(element)
-                return
-            if s.looking_at("<!--"):
-                element.append_child(self._parse_comment())
-            elif s.looking_at("<![CDATA["):
-                s.advance(9)
-                data = s.read_until("]]>", "CDATA section")
-                self._append_text(element, data)
-            elif s.looking_at("<?"):
-                element.append_child(self._parse_pi())
-            elif s.looking_at("<!"):
-                s.error("markup declarations not allowed in content")
-            elif s.peek() == "<":
-                element.append_child(self._parse_element())
-            else:
-                self._parse_char_data(element)
-
-    def _parse_char_data(self, element: Element) -> None:
-        s = self.scanner
-        start = s.pos
-        src, n = s.source, s.length
-        pos = s.pos
-        while pos < n and src[pos] not in ("<", "&"):
-            pos += 1
-        raw = src[start:pos]
-        s.pos = pos
-        if "]]>" in raw:
-            s.error("']]>' not allowed in character data")
-        if s.peek() == "&":
-            raw += self._parse_entity_reference()
-        if raw:
-            self._append_text(element, raw)
-
-    def _append_text(self, element: Element, data: str) -> None:
-        if not data:
-            return
-        element.append_text(data)
-
-    @staticmethod
-    def _drop_whitespace_children(element: Element) -> None:
-        """Remove whitespace-only text children (keep_whitespace=False)."""
-        kept = []
-        for child in element.children:
-            if isinstance(child, Text) and child.is_whitespace:
-                child.parent = None
-            else:
-                kept.append(child)
-        element.children = kept
-
-    # -- entities ---------------------------------------------------------------
-
-    def _parse_entity_reference(self) -> str:
-        s = self.scanner
-        s.expect("&", "entity reference")
-        if s.match("#"):
-            return self._parse_char_reference()
-        name = s.read_name("entity name")
-        s.expect(";", f"entity reference &{name}")
-        return self._resolve_entity(name, depth=0)
-
-    def _parse_char_reference(self) -> str:
-        s = self.scanner
-        if s.match("x"):
-            digits = ""
-            while s.peek() in "0123456789abcdefABCDEF":
-                digits += s.peek()
-                s.advance()
-            base = 16
-        else:
-            digits = ""
-            while s.peek().isdigit():
-                digits += s.peek()
-                s.advance()
-            base = 10
-        s.expect(";", "character reference")
-        if not digits:
-            s.error("empty character reference")
-        ch = chr(int(digits, base))
-        if not is_xml_char(ch):
-            s.error(f"character reference to illegal character U+{ord(ch):04X}")
-        return ch
-
-    def _resolve_entity(self, name: str, depth: int) -> str:
-        if depth > _MAX_ENTITY_DEPTH:
-            raise XmlSyntaxError(f"entity expansion too deep at &{name};")
-        if name in _PREDEFINED_ENTITIES:
-            return _PREDEFINED_ENTITIES[name]
-        if self.options.resolve_entities and name in self.entities:
-            return self._expand_entities(
-                self.entities[name], normalize_ws=False, depth=depth + 1
-            )
-        self.scanner.error(f"undefined entity: &{name};")
-        raise AssertionError  # unreachable
-
-    def _expand_entities(
-        self, raw: str, normalize_ws: bool, depth: int = 0
-    ) -> str:
-        """Expand entity/char references in *raw* (attribute values, entity
-        replacement text).  With *normalize_ws*, tab/newline become spaces
-        (XML attribute-value normalization for CDATA attributes)."""
-        if depth > _MAX_ENTITY_DEPTH:
-            raise XmlSyntaxError("entity expansion too deep")
-        if normalize_ws:
-            raw = raw.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-        if "&" not in raw:
-            return raw
-        out: list[str] = []
-        inner = Scanner(raw)
-        while not inner.at_end:
-            ch = inner.peek()
-            if ch != "&":
-                start = inner.pos
-                while not inner.at_end and inner.peek() != "&":
-                    inner.advance()
-                out.append(inner.source[start:inner.pos])
-                continue
-            inner.advance()
-            if inner.match("#"):
-                saved = self.scanner
-                self.scanner = inner
-                try:
-                    out.append(self._parse_char_reference())
-                finally:
-                    self.scanner = saved
-            else:
-                name = inner.read_name("entity name")
-                inner.expect(";", f"entity reference &{name}")
-                if name in _PREDEFINED_ENTITIES:
-                    out.append(_PREDEFINED_ENTITIES[name])
-                elif self.options.resolve_entities and name in self.entities:
-                    out.append(
-                        self._expand_entities(
-                            self.entities[name],
-                            normalize_ws=normalize_ws,
-                            depth=depth + 1,
-                        )
-                    )
-                else:
-                    inner.error(f"undefined entity: &{name};")
-        return "".join(out)
-
-    # -- comments and PIs --------------------------------------------------------
-
-    def _parse_comment(self) -> Comment:
-        s = self.scanner
-        s.advance(4)  # "<!--"
-        data = s.read_until("-->", "comment")
-        if "--" in data:
-            s.error("'--' not allowed inside comment")
-        return Comment(data)
-
-    def _parse_pi(self) -> ProcessingInstruction:
-        s = self.scanner
-        s.advance(2)  # "<?"
-        target = s.read_name("PI target")
-        if target.lower() == "xml":
-            s.error("PI target 'xml' is reserved")
-        data = ""
-        if s.skip_whitespace():
-            data = s.read_until("?>", "processing instruction")
-        else:
-            s.expect("?>", "processing instruction")
-        return ProcessingInstruction(target, data)
-
-
-def _is_name(text: str) -> bool:
-    return bool(text) and is_name_start_char(text[0]) and all(
-        is_name_char(c) for c in text[1:]
-    )

@@ -27,11 +27,13 @@ from repro.xml.dom import (
 
 
 def escape_text(data: str) -> str:
-    """Escape character data for element content."""
+    """Escape character data for element content (a literal ``\\r``
+    would be read back as ``\\n``: XML 1.0 §2.11)."""
     return (
         data.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
+        .replace("\r", "&#13;")
     )
 
 

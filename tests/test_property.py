@@ -9,6 +9,8 @@
   documents × a pool of queries.
 """
 
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,9 +31,11 @@ from repro.xml.contentmodel import (
     simplify,
 )
 from repro.xml.dom import (
+    Comment,
     Document,
     Element,
     NodeKind,
+    ProcessingInstruction,
     Text,
     deep_equal,
 )
@@ -46,24 +50,65 @@ from tests.conftest import make_scheme, shred_records
 # ---------------------------------------------------------------------------
 
 LABELS = ("a", "b", "c")
+#: Names outside ASCII (and ASCII ones with every legal punctuation)
+#: that both name tables — ours (Fifth Edition) and expat's (Fourth) —
+#: accept.
+NAMES = LABELS + ("é", "данные", "名前", "ns:t", "_u.v-1")
 SAFE_TEXT = st.text(
-    alphabet=st.characters(
-        min_codepoint=0x20, max_codepoint=0xD7FF, exclude_characters="\r"
+    alphabet=st.one_of(
+        st.sampled_from("<>&'\"]-? \t\n\r"),
+        st.characters(
+            min_codepoint=0x20, exclude_categories=("Cs",),
+            exclude_characters="\ufffe\uffff",
+        ),
     ),
     min_size=1,
     max_size=12,
 )
+WHITESPACE_RUN = st.text(alphabet=" \t\n", min_size=1, max_size=4)
+# Comments and PIs have no escape mechanism, so no way to carry a \r.
+COMMENT_DATA = SAFE_TEXT.filter(
+    lambda data: "--" not in data and not data.endswith("-")
+    and "\r" not in data
+)
+# PI data starts in ASCII: run into the target by a deleted space, any
+# other letter may be a name character to us and not to expat (the
+# `fifth-edition-name` deviation).
+PI_DATA = SAFE_TEXT.map(lambda data: data.lstrip(" \t\n")).filter(
+    lambda data: "?>" not in data and "\r" not in data
+    and data[:1].isascii()
+)
+
+
+@st.composite
+def misc_nodes(draw):
+    """A comment or a processing instruction."""
+    if draw(st.booleans()):
+        return Comment(draw(COMMENT_DATA))
+    return ProcessingInstruction(
+        draw(st.sampled_from(("pi", "xml-style", "é"))),
+        draw(st.one_of(st.just(""), PI_DATA)),
+    )
 
 
 @st.composite
 def elements(draw, depth: int):
-    element = Element(draw(st.sampled_from(LABELS)))
-    for name in ("k", "m"):
+    element = Element(draw(st.sampled_from(NAMES)))
+    for name in ("k", "m", "é"):
         if draw(st.booleans()):
-            element.set_attribute(name, draw(SAFE_TEXT))
+            element.set_attribute(name, draw(st.one_of(st.just(""), SAFE_TEXT)))
     if depth > 0 and draw(st.booleans()):
-        for __ in range(draw(st.integers(0, 3))):
-            element.append_child(draw(elements(depth=depth - 1)))
+        # Mixed content: elements, whitespace runs, text, comments, PIs.
+        for __ in range(draw(st.integers(0, 4))):
+            kind = draw(st.integers(0, 5))
+            if kind <= 2:
+                element.append_child(draw(elements(depth=depth - 1)))
+            elif kind == 3:
+                element.append_text(draw(WHITESPACE_RUN))
+            elif kind == 4:
+                element.append_text(draw(SAFE_TEXT))
+            else:
+                element.append_child(draw(misc_nodes()))
     elif draw(st.booleans()):
         element.append_text(draw(SAFE_TEXT))
     return element
@@ -72,8 +117,199 @@ def elements(draw, depth: int):
 @st.composite
 def documents(draw):
     document = Document()
+    for __ in range(draw(st.integers(0, 2))):
+        document.append_child(draw(misc_nodes()))
     document.append_child(draw(elements(depth=3)))
+    for __ in range(draw(st.integers(0, 1))):
+        document.append_child(draw(misc_nodes()))
     return document
+
+
+# One tree has many spellings.  ``xml_sources`` writes a generated
+# document the way a hostile-but-conforming author might: either quote
+# style, every legal way to escape a character, CDATA sections, entities
+# declared in an internal subset, optional whitespace wherever the
+# grammar allows it, all three line-end conventions.
+
+_TAG_SPACE = st.sampled_from((" ", "\n", "\t ", "\r\n", " \r"))
+_TAG_SPACE_ONE_LINE = st.sampled_from((" ", "\t ", "  "))
+#: Characters an entity's replacement text may hold and still mean the
+#: same thing to expat, which re-parses it (markup), and to us, who
+#: insert it as text: no markup, no quotes, no line ends.
+_ENTITY_SAFE = frozenset(
+    "abcdefghijklmnopqrstuvwxyz0123456789 .,;:!?-_()/éжя名"
+)
+
+
+class _Writer:
+    def __init__(self, draw, tag_space):
+        self.draw = draw
+        self.tag_space = tag_space
+        self.optional_space = st.one_of(st.just(""), tag_space)
+        self.entities: list[tuple[str, str]] = []
+
+    def _character(self, ch: str, quote: str | None, following: str) -> str:
+        """One character of text (*quote* None) or of an attribute value
+        delimited by *quote*, in one of its legal spellings; *following*
+        is the character written next, if any."""
+        draw = self.draw
+        predefined = {"<": "&lt;", ">": "&gt;", "&": "&amp;",
+                      "'": "&apos;", '"': "&quot;"}
+        must_escape = ch in "<&" or ch == quote or (
+            # Literal whitespace in a value is normalized away, a
+            # literal \r anywhere is a line end: only a reference
+            # carries them through.  '>' stays out of text so no
+            # spelling can form a ']]>'.
+            ch in "\t\n\r" if quote else ch in "\r>"
+        )
+        choice = draw(st.integers(0, 9))
+        if not must_escape and choice < 8:
+            # In text a newline may be any of the three line ends (a
+            # lone \r only where it cannot pair up with a \n).
+            if ch == "\n" and quote is None:
+                ends = ("\n", "\r\n") if following == "\n" else (
+                    "\n", "\r\n", "\r"
+                )
+                return draw(st.sampled_from(ends))
+            return ch
+        if ch in predefined and choice % 2:
+            return predefined[ch]
+        if choice % 3:
+            return f"&#{ord(ch)};"
+        return f"&#x{ord(ch):{draw(st.sampled_from(('x', 'X', '04x')))}};"
+
+    def _run(self, data: str, quote: str | None) -> str:
+        """*data* spelled out, parts of it through declared entities
+        and (in text) CDATA sections."""
+        draw = self.draw
+        out = []
+        index = 0
+        while index < len(data):
+            choice = draw(st.integers(0, 11))
+            end = min(len(data), index + draw(st.integers(1, 4)))
+            piece = data[index:end]
+            if choice == 0 and set(piece) <= _ENTITY_SAFE:
+                name = f"e{len(self.entities)}"
+                self.entities.append((name, piece))
+                if draw(st.booleans()):
+                    # One level of nesting: an entity naming the first.
+                    self.entities.append((name + "n", f"&{name};"))
+                    name += "n"
+                out.append(f"&{name};")
+            elif choice == 1 and quote is None and "]]>" not in piece \
+                    and "\r" not in piece:
+                out.append(f"<![CDATA[{piece}]]>")
+            else:
+                out.append("".join(
+                    self._character(ch, quote, data[at + 1:at + 2])
+                    for at, ch in enumerate(piece, index)
+                ))
+            index = end
+        return "".join(out)
+
+    def node(self, node) -> str:
+        draw, space, optional = self.draw, self.tag_space, self.optional_space
+        if isinstance(node, Text):
+            return self._run(node.data, None)
+        if isinstance(node, Comment):
+            return f"<!--{node.data}-->"
+        if isinstance(node, ProcessingInstruction):
+            if node.data:
+                return f"<?{node.target}{draw(space)}{node.data}?>"
+            return f"<?{node.target}{draw(optional)}?>"
+        out = [f"<{node.tag}"]
+        for attribute in node.attributes:
+            quote = draw(st.sampled_from("'\""))
+            out.append(
+                f"{draw(space)}{attribute.name}{draw(optional)}="
+                f"{draw(optional)}{quote}"
+                f"{self._run(attribute.value, quote)}{quote}"
+            )
+        out.append(draw(optional))
+        if not node.children and draw(st.booleans()):
+            out.append("/>")
+        else:
+            out.append(">")
+            out.extend(self.node(child) for child in node.children)
+            out.append(f"</{node.tag}{draw(optional)}>")
+        return "".join(out)
+
+
+class XmlSource(NamedTuple):
+    document: Document
+    text: str                      #: one spelling of *document*
+    doctype_span: tuple[int, int]  #: its DOCTYPE declaration, or (0, 0)
+    root_span: tuple[int, int]     #: its root element
+
+
+_HEADS = (
+    "", "", "\ufeff", '<?xml version="1.0"?>',
+    "<?xml version='1.0' encoding='UTF-8' standalone='yes' ?>\r\n",
+    '\ufeff<?xml version="1.1"\nencoding="utf-8"?>',
+)
+#: Declarations the internal subset may hold besides the entities in use.
+_SUBSET_EXTRAS = (
+    "<!ELEMENT {root} ANY>", "<!-- ] '>' -->", "<?pi ]>?>",
+    "<!ATTLIST {root} k CDATA #IMPLIED>", "\n", " ",
+    '<!ENTITY unused "]>">',
+)
+
+
+@st.composite
+def xml_sources(draw, one_line_tags: bool = False):
+    """An :class:`XmlSource`.  With *one_line_tags* no start tag, end
+    tag or PI target is broken across lines (content still is)."""
+    document = draw(documents())
+    space = _TAG_SPACE_ONE_LINE if one_line_tags else _TAG_SPACE
+    optional = st.one_of(st.just(""), space)
+    writer = _Writer(draw, space)
+    between = st.one_of(st.just(""), WHITESPACE_RUN, _TAG_SPACE)
+    root_at = document.children.index(document.root_element)
+    nodes = [writer.node(child) for child in document.children]
+    doctype = ""
+    if writer.entities or draw(st.booleans()):
+        root = document.root_element.tag
+        subset = [
+            f"<!ENTITY{draw(space)}{name}{draw(space)}"
+            f"{quote}{value}{quote}{draw(optional)}>"
+            for name, value in writer.entities
+            for quote in (draw(st.sampled_from("'\"")),)
+        ]
+        subset += [
+            extra.format(root=root) for extra in draw(st.lists(
+                st.sampled_from(_SUBSET_EXTRAS), max_size=3, unique=True
+            ))
+        ]
+        bracketed = (
+            f"[{''.join(subset)}]" if subset or draw(st.booleans()) else ""
+        )
+        doctype = (
+            f"<!DOCTYPE{draw(space)}{root}{draw(optional)}{bracketed}"
+            f"{draw(optional)}>"
+        )
+    # The DOCTYPE may come before the prolog's comments and PIs, after
+    # them, or anywhere between.
+    prolog = [node + draw(between) for node in nodes[:root_at]]
+    doctype_index = draw(st.integers(0, len(prolog)))
+    head = draw(st.sampled_from(_HEADS))
+    if not head or head.endswith(">"):
+        head += draw(between)
+    before = head + "".join(prolog[:doctype_index])
+    after = (draw(between) if doctype else "") + "".join(
+        prolog[doctype_index:]
+    )
+    root_start = len(before) + len(doctype) + len(after)
+    # The last character is never a lone \r (nor one deletion away
+    # from it): see the `trailing-cr-at-eof` deviation.
+    epilog = "".join(
+        draw(between) + node for node in nodes[root_at + 1:]
+    ) + draw(st.sampled_from(("", " ", "\n", "\t\n")))
+    text = before + doctype + after + nodes[root_at] + epilog
+    return XmlSource(
+        document, text,
+        (len(before), len(before) + len(doctype)) if doctype else (0, 0),
+        (root_start, root_start + len(nodes[root_at])),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The ingest pipeline (streaming since PR 8, the only lane since PR 14).
 
 Three layers of differential evidence, each against an independent
-DOM-side algorithm as the oracle:
+algorithm as the oracle:
 
-* the pull parser's event stream is *byte-identical* to
-  ``stream_events(parse_document(text))`` — including every syntax
-  error's message, line and column — at several read-chunk sizes;
+* the pull parser's event stream is what stdlib expat reports for the
+  same text (``tests/xml_oracle.py``) — and a rejected document is
+  rejected by both, with :class:`XmlSyntaxError`, on the same line —
+  at several read-chunk sizes and for every kind of source
+  (``tests/test_xml_differential.py`` does the same on generated and
+  damaged documents);
 * the event-stack shredder (:func:`shred_into`) delivers exactly the
   records of the recursive DOM walk (:func:`number_document`) and the
   content cache of :func:`element_content`;
@@ -38,11 +41,21 @@ from repro.workloads import (
     generate_dblp,
 )
 from repro.xml import parse_document, serialize
+from repro.xml.dtd import parse_dtd
 from repro.xml.events import Event, EventKind, parse_events, stream_events
 from repro.xml.parser import ParseOptions
-from repro.xml.stream import iter_events
+from repro.xpath import evaluate_nodes
 
 from tests.conftest import shred_records
+from tests.xml_oracle import (
+    CHUNKS,
+    OracleReject,
+    assert_agree,
+    chunked_reader,
+    expat_events,
+    expat_outcome,
+    parser_outcome,
+)
 
 XML_SMALL = """<?xml version="1.0"?>
 <!DOCTYPE bib [<!ENTITY co "Company">]>
@@ -64,6 +77,11 @@ WELL_FORMED = [
     "<a>&amp;&lt;&#65;</a>",
     '<a x="&quot;q&apos;"/>',
     XML_SMALL,
+    # Line ends: \r\n and lone \r are \n, in text and (then as a space)
+    # in attribute values; a character reference is not a line end.
+    '<r a="x\r\ny">l1\r\nl2\rl3&#13;</r>',
+    "<a\r\n  b='1'\r>x</a\r>\r\n",
+    "<!DOCTYPE a [<?pi ]>?><!-- ]> -->]><a/>",
 ]
 
 MALFORMED = [
@@ -79,65 +97,128 @@ MALFORMED = [
     "<a></a><b/>",
     "<a>]]></a>",
     "<a b=1/>",
+    # Character references outside Unicode or the Char production used
+    # to escape as ValueError / OverflowError (or, cut off in hex, hang).
+    "<a>&#x110000;</a>",
+    '<a b="&#1114112;"/>',
+    "<a>&#99999999999;</a>",
+    "<a>&#x12",
+    "<a>&#\u0663;</a>",
+    # Literal characters outside the Char production, wherever they sit.
+    "<a>\x0b</a>",
+    '<a b="\x01"/>',
+    "<r><i>ab\x00needle</i><i>needle</i><i>zz</i></r>",
+    "<a><![CDATA[\x00]]></a>",
+    "<a><!--\ufffe--></a>",
+    "<a><?p \x1f?></a>",
+    "<!DOCTYPE a [<!-- \x02 -->]><a/>",
+    # Comment data may not end in '-'.
+    "<a><!-- x ---></a>",
+    "<?xml version='1.0' standalone='maybe'?><a/>",
+    # Error positions on lines other than the first.
+    "<a>\n<b x='1'\n   x='2'/></a>",
+    "<a>\n\n<!--\n\n",
+    "<a>\n  <b>\n  </c>\n</a>",
+    # Shrunk from the mutation run (tests/test_xml_differential.py):
+    # each once put our error on another line than expat's.
+    "<?pi?><a></a\r",
+    "<?pi?><名前></名\n前>",
+    "<a><!-- x\n -- y\n --></a>",
+    "<a>\n<?é\nÄ--- H]  <\t? </a>\n  ",
+    "<a>x\ny]]>z\n\nw</a>",
+    "<a>\n<![CDATA[x\ny",
+    "<a k='1'\nm='<'\n/>",
+    "<a>\n<b k='v\n\n",
 ]
-
-#: Chunk sizes that land refills mid-tag, mid-text and beyond EOF.
-CHUNKS = (7, 64, 8192)
 
 SCHEMES = ("interval", "dewey", "edge", "binary", "universal", "xrel",
            "inlining")
 
 
-def _chunked_reader(text, chunk):
-    """A file-like over *text* that returns *chunk* chars per read."""
-    state = {"pos": 0}
-
-    class _Reader:
-        def read(self, count):
-            start = state["pos"]
-            state["pos"] = start + chunk
-            return text[start:start + chunk]
-
-    return _Reader()
-
-
 # -- event-stream parity -----------------------------------------------------
 
 
+def _sources(text, tmp_path):
+    """*text* through every kind of source ``iter_events`` accepts."""
+    yield "str", text
+    for chunk in CHUNKS:
+        yield f"reader/{chunk}", chunked_reader(text, chunk)
+    path = tmp_path / "doc.xml"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    yield "path", path
+
+
 @pytest.mark.parametrize("keep_ws", [False, True])
-def test_events_match_dom_walk(keep_ws):
+def test_events_match_expat(keep_ws, tmp_path):
     options = ParseOptions(keep_whitespace=keep_ws)
     for text in WELL_FORMED:
-        expected = list(
-            stream_events(parse_document(text, options=options))
-        )
-        for chunk in CHUNKS:
-            streamed = list(
-                iter_events(_chunked_reader(text, chunk), options)
-            )
-            assert streamed == expected, (text, chunk)
+        expected = expat_events(text, keep_whitespace=keep_ws)
+        for label, source in _sources(text, tmp_path):
+            assert parser_outcome(source, options) == expected, (text, label)
 
 
-def test_syntax_errors_match_dom_parser():
-    """Same message, same line, same column — at every chunk size."""
+def test_syntax_errors_match_expat(tmp_path):
+    """Rejected by expat, rejected by us: with XmlSyntaxError, on the
+    same line — and with the same message and column from every source
+    at every chunk size."""
     for text in MALFORMED:
-        with pytest.raises(XmlSyntaxError) as dom_error:
-            parse_document(text)
-        for chunk in CHUNKS:
-            with pytest.raises(XmlSyntaxError) as stream_error:
-                list(iter_events(_chunked_reader(text, chunk)))
-            assert str(stream_error.value) == str(dom_error.value), (
-                text, chunk
+        oracle = expat_outcome(text)
+        assert isinstance(oracle, OracleReject), text
+        reference = parser_outcome(text)
+        assert_agree(reference, oracle, text)
+        for label, source in _sources(text, tmp_path):
+            assert str(parser_outcome(source)) == str(reference), (
+                text, label
             )
 
 
 def test_text_source_and_path_source(tmp_path):
     text = WELL_FORMED[2]
-    expected = list(stream_events(parse_document(text)))
+    expected = expat_events(text)
     assert list(parse_events(text)) == expected
     path = tmp_path / "doc.xml"
     path.write_text(text, encoding="utf-8")
     assert list(parse_events(path)) == expected
+
+
+def test_parse_document_is_the_tree_of_the_events():
+    for text in WELL_FORMED:
+        assert list(stream_events(parse_document(text))) == list(
+            parse_events(text)
+        ), text
+
+
+def test_line_end_split_across_reads():
+    """\\r|\\n straddling a read boundary is one line end, at any
+    chunk size down to a single character."""
+    text = "<a>1\r\n2\r3\n\r\n4\r</a>\r"
+    expected = expat_events(text)
+    assert [e.value for e in expected if e.kind is EventKind.TEXT] == [
+        "1\n2\n3\n\n4\n"
+    ]
+    for chunk in (1, 2, 3, 5):
+        assert parser_outcome(chunked_reader(text, chunk)) == expected, chunk
+    error = parser_outcome(chunked_reader("<a>\r\n\r\n\r</b>", 1))
+    assert (error.line, error.column) == (4, 1)
+
+
+def test_error_positions_survive_window_compaction():
+    """Far past the 64 KiB window: the line of a late error, and of an
+    unclosed token that began several refills before the input ended,
+    are still expat's (the window keeps an open token's start)."""
+    rows = "".join(f"<i n='{n}'>row {n}</i>\n" for n in range(12000))
+    late = "<r>\n" + rows + "<i>\n</j></r>"
+    unclosed = "<r>\n" + rows + "<!-- never closed\n" + rows
+    for text in (late, unclosed):
+        assert len(text) > 3 * 64 * 1024
+        oracle = expat_outcome(text)
+        ours = parser_outcome(text)
+        assert_agree(ours, oracle, text[:40])
+        assert ours.line > 12000
+        for chunk in (4096, 100_000):
+            small = parser_outcome(chunked_reader(text, chunk))
+            assert str(small) == str(ours)
 
 
 # -- shredder parity ---------------------------------------------------------
@@ -281,6 +362,80 @@ def test_stream_store_tables_identical_to_dom(scheme):
         reference = outcomes.pop("document")
         for door, outcome in outcomes.items():
             assert outcome == reference, (scheme, label, door)
+
+
+# -- hostile and line-end input at the store doors ----------------------------
+
+NUL_XML = "<r><i>ab\x00needle</i><i>needle</i><i>zz</i></r>"
+NUL_DTD = "<!ELEMENT r (i*)><!ELEMENT i (#PCDATA)>"
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_illegal_character_is_rejected_not_stored(scheme):
+    """A literal NUL used to be stored, after which sqlite's string
+    functions (they stop at NUL) and the evaluator disagreed on
+    ``contains()``.  It is now a syntax error at every door; with a
+    legal control character in its place the scheme and the evaluator
+    agree."""
+    query = '//i[contains(., "needle")]'
+    kwargs = {"dtd": parse_dtd(NUL_DTD)} if scheme == "inlining" else {}
+    with XmlRelStore.open(scheme=scheme, **kwargs) as store:
+        with pytest.raises(XmlSyntaxError, match="illegal character U\\+0000"):
+            store.store_text(NUL_XML, "nul")
+        with pytest.raises(XmlSyntaxError):
+            parse_document(NUL_XML)
+        assert store.documents() == []
+        legal = NUL_XML.replace("\x00", "\x7f")
+        doc_id = store.store_text(legal, "del")
+        expected = [
+            node.order_key
+            for node in evaluate_nodes(parse_document(legal), query)
+        ]
+        assert len(expected) == 2
+        assert store.query_pres(doc_id, query) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["<a>&#x110000;</a>", '<a b="&#1114112;"/>',
+             "<a>&#99999999999;</a>"],
+)
+def test_illegal_character_reference_is_a_syntax_error(text):
+    with XmlRelStore.open(scheme="interval") as store:
+        store.store_text("<ok/>", "ok")
+        before = store.documents()
+        with pytest.raises(XmlSyntaxError) as error:
+            store.store_text(text, "hostile")
+        assert "character reference to illegal character" in str(error.value)
+        assert (error.value.line, error.value.column) != (0, 0)
+        assert store.documents() == before
+
+
+def test_line_ends_do_not_depend_on_the_door(tmp_path):
+    """The same bytes through ``store_text``, ``store_file`` and
+    ``store_corpus`` (text and path payloads) leave the same rows."""
+    text = '<r a="x\r\ny">l1\r\nl2\rl3</r>'
+    path = tmp_path / "crlf.xml"
+    path.write_bytes(text.encode("utf-8"))
+    dumps = {}
+    with XmlRelStore.open(scheme="interval") as store:
+        store.store_text(text, "doc")
+        dumps["store_text"] = _dump_tables(store)
+    with XmlRelStore.open(scheme="interval") as store:
+        store.store_file(str(path), "doc")
+        dumps["store_file"] = _dump_tables(store)
+    for label, payload in (("corpus/text", text), ("corpus/path", path)):
+        with ShardedStore.open(
+            str(tmp_path / label.replace("/", "-")), scheme="interval",
+            shards=1,
+        ) as store:
+            store.store_corpus([payload], names=["doc"])
+            dumps[label] = _dump_tables(store.writers[0])
+    reference = dumps.pop("store_text")
+    rows = [row for table in reference.values() for row in table]
+    assert any("x y" in row for row in rows)
+    assert any("l1\nl2\nl3" in row for row in rows)
+    for label, dump in dumps.items():
+        assert dump == reference, label
 
 
 # -- file and corpus ingestion -----------------------------------------------

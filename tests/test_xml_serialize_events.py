@@ -9,7 +9,6 @@ from repro.xml.events import (
     Event,
     EventKind,
     build_tree,
-    count_events,
     parse_events,
     stream_events,
 )
@@ -85,12 +84,6 @@ class TestEventStream:
         events = list(parse_events("<a><b/></a>"))
         names = [e.name for e in events if e.kind == EventKind.START_ELEMENT]
         assert names == ["a", "b"]
-
-    def test_count_events(self):
-        counts = count_events(parse_events("<a x='1'><b/>t</a>"))
-        assert counts[EventKind.START_ELEMENT] == 2
-        assert counts[EventKind.ATTRIBUTE] == 1
-        assert counts[EventKind.TEXT] == 1
 
     def test_stream_subtree_without_document_events(self):
         doc = parse_document("<r><a/></r>")
