@@ -5,15 +5,15 @@ Two measurements over :class:`~repro.serve.ShardedStore`:
 * **telemetry overhead** — the same warm doc-scoped query mix against
   two identically-loaded 4-shard stores, one bare and one carrying the
   full telemetry plane (tracer + windowed metrics + wide-event JSONL
-  log + ops endpoint).  Queries are interleaved pair-by-pair so CPU
-  frequency scaling and page-cache state hit both stores equally, and
-  each side is summarized by its per-query *minimum* — the noise in a
-  warm query is strictly additive, so the min is the clean estimate of
-  intrinsic cost.  The acceptance gate: full telemetry adds ≤ 5% to
+  log + the gateway and its ops routes).  Queries are interleaved
+  pair-by-pair so CPU frequency scaling and page-cache state hit both
+  stores equally, and each side is summarized by its per-query
+  *minimum* — the noise in a warm query is strictly additive, so the
+  min is the clean estimate of intrinsic cost.  The acceptance gate: full telemetry adds ≤ 5% to
   the aggregate warm doc-scoped latency (best trial of three).
 * **ops surface under write load** — the E17 write mix (subtree
   inserts/deletes) churns in the background while readers query; the
-  live ``/metrics`` endpoint is scraped mid-load and must parse as
+  gateway's ``/metrics`` route is scraped mid-load and must parse as
   Prometheus text exposition with windowed per-shard p99 samples, and
   ``/healthz`` must stay green.
 
@@ -105,7 +105,7 @@ def _overhead_phase(tmp_path, document):
         tracer=tracer,
         request_log=request_log,
     )
-    full.serve_ops()
+    full.serve_gateway()
     try:
         # Warm both stores: plan caches, pool connections, page cache.
         for xpath in DOC_QUERIES:
@@ -180,7 +180,7 @@ def _ops_under_write_load(tmp_path, document):
         tracer=tracer,
         request_log=request_log,
     )
-    server = store.serve_ops()
+    server = store.serve_gateway()
     stats = {"inserts": 0, "deletes": 0}
     done = threading.Event()
     writer = threading.Thread(
@@ -248,8 +248,8 @@ def test_e18_telemetry(tmp_path):
             f"mix under /metrics scrapes"
         ),
         expectation=(
-            "full telemetry (tracer + windows + wide events + ops "
-            "endpoint) adds <= 5% to warm doc-scoped latency; "
+            "full telemetry (tracer + windows + wide events + gateway "
+            "ops routes) adds <= 5% to warm doc-scoped latency; "
             "/metrics stays a valid Prometheus exposition with "
             "windowed per-shard p99s while writes churn"
         ),

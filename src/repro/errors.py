@@ -194,8 +194,9 @@ class WorkloadError(XmlRelError):
 
 
 #: The serving-error → HTTP-status table — the single source of truth
-#: shared by the network gateway (:mod:`repro.serve.gateway`) and the
-#: ops endpoint (:mod:`repro.obs.ops`).  Ordered most-specific-first;
+#: for the network gateway (:mod:`repro.serve.gateway`), the process's
+#: one HTTP surface: query and ops routes alike.  Ordered
+#: most-specific-first;
 #: :func:`http_status` walks it with ``isinstance`` so a subclass added
 #: later inherits its parent's status instead of silently falling
 #: through to 500.  Partial degraded answers are not errors and are

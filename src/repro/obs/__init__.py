@@ -16,10 +16,10 @@ The package instruments the whole store/translate/execute pipeline:
   (``tracer.capture()`` / ``tracer.adopt()``; :mod:`repro.obs.trace`),
 * :class:`RequestLog` — bounded non-blocking wide-event sink
   (:mod:`repro.obs.events`),
-* :class:`OpsServer` / :func:`to_prometheus` / :func:`parse_prometheus`
-  — the live ``/metrics`` + ``/snapshot`` + ``/healthz`` endpoint
-  (:mod:`repro.obs.ops`), with ``python -m repro.obs.top`` as the
-  matching terminal dashboard.
+* :func:`to_prometheus` / :func:`parse_prometheus` and the health and
+  snapshot document builders (:mod:`repro.obs.ops`) — what the
+  gateway's ``/metrics`` + ``/snapshot`` + ``/healthz`` routes serve,
+  with ``python -m repro.obs.top`` as the matching terminal dashboard.
 
 Quickstart::
 
@@ -49,7 +49,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     load_snapshot,
 )
-from repro.obs.ops import OpsServer, parse_prometheus, to_prometheus
+from repro.obs.ops import parse_prometheus, to_prometheus
 from repro.obs.report import Explanation, QueryReport
 from repro.obs.trace import NULL_TRACER, RequestContext, Span, Tracer
 from repro.obs.window import WindowRing
@@ -61,7 +61,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
-    "OpsServer",
     "QueryReport",
     "RequestContext",
     "RequestLog",

@@ -12,7 +12,7 @@ AND missed the plan cache" answerable with a single ``jq`` filter.
 through.  The serving hot path calls :meth:`RequestLog.emit`, which
 
 * always appends to an in-memory ring (``deque(maxlen=capacity)``) —
-  the tail the ops endpoint's ``/snapshot`` serves, and
+  the tail the gateway's ``/snapshot`` serves, and
 * optionally stages the event for a daemon writer thread that streams
   JSON lines to a file.
 

@@ -9,7 +9,8 @@ A :class:`MetricsRegistry` is a flat namespace of named instruments:
   loading),
 * :class:`Gauge` — last-written values (current savepoint depth),
 * :class:`Histogram` — distributions with percentile summaries
-  (per-statement latency).
+  (per-statement latency), never O(observations) in memory or scrape
+  time.
 
 ``snapshot()`` renders everything into plain JSON-able dicts;
 ``snapshot_json()``/``load_snapshot`` round-trip through JSON so a
@@ -21,7 +22,7 @@ Counters and histograms additionally feed an O(1)-memory
 ``Counter.rate(60)`` is events/sec over the last minute,
 ``Histogram.window(60)`` is windowed count/qps/p50/p90/p99, and
 ``MetricsRegistry.windows_snapshot(60)`` renders the whole namespace's
-recent behaviour for the ops endpoint.
+recent behaviour for the ops routes.
 
 The registry is thread-safe: instrument creation is guarded by a
 registry lock and each instrument serializes its own updates, so the
@@ -34,9 +35,10 @@ from __future__ import annotations
 
 import json
 import threading
+from array import array
 from dataclasses import dataclass, field
 
-from repro.obs.window import WindowRing
+from repro.obs.window import N_BINS, WindowRing
 
 
 def _rate_ring() -> WindowRing:
@@ -109,25 +111,27 @@ class Gauge:
 #: Percentiles reported in every histogram summary.
 PERCENTILES = (50, 90, 99)
 
-#: Observations kept per histogram; beyond this the reservoir keeps the
-#: first MAX_OBSERVATIONS samples (the summary still counts and sums
-#: everything).  Statement counts in this repo are far below the cap.
-MAX_OBSERVATIONS = 65536
-
 
 @dataclass
 class Histogram:
-    """A distribution with exact percentiles over retained samples,
-    plus a sliding window of recent behaviour (:meth:`window`)."""
+    """A distribution summarized in O(1) memory: exact count / total /
+    min / max, percentile estimates from a lifetime array of the log
+    bins of :mod:`repro.obs.window` (relative error ≤
+    ``2^(1/SUB_BINS) - 1``, ~9 %), plus a sliding window of recent
+    behaviour (:meth:`window`) over the same bins."""
 
     name: str
     count: int = 0
     total: float = 0.0
     min: float | None = None
     max: float | None = None
-    observations: list[float] = field(default_factory=list)
     window_ring: WindowRing = field(
         default_factory=_value_ring, repr=False, compare=False
+    )
+    _bins: array = field(  # lifetime counts, one per window log bin
+        default_factory=lambda: array("Q", bytes(8 * N_BINS)),
+        repr=False,
+        compare=False,
     )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -145,24 +149,27 @@ class Histogram:
                 self.min = value
             if self.max is None or value > self.max:
                 self.max = value
-            if len(self.observations) < MAX_OBSERVATIONS:
-                self.observations.append(value)
-            self.window_ring._observe_locked(value)
+            self._bins[self.window_ring._observe_locked(value)] += 1
 
     def window(self, seconds: float = 60.0) -> dict:
         """Windowed count/qps/mean/min/max/p50/p90/p99 over the last
         *seconds* (log-binned estimates; see :mod:`repro.obs.window`)."""
         return self.window_ring.summary(seconds)
 
-    def percentile(self, p: float) -> float | None:
-        """The *p*-th percentile (nearest-rank) of retained samples."""
-        if not self.observations:
-            return None
+    def _quantiles(self, percentiles) -> list:
+        """Estimates for *percentiles* from one locked read of the bins."""
         with self._lock:
-            ordered = sorted(self.observations)
-        rank = max(0, min(len(ordered) - 1,
-                          round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+            count, low, high = self.count, self.min, self.max
+            bins = self._bins.tolist()
+        return [
+            WindowRing._percentile_from(bins, count, p, low, high)
+            for p in percentiles
+        ]
+
+    def percentile(self, p: float) -> float | None:
+        """The *p*-th percentile (nearest rank) of everything observed:
+        a log-bin estimate clamped to the exact min/max."""
+        return self._quantiles((p,))[0]
 
     def summary(self) -> dict:
         """JSON-able summary: count/total/min/max/mean plus percentiles."""
@@ -173,8 +180,8 @@ class Histogram:
             "max": self.max,
             "mean": (self.total / self.count) if self.count else None,
         }
-        for p in PERCENTILES:
-            summary[f"p{p}"] = self.percentile(p)
+        for p, value in zip(PERCENTILES, self._quantiles(PERCENTILES)):
+            summary[f"p{p}"] = value
         return summary
 
 

@@ -1,4 +1,4 @@
-"""Live ops surface: Prometheus text exposition + an embedded endpoint.
+"""Live ops documents: Prometheus text exposition, health, snapshot.
 
 :func:`to_prometheus` renders a :class:`~repro.obs.metrics.MetricsRegistry`
 as Prometheus text exposition format 0.0.4 — counters as ``_total``,
@@ -12,30 +12,30 @@ parser of the exposition format used by the tests and the CI smoke job
 to assert the endpoint serves well-formed output (no scrape stack in
 this zero-dependency repo, so we check our own homework).
 
-:class:`OpsServer` mounts three read-only endpoints on a daemon
-``ThreadingHTTPServer``:
-
-* ``GET /metrics``  — Prometheus text (``text/plain; version=0.0.4``),
-* ``GET /snapshot`` — one JSON document: lifetime snapshot, windowed
-  snapshot, health, and the recent wide-event tail,
-* ``GET /healthz``  — liveness JSON; HTTP 200 when ``status == "ok"``,
-  503 otherwise, so a load balancer can act on the status code alone.
-
-The server binds 127.0.0.1 on an ephemeral port by default and runs
-entirely on stdlib ``http.server`` — no dependency, no framework.
+:func:`health_document` and :func:`snapshot_document` build the other
+two ops documents from plain arguments.  This module opens no socket:
+the process's one HTTP surface, :class:`repro.serve.gateway.Gateway`,
+serves the three as its read-only routes ``GET /metrics``,
+``/healthz`` (HTTP 200 when ``status == "ok"``, 503 otherwise, so a
+load balancer can act on the status code alone) and ``/snapshot``.
 """
 
 from __future__ import annotations
 
-import http.server
-import json
 import re
-import threading
 import time
 
-from repro.errors import error_payload, http_status
 from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
+
+#: ``Content-Type`` of the ``/metrics`` exposition.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Sliding-window widths (seconds) exported beside the lifetime series.
+WINDOWS = (60.0,)
+
+#: Wide events served in the ``/snapshot`` tail.
+TAIL_EVENTS = 50
 
 #: Prefix for every exported metric family.
 PROM_PREFIX = "xmlrel_"
@@ -59,7 +59,7 @@ def _prom_value(value) -> str:
 
 def to_prometheus(
     registry: MetricsRegistry,
-    windows: tuple[float, ...] = (60.0,),
+    windows: tuple[float, ...] = WINDOWS,
     extra: dict | None = None,
 ) -> str:
     """Render *registry* in Prometheus text exposition format 0.0.4.
@@ -202,157 +202,38 @@ def parse_prometheus(text: str) -> dict:
     return {"samples": samples, "types": types}
 
 
-class OpsServer:
-    """An embedded HTTP ops endpoint over a registry (+ optional health,
-    snapshot extras, and request-log tail).
+def health_document(probe) -> dict:
+    """*probe*'s health dict.  A probe that raises is itself a health
+    fact — ``{"status": "error", ...}``, served as 503 — never a reason
+    to take the endpoint down."""
+    try:
+        return probe()
+    except Exception as exc:
+        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
-    :param metrics: the registry behind ``/metrics`` and ``/snapshot``.
-    :param health_fn: zero-arg callable returning a JSON-able dict with
-        at least ``{"status": "ok" | ...}``; absent → always ok.
-    :param snapshot_fn: zero-arg callable returning extra JSON-able
-        state merged into ``/snapshot`` under ``"server"``.
-    :param request_log: recent wide events served in ``/snapshot``.
-    """
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        health_fn=None,
-        snapshot_fn=None,
-        request_log: RequestLog | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        windows: tuple[float, ...] = (60.0,),
-        tail_events: int = 50,
-    ) -> None:
-        self.metrics = metrics
-        self.health_fn = health_fn
-        self.snapshot_fn = snapshot_fn
-        self.request_log = request_log
-        self.windows = windows
-        self.tail_events = tail_events
-        ops = self
-
-        class _Handler(http.server.BaseHTTPRequestHandler):
-            # The ops endpoint must not spam the serving process's
-            # stderr on every scrape.
-            def log_message(self, fmt, *args):  # noqa: ARG002
-                return
-
-            def do_GET(self):  # noqa: N802 (http.server API)
-                try:
-                    ops._route(self)
-                except BrokenPipeError:
-                    pass
-
-        self._server = http.server.ThreadingHTTPServer((host, port), _Handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="ops-endpoint",
-            daemon=True,
-        )
-        self._thread.start()
-
-    # -- request handling -----------------------------------------------------------
-
-    def _route(self, handler: http.server.BaseHTTPRequestHandler) -> None:
-        path = handler.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                body = to_prometheus(
-                    self.metrics, windows=self.windows
-                ).encode()
-                self._reply(
-                    handler, 200, body,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            elif path == "/snapshot":
-                body = json.dumps(self.snapshot(), default=str).encode()
-                self._reply(handler, 200, body, "application/json")
-            elif path == "/healthz":
-                health = self.health()
-                status = 200 if health.get("status") == "ok" else 503
-                body = json.dumps(health, default=str).encode()
-                self._reply(handler, status, body, "application/json")
-            else:
-                body = json.dumps(
-                    {"error": "NotFound",
-                     "message": f"no route {path}",
-                     "status": 404}
-                ).encode()
-                self._reply(handler, 404, body, "application/json")
-        except BrokenPipeError:
-            raise
-        except Exception as error:
-            # Typed errors carry their own status via the shared
-            # repro.errors.HTTP_STATUS table (the gateway uses the
-            # same one); anything else is a plain 500.
-            body = json.dumps(error_payload(error), default=str).encode()
-            self._reply(
-                handler, http_status(error), body, "application/json"
-            )
-
-    @staticmethod
-    def _reply(handler, status: int, body: bytes, content_type: str) -> None:
-        handler.send_response(status)
-        handler.send_header("Content-Type", content_type)
-        handler.send_header("Content-Length", str(len(body)))
-        handler.end_headers()
-        handler.wfile.write(body)
-
-    # -- documents ------------------------------------------------------------------
-
-    def health(self) -> dict:
-        if self.health_fn is None:
-            return {"status": "ok"}
-        try:
-            return self.health_fn()
-        except Exception as exc:  # health must never take the endpoint down
-            return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-
-    def snapshot(self) -> dict:
-        document = {
-            "generated_at": time.time(),
-            "health": self.health(),
-            "metrics": self.metrics.snapshot(),
-            "windows": {
-                f"{seconds:g}s": self.metrics.windows_snapshot(seconds)
-                for seconds in self.windows
-            },
+def snapshot_document(
+    registry: MetricsRegistry,
+    health: dict,
+    request_log: RequestLog | None,
+    store_facts: dict,
+) -> dict:
+    """The ``/snapshot`` document ``python -m repro.obs.top`` renders:
+    health, lifetime metrics, :data:`WINDOWS` windows, request-log
+    stats and tail, and the store's static facts."""
+    document = {
+        "generated_at": time.time(),
+        "health": health,
+        "metrics": registry.snapshot(),
+        "windows": {
+            f"{seconds:g}s": registry.windows_snapshot(seconds)
+            for seconds in WINDOWS
+        },
+        "server": store_facts,
+    }
+    if request_log is not None:
+        document["requests"] = {
+            "stats": request_log.stats(),
+            "tail": request_log.tail(TAIL_EVENTS),
         }
-        if self.request_log is not None:
-            document["requests"] = {
-                "stats": self.request_log.stats(),
-                "tail": self.request_log.tail(self.tail_events),
-            }
-        if self.snapshot_fn is not None:
-            try:
-                document["server"] = self.snapshot_fn()
-            except Exception as exc:
-                document["server"] = {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }
-        return document
-
-    # -- lifecycle ------------------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host = self._server.server_address[0]
-        return f"http://{host}:{self.port}"
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._thread.join(timeout=5.0)
-        self._server.server_close()
-
-    def __enter__(self) -> "OpsServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+    return document

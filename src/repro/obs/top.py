@@ -1,11 +1,11 @@
 """``repro.obs.top`` — a live per-shard view of a serving store.
 
-Polls an :class:`~repro.obs.ops.OpsServer`'s ``/snapshot`` endpoint and
-renders a ``top``-style table: per-shard qps / windowed p50 / p99 /
-pool occupancy / replica lag, plus request outcomes and health, updated
-in place.
+Polls a gateway's ``/snapshot`` route
+(:func:`repro.obs.ops.snapshot_document`) and renders a ``top``-style
+table: per-shard qps / windowed p50 / p99 / pool occupancy / replica
+lag, plus request outcomes and health, updated in place.
 
-Run it against a store started with ``ShardedStore.serve_ops()``::
+Run it against a store serving with ``ShardedStore.serve_gateway()``::
 
     python -m repro.obs.top --url http://127.0.0.1:9641
 
@@ -227,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Live per-shard view of a serving xmlrel store.",
     )
     parser.add_argument("--url", required=True,
-                        help="ops endpoint base URL (OpsServer.url)")
+                        help="gateway base URL (Gateway.url)")
     parser.add_argument("--interval", type=float, default=1.0,
                         help="seconds between polls (default 1.0)")
     parser.add_argument("--iterations", type=int, default=None,

@@ -128,10 +128,13 @@ class WindowRing:
         with self._lock:
             self._add_locked(amount)
 
-    def _observe_locked(self, value: float) -> None:
+    def _observe_locked(self, value: float) -> int | None:
         """:meth:`observe` body with :attr:`_lock` already held — the
         metrics instruments share their lock with the ring so one
-        acquisition covers both lifetime and windowed state."""
+        acquisition covers both lifetime and windowed state.  Returns
+        the log bin *value* landed in (``None`` in rate-only mode), so
+        a lifetime histogram counts the same bin without a second
+        ``log2``."""
         slot = self._current(self._clock())
         slot.count += 1
         slot.total += value
@@ -139,8 +142,11 @@ class WindowRing:
             slot.min = value
         if slot.max is None or value > slot.max:
             slot.max = value
-        if slot.bins is not None:
-            slot.bins[_bin_index(value)] += 1
+        if slot.bins is None:
+            return None
+        index = _bin_index(value)
+        slot.bins[index] += 1
+        return index
 
     def _add_locked(self, amount: float) -> None:
         """:meth:`add` body with :attr:`_lock` already held."""
@@ -209,24 +215,25 @@ class WindowRing:
             "max": high,
         }
         for p in (50, 90, 99):
-            summary[f"p{p}"] = self._percentile_from(merged, count, p)
-        # Percentile estimates never exceed the exact extremes.
-        if high is not None:
-            for p in (50, 90, 99):
-                if summary[f"p{p}"] is not None:
-                    summary[f"p{p}"] = min(summary[f"p{p}"], high)
+            summary[f"p{p}"] = self._percentile_from(
+                merged, count, p, low, high
+            )
         return summary
 
     @staticmethod
     def _percentile_from(
-        merged: list[int] | None, count: int, p: float
+        merged, count: int, p: float, low: float | None, high: float | None
     ) -> float | None:
-        if not merged or not count:
+        """The *p*-th percentile (nearest rank) of *count* values
+        binned into *merged*, clamped to their exact extremes *low* and
+        *high* — the one rank walk behind windowed and lifetime
+        (:meth:`repro.obs.metrics.Histogram.percentile`) quantiles."""
+        if not merged or low is None:  # no bins, or no value observed
             return None
         rank = max(1, math.ceil(p / 100.0 * count))
         seen = 0
         for index, bin_count in enumerate(merged):
             seen += bin_count
             if seen >= rank:
-                return _bin_value(index)
-        return _bin_value(N_BINS - 1)
+                break
+        return min(max(_bin_value(index), low), high)

@@ -11,7 +11,17 @@ with a small JSON protocol (:mod:`repro.serve.protocol`):
   shard completes* instead of after the whole scatter materializes, so
   first-byte latency tracks the fastest shard, not the slowest.
 * ``GET /healthz`` — the store's health document (200/503).
+* ``GET /metrics`` — Prometheus text exposition of the store registry.
+* ``GET /snapshot`` — health, metrics, windows, request-log tail and
+  store facts in one JSON document (``python -m repro.obs.top``).
 * ``GET /stats`` — gateway-side counters and quota occupancy.
+
+This is the process's only HTTP surface.  The four read-only routes
+are ops documents (:mod:`repro.obs.ops`): built and encoded on the
+loop's default executor — never on the query dispatch pool, so they
+answer while every dispatch worker is busy — outside quota and
+admission, and a failure in one is a typed JSON error on a connection
+that stays usable.
 
 **Division of labour.**  The event loop does only cheap, non-blocking
 work: HTTP parsing, XPath parsing, the optional DTD/path-summary lint
@@ -40,6 +50,8 @@ executor spans parent under it via the captured
 :class:`~repro.obs.trace.RequestContext`), lands in ``gateway.*``
 windowed metrics (per-route latency, status counts, quota rejections),
 and emits one ``http`` wide event when the store carries a request log.
+The read-only routes land in the same metrics but emit no event: a
+scrape must not push real requests out of the tail it reports.
 
 **Lock discipline.**  This module owns one lock — the quota table's —
 registered as class ``pool`` in
@@ -64,6 +76,12 @@ from repro.errors import (
     XmlRelError,
     error_payload,
     http_status,
+)
+from repro.obs.ops import (
+    PROMETHEUS_CONTENT_TYPE,
+    health_document,
+    snapshot_document,
+    to_prometheus,
 )
 from repro.serve.executor import outcome_for
 from repro.serve.protocol import (
@@ -102,8 +120,12 @@ MAX_HEADERS = 100
 #: Distinct XPath strings whose syntax check the gateway remembers.
 XPATH_PARSE_CACHE = 256
 
-#: Route labels used in ``gateway.route.<route>.seconds`` histograms.
-ROUTES = ("query", "query_stream", "healthz", "stats", "other")
+#: Route labels used in ``gateway.route.<route>.seconds`` histograms:
+#: the query routes (the only ones that emit an ``http`` wide event),
+#: the read-only ops routes (``GET /<route>``), and everything else.
+QUERY_ROUTES = ("query", "query_stream")
+OPS_ROUTES = ("healthz", "metrics", "snapshot", "stats")
+ROUTES = (*QUERY_ROUTES, *OPS_ROUTES, "other")
 
 
 class ClientQuotas:
@@ -336,7 +358,7 @@ class Gateway:
         rows: int | None = None,
     ) -> None:
         """Per-request accounting: route histogram, status counter,
-        and the ``http`` wide event."""
+        and — for the query routes — the ``http`` wide event."""
         elapsed = time.perf_counter() - started
         self.metrics.counter("gateway.requests").inc()
         self._route_histogram(route).observe(elapsed)
@@ -346,7 +368,9 @@ class Gateway:
                 first_byte - started
             )
         log = self.executor.request_log
-        if log is not None:
+        # Scrapes do not pollute what they report: no event for the
+        # read-only routes (or 404s), whatever their polling rate.
+        if log is not None and route in QUERY_ROUTES:
             event = {
                 "event": "http",
                 "ts": time.time(),
@@ -378,8 +402,8 @@ class Gateway:
                         break
                     close = await self._route_request(writer, *request)
                 except XmlRelError as error:
-                    # Wire-level failures (malformed request line,
-                    # health probe errors): typed status, then close.
+                    # Wire-level failures (malformed request line or
+                    # head): typed status, then close.
                     await self._respond_json(
                         writer,
                         http_status(error),
@@ -469,32 +493,49 @@ class Gateway:
                 writer, method, params, headers, body, keep_alive
             )
         started = time.perf_counter()
-        if path == "/healthz":
-            # Health probes acquire pooled connections — off-loop work.
-            health = await asyncio.get_running_loop().run_in_executor(
-                self._dispatch, self.store.health
+        route = path[1:] if path[1:] in OPS_ROUTES else "other"
+        try:
+            # Off the loop (instrument locks, pool probes) and off the
+            # dispatch pool (answers while every worker holds a query).
+            status, content_type, payload = await asyncio.to_thread(
+                self._ops_response, path
             )
-            status = 200 if health.get("status") == "ok" else 503
-            await self._respond_json(
-                writer, status, health, keep_alive=keep_alive
-            )
-            self._observe("healthz", status, started, None, None)
-            return not keep_alive
-        if path == "/stats":
-            await self._respond_json(
-                writer, 200, self.snapshot(), keep_alive=keep_alive
-            )
-            self._observe("stats", 200, started, None, None)
-            return not keep_alive
-        await self._respond_json(
-            writer,
-            404,
-            {"error": "NotFound", "message": f"no route {path}",
-             "status": 404},
-            keep_alive=keep_alive,
+        except Exception as error:
+            # An ops route never takes the endpoint down.
+            status = http_status(error)
+            content_type = JSON_CONTENT_TYPE
+            payload = ndjson_line(error_payload(error))
+        await self._respond(
+            writer, status, content_type, payload, keep_alive=keep_alive
         )
-        self._observe("other", 404, started, None, None)
+        self._observe(route, status, started, None, None)
         return not keep_alive
+
+    def _ops_response(self, path: str) -> tuple[int, str, bytes]:
+        """``(status, content type, encoded body)`` of a read-only
+        route.  Blocking — never called on the event loop."""
+        if path == "/metrics":
+            body = to_prometheus(self.metrics).encode("utf-8")
+            return 200, PROMETHEUS_CONTENT_TYPE, body
+        status = 200
+        if path == "/healthz":
+            document = health_document(self.store.health)
+            if document.get("status") != "ok":
+                status = 503
+        elif path == "/snapshot":
+            document = snapshot_document(
+                self.metrics,
+                health_document(self.store.health),
+                self.executor.request_log,
+                self.store.facts(),
+            )
+        elif path == "/stats":
+            document = self.snapshot()
+        else:
+            status = 404
+            document = {"error": "NotFound", "message": f"no route {path}",
+                        "status": 404}
+        return status, JSON_CONTENT_TYPE, ndjson_line(document)
 
     # -- the query route ----------------------------------------------------------
 
@@ -820,12 +861,26 @@ class Gateway:
         keep_alive: bool = False,
         extra_headers: dict | None = None,
     ) -> None:
-        body = ndjson_line(obj)  # compact JSON + trailing newline
+        # compact JSON + trailing newline
+        await self._respond(
+            writer, status, JSON_CONTENT_TYPE, ndjson_line(obj),
+            keep_alive=keep_alive, extra_headers=extra_headers,
+        )
+
+    async def _respond(
+        self,
+        writer,
+        status: int,
+        content_type: str,
+        body: bytes,
+        keep_alive: bool = False,
+        extra_headers: dict | None = None,
+    ) -> None:
         # One write: one send, one client wake-up per response.
         writer.write(
             self._head(
                 status,
-                JSON_CONTENT_TYPE,
+                content_type,
                 length=len(body),
                 keep_alive=keep_alive,
                 extra_headers=extra_headers,

@@ -97,7 +97,6 @@ from repro.core.store import XmlRelStore, build_query_report
 from repro.errors import DocumentNotFoundError, Overloaded, StorageError
 from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.ops import OpsServer
 from repro.obs.report import QueryReport
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.reliability.audit import IntegrityReport
@@ -201,12 +200,10 @@ class ShardedStore:
         self._rr_counter = len(shard_map)
         if self.executor.shard_state is None:
             self.executor.shard_state = self.shard_state
-        #: The embedded ops endpoint, once :meth:`serve_ops` starts it.
-        self._ops_server: OpsServer | None = None
         #: The HTTP/JSON query gateway, once :meth:`serve_gateway`
         #: starts it.
         self._gateway = None
-        #: True when :meth:`serve_ops` auto-created the request log (we
+        #: True when :meth:`serve_gateway` auto-created the request log (we
         #: close it); caller-provided logs stay the caller's to close.
         self._owned_request_log = False
 
@@ -1189,8 +1186,8 @@ class ShardedStore:
 
         ``status`` is ``"ok"`` unless some shard is down (``"degraded"``)
         — a busy shard (pool momentarily exhausted) stays ``ok``: it is
-        serving, just saturated.  The ops endpoint maps non-ok statuses
-        to HTTP 503.
+        serving, just saturated.  The gateway's ``/healthz`` maps non-ok
+        statuses to HTTP 503.
         """
         counts = self.shard_counts()
         staleness = self.replica_staleness() if self.replica_sets else {}
@@ -1237,7 +1234,7 @@ class ShardedStore:
             "error_budget": self._error_budget(window_seconds),
         }
 
-    def _ops_state(self) -> dict:
+    def facts(self) -> dict:
         """Static-ish store facts for the ``/snapshot`` document."""
         return {
             "directory": self.directory,
@@ -1252,51 +1249,25 @@ class ShardedStore:
             },
         }
 
-    def serve_ops(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        windows: tuple[float, ...] = (60.0,),
-    ) -> OpsServer:
-        """Start (or return) the embedded ops endpoint for this store.
-
-        Serves ``/metrics`` (Prometheus text), ``/snapshot`` (JSON), and
-        ``/healthz`` on a daemon thread; ``python -m repro.obs.top --url
-        <server.url>`` renders it live.  When the store has no request
-        log yet, an in-memory one is attached so ``/snapshot`` can show
-        recent requests.  Stopped by :meth:`close` (or ``.stop()``).
-        """
-        if self._ops_server is not None:
-            return self._ops_server
-        if self.executor.request_log is None:
-            self.executor.request_log = RequestLog(capacity=1024)
-            self._owned_request_log = True
-        self._ops_server = OpsServer(
-            self.metrics,
-            health_fn=self.health,
-            snapshot_fn=self._ops_state,
-            request_log=self.executor.request_log,
-            host=host,
-            port=port,
-            windows=windows,
-        )
-        return self._ops_server
-
     def serve_gateway(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         **kwargs,
     ):
-        """Start (or return) the HTTP/JSON query gateway for this store.
+        """Start (or return) the HTTP/JSON gateway for this store —
+        the process's one HTTP surface, for queries and ops alike.
 
         The network front door (:class:`~repro.serve.gateway.Gateway`):
-        ``/query`` (materialized JSON or streamed NDJSON), ``/healthz``,
-        ``/stats``, with per-client admission quotas layered on the
-        executor's global gate.  Extra *kwargs* (``quota_rate``,
-        ``default_deadline``, ``analyzer``, ...) pass through to the
-        gateway constructor.  When the store has no request log yet, an
-        in-memory one is attached so gateway wide events have a sink.
+        ``/query`` (materialized JSON or streamed NDJSON) with
+        per-client admission quotas layered on the executor's global
+        gate, and the read-only ops routes ``/metrics`` (Prometheus
+        text), ``/snapshot`` (``python -m repro.obs.top --url
+        <gateway.url>`` renders it live), ``/healthz`` and ``/stats``.
+        Extra *kwargs* (``quota_rate``, ``default_deadline``,
+        ``analyzer``, ...) pass through to the gateway constructor.
+        When the store has no request log yet, an in-memory one is
+        attached so wide events have a sink and ``/snapshot`` a tail.
         Stopped by :meth:`close` (or ``.stop()``).
         """
         if self._gateway is not None:
@@ -1316,9 +1287,6 @@ class ShardedStore:
         if self._gateway is not None:
             self._gateway.stop()
             self._gateway = None
-        if self._ops_server is not None:
-            self._ops_server.stop()
-            self._ops_server = None
         if self._owned_request_log and self.executor.request_log is not None:
             self.executor.request_log.close()
         self.executor.close()

@@ -2,7 +2,9 @@
 streaming, tracing, and the ops-plane integration."""
 
 import asyncio
+import http.client
 import json
+import os
 import socket
 import threading
 import time
@@ -877,7 +879,6 @@ class TestGatewayObservability:
     def test_top_renders_gateway_section(self, tmp_path):
         store, _ = _open(tmp_path)
         with store:
-            ops = store.serve_ops()
             gateway = store.serve_gateway(quota_rate=1.0, quota_burst=1.0)
             headers = {"X-Client-Id": "top-test"}
             _post(gateway.url + "/query", {"xpath": "/bib"}, headers)
@@ -890,7 +891,7 @@ class TestGatewayObservability:
                     "gateway.status.429"
                 ).value == 1
             )
-            status, snapshot = _get(ops.url + "/snapshot")
+            status, snapshot = _get(gateway.url + "/snapshot")
             assert status == 200
             frame = render_snapshot(snapshot)
             assert "gateway (" in frame
@@ -911,7 +912,6 @@ class TestConcurrentScrapes:
         concurrency job reruns this under ``XMLREL_LOCK_HARNESS=1``)."""
         store, _ = _open(tmp_path)
         with store:
-            ops = store.serve_ops()
             gateway = store.serve_gateway()
             stop = threading.Event()
             failures: list[str] = []
@@ -921,7 +921,7 @@ class TestConcurrentScrapes:
                 while not stop.is_set():
                     try:
                         with urllib.request.urlopen(
-                            ops.url + "/metrics", timeout=5
+                            gateway.url + "/metrics", timeout=5
                         ) as response:
                             text = response.read().decode()
                         parsed = parse_prometheus(text)
@@ -960,12 +960,309 @@ class TestConcurrentScrapes:
             assert parsed_counts and all(n > 0 for n in parsed_counts)
             # Gateway series made it into the exposition.
             with urllib.request.urlopen(
-                ops.url + "/metrics", timeout=5
+                gateway.url + "/metrics", timeout=5
             ) as response:
                 text = response.read().decode()
             parsed = parse_prometheus(text)
             names = {sample["name"] for sample in parsed["samples"]}
             assert "xmlrel_gateway_requests_total" in names
+
+
+# -- one HTTP stack: the ops documents are routes of the gateway --------------
+
+OPS_PATHS = ("/metrics", "/snapshot", "/healthz", "/stats")
+
+
+def _listening_inodes():
+    """Inodes of this process's listening TCP sockets (Linux /proc)."""
+    mine = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # closed while we were listing
+        if target.startswith("socket:["):
+            mine.add(target[len("socket:["):-1])
+    listening = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        if not os.path.exists(table):
+            continue
+        with open(table, encoding="ascii") as handle:
+            next(handle)
+            for line in handle:
+                fields = line.split()
+                if fields[3] == "0A":  # TCP_LISTEN
+                    listening.add(fields[9])
+    return mine & listening
+
+
+def _raiser(error):
+    def raises(*args, **kwargs):
+        raise error
+
+    return raises
+
+
+class TestOpsRoutes:
+    """What the stand-alone ops server gave for free, kept by the
+    gateway: isolation from query load, scrapes that do not pollute
+    what they report, and failures that never take the endpoint down."""
+
+    def test_ops_routes_answer_with_every_dispatch_worker_wedged(
+        self, tmp_path
+    ):
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            release = threading.Event()
+            workers = gateway._dispatch._max_workers
+            wedged = [
+                gateway._dispatch.submit(release.wait, 30)
+                for _ in range(workers)
+            ]
+            try:
+                assert _wait_for(
+                    lambda: sum(
+                        thread.name.startswith("xmlrel-gateway-dispatch")
+                        for thread in threading.enumerate()
+                    ) == workers
+                )
+                for path in OPS_PATHS:
+                    with urllib.request.urlopen(
+                        gateway.url + path, timeout=5
+                    ) as response:
+                        assert response.status == 200
+                        assert response.read()
+                assert not any(future.done() for future in wedged)
+            finally:
+                release.set()
+
+    def test_ops_documents_are_built_off_the_loop_and_the_dispatch_pool(
+        self, tmp_path
+    ):
+        """No sqlite call (health probes, shard counts) and no
+        registry / request-log read runs on the event-loop thread — or
+        on a query dispatch worker."""
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            log = store.executor.request_log
+            seen: dict[str, set] = {}
+
+            def recording(name, fn):
+                def wrapper(*args, **kwargs):
+                    seen.setdefault(name, set()).add(
+                        threading.current_thread()
+                    )
+                    return fn(*args, **kwargs)
+
+                return wrapper
+
+            for owner, name in (
+                (store, "health"),
+                (store, "facts"),
+                (store, "shard_counts"),
+                (store.metrics, "snapshot"),
+                (store.metrics, "windows_snapshot"),
+                (log, "stats"),
+                (log, "tail"),
+            ):
+                setattr(owner, name, recording(name, getattr(owner, name)))
+            for pool in store.pools.values():
+                pool.connection = recording("connection", pool.connection)
+            for path in OPS_PATHS:
+                with urllib.request.urlopen(
+                    gateway.url + path, timeout=5
+                ) as response:
+                    assert response.status == 200
+            assert set(seen) == {
+                "health", "facts", "shard_counts", "snapshot",
+                "windows_snapshot", "stats", "tail", "connection",
+            }
+            threads = set().union(*seen.values())
+            assert gateway._thread not in threads
+            assert threading.current_thread() not in threads
+            assert not any(
+                thread.name.startswith("xmlrel-gateway")
+                for thread in threads
+            )
+
+    def test_scrapes_do_not_pollute_what_they_report(self, tmp_path):
+        """N scrapes: counted per route like every request, but no
+        ``http`` wide event, no quota token, no admission slot."""
+        store, _ = _open(tmp_path)
+        with store:
+            # One token per client, ever: a scrape that took one would
+            # turn its successor into a 429.
+            gateway = store.serve_gateway(
+                quota_rate=0.001, quota_burst=1.0
+            )
+            log = store.executor.request_log
+            _post(gateway.url + "/query", {"xpath": "/bib/book/title"})
+            assert _wait_for(
+                lambda: any(e["event"] == "http" for e in log.tail())
+            )
+            emitted = log.stats()["emitted"]
+            tail = log.tail()
+            in_flight = store.metrics.gauge("serve.in_flight")
+            high_water = in_flight.high_water
+            queries = store.metrics.counter_value("serve.queries")
+            rounds = 5
+            for _ in range(rounds):
+                for path in OPS_PATHS + ("/nowhere",):
+                    try:
+                        with urllib.request.urlopen(
+                            gateway.url + path, timeout=5
+                        ) as response:
+                            assert response.status == 200
+                    except urllib.error.HTTPError as error:
+                        assert (path, error.code) == ("/nowhere", 404)
+            assert _wait_for(
+                lambda: store.metrics.counter_value("gateway.requests")
+                == 1 + 5 * rounds
+            )
+            assert log.stats()["emitted"] == emitted
+            assert log.tail() == tail
+            assert gateway.quotas.stats()["clients"] == 1  # the POST's
+            assert store.metrics.counter_value(
+                "gateway.quota_rejections"
+            ) == 0
+            assert in_flight.value == 0
+            assert in_flight.high_water == high_water
+            assert store.metrics.counter_value("serve.queries") == queries
+            histograms = store.metrics.snapshot(prefix="gateway.route.")[
+                "histograms"
+            ]
+            for route in ("metrics", "snapshot", "healthz", "stats", "other"):
+                assert histograms[f"gateway.route.{route}.seconds"][
+                    "count"
+                ] == rounds
+            assert store.metrics.counter_value(
+                "gateway.status.200"
+            ) == 1 + 4 * rounds
+            assert store.metrics.counter_value(
+                "gateway.status.404"
+            ) == rounds
+
+    def test_a_failing_ops_route_is_typed_on_a_reusable_connection(
+        self, tmp_path
+    ):
+        """Regression (failed at the parent: ``RemoteDisconnected``): a
+        raising health probe is a 503 health document, a raising
+        registry or request log a typed JSON 500 — each counted, each
+        on a connection that goes on to serve a query."""
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", gateway.port, timeout=5
+            )
+
+            def get(path):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                return response.status, json.loads(response.read())
+
+            try:
+                get("/healthz")
+                sock = connection.sock
+                store.health = _raiser(RuntimeError("probe died"))
+                assert get("/healthz") == (
+                    503,
+                    {"status": "error",
+                     "error": "RuntimeError: probe died"},
+                )
+                # /snapshot reports the dead probe instead of dying.
+                status, snapshot = get("/snapshot")
+                assert status == 200
+                assert snapshot["health"]["status"] == "error"
+
+                store.metrics.snapshot = _raiser(
+                    RuntimeError("registry died")
+                )
+                for path in ("/metrics", "/snapshot", "/stats"):
+                    status, body = get(path)
+                    assert status == 500
+                    assert body == {
+                        "error": "RuntimeError",
+                        "message": "registry died",
+                        "status": 500,
+                    }
+                del store.metrics.snapshot
+
+                store.executor.request_log.tail = _raiser(
+                    StorageError("log died")
+                )
+                status, body = get("/snapshot")
+                assert (status, body["error"]) == (500, "StorageError")
+
+                connection.request(
+                    "POST", "/query",
+                    body=json.dumps({"xpath": "/bib/book/title"}),
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["row_count"] > 0
+                assert connection.sock is sock
+            finally:
+                connection.close()
+            assert _wait_for(
+                lambda: store.metrics.counter_value("gateway.requests")
+                == 8
+            )
+            assert store.metrics.counter_value("gateway.status.503") == 1
+            assert store.metrics.counter_value("gateway.status.500") == 4
+            assert store.metrics.gauge(
+                "gateway.connections"
+            ).high_water == 1
+
+    def test_every_route_down_one_keep_alive_connection(self, tmp_path):
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", gateway.port, timeout=5
+            )
+            try:
+                for path in OPS_PATHS:
+                    connection.request("GET", path)
+                    response = connection.getresponse()
+                    body = response.read()
+                    assert response.status == 200
+                    assert response.getheader("Connection") == "keep-alive"
+                    if path == "/metrics":
+                        assert parse_prometheus(body.decode())["samples"]
+                    else:
+                        assert json.loads(body)
+                sock = connection.sock
+                connection.request(
+                    "POST", "/query",
+                    body=json.dumps({"xpath": "/bib/book/title"}),
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["row_count"] > 0
+                assert connection.sock is sock
+            finally:
+                connection.close()
+            assert store.metrics.gauge(
+                "gateway.connections"
+            ).high_water == 1
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/net/tcp"), reason="needs Linux /proc"
+    )
+    def test_one_listener_and_no_ops_thread(self, tmp_path):
+        store, _ = _open(tmp_path)
+        with store:
+            before = _listening_inodes()
+            gateway = store.serve_gateway()
+            _get(gateway.url + "/snapshot")
+            assert len(_listening_inodes() - before) == 1
+            assert "ops-endpoint" not in {
+                thread.name for thread in threading.enumerate()
+            }
+        assert _listening_inodes() <= before
 
 
 # -- the load generator -------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.obs import (
     load_snapshot,
     to_chrome_trace,
     to_jsonl,
+    to_prometheus,
 )
 from repro.relational.database import Database
 from repro.relational.retry import RetryPolicy
@@ -240,9 +241,49 @@ class TestMetrics:
         histogram = registry.histogram("h")
         for value in range(1, 101):
             histogram.observe(float(value))
-        assert histogram.percentile(50) == pytest.approx(50, abs=1)
-        assert histogram.percentile(99) == pytest.approx(99, abs=1)
-        assert histogram.summary()["count"] == 100
+        # Log-binned estimates: bounded relative error, 2^(1/8) - 1.
+        assert histogram.percentile(50) == pytest.approx(50, rel=0.09)
+        assert histogram.percentile(99) == pytest.approx(99, rel=0.09)
+        # ... and never outside the exact extremes.
+        assert 1.0 <= histogram.percentile(0) <= 1.09
+        assert 91.0 <= histogram.percentile(100) <= 100.0
+        summary = histogram.summary()
+        assert summary["count"] == 100
+        assert summary["p50"] == histogram.percentile(50)
+        assert registry.histogram("empty").percentile(50) is None
+
+    def test_lifetime_quantiles_keep_moving(self):
+        """Lifetime quantiles are not frozen at the first N samples."""
+        histogram = MetricsRegistry().histogram("h")
+        for _ in range(65_536):
+            histogram.observe(0.001)
+        assert histogram.percentile(50) == pytest.approx(0.001, rel=0.09)
+        for _ in range(200_000):
+            histogram.observe(1.0)
+        assert histogram.percentile(50) == pytest.approx(1.0, rel=0.09)
+        assert histogram.summary()["p99"] == pytest.approx(1.0, rel=0.09)
+
+    def test_scrape_time_does_not_grow_with_observations(self):
+        """``snapshot()`` is never O(observations): 100x the samples
+        within 2x the time (best of several runs each)."""
+
+        def scrape_seconds(samples):
+            registry = MetricsRegistry()
+            for index in range(10):
+                histogram = registry.histogram(f"h{index}")
+                for sample in range(samples // 10):
+                    histogram.observe(1e-4 * (1 + sample % 97))
+            best = float("inf")
+            for _ in range(7):
+                started = time.perf_counter()
+                registry.snapshot()
+                to_prometheus(registry)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        small = scrape_seconds(1_000)
+        large = scrape_seconds(100_000)
+        assert large <= 2 * small
 
 
 class TestExporters:

@@ -1,6 +1,6 @@
 """Operational telemetry plane: cross-thread trace trees over the
-serving stack, Prometheus exposition, the ops endpoint, the wide-event
-request log, and the ``obs.top`` renderer."""
+serving stack, Prometheus exposition, the gateway's ops routes, the
+wide-event request log, and the ``obs.top`` renderer."""
 
 import json
 import threading
@@ -12,7 +12,6 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    OpsServer,
     RequestLog,
     Tracer,
     parse_prometheus,
@@ -172,7 +171,7 @@ class TestPrometheusExposition:
             parse_prometheus("metric notanumber")
 
 
-class TestOpsServer:
+class TestOpsRoutes:
     def _get(self, url):
         with urllib.request.urlopen(url, timeout=5) as response:
             return response.status, response.read().decode()
@@ -186,8 +185,8 @@ class TestOpsServer:
             placement="round_robin",
             tracer=tracer,
         ) as store:
-            server = store.serve_ops()
-            assert store.serve_ops() is server  # idempotent
+            server = store.serve_gateway()
+            assert store.serve_gateway() is server  # idempotent
             doc = store.store_text(BOOK.format(i=1), name="doc")
             store.query_pres(doc, "//title")
             store.query_all("//book")
@@ -243,7 +242,7 @@ class TestOpsServer:
             fault_policy=policy,
         ) as store:
             store.store_text(BOOK.format(i=1), name="doc")
-            server = store.serve_ops()
+            server = store.serve_gateway()
             policy.crash_shard(1)
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._get(server.url + "/healthz")
@@ -361,7 +360,7 @@ class TestTopRenderer:
             tracer=tracer,
         ) as store:
             store.store_text(BOOK.format(i=1), name="doc")
-            server = store.serve_ops()
+            server = store.serve_gateway()
             store.query_all("//book")
             with urllib.request.urlopen(
                 server.url + "/snapshot", timeout=5
