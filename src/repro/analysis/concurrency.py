@@ -60,6 +60,13 @@ C004 (warning)
 C005 (error)
     Double-acquire of a non-reentrant lock along any static same-class
     call path — a guaranteed self-deadlock.
+C006 (error)
+    A C002-kind blocking call on the event loop: inside an ``async
+    def``, or inside a sync method (or nested/module-level function)
+    reachable from one through same-class calls.  One stalled coroutine
+    stalls every connection.  Exempt: a call that is itself awaited,
+    and anything passed to ``run_in_executor`` / ``asyncio.to_thread``
+    — the two ways work leaves the loop.
 
 False positives are suppressed in place with ``# lint: allow(C00x)`` on
 the offending line or on a comment line directly above it.  The CI gate
@@ -178,6 +185,9 @@ _INIT_METHODS = frozenset(
 
 _MUTEX_KINDS = frozenset({"lock", "rlock", "condition"})
 
+#: Calls whose arguments run off the event loop (C006).
+_OFFLOADERS = frozenset({"run_in_executor", "to_thread"})
+
 
 def _relative(path: Path, root: Path) -> str:
     try:
@@ -288,6 +298,10 @@ class _MethodSummary:
     )
     writes: list[tuple[str, int, bool]] = field(default_factory=list)
     guarded_access: set[str] = field(default_factory=set)
+    # C006: is it a coroutine, what blocks in it, whom it calls in-line.
+    is_async: bool = False
+    blocking: list[tuple[str, str, int]] = field(default_factory=list)
+    inline_calls: list[tuple[str, ...]] = field(default_factory=list)
 
 
 @dataclass
@@ -355,8 +369,10 @@ class _MethodWalker:
         self.nested: list[tuple[str, ast.FunctionDef]] = []
         self._held: list[_HeldTok] = []
         self._loop_locks: dict[str, tuple[str, str]] = {}
+        self._offloaded = 0  # depth inside run_in_executor/to_thread args
 
     def walk(self, fn: ast.FunctionDef) -> _MethodSummary:
+        self.summary.is_async = isinstance(fn, ast.AsyncFunctionDef)
         self._block(fn.body)
         return self.summary
 
@@ -558,6 +574,9 @@ class _MethodWalker:
     def _expr(self, node: ast.AST | None) -> None:
         if node is None or isinstance(node, ast.Lambda):
             return
+        if isinstance(node, ast.Await) and isinstance(node.value, ast.Call):
+            self._call(node.value, awaited=True)
+            return
         if isinstance(node, ast.Call):
             self._call(node)
             return
@@ -569,7 +588,7 @@ class _MethodWalker:
         for child in ast.iter_child_nodes(node):
             self._expr(child)
 
-    def _call(self, node: ast.Call) -> None:
+    def _call(self, node: ast.Call, awaited: bool = False) -> None:
         func = node.func
         # Explicit lock acquire/release toggles.
         if isinstance(func, ast.Attribute) and func.attr in (
@@ -591,37 +610,53 @@ class _MethodWalker:
             self.summary.calls.append(
                 (func.attr, tuple(self._held), node.lineno)
             )
-        # C002: blocking call while holding a lock that forbids it.
-        if self._held:
-            classified = _blocking_kind(node, self.model.queue_attrs)
-            if classified is not None:
-                kind, desc = classified
-                for tok in self._held:
-                    allowed = (
-                        LOCK_CLASSES[tok.lock_class].blocking_ok
-                        if tok.lock_class in LOCK_CLASSES
-                        else ()
+            if not self._offloaded:
+                self.summary.inline_calls.append((func.attr,))
+        elif isinstance(func, ast.Name) and not self._offloaded:
+            # A nested function of this method, or a module-level one.
+            self.summary.inline_calls.append(
+                (f"{self.summary.label}.{func.id}", func.id)
+            )
+        classified = (
+            None if awaited
+            else _blocking_kind(node, self.model.queue_attrs)
+        )
+        if classified is not None:
+            kind, desc = classified
+            if not self._offloaded:
+                self.summary.blocking.append((kind, desc, node.lineno))
+            # C002: blocking call while holding a lock that forbids it.
+            for tok in self._held:
+                allowed = (
+                    LOCK_CLASSES[tok.lock_class].blocking_ok
+                    if tok.lock_class in LOCK_CLASSES
+                    else ()
+                )
+                if kind not in allowed:
+                    self.model.add(
+                        "C002",
+                        SEVERITY_ERROR,
+                        f"{tok.label} (class {tok.lock_class!r}) held "
+                        f"across blocking {kind} call {desc}(...) — "
+                        "release the lock first or declare the "
+                        "blocking kind in LOCK_ORDER",
+                        node.lineno,
                     )
-                    if kind not in allowed:
-                        self.model.add(
-                            "C002",
-                            SEVERITY_ERROR,
-                            f"{tok.label} (class {tok.lock_class!r}) held "
-                            f"across blocking {kind} call {desc}(...) — "
-                            "release the lock first or declare the "
-                            "blocking kind in LOCK_ORDER",
-                            node.lineno,
-                        )
-                        break
+                    break
         self._expr(func.value if isinstance(func, ast.Attribute) else func)
+        offloads = isinstance(func, ast.Attribute) and func.attr in _OFFLOADERS
+        self._offloaded += offloads
         for arg in node.args:
             self._expr(arg)
         for kw in node.keywords:
             self._expr(kw.value)
+        self._offloaded -= offloads
 
 
 class _ClassAnalyzer:
-    """The per-class lock model plus the C001/C002/C003/C005 checks."""
+    """The per-class lock model plus the C001/C002/C003/C005/C006
+    checks.  A module's top-level functions are analyzed as one more
+    "class" (no locks, no ``self``), so C006 sees them too."""
 
     def __init__(
         self,
@@ -707,6 +742,7 @@ class _ClassAnalyzer:
             pending.extend(walker.nested)
         self._cross_method_pass()
         self._unguarded_write_pass()
+        self._event_loop_pass()
 
     def _cross_method_pass(self) -> None:
         # Transitive acquire sets over the same-class call graph.
@@ -788,6 +824,38 @@ class _ClassAnalyzer:
                     )
 
 
+    def _event_loop_pass(self) -> None:
+        """C006: nothing C002 calls blocking may run in a coroutine or
+        in what a coroutine calls in-line."""
+        origin = {
+            label: label
+            for label, summary in self.summaries.items() if summary.is_async
+        }
+        frontier = list(origin)
+        while frontier:
+            label = frontier.pop()
+            for candidates in self.summaries[label].inline_calls:
+                for callee in candidates:
+                    if callee in self.summaries:
+                        if callee not in origin:
+                            origin[callee] = origin[label]
+                            frontier.append(callee)
+                        break
+        for label, root in origin.items():
+            where = f"async def {root}"
+            if label != root:
+                where = f"{label}(), reachable from {where}"
+            for kind, desc, line in self.summaries[label].blocking:
+                self.add(
+                    "C006",
+                    SEVERITY_ERROR,
+                    f"blocking {kind} call {desc}(...) in {where}, runs on "
+                    "the event loop — hand it to run_in_executor / "
+                    "asyncio.to_thread",
+                    line,
+                )
+
+
 def _thread_hygiene_pass(
     rel_path: str, tree: ast.AST, out: list[_RawFinding]
 ) -> None:
@@ -857,7 +925,12 @@ def lint_concurrency(
         pragmas = collect_pragmas(text)
         raw: list[_RawFinding] = []
         site_attrs = sites_for(rel_path, sites)
-        for node in ast.walk(tree):
+        functions = [
+            node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        module = ast.ClassDef("<module>", [], [], functions, [])
+        for node in [module, *ast.walk(tree)]:
             if isinstance(node, ast.ClassDef):
                 analyzer = _ClassAnalyzer(
                     rel_path, node, site_attrs, order, raw

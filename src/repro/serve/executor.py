@@ -8,16 +8,21 @@ object that admits the request, runs one read per shard, merges the
 answers into ``(doc_id, pre)`` pairs sorted by global doc id then
 document order (the natural order key, since ``pre`` *is* document
 order within one document), releases the admission slot and accounts
-for the request — on one exit path, whoever drives it:
+for the request — on one exit path, whoever drives it.
+
+The thread that opens the stream runs each shard's **lookup**: route it, look its documents up in that pool's
+result cache, and fold a full hit in at once — no connection, no
+statement, no wait, so a fully cached request is *settled* when open.
+Only a shard with a miss owes an **execute** phase, that lookup with it:
 
 * :meth:`QueryExecutor.query` drives it to completion on the calling
   thread (:meth:`ScatterStream.gather`): a doc-scoped query (exactly
   one target shard) is read right there with no fan-out overhead,
-  anything else **scatters** one task per shard onto the worker pool
-  and **gathers** the partial answers;
-* :meth:`QueryExecutor.stream` hands the per-shard futures to an async
-  caller (the network gateway), which folds each shard's rows into its
-  response as that shard completes.
+  anything else **scatters** one task per owing shard onto the worker
+  pool and **gathers** the partial answers;
+* :meth:`QueryExecutor.stream` hands the owing shards' futures to an
+  async caller, which folds each shard's rows into its response as
+  that shard completes.
 
 Admission control and deadlines:
 
@@ -38,11 +43,11 @@ decides whether a partial answer is better than none.  Deadline misses
 always raise: a partial answer is a *complete* answer from fewer
 shards, never a timing accident.
 
-Result cache: each pool keeps finished per-document rows
-(:class:`~repro.serve.pool.ResultCache`), consulted in the one place
-SQL runs (``ScatterStream._read_pool``) by every request that targets more than
-one document.  A shard whose targeted documents are all cached answers
-without acquiring a connection; every committed write on a shard, and
+Result cache: each pool keeps finished per-document runs — rows plus
+their wire fragment (:class:`~repro.serve.pool.Run`) — looked up once
+per routed pool by every request that targets more than one document;
+misses are filled, and encoded, in the one place SQL runs
+(``ScatterStream._read_pool``).  Every committed write on a shard, and
 every replica re-ship, drops that pool's cache.  A request for a single
 document is one statement on one connection and executes it.
 
@@ -59,6 +64,7 @@ primary reads, never to failures the primary could have answered.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import (
@@ -68,6 +74,8 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 from repro.errors import (
     DeadlineExceeded,
@@ -80,7 +88,8 @@ from repro.errors import (
 from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, RequestContext, Tracer
-from repro.serve.pool import ConnectionPool, ReadSession
+from repro.serve.pool import ConnectionPool, ReadSession, Run
+from repro.serve.protocol import READ_FROM_MODES, encode_rows, join_fragments
 
 #: Request outcomes used as the dimension on ``serve.query_seconds.*``
 #: histograms, ``serve.query.outcome.*`` counters, and wide events.
@@ -92,19 +101,25 @@ QUERY_OUTCOMES = (
 #: Degraded-mode policies for shard failures during scatter-gather.
 SHARD_ERROR_MODES = ("fail", "partial")
 
-#: Where reads land by default: the shard primary, or its replicas
-#: (with primary fallback).
-READ_FROM_MODES = ("primary", "replica")
-
 
 @dataclass(frozen=True)
-class _ShardAnswer:
-    """One shard's rows plus where they were read from."""
+class ShardAnswer:
+    """One shard's per-document runs, in target order, plus where they
+    were read from."""
 
-    rows: list
+    runs: list | tuple = ()
     replica: int | None = None
     lag_writes: int | None = None
     age_seconds: float | None = None
+
+    @property
+    def row_count(self) -> int:
+        return sum(len(run.rows) for run in self.runs)
+
+    @property
+    def fragment(self) -> bytes:
+        """The shard's rows as the wire carries them."""
+        return join_fragments(run.fragment for run in self.runs)
 
 
 @dataclass(frozen=True)
@@ -250,33 +265,40 @@ class QueryExecutor:
 
     # -- replica routing ----------------------------------------------------------
 
-    def _pick_replica(self, shard: int) -> tuple[ConnectionPool, int] | None:
-        """The next replica pool for *shard*, round-robin, if any."""
-        replicas = self.replica_pools.get(shard)
+    def _route(
+        self, shard: int, read_from: str
+    ) -> tuple[ConnectionPool, int | None]:
+        """Where *read_from* sends a read of *shard*: ``(pool,
+        replica)`` — its next replica, round-robin, when asked and one
+        exists, else the primary (``replica`` is then None)."""
+        replicas = (
+            self.replica_pools.get(shard) if read_from == "replica" else None
+        )
         if not replicas:
-            return None
+            return self.pools[shard], None
         with self._replica_lock:
             index = self._replica_rr.get(shard, 0) % len(replicas)
             self._replica_rr[shard] = index + 1
         return replicas[index], index
 
     def _read_routed(
-        self, shard: int, read_from: str, read, info: dict | None = None
+        self,
+        shard: int,
+        pool: ConnectionPool,
+        replica: int | None,
+        read,
+        info: dict | None = None,
     ) -> tuple:
-        """Run ``read(pool, replica)`` where *read_from* says: on the
-        next replica of *shard* when asked and one exists, else — or
-        when that replica is down or overloaded — on the primary
-        (``replica`` is then None).  Returns ``(result, replica)``: what
-        *read* returned and the replica index that served it.
+        """Run ``read(pool, replica)`` on the :meth:`_route` of a read
+        and, when that is a replica that is down or overloaded, again
+        on the primary (``replica`` None).  Returns ``(result,
+        replica)``: what *read* returned and the replica index that
+        served it.
 
         *info*, when given, is the shard's entry of a wide event's
         per-shard breakdown; a fallback is flagged on it.
         """
-        picked = (
-            self._pick_replica(shard) if read_from == "replica" else None
-        )
-        if picked is not None:
-            pool, replica = picked
+        if replica is not None:
             try:
                 result = read(pool, replica)
             except (Overloaded, StorageError):
@@ -334,12 +356,12 @@ class QueryExecutor:
         *targets* maps each shard to its ``(global_doc_id,
         local_doc_id)`` pairs; a single-shard target set is the pruned
         doc-scoped fast lane (no thread handoff), anything else
-        scatters across the worker pool.  *read_from* overrides the
-        executor default per query (``"primary"`` or ``"replica"``).
-        *ctx* carries an upstream request's identity (e.g. the
-        gateway's): the wide event and span tree reuse its request id
-        instead of minting a fresh one, and the ``serve.query`` span
-        parents under its span.
+        scatters its misses across the worker pool.  *read_from*
+        overrides the executor default per query (``"primary"`` or
+        ``"replica"``).  *ctx* carries an upstream request's identity
+        (e.g. the gateway's): the wide event and span tree reuse its
+        request id instead of minting a fresh one, and the
+        ``serve.query`` span parents under its span.
 
         Every exit — success, Overloaded shed, deadline miss, shard
         failure — lands in ``serve.query_seconds`` (plus the
@@ -364,11 +386,12 @@ class QueryExecutor:
         ctx: RequestContext | None = None,
     ) -> "ScatterStream":
         """Begin the same request as :meth:`query`, but hand the
-        per-shard futures to the caller instead of waiting on them: the
-        caller (the network gateway) folds each shard's rows into its
-        response the moment that shard completes.  Every shard's read
-        is already on the worker pool when this returns — never on the
-        calling thread, which may be an event loop.
+        futures of the shards that missed the result cache to the
+        caller instead of waiting on them: the caller folds each
+        shard's rows into its response the moment that shard completes.
+        Every owed read is already on the worker pool when this returns
+        — no statement runs on the calling thread, which may be an
+        event loop.
 
         Caller contract: consume the handle's futures (each through
         :meth:`ScatterStream.collect`) inside ``with stream:``, or call
@@ -377,11 +400,7 @@ class QueryExecutor:
         latency/outcome metrics and the wide event.
         """
         stream = ScatterStream(self, xpath, targets, deadline, read_from, ctx)
-        try:
-            stream._submit()
-        except BaseException as error:
-            stream.finish(error)
-            raise
+        stream.submit()
         return stream
 
     def run_on_shard(
@@ -417,7 +436,9 @@ class QueryExecutor:
 
         self._admit()
         try:
-            return self._read_routed(shard, read_from, read)
+            return self._read_routed(
+                shard, *self._route(shard, read_from), read
+            )
         finally:
             self._release()
 
@@ -452,25 +473,25 @@ def outcome_for(error: BaseException) -> str:
 
 class ScatterStream:
     """One request, from admission to its wide event — the only
-    execution path: :meth:`QueryExecutor.query` and
-    :meth:`QueryExecutor.stream` both open one.
+    execution path: :meth:`QueryExecutor.query`,
+    :meth:`QueryExecutor.stream` and the gateway all open one.
 
     Construction validates, fixes the deadline, takes the admission
-    slot, counts the request and opens its ``serve.query`` root;
+    slot, counts the request, opens its ``serve.query`` root and folds
+    in every shard the result cache answers (:meth:`_open_shards`);
     :meth:`finish` (also ``__exit__``) merges what was collected,
     releases the slot and lands the latency/outcome metrics plus the
     wide event — once, whichever way the request ends.  A request shed
-    at the gate is finished (outcome ``overloaded``) before the
-    constructor raises.
+    at the gate, or past its deadline at the lookup, is finished before
+    the constructor raises.
 
-    In between, a *driver* runs the per-shard reads and folds each
-    answer in through :meth:`collect`:
+    In between, unless the stream is :attr:`settled`, a *driver* runs
+    the reads still owed and folds each answer in (:meth:`collect`):
 
-    * :meth:`gather` blocks the calling thread (``query()``); a
-      single-shard request runs its read right there, with no pool
-      hand-off;
-    * an async caller (the gateway) takes :attr:`futures`, already
-      submitted by ``stream()``, and awaits them in completion order.
+    * :meth:`gather` blocks the calling thread; a single-shard request
+      runs its read right there, with no pool hand-off;
+    * an async caller (the gateway) calls :meth:`submit` and awaits
+      :attr:`futures` in completion order.
 
     The ``serve.query`` root span is opened and closed *synchronously*
     at construction (the creating thread may be an event loop
@@ -485,9 +506,9 @@ class ScatterStream:
         executor: QueryExecutor,
         xpath: str,
         targets: dict[int, list[tuple[int, int]]],
-        deadline: float | None,
-        read_from: str | None,
-        ctx: RequestContext | None,
+        deadline: float | None = None,
+        read_from: str | None = None,
+        ctx: RequestContext | None = None,
     ) -> None:
         if executor._closed:
             raise StorageError("query executor is closed")
@@ -519,10 +540,15 @@ class ScatterStream:
         #: ``{future: shard}`` for the reads on the worker pool; empty
         #: until (unless) a driver submits them.
         self.futures: dict = {}
+        #: ``(shard, answer)`` of the shards answered while opening.
+        self.folded: list[tuple[int, ShardAnswer | None]] = []
+        #: ``(shard, read)`` a driver still has to run: the misses.
+        self._owed: list = []
         #: The merged answer, once :meth:`finish` ran without an error.
         self.result: ScatterResult | None = None
         self._cached = _spans_documents(targets)
-        self._answers: list[_ShardAnswer] = []
+        self._answers: list[ShardAnswer] = []
+        self._runs: list[Run] = []
         self._failures: list[tuple[int, str]] = []
         self._holds_slot = False
         self._finished = False
@@ -546,6 +572,7 @@ class ScatterStream:
                     )
                     if root:
                         root.set(request_id=self.ctx.request_id)
+            self._open_shards()
         except BaseException as error:
             self.finish(error)
             raise
@@ -559,6 +586,16 @@ class ScatterStream:
     @property
     def request_id(self) -> str:
         return self.ctx.request_id
+
+    @property
+    def settled(self) -> bool:
+        """Nothing owed and nothing in flight: every answer is in."""
+        return not self._owed and not self.futures
+
+    @property
+    def fragment(self) -> bytes:
+        """:attr:`result`'s rows as the wire carries them."""
+        return join_fragments(run.fragment for run in self._runs)
 
     def deadline_remaining(self) -> float | None:
         """Seconds left on the budget (None: no deadline)."""
@@ -581,13 +618,48 @@ class ScatterStream:
 
     # -- per-shard work -----------------------------------------------------------
 
+    def _open_shards(self) -> None:
+        """The lookup phase, on the opening thread: route each shard,
+        take its read's one result-cache lookup (the data version with
+        it), and fold a full hit in at once; a shard with a miss goes
+        to :attr:`_owed`, that lookup with it.  Bounded work: one short
+        lock hold per shard; no connection, no statement, no wait."""
+        for shard, docs in self.targets.items():
+            read = ShardAnswer  # no targeted document: the empty answer
+            if docs:
+                pool, replica = self.executor._route(shard, self.route)
+                looked = self._lookup(pool, docs)
+                read = functools.partial(
+                    self._read_shard, shard, docs, pool, replica, looked
+                )
+                if None in looked[1]:
+                    self._owed.append((shard, read))
+                    continue
+            self.folded.append((shard, self._fold(shard, read)))
+
+    def _lookup(
+        self, pool: ConnectionPool, docs: list[tuple[int, int]]
+    ) -> tuple[int, list]:
+        """``(version, found)`` of *docs* in *pool*'s result cache — all
+        misses when the request reads past it (a single document)."""
+        if not self._cached:
+            return 0, [None] * len(docs)
+        return pool.result_cache.lookup(docs, self.xpath)
+
     def _read_shard(
-        self, shard: int, docs: list[tuple[int, int]]
-    ) -> _ShardAnswer:
-        """Run the request's XPath over every targeted document of one
-        shard — on a read replica when the route asks (and one exists),
-        falling back to the primary if the replica is down or
-        overloaded.
+        self,
+        shard: int,
+        docs: list[tuple[int, int]],
+        pool: ConnectionPool,
+        replica: int | None,
+        looked: tuple[int, list],
+    ) -> ShardAnswer:
+        """Answer one shard's *docs* from *looked* — the routed
+        *pool*'s lookup — running the XPath over the documents it
+        missed; a *replica* that is down or overloaded falls back to
+        the primary (looked up afresh: another pool, another cache).
+        With nothing missed this touches no connection, which is why a
+        full hit runs it while opening.
 
         Adopts the request's trace context, so this shard's spans nest
         under the request root even on a pool thread, and — when the
@@ -595,8 +667,6 @@ class ScatterStream:
         per-shard fan-out record (latency, replica choice, plan- and
         result-cache warmth, lint verdict, outcome).
         """
-        if not docs:
-            return _ShardAnswer(rows=[])
         executor = self.executor
         tracer = executor.tracer
         with tracer.adopt(self.ctx), tracer.span(
@@ -608,22 +678,26 @@ class ScatterStream:
                     "shard": shard, "docs": len(docs), "read_from": "primary",
                 }
 
-            def read(pool: ConnectionPool, replica: int | None):
+            def read(target: ConnectionPool, replica: int | None):
                 opened = (
                     tracer.span("serve.execute", shard=shard)
                     if replica is None
                     else tracer.span("serve.replica_read", replica=replica)
                 )
                 with opened as read_span:
-                    rows, served = self._read_pool(pool, docs)
+                    runs, served = self._read_pool(
+                        target, docs,
+                        looked if target is pool
+                        else self._lookup(target, docs),
+                    )
                     if read_span and served is not None:
                         read_span.set(result_cache=served)
-                return rows, served
+                return runs, served
 
             started = time.perf_counter()
             try:
-                (rows, served), replica = executor._read_routed(
-                    shard, self.route, read, info
+                (runs, served), replica = executor._read_routed(
+                    shard, pool, replica, read, info
                 )
             except XmlRelError as error:
                 if info is not None:
@@ -640,48 +714,49 @@ class ScatterStream:
                 staleness = executor.shard_state.staleness(shard, replica)
                 if staleness is not None:
                     lag, age = staleness
+            answer = ShardAnswer(runs, replica, lag, age)
             if span:
-                span.set(rows=len(rows))
+                span.set(rows=answer.row_count)
                 if replica is not None:
                     span.set(replica=replica)
             if info is not None:
                 info["outcome"] = "ok"
-                info["rows"] = len(rows)
+                info["rows"] = answer.row_count
                 if served is not None:
                     info["result_cache"] = served
                 if replica is not None:
                     info["read_from"] = "replica"
                     info["replica"] = replica
-                    info["replica_lag_writes"] = lag
-                    info["replica_age_seconds"] = age
-                pool = executor.pools[shard]
-                plans = pool.plan_cache.peek(
-                    (pool.scheme_name, pool.epoch, self.xpath)
+                    info["replica_lag_writes"] = answer.lag_writes
+                    info["replica_age_seconds"] = answer.age_seconds
+                primary = executor.pools[shard]
+                plans = primary.plan_cache.peek(
+                    (primary.scheme_name, primary.epoch, self.xpath)
                 )
                 info["plan_cached"] = plans is not None
-                info["lint"] = executor._lint_verdict(pool, plans)
-            return _ShardAnswer(
-                rows=rows,
-                replica=replica,
-                lag_writes=lag,
-                age_seconds=age,
-            )
+                info["lint"] = executor._lint_verdict(primary, plans)
+            return answer
 
     def _read_pool(
-        self, pool: ConnectionPool, docs: list[tuple[int, int]]
-    ) -> tuple[list[tuple[int, int]], str | None]:
-        """The one place SQL runs for a request.  Returns
-        ``(global_doc_id, pre)`` pairs plus what the pool's result
-        cache did: ``"hit"`` (every document cached — no connection
-        acquired, no SQL), ``"miss"`` or ``"partial"`` — or None when
-        the request targets a single document and the read went past
-        the cache (nothing looked up, nothing published).
+        self,
+        pool: ConnectionPool,
+        docs: list[tuple[int, int]],
+        looked: tuple[int, list],
+    ) -> tuple[list[Run], str | None]:
+        """The one place SQL runs for a request.  Returns one
+        :class:`~repro.serve.pool.Run` per document plus what the
+        pool's result cache did in *looked*: ``"hit"`` (every document
+        cached — no connection acquired, no SQL), ``"miss"`` or
+        ``"partial"`` — or None when the request targets a single
+        document and the read went past the cache (nothing looked up,
+        nothing published).
 
-        The data version is taken with the lookups, before the acquire
-        and before any statement runs, so rows read across a write or a
-        recycle are refused by ``put``.  Checks the deadline between
-        documents so a slow shard stops burning its pool slot once the
-        query has already missed."""
+        A missed document's rows are encoded here, on the thread that
+        read them.  The data version came with the lookup, before the
+        acquire and before any statement runs, so rows read across a
+        write or a recycle are refused by ``put``.  Checks the deadline
+        between documents so a slow shard stops burning its pool slot
+        once the query has already missed."""
         xpath = self.xpath
         deadline_at = self.deadline_at
         timeout = pool.acquire_timeout
@@ -690,73 +765,71 @@ class ScatterStream:
             if remaining <= 0:
                 raise self._deadline_error()
             timeout = min(timeout, remaining)
-        cache = pool.result_cache if self._cached else None
-        if cache is None:
-            version, found = 0, [None] * len(docs)
-        else:
-            version, found = cache.lookup(docs, xpath)
-        rows: list[tuple[int, int]] = []
+        version, found = looked
         misses = found.count(None)
         if not misses:
-            for held in found:
-                rows.extend(held)
-            return rows, "hit"
+            return found, "hit"
+        cache = pool.result_cache if self._cached else None
+        runs: list[Run] = []
         session = pool.acquire(timeout=timeout)
         try:
-            for doc, held in zip(docs, found):
-                if held is None:
+            for doc, run in zip(docs, found):
+                if run is None:
                     if (
                         deadline_at is not None
                         and time.monotonic() > deadline_at
                     ):
                         raise self._deadline_error()
                     global_doc, local_doc = doc
-                    held = tuple(
+                    rows = tuple(
                         (global_doc, pre)
                         for pre in session.scheme.query_pres(
                             local_doc, xpath
                         )
                     )
+                    run = Run(global_doc, rows, encode_rows(rows))
                     if cache is not None:
-                        cache.put(version, doc, xpath, held)
-                rows.extend(held)
+                        cache.put(version, doc, xpath, run)
+                runs.append(run)
             if cache is None:
-                return rows, None
-            return rows, "miss" if misses == len(docs) else "partial"
+                return runs, None
+            return runs, "miss" if misses == len(docs) else "partial"
         finally:
             pool.release(session)
 
     # -- the two drivers ----------------------------------------------------------
 
-    def _submit(self) -> None:
-        """Put every shard's read on the worker pool.  A shard with no
-        targeted documents still gets a (trivial) task, so
-        :attr:`futures` always covers every shard of the request."""
-        threads = self.executor._threads
-        self.futures = {
-            threads.submit(self._read_shard, shard, docs): shard
-            for shard, docs in self.targets.items()
-        }
+    def submit(self) -> None:
+        """Put every owed read on the worker pool (:attr:`futures`).
+        Non-blocking; a stream that cannot submit is finished before
+        this raises."""
+        owed, self._owed = self._owed, []
+        try:
+            threads = self.executor._threads
+            for shard, read in owed:
+                self.futures[threads.submit(read)] = shard
+        except BaseException as error:
+            self.finish(error)
+            raise
 
     def gather(self) -> ScatterResult:
         """The blocking driver: run the request to its end on the
         calling thread and return the merged answer.
 
         One target shard (the doc-scoped fast lane) is read right here,
-        with no pool hand-off.  Otherwise the reads scatter across the
-        worker pool and this waits for them — fail-fast wakes on the
-        first failure, ``partial`` mode sits out the full fan-out (a
-        late shard is still a good shard) — then collects in target
+        with no pool hand-off.  Otherwise the owed reads scatter across
+        the worker pool and this waits for them — fail-fast wakes on
+        the first failure, ``partial`` mode sits out the full fan-out
+        (a late shard is still a good shard) — then collects in target
         order.  Shards still running at the deadline are abandoned.
         """
         with self:
             if len(self.targets) <= 1:
-                for shard, docs in self.targets.items():  # 0 or 1 iterations
-                    self._fold(
-                        shard, lambda: self._read_shard(shard, docs)
-                    )
+                owed, self._owed = self._owed, []
+                for shard, read in owed:  # 0 or 1 iterations
+                    self._fold(shard, read)
             else:
-                self._submit()
+                self.submit()
                 done, not_done = wait(
                     self.futures,
                     timeout=self.deadline_remaining(),
@@ -773,20 +846,20 @@ class ScatterStream:
                     raise self.expire()  # the fan-out missed the clock
         return self.result
 
-    def collect(self, future) -> tuple[int, list | None]:
+    def collect(self, future) -> tuple[int, ShardAnswer | None]:
         """Fold one *completed* future into the stream.
 
-        Returns ``(shard, rows)``; ``rows`` is ``None`` when the shard
-        failed under the ``"partial"`` degraded mode (the failure is
-        recorded for the terminal event).  Fail-fast mode and deadline
-        misses raise.
+        Returns ``(shard, answer)``; the answer is ``None`` when the
+        shard failed under the ``"partial"`` degraded mode (the failure
+        is recorded for the terminal event).  Fail-fast mode and
+        deadline misses raise.
         """
         shard = self.futures[future]
         return shard, self._fold(shard, future.result)
 
-    def _fold(self, shard: int, answer_of) -> list | None:
+    def _fold(self, shard: int, answer_of) -> ShardAnswer | None:
         """Take one shard's answer from ``answer_of()`` — a finished
-        future's ``result``, or the read itself on the fast lane."""
+        future's ``result``, or the read itself when it runs here."""
         try:
             answer = answer_of()
         except DeadlineExceeded:
@@ -796,7 +869,7 @@ class ScatterStream:
             self.executor._note_shard_failure(shard, error, self._failures)
             return None
         self._answers.append(answer)
-        return answer.rows
+        return answer
 
     def failures(self) -> list[tuple[int, str]]:
         """Shard failures recorded so far (``partial`` mode only)."""
@@ -837,34 +910,30 @@ class ScatterStream:
 
     def _merge(self) -> ScatterResult:
         """Fold the collected per-shard answers into one sorted,
-        staleness-bounded result."""
-        rows: list[tuple[int, int]] = []
-        replica_reads = 0
-        max_lag: int | None = None
-        max_age: float | None = None
-        for answer in self._answers:
-            rows.extend(answer.rows)
-            if answer.replica is not None:
-                replica_reads += 1
-                if answer.lag_writes is not None:
-                    max_lag = (
-                        answer.lag_writes if max_lag is None
-                        else max(max_lag, answer.lag_writes)
-                    )
-                if answer.age_seconds is not None:
-                    max_age = (
-                        answer.age_seconds if max_age is None
-                        else max(max_age, answer.age_seconds)
-                    )
+        staleness-bounded result (and :attr:`fragment`'s runs)."""
+        replicas = [a for a in self._answers if a.replica is not None]
+        # Each run is one document in document order, so the sorted
+        # answer is the runs in doc-id order, end to end.
+        self._runs = sorted(
+            chain.from_iterable(answer.runs for answer in self._answers),
+            key=attrgetter("doc_id"),
+        )
         return ScatterResult(
-            rows=tuple(sorted(rows)),
+            rows=tuple(chain.from_iterable(run.rows for run in self._runs)),
             shards_queried=len(self.targets),
             elapsed_seconds=time.perf_counter() - self.started,
             partial=bool(self._failures),
             failed_shards=tuple(self._failures),
-            replica_reads=replica_reads,
-            max_replica_lag_writes=max_lag,
-            max_replica_age_seconds=max_age,
+            replica_reads=len(replicas),
+            max_replica_lag_writes=max(
+                (a.lag_writes for a in replicas if a.lag_writes is not None),
+                default=None,
+            ),
+            max_replica_age_seconds=max(
+                (a.age_seconds for a in replicas
+                 if a.age_seconds is not None),
+                default=None,
+            ),
         )
 
     def _finish_query(self, outcome: str, error_text: str | None) -> None:

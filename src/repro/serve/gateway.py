@@ -26,13 +26,17 @@ that stays usable.
 **Division of labour.**  The event loop does only cheap, non-blocking
 work: HTTP parsing, XPath parsing, the optional DTD/path-summary lint
 (unsatisfiable queries short-circuit to an empty answer with zero SQL),
-per-client quota admission, and shard-map target resolution.  Execution
-always happens off-loop, and both routes run the executor's one request
-path (:class:`~repro.serve.executor.ScatterStream`): materialized
-queries hand its blocking driver
-(:meth:`~repro.serve.executor.QueryExecutor.query`) to a small dispatch
-pool; streamed queries await its per-shard futures as asyncio
-awaitables.  Nothing on the loop ever touches SQLite.
+per-client quota admission, shard-map target resolution, and opening
+the executor's one request path
+(:class:`~repro.serve.executor.ScatterStream`): admission plus the
+result-cache lookups.  A stream *settled* by then — every shard a hit —
+is finished and answered from the loop in one write, spliced from wire
+fragments cached beside the rows.  Execution always happens off-loop:
+materialized queries hand the stream's blocking driver
+(:meth:`~repro.serve.executor.ScatterStream.gather`) to a small
+dispatch pool; streamed queries await the owed reads' futures as
+asyncio awaitables.  Nothing on the loop ever touches SQLite, a pooled
+connection or a wait (:mod:`repro.analysis.concurrency` rule C006).
 
 **Admission is layered.**  A per-client token bucket
 (:class:`ClientQuotas`) sheds abusive clients *before* any work, with a
@@ -83,7 +87,7 @@ from repro.obs.ops import (
     snapshot_document,
     to_prometheus,
 )
-from repro.serve.executor import outcome_for
+from repro.serve.executor import ScatterStream
 from repro.serve.protocol import (
     ANONYMOUS_CLIENT,
     CLIENT_HEADER,
@@ -95,7 +99,8 @@ from repro.serve.protocol import (
     ndjson_line,
     parse_json_body,
     parse_query_params,
-    result_body,
+    result_line,
+    rows_event,
 )
 from repro.xpath.parser import parse_xpath
 
@@ -126,6 +131,15 @@ XPATH_PARSE_CACHE = 256
 QUERY_ROUTES = ("query", "query_stream")
 OPS_ROUTES = ("healthz", "metrics", "snapshot", "stats")
 ROUTES = (*QUERY_ROUTES, *OPS_ROUTES, "other")
+
+
+#: The zero-length chunk that ends a chunked response.
+_LAST_CHUNK = b"0\r\n\r\n"
+
+
+def _chunk(payload: bytes) -> bytes:
+    """*payload* framed as one HTTP/1.1 chunk."""
+    return b"%x\r\n%b\r\n" % (len(payload), payload)
 
 
 class ClientQuotas:
@@ -425,7 +439,7 @@ class Gateway:
 
     async def _read_request(self, reader):
         """One HTTP request off the wire: ``(method, path, params,
-        headers, body)``, or None when the connection should just
+        headers, body, version)``, or None when the connection should just
         close: EOF, a head or body cut short, or *idle_timeout* seconds
         without a complete request — head and body share the one
         timeout, so a client that stalls mid-body is dropped like one
@@ -452,13 +466,19 @@ class Gateway:
         parts = request_line.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise ProtocolError(f"malformed request line: {request_line!r}")
-        method, target = parts[0].upper(), parts[1]
+        method, target, version = parts[0].upper(), parts[1], parts[2]
         if len(header_lines) > MAX_HEADERS:
             raise ProtocolError("too many request headers")
         headers: dict[str, str] = {}
         for line in header_lines:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Reading on would take the chunk bytes for a second request.
+            raise ProtocolError(
+                "Transfer-Encoding request bodies are not supported; "
+                "send Content-Length"
+            )
         raw_length = headers.get("content-length", "").strip()
         if raw_length:
             try:
@@ -480,14 +500,20 @@ class Gateway:
         body = await reader.readexactly(length) if length else b""
         split = urllib.parse.urlsplit(target)
         params = dict(urllib.parse.parse_qsl(split.query))
-        return method, split.path, params, headers, body
+        return method, split.path, params, headers, body, version
 
     async def _route_request(
-        self, writer, method, path, params, headers, body
+        self, writer, method, path, params, headers, body, version
     ) -> bool:
         """Dispatch one parsed request; returns True when the
-        connection must close (streams always close)."""
-        keep_alive = headers.get("connection", "").lower() != "close"
+        connection must close (streams always close).  HTTP/1.1 keeps
+        the connection unless told ``close``; HTTP/1.0 closes it unless
+        told ``keep-alive``."""
+        connection = headers.get("connection", "").lower()
+        keep_alive = (
+            connection == "keep-alive" if version == "HTTP/1.0"
+            else connection != "close"
+        )
         if path == "/query":
             return await self._handle_query(
                 writer, method, params, headers, body, keep_alive
@@ -624,14 +650,21 @@ class Gateway:
                 status, rows = await self._respond_short_circuit(
                     writer, spec, request_id, started, keep_alive
                 )
-            elif spec.stream:
-                status, first_byte, rows = await self._stream_query(
-                    writer, spec, targets, ctx, request_id
-                )
             else:
-                status, rows = await self._materialized_query(
-                    writer, spec, targets, ctx, request_id, keep_alive
+                # The one door: admission, the result-cache lookups and
+                # every full hit happen right here, on the loop.
+                stream = ScatterStream(
+                    self.executor, spec.xpath, targets,
+                    spec.deadline, spec.read_from, ctx,
                 )
+                if spec.stream:
+                    status, first_byte, rows = await self._stream_query(
+                        writer, stream, spec
+                    )
+                else:
+                    status, rows = await self._materialized_query(
+                        writer, stream, keep_alive
+                    )
         except XmlRelError as error:
             status = http_status(error)
             extra = {}
@@ -676,90 +709,101 @@ class Gateway:
             "short_circuit": True,
         }
         if spec.stream:
-            head = self._head(200, NDJSON_CONTENT_TYPE, chunked=True)
-            writer.write(head)
-            await self._chunk(
+            await self._send(
                 writer,
-                ndjson_line(
+                self._head(200, NDJSON_CONTENT_TYPE, chunked=True),
+                _chunk(ndjson_line(
                     {"event": "start", "request_id": request_id,
                      "shards": 0, "short_circuit": True}
-                ),
-            )
-            await self._chunk(
-                writer,
-                ndjson_line(
+                )),
+                _chunk(ndjson_line(
                     {"event": "end", "outcome": "ok", "rows": 0,
                      "short_circuit": True}
-                ),
+                )),
+                _LAST_CHUNK,
             )
-            await self._end_chunks(writer)
         else:
             await self._respond_json(
                 writer, 200, body, keep_alive=keep_alive
             )
         return 200, 0
 
-    async def _materialized_query(
-        self, writer, spec, targets, ctx, request_id, keep_alive
-    ):
-        """Dispatch the blocking driver (``executor.query``) to the
-        executor's thread world; the loop only awaits the handoff
-        future."""
-        result = await asyncio.get_running_loop().run_in_executor(
-            self._dispatch,
-            functools.partial(
-                self.executor.query,
-                spec.xpath,
-                targets,
-                deadline=spec.deadline,
-                read_from=spec.read_from,
-                ctx=ctx,
-            ),
-        )
+    async def _materialized_query(self, writer, stream, keep_alive):
+        """Answer *stream* as one JSON body: finished right here when
+        settled (every shard a cache hit), else by its blocking driver
+        on the dispatch pool while the loop awaits the hand-off.  The
+        body is a splice of fragments encoded where the SQL ran."""
+        if stream.settled:
+            result = stream.finish()
+        else:
+            handoff = self._dispatch.submit(stream.gather)
+            # gather() finishes the stream on every path it runs; a
+            # hand-off cancelled before it ran (the gateway stopping)
+            # has nobody else to release the slot.
+            handoff.add_done_callback(
+                lambda done: done.cancelled()
+                and stream.finish(asyncio.CancelledError())
+            )
+            result = await asyncio.wrap_future(handoff)
         status = 206 if result.partial else 200
-        await self._respond_json(
+        await self._respond(
             writer,
             status,
-            result_body(result, request_id),
+            JSON_CONTENT_TYPE,
+            result_line(result, stream.request_id, stream.fragment),
             keep_alive=keep_alive,
         )
         return status, len(result.rows)
 
-    async def _stream_query(self, writer, spec, targets, ctx, request_id):
-        """The non-blocking driver of the request: NDJSON rows per
-        shard as each completes, a terminal ``end`` (or ``error``)
-        event as the in-band status line."""
-        stream = self.executor.stream(
-            spec.xpath,
-            targets,
-            deadline=spec.deadline,
-            read_from=spec.read_from,
-            ctx=ctx,
-        )
+    async def _stream_query(self, writer, stream, spec):
+        """Answer *stream* as chunked NDJSON: head, ``start`` event and
+        the rows of every shard answered at open in one write; then
+        rows per shard as each completes; a terminal ``end`` (or
+        ``error``) event as the in-band status line.  A settled stream
+        is the whole response in that one write."""
         first_byte = None
         rows_sent = 0
-        try:
-            # The stream holds an admission slot from here on.  Leaving
-            # this block is the one place it is finished — slot
-            # released, metrics and wide event landed — so every write
-            # that can see a client hangup, the head and the start
-            # event included, sits inside it.
-            with stream:
-                writer.write(
-                    self._head(200, NDJSON_CONTENT_TYPE, chunked=True)
-                )
-                await self._chunk(
-                    writer,
-                    ndjson_line(
-                        {
-                            "event": "start",
-                            "request_id": stream.request_id,
-                            "shards": len(targets),
-                            "xpath": spec.xpath,
-                        }
-                    ),
-                )
+        out = [
+            self._head(200, NDJSON_CONTENT_TYPE, chunked=True),
+            _chunk(ndjson_line(
+                {
+                    "event": "start",
+                    "request_id": stream.request_id,
+                    "shards": len(stream.targets),
+                    "xpath": spec.xpath,
+                }
+            )),
+        ]
+
+        def shard_event(shard, answer) -> bytes:
+            nonlocal rows_sent
+            if answer is None:
+                message = dict(stream.failures()).get(shard, "shard failed")
+                return _chunk(ndjson_line(
+                    {"event": "shard_error", "shard": shard,
+                     "message": message}
+                ))
+            rows_sent += answer.row_count
+            return _chunk(rows_event(shard, answer.fragment))
+
+        async def flush(*last: bytes) -> None:
+            nonlocal first_byte
+            await self._send(writer, *out, *last)
+            del out[:]
+            if first_byte is None:
                 first_byte = time.perf_counter()
+
+        try:
+            # The stream holds an admission slot.  Leaving this block
+            # is the one place it is finished — slot released, metrics
+            # and wide event landed — so every write made before the
+            # last shard is in sits inside it.
+            with stream:
+                stream.submit()
+                out.extend(
+                    shard_event(shard, answer)
+                    for shard, answer in stream.folded
+                )
                 pending = {}
                 for future in stream.futures:
                     wrapped = asyncio.wrap_future(future)
@@ -770,6 +814,7 @@ class Gateway:
                     )
                     pending[wrapped] = future
                 while pending:
+                    await flush()
                     done, _ = await asyncio.wait(
                         pending,
                         timeout=stream.deadline_remaining(),
@@ -777,36 +822,18 @@ class Gateway:
                     )
                     if not done:
                         raise stream.expire()
-                    for wrapped in done:
-                        shard, rows = stream.collect(pending.pop(wrapped))
-                        if rows is None:
-                            message = dict(stream.failures()).get(
-                                shard, "shard failed"
-                            )
-                            await self._chunk(
-                                writer,
-                                ndjson_line(
-                                    {"event": "shard_error", "shard": shard,
-                                     "message": message}
-                                ),
-                            )
-                            continue
-                        rows_sent += len(rows)
-                        await self._chunk(
-                            writer,
-                            ndjson_line(
-                                {"event": "rows", "shard": shard,
-                                 "rows": [list(row) for row in rows]}
-                            ),
-                        )
+                    out.extend(
+                        shard_event(*stream.collect(pending.pop(wrapped)))
+                        for wrapped in done
+                    )
         except XmlRelError as error:
-            await self._chunk(
-                writer,
-                ndjson_line(
-                    {"event": "error", **error_body(error, request_id)}
-                ),
+            await flush(
+                _chunk(ndjson_line(
+                    {"event": "error",
+                     **error_body(error, stream.request_id)}
+                )),
+                _LAST_CHUNK,
             )
-            await self._end_chunks(writer)
             return http_status(error), first_byte, rows_sent
         result = stream.result
         end_event = {
@@ -820,8 +847,7 @@ class Gateway:
                 {"shard": shard, "message": message}
                 for shard, message in result.failed_shards
             ]
-        await self._chunk(writer, ndjson_line(end_event))
-        await self._end_chunks(writer)
+        await flush(_chunk(ndjson_line(end_event)), _LAST_CHUNK)
         return 206 if result.partial else 200, first_byte, rows_sent
 
     # -- response plumbing --------------------------------------------------------
@@ -876,32 +902,24 @@ class Gateway:
         keep_alive: bool = False,
         extra_headers: dict | None = None,
     ) -> None:
-        # One write: one send, one client wake-up per response.
-        writer.write(
+        await self._send(
+            writer,
             self._head(
                 status,
                 content_type,
                 length=len(body),
                 keep_alive=keep_alive,
                 extra_headers=extra_headers,
-            )
-            + body
+            ),
+            body,
         )
-        await writer.drain()
-        self.metrics.counter("gateway.bytes_sent").inc(len(body))
 
-    async def _chunk(self, writer, payload: bytes) -> None:
-        writer.write(
-            f"{len(payload):x}\r\n".encode("latin-1")
-            + payload + b"\r\n"
-        )
+    async def _send(self, writer, *parts: bytes) -> None:
+        """*parts* in one ``write``: one send, one client wake-up."""
+        data = b"".join(parts)
+        writer.write(data)
         await writer.drain()
-        self.metrics.counter("gateway.bytes_sent").inc(len(payload))
-
-    @staticmethod
-    async def _end_chunks(writer) -> None:
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+        self.metrics.counter("gateway.bytes_sent").inc(len(data))
 
     # -- introspection ------------------------------------------------------------
 

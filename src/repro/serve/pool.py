@@ -31,10 +31,11 @@ Two invalidation channels exist for writable shards:
   ship); new acquires build connections against the new file.
 
 **Result cache.**  Beside the plan cache every pool carries a
-:class:`ResultCache`: finished ``(global_doc_id, pre)`` rows per
-``(document, xpath)``, so a multi-document read that repeats one seen
-since the shard's last write executes no SQL and acquires no connection
-(the executor sends single-document requests past it).  Its
+:class:`ResultCache`: one finished :class:`Run` — ``(global_doc_id,
+pre)`` rows *and* their wire fragment — per ``(document, xpath)``, so a
+multi-document read that repeats one seen since the shard's last write
+executes no SQL, acquires no connection and encodes nothing (the
+executor sends single-document requests past it).  Its
 invalidation is a third channel, the **data version**:
 :meth:`ConnectionPool.bump_data_version` (every committed write on the
 shard; :meth:`ConnectionPool.recycle`) drops the whole cache and makes
@@ -63,6 +64,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from collections.abc import Callable
+from typing import NamedTuple
 
 from repro.core.registry import create_scheme
 from repro.errors import Overloaded, StorageError, XmlRelError
@@ -74,23 +76,35 @@ from repro.relational.shardmap import connection_alive
 
 
 #: Rows one pool's :class:`ResultCache` may hold (an empty result
-#: counts as one).  A row is a 2-tuple of ints, about 100 bytes, so a
-#: full cache is about 3 MB per pool.
+#: counts as one).  A row is a 2-tuple of ints, about 100 bytes, plus
+#: about 10 of wire fragment, so a full cache is about 3.5 MB per pool.
 RESULT_CACHE_ROWS = 32_768
 
 
-def _cost(rows: tuple) -> int:
+class Run(NamedTuple):
+    """One document's answer to one XPath: its ``(global_doc_id, pre)``
+    rows in document order and the same rows as the wire carries them
+    (:func:`repro.serve.protocol.encode_rows`) — what the result cache
+    holds and the executor merges."""
+
+    doc_id: int
+    rows: tuple
+    fragment: bytes
+
+
+def _cost(run: Run) -> int:
     """What one cached result charges against the row budget."""
-    return len(rows) or 1
+    return len(run.rows) or 1
 
 
 class ResultCache:
     """Finished per-document query results of one shard file.
 
     Maps ``(global_doc_id, local_doc_id, xpath)`` to that document's
-    ``(global_doc_id, pre)`` rows, LRU-bounded by *rows held*, not by
-    entries.  The global id is part of the key because local ids are
-    sqlite rowids and are reused after a delete: a reader still holding
+    :class:`Run` (rows and wire fragment in one value, so neither can
+    outlive the other), LRU-bounded by *rows held*, not by entries.
+    The global id is part of the key because local ids are sqlite
+    rowids and are reused after a delete: a reader still holding
     pre-delete targets must never publish rows another document's
     readers can hit.
 
@@ -109,7 +123,7 @@ class ResultCache:
         # dict bookkeeping and the rows gauge (class "metrics", ranked
         # inside) only, nothing blocking.
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._entries: OrderedDict[tuple, Run] = OrderedDict()
         self._version = 0
         self._rows = 0
         self._hits = metrics.counter(f"{prefix}.hits")
@@ -120,18 +134,18 @@ class ResultCache:
 
     def lookup(
         self, docs: list[tuple[int, int]], xpath: str
-    ) -> tuple[int, list[tuple | None]]:
+    ) -> tuple[int, list[Run | None]]:
         """``(version, found)``: the current data version and, per
-        ``(global, local)`` pair of *docs*, its cached rows or None."""
-        found: list[tuple | None] = []
+        ``(global, local)`` pair of *docs*, its cached run or None."""
+        found: list[Run | None] = []
         with self._lock:
             entries = self._entries
             for global_doc, local_doc in docs:
                 key = (global_doc, local_doc, xpath)
-                rows = entries.get(key)
-                if rows is not None:
+                run = entries.get(key)
+                if run is not None:
                     entries.move_to_end(key)
-                found.append(rows)
+                found.append(run)
             version = self._version
         hits = len(found) - found.count(None)
         if hits:
@@ -141,12 +155,12 @@ class ResultCache:
         return version, found
 
     def put(
-        self, version: int, doc: tuple[int, int], xpath: str, rows: tuple
+        self, version: int, doc: tuple[int, int], xpath: str, run: Run
     ) -> None:
-        """Publish *rows*, read under *version*, for one document —
+        """Publish *run*, read under *version*, for one document —
         unless the version is dead or the result alone exceeds the
         budget."""
-        cost = _cost(rows)
+        cost = _cost(run)
         if cost > RESULT_CACHE_ROWS:
             return
         evicted = 0
@@ -158,7 +172,7 @@ class ResultCache:
             previous = entries.pop(key, None)
             if previous is not None:
                 self._rows -= _cost(previous)
-            entries[key] = rows
+            entries[key] = run
             self._rows += cost
             while self._rows > RESULT_CACHE_ROWS:
                 _, coldest = entries.popitem(last=False)
@@ -266,7 +280,7 @@ class ConnectionPool:
         self.tracer = tracer
         #: One warm translation cache for the whole pool.
         self.plan_cache = PlanCache()
-        #: Finished rows per (document, xpath); see :class:`ResultCache`.
+        #: Finished runs per (document, xpath); see :class:`ResultCache`.
         self.result_cache = ResultCache(
             self.metrics, f"pool.{name}.result_cache"
         )

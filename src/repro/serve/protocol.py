@@ -39,7 +39,10 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError, error_payload
-from repro.serve.executor import READ_FROM_MODES
+
+#: Where a read may land: the shard primary, or its replicas (with
+#: primary fallback).
+READ_FROM_MODES = ("primary", "replica")
 
 #: Content type of streamed responses.
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
@@ -187,12 +190,45 @@ def ndjson_line(obj: dict) -> bytes:
     ) + b"\n"
 
 
-def result_body(result, request_id: str, short_circuit: bool = False) -> dict:
+def encode_rows(rows) -> bytes:
+    """``(doc_id, pre)`` rows as the wire carries them, without the
+    enclosing brackets: ``[g,p],[g,p]`` (what :func:`ndjson_line` makes
+    of the rows as lists).  The one owner of the row format: responses
+    splice these fragments, encoded on the thread that ran the SQL."""
+    return ",".join(["[%d,%d]" % row for row in rows]).encode("ascii")
+
+
+def join_fragments(fragments) -> bytes:
+    """Row fragments, in order, as one (empty results leave no comma)."""
+    return b",".join([fragment for fragment in fragments if fragment])
+
+
+def rows_event(shard: int, fragment: bytes) -> bytes:
+    """One streamed ``rows`` event around an encoded *fragment*."""
+    return b'{"event":"rows","shard":%d,"rows":[%b]}\n' % (shard, fragment)
+
+
+def result_line(result, request_id: str, fragment: bytes) -> bytes:
+    """``ndjson_line(result_body(result, request_id))`` — the same
+    bytes — spliced around the result's already-encoded *fragment*."""
+    head = ndjson_line({"request_id": request_id})[:-2]
+    tail = ndjson_line(_envelope(result))[1:]
+    return b'%b,"rows":[%b],%b' % (head, fragment, tail)
+
+
+def result_body(result, request_id: str) -> dict:
     """The materialized-response envelope for one
     :class:`~repro.serve.executor.ScatterResult`."""
-    body = {
+    return {
         "request_id": request_id,
         "rows": [list(row) for row in result.rows],
+        **_envelope(result),
+    }
+
+
+def _envelope(result) -> dict:
+    """What a materialized response says besides its id and rows."""
+    body = {
         "row_count": len(result.rows),
         "shards_queried": result.shards_queried,
         "elapsed_seconds": result.elapsed_seconds,
@@ -207,8 +243,6 @@ def result_body(result, request_id: str, short_circuit: bool = False) -> dict:
         body["replica_reads"] = result.replica_reads
         body["max_replica_lag_writes"] = result.max_replica_lag_writes
         body["max_replica_age_seconds"] = result.max_replica_age_seconds
-    if short_circuit:
-        body["short_circuit"] = True
     return body
 
 

@@ -46,6 +46,17 @@ BIB_XML = """\
 </bib>
 """
 
+def free_slots(executor):
+    """How many admission slots a ``QueryExecutor``'s gate hands out
+    right now."""
+    taken = 0
+    while executor._gate.acquire(blocking=False):
+        taken += 1
+    for _ in range(taken):
+        executor._gate.release()
+    return taken
+
+
 BIB_DTD_XML = """\
 <!DOCTYPE bib [
 <!ELEMENT bib (book*, article*)>

@@ -1,4 +1,4 @@
-"""Concurrency analysis: static rules C001–C005, the lock model and
+"""Concurrency analysis: static rules C001–C006, the lock model and
 registry, the ``--json`` report, and the runtime lock-order harness."""
 
 import os
@@ -304,6 +304,95 @@ class Store:
         assert any(
             lock["attr"] == "_shard_locks" and lock["kind"] == "lock_list"
             for lock in locks
+        )
+
+    def test_c006_blocking_call_in_a_coroutine(self, tmp_path):
+        findings, _suppressed, _locks = lint_fixture(
+            tmp_path,
+            """\
+import time
+
+class Server:
+    async def handle(self, writer):
+        session = self.pool.acquire()
+        writer.write(session.db.execute("SELECT 1"))
+        await writer.drain()
+
+async def tick():
+    time.sleep(1)
+""",
+        )
+        assert [(d.code, d.location.rsplit(":", 1)[1]) for d in findings] == [
+            ("C006", "10"), ("C006", "5"), ("C006", "6"),
+        ]
+        assert all(d.is_error for d in findings)
+        assert "async def handle" in findings[1].message
+        assert "blocking acquire call self.pool.acquire" in findings[1].message
+
+    def test_c006_follows_inline_calls_out_of_the_coroutine(self, tmp_path):
+        findings, _suppressed, _locks = lint_fixture(
+            tmp_path,
+            """\
+class Server:
+    async def handle(self, request):
+        def parse(raw):
+            return self.db.query(raw)
+        spec = self._prepare(parse(request))
+        return spec
+
+    def _prepare(self, spec):
+        return self._resolve(spec)
+
+    def _resolve(self, spec):
+        with self.pool.connection() as session:
+            return session
+
+    def offline(self):
+        return self.db.execute("VACUUM")
+""",
+        )
+        assert sorted(d.location.rsplit(":", 1)[1] for d in findings) == [
+            "12", "4",
+        ]
+        assert {d.code for d in findings} == {"C006"}
+        (resolve,) = [d for d in findings if d.location.endswith(":12")]
+        assert "_resolve(), reachable from async def handle" in resolve.message
+
+    def test_c006_exempts_awaited_and_offloaded_calls(self, tmp_path):
+        findings, _suppressed, _locks = lint_fixture(
+            tmp_path,
+            """\
+import asyncio
+
+class Server:
+    async def handle(self, loop):
+        item = await self._queue.get()
+        await self._lock.acquire()
+        await loop.run_in_executor(None, self._blocking)
+        await loop.run_in_executor(None, self.db.execute("SELECT 1"))
+        await asyncio.to_thread(self.pool.acquire)
+        later = lambda: self.pool.acquire()
+        return item, later
+
+    def _blocking(self):
+        return self.db.execute("SELECT 1")
+""",
+        )
+        assert findings == []
+
+    def test_c006_catches_a_seeded_acquire_in_the_gateway(self, tmp_path):
+        """The guardrail on the real module: one pool acquire slipped
+        into the on-loop ``_prepare`` is an error."""
+        source = (SRC_ROOT / "repro/serve/gateway.py").read_text("utf-8")
+        marker = "        short_circuit = False\n"
+        assert source.count(marker) == 1
+        seeded = source.replace(
+            marker, marker + "        self.store.pools[0].acquire()\n"
+        )
+        findings, _suppressed, _locks = lint_fixture(tmp_path, seeded)
+        assert [d.code for d in findings] == ["C006"]
+        assert "_prepare(), reachable from async def _handle_query" in (
+            findings[0].message
         )
 
     def test_syntax_error_is_c000(self, tmp_path):

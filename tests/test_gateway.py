@@ -35,16 +35,20 @@ from repro.errors import (
 from repro.obs.ops import parse_prometheus
 from repro.obs.trace import Tracer
 from repro.obs.top import render_snapshot
+from repro.relational.database import Database
 from repro.reliability import ShardFaultPolicy
 from repro.serve import ShardedStore
+from repro.serve.executor import ScatterStream
 from repro.serve.gateway import ClientQuotas
 from repro.serve.protocol import (
     parse_query_payload,
     parse_query_params,
 )
+from repro.xml import parse_document
 from repro.xml.dtd import parse_dtd
+from repro.xpath import evaluate_nodes
 
-from tests.conftest import BIB_XML
+from tests.conftest import BIB_XML, free_slots
 
 BIB_DTD = """\
 <!ELEMENT bib (book*, article*)>
@@ -735,24 +739,71 @@ class TestWireRobustness:
             body = json.loads(data.partition(b"\r\n\r\n")[2])
             assert "malformed request line" in body["message"]
 
+    def test_http_1_0_closes_unless_asked_to_keep_alive(self, tmp_path):
+        """An HTTP/1.0 client reads to EOF: without ``Connection:
+        keep-alive`` the response must be followed by a close, not by
+        an ``idle_timeout`` wait."""
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            started = time.monotonic()
+            for path in (b"/query?xpath=/bib", b"/healthz"):
+                data = self._raw(
+                    gateway, b"GET " + path + b" HTTP/1.0\r\nHost: x\r\n\r\n"
+                )
+                head, _, body = data.partition(b"\r\n\r\n")
+                assert b"200 OK" in head and b"Connection: close" in head
+                assert json.loads(body)
+            assert time.monotonic() - started < 5.0  # idle_timeout is 30
+            # The other direction: asked to, a 1.0 connection is reused.
+            raw = socket.create_connection(
+                ("127.0.0.1", gateway.port), timeout=5
+            )
+            try:
+                for _ in range(2):
+                    raw.sendall(
+                        b"GET /query?xpath=/bib HTTP/1.0\r\n"
+                        b"Connection: keep-alive\r\n\r\n"
+                    )
+                    data = b""
+                    while not data.endswith(b"}\n"):
+                        data += raw.recv(4096)
+                    assert b"Connection: keep-alive" in data
+            finally:
+                raw.close()
+
+    def test_chunked_request_body_is_refused_once(self, tmp_path):
+        """``Transfer-Encoding: chunked`` used to be read as an empty
+        body and its chunk bytes as a second request: two 400s."""
+        store, _ = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            chunk = json.dumps({"xpath": "/bib"}).encode()
+            data = self._raw(
+                gateway,
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n%b\r\n0\r\n\r\n" % (len(chunk), chunk),
+            )
+            assert data.count(b"HTTP/1.1 ") == 1
+            head, _, body = data.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400")
+            assert b"Connection: close" in head
+            payload = json.loads(body)
+            assert payload["error"] == "ProtocolError"
+            assert "Transfer-Encoding" in payload["message"]
+            assert store.metrics.gauge("serve.in_flight").value == 0
+            assert "serve.queries" not in (
+                store.metrics.snapshot()["counters"]
+            )
+
     def test_a_response_is_one_write(self, tmp_path):
         """Head and body leave in a single ``write``: one send, one
         client wake-up per response."""
         store, _ = _open(tmp_path)
         with store:
             gateway = store.serve_gateway()
-
-            class Recorder:
-                def __init__(self):
-                    self.writes = []
-
-                def write(self, data):
-                    self.writes.append(data)
-
-                async def drain(self):
-                    pass
-
-            writer = Recorder()
+            writer = RecordingWriter()
             asyncio.run(gateway._respond_json(writer, 200, {"ok": True}))
             (sent,) = writer.writes
             head, _, body = sent.partition(b"\r\n\r\n")
@@ -1446,13 +1497,6 @@ class TestGatewayLifecycle:
         with store:
             gateway = store.serve_gateway()
 
-            class HangupWriter:
-                def write(self, data):
-                    raise ConnectionResetError("client went away")
-
-                async def drain(self):
-                    pass
-
             spec = parse_query_payload(
                 {"xpath": "/bib/book", "stream": True}
             )
@@ -1462,14 +1506,9 @@ class TestGatewayLifecycle:
             }
 
             async def hangup():
+                stream = ScatterStream(store.executor, spec.xpath, targets)
                 with pytest.raises(ConnectionResetError):
-                    await gateway._stream_query(
-                        HangupWriter(),
-                        spec,
-                        targets,
-                        gateway.tracer.capture(),
-                        "req-hangup",
-                    )
+                    await gateway._stream_query(HangupWriter(), stream, spec)
 
             # Pre-fix, the first hangup pinned the only slot forever
             # and every later attempt died Overloaded.
@@ -1482,3 +1521,286 @@ class TestGatewayLifecycle:
                 gateway.url + "/query", {"xpath": "/bib/book"}
             )
             assert status == 200 and body["row_count"] > 0
+
+
+# -- the on-loop lane: full result-cache hits answered by the event loop ------
+
+
+class HangupWriter:
+    """A client that is gone by the time the response is written."""
+
+    def write(self, data):
+        raise ConnectionResetError("client went away")
+
+    async def drain(self):
+        pass
+
+
+class RecordingWriter:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+
+    async def drain(self):
+        pass
+
+
+class TestOnLoopLane:
+    XPATH = "/bib/book/title"
+    LIMIT = 2
+
+    @staticmethod
+    def expected(doc_ids):
+        """The evaluator's answer over *doc_ids*, each one ``BIB_XML``."""
+        pres = [
+            node.order_key
+            for node in evaluate_nodes(
+                parse_document(BIB_XML), TestOnLoopLane.XPATH
+            )
+        ]
+        return [(doc_id, pre) for doc_id in sorted(doc_ids) for pre in pres]
+
+    def read(self, gateway, streamed, **fields):
+        """One request through one door: the rows its body decodes to
+        (a streamed body's as the sorted union of its ``rows`` events)."""
+        payload = {"xpath": self.XPATH, "stream": streamed, **fields}
+        if not streamed:
+            status, body = _post(gateway.url + "/query", payload)
+            assert status == 200 and body["row_count"] == len(body["rows"])
+            return [tuple(row) for row in body["rows"]]
+        events = _stream(gateway.url + "/query", payload)
+        assert [events[0]["event"], events[-1]["event"]] == ["start", "end"]
+        return sorted(
+            tuple(row) for event in events if event["event"] == "rows"
+            for row in event["rows"]
+        )
+
+    def test_no_statement_and_no_acquire_on_the_loop_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """Cold, warm, replica-routed and partially invalidated
+        requests through both doors: whoever acquires a connection or
+        runs a statement, it is never the event loop."""
+        store, ids = _open(tmp_path, replicas=1)
+        with store:
+            store.ship_replicas()
+            gateway = store.serve_gateway()
+            loop_thread = gateway._thread.ident
+            acquirers, statements = [], []
+            pools = list(store.pools.values()) + [
+                pool
+                for replicas in store.executor.replica_pools.values()
+                for pool in replicas
+            ]
+            for pool in pools:
+                def acquire(timeout=None, real=pool.acquire):
+                    acquirers.append(threading.get_ident())
+                    return real(timeout)
+
+                monkeypatch.setattr(pool, "acquire", acquire)
+            for name in (
+                "execute", "executemany", "executescript", "_raw_execute"
+            ):
+                def statement(db, *args, _real=getattr(Database, name)):
+                    statements.append(threading.get_ident())
+                    return _real(db, *args)
+
+                monkeypatch.setattr(Database, name, statement)
+
+            def acquired_by(read):
+                before = len(acquirers)
+                assert read() == self.expected(ids)
+                return len(acquirers) - before
+
+            for streamed in (False, True):
+                for pool in pools:
+                    pool.result_cache.invalidate()
+                for route in ("primary", "replica"):
+                    def read():
+                        return self.read(gateway, streamed, read_from=route)
+
+                    assert acquired_by(read) == len(store.pools)  # cold
+                    assert acquired_by(read) == 0  # warm: all on the loop
+                # A write lands between two reads: its shard executes
+                # again (on a worker), the other shards still hit.
+                ids.append(store.store_text(BIB_XML, name="late"))
+                assert acquired_by(lambda: self.read(gateway, streamed)) == 1
+                store.ship_replicas()
+            assert acquirers and statements
+            assert loop_thread not in acquirers
+            assert loop_thread not in statements
+
+    @pytest.mark.parametrize("exit_name", ("hit", "expired", "hangup", "shed"))
+    @pytest.mark.parametrize(
+        "streamed", (False, True), ids=("materialized", "streamed")
+    )
+    def test_every_on_loop_exit_releases_the_slot(
+        self, tmp_path, streamed, exit_name, monkeypatch
+    ):
+        store, ids = _open(tmp_path, max_in_flight=self.LIMIT)
+        with store:
+            gateway = store.serve_gateway()
+            executor = store.executor
+            assert self.read(gateway, streamed) == self.expected(ids)  # warm
+            handed_off = []
+            monkeypatch.setattr(
+                gateway._dispatch, "submit",
+                lambda *args: handed_off.append(args),
+            )
+            payload = {"xpath": self.XPATH, "stream": streamed}
+            if exit_name == "hit":
+                assert self.read(gateway, streamed) == self.expected(ids)
+            elif exit_name == "expired":
+                # A full hit still honours a deadline already missed.
+                status, body = _post(
+                    gateway.url + "/query",
+                    {**payload, "deadline_seconds": 1e-9},
+                    expect_error=True,
+                )
+                assert status == 504 and body["error"] == "DeadlineExceeded"
+            elif exit_name == "hangup":
+                spec = parse_query_payload(payload)
+
+                async def hangup():
+                    stream = ScatterStream(
+                        executor, spec.xpath, store.targets()
+                    )
+                    assert stream.settled
+                    with pytest.raises(ConnectionResetError):
+                        if streamed:
+                            await gateway._stream_query(
+                                HangupWriter(), stream, spec
+                            )
+                        else:
+                            await gateway._materialized_query(
+                                HangupWriter(), stream, False
+                            )
+
+                asyncio.run(hangup())
+            elif exit_name == "shed":
+                held = 0
+                while executor._gate.acquire(blocking=False):
+                    held += 1
+                try:
+                    status, body = _post(
+                        gateway.url + "/query", payload, expect_error=True
+                    )
+                finally:
+                    for _ in range(held):
+                        executor._gate.release()
+                assert status == 429 and body["error"] == "Overloaded"
+            assert handed_off == []  # never left the loop
+            assert _wait_for(
+                lambda: store.metrics.gauge("serve.in_flight").value == 0
+            )
+            assert free_slots(executor) == self.LIMIT
+
+    def test_a_handoff_cancelled_before_it_ran_releases_the_slot(
+        self, tmp_path
+    ):
+        """The miss path: ``gather`` finishes the stream wherever it
+        runs, but a hand-off cancelled while still queued never runs."""
+        store, _ = _open(tmp_path, max_in_flight=self.LIMIT)
+        with store:
+            gateway = store.serve_gateway(max_dispatch_workers=1)
+            wedge = threading.Event()
+            gateway._dispatch.submit(wedge.wait)  # the one worker is busy
+
+            async def cancelled():
+                stream = ScatterStream(
+                    store.executor, self.XPATH, store.targets()
+                )
+                assert not stream.settled
+                task = asyncio.ensure_future(
+                    gateway._materialized_query(
+                        RecordingWriter(), stream, False
+                    )
+                )
+                await asyncio.sleep(0.05)
+                assert free_slots(store.executor) == self.LIMIT - 1
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+
+            try:
+                asyncio.run(cancelled())
+            finally:
+                wedge.set()
+            assert store.metrics.gauge("serve.in_flight").value == 0
+            assert free_slots(store.executor) == self.LIMIT
+
+    @pytest.mark.parametrize(
+        "streamed", (False, True), ids=("materialized", "streamed")
+    )
+    def test_a_full_hit_is_accounted_like_any_request(
+        self, tmp_path, streamed
+    ):
+        """Counters, latency histograms, per-shard histograms and the
+        wide event all land — once, from the one ``finish``."""
+        store, ids = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            log = store.executor.request_log
+            metrics = store.metrics
+            self.read(gateway, streamed)  # warm
+
+            def http_events():
+                return [e for e in log.tail(50) if e["event"] == "http"]
+
+            assert _wait_for(lambda: len(http_events()) == 1)
+            counted = {
+                name: metrics.counter(name).value
+                for name in ("serve.queries", "serve.scatter_queries")
+            }
+            timed = {
+                name: metrics.histogram(name).count
+                for name in ["serve.query_seconds", "serve.query_seconds.ok"]
+                + [f"serve.shard{n}.query_seconds" for n in store.pools]
+            }
+            assert self.read(gateway, streamed) == self.expected(ids)
+            assert _wait_for(lambda: len(http_events()) == 2)
+            for name, before in counted.items():
+                assert metrics.counter(name).value == before + 1, name
+            for name, before in timed.items():
+                assert metrics.histogram(name).count == before + 1, name
+            queries = [e for e in log.tail(50) if e["event"] == "query"]
+            assert len(queries) == 2
+            hit = queries[-1]
+            assert hit["outcome"] == "ok" and hit["rows"] == len(ids) * 2
+            assert [s["result_cache"] for s in hit["per_shard"]] == [
+                "hit"
+            ] * len(store.pools)
+            assert hit["request_id"] == http_events()[-1]["request_id"]
+
+    @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+    def test_a_stream_opens_with_one_write(self, tmp_path, warm):
+        """Head and ``start`` event (and whatever was answered at open)
+        leave together; a full hit is the whole response in one write."""
+        store, ids = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            spec = parse_query_payload({"xpath": self.XPATH, "stream": True})
+            if warm:
+                store.query_all(self.XPATH)
+            writer = RecordingWriter()
+
+            async def respond():
+                stream = ScatterStream(
+                    store.executor, spec.xpath, store.targets()
+                )
+                return await gateway._stream_query(writer, stream, spec)
+
+            status, _first_byte, rows = asyncio.run(respond())
+            assert status == 200 and rows == len(ids) * 2
+            first = writer.writes[0]
+            assert first.startswith(b"HTTP/1.1 200")
+            assert b'{"event":"start"' in first
+            if warm:
+                assert len(writer.writes) == 1
+                assert first.endswith(b"0\r\n\r\n")
+                assert first.count(b'"event":"rows"') == len(store.pools)
+            else:
+                assert len(writer.writes) > 1
+                assert b'"event":"rows"' not in first

@@ -4,22 +4,26 @@ A request over several documents that repeats a ``(document, xpath)``
 is answered without SQL and without a pooled connection; every
 committed write on a shard, and every replica re-ship, drops that
 pool's cache; a request for one document goes past the cache and
-executes.  The suites below hold
-the cache to the in-memory evaluator through generated write/read
-interleavings, race a reader against a writer, pin the row budget and
-the LRU order, and check that a rolled-back write changes nothing.
+executes.  A cache entry is one ``Run`` — rows and their encoded wire
+fragment — so the suites below hold the *response bytes* of every read
+door (embedded, executor stream, gateway materialized and streamed) to
+the in-memory evaluator through generated write/read interleavings,
+race a reader against a writer, pin the row budget and the LRU order,
+and check that a rolled-back write changes nothing.
 
 Runs under ``XMLREL_LOCK_HARNESS=1`` in CI next to the serving suites.
 """
 
+import json
 import shutil
 import sys
 import tempfile
 import threading
+import urllib.request
 from concurrent.futures import as_completed
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
@@ -35,7 +39,16 @@ from repro.reliability.crashsweep import sweep
 from repro.reliability.faults import ShardFaultPolicy, SimulatedCrash
 from repro.serve import ShardedStore
 from repro.serve import pool as pool_module
-from repro.serve.pool import ResultCache
+from repro.serve.pool import ResultCache, Run
+from repro.serve.executor import ScatterResult
+from repro.serve.protocol import (
+    encode_rows,
+    join_fragments,
+    ndjson_line,
+    result_body,
+    result_line,
+    rows_event,
+)
 from repro.xml import parse_document, parse_fragment
 from repro.xml.serialize import serialize
 from repro.xpath import evaluate_nodes
@@ -106,16 +119,18 @@ def cache_stats(store, shard):
 
 class CacheMachine(RuleBasedStateMachine):
     """Writes of every kind interleaved with reads of every kind on a
-    2-shard store with one replica per shard.  Every read is issued
-    twice: both answers equal the evaluator's; the repeat of a request
-    over several documents — a full hit — hands out no connection, the
-    repeat of a single-document request exactly one.  ``verify_ok()``
-    after every step."""
+    2-shard store with one replica per shard, its gateway up.  Every
+    read is issued twice: both answers — for the gateway doors, what
+    the response body decodes to — equal the evaluator's; the repeat of
+    a request over several documents — a full hit — hands out no
+    connection, the repeat of a single-document request exactly one.
+    ``verify_ok()`` after every step."""
 
     def __init__(self):
         super().__init__()
         self.directory = tempfile.mkdtemp(prefix="xmlrel-result-cache-")
         self.store = open_store(self.directory, replicas=1)
+        self.gateway = self.store.serve_gateway()
         #: doc id -> the DOM the primary must equal.
         self.docs = {}
         #: shard -> {local doc id: DOM} as of that shard's last ship.
@@ -213,19 +228,53 @@ class CacheMachine(RuleBasedStateMachine):
             for shard in self.store.pools
         }
         stream = self.store.executor.stream(xpath, targets)
-        rows = []
+        answers = [answer for _, answer in stream.folded]
         try:
             for future in as_completed(stream.futures, timeout=10):
-                rows.extend(stream.collect(future)[1])
+                answers.append(stream.collect(future)[1])
         finally:
             result = stream.finish()
-        assert sorted(rows) == list(result.rows)
+        rows = sorted(
+            row for answer in answers for run in answer.runs
+            for row in run.rows
+        )
+        assert rows == list(result.rows)
+        assert json.loads(b"[" + stream.fragment + b"]") == [
+            list(row) for row in rows
+        ]
+        return rows
+
+    def _http(self, xpath, route, streamed):
+        """The rows one gateway response body decodes to: materialized
+        as sent, streamed as the sorted union of its ``rows`` events."""
+        request = urllib.request.Request(
+            self.gateway.url + "/query",
+            data=json.dumps(
+                {"xpath": xpath, "read_from": route, "stream": streamed}
+            ).encode(),
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=10) as response:
+            raw = response.read()
+        if not streamed:
+            body = json.loads(raw)
+            assert body["row_count"] == len(body["rows"])
+            return [tuple(row) for row in body["rows"]]
+        events = [json.loads(line) for line in raw.splitlines()]
+        assert events[0]["event"] == "start"
+        assert events[-1]["event"] == "end"
+        rows = [
+            tuple(row) for event in events if event["event"] == "rows"
+            for row in event["rows"]
+        ]
+        assert events[-1]["rows"] == len(rows)
         return sorted(rows)
 
     @rule(
         pick=PICK,
         mode=st.sampled_from(
-            ("doc", "scatter", "stream", "replica_doc", "replica_scatter")
+            ("doc", "scatter", "stream", "replica_doc", "replica_scatter",
+             "http", "http_stream", "replica_http", "replica_http_stream")
         ),
     )
     def read(self, pick, mode):
@@ -246,6 +295,11 @@ class CacheMachine(RuleBasedStateMachine):
                 ]
         elif mode == "stream":
             doc_ids, run = sorted(self.docs), self._streamed
+        elif "http" in mode:
+            doc_ids = sorted(self.docs)
+
+            def run(xpath):
+                return self._http(xpath, route, mode.endswith("stream"))
         else:
             doc_ids = sorted(self.docs)
 
@@ -271,6 +325,47 @@ CacheMachine.TestCase.settings = settings(
     max_examples=50, stateful_step_count=30, deadline=None
 )
 TestGeneratedInterleavings = CacheMachine.TestCase
+
+
+# -- (a') the wire fragments a cache entry carries ---------------------------------
+
+
+ROWS = st.lists(
+    st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=40
+).map(tuple)
+
+
+class TestWireFragments:
+    @given(rows=ROWS)
+    def test_a_fragment_decodes_to_its_rows(self, rows):
+        fragment = encode_rows(rows)
+        assert json.loads(b"[" + fragment + b"]") == [list(r) for r in rows]
+        assert fragment == ndjson_line([list(r) for r in rows])[1:-2]
+
+    @given(runs=st.lists(ROWS, max_size=6))
+    def test_joined_fragments_are_the_fragment_of_the_joined_rows(self, runs):
+        joined = join_fragments(encode_rows(rows) for rows in runs)
+        assert joined == encode_rows([row for rows in runs for row in rows])
+
+    @given(rows=ROWS, partial=st.booleans(), replicas=st.integers(0, 2))
+    def test_spliced_bodies_are_the_encoded_dicts(self, rows, partial, replicas):
+        """The gateway splices; the parent encoded these dicts — same
+        bytes, so same fields in the same order."""
+        result = ScatterResult(
+            rows=rows, shards_queried=3, elapsed_seconds=0.00123,
+            partial=partial,
+            failed_shards=((1, 'shard "1" is down'),) if partial else (),
+            replica_reads=replicas,
+            max_replica_lag_writes=4 if replicas else None,
+            max_replica_age_seconds=0.5 if replicas else None,
+        )
+        fragment = encode_rows(rows)
+        assert result_line(result, 'req-"7"', fragment) == ndjson_line(
+            result_body(result, 'req-"7"')
+        )
+        assert rows_event(2, fragment) == ndjson_line(
+            {"event": "rows", "shard": 2, "rows": [list(r) for r in rows]}
+        )
 
 
 # -- (b) a reader racing a writer ---------------------------------------------------
@@ -421,7 +516,8 @@ class TestBudget:
 
     @staticmethod
     def rows(doc, count):
-        return tuple((doc, pre) for pre in range(count))
+        rows = tuple((doc, pre) for pre in range(count))
+        return Run(doc, rows, encode_rows(rows))
 
     def held(self, cache, docs):
         """Which of *docs* are cached, asked without touching the
@@ -437,7 +533,7 @@ class TestBudget:
 
     def test_an_empty_result_counts_one_row(self, cache):
         for doc in range(11):
-            cache.put(0, (doc, doc), "//x", ())
+            cache.put(0, (doc, doc), "//x", self.rows(doc, 0))
         stats = cache.stats()
         assert (stats["rows"], stats["entries"], stats["evictions"]) == (
             10, 10, 1,

@@ -3,7 +3,7 @@
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, as_completed, wait
 from dataclasses import replace
 
 import pytest
@@ -27,7 +27,7 @@ from repro.serve import executor as executor_module
 from repro.xml.parser import parse_document
 from repro.xpath import evaluate_nodes
 
-from .conftest import BIB_XML
+from .conftest import BIB_XML, free_slots
 
 THREADS = 8
 
@@ -560,19 +560,13 @@ EXITS = {
     "fail_fast": ({"on_shard_error": "fail"}, ShardError, "shard_error"),
     "raw_error": ({}, RuntimeError, "error"),
     "empty": ({}, None, "ok"),
+    # The lookup-phase lane: every shard a full result-cache hit,
+    # answered (or refused) by the thread that opened the stream.
+    "hit": ({}, None, "ok"),
+    "hit_deadline": ({}, DeadlineExceeded, "deadline_exceeded"),
 }
 
 MAX_IN_FLIGHT = 2
-
-
-def free_slots(executor):
-    """How many admission slots the gate hands out right now."""
-    taken = 0
-    while executor._gate.acquire(blocking=False):
-        taken += 1
-    for _ in range(taken):
-        executor._gate.release()
-    return taken
 
 
 def evaluator_rows(ids, xpath):
@@ -630,6 +624,10 @@ class TestOneRequestPath:
             elif exit_name == "shed":
                 while executor._gate.acquire(blocking=False):
                     held += 1
+            elif exit_name.startswith("hit"):
+                store.query_all("//book")
+                if exit_name == "hit_deadline":
+                    kwargs["deadline"] = 0.0
             seconds = store.metrics.histogram("serve.query_seconds")
             observed, logged = seconds.count, len(log.tail())
             del opened_streams[:]
@@ -656,6 +654,9 @@ class TestOneRequestPath:
             settled()
             # finish() again — bare or with a late error — changes nothing.
             (stream,) = opened_streams
+            if exit_name.startswith("hit"):
+                # Never left the opening thread: nothing was submitted.
+                assert not stream.futures
             first = stream.result
             assert stream.finish() is first
             assert stream.finish(RuntimeError("late")) is first
@@ -788,7 +789,7 @@ class TestOneRequestPath:
             assert free_slots(executor) == MAX_IN_FLIGHT
 
     def test_fast_lane_reads_on_the_caller_and_stream_never_does(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         tracer = Tracer()
         store, ids = open_rr(tmp_path, tracer=tracer)
@@ -802,17 +803,50 @@ class TestOneRequestPath:
             # Doc-scoped query(): the whole read, SQL included, ran here.
             assert {span.thread_id for span in root.walk()} == {me}
 
-            for targets in (store.targets(ids[0]), store.targets()):
+            acquirers = []
+            for pool in store.pools.values():
+                def recording(timeout=None, acquire=pool.acquire):
+                    acquirers.append(threading.get_ident())
+                    return acquire(timeout)
+
+                monkeypatch.setattr(pool, "acquire", recording)
+
+            def streamed(targets):
+                """One stream() driven to its end: the stream, and its
+                request's spans by name."""
                 tracer.reset()
-                assert drive_stream(store, "//title", targets).rows
+                stream = store.executor.stream("//title", targets)
+                owed = len(stream.futures)
+                with stream:
+                    for future in as_completed(stream.futures, timeout=10):
+                        stream.collect(future)
+                assert stream.result.rows
                 (root,) = [
                     r for r in tracer.roots if r.name == "serve.query"
                 ]
-                reads = [
-                    span for span in root.walk()
-                    if span.name in ("serve.shard", "serve.execute",
-                                     "sql.statement")
-                ]
-                assert reads
-                # stream(): no read, however small, runs on its caller.
-                assert me not in {span.thread_id for span in reads}
+                spans = {}
+                for span in root.walk():
+                    spans.setdefault(span.name, []).append(span)
+                return owed, spans
+
+            # Cold (and doc-scoped, which never consults the cache):
+            # every shard owes its read to the worker pool.
+            for targets in (store.targets(ids[0]), store.targets()):
+                owed, spans = streamed(targets)
+                assert owed == len(targets)
+                assert spans["sql.statement"]
+                for name in ("serve.shard", "serve.execute", "sql.statement"):
+                    assert me not in {s.thread_id for s in spans[name]}
+            # Warm: every shard is a full hit, answered right here —
+            # nothing submitted, nothing acquired, no statement.
+            acquired = len(acquirers)
+            owed, spans = streamed(store.targets())
+            assert owed == 0
+            assert "sql.statement" not in spans
+            assert {s.thread_id for s in spans["serve.shard"]} == {me}
+            assert {
+                s.attributes["result_cache"] for s in spans["serve.execute"]
+            } == {"hit"}
+            assert len(acquirers) == acquired
+            # No statement and no acquire ever ran on stream()'s caller.
+            assert acquirers and me not in acquirers
