@@ -11,7 +11,7 @@ Two measurements over :class:`~repro.serve.ShardedStore`:
   *minimum* — the noise in a warm query is strictly additive, so the
   min is the clean estimate of intrinsic cost.  The acceptance gate: full telemetry adds ≤ 5% to
   the aggregate warm doc-scoped latency (best trial of three).
-* **ops surface under write load** — the E17 write mix (subtree
+* **ops surface under write load** — a write mix (subtree
   inserts/deletes) churns in the background while readers query; the
   gateway's ``/metrics`` route is scraped mid-load and must parse as
   Prometheus text exposition with windowed per-shard p99 samples, and
@@ -47,7 +47,7 @@ DOCUMENTS = 4
 #: (a few tens of microseconds) must disappear into the noise floor.
 SCALE = 1.0
 
-#: Doc-scoped query shapes of the auction workload (same as E16).
+#: Doc-scoped query shapes of the auction workload.
 DOC_QUERIES = (
     "/site/people/person/name",
     "/site/open_auctions/open_auction/bidder/increase",
@@ -244,8 +244,8 @@ def test_e18_telemetry(tmp_path):
         title="Telemetry plane overhead and live ops surface",
         workload=(
             f"auction sf={SCALE} x{DOCUMENTS} docs; {SHARDS}-shard "
-            f"store; interleaved warm doc-scoped queries; E17 write "
-            f"mix under /metrics scrapes"
+            f"store; interleaved warm doc-scoped queries; subtree "
+            f"write mix under /metrics scrapes"
         ),
         expectation=(
             "full telemetry (tracer + windows + wide events + gateway "

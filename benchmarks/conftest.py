@@ -1,4 +1,4 @@
-"""Shared fixtures for the experiment suite (E1–E12).
+"""Shared fixtures for the experiment suite (E1–E15, E18, A1).
 
 Documents and populated stores are built once per session; every bench
 draws from them.  Scale factors are laptop-sized — the experiments
@@ -6,8 +6,6 @@ compare *shapes* across schemes, which are scale-stable (see DESIGN.md).
 """
 
 import os
-import sys
-import time
 
 import pytest
 
@@ -69,35 +67,6 @@ def pytest_sessionfinish(session, exitstatus):
 def bench_database(path=":memory:"):
     """A database under the suite-wide durability profile."""
     return Database(path, profile=PROFILE, tracer=SESSION_TRACER)
-
-
-def peak_rss_kb():
-    """Peak resident set size of this process, in KiB.
-
-    Reads ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` (KiB on Linux).
-    The value is **monotonic** — it never goes back down — so a
-    memory-budget comparison must run the low-memory contender *first*:
-    once a memory-hungry phase has run, every later reading includes its
-    peak.
-    """
-    import resource
-
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # macOS reports bytes; Linux reports KiB.  Normalize to KiB.
-    if sys.platform == "darwin":
-        usage //= 1024
-    return usage
-
-
-def measure_throughput(fn, *args, **kwargs):
-    """Run *fn* once, returning ``(result, elapsed_seconds, rss_growth_kb)``
-    where the growth is peak RSS after minus peak RSS before (0 when the
-    call stayed under the process's previous high-water mark)."""
-    rss_before = peak_rss_kb()
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    elapsed = time.perf_counter() - started
-    return result, elapsed, max(0, peak_rss_kb() - rss_before)
 
 
 def scheme_kwargs(name, dtd_factory=auction_dtd):

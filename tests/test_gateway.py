@@ -14,13 +14,6 @@ import urllib.request
 import pytest
 
 from repro.analysis import XPathAnalyzer
-from repro.bench.loadgen import (
-    LoadReport,
-    Sample,
-    percentile,
-    run_load,
-    saturation_knee,
-)
 from repro.errors import (
     DeadlineExceeded,
     DocumentNotFoundError,
@@ -310,6 +303,70 @@ class TestGatewayQueries:
             assert streamed == list(expected.rows)
             assert events[-1]["outcome"] == "ok"
             assert events[-1]["rows"] == len(expected.rows)
+
+    def test_a_stream_delivers_fast_shards_before_a_stalled_one(
+        self, tmp_path
+    ):
+        """What streaming is for, as a fault-policy fact instead of a
+        latency statistic: with one shard stalled and nothing cached,
+        the other shards' ``rows`` chunks reach the client well before
+        the stall elapses and only ``end`` waits for it, while the
+        materialized response's first byte waits for the slowest
+        shard.  A gateway that buffered the stream until the last shard
+        fails the first assertion."""
+        stall = 0.3
+
+        def timed(name, payload):
+            """One request against a fresh (so uncached) store with
+            shard 1 stalled: ``(seconds to the response head, [(seconds,
+            body line), ...])``."""
+            policy = ShardFaultPolicy()
+            store, _ = _open(tmp_path, name, fault_policy=policy)
+            with store:
+                gateway = store.serve_gateway()
+                policy.stall_shard(1, stall)
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", gateway.port, timeout=10
+                )
+                try:
+                    started = time.monotonic()
+                    connection.request(
+                        "POST", "/query", body=json.dumps(payload)
+                    )
+                    response = connection.getresponse()
+                    head = time.monotonic() - started
+                    lines = [
+                        (time.monotonic() - started, json.loads(line))
+                        for line in response
+                    ]
+                finally:
+                    connection.close()
+                assert _wait_for(
+                    lambda: store.metrics.gauge("serve.in_flight").value
+                    == 0
+                )
+                assert free_slots(store.executor) == (
+                    store.executor.max_in_flight
+                )
+            return head, lines
+
+        head, events = timed(
+            "streamed", {"xpath": "/bib/book/title", "stream": True}
+        )
+        chunks = [(at, e) for at, e in events if e["event"] == "rows"]
+        assert len(chunks) == 3 and chunks[-1][1]["shard"] == 1
+        assert head < stall / 2
+        assert all(at < stall / 2 for at, _ in chunks[:2])
+        assert chunks[-1][0] >= stall and events[-1][0] >= stall
+        assert events[-1][1]["event"] == "end"
+        assert events[-1][1]["outcome"] == "ok"
+
+        head, (only,) = timed("materialized", {"xpath": "/bib/book/title"})
+        assert head >= stall
+        assert sorted(
+            tuple(row) for _, e in chunks for row in e["rows"]
+        ) == [tuple(row) for row in only[1]["rows"]]
+        assert only[1]["row_count"] == events[-1][1]["rows"] > 0
 
     def test_bad_requests(self, tmp_path):
         store, _ = _open(tmp_path)
@@ -1314,114 +1371,6 @@ class TestOpsRoutes:
                 thread.name for thread in threading.enumerate()
             }
         assert _listening_inodes() <= before
-
-
-# -- the load generator -------------------------------------------------------
-
-
-class TestLoadgen:
-    def test_percentile(self):
-        assert percentile([], 0.5) is None
-        assert percentile([3.0], 0.99) == 3.0
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0.0) == 1.0
-        assert percentile(values, 1.0) == 4.0
-        assert percentile(values, 0.5) == pytest.approx(2.5)
-
-    def test_open_loop_against_live_gateway(self, tmp_path):
-        store, _ = _open(tmp_path)
-        with store:
-            gateway = store.serve_gateway()
-            report = run_load(
-                gateway.url,
-                xpath="/bib/book/title",
-                rate=40,
-                duration=0.5,
-            )
-            summary = report.to_dict()
-            assert summary["requests"] >= 20
-            assert summary["ok"] == summary["requests"]
-            assert summary["statuses"] == {
-                "200": summary["requests"]
-            }
-            assert summary["latency_seconds"]["p50"] > 0
-            assert summary["first_byte_seconds"]["p50"] > 0
-
-    def test_streamed_load_measures_first_row(self, tmp_path):
-        store, _ = _open(tmp_path)
-        with store:
-            gateway = store.serve_gateway()
-            report = run_load(
-                gateway.url,
-                xpath="/bib/book/title",
-                rate=20,
-                duration=0.5,
-                stream=True,
-            )
-            summary = report.to_dict()
-            assert summary["ok"] > 0
-            first_row = summary["first_row_seconds"]["p50"]
-            full = summary["latency_seconds"]["p50"]
-            assert first_row is not None and first_row <= full
-
-    def test_achieved_rate_excludes_completion_drain(self):
-        """One near-timeout straggler stretches duration_seconds but
-        must not deflate achieved_rate below the knee criterion."""
-        report = LoadReport(
-            offered_rate=100.0,
-            duration_seconds=11.0,  # 1s of arrivals + 10s of drain
-            arrival_seconds=1.0,
-        )
-        for _ in range(100):
-            report.samples.append(Sample(status=200, latency=0.01))
-        summary = report.to_dict()
-        assert summary["achieved_rate"] == pytest.approx(100.0)
-        assert summary["arrival_seconds"] == pytest.approx(1.0)
-        assert summary["drain_seconds"] == pytest.approx(10.0)
-        # An un-saturated server with one slow tail is not a knee.
-        assert saturation_knee([report]) is None
-
-    def test_achieved_rate_counts_only_completed(self):
-        report = LoadReport(
-            offered_rate=100.0,
-            duration_seconds=1.0,
-            arrival_seconds=1.0,
-        )
-        for _ in range(50):
-            report.samples.append(Sample(status=200, latency=0.01))
-        for _ in range(50):
-            report.samples.append(
-                Sample(status=0, latency=1.0, error="TimeoutError: x")
-            )
-        summary = report.to_dict()
-        assert summary["achieved_rate"] == pytest.approx(50.0)
-
-    def test_saturation_knee_detection(self):
-        def synthetic(rate, p99, shed=0, total=100):
-            report = LoadReport(
-                offered_rate=rate, duration_seconds=1.0
-            )
-            for i in range(total - shed):
-                report.samples.append(
-                    Sample(status=200, latency=p99)
-                )
-            for _ in range(shed):
-                report.samples.append(
-                    Sample(status=429, latency=0.001)
-                )
-            return report
-
-        healthy = [synthetic(50, 0.005), synthetic(100, 0.006)]
-        assert saturation_knee(healthy) is None
-        saturated = healthy + [synthetic(200, 0.005, shed=30)]
-        knee = saturation_knee(saturated)
-        assert knee is not None
-        assert knee["offered_rate"] == 200
-        assert "shed" in knee["reason"]
-        blown = healthy + [synthetic(400, 0.1)]
-        knee = saturation_knee(blown)
-        assert knee["offered_rate"] == 400
-        assert "p99" in knee["reason"]
 
 
 # -- lifecycle ----------------------------------------------------------------

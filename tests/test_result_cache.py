@@ -667,6 +667,59 @@ class TestHits:
             with pytest.raises(DeadlineExceeded):
                 store.query_pres(doc, "//item", deadline=0.0)
 
+    def test_a_cached_answer_outlives_its_shards_connections(
+        self, tmp_path
+    ):
+        """A shard whose every statement fails is only *down* for a
+        request that has to reach it: the cached answer is complete
+        (no committed write can have happened on a shard that is down,
+        so the entry's version is still current), a miss is partial and
+        names the shard, and healing makes both complete."""
+        policy = ShardFaultPolicy()
+        with open_store(
+            tmp_path, shards=3, on_shard_error="partial",
+            fault_policy=policy,
+        ) as store:
+            for n in range(6):
+                store.store_text(TEMPLATES[0], name=f"d{n}")
+            url = store.serve_gateway().url + "/query"
+
+            def http(xpath):
+                request = urllib.request.Request(
+                    url, data=json.dumps({"xpath": xpath}).encode(),
+                    method="POST",
+                )
+                with urllib.request.urlopen(request, timeout=10) as reply:
+                    return reply.status, json.loads(reply.read())
+
+            warm = store.query_all("//item")
+            policy.fail_shard(1)
+            before = acquires(store)
+            cached = store.query_all("//item")
+            status, body = http("//item")
+            assert acquires(store) == before
+            assert not cached.partial and not cached.failed_shards
+            assert cached.rows == warm.rows
+            assert status == 200 and not body["partial"]
+            assert "failed_shards" not in body
+            assert policy.faults_served == {}
+
+            missed = store.query_all("//box/item")
+            status, body = http("/inventory/shelf/box")
+            assert missed.partial
+            assert [shard for shard, _ in missed.failed_shards] == [1]
+            assert 0 < len(missed.rows) < len(warm.rows)
+            assert status == 206 and body["partial"]
+            assert [f["shard"] for f in body["failed_shards"]] == [1]
+
+            policy.heal_all()
+            for xpath in ("//item", "//box/item"):
+                healed = store.query_all(xpath)
+                assert not healed.partial
+                assert healed.rows == warm.rows
+            status, body = http("/inventory/shelf/box")
+            assert status == 200 and not body["partial"]
+
     def test_a_partial_hit_executes_only_the_missing_documents(
         self, tmp_path
     ):

@@ -21,6 +21,7 @@ index rebuilds, and the ``ingest.*`` telemetry.
 """
 
 import threading
+import tracemalloc
 
 import pytest
 
@@ -494,6 +495,54 @@ def test_store_corpus_parallel_load(tmp_path):
             if name.startswith("ingest.shard")
         ]
         assert len(shard_histograms) == 3
+
+
+def _traced_peak(call):
+    """Peak bytes of Python allocations made while *call* runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_store_corpus_peak_memory_is_not_a_tree(tmp_path):
+    """The ingest lane holds a scanner window, one ``STREAM_BATCH`` of
+    rows and O(depth) frames — a constant (0.95 MB here, and the same
+    for a file twice the size) — where a tree costs ~13x the file.  One
+    generated auction body is tiled into a single 0.4 MB document; the
+    load must fit in 3x the file's size and ``parse_document`` of the
+    same file must not fit in 10x.  tracemalloc sees Python objects
+    only — what a tree would be made of — and slows the lane ~10x,
+    hence the small file; perfbench ``bulk_ingest`` ``peak_rss_mb``
+    gates the process's real footprint at real sizes."""
+    tile = serialize(generate_auction(0.1, seed=3))
+    body_start = tile.index(">", tile.index("<site")) + 1
+    body_end = tile.rindex("</site>")
+    path = tmp_path / "tiled.xml"
+    path.write_text(
+        tile[:body_start] + tile[body_start:body_end] * 9 + tile[body_end:],
+        encoding="utf-8",
+    )
+    warm = tmp_path / "warm.xml"
+    warm.write_text(tile, encoding="utf-8")
+    size = path.stat().st_size
+    with ShardedStore.open(
+        str(tmp_path / "store"), scheme="interval", shards=2,
+        placement="round_robin",
+    ) as store:
+        # First use compiles regexes, imports lazily and creates the
+        # schema; none of that is the lane's working set.
+        store.store_corpus([warm], names=["warm"])
+        streamed = _traced_peak(
+            lambda: store.store_corpus([path], names=["tiled"])
+        )
+        assert sum(store.shard_counts().values()) == 2
+    tree = _traced_peak(
+        lambda: parse_document(path.read_text(encoding="utf-8"))
+    )
+    assert streamed < 3 * size and tree > 10 * size, (streamed, size, tree)
 
 
 def test_store_corpus_mixed_payloads(tmp_path):
