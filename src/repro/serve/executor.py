@@ -45,11 +45,14 @@ shards, never a timing accident.
 
 Result cache: each pool keeps finished per-document runs — rows plus
 their wire fragment (:class:`~repro.serve.pool.Run`) — looked up once
-per routed pool by every request that targets more than one document;
-misses are filled, and encoded, in the one place SQL runs
+per routed pool by every request, one document or many; misses are
+filled, and encoded, in the one place SQL runs
 (``ScatterStream._read_pool``).  Every committed write on a shard, and
-every replica re-ship, drops that pool's cache.  A request for a single
-document is one statement on one connection and executes it.
+every replica re-ship, drops that pool's cache.  There is one read
+path: "doc-scoped" (``len(targets) <= 1`` — it counts *shards*) only
+picks the counter a request lands in, ``serve.doc_scoped_queries`` or
+``serve.scatter_queries``, and :meth:`ScatterStream.gather`'s inline
+lane for the one read such a request can owe.
 
 Replica routing (``read_from="replica"``): when a shard has shipped
 read replicas (``replica_pools``), its read lands on one of them
@@ -155,12 +158,6 @@ class ScatterResult:
     def doc_ids(self) -> list[int]:
         """Distinct matching document ids, in order."""
         return list(dict.fromkeys(doc for doc, _ in self.rows))
-
-
-def _spans_documents(targets: dict[int, list[tuple[int, int]]]) -> bool:
-    """Whether a request's reads go through the pools' result caches:
-    it targets more than one document."""
-    return sum(len(docs) for docs in targets.values()) > 1
 
 
 class QueryExecutor:
@@ -546,7 +543,6 @@ class ScatterStream:
         self._owed: list = []
         #: The merged answer, once :meth:`finish` ran without an error.
         self.result: ScatterResult | None = None
-        self._cached = _spans_documents(targets)
         self._answers: list[ShardAnswer] = []
         self._runs: list[Run] = []
         self._failures: list[tuple[int, str]] = []
@@ -628,7 +624,7 @@ class ScatterStream:
             read = ShardAnswer  # no targeted document: the empty answer
             if docs:
                 pool, replica = self.executor._route(shard, self.route)
-                looked = self._lookup(pool, docs)
+                looked = pool.result_cache.lookup(docs, self.xpath)
                 read = functools.partial(
                     self._read_shard, shard, docs, pool, replica, looked
                 )
@@ -636,15 +632,6 @@ class ScatterStream:
                     self._owed.append((shard, read))
                     continue
             self.folded.append((shard, self._fold(shard, read)))
-
-    def _lookup(
-        self, pool: ConnectionPool, docs: list[tuple[int, int]]
-    ) -> tuple[int, list]:
-        """``(version, found)`` of *docs* in *pool*'s result cache — all
-        misses when the request reads past it (a single document)."""
-        if not self._cached:
-            return 0, [None] * len(docs)
-        return pool.result_cache.lookup(docs, self.xpath)
 
     def _read_shard(
         self,
@@ -688,9 +675,9 @@ class ScatterStream:
                     runs, served = self._read_pool(
                         target, docs,
                         looked if target is pool
-                        else self._lookup(target, docs),
+                        else target.result_cache.lookup(docs, self.xpath),
                     )
-                    if read_span and served is not None:
+                    if read_span:
                         read_span.set(result_cache=served)
                 return runs, served
 
@@ -722,8 +709,7 @@ class ScatterStream:
             if info is not None:
                 info["outcome"] = "ok"
                 info["rows"] = answer.row_count
-                if served is not None:
-                    info["result_cache"] = served
+                info["result_cache"] = served
                 if replica is not None:
                     info["read_from"] = "replica"
                     info["replica"] = replica
@@ -742,14 +728,12 @@ class ScatterStream:
         pool: ConnectionPool,
         docs: list[tuple[int, int]],
         looked: tuple[int, list],
-    ) -> tuple[list[Run], str | None]:
+    ) -> tuple[list[Run], str]:
         """The one place SQL runs for a request.  Returns one
         :class:`~repro.serve.pool.Run` per document plus what the
         pool's result cache did in *looked*: ``"hit"`` (every document
         cached — no connection acquired, no SQL), ``"miss"`` or
-        ``"partial"`` — or None when the request targets a single
-        document and the read went past the cache (nothing looked up,
-        nothing published).
+        ``"partial"``.
 
         A missed document's rows are encoded here, on the thread that
         read them.  The data version came with the lookup, before the
@@ -769,7 +753,6 @@ class ScatterStream:
         misses = found.count(None)
         if not misses:
             return found, "hit"
-        cache = pool.result_cache if self._cached else None
         runs: list[Run] = []
         session = pool.acquire(timeout=timeout)
         try:
@@ -788,11 +771,8 @@ class ScatterStream:
                         )
                     )
                     run = Run(global_doc, rows, encode_rows(rows))
-                    if cache is not None:
-                        cache.put(version, doc, xpath, run)
+                    pool.result_cache.put(version, doc, xpath, run)
                 runs.append(run)
-            if cache is None:
-                return runs, None
             return runs, "miss" if misses == len(docs) else "partial"
         finally:
             pool.release(session)

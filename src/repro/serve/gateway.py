@@ -29,9 +29,10 @@ work: HTTP parsing, XPath parsing, the optional DTD/path-summary lint
 per-client quota admission, shard-map target resolution, and opening
 the executor's one request path
 (:class:`~repro.serve.executor.ScatterStream`): admission plus the
-result-cache lookups.  A stream *settled* by then — every shard a hit —
-is finished and answered from the loop in one write, spliced from wire
-fragments cached beside the rows.  Execution always happens off-loop:
+result-cache lookups.  A stream *settled* by then — every shard a hit,
+whether it names one document or all — is finished and answered from
+the loop in one write, spliced from wire fragments cached beside the
+rows.  Execution always happens off-loop:
 materialized queries hand the stream's blocking driver
 (:meth:`~repro.serve.executor.ScatterStream.gather`) to a small
 dispatch pool; streamed queries await the owed reads' futures as

@@ -33,10 +33,9 @@ Two invalidation channels exist for writable shards:
 **Result cache.**  Beside the plan cache every pool carries a
 :class:`ResultCache`: one finished :class:`Run` — ``(global_doc_id,
 pre)`` rows *and* their wire fragment — per ``(document, xpath)``, so a
-multi-document read that repeats one seen since the shard's last write
-executes no SQL, acquires no connection and encodes nothing (the
-executor sends single-document requests past it).  Its
-invalidation is a third channel, the **data version**:
+read that repeats one seen since the shard's last write — one document
+or many — executes no SQL, acquires no connection and encodes nothing.
+Its invalidation is a third channel, the **data version**:
 :meth:`ConnectionPool.bump_data_version` (every committed write on the
 shard; :meth:`ConnectionPool.recycle`) drops the whole cache and makes
 rows read under the previous version unpublishable.
@@ -75,9 +74,13 @@ from repro.relational.retry import RetryPolicy
 from repro.relational.shardmap import connection_alive
 
 
-#: Rows one pool's :class:`ResultCache` may hold (an empty result
-#: counts as one).  A row is a 2-tuple of ints, about 100 bytes, plus
-#: about 10 of wire fragment, so a full cache is about 3.5 MB per pool.
+#: Row units one pool's :class:`ResultCache` may hold.  A row is a
+#: 2-tuple of ints plus its share of the wire fragment, about 110 bytes;
+#: an entry costs about 330–400 more before its first row (key tuple,
+#: its xpath ``str``, the ``Run``, the fragment object, the dict slot),
+#: which :func:`_cost` charges as 4 rows — so a full cache is about
+#: 3.5 MB per pool, and under 4 MB, whether it holds 32 large answers
+#: or 8 192 empty ones.
 RESULT_CACHE_ROWS = 32_768
 
 
@@ -93,8 +96,11 @@ class Run(NamedTuple):
 
 
 def _cost(run: Run) -> int:
-    """What one cached result charges against the row budget."""
-    return len(run.rows) or 1
+    """What one cached result charges against the row budget: its rows
+    plus the entry itself, which weighs about 4 rows however few it
+    holds (value-literal reads make distinct empty answers the common
+    entry, so a per-row charge alone would not bound bytes)."""
+    return len(run.rows) + 4
 
 
 class ResultCache:
@@ -102,7 +108,9 @@ class ResultCache:
 
     Maps ``(global_doc_id, local_doc_id, xpath)`` to that document's
     :class:`Run` (rows and wire fragment in one value, so neither can
-    outlive the other), LRU-bounded by *rows held*, not by entries.
+    outlive the other), LRU-bounded by what it holds (:func:`_cost`:
+    rows, plus a fixed charge per entry — the ``rows`` gauge and stat
+    report that sum), not by an entry count.
     The global id is part of the key because local ids are sqlite
     rowids and are reused after a delete: a reader still holding
     pre-delete targets must never publish rows another document's

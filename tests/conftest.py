@@ -46,6 +46,16 @@ BIB_XML = """\
 </bib>
 """
 
+def all_pools(store):
+    """Every connection pool of a ``ShardedStore``: the primaries, then
+    each shard's replicas."""
+    return list(store.pools.values()) + [
+        pool
+        for replicas in store.executor.replica_pools.values()
+        for pool in replicas
+    ]
+
+
 def free_slots(executor):
     """How many admission slots a ``QueryExecutor``'s gate hands out
     right now."""

@@ -37,11 +37,11 @@ from repro.serve.protocol import (
     parse_query_payload,
     parse_query_params,
 )
-from repro.xml import parse_document
+from repro.xml import parse_document, parse_fragment
 from repro.xml.dtd import parse_dtd
 from repro.xpath import evaluate_nodes
 
-from tests.conftest import BIB_XML, free_slots
+from tests.conftest import BIB_XML, all_pools, free_slots
 
 BIB_DTD = """\
 <!ELEMENT bib (book*, article*)>
@@ -1501,12 +1501,13 @@ class TestOnLoopLane:
     LIMIT = 2
 
     @staticmethod
-    def expected(doc_ids):
-        """The evaluator's answer over *doc_ids*, each one ``BIB_XML``."""
+    def expected(doc_ids, document=None):
+        """The evaluator's answer over *doc_ids*, each one *document*
+        (``BIB_XML`` as stored, when not given)."""
         pres = [
             node.order_key
             for node in evaluate_nodes(
-                parse_document(BIB_XML), TestOnLoopLane.XPATH
+                document or parse_document(BIB_XML), TestOnLoopLane.XPATH
             )
         ]
         return [(doc_id, pre) for doc_id in sorted(doc_ids) for pre in pres]
@@ -1530,19 +1531,16 @@ class TestOnLoopLane:
         self, tmp_path, monkeypatch
     ):
         """Cold, warm, replica-routed and partially invalidated
-        requests through both doors: whoever acquires a connection or
-        runs a statement, it is never the event loop."""
+        requests — for one document and for all — through both doors:
+        whoever acquires a connection or runs a statement, it is never
+        the event loop."""
         store, ids = _open(tmp_path, replicas=1)
         with store:
             store.ship_replicas()
             gateway = store.serve_gateway()
             loop_thread = gateway._thread.ident
             acquirers, statements = [], []
-            pools = list(store.pools.values()) + [
-                pool
-                for replicas in store.executor.replica_pools.values()
-                for pool in replicas
-            ]
+            pools = all_pools(store)
             for pool in pools:
                 def acquire(timeout=None, real=pool.acquire):
                     acquirers.append(threading.get_ident())
@@ -1558,18 +1556,28 @@ class TestOnLoopLane:
 
                 monkeypatch.setattr(Database, name, statement)
 
-            def acquired_by(read):
+            def acquired_by(read, doc_ids=None):
                 before = len(acquirers)
-                assert read() == self.expected(ids)
+                assert read() == self.expected(doc_ids or ids)
                 return len(acquirers) - before
 
             for streamed in (False, True):
                 for pool in pools:
                     pool.result_cache.invalidate()
                 for route in ("primary", "replica"):
-                    def read():
-                        return self.read(gateway, streamed, read_from=route)
+                    def read(**fields):
+                        return self.read(
+                            gateway, streamed, read_from=route, **fields
+                        )
 
+                    def read_one():
+                        return read(doc_id=ids[0])
+
+                    # One document first: cold it executes on a worker,
+                    # warm it is the loop's, like the scatter after it
+                    # (which finds that one document already cached).
+                    assert acquired_by(read_one, ids[:1]) == 1
+                    assert acquired_by(read_one, ids[:1]) == 0
                     assert acquired_by(read) == len(store.pools)  # cold
                     assert acquired_by(read) == 0  # warm: all on the loop
                 # A write lands between two reads: its shard executes
@@ -1581,26 +1589,175 @@ class TestOnLoopLane:
             assert loop_thread not in acquirers
             assert loop_thread not in statements
 
-    @pytest.mark.parametrize("exit_name", ("hit", "expired", "hangup", "shed"))
+    @pytest.mark.parametrize("route", ("primary", "replica"))
+    @pytest.mark.parametrize(
+        "streamed", (False, True), ids=("materialized", "streamed")
+    )
+    def test_a_warm_single_document_request_never_leaves_the_loop(
+        self, tmp_path, streamed, route, monkeypatch
+    ):
+        """``doc_id`` requests take the same lane as a scatter: the
+        repeat is not handed to the dispatch pool, acquires no
+        connection and runs no statement — on any thread."""
+        store, ids = _open(tmp_path, replicas=1)
+        with store:
+            store.ship_replicas()
+            gateway = store.serve_gateway()
+            doc = ids[1]
+
+            def read():
+                return self.read(
+                    gateway, streamed, doc_id=doc, read_from=route
+                )
+
+            assert read() == self.expected([doc])  # cold: executes
+            handed_off, acquirers, statements = [], [], []
+            monkeypatch.setattr(
+                gateway._dispatch, "submit",
+                lambda *args: handed_off.append(args),
+            )
+            for pool in all_pools(store):
+                monkeypatch.setattr(
+                    pool, "acquire",
+                    lambda timeout=None: acquirers.append(timeout),
+                )
+            for name in (
+                "execute", "executemany", "executescript", "_raw_execute"
+            ):
+                monkeypatch.setattr(
+                    Database, name,
+                    lambda db, *args: statements.append(args),
+                )
+            served = store.metrics.counter("serve.doc_scoped_queries").value
+            for _ in range(3):
+                assert read() == self.expected([doc])
+            assert (handed_off, acquirers, statements) == ([], [], [])
+            assert (
+                store.metrics.counter("serve.doc_scoped_queries").value
+                == served + 3
+            )
+            monkeypatch.undo()  # closing the store runs statements
+
+    WRITES = (
+        "insert_subtree", "delete_subtree", "store_text", "rebalance",
+        "reship",
+    )
+
+    @pytest.mark.parametrize("write", WRITES)
+    @pytest.mark.parametrize(
+        "streamed", (False, True), ids=("materialized", "streamed")
+    )
+    def test_a_single_document_request_reads_its_stores_writes(
+        self, tmp_path, streamed, write
+    ):
+        """Read-your-writes through the gateway: a write between two
+        identical ``doc_id`` requests makes the second equal the
+        evaluator's answer on the *post-write* document — whatever the
+        first one left in the cache."""
+        store, ids = _open(tmp_path, replicas=1)
+        with store:
+            store.ship_replicas()
+            gateway = store.serve_gateway()
+            doc = ids[1]
+            document = parse_document(BIB_XML)
+            route = "replica" if write == "reship" else "primary"
+
+            def read():
+                return self.read(
+                    gateway, streamed, doc_id=doc, read_from=route
+                )
+
+            def insert():
+                fragment = (
+                    "<book year='2002'><title>Late</title>"
+                    "<author><last>Writer</last></author></book>"
+                )
+                root = document.root_element
+                store.insert_subtree(
+                    doc, root.order_key, parse_fragment(fragment), 0
+                )
+                root.insert_child(0, parse_fragment(fragment))
+
+            before = self.expected([doc], document)
+            assert read() == before
+            assert read() == before  # cached now
+            if write in ("insert_subtree", "reship"):
+                insert()
+                if write == "reship":
+                    # The replica's snapshot, and its cache, are as
+                    # shipped until the next ship.
+                    assert read() == before
+                    store.ship_replicas()
+            elif write == "delete_subtree":
+                victim = next(
+                    element for element in document.iter_elements()
+                    if element.tag == "book"
+                )
+                store.delete_subtree(doc, victim.order_key)
+                victim.parent.remove_child(victim)
+            elif write == "store_text":
+                # Another document, round-robined onto some shard: the
+                # answer for this one must not move.
+                for n in range(len(store.pools)):
+                    store.store_text(BIB_XML, name=f"late-{n}")
+            elif write == "rebalance":
+                shard = store.resolve(doc).shard
+                store.rebalance(doc, (shard + 1) % len(store.pools))
+            after = self.expected([doc], document)
+            assert (after != before) == (
+                write in ("insert_subtree", "delete_subtree", "reship")
+            )
+            assert read() == after
+            assert read() == after
+            assert store.verify_ok()
+
+    ON_LOOP_EXITS = ("hit", "expired", "hangup", "shed")
+
+    @pytest.mark.parametrize("exit_name", ON_LOOP_EXITS)
     @pytest.mark.parametrize(
         "streamed", (False, True), ids=("materialized", "streamed")
     )
     def test_every_on_loop_exit_releases_the_slot(
         self, tmp_path, streamed, exit_name, monkeypatch
     ):
+        self.on_loop_exit(tmp_path, streamed, exit_name, monkeypatch, False)
+
+    @pytest.mark.parametrize("exit_name", ON_LOOP_EXITS)
+    @pytest.mark.parametrize(
+        "streamed", (False, True), ids=("materialized", "streamed")
+    )
+    def test_every_on_loop_exit_of_a_single_document_request_releases_the_slot(
+        self, tmp_path, streamed, exit_name, monkeypatch
+    ):
+        self.on_loop_exit(tmp_path, streamed, exit_name, monkeypatch, True)
+
+    def on_loop_exit(
+        self, tmp_path, streamed, exit_name, monkeypatch, one_document
+    ):
+        """A warm request — all documents, or one ``doc_id`` — leaving
+        the loop's lane by *exit_name*: never handed off, slot back."""
         store, ids = _open(tmp_path, max_in_flight=self.LIMIT)
         with store:
             gateway = store.serve_gateway()
             executor = store.executor
-            assert self.read(gateway, streamed) == self.expected(ids)  # warm
+            payload = {"xpath": self.XPATH, "stream": streamed}
+            doc_id = None
+            if one_document:
+                doc_id = payload["doc_id"] = ids[2]
+                ids = [doc_id]
+
+            def read():
+                fields = {} if doc_id is None else {"doc_id": doc_id}
+                return self.read(gateway, streamed, **fields)
+
+            assert read() == self.expected(ids)  # warm
             handed_off = []
             monkeypatch.setattr(
                 gateway._dispatch, "submit",
                 lambda *args: handed_off.append(args),
             )
-            payload = {"xpath": self.XPATH, "stream": streamed}
             if exit_name == "hit":
-                assert self.read(gateway, streamed) == self.expected(ids)
+                assert read() == self.expected(ids)
             elif exit_name == "expired":
                 # A full hit still honours a deadline already missed.
                 status, body = _post(
@@ -1614,7 +1771,7 @@ class TestOnLoopLane:
 
                 async def hangup():
                     stream = ScatterStream(
-                        executor, spec.xpath, store.targets()
+                        executor, spec.xpath, store.targets(doc_id)
                     )
                     assert stream.settled
                     with pytest.raises(ConnectionResetError):

@@ -1,24 +1,26 @@
 """The per-shard result cache (``repro.serve.pool.ResultCache``).
 
-A request over several documents that repeats a ``(document, xpath)``
-is answered without SQL and without a pooled connection; every
-committed write on a shard, and every replica re-ship, drops that
-pool's cache; a request for one document goes past the cache and
-executes.  A cache entry is one ``Run`` — rows and their encoded wire
-fragment — so the suites below hold the *response bytes* of every read
-door (embedded, executor stream, gateway materialized and streamed) to
-the in-memory evaluator through generated write/read interleavings,
-race a reader against a writer, pin the row budget and the LRU order,
-and check that a rolled-back write changes nothing.
+A request that repeats a ``(document, xpath)`` — one document or many,
+there is one read path — is answered without SQL and without a pooled
+connection; every committed write on a shard, and every replica
+re-ship, drops that pool's cache.  A cache entry is one ``Run`` — rows
+and their encoded wire fragment — so the suites below hold the
+*response bytes* of every read door (embedded, executor query and
+stream, gateway materialized and streamed) to the in-memory evaluator
+through generated write/read interleavings, race a reader against a
+writer, pin the row budget (and what a full cache weighs) and the LRU
+order, and check that a rolled-back write changes nothing.
 
 Runs under ``XMLREL_LOCK_HARNESS=1`` in CI next to the serving suites.
 """
 
+import gc
 import json
 import shutil
 import sys
 import tempfile
 import threading
+import tracemalloc
 import urllib.request
 from concurrent.futures import as_completed
 
@@ -35,6 +37,7 @@ from repro.errors import DeadlineExceeded
 from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ops import parse_prometheus, to_prometheus
+from repro.obs.trace import Tracer
 from repro.reliability.crashsweep import sweep
 from repro.reliability.faults import ShardFaultPolicy, SimulatedCrash
 from repro.serve import ShardedStore
@@ -121,9 +124,9 @@ class CacheMachine(RuleBasedStateMachine):
     """Writes of every kind interleaved with reads of every kind on a
     2-shard store with one replica per shard, its gateway up.  Every
     read is issued twice: both answers — for the gateway doors, what
-    the response body decodes to — equal the evaluator's; the repeat of
-    a request over several documents — a full hit — hands out no
-    connection, the repeat of a single-document request exactly one.
+    the response body decodes to — equal the evaluator's; the repeat —
+    a full hit, whether the request names one document or all of them,
+    through any of the five doors — hands out no connection.
     ``verify_ok()`` after every step."""
 
     def __init__(self):
@@ -222,12 +225,8 @@ class CacheMachine(RuleBasedStateMachine):
                 rows.extend(evaluator_rows(doc_id, document, xpath))
         return sorted(rows)
 
-    def _streamed(self, xpath):
-        targets = {
-            shard: self.store.shard_map.docs_for_shard(shard)
-            for shard in self.store.pools
-        }
-        stream = self.store.executor.stream(xpath, targets)
+    def _streamed(self, xpath, targets, route):
+        stream = self.store.executor.stream(xpath, targets, read_from=route)
         answers = [answer for _, answer in stream.folded]
         try:
             for future in as_completed(stream.futures, timeout=10):
@@ -244,14 +243,15 @@ class CacheMachine(RuleBasedStateMachine):
         ]
         return rows
 
-    def _http(self, xpath, route, streamed):
+    def _http(self, xpath, doc_id, route, streamed):
         """The rows one gateway response body decodes to: materialized
         as sent, streamed as the sorted union of its ``rows`` events."""
+        payload = {"xpath": xpath, "read_from": route, "stream": streamed}
+        if doc_id is not None:
+            payload["doc_id"] = doc_id
         request = urllib.request.Request(
             self.gateway.url + "/query",
-            data=json.dumps(
-                {"xpath": xpath, "read_from": route, "stream": streamed}
-            ).encode(),
+            data=json.dumps(payload).encode(),
             method="POST",
         )
         with urllib.request.urlopen(request, timeout=10) as response:
@@ -272,49 +272,51 @@ class CacheMachine(RuleBasedStateMachine):
 
     @rule(
         pick=PICK,
-        mode=st.sampled_from(
-            ("doc", "scatter", "stream", "replica_doc", "replica_scatter",
-             "http", "http_stream", "replica_http", "replica_http_stream")
+        door=st.sampled_from(
+            ("embedded", "query", "stream", "http", "http_stream")
         ),
+        one_document=st.booleans(),
+        replica=st.booleans(),
     )
-    def read(self, pick, mode):
-        """Every query of the pool through one delivery path, twice."""
-        replica = mode.startswith("replica")
+    def read(self, pick, door, one_document, replica):
+        """Every query of the pool through one door, twice — for one
+        document or for all of them, off the primary or a replica."""
         route = "replica" if replica else "primary"
-        if mode.endswith("doc"):
+        doc_id, doc_ids = None, sorted(self.docs)
+        if one_document:
             if not self.docs:
                 return
             doc_id, _ = self._doc(pick)
             doc_ids = [doc_id]
 
-            def run(xpath):
+        def run(xpath):
+            if door == "embedded" and one_document:
                 return [
                     (doc_id, pre) for pre in self.store.query_pres(
                         doc_id, xpath, read_from=route
                     )
                 ]
-        elif mode == "stream":
-            doc_ids, run = sorted(self.docs), self._streamed
-        elif "http" in mode:
-            doc_ids = sorted(self.docs)
-
-            def run(xpath):
-                return self._http(xpath, route, mode.endswith("stream"))
-        else:
-            doc_ids = sorted(self.docs)
-
-            def run(xpath):
+            if door == "embedded":
                 return list(
                     self.store.query_all(xpath, read_from=route).rows
                 )
+            if door == "query":
+                return list(self.store.executor.query(
+                    xpath, self.store.targets(doc_id), read_from=route
+                ).rows)
+            if door == "stream":
+                return self._streamed(
+                    xpath, self.store.targets(doc_id), route
+                )
+            return self._http(xpath, doc_id, route, door == "http_stream")
+
         for xpath in QUERIES:
             expected = self._expected(xpath, doc_ids, replica)
             assert run(xpath) == expected
             before = acquires(self.store)
             assert run(xpath) == expected
-            # One targeted document executes, every time; the repeat of
-            # anything wider ran no SQL.
-            assert acquires(self.store) - before == (len(doc_ids) == 1)
+            # The repeat ran no SQL, however many documents it names.
+            assert acquires(self.store) == before
 
     @invariant()
     def audits_clean(self):
@@ -531,31 +533,67 @@ class TestBudget:
             assert cache.stats()["rows"] <= 10
         assert cache.stats()["evictions"] > 0
 
-    def test_an_empty_result_counts_one_row(self, cache):
-        for doc in range(11):
+    def test_an_empty_result_is_charged_the_entry_floor(self, cache):
+        """An entry weighs about four rows before its first row, so
+        that is what an empty answer costs: two fit in ten, not ten."""
+        for doc in range(3):
             cache.put(0, (doc, doc), "//x", self.rows(doc, 0))
         stats = cache.stats()
         assert (stats["rows"], stats["entries"], stats["evictions"]) == (
-            10, 10, 1,
+            8, 2, 1,
         )
 
     def test_a_result_over_the_budget_is_not_stored(self, cache):
         cache.put(0, (1, 1), "//x", self.rows(1, 4))
         cache.put(0, (2, 2), "//x", self.rows(2, 11))
-        assert self.held(cache, [1, 2]) == [1]
+        cache.put(0, (3, 3), "//x", self.rows(3, 7))  # 7 + the floor
+        assert self.held(cache, [1, 2, 3]) == [1]
         assert cache.stats()["evictions"] == 0
 
     def test_the_coldest_entry_goes_first(self, cache):
-        cache.put(0, (1, 1), "//x", self.rows(1, 4))
-        cache.put(0, (2, 2), "//x", self.rows(2, 4))
+        cache.put(0, (1, 1), "//x", self.rows(1, 1))
+        cache.put(0, (2, 2), "//x", self.rows(2, 1))
         assert self.held(cache, [1]) == [1]  # 1 is now warmer than 2
-        cache.put(0, (3, 3), "//x", self.rows(3, 4))
+        cache.put(0, (3, 3), "//x", self.rows(3, 1))
         assert self.held(cache, [1, 2, 3]) == [1, 3]
 
     def test_replacing_an_entry_recounts_it(self, cache):
         cache.put(0, (1, 1), "//x", self.rows(1, 6))
         cache.put(0, (1, 1), "//x", self.rows(1, 2))
-        assert cache.stats()["rows"] == 2
+        assert cache.stats()["rows"] == pool_module._cost(self.rows(1, 2))
+
+    @pytest.mark.parametrize("rows_each", (0, 1, 64))
+    def test_a_full_cache_stays_under_the_documented_ceiling(self, rows_each):
+        """Single-document value-literal reads make key cardinality
+        unbounded and most answers empty.  Whatever fills it, a full
+        cache at the real budget weighs what ``RESULT_CACHE_ROWS``'s
+        comment says — measured, not computed.  (Charged by rows alone,
+        32 768 empty answers traced 10.2 MB.)"""
+        cache = ResultCache(MetricsRegistry(), "pool.test.result_cache")
+        puts = 2 * pool_module.RESULT_CACHE_ROWS // (rows_each + 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            for n in range(puts):
+                doc = n % 16
+                # Fresh objects throughout, as a request makes them: its
+                # own xpath string, sqlite's ints, the encoded bytes.
+                rows = tuple(
+                    (doc, 1000 + n * rows_each + k) for k in range(rows_each)
+                )
+                cache.put(
+                    0, (doc, doc + 1),
+                    f"/site/people/person[@id = 'person{n:06d}']/name",
+                    Run(doc, rows, encode_rows(rows)),
+                )
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stats = cache.stats()
+        assert stats["evictions"] > 0  # it was full
+        assert stats["rows"] <= pool_module.RESULT_CACHE_ROWS
+        assert traced - baseline < 4_000_000, stats
 
     def test_a_dead_version_is_refused(self, cache):
         version, _ = cache.lookup([(1, 1)], "//x")
@@ -595,7 +633,8 @@ class TestFailedWrites:
             after = cache_stats(store, 0)
             assert after["version"] == warm["version"]
             assert after["invalidations"] == warm["invalidations"]
-            assert after["entries"] == warm["entries"] == 2
+            # Both documents' items, and the root lookup above.
+            assert after["entries"] == warm["entries"] == 3
             # The cached answer and a fresh statement agree: nothing of
             # the rolled-back update is visible either way.
             assert store.query_all("//item").rows == items
@@ -637,25 +676,88 @@ class TestHits:
                 stats = cache_stats(store, shard)
                 assert stats["hits"] == 2 and stats["rows"] > 0
 
-    def test_a_single_document_request_goes_past_the_cache(self, tmp_path):
+    def test_a_single_document_request_is_served_from_the_cache(
+        self, tmp_path
+    ):
         log = RequestLog(capacity=16)
-        with open_store(tmp_path, request_log=log) as store:
+        tracer = Tracer()
+        with open_store(tmp_path, request_log=log, tracer=tracer) as store:
             ids = [
                 store.store_text(TEMPLATES[0], name=f"d{n}") for n in range(4)
             ]
-            scattered = store.query_all("//item")  # caches ids[0]'s rows
+            expected = [
+                pre for _, pre in evaluator_rows(
+                    ids[0], parse_document(TEMPLATES[0]), "//item"
+                )
+            ]
             shard = store.resolve(ids[0]).shard
+            cold = cache_stats(store, shard)
+            assert store.query_pres(ids[0], "//item") == expected
             held = cache_stats(store, shard)
+            assert held["misses"] == cold["misses"] + 1
+            assert held["entries"] == cold["entries"] + 1
             before = acquires(store)
-            for _ in range(2):
-                assert store.query_pres(ids[0], "//item") == [
-                    pre for doc, pre in scattered.rows if doc == ids[0]
-                ]
-            assert acquires(store) == before + 2
-            assert cache_stats(store, shard) == held
+            tracer.reset()
+            assert store.query_pres(ids[0], "//item") == expected
+            assert acquires(store) == before
+            after = cache_stats(store, shard)
+            assert after["hits"] == held["hits"] + 1
+            assert after["misses"] == held["misses"]
+            assert after["entries"] == held["entries"]
             events = [e for e in log.tail() if e["event"] == "query"]
-            assert "result_cache" in events[0]["per_shard"][0]
-            assert "result_cache" not in events[-1]["per_shard"][0]
+            assert [e["per_shard"][0]["result_cache"] for e in events] == [
+                "miss", "hit",
+            ]
+            (root,) = [r for r in tracer.roots if r.name == "serve.query"]
+            spans = {span.name: span for span in root.walk()}
+            assert spans["serve.execute"].attributes["result_cache"] == "hit"
+            assert "sql.statement" not in spans
+            # The entry a single-document read published is the one a
+            # scatter over the same document finds, and the other way
+            # round: one key space, whoever asked first.
+            scattered = store.query_all("//item")
+            assert cache_stats(store, shard)["hits"] == after["hits"] + 1
+            assert [
+                pre for doc, pre in scattered.rows if doc == ids[0]
+            ] == expected
+            before = acquires(store)
+            assert store.query_pres(ids[1], "//item") == [
+                pre for doc, pre in scattered.rows if doc == ids[1]
+            ]
+            assert acquires(store) == before
+
+    def test_doc_scoped_counts_shards_on_hit_and_miss_alike(self, tmp_path):
+        """The one definition of "doc-scoped" left: a request whose
+        targets name at most one shard.  It picks the counter, not the
+        read path — a ``doc_id`` request lands in
+        ``serve.doc_scoped_queries`` whether it executes or hits."""
+        with open_store(tmp_path) as store:
+            ids = [
+                store.store_text(TEMPLATES[0], name=f"d{n}") for n in range(4)
+            ]
+
+            def counted():
+                counters = store.metrics.snapshot()["counters"]
+                return (
+                    counters.get("serve.doc_scoped_queries", 0),
+                    counters.get("serve.scatter_queries", 0),
+                    cache_stats(store, store.resolve(ids[0]).shard)["hits"],
+                )
+
+            start = counted()
+            store.query_pres(ids[0], "//item")          # miss
+            miss = counted()
+            store.query_pres(ids[0], "//item")          # hit
+            hit = counted()
+            assert miss == (start[0] + 1, start[1], start[2])
+            assert hit == (start[0] + 2, start[1], start[2] + 1)
+            # Two documents of one shard are still one shard ...
+            store.executor.query("//item", self.first_two(store))
+            # ... and every shard is a scatter, cached or not.
+            store.query_all("//item")
+            store.query_all("//item")
+            doc_scoped, scatter, _ = counted()
+            assert (doc_scoped, scatter) == (start[0] + 3, start[1] + 2)
 
     def test_a_full_hit_still_honours_an_expired_deadline(self, tmp_path):
         with open_store(tmp_path) as store:

@@ -27,7 +27,7 @@ from repro.serve import executor as executor_module
 from repro.xml.parser import parse_document
 from repro.xpath import evaluate_nodes
 
-from .conftest import BIB_XML, free_slots
+from .conftest import BIB_XML, all_pools, free_slots
 
 THREADS = 8
 
@@ -457,7 +457,9 @@ class TestScatterGather:
         policy = ShardFaultPolicy()
         store, ids = open_rr(tmp_path, fault_policy=policy)
         with store:
-            store.query_pres(ids[0], "//book")  # warm shard 0's pool
+            # Warm shard 0's pool — with another XPath than the stalled
+            # one, which must execute, not hit the result cache.
+            store.query_pres(ids[0], "//title")
             policy.stall_shard(0, 0.4)
             with pytest.raises(DeadlineExceeded):
                 store.query_pres(ids[0], "//book", deadline=0.05)
@@ -466,7 +468,9 @@ class TestScatterGather:
         policy = ShardFaultPolicy()
         store, ids = open_rr(tmp_path, max_in_flight=1, fault_policy=policy)
         with store:
-            store.query_pres(ids[0], "//book")  # warm shard 0's pool
+            # Warm shard 0's pool with another XPath: the background
+            # query has to execute to hold its slot through the stall.
+            store.query_pres(ids[0], "//title")
             policy.stall_shard(0, 0.8)
             background_error = []
 
@@ -601,6 +605,23 @@ class TestOneRequestPath:
     def test_every_exit_releases_the_slot_and_accounts_once(
         self, tmp_path, door, exit_name, opened_streams
     ):
+        self.exit_once(tmp_path, door, exit_name, opened_streams, False)
+
+    @pytest.mark.parametrize(
+        "exit_name", [name for name in EXITS if name != "empty"]
+    )
+    @pytest.mark.parametrize("door", DOORS)
+    def test_every_exit_of_a_single_document_request_does_too(
+        self, tmp_path, door, exit_name, opened_streams
+    ):
+        self.exit_once(tmp_path, door, exit_name, opened_streams, True)
+
+    def exit_once(
+        self, tmp_path, door, exit_name, opened_streams, one_document
+    ):
+        """One request — over every document, or the one on the shard
+        the faults hit — through *door* to *exit_name*: slot released,
+        one latency sample, one wide event, ``finish`` idempotent."""
         options, raises, outcome = EXITS[exit_name]
         policy = ShardFaultPolicy()
         log = RequestLog(capacity=16)
@@ -610,7 +631,10 @@ class TestOneRequestPath:
         )
         with store:
             executor = store.executor
-            targets = {} if exit_name == "empty" else store.targets()
+            targets = store.targets(ids[1] if one_document else None)
+            if exit_name == "empty":
+                targets = {}
+            assert not one_document or list(targets) == [1]
             store.query_all("//title")  # warm every pool
             kwargs = {}
             held = 0
@@ -625,7 +649,7 @@ class TestOneRequestPath:
                 while executor._gate.acquire(blocking=False):
                     held += 1
             elif exit_name.startswith("hit"):
-                store.query_all("//book")
+                store.executor.query("//book", targets)
                 if exit_name == "hit_deadline":
                     kwargs["deadline"] = 0.0
             seconds = store.metrics.histogram("serve.query_seconds")
@@ -713,11 +737,7 @@ class TestOneRequestPath:
                     row for row in expected
                     if store.resolve(row[0]).shard != 1
                 )
-            pools = list(store.pools.values()) + [
-                pool
-                for replicas in store.executor.replica_pools.values()
-                for pool in replicas
-            ]
+            pools = all_pools(store)
             answers, events = {}, {}
             for door, drive in DOORS.items():
                 for pool in pools:  # both doors execute; neither hits
@@ -829,24 +849,36 @@ class TestOneRequestPath:
                     spans.setdefault(span.name, []).append(span)
                 return owed, spans
 
-            # Cold (and doc-scoped, which never consults the cache):
-            # every shard owes its read to the worker pool.
-            for targets in (store.targets(ids[0]), store.targets()):
+            shapes = (store.targets(ids[0]), store.targets())
+            # Cold, one document or all: every shard owes its read to
+            # the worker pool.
+            for targets in shapes:
+                for pool in store.pools.values():
+                    pool.result_cache.invalidate()
                 owed, spans = streamed(targets)
                 assert owed == len(targets)
                 assert spans["sql.statement"]
                 for name in ("serve.shard", "serve.execute", "sql.statement"):
                     assert me not in {s.thread_id for s in spans[name]}
-            # Warm: every shard is a full hit, answered right here —
-            # nothing submitted, nothing acquired, no statement.
-            acquired = len(acquirers)
-            owed, spans = streamed(store.targets())
-            assert owed == 0
-            assert "sql.statement" not in spans
-            assert {s.thread_id for s in spans["serve.shard"]} == {me}
-            assert {
-                s.attributes["result_cache"] for s in spans["serve.execute"]
-            } == {"hit"}
-            assert len(acquirers) == acquired
             # No statement and no acquire ever ran on stream()'s caller.
             assert acquirers and me not in acquirers
+            # Warm, one document or all: every shard is a full hit,
+            # answered right here — nothing submitted, nothing
+            # acquired, no statement.
+            acquired = len(acquirers)
+            for targets in shapes:
+                owed, spans = streamed(targets)
+                assert owed == 0
+                assert "sql.statement" not in spans
+                assert {s.thread_id for s in spans["serve.shard"]} == {me}
+                assert {
+                    s.attributes["result_cache"]
+                    for s in spans["serve.execute"]
+                } == {"hit"}
+            # So is a warm doc-scoped query(): same lane, no statement.
+            tracer.reset()
+            store.executor.query("//title", store.targets(ids[0]))
+            (root,) = [r for r in tracer.roots if r.name == "serve.query"]
+            assert "sql.statement" not in [s.name for s in root.walk()]
+            assert {span.thread_id for span in root.walk()} == {me}
+            assert len(acquirers) == acquired

@@ -126,11 +126,15 @@ class TestShardLocalPlanEpochs:
             fault_policy=policy,
             on_shard_error="partial",
         ) as store:
-            doc_a = store.store_text(SMALL_XML, name="a")  # shard 0
-            doc_b = store.store_text(SMALL_XML, name="b")  # shard 1
-            # Warm shard 1's plan cache.
+            doc_a, doc_b, _, doc_d, _, doc_f = (
+                store.store_text(SMALL_XML, name=name) for name in "abcdef"
+            )  # a, c, e on shard 0; b, d, f on shard 1
+            # Warm shard 1's plan cache: one document each, because a
+            # repeated (document, xpath) is a result-cache hit and
+            # plans nothing.  doc_f stays unread, so the scatter below
+            # still has a statement to plan on shard 1.
             store.query_pres(doc_b, "/bib/book/title")
-            store.query_pres(doc_b, "/bib/book/title")
+            store.query_pres(doc_d, "/bib/book/title")
             warm = store.pools[1].plan_cache.stats()
             assert warm["hits"] >= 1
             # Write on shard 0 (bumps only shard 0's epoch) then take
@@ -143,7 +147,7 @@ class TestShardLocalPlanEpochs:
             result = store.query_all("/bib/book/title")
             assert result.partial
             assert [shard for shard, _ in result.failed_shards] == [0]
-            assert {doc for doc, _ in result.rows} == {doc_b}
+            assert {doc for doc, _ in result.rows} == {doc_b, doc_d, doc_f}
             after = store.pools[1].plan_cache.stats()
             assert after["hits"] > warm["hits"]
             assert after["misses"] == warm["misses"]
