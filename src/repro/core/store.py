@@ -259,8 +259,9 @@ class XmlRelStore:
         return self.scheme.query_nodes(doc_id, xpath)
 
     def query_xml(self, doc_id: int, xpath: str) -> list[str]:
-        """Matching nodes as serialized XML fragments."""
-        return [serialize(node) for node in self.query(doc_id, xpath)]
+        """Matching nodes as serialized XML fragments (rows → text; no
+        tree is built)."""
+        return self.scheme.query_xml(doc_id, xpath)
 
     def sql_for(self, doc_id: int, xpath: str) -> tuple[str, list]:
         """The generated SQL (and parameters) for *xpath* — inspection and
@@ -337,8 +338,9 @@ class XmlRelStore:
         return self.scheme.reconstruct(doc_id)
 
     def reconstruct_xml(self, doc_id: int) -> str:
-        """Rebuild and serialize the whole document."""
-        return serialize(self.reconstruct(doc_id))
+        """The whole document as XML text (rows → text; no tree is
+        built)."""
+        return self.scheme.reconstruct_xml(doc_id)
 
     def reconstruct_subtree(self, doc_id: int, pre: int) -> Node:
         """Rebuild one subtree by its node id."""

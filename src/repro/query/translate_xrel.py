@@ -72,16 +72,18 @@ _REGEX_CACHE: dict[str, re.Pattern] = {}
 
 def xrel_path_match(pattern: str, pathexp: str) -> bool:
     """UDF: match an XRel path pattern (child ``#/x``, descendant
-    ``#//x``, wildcard ``*``) against a stored path expression."""
+    ``#//x``, wildcard ``*``, a closing ``#//`` for "any path from
+    here, this one included") against a stored path expression."""
     compiled = _REGEX_CACHE.get(pattern)
     if compiled is None:
         parts = []
         i = 0
         while i < len(pattern):
             if pattern.startswith("#//", i):
-                parts.append(f"(?:{re.escape(PATH_SEP)}[^#]+)*"
-                             + re.escape(PATH_SEP))
+                parts.append(f"(?:{re.escape(PATH_SEP)}[^#]+)*")
                 i += 3
+                if i < len(pattern):
+                    parts.append(re.escape(PATH_SEP))
             elif pattern.startswith(PATH_SEP, i):
                 parts.append(re.escape(PATH_SEP))
                 i += 2
@@ -198,11 +200,12 @@ class XRelTranslator(BaseTranslator):
             return f"{separator}{test.name}", exact
         if isinstance(test, (KindTest, AnyKindTest)):
             # Text/comment/PI rows reuse their parent's pathexp: the step
-            # adds no path component.
+            # adds no path component, and below ``//`` the parent may be
+            # the context node itself (or the document: path "").
             if isinstance(test, AnyKindTest):
                 raise self.scheme.unsupported("node() steps")
             if step.from_descendant:
-                return "#//*", False
+                return "#//", False
             return "", exact
         raise self.scheme.unsupported(f"node test {test}")
 

@@ -116,7 +116,6 @@ from repro.updates import UpdateStats
 from repro.xml.dom import Document, Element, Node
 from repro.xml.events import payload_events
 from repro.xml.parser import ParseOptions
-from repro.xml.serialize import serialize
 
 #: Document-placement strategies.
 PLACEMENTS = ("hash", "round_robin")
@@ -742,11 +741,14 @@ class ShardedStore:
             journal_id = self.journal.begin(
                 record.doc_id, from_shard, from_local, to_shard, record.name
             )
-        # 1. Copy: reconstruct from the source writer, commit at the
-        #    destination.  A crash here leaves state "copying" — the
-        #    map never learned of the copy, so recovery rolls back.
-        document = self.writers[from_shard].reconstruct(from_local)
-        to_local = self.writers[to_shard].store(document, record.name)
+        # 1. Copy: publish the source writer's rows as a token stream
+        #    and shred it at the destination — no tree in between.  A
+        #    crash here leaves state "copying" — the map never learned
+        #    of the copy, so recovery rolls back.
+        to_local = self.writers[to_shard].scheme.store_stream(
+            self.writers[from_shard].scheme.publish_events(from_local),
+            record.name,
+        ).doc_id
         with self._map_lock:
             self.journal.mark_copied(journal_id, to_local)
         # 2. Flip: map move + journal advance in ONE catalog
@@ -1055,28 +1057,37 @@ class ShardedStore:
             read_from=read_from,
         ).pres
 
-    def query(
-        self, doc_id: int, xpath: str, deadline: float | None = None
-    ) -> list[Node]:
-        """Matching nodes of one document, reconstructed over a pooled
-        read connection (admission-gated like every serving read)."""
+    def _on_document(self, doc_id: int, call, deadline: float | None = None):
+        """``call(scheme, local_doc_id)`` on a pooled read connection of
+        the document's shard (admission-gated like every serving
+        read)."""
         record = self.shard_map.resolve(doc_id)
         return self.executor.run_on_shard(
             record.shard,
-            lambda session: session.scheme.query_nodes(
-                record.local_doc_id, xpath
-            ),
+            lambda session: call(session.scheme, record.local_doc_id),
             timeout=deadline,
+        )
+
+    def query(
+        self, doc_id: int, xpath: str, deadline: float | None = None
+    ) -> list[Node]:
+        """Matching nodes of one document, rebuilt from its rows."""
+        return self._on_document(
+            doc_id,
+            lambda scheme, local: scheme.query_nodes(local, xpath),
+            deadline,
         )
 
     def query_xml(
         self, doc_id: int, xpath: str, deadline: float | None = None
     ) -> list[str]:
-        """Matching nodes of one document as serialized fragments."""
-        return [
-            serialize(node)
-            for node in self.query(doc_id, xpath, deadline=deadline)
-        ]
+        """Matching nodes of one document as serialized fragments
+        (rows → text; no tree is built)."""
+        return self._on_document(
+            doc_id,
+            lambda scheme, local: scheme.query_xml(local, xpath),
+            deadline,
+        )
 
     def query_all(
         self,
@@ -1126,16 +1137,15 @@ class ShardedStore:
 
     def reconstruct(self, doc_id: int) -> Document:
         """Rebuild one document from its shard."""
-        record = self.shard_map.resolve(doc_id)
-        return self.executor.run_on_shard(
-            record.shard,
-            lambda session: session.scheme.reconstruct(
-                record.local_doc_id
-            ),
+        return self._on_document(
+            doc_id, lambda scheme, local: scheme.reconstruct(local)
         )
 
     def reconstruct_xml(self, doc_id: int) -> str:
-        return serialize(self.reconstruct(doc_id))
+        """One document as XML text, published on its shard."""
+        return self._on_document(
+            doc_id, lambda scheme, local: scheme.reconstruct_xml(local)
+        )
 
     # -- operations surface -------------------------------------------------------
 

@@ -4,7 +4,9 @@ A :class:`MappingScheme` owns a set of relations inside one
 :class:`~repro.relational.database.Database` and knows how to:
 
 * ``store`` a document (shred it into rows),
-* ``reconstruct`` a document or any subtree (publishing),
+* publish a document or any subtree back out of its rows — as a token
+  stream, as XML text (``reconstruct_xml`` / ``query_xml``) or as a tree
+  (``reconstruct`` / ``query_nodes``),
 * ``delete`` a stored document,
 * translate the XPath subset to SQL over its relations (via
   :meth:`translator`), returning matching nodes as their ``pre`` numbers
@@ -19,7 +21,10 @@ the same set of integers.
 from __future__ import annotations
 
 import abc
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import ClassVar
 
 from repro.errors import StorageError, UnsupportedQueryError
@@ -29,12 +34,17 @@ from repro.relational.schema import Table
 from repro.reliability.audit import IntegrityReport
 from repro.storage.numbering import (
     NodeRecord,
-    build_document,
-    build_subtree,
+    records_to_events,
     shred_into,
 )
-from repro.xml.dom import Document, Node
-from repro.xml.events import stream_events
+from repro.xml.dom import Document, Node, NodeKind
+from repro.xml.events import (
+    Event,
+    build_fragment,
+    build_tree,
+    stream_events,
+)
+from repro.xml.serialize import write_events
 
 
 #: Batched-fetch statements bind a handful of parameters per subtree
@@ -47,6 +57,30 @@ def iter_batches(items: list, size: int = ROOT_BATCH):
     """Yield *items* in order as chunks of at most *size*."""
     for start in range(0, len(items), size):
         yield items[start:start + size]
+
+
+def carve_subtrees(rows: list[tuple], pres: list[int]) -> list[tuple]:
+    """Carve the subtrees rooted at *pres* out of one document's
+    :meth:`MappingScheme.fetch_records` rows, in one pass: a node is in
+    a root's subtree when it is that root or its parent is in it, and
+    document order delivers every parent before its children."""
+    wanted = set(pres)
+    element_kind = int(NodeKind.ELEMENT)
+    holders: dict[int, tuple[int, ...]] = {}  # element pre → roots over it
+    runs: dict[int, list[tuple]] = {}
+    for _, pre, parent_pre, kind, name, value in rows:
+        roots = holders.get(parent_pre, ())
+        if pre in wanted:
+            roots += (pre,)
+            runs[pre] = []
+        if roots:
+            if kind == element_kind:
+                holders[pre] = roots
+            for root in roots:
+                runs[root].append(
+                    (root, pre, parent_pre, kind, name, value)
+                )
+    return [row for run in runs.values() for row in run]
 
 
 @dataclass(frozen=True)
@@ -254,110 +288,84 @@ class MappingScheme(abc.ABC):
             return ShredResult(doc_id, node_count, row_counts)
 
     # -- retrieval -----------------------------------------------------------------
+    #
+    # Publishing is one lane, the reverse of store_stream: the scheme
+    # yields its stored rows in document order, records_to_events turns
+    # them into the token stream, and one consumer — write_events for
+    # text, build_tree / build_fragment for a DOM — takes it from there.
 
     @abc.abstractmethod
-    def fetch_records(
-        self, doc_id: int, root_pre: int | None = None
-    ) -> list[NodeRecord]:
-        """Fetch stored node records in pre order.
-
-        With *root_pre*, only the subtree rooted there (inclusive).
-        Derived numbering fields a scheme does not store may be zeroed —
-        reconstruction only relies on pre/parent_pre/kind/name/value.
-        """
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        """Every stored node of the document as ``(0, pre, parent_pre,
+        kind, name, value)`` rows in document order (``parent_pre`` 0
+        for top-level nodes) — one run for
+        :func:`~repro.storage.numbering.records_to_events`, and the row
+        source of the integrity audit."""
 
     def fetch_records_many(
         self, doc_id: int, pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
-        """Fetch the subtree records of many roots at once.
+    ) -> list[tuple]:
+        """The stored nodes of the subtrees rooted at *pres* as ``(root,
+        pre, parent_pre, kind, name, value)`` rows: one contiguous run
+        per root, each in document order starting with the root itself.
+        Roots with no stored node contribute nothing; roots may nest — a
+        node then appears once under every enclosing root.
 
-        Returns ``{root_pre: records}`` where each record list is in pre
-        order and starts with the root itself (the
-        :func:`~repro.storage.numbering.build_subtree` contract).  Roots
-        with no stored node are simply absent from the result.  Roots
-        may nest — a record then appears in every enclosing root's list,
-        exactly as per-root :meth:`fetch_records` calls would return it.
-
-        Schemes override this with a set-oriented implementation (one
-        range-scan union, one shared recursive CTE, ...) so that
-        :meth:`query_nodes` issues O(1) SQL statements for N results
-        instead of N+1.  This base fallback just loops.
+        Schemes with a subtree handle (a region, a label prefix, a
+        parent→child closure) override this with O(1) statements per
+        :data:`ROOT_BATCH` roots.  Those without one (universal,
+        inlining) must read the document whatever is asked for, and this
+        default carves every root out of that one read in one pass.
         """
-        groups: dict[int, list[NodeRecord]] = {}
-        for pre in pres:
-            records = self.fetch_records(doc_id, root_pre=pre)
-            if records:
-                groups[pre] = records
-        return groups
+        if not pres:
+            return []
+        return carve_subtrees(self.fetch_records(doc_id), pres)
 
-    @staticmethod
-    def _subtree_slices(
-        records: list[NodeRecord], pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
-        """Carve per-root subtree record lists out of one full-document
-        fetch by parent closure — the batched path for schemes whose
-        storage has no range/prefix subtree handle (universal, inlining).
-        """
-        children: dict[int, list[NodeRecord]] = {}
-        by_pre: dict[int, NodeRecord] = {}
-        for record in records:
-            by_pre[record.pre] = record
-            children.setdefault(record.parent_pre, []).append(record)
-        groups: dict[int, list[NodeRecord]] = {}
-        for root in pres:
-            root_record = by_pre.get(root)
-            if root_record is None:
-                continue
-            subtree = [root_record]
-            stack = [root]
-            while stack:
-                for child in children.get(stack.pop(), ()):
-                    subtree.append(child)
-                    stack.append(child.pre)
-            subtree.sort(key=lambda r: r.pre)
-            groups[root] = subtree
-        return groups
+    def publish_events(self, doc_id: int) -> Iterator[Event]:
+        """The stored document as a token stream (what
+        :meth:`store_stream` consumed, minus the document markers)."""
+        self.catalog.get(doc_id)  # raises DocumentNotFoundError if absent
+        rows = self.fetch_records(doc_id)
+        if not rows:
+            raise StorageError(f"document {doc_id} has no stored rows")
+        return records_to_events(rows)
 
     def reconstruct(self, doc_id: int) -> Document:
         """Rebuild the full document from its rows."""
-        self.catalog.get(doc_id)  # raises DocumentNotFoundError if absent
-        records = self.fetch_records(doc_id)
-        if not records:
-            raise StorageError(f"document {doc_id} has no stored rows")
-        return build_document(records)
+        return build_tree(self.publish_events(doc_id))
+
+    def reconstruct_xml(self, doc_id: int) -> str:
+        """The full document as XML text, straight from its rows."""
+        return write_events(self.publish_events(doc_id))
+
+    def _publish_subtrees(self, doc_id: int, pres: list[int], consume):
+        """``consume(events)`` of each subtree rooted at *pres*, in
+        *pres* order, through one batched fetch."""
+        unique = list(dict.fromkeys(pres))
+        published = {
+            root: consume(records_to_events(run))
+            for root, run in groupby(
+                self.fetch_records_many(doc_id, unique), itemgetter(0)
+            )
+        }
+        try:
+            return [published[pre] for pre in pres]
+        except KeyError as missing:
+            raise StorageError(
+                f"no stored node with pre={missing.args[0]} in "
+                f"document {doc_id}"
+            ) from None
 
     def reconstruct_subtree(self, doc_id: int, pre: int) -> Node:
         """Rebuild the subtree rooted at node *pre*."""
-        records = self.fetch_records(doc_id, root_pre=pre)
-        if not records:
-            raise StorageError(
-                f"no stored node with pre={pre} in document {doc_id}"
-            )
-        return build_subtree(records)
+        return self.reconstruct_subtrees(doc_id, [pre])[0]
 
     def reconstruct_subtrees(
         self, doc_id: int, pres: list[int]
     ) -> list[Node]:
-        """Rebuild many subtrees through one batched fetch.
-
-        Equivalent to ``[reconstruct_subtree(doc_id, p) for p in pres]``
-        (same nodes, same order, same error on a missing root) but goes
-        through :meth:`fetch_records_many`, so the round-trip count does
-        not grow with ``len(pres)``.
-        """
-        unique = list(dict.fromkeys(pres))
-        groups = (
-            self.fetch_records_many(doc_id, unique) if unique else {}
-        )
-        nodes: dict[int, Node] = {}
-        for pre in unique:
-            records = groups.get(pre)
-            if not records:
-                raise StorageError(
-                    f"no stored node with pre={pre} in document {doc_id}"
-                )
-            nodes[pre] = build_subtree(records)
-        return [nodes[pre] for pre in pres]
+        """Rebuild many subtrees through one batched fetch: the
+        round-trip count does not grow with ``len(pres)``."""
+        return self._publish_subtrees(doc_id, pres, build_fragment)
 
     # -- deletion -----------------------------------------------------------------------
 
@@ -414,22 +422,25 @@ class MappingScheme(abc.ABC):
         return self.translator().query_pres(doc_id, xpath)
 
     def query_nodes(self, doc_id: int, xpath: str) -> list[Node]:
-        """Run an XPath query via SQL and reconstruct each result node.
+        """Run an XPath query via SQL and rebuild each result node."""
+        return self._query_published(doc_id, xpath, build_fragment)
 
-        Reconstruction is set-oriented: one batched fetch for all result
-        subtrees (:meth:`fetch_records_many`) instead of one round-trip
-        per node.
-        """
+    def query_xml(self, doc_id: int, xpath: str) -> list[str]:
+        """Run an XPath query via SQL and serialize each result node —
+        rows to text, no tree in between."""
+        return self._query_published(doc_id, xpath, write_events)
+
+    def _query_published(self, doc_id: int, xpath: str, consume):
         tracer = self.db.tracer
         with tracer.span("query.nodes") as span:
             pres = self.query_pres(doc_id, xpath)
             with tracer.span("reconstruct") as reconstruct_span:
-                nodes = self.reconstruct_subtrees(doc_id, pres)
+                published = self._publish_subtrees(doc_id, pres, consume)
                 if reconstruct_span:
-                    reconstruct_span.set(nodes=len(nodes), batched=True)
+                    reconstruct_span.set(nodes=len(published), batched=True)
             if span:
-                span.set(scheme=self.name, rows=len(nodes))
-            return nodes
+                span.set(scheme=self.name, rows=len(published))
+            return published
 
     # -- integrity audit --------------------------------------------------------------------
 
@@ -453,7 +464,7 @@ class MappingScheme(abc.ABC):
 
     def _generic_audit(
         self, record: DocumentRecord, report: IntegrityReport
-    ) -> list[NodeRecord]:
+    ) -> list[tuple]:
         doc_id = record.doc_id
         report.ran("fetch")
         try:
@@ -474,7 +485,7 @@ class MappingScheme(abc.ABC):
                 f"{len(records)} rows were fetched",
             )
         report.ran("unique-ids")
-        pres = [r.pre for r in records]
+        pres = [row[1] for row in records]
         if len(set(pres)) != len(pres):
             seen: set[int] = set()
             duplicates = {p for p in pres if p in seen or seen.add(p)}
@@ -484,17 +495,17 @@ class MappingScheme(abc.ABC):
             )
         report.ran("parents-resolve")
         known = set(pres)
-        for r in records:
-            if r.parent_pre and r.parent_pre not in known:
+        for _root, pre, parent_pre, *_node in records:
+            if parent_pre and parent_pre not in known:
                 report.add(
                     "parents-resolve",
-                    f"node {r.pre} references missing parent "
-                    f"{r.parent_pre}",
+                    f"node {pre} references missing parent {parent_pre}",
                 )
         report.ran("reconstruct")
         if records and not report.failed("parents-resolve"):
             try:
-                build_document(records)
+                for _ in records_to_events(records):
+                    pass
             except Exception as error:  # corrupt rows may break any layer
                 report.add(
                     "reconstruct",
@@ -509,9 +520,10 @@ class MappingScheme(abc.ABC):
         doc_id: int,
         record: DocumentRecord,
         report: IntegrityReport,
-        records: list[NodeRecord],
+        records: list[tuple],
     ) -> None:
-        """Scheme-specific invariant checks (override per mapping)."""
+        """Scheme-specific invariant checks (override per mapping);
+        *records* are the :meth:`fetch_records` rows."""
 
     # -- accounting -----------------------------------------------------------------------
 

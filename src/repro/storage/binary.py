@@ -33,12 +33,7 @@ from repro.relational.schema import (
     quote_identifier,
 )
 from repro.storage.base import STREAM_BATCH, MappingScheme, StreamInserter
-from repro.storage.edge import (
-    edge_label,
-    fetch_edge_subtrees,
-    order_edge_rows,
-)
-from repro.storage.numbering import NodeRecord
+from repro.storage.edge import edge_label, fetch_edge_rows
 
 LABELS_TABLE = Table(
     name="binary_labels",
@@ -208,42 +203,20 @@ class BinaryScheme(MappingScheme):
     def stream_inserter(self, doc_id):
         return _BinaryStreamInserter(self, doc_id)
 
-    def fetch_records(
-        self, doc_id: int, root_pre: int | None = None
-    ) -> list[NodeRecord]:
-        if not self.partitions():
-            return []
-        if root_pre is None:
-            rows = self.db.query(
-                f"SELECT target, source, ordinal, label, kind, value "
-                f"FROM {EDGES_VIEW} WHERE doc_id = ? ORDER BY target",
-                (doc_id,),
-            )
-        else:
-            rows = self.db.query(
-                f"""
-                WITH RECURSIVE subtree(target, source, ordinal, label,
-                                       kind, value) AS (
-                  SELECT target, source, ordinal, label, kind, value
-                  FROM {EDGES_VIEW} WHERE doc_id = ? AND target = ?
-                  UNION ALL
-                  SELECT e.target, e.source, e.ordinal, e.label, e.kind,
-                         e.value
-                  FROM {EDGES_VIEW} e JOIN subtree s ON e.source = s.target
-                  WHERE e.doc_id = ?
-                )
-                SELECT * FROM subtree ORDER BY target
-                """,
-                (doc_id, root_pre, doc_id),
-            )
-        return order_edge_rows(rows, root_pre)
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        return self._edge_rows(doc_id, None)
 
     def fetch_records_many(
         self, doc_id: int, pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
+    ) -> list[tuple]:
+        return self._edge_rows(doc_id, pres)
+
+    def _edge_rows(self, doc_id: int, pres: list[int] | None):
+        # The closure cannot be pruned to a partition: every level
+        # probes the union view — the mapping's published cost.
         if not self.partitions():
-            return {}
-        return fetch_edge_subtrees(self.db, EDGES_VIEW, doc_id, pres)
+            return []
+        return fetch_edge_rows(self.db, EDGES_VIEW, doc_id, pres)
 
     def _delete_rows(self, doc_id: int) -> None:
         for table_name in self.partitions().values():

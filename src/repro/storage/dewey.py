@@ -28,11 +28,7 @@ from repro.storage.base import (
     StreamInserter,
     iter_batches,
 )
-from repro.storage.numbering import (
-    DEWEY_SEPARATOR,
-    NodeRecord,
-    dewey_parent,
-)
+from repro.storage.numbering import DEWEY_SEPARATOR, dewey_parent
 
 # The smallest character strictly greater than the separator '.' — used to
 # close prefix ranges: descendants of label p are in (p + '.', p + '/').
@@ -67,6 +63,21 @@ def prefix_range(label: str) -> tuple[str, str]:
     """The (lo, hi) label range containing exactly the descendants of
     *label*: ``lo < descendant.label < hi``."""
     return label + DEWEY_SEPARATOR, label + PREFIX_RANGE_END
+
+
+def _with_parents(rows: list[tuple]) -> list[tuple]:
+    """Label-ordered ``(root, pre, depth, kind, name, value)`` rows →
+    ``(root, pre, parent_pre, kind, name, value)``: in document order a
+    node's parent is the latest node one level up (0 above a run's
+    first row)."""
+    open_at: dict[int, int] = {}
+    out = []
+    for root, pre, depth, kind, name, value in rows:
+        if pre == root:
+            open_at = {}
+        out.append((root, pre, open_at.get(depth - 1, 0), kind, name, value))
+        open_at[depth] = pre
+    return out
 
 
 class _DeweyStreamInserter(StreamInserter):
@@ -106,87 +117,33 @@ class DeweyScheme(MappingScheme):
     def stream_inserter(self, doc_id):
         return _DeweyStreamInserter(self, doc_id)
 
-    @staticmethod
-    def _rows_to_records(rows) -> list[NodeRecord]:
-        """Convert label-ordered dewey rows to records, recovering each
-        node's parent pre from the labels seen so far (a subtree root's
-        parent is outside the fetched set and maps to 0)."""
-        records = []
-        parent_of: dict[str, int] = {}
-        for pre, label, depth, kind, name, value, ordinal in rows:
-            parent_label = dewey_parent(label)
-            parent_pre = parent_of.get(parent_label or "", 0)
-            parent_of[label] = pre
-            records.append(
-                NodeRecord(
-                    pre=pre,
-                    post=0,
-                    size=0,
-                    level=depth,
-                    kind=kind,
-                    name=name,
-                    value=value,
-                    parent_pre=parent_pre,
-                    ordinal=ordinal,
-                    dewey=label,
-                )
-            )
-        return records
-
-    def fetch_records(
-        self, doc_id: int, root_pre: int | None = None
-    ) -> list[NodeRecord]:
-        if root_pre is None:
-            rows = self.db.query(
-                "SELECT pre, label, depth, kind, name, value, ordinal "
-                "FROM dewey WHERE doc_id = ? ORDER BY label",
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        return _with_parents(
+            self.db.query(
+                "SELECT 0, pre, depth, kind, name, value FROM dewey "
+                "WHERE doc_id = ? ORDER BY label",
                 (doc_id,),
             )
-        else:
-            root = self.db.query_one(
-                "SELECT label FROM dewey WHERE doc_id = ? AND pre = ?",
-                (doc_id, root_pre),
-            )
-            if root is None:
-                return []
-            (label,) = root
-            lo, hi = prefix_range(label)
-            # Self plus one prefix range scan over the ordered index.
-            rows = self.db.query(
-                "SELECT pre, label, depth, kind, name, value, ordinal "
-                "FROM dewey WHERE doc_id = ? "
-                "AND (label = ? OR (label > ? AND label < ?)) "
-                "ORDER BY label",
-                (doc_id, label, lo, hi),
-            )
-        return self._rows_to_records(rows)
+        )
 
     def fetch_records_many(
         self, doc_id: int, pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
-        # One self-join per batch: each root row's label opens its own
-        # prefix range (self OR strict-prefix), tagging every fetched row
-        # with the root's pre.  Parent recovery runs per root group, as
-        # the per-root fetch would.
-        groups: dict[int, list[NodeRecord]] = {}
+    ) -> list[tuple]:
+        # A subtree is the root's label plus everything it prefixes —
+        # one contiguous range of the (doc_id, label) key, since no
+        # label character sorts below the separator.
+        rows: list[tuple] = []
         for batch in iter_batches(pres):
             marks = ", ".join("?" for _ in batch)
-            rows = self.db.query(
-                "SELECT r.pre, d.pre, d.label, d.depth, d.kind, d.name, "
-                "d.value, d.ordinal "
+            rows += self.db.query(
+                "SELECT r.pre, d.pre, d.depth, d.kind, d.name, d.value "
                 "FROM dewey AS r JOIN dewey AS d ON d.doc_id = r.doc_id "
-                "AND (d.label = r.label OR (d.label > r.label || ? "
-                "AND d.label < r.label || ?)) "
+                "AND d.label >= r.label AND d.label < r.label || ? "
                 f"WHERE r.doc_id = ? AND r.pre IN ({marks}) "
                 "ORDER BY r.pre, d.label",
-                [DEWEY_SEPARATOR, PREFIX_RANGE_END, doc_id, *batch],
+                [PREFIX_RANGE_END, doc_id, *batch],
             )
-            per_root: dict[int, list[tuple]] = {}
-            for root, *node_row in rows:
-                per_root.setdefault(root, []).append(tuple(node_row))
-            for root, node_rows in per_root.items():
-                groups[root] = self._rows_to_records(node_rows)
-        return groups
+        return _with_parents(rows)
 
     def _delete_rows(self, doc_id: int) -> None:
         self.db.execute("DELETE FROM dewey WHERE doc_id = ?", (doc_id,))

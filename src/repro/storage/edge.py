@@ -77,94 +77,65 @@ def edge_label(record: NodeRecord) -> str:
     return _KIND_LABELS[record.kind]
 
 
-def label_to_name(label: str, kind: int) -> str | None:
-    """Invert :func:`edge_label` back to the node's name."""
-    if kind in (int(NodeKind.ELEMENT), int(NodeKind.ATTRIBUTE)):
-        return label
-    if kind == int(NodeKind.PROCESSING_INSTRUCTION):
-        return label.split(":", 1)[1] if ":" in label else label
-    return None
+def label_name_sql(columns: str = "") -> str:
+    """SQL inverse of :func:`edge_label`: the node name a row's label
+    carries (NULL for text and comments), over the ``label``/``kind``
+    columns prefixed *columns* (``"e."``).  Decoding in the engine
+    leaves fetched rows needing no per-row Python."""
+    return (
+        f"CASE WHEN {columns}kind IN ({int(NodeKind.ELEMENT)}, "
+        f"{int(NodeKind.ATTRIBUTE)}) THEN {columns}label "
+        f"WHEN {columns}kind = {int(NodeKind.PROCESSING_INSTRUCTION)} "
+        f"THEN substr({columns}label, {len(PI_LABEL) + 2}) END"
+    )
 
 
-def order_edge_rows(
-    rows: list[tuple], root_pre: int | None
-) -> list[NodeRecord]:
-    """Turn raw edge rows into records in *document* order.
+def fetch_edge_rows(
+    db, relation: str, doc_id: int, pres: list[int] | None
+) -> list[tuple]:
+    """Publish rows ``(root, pre, parent_pre, kind, name, value)`` from
+    an edge-shaped *relation* (the ``edge`` table, or binary's
+    ``binary_edges`` view): the subtrees rooted at *pres*, or with
+    ``pres=None`` the whole document as one run under root 0.
 
-    Node ids equal document order only until the first update; after
-    inserts the true order is (parent, ordinal), so the rows are sorted
-    by a DFS over the parent/ordinal structure — correct in both states.
+    No region encoding exists, so a subtree is collected by the
+    parent→child closure — one recursive CTE per batch, seeded by all
+    roots at once, each seed's tag propagated down its closure (a node
+    under two nested roots comes back once per root).  Node ids stop
+    being document order at the first insert; (parent, ordinal) never
+    does, so the closure itself walks depth-first in ordinal order — the
+    recursive arm's ORDER BY makes its queue a priority queue, deepest
+    level first — and rows leave the engine already in document order.
     """
-    children: dict[int, list[tuple]] = {}
-    for row in rows:
-        target, source, ordinal, label, kind, value = row
-        children.setdefault(source, []).append(row)
-    for siblings in children.values():
-        siblings.sort(key=lambda row: (row[2], row[0]))  # (ordinal, id)
-    records: list[NodeRecord] = []
-    if root_pre is not None:
-        roots = [row for row in rows if row[0] == root_pre]
+    if pres is None:
+        batches = [("0", "source = 0", [])]
     else:
-        roots = children.get(0, [])
-    stack = list(reversed(roots))
-    while stack:
-        target, source, ordinal, label, kind, value = stack.pop()
-        records.append(
-            NodeRecord(
-                pre=target,
-                post=0,
-                size=0,
-                level=0,
-                kind=kind,
-                name=label_to_name(label, kind),
-                value=value,
-                parent_pre=source,
-                ordinal=ordinal,
-                dewey="",
-            )
-        )
-        stack.extend(reversed(children.get(target, [])))
-    return records
-
-
-def fetch_edge_subtrees(
-    db, relation: str, doc_id: int, pres: list[int]
-) -> dict[int, list[NodeRecord]]:
-    """Batched subtree fetch over an edge-shaped *relation* (the ``edge``
-    table, or binary's ``binary_edges`` view).
-
-    One recursive CTE per batch, seeded by *all* roots at once; the seed
-    tags each row with its root and the recursive arm propagates the tag,
-    so the result groups per root without per-root round-trips.  A record
-    under two nested roots comes back once per root — exactly what
-    per-root fetches would return.
-    """
-    groups: dict[int, list[NodeRecord]] = {}
-    for batch in iter_batches(pres):
-        marks = ", ".join("?" for _ in batch)
-        rows = db.query(
+        batches = [
+            ("target", f"target IN ({', '.join('?' for _ in batch)})", batch)
+            for batch in iter_batches(pres)
+        ]
+    rows: list[tuple] = []
+    for root, seed, seed_params in batches:
+        rows += db.query(
             f"""
-            WITH RECURSIVE subtree(root, target, source, ordinal, label,
-                                   kind, value) AS (
-              SELECT target, target, source, ordinal, label, kind, value
-              FROM {relation} WHERE doc_id = ? AND target IN ({marks})
+            WITH RECURSIVE subtree(root, target, source, kind, name,
+                                   value, level, ordinal) AS (
+              SELECT {root}, target, source, kind, {label_name_sql()},
+                     value, 0, ordinal
+              FROM {relation} WHERE doc_id = ? AND {seed}
               UNION ALL
-              SELECT s.root, e.target, e.source, e.ordinal, e.label,
-                     e.kind, e.value
+              SELECT s.root, e.target, e.source, e.kind,
+                     {label_name_sql("e.")}, e.value, s.level + 1,
+                     e.ordinal
               FROM {relation} e JOIN subtree s ON e.source = s.target
               WHERE e.doc_id = ?
+              ORDER BY 7 DESC, 8, 2
             )
-            SELECT root, target, source, ordinal, label, kind, value
-            FROM subtree ORDER BY root, target
+            SELECT root, target, source, kind, name, value FROM subtree
             """,
-            [doc_id, *batch, doc_id],
+            [doc_id, *seed_params, doc_id],
         )
-        per_root: dict[int, list[tuple]] = {}
-        for root, *edge_row in rows:
-            per_root.setdefault(root, []).append(tuple(edge_row))
-        for root, edge_rows in per_root.items():
-            groups[root] = order_edge_rows(edge_rows, root)
-    return groups
+    return rows
 
 
 class _EdgeStreamInserter(StreamInserter):
@@ -204,41 +175,13 @@ class EdgeScheme(MappingScheme):
     def stream_inserter(self, doc_id):
         return _EdgeStreamInserter(self, doc_id)
 
-    def fetch_records(
-        self, doc_id: int, root_pre: int | None = None
-    ) -> list[NodeRecord]:
-        if root_pre is None:
-            rows = self.db.query(
-                "SELECT target, source, ordinal, label, kind, value "
-                "FROM edge WHERE doc_id = ? ORDER BY target",
-                (doc_id,),
-            )
-        else:
-            # No region encoding: the subtree must be collected by
-            # repeated parent→child joins (a recursive CTE) — the
-            # reconstruction cost experiment E6 measures exactly this.
-            rows = self.db.query(
-                """
-                WITH RECURSIVE subtree(target, source, ordinal, label,
-                                       kind, value) AS (
-                  SELECT target, source, ordinal, label, kind, value
-                  FROM edge WHERE doc_id = ? AND target = ?
-                  UNION ALL
-                  SELECT e.target, e.source, e.ordinal, e.label, e.kind,
-                         e.value
-                  FROM edge e JOIN subtree s ON e.source = s.target
-                  WHERE e.doc_id = ?
-                )
-                SELECT * FROM subtree ORDER BY target
-                """,
-                (doc_id, root_pre, doc_id),
-            )
-        return order_edge_rows(rows, root_pre)
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        return fetch_edge_rows(self.db, "edge", doc_id, None)
 
     def fetch_records_many(
         self, doc_id: int, pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
-        return fetch_edge_subtrees(self.db, "edge", doc_id, pres)
+    ) -> list[tuple]:
+        return fetch_edge_rows(self.db, "edge", doc_id, pres)
 
     def _delete_rows(self, doc_id: int) -> None:
         self.db.execute("DELETE FROM edge WHERE doc_id = ?", (doc_id,))

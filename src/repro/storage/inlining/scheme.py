@@ -11,6 +11,8 @@ rather than silently corrupting the mapping.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.errors import SchemaMappingError, StorageError
 from repro.relational.database import Database
 from repro.relational.schema import Column, INTEGER, Table, TEXT, quote_identifier
@@ -270,95 +272,54 @@ class InliningScheme(MappingScheme):
 
     # -- retrieval --------------------------------------------------------------------
 
-    def fetch_records(
-        self, doc_id: int, root_pre: int | None = None
-    ) -> list[NodeRecord]:
-        mapping = self.require_mapping()
-        records: list[NodeRecord] = []
-        for relation in mapping.relations.values():
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        # Inlined rows have no subtree handle: whatever is asked for,
+        # every relation of the mapping is read.  Each relation's
+        # positions are resolved to row indexes once; the nodes of all
+        # relations then merge into document order by one sort on pre.
+        element_kind = int(NodeKind.ELEMENT)
+        attribute_kind = int(NodeKind.ATTRIBUTE)
+        text_kind = int(NodeKind.TEXT)
+        rows: list[tuple] = []
+        for relation in self.require_mapping().relations.values():
             columns = relation.table.column_names
-            table_rows = self.db.query(
+            at = {column: index for index, column in enumerate(columns)}
+            # (pre index, parent-pre index, kind, name, value index)
+            plan: list[tuple] = []
+            for position in relation.positions.values():
+                pre_at = at[position.pre_column]
+                parent_at = (
+                    at["parent_pre"] if position.is_root
+                    else at[relation.positions[position.path[:-1]].pre_column]
+                )
+                plan.append(
+                    (pre_at, parent_at, element_kind, position.element, None)
+                )
+                for name, (val_col, pre_col) in position.attr_columns.items():
+                    plan.append(
+                        (at[pre_col], pre_at, attribute_kind, name,
+                         at[val_col])
+                    )
+                if position.content_column is not None:
+                    plan.append(
+                        (at[position.content_pre_column], pre_at, text_kind,
+                         None, at[position.content_column])
+                    )
+            for values in self.db.query(
                 f"SELECT {', '.join(columns)} "
                 f"FROM {quote_identifier(relation.table.name)} "
                 "WHERE doc_id = ?",
                 (doc_id,),
-            )
-            for values in table_rows:
-                row = dict(zip(columns, values))
-                records += self._row_records(relation, row)
-        records.sort(key=lambda r: r.pre)
-        if root_pre is None:
-            return records
-        keep = {root_pre}
-        subtree = []
-        for record in records:
-            if record.pre == root_pre or record.parent_pre in keep:
-                keep.add(record.pre)
-                subtree.append(record)
-        return subtree
-
-    def fetch_records_many(
-        self, doc_id: int, pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
-        # Inlined rows have no subtree handle: reconstructing any node's
-        # subtree already reads the document's relations, so one full
-        # fetch feeds every root's slice.
-        if not pres:
-            return {}
-        return self._subtree_slices(self.fetch_records(doc_id), pres)
-
-    def _row_records(self, relation, row: dict) -> list[NodeRecord]:
-        records: list[NodeRecord] = []
-        for position in relation.positions.values():
-            pre = row.get(position.pre_column)
-            if pre is None:
-                continue  # optional inlined element absent
-            if position.is_root:
-                parent_pre = row["parent_pre"]
-                ordinal = row["ordinal"]
-            else:
-                parent_path = position.path[:-1]
-                parent_position = relation.positions[parent_path]
-                parent_pre = row[parent_position.pre_column]
-                ordinal = 0  # order restored by pre sorting
-            records.append(
-                NodeRecord(
-                    pre=pre,
-                    post=0,
-                    size=0,
-                    level=0,
-                    kind=int(NodeKind.ELEMENT),
-                    name=position.element,
-                    value=None,
-                    parent_pre=parent_pre,
-                    ordinal=ordinal,
-                    dewey="",
-                )
-            )
-            for attr_name, (val_col, pre_col) in position.attr_columns.items():
-                attr_pre = row.get(pre_col)
-                if attr_pre is None:
-                    continue
-                records.append(
-                    NodeRecord(
-                        pre=attr_pre, post=0, size=0, level=0,
-                        kind=int(NodeKind.ATTRIBUTE), name=attr_name,
-                        value=row.get(val_col), parent_pre=pre,
-                        ordinal=0, dewey="",
-                    )
-                )
-            if position.content_column is not None:
-                text_pre = row.get(position.content_pre_column)
-                if text_pre is not None:
-                    records.append(
-                        NodeRecord(
-                            pre=text_pre, post=0, size=0, level=0,
-                            kind=int(NodeKind.TEXT), name=None,
-                            value=row.get(position.content_column),
-                            parent_pre=pre, ordinal=0, dewey="",
-                        )
-                    )
-        return records
+            ):
+                for pre_at, parent_at, kind, name, value_at in plan:
+                    pre = values[pre_at]
+                    if pre is not None:  # optional positions may be absent
+                        rows.append((
+                            0, pre, values[parent_at], kind, name,
+                            None if value_at is None else values[value_at],
+                        ))
+        rows.sort(key=itemgetter(1))
+        return rows
 
     def _delete_rows(self, doc_id: int) -> None:
         mapping = self.require_mapping()
@@ -385,7 +346,7 @@ class InliningScheme(MappingScheme):
         # Every relation row must anchor to a known parent: parent_pre 0
         # (the root's holder) or the pre of a stored element.
         report.ran("inline-parents")
-        known = {r.pre for r in records}
+        known = {row[1] for row in records}
         for relation in self.mapping.relations.values():
             rows = self.db.query(
                 f"SELECT {relation.root.pre_column}, parent_pre "

@@ -115,78 +115,32 @@ class IntervalScheme(MappingScheme):
     def stream_inserter(self, doc_id):
         return _IntervalStreamInserter(self, doc_id)
 
-    def fetch_records(
-        self, doc_id: int, root_pre: int | None = None
-    ) -> list[NodeRecord]:
-        sql = (
-            "SELECT pre, post, size, level, kind, name, value, "
-            "parent_pre, ordinal FROM accel WHERE doc_id = ?"
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        return self.db.query(
+            "SELECT 0, pre, parent_pre, kind, name, value FROM accel "
+            "WHERE doc_id = ? ORDER BY pre",
+            (doc_id,),
         )
-        params: list = [doc_id]
-        if root_pre is not None:
-            # One range scan: the whole subtree is a contiguous pre block.
-            sql += (
-                " AND pre >= ? AND pre <= "
-                "(SELECT pre + size FROM accel WHERE doc_id = ? AND pre = ?)"
-            )
-            params += [root_pre, doc_id, root_pre]
-        sql += " ORDER BY pre"
-        rows = self.db.query(sql, params)
-        return [
-            NodeRecord(
-                pre=pre,
-                post=post,
-                size=size,
-                level=level,
-                kind=kind,
-                name=name,
-                value=value,
-                parent_pre=parent_pre,
-                ordinal=ordinal,
-                dewey="",
-            )
-            for (
-                pre, post, size, level, kind, name, value, parent_pre, ordinal,
-            ) in rows
-        ]
 
     def fetch_records_many(
         self, doc_id: int, pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
-        # One self-join per batch: root rows (by pre) joined against the
-        # contiguous pre-range of their region tag every subtree record
-        # with its root — no per-root round-trips.
-        groups: dict[int, list[NodeRecord]] = {}
+    ) -> list[tuple]:
+        # A subtree is a contiguous pre block, so each root row opens
+        # one primary-key range scan, and the nested loop already
+        # delivers (root, pre) order.
+        rows: list[tuple] = []
         for batch in iter_batches(pres):
             marks = ", ".join("?" for _ in batch)
-            rows = self.db.query(
-                "SELECT r.pre, a.pre, a.post, a.size, a.level, a.kind, "
-                "a.name, a.value, a.parent_pre, a.ordinal "
+            rows += self.db.query(
+                "SELECT r.pre, a.pre, a.parent_pre, a.kind, a.name, "
+                "a.value "
                 "FROM accel AS r JOIN accel AS a ON a.doc_id = r.doc_id "
                 "AND a.pre >= r.pre AND a.pre <= r.pre + r.size "
                 f"WHERE r.doc_id = ? AND r.pre IN ({marks}) "
                 "ORDER BY r.pre, a.pre",
                 [doc_id, *batch],
             )
-            for (
-                root, pre, post, size, level, kind, name, value,
-                parent_pre, ordinal,
-            ) in rows:
-                groups.setdefault(root, []).append(
-                    NodeRecord(
-                        pre=pre,
-                        post=post,
-                        size=size,
-                        level=level,
-                        kind=kind,
-                        name=name,
-                        value=value,
-                        parent_pre=parent_pre,
-                        ordinal=ordinal,
-                        dewey="",
-                    )
-                )
-        return groups
+        return rows
 
     def _delete_rows(self, doc_id: int) -> None:
         self.db.execute("DELETE FROM accel WHERE doc_id = ?", (doc_id,))

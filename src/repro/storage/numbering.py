@@ -40,7 +40,6 @@ from repro.xml.dom import (
     NodeKind,
     ProcessingInstruction,
     Text,
-    _Container,
 )
 
 # Width of one zero-padded Dewey component; 6 digits supports up to
@@ -442,89 +441,82 @@ def _node_value(node: Node) -> str | None:
     return None
 
 
-def build_subtree(records: list[NodeRecord]) -> Node:
-    """Rebuild a tree from subtree records sorted by ``pre``.
+def records_to_events(rows):
+    """Token stream of one run of stored rows — :func:`shred_into` in
+    reverse, and the one place rows turn back into structure.
 
-    The first record is the subtree root; children are attached via
-    ``parent_pre``.  Used by every scheme's ``reconstruct``: the scheme
-    fetches its rows (differently — that is what E6 measures) and this
-    shared assembler turns them back into DOM nodes.
+    *rows* are ``(root, pre, parent_pre, kind, name, value)`` tuples in
+    document order, as :meth:`MappingScheme.fetch_records` /
+    ``fetch_records_many`` produce them: either one subtree (``root`` is
+    the ``pre`` of its first row) or a whole document (``root`` 0, its
+    top-level nodes under ``parent_pre`` 0).  A stack of the open
+    elements' ``pre`` ids replaces every per-node lookup: a row closes
+    open elements until the innermost one is its parent.
+
+    Rows no shredder wrote — a parent that is not an open element (never
+    stored, or a leaf), a second node beside a subtree's root, an
+    attribute after its element's first child, an unknown kind — raise
+    :class:`~repro.errors.StorageError`.
     """
-    if not records:
-        raise StorageError("cannot rebuild an empty record set")
-    by_pre: dict[int, Node] = {}
-    root_node: Node | None = None
-    for record in records:
-        node = _make_node(record)
-        by_pre[record.pre] = node
-        if root_node is None:
-            root_node = node
-            continue
-        parent = by_pre.get(record.parent_pre)
-        if parent is None:
-            raise StorageError(
-                f"record {record.pre} references missing parent "
-                f"{record.parent_pre}"
-            )
-        if isinstance(node, Attribute):
-            if not isinstance(parent, Element):
-                raise StorageError("attribute record under a non-element")
-            node.parent = parent
-            parent.attributes.append(node)
-        else:
-            if not isinstance(parent, _Container):
+    from repro.xml.events import Event, EventKind
+
+    # tuple.__new__ is Event's generated __new__ minus its Python frame
+    # (the pull parser builds its events the same way).
+    new, event = tuple.__new__, Event
+    kind_start = EventKind.START_ELEMENT
+    kind_end = EventKind.END_ELEMENT
+    kind_attribute = EventKind.ATTRIBUTE
+    kind_text_event = EventKind.TEXT
+    element_kind = int(NodeKind.ELEMENT)
+    attribute_kind = int(NodeKind.ATTRIBUTE)
+    text_kind = int(NodeKind.TEXT)
+    comment_kind = int(NodeKind.COMMENT)
+    pi_kind = int(NodeKind.PROCESSING_INSTRUCTION)
+
+    # open_pres[0] stands for whatever holds the run: the first row's
+    # parent (the document for a whole-document run).
+    open_pres: list[int] = []
+    open_names: list[str | None] = [None]
+    in_start_tag = False
+    for root, pre, parent_pre, kind, name, value in rows:
+        if not open_pres:
+            open_pres.append(parent_pre)
+        while open_pres[-1] != parent_pre:
+            if len(open_pres) == 1:
                 raise StorageError(
-                    f"record {record.pre} under non-container parent"
+                    f"record {pre} references missing parent {parent_pre}"
                 )
-            parent.children.append(node)
-            node.parent = parent
-    assert root_node is not None
-    return root_node
-
-
-def build_document(records: list[NodeRecord]) -> Document:
-    """Rebuild a whole document from its full record list (pre order)."""
-    document = Document()
-    by_pre: dict[int, Node] = {}
-    for record in records:
-        node = _make_node(record)
-        by_pre[record.pre] = node
-        if record.parent_pre == 0:
-            document.children.append(node)
-            node.parent = document
-            continue
-        parent = by_pre.get(record.parent_pre)
-        if parent is None:
+            open_pres.pop()
+            yield new(event, (kind_end, open_names.pop(), None))
+            in_start_tag = False
+        if len(open_pres) == 1 and root and pre != root:
             raise StorageError(
-                f"record {record.pre} references missing parent "
-                f"{record.parent_pre}"
+                f"record {pre} lies beside subtree root {root}, not "
+                "under it"
             )
-        if isinstance(node, Attribute):
-            if not isinstance(parent, Element):
-                raise StorageError("attribute record under a non-element")
-            node.parent = parent
-            parent.attributes.append(node)
-        else:
-            if not isinstance(parent, _Container):
+        if kind == element_kind:
+            yield new(event, (kind_start, name, None))
+            open_pres.append(pre)
+            open_names.append(name)
+            in_start_tag = True
+        elif kind == attribute_kind:
+            if not in_start_tag and pre != root:
                 raise StorageError(
-                    f"record {record.pre} under non-container parent"
+                    f"attribute record {pre} outside a start tag"
                 )
-            parent.children.append(node)
-            node.parent = parent
-    return document
-
-
-def _make_node(record: NodeRecord) -> Node:
-    kind = record.kind
-    if kind == NodeKind.ELEMENT:
-        return Element(record.name or "", validate=False)
-    if kind == NodeKind.ATTRIBUTE:
-        return Attribute(record.name or "", record.value or "",
-                         validate=False)
-    if kind == NodeKind.TEXT:
-        return Text(record.value or "")
-    if kind == NodeKind.COMMENT:
-        return Comment(record.value or "")
-    if kind == NodeKind.PROCESSING_INSTRUCTION:
-        return ProcessingInstruction(record.name or "x", record.value or "")
-    raise StorageError(f"cannot rebuild node of kind {kind}")
+            yield new(event, (kind_attribute, name, value or ""))
+        else:
+            in_start_tag = False
+            if kind == text_kind:
+                yield new(event, (kind_text_event, None, value or ""))
+            elif kind == comment_kind:
+                yield new(event, (EventKind.COMMENT, None, value or ""))
+            elif kind == pi_kind:
+                yield new(
+                    event,
+                    (EventKind.PROCESSING_INSTRUCTION, name, value or ""),
+                )
+            else:
+                raise StorageError(f"cannot rebuild node of kind {kind}")
+    while len(open_names) > 1:
+        yield new(event, (kind_end, open_names.pop(), None))

@@ -241,77 +241,90 @@ class UniversalScheme(MappingScheme):
 
     # -- retrieval -----------------------------------------------------------------------
 
-    def fetch_records(
-        self, doc_id: int, root_pre: int | None = None
-    ) -> list[NodeRecord]:
+    def _path_plans(self, doc_id: int) -> tuple[list[str], dict[int, tuple]]:
+        """Resolve every path of the document, once, to positions in a
+        fetched row: the column list to select, and per ``path_id`` its
+        label chain plus, per chain position, ``(id at, kind, name,
+        value at)``."""
         labels = self.label_columns()
-        paths = dict(
-            self.db.query(
-                "SELECT path_id, pathexp FROM universal_paths "
-                "WHERE doc_id = ?",
-                (doc_id,),
-            )
-        )
-        rows = self.db.query(
-            f"SELECT * FROM {UNIVERSAL} WHERE doc_id = ?", (doc_id,)
-        )
-        column_names = [
-            d[0] for d in self.db.execute(
-                f"SELECT * FROM {UNIVERSAL} LIMIT 0"
-            ).description
-        ]
-        by_pre: dict[int, NodeRecord] = {}
-        col_of = {label: self.column_triple(i) for label, i in labels.items()}
-        for row in rows:
-            values = dict(zip(column_names, row))
-            pathexp = paths[values["path_id"]]
-            chain = [p for p in pathexp.split(PATH_SEP) if p]
-            parent_pre = 0
-            for depth, label in enumerate(chain, start=1):
-                ord_col, id_col, val_col = col_of[label]
-                pre = values[id_col]
-                if pre is None:
+        element_kind = int(NodeKind.ELEMENT)
+        columns = ["path_id"]
+        decoded: dict[str, tuple] = {}
+        plans: dict[int, tuple] = {}
+        for path_id, pathexp in self.db.query(
+            "SELECT path_id, pathexp FROM universal_paths WHERE doc_id = ?",
+            (doc_id,),
+        ):
+            chain = [label for label in pathexp.split(PATH_SEP) if label]
+            for label in chain:
+                if label in decoded:
+                    continue
+                if label not in labels:
                     raise StorageError(
-                        f"universal row missing id for label {label!r}"
+                        f"universal path {pathexp!r} uses label {label!r} "
+                        "with no column assignment"
                     )
+                _, id_col, val_col = self.column_triple(labels[label])
                 kind = label_kind(label)
-                if pre not in by_pre:
-                    by_pre[pre] = NodeRecord(
-                        pre=pre,
-                        post=0,
-                        size=0,
-                        level=depth,
-                        kind=kind,
-                        name=label_name(label),
-                        value=(
-                            values[val_col]
-                            if kind != int(NodeKind.ELEMENT)
-                            else None
-                        ),
-                        parent_pre=parent_pre,
-                        ordinal=values[ord_col] or 0,
-                        dewey="",
-                    )
-                parent_pre = pre
-        records = [by_pre[pre] for pre in sorted(by_pre)]
-        if root_pre is not None:
-            keep: set[int] = {root_pre}
-            subtree = []
-            for record in records:
-                if record.pre == root_pre or record.parent_pre in keep:
-                    keep.add(record.pre)
-                    subtree.append(record)
-            return subtree
-        return records
+                id_at = len(columns)
+                columns.append(id_col)
+                # An element's value column caches its text content,
+                # which its text rows carry anyway: not read.
+                value_at = None
+                if kind != element_kind:
+                    value_at = len(columns)
+                    columns.append(val_col)
+                decoded[label] = (id_at, kind, label_name(label), value_at)
+            plans[path_id] = (chain, [decoded[label] for label in chain])
+        return columns, plans
 
-    def fetch_records_many(
-        self, doc_id: int, pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
-        # The universal table has no subtree handle cheaper than reading
-        # the document's rows; one full fetch feeds every root's slice.
-        if not pres:
-            return {}
-        return self._subtree_slices(self.fetch_records(doc_id), pres)
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        # The table has no subtree handle and no order: whatever is
+        # asked for, every row of the document is read (the published
+        # behaviour).  What is avoidable is decoding it more than once:
+        # paths are resolved to row positions up front and rows are
+        # then read positionally.
+        columns, plans = self._path_plans(doc_id)
+        leaves = []
+        for row in self.db.query(
+            f"SELECT {', '.join(columns)} FROM {UNIVERSAL} WHERE doc_id = ?",
+            (doc_id,),
+        ):
+            plan = plans.get(row[0])
+            if plan is None:
+                raise StorageError(
+                    f"universal row references path_id {row[0]} absent "
+                    "from universal_paths"
+                )
+            chain, nodes = plan
+            ids = [row[node[0]] for node in nodes]
+            if None in ids:
+                raise StorageError(
+                    "universal row missing id for label "
+                    f"{chain[ids.index(None)]!r}"
+                )
+            leaves.append((ids, nodes, row))
+        # One row per leaf, and a leaf closes its chain: sorted by leaf
+        # id, each row repeats a prefix of the row before it and every
+        # position past that prefix is a node not yet seen — in
+        # document order.
+        leaves.sort(key=lambda leaf: leaf[0][-1])
+        rows: list[tuple] = []
+        seen: list[int] = []
+        for ids, nodes, row in leaves:
+            depth = len(ids) - 1
+            while depth and (
+                depth > len(seen) or ids[depth - 1] != seen[depth - 1]
+            ):
+                depth -= 1
+            for at in range(depth, len(ids)):
+                _, kind, name, value_at = nodes[at]
+                rows.append((
+                    0, ids[at], ids[at - 1] if at else 0, kind, name,
+                    None if value_at is None else row[value_at],
+                ))
+            seen = ids
+        return rows
 
     def _delete_rows(self, doc_id: int) -> None:
         self.db.execute(

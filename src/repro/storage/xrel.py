@@ -26,8 +26,6 @@ other mappings use for single-column value predicates.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from repro.relational.schema import Column, INTEGER, Index, Table, TEXT
 from repro.storage.base import (
     STREAM_BATCH,
@@ -35,7 +33,6 @@ from repro.storage.base import (
     StreamInserter,
     iter_batches,
 )
-from repro.storage.numbering import NodeRecord
 from repro.xml.dom import NodeKind
 
 PATH_SEP = "#/"
@@ -115,6 +112,48 @@ TEXT_TABLE = Table(
         Index("xrel_text_value", "xrel_text", ("doc_id", "value")),
     ],
 )
+
+
+#: kind, name, value of a node as each node table holds them.
+_NODE_COLUMNS = {
+    "xrel_element": f"{int(NodeKind.ELEMENT)}, name, NULL",
+    "xrel_attribute": f"{int(NodeKind.ATTRIBUTE)}, name, value",
+    "xrel_text": "kind, name, value",
+}
+
+
+def _node_union(root: str, scope: str) -> str:
+    """One statement over the three node tables: ``(root, start, end,
+    kind, name, value)`` rows ordered by (root, start) — ``start`` is
+    the node's ``pre``, unique across the tables.  *scope* is what
+    follows each ``FROM <table>``."""
+    arms = " UNION ALL ".join(
+        f"SELECT {root}, start, end, {columns} FROM {table} {scope}"
+        for table, columns in _NODE_COLUMNS.items()
+    )
+    return f"{arms} ORDER BY 1, 2"
+
+
+def _with_parents(rows: list[tuple]) -> list[tuple]:
+    """Start-ordered ``(root, start, end, kind, name, value)`` rows →
+    ``(root, pre, parent_pre, kind, name, value)``: XRel stores no
+    parent pointer, a node's parent is the innermost element region
+    still open at its start (0 above a run's first row)."""
+    element_kind = int(NodeKind.ELEMENT)
+    open_regions: list[tuple[int, int]] = []  # (start, end)
+    out = []
+    for root, start, end, kind, name, value in rows:
+        if start == root:
+            open_regions = []
+        while open_regions and open_regions[-1][1] < start:
+            open_regions.pop()
+        out.append((
+            root, start, open_regions[-1][0] if open_regions else 0,
+            kind, name, value,
+        ))
+        if kind == element_kind:
+            open_regions.append((start, end))
+    return out
 
 
 class _XRelStreamInserter(StreamInserter):
@@ -213,112 +252,38 @@ class XRelScheme(MappingScheme):
     def stream_inserter(self, doc_id):
         return _XRelStreamInserter(self, doc_id)
 
-    @staticmethod
-    def _rows_to_records(rows) -> list[NodeRecord]:
-        """Convert start-ordered region rows to records, recovering each
-        node's parent from region nesting with a stack."""
-        records: list[NodeRecord] = []
-        stack: list[tuple[int, int]] = []  # (start, end)
-        for start, end, ordinal, kind, name, value in rows:
-            while stack and stack[-1][1] < start:
-                stack.pop()
-            parent_pre = stack[-1][0] if stack else 0
-            is_element = kind == int(NodeKind.ELEMENT)
-            records.append(
-                NodeRecord(
-                    pre=start,
-                    post=0,
-                    size=end - start,
-                    level=len(stack) + 1,
-                    kind=kind,
-                    name=name,
-                    # Element "value" column carried content; real elements
-                    # rebuild their text from the xrel_text rows.
-                    value=None if is_element else value,
-                    parent_pre=parent_pre,
-                    ordinal=ordinal,
-                    dewey="",
-                )
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        return _with_parents(
+            self.db.query(
+                _node_union("0", "WHERE doc_id = ?"), [doc_id] * 3
             )
-            if is_element:
-                stack.append((start, end))
-        return records
-
-    def _node_union_sql(self, condition: str) -> str:
-        """The three-table node UNION with *condition* appended to every
-        arm, ordered by region start (= pre, unique across tables)."""
-        return f"""
-            SELECT start, end, ordinal, {int(NodeKind.ELEMENT)} AS kind,
-                   name, content AS value
-            FROM xrel_element WHERE doc_id = ?{condition}
-            UNION ALL
-            SELECT start, end, ordinal, {int(NodeKind.ATTRIBUTE)}, name,
-                   value FROM xrel_attribute WHERE doc_id = ?{condition}
-            UNION ALL
-            SELECT start, end, ordinal, kind, name, value
-            FROM xrel_text WHERE doc_id = ?{condition}
-            ORDER BY start
-            """
-
-    def fetch_records(
-        self, doc_id: int, root_pre: int | None = None
-    ) -> list[NodeRecord]:
-        condition, params = "", [doc_id]
-        if root_pre is not None:
-            # The subtree root may live in any of the three node tables.
-            root_end = (
-                "COALESCE("
-                "(SELECT end FROM xrel_element WHERE doc_id = ? AND start = ?), "
-                "(SELECT end FROM xrel_attribute WHERE doc_id = ? AND start = ?), "
-                "(SELECT end FROM xrel_text WHERE doc_id = ? AND start = ?))"
-            )
-            condition = f" AND start >= ? AND start <= {root_end}"
-            params = [doc_id, root_pre] + [doc_id, root_pre] * 3
-        rows = self.db.query(self._node_union_sql(condition), params * 3)
-        # Parents are recovered from region nesting with a stack.
-        return self._rows_to_records(rows)
+        )
 
     def fetch_records_many(
         self, doc_id: int, pres: list[int]
-    ) -> dict[int, list[NodeRecord]]:
-        # Two statements per batch: resolve the root regions (a root may
-        # live in any node table), then fetch every subtree row with one
-        # OR-of-ranges union and carve per-root slices out of the
-        # start-ordered result (regions are contiguous start blocks).
-        groups: dict[int, list[NodeRecord]] = {}
+    ) -> list[tuple]:
+        # One statement per batch: the root regions are looked up where
+        # they live (a root may sit in any node table), then every node
+        # table is range-joined against them — one (doc_id, start) key
+        # range per root and table.
+        rows: list[tuple] = []
         for batch in iter_batches(pres):
             marks = ", ".join("?" for _ in batch)
-            region_rows = self.db.query(
-                f"SELECT start, end FROM xrel_element "
-                f"WHERE doc_id = ? AND start IN ({marks}) "
-                "UNION ALL "
-                f"SELECT start, end FROM xrel_attribute "
-                f"WHERE doc_id = ? AND start IN ({marks}) "
-                "UNION ALL "
-                f"SELECT start, end FROM xrel_text "
-                f"WHERE doc_id = ? AND start IN ({marks})",
-                [doc_id, *batch] * 3,
+            regions = " UNION ALL ".join(
+                f"SELECT start, end FROM {table} "
+                f"WHERE doc_id = ? AND start IN ({marks})"
+                for table in _NODE_COLUMNS
             )
-            spans = sorted(region_rows)
-            if not spans:
-                continue
-            ors = " OR ".join(
-                "(start >= ? AND start <= ?)" for _ in spans
+            rows += self.db.query(
+                f"WITH regions(lo, hi) AS ({regions}) "
+                + _node_union(
+                    "lo",
+                    "JOIN regions ON start BETWEEN lo AND hi "
+                    "WHERE doc_id = ?",
+                ),
+                [doc_id, *batch] * 3 + [doc_id] * 3,
             )
-            arm_params = [doc_id]
-            for span in spans:
-                arm_params.extend(span)
-            rows = self.db.query(
-                self._node_union_sql(f" AND ({ors})"), arm_params * 3
-            )
-            starts = [row[0] for row in rows]
-            for root_start, root_end in spans:
-                lo = bisect_left(starts, root_start)
-                hi = bisect_right(starts, root_end)
-                records = self._rows_to_records(rows[lo:hi])
-                if records:
-                    groups[root_start] = records
-        return groups
+        return _with_parents(rows)
 
     def _delete_rows(self, doc_id: int) -> None:
         for table in ("xrel_paths", "xrel_element", "xrel_attribute",

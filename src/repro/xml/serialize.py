@@ -1,29 +1,28 @@
-"""Serialization of the tree model back to XML text.
+"""Serialization of token streams and trees back to XML text.
 
-Two entry points:
+There is one writer, :func:`write_events`, and it consumes the token
+stream of :mod:`repro.xml.events` — so a tree (replayed through
+:func:`~repro.xml.events.stream_events`) and stored rows (replayed
+through :func:`~repro.storage.numbering.records_to_events`) serialize
+through the same code and cannot disagree.  Entry points:
 
-* :func:`serialize` — exact serialization, preserving text verbatim (so
-  ``parse -> serialize -> parse`` is an identity on the tree, a property
-  the test suite checks);
+* :func:`write_events` — token stream → exact XML text;
+* :func:`serialize` — a tree node → exact XML text, preserving text
+  verbatim (so ``parse -> serialize -> parse`` is an identity on the
+  tree, a property the test suite checks);
 * :func:`serialize_pretty` — indented output for human inspection; inserts
   whitespace, so it is only structurally (not textually) equivalent.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from io import StringIO
 from typing import TextIO
 
 from repro.errors import XmlRelError
-from repro.xml.dom import (
-    Attribute,
-    Comment,
-    Document,
-    Element,
-    Node,
-    ProcessingInstruction,
-    Text,
-)
+from repro.xml.dom import Document, Element, Node, Text
+from repro.xml.events import Event, EventKind, stream_events
 
 
 def escape_text(data: str) -> str:
@@ -49,13 +48,70 @@ def escape_attribute(data: str) -> str:
     )
 
 
+def write_events(events: Iterable[Event]) -> str:
+    """Serialize a token stream to XML text.
+
+    The stream may be a whole document's, one subtree's, or a single
+    leaf's — a lone ATTRIBUTE event outside any element renders as
+    ``name="value"``.  Childless elements render as ``<a/>``.  A stream
+    no tree produces (an attribute after its element's first child, an
+    end tag with nothing open or naming another element, elements left
+    open) raises :class:`~repro.errors.XmlRelError`.
+    """
+    parts: list[str] = []
+    append = parts.append
+    open_tags: list[str] = []
+    in_start_tag = False  # the innermost start tag still lacks its '>'
+    kind_start = EventKind.START_ELEMENT
+    kind_end = EventKind.END_ELEMENT
+    kind_attribute = EventKind.ATTRIBUTE
+    kind_text = EventKind.TEXT
+    for kind, name, value in events:
+        if kind is kind_attribute:
+            if in_start_tag:
+                append(f' {name}="{escape_attribute(value)}"')
+            elif not open_tags:
+                append(f'{name}="{escape_attribute(value)}"')
+            else:
+                raise XmlRelError("ATTRIBUTE event outside a start tag")
+            continue
+        if kind is kind_end:
+            if not open_tags:
+                raise XmlRelError("END_ELEMENT without matching start")
+            tag = open_tags.pop()
+            if name is not None and name != tag:
+                raise XmlRelError(
+                    f"END_ELEMENT {name!r} does not match open "
+                    f"element {tag!r}"
+                )
+            append("/>" if in_start_tag else f"</{tag}>")
+            in_start_tag = False
+            continue
+        if in_start_tag:
+            append(">")
+            in_start_tag = False
+        if kind is kind_start:
+            append(f"<{name}")
+            open_tags.append(name)
+            in_start_tag = True
+        elif kind is kind_text:
+            append(escape_text(value))
+        elif kind is EventKind.COMMENT:
+            append(f"<!--{value}-->")
+        elif kind is EventKind.PROCESSING_INSTRUCTION:
+            append(f"<?{name} {value}?>" if value else f"<?{name}?>")
+        # START_DOCUMENT / END_DOCUMENT produce no text.
+    if open_tags:
+        raise XmlRelError("event stream ended with open elements")
+    return "".join(parts)
+
+
 def serialize(node: Node, xml_declaration: bool = False) -> str:
     """Serialize *node* (document, element, or leaf) to XML text."""
-    out = StringIO()
+    text = write_events(stream_events(node))
     if xml_declaration:
-        out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    _write(node, out)
-    return out.getvalue()
+        return '<?xml version="1.0" encoding="UTF-8"?>\n' + text
+    return text
 
 
 def serialize_pretty(node: Node, indent: str = "  ") -> str:
@@ -67,36 +123,6 @@ def serialize_pretty(node: Node, indent: str = "  ") -> str:
     out = StringIO()
     _write_pretty(node, out, indent, 0)
     return out.getvalue()
-
-
-def _write(node: Node, out: TextIO) -> None:
-    if isinstance(node, Document):
-        for child in node.children:
-            _write(child, out)
-    elif isinstance(node, Element):
-        out.write(f"<{node.tag}")
-        for attr in node.attributes:
-            out.write(f' {attr.name}="{escape_attribute(attr.value)}"')
-        if not node.children:
-            out.write("/>")
-            return
-        out.write(">")
-        for child in node.children:
-            _write(child, out)
-        out.write(f"</{node.tag}>")
-    elif isinstance(node, Text):
-        out.write(escape_text(node.data))
-    elif isinstance(node, Comment):
-        out.write(f"<!--{node.data}-->")
-    elif isinstance(node, ProcessingInstruction):
-        if node.data:
-            out.write(f"<?{node.target} {node.data}?>")
-        else:
-            out.write(f"<?{node.target}?>")
-    elif isinstance(node, Attribute):
-        out.write(f'{node.name}="{escape_attribute(node.value)}"')
-    else:
-        raise XmlRelError(f"cannot serialize node kind {node.kind!r}")
 
 
 def _has_significant_text(element: Element) -> bool:
@@ -114,8 +140,7 @@ def _write_pretty(node: Node, out: TextIO, indent: str, level: int) -> None:
     if isinstance(node, Element):
         out.write(pad)
         if _has_significant_text(node) or not node.children:
-            _write(node, out)
-            out.write("\n")
+            out.write(serialize(node) + "\n")
             return
         out.write(f"<{node.tag}")
         for attr in node.attributes:
@@ -131,6 +156,4 @@ def _write_pretty(node: Node, out: TextIO, indent: str, level: int) -> None:
         if not node.is_whitespace:
             out.write(pad + escape_text(node.data) + "\n")
         return
-    out.write(pad)
-    _write(node, out)
-    out.write("\n")
+    out.write(pad + serialize(node) + "\n")

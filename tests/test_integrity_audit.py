@@ -188,3 +188,63 @@ class TestCorruptionDetected:
             (),
             ["catalog-count"],
         )
+
+
+class TestPublishLaneOnCorruptRows:
+    """Rows no shredder wrote end the publish lane (``reconstruct_xml``,
+    ``query_xml``, ``reconstruct``) in a typed ``StorageError``; the
+    audit *reports* the same rows instead of raising."""
+
+    #: name → (scheme, corrupting statement, error text, failed check)
+    CASES = {
+        "dangling-parent": (
+            "interval",
+            "UPDATE accel SET parent_pre = 4242 WHERE pre = "
+            "(SELECT MAX(pre) FROM accel WHERE kind = 2)",
+            "missing parent 4242", "parents-resolve",
+        ),
+        "attribute-under-text": (
+            "interval",
+            "UPDATE accel SET parent_pre = "
+            "(SELECT MIN(pre) FROM accel WHERE kind = 4) WHERE pre = "
+            "(SELECT MAX(pre) FROM accel WHERE kind = 3)",
+            "missing parent", "reconstruct",
+        ),
+        "attribute-after-content": (
+            "interval",
+            "UPDATE accel SET kind = 3, name = 'late' WHERE pre = "
+            "(SELECT MAX(pre) FROM accel WHERE kind = 4)",
+            "outside a start tag", "reconstruct",
+        ),
+        "unknown-kind": (
+            "edge",
+            "UPDATE edge SET kind = 99 WHERE target = "
+            "(SELECT MAX(target) FROM edge)",
+            "kind 99", "reconstruct",
+        ),
+        "universal-null-id": (
+            "universal",
+            "UPDATE universal SET n0_id = NULL WHERE rowid = "
+            "(SELECT MAX(rowid) FROM universal)",
+            "missing id for label 'bib'", "fetch",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_typed_error_from_the_lane_and_a_report_from_the_audit(
+        self, case
+    ):
+        scheme_name, corrupt_sql, message, check = self.CASES[case]
+        db, scheme, doc_id = stored_scheme(scheme_name)
+        db.execute(corrupt_sql)
+        for publish in (
+            lambda: scheme.reconstruct_xml(doc_id),
+            lambda: scheme.reconstruct(doc_id),
+            lambda: scheme.query_xml(doc_id, "/bib"),
+            lambda: scheme.query_nodes(doc_id, "/bib"),
+        ):
+            with pytest.raises(StorageError, match=message):
+                publish()
+        report = scheme.verify_document(doc_id)  # must not raise
+        assert report.failed(check), [i.check for i in report.issues]
+        db.close()

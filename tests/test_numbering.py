@@ -2,20 +2,26 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import StorageError, XmlRelError
 from repro.xml import parse_document
 from repro.xml.dom import NodeKind
 from repro.storage.numbering import (
     DEWEY_SEPARATOR,
-    build_document,
-    build_subtree,
     dewey_component,
     dewey_depth,
     dewey_is_ancestor,
     dewey_parent,
     number_document,
+    records_to_events,
 )
-from repro.xml.events import parse_events
+from repro.xml.events import (
+    Event,
+    EventKind,
+    build_fragment,
+    build_tree,
+    parse_events,
+    stream_events,
+)
 
 from tests.conftest import shred_records
 
@@ -146,28 +152,50 @@ class TestDeweyHelpers:
         assert not dewey_is_ancestor("000001", "000010")  # not a prefix
 
 
+def publish_rows(records, root=0):
+    """NodeRecords as the slim rows a scheme's fetch yields."""
+    return [
+        (root, r.pre, r.parent_pre, r.kind, r.name, r.value)
+        for r in records
+    ]
+
+
+def subtree_rows(records, name):
+    top = by_name(records, name)
+    return publish_rows(
+        [r for r in records if top.pre <= r.pre <= top.pre + top.size],
+        root=top.pre,
+    )
+
+
 class TestRebuild:
+    """``records_to_events`` is ``shred_into`` in reverse."""
+
     def test_build_document_roundtrip(self):
         from repro.xml.dom import deep_equal
 
         doc = parse_document(SRC)
-        rebuilt = build_document(number_document(doc))
-        assert deep_equal(doc, rebuilt)
+        events = list(records_to_events(publish_rows(number_document(doc))))
+        assert deep_equal(doc, build_tree(events))
+        # the stream itself, not just the tree it builds
+        assert events == [
+            e for e in stream_events(doc)
+            if e.kind not in (
+                EventKind.START_DOCUMENT, EventKind.END_DOCUMENT
+            )
+        ]
+        assert all(type(e) is Event for e in events)
 
     def test_build_subtree(self):
-        doc = parse_document(SRC)
-        records = number_document(doc)
-        x = by_name(records, "x")
-        subtree_records = [
-            r for r in records if x.pre <= r.pre <= x.pre + x.size
-        ]
-        node = build_subtree(subtree_records)
-        assert node.tag == "x"
+        records = number_document(parse_document(SRC))
+        node = build_fragment(records_to_events(subtree_rows(records, "x")))
+        assert node.tag == "x" and node.parent is None
         assert node.find("y").text == "t"
 
     def test_build_empty_rejected(self):
-        with pytest.raises(StorageError, match="empty record set"):
-            build_subtree([])
+        assert list(records_to_events([])) == []
+        with pytest.raises(XmlRelError, match="0 top-level nodes"):
+            build_fragment(records_to_events([]))
 
     def test_build_missing_parent_rejected(self):
         doc = parse_document(SRC)
@@ -175,4 +203,55 @@ class TestRebuild:
         # Drop an intermediate node: its child's parent is missing.
         broken = [r for r in records if r.name != "y"]
         with pytest.raises(StorageError, match="missing parent"):
-            build_document(broken)
+            list(records_to_events(publish_rows(broken)))
+
+    def test_leaf_roots_publish_as_single_events(self):
+        records = number_document(parse_document(SRC))
+        attr = by_name(records, "a")
+        assert list(
+            records_to_events(publish_rows([attr], root=attr.pre))
+        ) == [Event(EventKind.ATTRIBUTE, "a", "1")]
+        text = next(r for r in records if r.kind == NodeKind.TEXT)
+        assert list(
+            records_to_events(publish_rows([text], root=text.pre))
+        ) == [Event(EventKind.TEXT, None, "t")]
+
+    def test_rows_no_shredder_wrote_are_typed_errors(self):
+        records = number_document(parse_document(SRC))
+        rows = publish_rows(records)
+        text = next(r for r in records if r.kind == NodeKind.TEXT)
+        y = by_name(records, "y")
+
+        def corrupt(pre, **changes):
+            fields = ("root", "pre", "parent_pre", "kind", "name", "value")
+            return [
+                tuple(
+                    changes.get(field, value)
+                    for field, value in zip(fields, row)
+                ) if row[1] == pre else row
+                for row in rows
+            ]
+
+        comment = next(r for r in records if r.kind == NodeKind.COMMENT)
+        cases = [
+            # a parent that was never stored
+            ("missing parent", corrupt(y.pre, parent_pre=999)),
+            # a parent that is a leaf: nothing can be under a text node
+            ("missing parent", corrupt(
+                by_name(records, "b").pre, parent_pre=text.pre
+            )),
+            # an attribute after its element's first child
+            ("outside a start tag", corrupt(
+                comment.pre, kind=int(NodeKind.ATTRIBUTE), name="late"
+            )),
+            ("kind 99", corrupt(text.pre, kind=99)),
+        ]
+        for message, broken in cases:
+            with pytest.raises(StorageError, match=message):
+                list(records_to_events(broken))
+        # a second node beside a subtree's root
+        beside = subtree_rows(records, "x") + [
+            (by_name(records, "x").pre, 900, 1, int(NodeKind.TEXT), None, "?")
+        ]
+        with pytest.raises(StorageError, match="beside subtree root"):
+            list(records_to_events(beside))

@@ -12,7 +12,7 @@ from repro.xml import parse_document
 from repro.xml.parser import ParseOptions
 from repro.xpath import evaluate_nodes
 
-from tests.conftest import BIB_DTD_XML, make_scheme
+from tests.conftest import BIB_DTD_XML, SCHEMALESS_SCHEMES, make_scheme
 
 ALL_SCHEMES = available_schemes()
 
@@ -113,6 +113,39 @@ def test_extended_query_differential(stores, query, supporting):
         else:
             with pytest.raises(UnsupportedQueryError):
                 scheme.query_pres(doc_id, query)
+
+
+# Comments and PIs above, beside and below the root element: a leaf
+# step after ``//`` must reach the ones whose parent is the context
+# node itself — the document included (XRel's leaves carry their
+# parent's path, which for these is the empty one).
+LEAVES_XML = "<?a?><!--t--><r><!--c--><s>x<!--d--><?b?></s></r><!--z-->"
+LEAF_QUERIES = [
+    "//comment()",
+    "//processing-instruction()",
+    "/comment()",
+    "/r//comment()",
+    "/r/comment()",
+    "//s//text()",
+    "//s//processing-instruction()",
+    "//r[s]//comment()",
+]
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMALESS_SCHEMES)
+def test_leaf_steps_reach_every_level(scheme_name):
+    doc = parse_document(LEAVES_XML)
+    with Database() as db:
+        scheme = make_scheme(scheme_name, db)
+        doc_id = scheme.store(doc, "leaves").doc_id
+        for query in LEAF_QUERIES:
+            try:
+                got = scheme.query_pres(doc_id, query)
+            except UnsupportedQueryError:
+                # kind tests other than text() are beyond its columns
+                assert scheme_name == "universal", query
+                continue
+            assert got == expected_pres(doc, query), query
 
 
 class TestQueryNodes:

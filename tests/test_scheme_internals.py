@@ -7,7 +7,7 @@ from repro.errors import SchemaMappingError
 from repro.query.translate_xrel import xrel_path_match
 from repro.relational.database import Database
 from repro.storage.binary import partition_table_name
-from repro.storage.edge import edge_label, label_to_name
+from repro.storage.edge import edge_label, label_name_sql
 from repro.storage.inlining import (
     BASIC,
     DtdGraph,
@@ -55,6 +55,16 @@ class TestEdgeLabels:
             value=value, parent_pre=0, ordinal=1, dewey="000001",
         )
 
+    @staticmethod
+    def label_to_name(label, kind):
+        """The engine-side inverse the publish lane selects with."""
+        with Database() as db:
+            return db.scalar(
+                f"SELECT {label_name_sql()} "
+                "FROM (SELECT ? AS label, ? AS kind)",
+                (label, kind),
+            )
+
     def test_element_and_attribute(self):
         assert edge_label(self.make(NodeKind.ELEMENT, "book")) == "book"
         assert edge_label(self.make(NodeKind.ATTRIBUTE, "id")) == "id"
@@ -68,7 +78,7 @@ class TestEdgeLabels:
             self.make(NodeKind.PROCESSING_INSTRUCTION, "style")
         )
         assert label == "#pi:style"
-        assert label_to_name(
+        assert self.label_to_name(
             label, int(NodeKind.PROCESSING_INSTRUCTION)
         ) == "style"
 
@@ -77,9 +87,11 @@ class TestEdgeLabels:
             (NodeKind.ELEMENT, "a"),
             (NodeKind.ATTRIBUTE, "k"),
             (NodeKind.TEXT, None),
+            (NodeKind.COMMENT, None),
+            (NodeKind.PROCESSING_INSTRUCTION, "a:b"),
         ):
             record = self.make(kind, name)
-            assert label_to_name(edge_label(record), int(kind)) == name
+            assert self.label_to_name(edge_label(record), int(kind)) == name
 
 
 class TestBinaryPartitionNames:
