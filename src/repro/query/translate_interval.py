@@ -1,4 +1,4 @@
-"""XPath→SQL for the interval (pre/post/size/level) mapping.
+"""XPath→SQL for the interval (pre/size/level) mapping.
 
 A k-step path becomes k self-joins of ``accel``; each axis is a range (or
 equality) condition on the region encoding:

@@ -39,9 +39,9 @@ serialize; reads never take a shard lock (WAL keeps them consistent).
 A corpus load (:meth:`store_corpus`) holds every shard lock for its
 duration.
 Subtree updates (:meth:`insert_subtree` / :meth:`delete_subtree`) run
-the :mod:`repro.updates` machinery inside an outer writer transaction,
-turning the update's internal transactions into savepoints — one fault
-anywhere rolls the whole update back.  After a write the shard's read
+:mod:`repro.updates` inside a writer transaction: each update is one
+atomic unit — checks, rows, cached content, catalog count — so one
+fault anywhere rolls the whole update back.  After a write the shard's read
 pool drops its cached results (its *data version* moves) and bumps its
 *shard-local* plan epoch (only for schemes whose translations depend on
 stored data), so cached plans and results of other shards are
@@ -657,10 +657,10 @@ class ShardedStore:
     ) -> UpdateStats:
         """Insert *fragment* under node *parent_pre* of one document.
 
-        Serialized by the shard's single-writer lock; the update's
-        internal transactions run as savepoints inside one outer writer
-        transaction, so a fault at any statement rolls the whole update
-        back while pooled readers keep serving the pre-update state.
+        Serialized by the shard's single-writer lock and atomic: a
+        fault at any statement — or a parent that does not exist or is
+        not an element — rolls the whole update back while pooled
+        readers keep serving the pre-update state.
         """
         with self._observed_update(
             "insert_subtree", doc_id=doc_id, parent_pre=parent_pre

@@ -7,7 +7,7 @@ interface; the registry in :mod:`repro.core.registry` exposes them by name:
 ``edge``     Edge table (Florescu & Kossmann, 1999)
 ``binary``   Label-partitioned edge tables (ibid.)
 ``universal``Universal table (denormalized strawman)
-``interval`` Pre/post/size/level region encoding (Grust's accelerator)
+``interval`` Pre/size/level region encoding (Grust's accelerator)
 ``dewey``    Dewey order path labels (Tatarinov et al., 2002)
 ``xrel``     Path + region mapping (Yoshikawa et al., 2001)
 ``inlining`` DTD-driven shared inlining (Shanmugasundaram et al., 1999)
@@ -15,12 +15,11 @@ interface; the registry in :mod:`repro.core.registry` exposes them by name:
 """
 
 from repro.storage.base import BulkSession, MappingScheme, ShredResult
-from repro.storage.numbering import NodeRecord, number_document
+from repro.storage.numbering import NodeRecord
 
 __all__ = [
     "BulkSession",
     "MappingScheme",
     "NodeRecord",
     "ShredResult",
-    "number_document",
 ]

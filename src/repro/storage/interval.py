@@ -1,4 +1,4 @@
-"""Interval (pre/post/size/level) mapping — the "XPath accelerator".
+"""Interval (pre/size/level) mapping — the "XPath accelerator".
 
 One relation holds every node with its region encoding (Grust 2002/2004;
 also the XASR table of Kanne & Moerkotte and the tree encoding on tutorial
@@ -6,13 +6,16 @@ slide 132):
 
 .. code-block:: text
 
-    accel(doc_id, pre, post, size, level, kind, name, value, content,
+    accel(doc_id, pre, size, level, kind, name, value, content,
           parent_pre, ordinal)
 
-Every XPath axis is a *range predicate* in the (pre, post) plane — e.g.
+Every XPath axis is a *range predicate* over a node's region
+``[pre, pre+size]`` — e.g.
 ``descendant(v) = { u : pre(u) > pre(v) AND pre(u) <= pre(v)+size(v) }`` —
 so a k-step path is k self-joins with range conditions instead of the edge
-mapping's transitive closures.  ``content`` caches the concatenated text
+mapping's transitive closures.  (Grust's plane is (pre, post); ``size``
+states the same windows and is what the translator reads, so ``post`` is
+not stored.)  ``content`` caches the concatenated text
 of text-only elements, giving value predicates a single-column compare.
 """
 
@@ -25,15 +28,12 @@ from repro.storage.base import (
     StreamInserter,
     iter_batches,
 )
-from repro.storage.numbering import NodeRecord
-from repro.xml.dom import NodeKind
 
 ACCEL_TABLE = Table(
     name="accel",
     columns=[
         Column("doc_id", INTEGER, nullable=False),
         Column("pre", INTEGER, nullable=False),
-        Column("post", INTEGER, nullable=False),
         Column("size", INTEGER, nullable=False),
         Column("level", INTEGER, nullable=False),
         Column("kind", INTEGER, nullable=False),
@@ -53,31 +53,6 @@ ACCEL_TABLE = Table(
 )
 
 
-def element_content(
-    records: list[NodeRecord],
-) -> dict[int, str]:
-    """Map element pre → concatenated text, for *text-only* elements.
-
-    An element whose non-attribute children are exclusively text nodes gets
-    its concatenated text cached; every scheme uses this for single-column
-    value predicates (the "inlined value" idea of the edge paper).
-    """
-    children: dict[int, list[NodeRecord]] = {}
-    for record in records:
-        if record.kind != NodeKind.ATTRIBUTE:
-            children.setdefault(record.parent_pre, []).append(record)
-    contents: dict[int, str] = {}
-    for record in records:
-        if record.kind != NodeKind.ELEMENT:
-            continue
-        kids = children.get(record.pre, [])
-        if kids and all(k.kind == NodeKind.TEXT for k in kids):
-            contents[record.pre] = "".join(k.value or "" for k in kids)
-        elif not kids:
-            contents[record.pre] = ""
-    return contents
-
-
 class _IntervalStreamInserter(StreamInserter):
     """Constant-memory row sink: every completed node is one accel row."""
 
@@ -88,7 +63,7 @@ class _IntervalStreamInserter(StreamInserter):
 
     def add(self, r, content):
         self._rows.append(
-            (self.doc_id, r.pre, r.post, r.size, r.level, r.kind,
+            (self.doc_id, r.pre, r.size, r.level, r.kind,
              r.name, r.value, content, r.parent_pre, r.ordinal)
         )
         if len(self._rows) >= STREAM_BATCH:
@@ -105,7 +80,7 @@ class _IntervalStreamInserter(StreamInserter):
 
 
 class IntervalScheme(MappingScheme):
-    """The pre/post/size/level region mapping."""
+    """The pre/size/level region mapping."""
 
     name = "interval"
 

@@ -1,8 +1,8 @@
 """Node numbering: the order encodings every storage scheme draws from.
 
-One traversal of a document computes, for every *stored* node (elements,
-attributes, text, comments, processing instructions — everything except
-the document node itself):
+One pass over a document's token stream (:func:`shred_into`) computes,
+for every *stored* node (elements, attributes, text, comments,
+processing instructions — everything except the document node itself):
 
 ``pre``
     Document-order position (matches ``Node.order_key``; the document node
@@ -31,16 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.errors import StorageError
-from repro.xml.dom import (
-    Attribute,
-    Comment,
-    Document,
-    Element,
-    Node,
-    NodeKind,
-    ProcessingInstruction,
-    Text,
-)
+from repro.xml.dom import NodeKind
 
 # Width of one zero-padded Dewey component; 6 digits supports up to
 # 999 999 siblings, far beyond any generated workload.
@@ -107,56 +98,6 @@ class NodeRecord(NamedTuple):
         return self.kind == NodeKind.ATTRIBUTE
 
 
-def number_document(document: Document) -> list[NodeRecord]:
-    """Compute :class:`NodeRecord` facts for every stored node, in
-    document (pre) order."""
-    document.assign_order()
-    records: list[NodeRecord] = []
-    post_counter = 0
-
-    def visit(
-        node: Node, level: int, parent_pre: int, ordinal: int, dewey: str
-    ) -> int:
-        """Append records for *node*'s subtree; return its stored size."""
-        nonlocal post_counter
-        pre = node.order_key
-        size = 0
-        child_records_start = len(records)
-        records.append(None)  # placeholder; filled after children
-        if isinstance(node, Element):
-            next_ordinal = 1
-            for attr in node.attributes:
-                size += visit(attr, level + 1, pre, next_ordinal,
-                              dewey + DEWEY_SEPARATOR
-                              + dewey_component(next_ordinal))
-                next_ordinal += 1
-            for child in node.children:
-                size += visit(child, level + 1, pre, next_ordinal,
-                              dewey + DEWEY_SEPARATOR
-                              + dewey_component(next_ordinal))
-                next_ordinal += 1
-        post_counter += 1
-        records[child_records_start] = NodeRecord(
-            pre=pre,
-            post=post_counter,
-            size=size,
-            level=level,
-            kind=int(node.kind),
-            name=_node_name(node),
-            value=_node_value(node),
-            parent_pre=parent_pre,
-            ordinal=ordinal,
-            dewey=dewey,
-        )
-        return size + 1
-
-    ordinal = 1
-    for child in document.children:
-        visit(child, 1, 0, ordinal, dewey_component(ordinal))
-        ordinal += 1
-    return records
-
-
 class _StreamFrame:
     """Numbering state of one open element (the O(depth) working set)."""
 
@@ -183,8 +124,8 @@ class _StreamFrame:
 
 
 def shred_into(events, add, enter=None) -> tuple[int, str]:
-    """Number an event stream incrementally — :func:`number_document`
-    computed from events with O(depth) memory.
+    """Number an event stream incrementally, with O(depth) memory —
+    the one place under ``src/`` where nodes get their numbers.
 
     *enter(pre, name, parent_pre)*, when given, is called as each
     element opens.  These calls arrive in **pre order** and let
@@ -194,9 +135,10 @@ def shred_into(events, add, enter=None) -> tuple[int, str]:
 
     *add(record, content)* receives every completed node: its full
     :class:`NodeRecord` plus the text-only-element ``content`` cache
-    (the :func:`~repro.storage.interval.element_content` value — ``""``
-    for childless elements, the concatenated text for text-only
-    elements, ``None`` otherwise; always ``None`` for non-elements).
+    every scheme keeps for single-column value predicates (the "inlined
+    value" idea of the edge paper) — ``""`` for childless elements, the
+    concatenated text for text-only elements, ``None`` otherwise;
+    always ``None`` for non-elements.
     Attributes/text/comments/PIs complete at their own position, so
     the subsequence of non-element nodes is in pre order; elements
     complete at their end tag — **post order** — which is the earliest
@@ -419,26 +361,6 @@ def shred_into(events, add, enter=None) -> tuple[int, str]:
             f"event stream ended with {len(stack)} open element(s)"
         )
     return node_count, root_tag
-
-
-def _node_name(node: Node) -> str | None:
-    if isinstance(node, Element):
-        return node.tag
-    if isinstance(node, Attribute):
-        return node.name
-    if isinstance(node, ProcessingInstruction):
-        return node.target
-    return None
-
-
-def _node_value(node: Node) -> str | None:
-    if isinstance(node, Attribute):
-        return node.value
-    if isinstance(node, (Text, Comment)):
-        return node.data
-    if isinstance(node, ProcessingInstruction):
-        return node.data
-    return None
 
 
 def records_to_events(rows):

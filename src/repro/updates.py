@@ -16,6 +16,14 @@ ordering).  Node ids (``pre``) remain unique but are no longer the
 document-order index after an insert — except under the interval scheme,
 which must maintain that property and pays for it.
 
+This module decides *where* a subtree goes, never what a row looks
+like: an insert numbers the fragment through the ingest lane
+(:func:`~repro.storage.numbering.shred_into`), opens a gap the way the
+scheme's order encoding demands, moves the numbered records into it
+(:func:`_relocate`) and hands them to the scheme's own
+:meth:`~repro.storage.base.MappingScheme.stream_inserter`.  What differs
+per scheme is stated once, in :func:`_shape`.
+
 The xrel, universal and inlining mappings do not implement updates here:
 xrel shares interval's renumbering story, the universal table would
 rewrite entire row sets, and inlined columns require DTD-aware row
@@ -24,29 +32,34 @@ surgery; all three raise :class:`~repro.errors.UpdateError`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import UpdateError
 from repro.relational.schema import quote_identifier
 from repro.storage.base import MappingScheme
-from repro.storage.binary import BinaryScheme
-from repro.storage.dewey import DeweyScheme
-from repro.storage.edge import EdgeScheme, edge_label
-from repro.storage.interval import IntervalScheme, element_content
+from repro.storage.binary import EDGES_VIEW, BinaryScheme
+from repro.storage.dewey import DeweyScheme, prefix_range
+from repro.storage.edge import EdgeScheme
+from repro.storage.interval import IntervalScheme
 from repro.storage.numbering import (
     DEWEY_SEPARATOR,
+    DEWEY_WIDTH,
     NodeRecord,
     dewey_component,
-    dewey_parent,
-    number_document,
+    shred_into,
 )
-from repro.xml.dom import Document, Element, NodeKind
+from repro.xml.dom import Element, NodeKind
+from repro.xml.events import stream_events
 
 
 #: Scheme classes with a subtree insert/delete implementation; the rest
 #: raise :class:`~repro.errors.UpdateError` (see the module docstring
 #: for why).
 UPDATABLE_SCHEMES = (BinaryScheme, EdgeScheme, IntervalScheme, DeweyScheme)
+
+_ATTRIBUTE = int(NodeKind.ATTRIBUTE)
 
 
 def supports_updates(scheme: MappingScheme) -> bool:
@@ -69,6 +82,57 @@ class UpdateStats:
         return self.rows_inserted + self.rows_updated + self.rows_deleted
 
 
+class _Shape(NamedTuple):
+    """What an update has to know about one scheme's rows."""
+
+    relation: str             # where it reads (binary: the union view)
+    tables: tuple[str, ...]   # where it writes (binary: every partition)
+    node: str                 # column holding a row's own id
+    parent: str               # column referencing the row's parent ...
+    key: str                  # ... by this column of the parent's row
+    level: str                # SQL of a row's depth (0: not stored)
+    size: str                 # SQL of its subtree size (0: not stored)
+    #: ``open_gap(db, shape, doc_id, parent, following, ordinal, size)``
+    #: makes room under *parent* for *size* new nodes, at *ordinal*,
+    #: before the siblings *following*; returns ``(offset, label,
+    #: rows_updated)`` for :func:`_relocate`.
+    open_gap: Callable
+    #: ``cut(db, shape, doc_id, node)`` removes *node*'s subtree;
+    #: returns ``(rows_updated, rows_deleted)``.
+    cut: Callable
+
+
+class _Node(NamedTuple):
+    """One stored node as :func:`_node` reads it."""
+
+    pre: int
+    kind: int
+    parent: int | str | None  # the parent's key; 0/None at document level
+    key: int | str            # what this node's children reference
+    level: int
+    size: int
+
+
+def _shape(scheme: MappingScheme) -> _Shape:
+    if isinstance(scheme, EdgeScheme):
+        return _Shape("edge", ("edge",), "target", "source", "target",
+                      "0", "0", _open_edge_gap, _cut_edges)
+    if isinstance(scheme, BinaryScheme):
+        # Read through the view, write to the partitions.  The list is
+        # taken before the insert adds partitions of its own: those
+        # hold nothing but the new rows.
+        return _Shape(EDGES_VIEW, tuple(scheme.partitions().values()),
+                      "target", "source", "target", "0", "0",
+                      _open_edge_gap, _cut_edges)
+    if isinstance(scheme, IntervalScheme):
+        return _Shape("accel", ("accel",), "pre", "parent_pre", "pre",
+                      "level", "size", _open_interval_gap, _cut_interval)
+    if isinstance(scheme, DeweyScheme):
+        return _Shape("dewey", ("dewey",), "pre", "parent_label", "label",
+                      "depth", "0", _open_dewey_gap, _cut_dewey)
+    raise UpdateError(f"scheme '{scheme.name}' does not implement updates")
+
+
 def insert_subtree(
     scheme: MappingScheme,
     doc_id: int,
@@ -77,44 +141,57 @@ def insert_subtree(
     index: int = 0,
 ) -> UpdateStats:
     """Insert *fragment* as child number *index* (0-based, counted among
-    the parent's non-attribute children) of node *parent_pre*."""
+    the parent's non-attribute children) of element *parent_pre*."""
     scheme.catalog.get(doc_id)
-    if not supports_updates(scheme):
-        raise UpdateError(
-            f"scheme '{scheme.name}' does not implement updates"
-        )
-    records, contents = _number_fragment(scheme, fragment)
-    # One transaction covers the row surgery, the parent's cached
-    # content refresh AND the catalog's node count: a fault anywhere
-    # leaves the document exactly as it was (the per-scheme helpers'
-    # own transactions become savepoints inside this one).
-    with scheme.db.transaction():
-        if isinstance(scheme, BinaryScheme):
-            stats = _insert_binary(scheme, doc_id, parent_pre, index,
-                                   records, contents)
-        elif isinstance(scheme, EdgeScheme):
-            stats = _insert_edge(scheme, doc_id, parent_pre, index,
-                                 records, contents)
-        elif isinstance(scheme, IntervalScheme):
-            stats = _insert_interval(scheme, doc_id, parent_pre, index,
-                                     records, contents)
-        elif isinstance(scheme, DeweyScheme):
-            stats = _insert_dewey(scheme, doc_id, parent_pre, index,
-                                  records, contents)
-        else:
+    shape = _shape(scheme)
+    if fragment.parent is not None:
+        raise UpdateError("fragment must be detached")
+    numbered: list[tuple[NodeRecord, str | None]] = []
+    shred_into(
+        stream_events(fragment),
+        lambda record, content: numbered.append((record, content)),
+    )
+    db = scheme.db
+    # One transaction covers the checks, the row surgery, the parent's
+    # cached content refresh AND the catalog's node count: a fault
+    # anywhere leaves the document exactly as it was.
+    with db.transaction():
+        parent = _node(db, shape, doc_id, parent_pre)
+        # Before any row is written: children of a text or attribute
+        # node would be rows no reader can reach.
+        if parent.kind != NodeKind.ELEMENT:
             raise UpdateError(
-                f"scheme '{scheme.name}' does not implement updates"
+                f"node {parent_pre} in document {doc_id} is not an element"
             )
-        _refresh_parent_content(scheme, doc_id, parent_pre)
+        # (kind, id, ordinal, key) per child.
+        children = _children(
+            db, shape, doc_id, parent.key,
+            f"{shape.node}, ordinal, {shape.key}",
+        )
+        siblings = [row for row in children if row[0] != _ATTRIBUTE]
+        ordinal = _insertion_ordinal(
+            siblings, len(children) - len(siblings), index
+        )
+        offset, label, updated = shape.open_gap(
+            db, shape, doc_id, parent, siblings[index:], ordinal,
+            len(numbered),
+        )
+        inserter = scheme.stream_inserter(doc_id)
+        for record, content in numbered:
+            inserter.add(
+                _relocate(record, offset, parent, ordinal, label), content
+            )
+        inserter.finish()
+        _refresh_content(db, shape, doc_id, parent.key)
         record = scheme.catalog.get(doc_id)
         scheme.catalog.update_node_count(
-            doc_id, record.node_count + len(records)
+            doc_id, record.node_count + len(numbered)
         )
     if scheme.translation_depends_on_data:
-        # e.g. binary's _ensure_partition may have added a partition,
-        # changing what label-selective steps compile to.
+        # e.g. binary's inserter may have added a partition, changing
+        # what label-selective steps compile to.
         scheme.invalidate_plans()
-    return stats
+    return UpdateStats(rows_inserted=len(numbered), rows_updated=updated)
 
 
 def delete_subtree(
@@ -122,143 +199,22 @@ def delete_subtree(
 ) -> UpdateStats:
     """Delete the subtree rooted at node *pre*."""
     scheme.catalog.get(doc_id)
-    if not supports_updates(scheme):
-        raise UpdateError(
-            f"scheme '{scheme.name}' does not implement updates"
-        )
-    parent_pre = _parent_of(scheme, doc_id, pre)
+    shape = _shape(scheme)
+    db = scheme.db
     # Same atomicity contract as insert_subtree: rows, cached content
     # and catalog count move together or not at all.
-    with scheme.db.transaction():
-        if isinstance(scheme, BinaryScheme):
-            stats = _delete_binary(scheme, doc_id, pre)
-        elif isinstance(scheme, EdgeScheme):
-            stats = _delete_edge(scheme, doc_id, pre)
-        elif isinstance(scheme, IntervalScheme):
-            stats = _delete_interval(scheme, doc_id, pre)
-        elif isinstance(scheme, DeweyScheme):
-            stats = _delete_dewey(scheme, doc_id, pre)
-        else:
-            raise UpdateError(
-                f"scheme '{scheme.name}' does not implement updates"
-            )
-        if parent_pre:
-            _refresh_parent_content(scheme, doc_id, parent_pre)
+    with db.transaction():
+        node = _node(db, shape, doc_id, pre)
+        updated, deleted = shape.cut(db, shape, doc_id, node)
+        if node.parent:
+            _refresh_content(db, shape, doc_id, node.parent)
         record = scheme.catalog.get(doc_id)
         scheme.catalog.update_node_count(
-            doc_id, max(0, record.node_count - stats.rows_deleted)
+            doc_id, max(0, record.node_count - deleted)
         )
     if scheme.translation_depends_on_data:
         scheme.invalidate_plans()
-    return stats
-
-
-def _parent_of(scheme: MappingScheme, doc_id: int, pre: int) -> int:
-    """The parent's id of node *pre* (0 for root-level nodes)."""
-    if isinstance(scheme, BinaryScheme):
-        if not scheme.partitions():
-            raise UpdateError(f"no node {pre} in document {doc_id}")
-        row = scheme.db.query_one(
-            "SELECT source FROM binary_edges "
-            "WHERE doc_id = ? AND target = ?",
-            (doc_id, pre),
-        )
-    elif isinstance(scheme, EdgeScheme):
-        row = scheme.db.query_one(
-            "SELECT source FROM edge WHERE doc_id = ? AND target = ?",
-            (doc_id, pre),
-        )
-    elif isinstance(scheme, IntervalScheme):
-        row = scheme.db.query_one(
-            "SELECT parent_pre FROM accel WHERE doc_id = ? AND pre = ?",
-            (doc_id, pre),
-        )
-    elif isinstance(scheme, DeweyScheme):
-        row = scheme.db.query_one(
-            "SELECT parent_label FROM dewey WHERE doc_id = ? AND pre = ?",
-            (doc_id, pre),
-        )
-        if row is None:
-            raise UpdateError(f"no node {pre} in document {doc_id}")
-        if row[0] is None:
-            return 0
-        parent = scheme.db.query_one(
-            "SELECT pre FROM dewey WHERE doc_id = ? AND label = ?",
-            (doc_id, row[0]),
-        )
-        return int(parent[0]) if parent else 0
-    else:
-        raise UpdateError(
-            f"scheme '{scheme.name}' does not implement updates"
-        )
-    if row is None:
-        raise UpdateError(f"no node {pre} in document {doc_id}")
-    return int(row[0])
-
-
-def _refresh_parent_content(
-    scheme: MappingScheme, doc_id: int, parent_pre: int
-) -> None:
-    """Recompute the parent's cached text-only ``content`` after an
-    update — inserting an element child invalidates it, deleting the
-    last element child may restore it."""
-    if isinstance(scheme, BinaryScheme):
-        children = scheme.db.query(
-            "SELECT kind, value FROM binary_edges "
-            "WHERE doc_id = ? AND source = ? AND kind != ? "
-            "ORDER BY ordinal",
-            (doc_id, parent_pre, int(NodeKind.ATTRIBUTE)),
-        )
-        content = _content_of(children)
-        for table in scheme.partitions().values():
-            scheme.db.execute(
-                f"UPDATE {quote_identifier(table)} SET content = ? "
-                "WHERE doc_id = ? AND target = ?",
-                (content, doc_id, parent_pre),
-            )
-    elif isinstance(scheme, EdgeScheme):
-        children = scheme.db.query(
-            "SELECT kind, value FROM edge "
-            "WHERE doc_id = ? AND source = ? AND kind != ? "
-            "ORDER BY ordinal",
-            (doc_id, parent_pre, int(NodeKind.ATTRIBUTE)),
-        )
-        scheme.db.execute(
-            "UPDATE edge SET content = ? WHERE doc_id = ? AND target = ?",
-            (_content_of(children), doc_id, parent_pre),
-        )
-    elif isinstance(scheme, IntervalScheme):
-        children = scheme.db.query(
-            "SELECT kind, value FROM accel "
-            "WHERE doc_id = ? AND parent_pre = ? AND kind != ? "
-            "ORDER BY ordinal",
-            (doc_id, parent_pre, int(NodeKind.ATTRIBUTE)),
-        )
-        scheme.db.execute(
-            "UPDATE accel SET content = ? WHERE doc_id = ? AND pre = ?",
-            (_content_of(children), doc_id, parent_pre),
-        )
-    elif isinstance(scheme, DeweyScheme):
-        children = scheme.db.query(
-            "SELECT kind, value FROM dewey WHERE doc_id = ? AND "
-            "parent_label = (SELECT label FROM dewey "
-            "                WHERE doc_id = ? AND pre = ?) "
-            "AND kind != ? ORDER BY label",
-            (doc_id, doc_id, parent_pre, int(NodeKind.ATTRIBUTE)),
-        )
-        scheme.db.execute(
-            "UPDATE dewey SET content = ? WHERE doc_id = ? AND pre = ?",
-            (_content_of(children), doc_id, parent_pre),
-        )
-
-
-def _content_of(children: list[tuple]) -> str | None:
-    """Text-only content of a child list (None when mixed/element)."""
-    if not children:
-        return ""
-    if all(kind == int(NodeKind.TEXT) for kind, __ in children):
-        return "".join(value or "" for __, value in children)
-    return None
+    return UpdateStats(0, updated, rows_deleted=deleted)
 
 
 # ---------------------------------------------------------------------------
@@ -266,91 +222,52 @@ def _content_of(children: list[tuple]) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _number_fragment(
-    scheme: MappingScheme, fragment: Element
-) -> tuple[list[NodeRecord], dict[int, str]]:
-    """Number a detached fragment with fresh ids beyond the current max."""
-    if fragment.parent is not None:
-        raise UpdateError("fragment must be detached")
-    holder = Document()
-    holder.append_child(fragment)
-    try:
-        records = number_document(holder)
-        contents = element_content(records)
-    finally:
-        holder.remove_child(fragment)
-    base = _max_pre(scheme) + 1
-    shifted = [
-        NodeRecord(
-            pre=r.pre + base - 1,
-            post=r.post,
-            size=r.size,
-            level=r.level,
-            kind=r.kind,
-            name=r.name,
-            value=r.value,
-            parent_pre=(r.parent_pre + base - 1 if r.parent_pre else 0),
-            ordinal=r.ordinal,
-            dewey=r.dewey,
-        )
-        for r in records
+def _node(db, shape: _Shape, doc_id: int, pre: int) -> _Node:
+    row = db.query_one(
+        f"SELECT kind, {shape.parent}, {shape.key}, {shape.level}, "
+        f"{shape.size} FROM {shape.relation} "
+        f"WHERE doc_id = ? AND {shape.node} = ?",
+        (doc_id, pre),
+    )
+    if row is None:
+        raise UpdateError(f"no node {pre} in document {doc_id}")
+    return _Node(pre, *row)
+
+
+def _children(
+    db, shape: _Shape, doc_id: int, key, columns: str
+) -> list[tuple]:
+    """``(kind, *columns)`` of the children of the node with *key*,
+    attributes included, in sibling order."""
+    return db.query(
+        f"SELECT kind, {columns} FROM {shape.relation} "
+        f"WHERE doc_id = ? AND {shape.parent} = ? ORDER BY ordinal",
+        (doc_id, key),
+    )
+
+
+def _refresh_content(db, shape: _Shape, doc_id: int, key) -> None:
+    """Recompute the cached text-only ``content`` of the node with
+    *key* after an update — inserting an element child invalidates it,
+    deleting the last element child may restore it."""
+    kids = [
+        row for row in _children(db, shape, doc_id, key, "value")
+        if row[0] != _ATTRIBUTE
     ]
-    shifted_contents = {
-        pre + base - 1: text for pre, text in contents.items()
-    }
-    return shifted, shifted_contents
-
-
-def _max_pre(scheme: MappingScheme) -> int:
-    if isinstance(scheme, BinaryScheme):
-        tables = list(scheme.partitions().values())
-        column = "target"
-    elif isinstance(scheme, EdgeScheme):
-        tables, column = ["edge"], "target"
-    elif isinstance(scheme, IntervalScheme):
-        tables, column = ["accel"], "pre"
-    elif isinstance(scheme, DeweyScheme):
-        tables, column = ["dewey"], "pre"
-    else:  # pragma: no cover - guarded by the dispatchers
-        raise UpdateError(f"no id source for scheme '{scheme.name}'")
-    best = 0
-    for table in tables:
-        value = scheme.db.scalar(
-            f"SELECT MAX({column}) FROM {quote_identifier(table)}"
+    if all(kind == NodeKind.TEXT for kind, __ in kids):
+        content = "".join(value or "" for __, value in kids)
+    else:
+        content = None  # mixed or element content
+    for table in shape.tables:
+        db.execute(
+            f"UPDATE {quote_identifier(table)} SET content = ? "
+            f"WHERE doc_id = ? AND {shape.key} = ?",
+            (content, doc_id, key),
         )
-        best = max(best, value or 0)
-    return best
-
-
-def _sibling_rows(
-    scheme, doc_id: int, parent_pre: int, table: str,
-    parent_col: str, id_col: str,
-) -> list[tuple[int, int]]:
-    """(id, ordinal) of the parent's non-attribute children, in order."""
-    rows = scheme.db.query(
-        f"SELECT {id_col}, ordinal FROM {quote_identifier(table)} "
-        f"WHERE doc_id = ? AND {parent_col} = ? AND kind != ? "
-        "ORDER BY ordinal",
-        (doc_id, parent_pre, int(NodeKind.ATTRIBUTE)),
-    )
-    return [(int(a), int(b)) for a, b in rows]
-
-
-def _attr_count(
-    scheme, doc_id: int, parent_pre: int, table: str,
-    parent_col: str,
-) -> int:
-    return int(
-        scheme.db.scalar(
-            f"SELECT COUNT(*) FROM {quote_identifier(table)} "
-            f"WHERE doc_id = ? AND {parent_col} = ? AND kind = ?",
-            (doc_id, parent_pre, int(NodeKind.ATTRIBUTE)),
-        )
-    )
 
 
 def _insertion_ordinal(
-    siblings: list[tuple[int, int]], attr_count: int, index: int
+    siblings: list[tuple], attr_count: int, index: int
 ) -> int:
     """Ordinal for the new child at *index* among element/text children."""
     if index < 0 or index > len(siblings):
@@ -359,10 +276,59 @@ def _insertion_ordinal(
             "children)"
         )
     if index < len(siblings):
-        return siblings[index][1]
+        return siblings[index][2]
     if siblings:
-        return siblings[-1][1] + 1
+        return siblings[-1][2] + 1
     return attr_count + 1
+
+
+def _relocate(
+    record: NodeRecord, offset: int, parent: _Node, ordinal: int,
+    label: str | None,
+) -> NodeRecord:
+    """Point one record of a fragment numbered from 1 at its gap: ids
+    move by *offset*, levels hang below *parent*, and the fragment's
+    root (the one record with no parent) takes *parent* and *ordinal*.
+    *label* is the root's new Dewey label (None where no label is
+    stored): it replaces the root's single component in every label.
+    """
+    is_root = not record.parent_pre
+    return record._replace(
+        pre=record.pre + offset,
+        level=record.level + parent.level,
+        parent_pre=parent.pre if is_root else record.parent_pre + offset,
+        ordinal=ordinal if is_root else record.ordinal,
+        dewey=(record.dewey if label is None
+               else label + record.dewey[DEWEY_WIDTH:]),
+    )
+
+
+def _fresh_ids(db, shape: _Shape, doc_id: int) -> int:
+    """Offset that moves a fragment's ids past every id of the
+    document: ids are per document, so no other document's rows are
+    read, and each table answers from its ``(doc_id, id)`` key."""
+    return max(
+        db.scalar(
+            f"SELECT MAX({shape.node}) FROM {quote_identifier(table)} "
+            "WHERE doc_id = ?",
+            (doc_id,),
+        ) or 0
+        for table in shape.tables
+    )
+
+
+def _bump_ordinals(
+    db, shape: _Shape, doc_id: int, parent_pre: int, ordinal: int
+) -> int:
+    """Move the siblings at *ordinal* and after one slot up."""
+    return sum(
+        db.execute(
+            f"UPDATE {quote_identifier(table)} SET ordinal = ordinal + 1 "
+            f"WHERE doc_id = ? AND {shape.parent} = ? AND ordinal >= ?",
+            (doc_id, parent_pre, ordinal),
+        ).rowcount
+        for table in shape.tables
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,129 +336,40 @@ def _insertion_ordinal(
 # ---------------------------------------------------------------------------
 
 
-def _insert_edge(
-    scheme: EdgeScheme, doc_id, parent_pre, index, records, contents
-) -> UpdateStats:
-    siblings = _sibling_rows(
-        scheme, doc_id, parent_pre, "edge", "source", "target"
-    )
-    attrs = _attr_count(scheme, doc_id, parent_pre, "edge", "source")
-    ordinal = _insertion_ordinal(siblings, attrs, index)
-    with scheme.db.transaction():
-        cursor = scheme.db.execute(
-            "UPDATE edge SET ordinal = ordinal + 1 "
-            "WHERE doc_id = ? AND source = ? AND ordinal >= ?",
-            (doc_id, parent_pre, ordinal),
-        )
-        updated = cursor.rowcount
-        scheme.db.executemany(
-            "INSERT INTO edge (doc_id, source, ordinal, label, kind, "
-            "target, value, content) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            _edge_rows(doc_id, parent_pre, ordinal, records, contents),
-        )
-    return UpdateStats(rows_inserted=len(records), rows_updated=updated)
+def _open_edge_gap(db, shape, doc_id, parent, following, ordinal, size):
+    updated = _bump_ordinals(db, shape, doc_id, parent.pre, ordinal)
+    return _fresh_ids(db, shape, doc_id), None, updated
 
 
-def _edge_rows(doc_id, parent_pre, ordinal, records, contents):
-    root_pre = records[0].pre
-    for r in records:
-        is_root = r.pre == root_pre
-        yield (
-            doc_id,
-            parent_pre if is_root else r.parent_pre,
-            ordinal if is_root else r.ordinal,
-            edge_label(r),
-            r.kind,
-            r.pre,
-            r.value,
-            contents.get(r.pre),
-        )
-
-
-def _insert_binary(
-    scheme: BinaryScheme, doc_id, parent_pre, index, records, contents
-) -> UpdateStats:
-    siblings = _sibling_rows(
-        scheme, doc_id, parent_pre, "binary_edges", "source", "target"
-    )
-    attrs = _attr_count(
-        scheme, doc_id, parent_pre, "binary_edges", "source"
-    )
-    ordinal = _insertion_ordinal(siblings, attrs, index)
-    updated = 0
-    with scheme.db.transaction():
-        for table in scheme.partitions().values():
-            cursor = scheme.db.execute(
-                f"UPDATE {quote_identifier(table)} SET ordinal = ordinal + 1 "
-                "WHERE doc_id = ? AND source = ? AND ordinal >= ?",
-                (doc_id, parent_pre, ordinal),
-            )
-            updated += cursor.rowcount
-        by_label: dict[str, list[tuple]] = {}
-        for row in _edge_rows(doc_id, parent_pre, ordinal, records, contents):
-            by_label.setdefault(row[3], []).append(row)
-        for label, rows in by_label.items():
-            table = scheme._ensure_partition(label)
-            scheme.db.executemany(
-                f"INSERT INTO {quote_identifier(table)} "
-                "(doc_id, source, ordinal, label, kind, target, value, "
-                "content) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-    return UpdateStats(rows_inserted=len(records), rows_updated=updated)
-
-
-def _delete_edge(scheme: EdgeScheme, doc_id, pre) -> UpdateStats:
+def _cut_edges(db, shape, doc_id, node):
+    # The closure is read in full before any table is swept: with
+    # binary, a parent's partition may be emptied before its
+    # children's, and a closure taken then would stop at the hole.
     doomed = [
         row[0]
-        for row in scheme.db.query(
-            """
-            WITH RECURSIVE doomed(id) AS (
-              SELECT target FROM edge WHERE doc_id = ? AND target = ?
-              UNION ALL
-              SELECT e.target FROM edge e JOIN doomed d ON e.source = d.id
-              WHERE e.doc_id = ?
-            )
-            SELECT id FROM doomed
-            """,
-            (doc_id, pre, doc_id),
-        )
-    ]
-    marks = ", ".join("?" for _ in doomed)
-    cursor = scheme.db.execute(
-        f"DELETE FROM edge WHERE doc_id = ? AND target IN ({marks})",
-        [doc_id] + doomed,
-    )
-    return UpdateStats(0, 0, rows_deleted=cursor.rowcount)
-
-
-def _delete_binary(scheme: BinaryScheme, doc_id, pre) -> UpdateStats:
-    doomed = [
-        row[0]
-        for row in scheme.db.query(
+        for row in db.query(
             f"""
             WITH RECURSIVE doomed(id) AS (
-              SELECT target FROM binary_edges WHERE doc_id = ? AND target = ?
+              SELECT ?
               UNION ALL
-              SELECT e.target FROM binary_edges e
+              SELECT e.target FROM {shape.relation} e
               JOIN doomed d ON e.source = d.id WHERE e.doc_id = ?
             )
             SELECT id FROM doomed
             """,
-            (doc_id, pre, doc_id),
+            (node.pre, doc_id),
         )
     ]
-    deleted = 0
-    with scheme.db.transaction():
-        for table in scheme.partitions().values():
-            marks = ", ".join("?" for _ in doomed)
-            cursor = scheme.db.execute(
-                f"DELETE FROM {quote_identifier(table)} "
-                f"WHERE doc_id = ? AND target IN ({marks})",
-                [doc_id] + doomed,
-            )
-            deleted += cursor.rowcount
-    return UpdateStats(0, 0, rows_deleted=deleted)
+    marks = ", ".join("?" for _ in doomed)
+    deleted = sum(
+        db.execute(
+            f"DELETE FROM {quote_identifier(table)} "
+            f"WHERE doc_id = ? AND target IN ({marks})",
+            [doc_id, *doomed],
+        ).rowcount
+        for table in shape.tables
+    )
+    return 0, deleted
 
 
 # ---------------------------------------------------------------------------
@@ -500,150 +377,66 @@ def _delete_binary(scheme: BinaryScheme, doc_id, pre) -> UpdateStats:
 # ---------------------------------------------------------------------------
 
 
-def _insert_interval(
-    scheme: IntervalScheme, doc_id, parent_pre, index, records, contents
-) -> UpdateStats:
-    parent = scheme.db.query_one(
-        "SELECT pre, size, level FROM accel WHERE doc_id = ? AND pre = ?",
-        (doc_id, parent_pre),
+def _shift_interval(db, doc_id: int, start: int, by: int, parent) -> int:
+    """Renumber for *by* nodes arriving (``by > 0``) or gone (``< 0``)
+    at position *start* under node *parent*: every node from *start* on
+    moves, and every ancestor's region resizes — the scheme's published
+    update cost, paid here and nowhere else.  Returns rows updated."""
+    # Two passes through negative values: a single in-place += would
+    # transiently collide with the (doc_id, pre) primary key.
+    updated = db.execute(
+        "UPDATE accel SET pre = -(pre + ?) WHERE doc_id = ? AND pre >= ?",
+        (by, doc_id, start),
+    ).rowcount
+    db.execute(
+        "UPDATE accel SET pre = -pre WHERE doc_id = ? AND pre < 0",
+        (doc_id,),
     )
-    if parent is None:
-        raise UpdateError(f"no node {parent_pre} in document {doc_id}")
-    __, parent_size, parent_level = parent
-    siblings = _sibling_rows(
-        scheme, doc_id, parent_pre, "accel", "parent_pre", "pre"
-    )
-    attrs = _attr_count(scheme, doc_id, parent_pre, "accel", "parent_pre")
-    ordinal = _insertion_ordinal(siblings, attrs, index)
-    if index < len(siblings):
-        insert_pre = siblings[index][0]
-    else:
-        insert_pre = parent_pre + parent_size + 1
-    subtree_size = len(records)
-    updated = 0
-    with scheme.db.transaction():
-        # Global renumbering: every node at or after the insertion point
-        # shifts by the subtree size (the scheme's published update cost).
-        # Two passes through negative values: a single in-place += would
-        # transiently collide with the (doc_id, pre) primary key.
-        cursor = scheme.db.execute(
-            "UPDATE accel SET pre = -(pre + ?) "
-            "WHERE doc_id = ? AND pre >= ?",
-            (subtree_size, doc_id, insert_pre),
+    updated += db.execute(
+        "UPDATE accel SET parent_pre = parent_pre + ? "
+        "WHERE doc_id = ? AND parent_pre >= ?",
+        (by, doc_id, start),
+    ).rowcount
+    # The WITH sits inside the IN: a statement that *leads* with it
+    # reports rowcount -1.
+    updated += db.execute(
+        """
+        UPDATE accel SET size = size + ? WHERE doc_id = ? AND pre IN (
+          WITH RECURSIVE up(pre) AS (
+            SELECT ?
+            UNION ALL
+            SELECT a.parent_pre FROM accel a JOIN up ON a.pre = up.pre
+            WHERE a.doc_id = ?
+          )
+          SELECT pre FROM up
         )
-        updated += cursor.rowcount
-        scheme.db.execute(
-            "UPDATE accel SET pre = -pre WHERE doc_id = ? AND pre < 0",
-            (doc_id,),
-        )
-        cursor = scheme.db.execute(
-            "UPDATE accel SET parent_pre = parent_pre + ? "
-            "WHERE doc_id = ? AND parent_pre >= ?",
-            (subtree_size, doc_id, insert_pre),
-        )
-        updated += cursor.rowcount
-        # Ancestors grow by the subtree size.
-        ancestors = _ancestor_pres(scheme, doc_id, parent_pre)
-        for ancestor in ancestors:
-            scheme.db.execute(
-                "UPDATE accel SET size = size + ? "
-                "WHERE doc_id = ? AND pre = ?",
-                (subtree_size, doc_id, ancestor),
-            )
-        updated += len(ancestors)
-        cursor = scheme.db.execute(
-            "UPDATE accel SET ordinal = ordinal + 1 "
-            "WHERE doc_id = ? AND parent_pre = ? AND ordinal >= ?",
-            (doc_id, parent_pre, ordinal),
-        )
-        updated += cursor.rowcount
-        root_pre = records[0].pre
-        offset = insert_pre - root_pre
-        scheme.db.executemany(
-            "INSERT INTO accel (doc_id, pre, post, size, level, kind, "
-            "name, value, content, parent_pre, ordinal) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                (
-                    doc_id,
-                    r.pre + offset,
-                    0,  # post is not maintained across updates
-                    r.size,
-                    r.level + parent_level,
-                    r.kind,
-                    r.name,
-                    r.value,
-                    contents.get(r.pre),
-                    (parent_pre if r.pre == root_pre
-                     else r.parent_pre + offset),
-                    ordinal if r.pre == root_pre else r.ordinal,
-                )
-                for r in records
-            ),
-        )
-    return UpdateStats(rows_inserted=len(records), rows_updated=updated)
+        """,
+        (by, doc_id, parent, doc_id),
+    ).rowcount
+    return updated
 
 
-def _ancestor_pres(scheme, doc_id, pre) -> list[int]:
-    ancestors = []
-    current = pre
-    while current:
-        ancestors.append(current)
-        row = scheme.db.query_one(
-            "SELECT parent_pre FROM accel WHERE doc_id = ? AND pre = ?",
-            (doc_id, current),
-        )
-        if row is None:
-            break
-        current = row[0]
-    return ancestors
+def _open_interval_gap(db, shape, doc_id, parent, following, ordinal, size):
+    # The new subtree takes the next sibling's place, or — appended —
+    # the position just past the parent's region.
+    gap = following[0][1] if following else parent.pre + parent.size + 1
+    updated = _shift_interval(db, doc_id, gap, size, parent.pre)
+    updated += _bump_ordinals(db, shape, doc_id, parent.pre, ordinal)
+    return gap - 1, None, updated
 
 
-def _delete_interval(scheme: IntervalScheme, doc_id, pre) -> UpdateStats:
-    row = scheme.db.query_one(
-        "SELECT size, parent_pre FROM accel WHERE doc_id = ? AND pre = ?",
-        (doc_id, pre),
-    )
-    if row is None:
-        raise UpdateError(f"no node {pre} in document {doc_id}")
-    size, parent_pre = row
-    updated = 0
-    with scheme.db.transaction():
-        cursor = scheme.db.execute(
-            "DELETE FROM accel WHERE doc_id = ? AND pre >= ? AND pre <= ?",
-            (doc_id, pre, pre + size),
-        )
-        deleted = cursor.rowcount
-        # The encoding's regions are *contiguous* pre ranges — a gap
-        # would put surviving descendants outside their ancestors'
-        # ``(pre, pre+size]`` windows — so deletion renumbers everything
-        # after the hole, mirroring insertion's global cost (the
-        # published write-amplification of the interval mapping).
-        cursor = scheme.db.execute(
-            "UPDATE accel SET pre = -(pre - ?) "
-            "WHERE doc_id = ? AND pre > ?",
-            (deleted, doc_id, pre + size),
-        )
-        updated += cursor.rowcount
-        scheme.db.execute(
-            "UPDATE accel SET pre = -pre WHERE doc_id = ? AND pre < 0",
-            (doc_id,),
-        )
-        cursor = scheme.db.execute(
-            "UPDATE accel SET parent_pre = parent_pre - ? "
-            "WHERE doc_id = ? AND parent_pre > ?",
-            (deleted, doc_id, pre + size),
-        )
-        updated += cursor.rowcount
-        ancestors = _ancestor_pres(scheme, doc_id, parent_pre)
-        for ancestor in ancestors:
-            scheme.db.execute(
-                "UPDATE accel SET size = size - ? "
-                "WHERE doc_id = ? AND pre = ?",
-                (deleted, doc_id, ancestor),
-            )
-        updated += len(ancestors)
-    return UpdateStats(0, updated, rows_deleted=deleted)
+def _cut_interval(db, shape, doc_id, node):
+    end = node.pre + node.size
+    deleted = db.execute(
+        "DELETE FROM accel WHERE doc_id = ? AND pre >= ? AND pre <= ?",
+        (doc_id, node.pre, end),
+    ).rowcount
+    # The encoding's regions are *contiguous* pre ranges — a gap
+    # would put surviving descendants outside their ancestors'
+    # ``(pre, pre+size]`` windows — so deletion renumbers everything
+    # after the hole, mirroring insertion's global cost (the
+    # published write-amplification of the interval mapping).
+    return _shift_interval(db, doc_id, end + 1, -deleted, node.parent), deleted
 
 
 # ---------------------------------------------------------------------------
@@ -651,94 +444,27 @@ def _delete_interval(scheme: IntervalScheme, doc_id, pre) -> UpdateStats:
 # ---------------------------------------------------------------------------
 
 
-def _insert_dewey(
-    scheme: DeweyScheme, doc_id, parent_pre, index, records, contents
-) -> UpdateStats:
-    parent = scheme.db.query_one(
-        "SELECT label, depth FROM dewey WHERE doc_id = ? AND pre = ?",
-        (doc_id, parent_pre),
-    )
-    if parent is None:
-        raise UpdateError(f"no node {parent_pre} in document {doc_id}")
-    parent_label, parent_depth = parent
-    siblings = scheme.db.query(
-        "SELECT pre, ordinal, label FROM dewey "
-        "WHERE doc_id = ? AND parent_label = ? AND kind != ? "
-        "ORDER BY ordinal",
-        (doc_id, parent_label, int(NodeKind.ATTRIBUTE)),
-    )
-    attrs = int(scheme.db.scalar(
-        "SELECT COUNT(*) FROM dewey "
-        "WHERE doc_id = ? AND parent_label = ? AND kind = ?",
-        (doc_id, parent_label, int(NodeKind.ATTRIBUTE)),
-    ))
-    ordinal = _insertion_ordinal(
-        [(p, o) for p, o, __ in siblings], attrs, index
-    )
+def _open_dewey_gap(db, shape, doc_id, parent, following, ordinal, size):
+    # Relabel following siblings' subtrees, last first (labels are a
+    # primary key, so shifts must not collide mid-flight).
     updated = 0
-    with scheme.db.transaction():
-        # Relabel following siblings' subtrees, last first (labels are a
-        # primary key, so shifts must not collide mid-flight).
-        following = [
-            (label, old_ordinal)
-            for __, old_ordinal, label in siblings
-            if old_ordinal >= ordinal
-        ]
-        for label, old_ordinal in reversed(following):
-            new_label = (
-                parent_label + DEWEY_SEPARATOR
-                + dewey_component(old_ordinal + 1)
-            )
-            updated += _relabel_subtree(
-                scheme, doc_id, label, new_label, old_ordinal + 1
-            )
-        root_pre = records[0].pre
-        new_root_label = (
-            parent_label + DEWEY_SEPARATOR + dewey_component(ordinal)
+    for __, __, old_ordinal, label in reversed(following):
+        updated += _relabel_subtree(
+            db, doc_id, label,
+            parent.key + DEWEY_SEPARATOR + dewey_component(old_ordinal + 1),
+            old_ordinal + 1,
         )
-        scheme.db.executemany(
-            "INSERT INTO dewey (doc_id, label, parent_label, depth, kind, "
-            "name, value, content, pre, ordinal) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                (
-                    doc_id,
-                    _graft_label(r.dewey, new_root_label),
-                    (
-                        parent_label
-                        if r.pre == root_pre
-                        else _graft_label(
-                            dewey_parent(r.dewey) or "", new_root_label
-                        )
-                    ),
-                    r.level + parent_depth,
-                    r.kind,
-                    r.name,
-                    r.value,
-                    contents.get(r.pre),
-                    r.pre,
-                    ordinal if r.pre == root_pre else r.ordinal,
-                )
-                for r in records
-            ),
-        )
-    return UpdateStats(rows_inserted=len(records), rows_updated=updated)
+    return (
+        _fresh_ids(db, shape, doc_id),
+        parent.key + DEWEY_SEPARATOR + dewey_component(ordinal),
+        updated,
+    )
 
 
-def _graft_label(fragment_label: str, new_root_label: str) -> str:
-    """Replace the fragment root's component with the grafted label."""
-    parts = fragment_label.split(DEWEY_SEPARATOR)
-    return DEWEY_SEPARATOR.join([new_root_label] + parts[1:])
-
-
-def _relabel_subtree(
-    scheme: DeweyScheme, doc_id, old_label, new_label, new_ordinal
-) -> int:
+def _relabel_subtree(db, doc_id, old_label, new_label, new_ordinal) -> int:
     """Move a subtree from *old_label* to *new_label*; returns rows."""
-    from repro.storage.dewey import prefix_range
-
     lo, hi = prefix_range(old_label)
-    cursor = scheme.db.execute(
+    descendants = db.execute(
         "UPDATE dewey SET "
         "label = ? || SUBSTR(label, ?), "
         "parent_label = CASE WHEN parent_label = ? THEN ? "
@@ -750,9 +476,8 @@ def _relabel_subtree(
             new_label, len(old_label) + 1,
             doc_id, lo, hi,
         ),
-    )
-    descendants = cursor.rowcount
-    scheme.db.execute(
+    ).rowcount
+    db.execute(
         "UPDATE dewey SET label = ?, ordinal = ? "
         "WHERE doc_id = ? AND label = ?",
         (new_label, new_ordinal, doc_id, old_label),
@@ -760,20 +485,11 @@ def _relabel_subtree(
     return descendants + 1
 
 
-def _delete_dewey(scheme: DeweyScheme, doc_id, pre) -> UpdateStats:
-    from repro.storage.dewey import prefix_range
-
-    row = scheme.db.query_one(
-        "SELECT label FROM dewey WHERE doc_id = ? AND pre = ?",
-        (doc_id, pre),
-    )
-    if row is None:
-        raise UpdateError(f"no node {pre} in document {doc_id}")
-    (label,) = row
-    lo, hi = prefix_range(label)
-    cursor = scheme.db.execute(
+def _cut_dewey(db, shape, doc_id, node):
+    lo, hi = prefix_range(node.key)
+    deleted = db.execute(
         "DELETE FROM dewey WHERE doc_id = ? "
         "AND (label = ? OR (label > ? AND label < ?))",
-        (doc_id, label, lo, hi),
-    )
-    return UpdateStats(0, 0, rows_deleted=cursor.rowcount)
+        (doc_id, node.key, lo, hi),
+    ).rowcount
+    return 0, deleted

@@ -255,7 +255,7 @@ class TestSqlLintFixtures:
         )
 
     def test_p006_uncovered_join_column(self, interval_catalog):
-        # 'post' is not a prefix of any accel index.
+        # 'level' is not a prefix of any accel index.
         statement = (
             Select()
             .select(Col("pre", "a"))
@@ -263,7 +263,7 @@ class TestSqlLintFixtures:
             .join(
                 "accel",
                 "b",
-                Comparison("=", Col("post", "b"), Col("post", "a")),
+                Comparison("=", Col("level", "b"), Col("level", "a")),
             )
             .where(Comparison("=", Col("doc_id", "a"), DocParam()))
             .where(Comparison("=", Col("doc_id", "b"), DocParam()))

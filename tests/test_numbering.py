@@ -11,7 +11,6 @@ from repro.storage.numbering import (
     dewey_depth,
     dewey_is_ancestor,
     dewey_parent,
-    number_document,
     records_to_events,
 )
 from repro.xml.events import (
@@ -24,6 +23,7 @@ from repro.xml.events import (
 )
 
 from tests.conftest import shred_records
+from tests.numbering_oracle import number_document
 
 SRC = '<r a="1"><x><y>t</y></x><z b="2"/><!--c--></r>'
 

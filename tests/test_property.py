@@ -16,10 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.registry import available_schemes
 from repro.relational.database import Database
-from repro.storage.numbering import (
-    dewey_is_ancestor,
-    number_document,
-)
+from repro.storage.numbering import dewey_is_ancestor
 from repro.workloads.treegen import TreeProfile, generate_tree
 from repro.xml import parse_document, serialize
 from repro.xml.contentmodel import (
@@ -39,11 +36,11 @@ from repro.xml.dom import (
     Text,
     deep_equal,
 )
-from repro.storage.interval import element_content
 from repro.xml.events import build_tree, parse_events, stream_events
 from repro.xpath import evaluate_nodes
 
 from tests.conftest import make_scheme, shred_records
+from tests.numbering_oracle import element_content, number_document
 
 # ---------------------------------------------------------------------------
 # Strategies

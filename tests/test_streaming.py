@@ -33,8 +33,7 @@ from repro.obs.trace import Tracer
 from repro.reliability.faults import FaultInjected, ShardFaultPolicy
 from repro.serve import ShardedStore
 from repro.storage.base import BulkSession
-from repro.storage.interval import element_content
-from repro.storage.numbering import number_document, shred_into
+from repro.storage.numbering import shred_into
 from repro.workloads import (
     auction_dtd,
     dblp_dtd,
@@ -48,6 +47,7 @@ from repro.xml.parser import ParseOptions
 from repro.xpath import evaluate_nodes
 
 from tests.conftest import shred_records
+from tests.numbering_oracle import element_content, number_document
 from tests.xml_oracle import (
     CHUNKS,
     OracleReject,

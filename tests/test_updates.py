@@ -1,14 +1,20 @@
 """Tests for subtree insertion/deletion and the per-scheme update costs."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.registry import create_scheme
 from repro.errors import UpdateError
 from repro.relational.database import Database
+from repro.serve import ShardedStore
 from repro.updates import UpdateStats, delete_subtree, insert_subtree
-from repro.xml import parse_document, parse_fragment
+from repro.xml import parse_document, parse_fragment, serialize
 from repro.xml.dom import deep_equal
 from repro.xpath import evaluate_nodes
+
+from tests.test_property import documents, elements
 
 UPDATABLE = ("edge", "binary", "interval", "dewey")
 
@@ -125,6 +131,66 @@ class TestInsert:
         assert scheme.catalog.get(doc_id).node_count == before + 1
 
 
+#: Parents no subtree can hang under: a node that is not stored, a text
+#: node, an attribute node.
+BAD_PARENTS = {
+    "missing": (None, "no node"),
+    "text": ("/bib/book[1]/title/text()", "not an element"),
+    "attribute": ("/bib/book[1]/@year", "not an element"),
+}
+
+
+def bad_parent_pre(doc, which):
+    xpath = BAD_PARENTS[which][0]
+    return 9999 if xpath is None else evaluate_nodes(doc, xpath)[0].order_key
+
+
+@pytest.mark.parametrize("which", BAD_PARENTS)
+class TestParentValidation:
+    """The parent is checked — it exists and is an element — before any
+    row is written: a refused insert leaves no trace."""
+
+    def test_refused_before_any_write(self, populated, which):
+        scheme, doc_id, doc = populated
+        before = scheme.reconstruct_xml(doc_id)
+        count = scheme.catalog.get(doc_id).node_count
+        with pytest.raises(UpdateError, match=BAD_PARENTS[which][1]):
+            insert_subtree(
+                scheme, doc_id, bad_parent_pre(doc, which),
+                parse_fragment(NEW_BOOK),
+            )
+        assert scheme.verify_document(doc_id).ok
+        assert scheme.reconstruct_xml(doc_id) == before
+        assert scheme.catalog.get(doc_id).node_count == count
+
+    @pytest.mark.parametrize("scheme_name", UPDATABLE)
+    def test_refused_through_the_sharded_store(
+        self, tmp_path, scheme_name, which
+    ):
+        doc = parse_document(SRC)
+        with ShardedStore.open(
+            str(tmp_path), scheme=scheme_name, shards=1
+        ) as store:
+            doc_id = store.store(doc, "bib")
+            before = store.reconstruct_xml(doc_id)
+            store.query_pres(doc_id, "//title")  # something cached
+            cache = store.pools[0].result_cache
+            cached = cache.stats()
+            assert cached["entries"] == 1
+            with pytest.raises(UpdateError, match=BAD_PARENTS[which][1]):
+                store.insert_subtree(
+                    doc_id, bad_parent_pre(doc, which),
+                    parse_fragment(NEW_BOOK),
+                )
+            # No write happened, so nothing was invalidated.
+            assert cache.stats() == cached
+            assert store.verify(doc_id).ok
+            assert store.reconstruct_xml(doc_id) == before
+            local = store.resolve(doc_id).local_doc_id
+            catalog = store.writers[0].scheme.catalog
+            assert catalog.get(local).node_count == 19
+
+
 class TestDelete:
     def test_delete_middle_child(self, populated):
         scheme, doc_id, doc = populated
@@ -202,6 +268,187 @@ class TestUpdateCosts:
         dewey_cost = self.front_insert_cost("dewey")
         interval_cost = self.front_insert_cost("interval")
         assert edge_cost < dewey_cost < interval_cost
+
+
+class TestOneDocumentOneTransaction:
+    """An update reads and writes only its own document, inside one
+    transaction: no statement scans another document's rows (the old
+    ``SELECT MAX(pre) FROM <table>`` did) and nothing nests."""
+
+    CONTROL = ("BEGIN", "COMMIT", "ROLLBACK", "SAVEPOINT", "RELEASE")
+
+    @staticmethod
+    def traced(scheme, operation):
+        statements = []
+        scheme.db._conn.set_trace_callback(statements.append)
+        try:
+            operation()
+        finally:
+            scheme.db._conn.set_trace_callback(None)
+        return [" ".join(statement.split()) for statement in statements]
+
+    @pytest.mark.parametrize("scheme_name", UPDATABLE)
+    def test_statements_are_scoped_to_the_document(self, scheme_name):
+        with Database() as db:
+            scheme = create_scheme(scheme_name, db)
+            scheme.store(parse_document(SRC), "other")
+            doc = parse_document(SRC)
+            doc_id = scheme.store(doc, "bib").doc_id
+            inserted = self.traced(scheme, lambda: insert_subtree(
+                scheme, doc_id, doc.root_element.order_key,
+                # <novel> is a label binary has no partition for yet.
+                parse_fragment("<novel year='1999'>x<!--c--></novel>"),
+                index=1,
+            ))
+            victim = scheme.query_pres(doc_id, "/bib/novel")[0]
+            deleted = self.traced(
+                scheme, lambda: delete_subtree(scheme, doc_id, victim)
+            )
+            node_tables = [
+                name for name in scheme.table_names() + ["binary_edges"]
+                if name != "binary_labels"
+            ]
+            names_node_table = re.compile(
+                r"\b(%s)\b" % "|".join(map(re.escape, node_tables))
+            )
+            for statements in (inserted, deleted):
+                control = [
+                    s for s in statements if s.startswith(self.CONTROL)
+                ]
+                assert control == ["BEGIN", "COMMIT"], control
+                scoped = [
+                    s for s in statements
+                    if names_node_table.search(s)
+                    # Rows carry their doc_id as a column; DDL (binary's
+                    # new partition and its view) has no rows to scope.
+                    and not s.startswith(("INSERT INTO", "CREATE", "DROP"))
+                ]
+                assert scoped
+                for statement in scoped:
+                    # The trace shows bound values: every predicate on
+                    # doc_id names this document.
+                    docs = re.findall(r"doc_id = (\S+)", statement)
+                    assert docs and set(docs) == {str(doc_id)}, statement
+            assert scheme.verify_document(doc_id).ok
+            assert scheme.reconstruct_xml(doc_id) == SRC.replace("'", '"')
+
+    def test_nested_update_is_one_savepoint(self):
+        with Database() as db:
+            scheme = create_scheme("interval", db)
+            doc_id = scheme.store(parse_document(SRC), "bib").doc_id
+
+            def nested():
+                with db.transaction():
+                    insert_subtree(
+                        scheme, doc_id, 1, parse_fragment(NEW_BOOK)
+                    )
+
+            control = [
+                s.split()[0] for s in self.traced(scheme, nested)
+                if s.startswith(self.CONTROL)
+            ]
+            assert control == ["BEGIN", "SAVEPOINT", "RELEASE", "COMMIT"]
+
+
+UPDATE_ROWS = {
+    "interval": "SELECT * FROM accel WHERE doc_id = ? ORDER BY pre",
+    # Every column but pre: fresh ids are not document order.
+    "dewey": (
+        "SELECT label, parent_label, depth, kind, name, value, content, "
+        "ordinal FROM dewey WHERE doc_id = ? ORDER BY label"
+    ),
+}
+#: A delete closes no ordinal gap (it updates no sibling — the cost
+#: E7 reports), so after insert + delete the following siblings keep
+#: their bumped ordinals and, under dewey, labels; everything else is
+#: the original store's.
+UNORDERED_ROWS = {
+    "interval": (
+        "SELECT pre, size, level, kind, name, value, content, parent_pre "
+        "FROM accel WHERE doc_id = ? ORDER BY pre"
+    ),
+    "dewey": (
+        "SELECT depth, kind, name, value, content FROM dewey "
+        "WHERE doc_id = ? ORDER BY label"
+    ),
+}
+
+
+def stored(scheme_name, document):
+    db = Database()
+    scheme = create_scheme(scheme_name, db)
+    return scheme, scheme.store(document, "generated").doc_id
+
+
+def table_rows(scheme, doc_id, queries):
+    sql = queries.get(scheme.name)
+    return scheme.db.query(sql, (doc_id,)) if sql else None
+
+
+@given(documents(), elements(depth=2), st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_update_leaves_the_tables_a_fresh_store_would(
+    document, fragment, data
+):
+    """Attributes, comments, PIs, empty and mixed-content elements, any
+    parent and index: after ``insert_subtree`` the tables hold what
+    storing the edited document writes (interval row for row, dewey
+    row for row but ``pre``, edge/binary through their published text
+    and audit), and ``delete_subtree`` of the new subtree brings the
+    original back."""
+    root = document.root_element
+    parent = data.draw(st.sampled_from(
+        [root] + evaluate_nodes(root, "descendant::*")
+    ))
+    index = data.draw(st.integers(0, len(parent.children)))
+    document.assign_order()
+    original_text = serialize(document)
+    updated = {}
+    for name in UPDATABLE:
+        scheme, doc_id = stored(name, document)
+        count = scheme.catalog.get(doc_id).node_count
+        stats = insert_subtree(
+            scheme, doc_id, parent.order_key, fragment, index
+        )
+        updated[name] = (scheme, doc_id, count, stats.rows_inserted)
+    parent.insert_child(index, fragment)
+    document.assign_order()
+    edited_text = serialize(document)
+    try:
+        for name, (scheme, doc_id, count, size) in updated.items():
+            fresh, fresh_id = stored(name, document)
+            with fresh.db:
+                assert table_rows(scheme, doc_id, UPDATE_ROWS) == table_rows(
+                    fresh, fresh_id, UPDATE_ROWS
+                ), name
+                assert (
+                    scheme.catalog.get(doc_id).node_count
+                    == fresh.catalog.get(fresh_id).node_count
+                    == count + size
+                )
+            assert scheme.reconstruct_xml(doc_id) == edited_text, name
+            assert scheme.verify_document(doc_id).ok, name
+            # Interval renumbers into document order; the others hand
+            # out ids past the document's largest, which a fresh store
+            # makes its node count.
+            new_root = (
+                fragment.order_key if name == "interval" else count + 1
+            )
+            stats = delete_subtree(scheme, doc_id, new_root)
+            assert stats.rows_deleted == size
+            assert scheme.reconstruct_xml(doc_id) == original_text, name
+            assert scheme.verify_document(doc_id).ok, name
+            assert scheme.catalog.get(doc_id).node_count == count
+        parent.remove_child(fragment)
+        for name, (scheme, doc_id, __, __) in updated.items():
+            before, before_id = stored(name, document)
+            with before.db:
+                assert table_rows(
+                    scheme, doc_id, UNORDERED_ROWS
+                ) == table_rows(before, before_id, UNORDERED_ROWS), name
+    finally:
+        for scheme, *__ in updated.values():
+            scheme.db.close()
 
 
 class TestUnsupportedSchemes:
