@@ -18,17 +18,10 @@ import abc
 
 from repro.query.plan import (
     AXIS_ATTRIBUTE,
-    BooleanPredicate,
-    ComparisonPredicate,
-    ConstantPredicate,
     CountPredicate,
-    ExistsPredicate,
     LastPredicate,
-    NotPredicate,
     PositionPredicate,
-    PredicatePlan,
     StepPlan,
-    StringMatchPredicate,
     ValuePath,
 )
 from repro.query.translator import BaseTranslator
@@ -40,14 +33,11 @@ from repro.relational.sql import (
     Exists,
     Func,
     Like,
-    Not,
-    Or,
     Param,
     Raw,
     ScalarSubquery,
     Select,
     SqlExpr,
-    like_escape,
 )
 from repro.xml.dom import NodeKind
 from repro.xpath.ast import AnyKindTest, NameTest, NodeTest, KindTest
@@ -100,12 +90,6 @@ def _static_compare(left: float, op: str, right: float) -> bool:
     if op == ">":
         return left > right
     return left >= right
-
-
-def match_pattern(function: str, literal: str) -> str:
-    """LIKE pattern for contains()/starts-with()."""
-    escaped = like_escape(literal)
-    return f"%{escaped}%" if function == "contains" else f"{escaped}%"
 
 
 class TableTranslator(BaseTranslator):
@@ -195,7 +179,7 @@ class TableTranslator(BaseTranslator):
             conditions += self.test_conditions(step.test, step.axis, alias)
             for predicate in step.predicates:
                 conditions.append(
-                    self.predicate_condition(predicate, alias, step, doc_id)
+                    self.predicate_condition(predicate, (alias, step), doc_id)
                 )
             if prev is None:
                 query.from_table(self.table, alias)
@@ -240,58 +224,14 @@ class TableTranslator(BaseTranslator):
 
     # -- predicates --------------------------------------------------------------------
 
-    def predicate_condition(
-        self,
-        predicate: PredicatePlan,
-        alias: str,
-        step: StepPlan,
-        doc_id: int,
-    ) -> SqlExpr:
-        if isinstance(predicate, BooleanPredicate):
-            operands = tuple(
-                self.predicate_condition(p, alias, step, doc_id)
-                for p in predicate.operands
-            )
-            return And(operands) if predicate.op == "and" else Or(operands)
-        if isinstance(predicate, NotPredicate):
-            return Not(
-                self.predicate_condition(
-                    predicate.operand, alias, step, doc_id
-                )
-            )
-        if isinstance(predicate, ConstantPredicate):
-            return Raw("1") if predicate.value else Raw("0")
-        if isinstance(predicate, PositionPredicate):
-            return self.position_condition(predicate, alias, step, doc_id)
-        if isinstance(predicate, LastPredicate):
-            return self.last_condition(alias, step, doc_id)
-        if isinstance(predicate, CountPredicate):
-            return self.count_condition(predicate, alias, doc_id)
-        if isinstance(predicate, ComparisonPredicate):
-            return self.value_condition(
-                predicate.path, alias, doc_id,
-                op=predicate.op, literal=predicate.literal,
-                numeric=predicate.numeric,
-            )
-        if isinstance(predicate, ExistsPredicate):
-            return self.value_condition(predicate.path, alias, doc_id)
-        if isinstance(predicate, StringMatchPredicate):
-            return self.value_condition(
-                predicate.path, alias, doc_id,
-                like_pattern=match_pattern(
-                    predicate.function, predicate.literal
-                ),
-            )
-        raise self.scheme.unsupported(f"predicate {type(predicate).__name__}")
+    # The shared walk's *ctx* is ``(alias, step)``: the node-table
+    # alias of the step the predicate sits on, and that step.
 
     def position_condition(
-        self,
-        predicate: PositionPredicate,
-        alias: str,
-        step: StepPlan,
-        doc_id: int,
+        self, predicate: PositionPredicate, ctx, doc_id: int
     ) -> SqlExpr:
         """``[n]`` as "exactly n-1 preceding siblings match the test"."""
+        alias, step = ctx
         sibling = f"{alias}_pos"
         count = (
             Select()
@@ -306,9 +246,10 @@ class TableTranslator(BaseTranslator):
         return ScalarSubquery(count).eq(Raw(str(predicate.position - 1)))
 
     def last_condition(
-        self, alias: str, step: StepPlan, doc_id: int
+        self, predicate: LastPredicate, ctx, doc_id: int
     ) -> SqlExpr:
         """``[last()]`` — no later sibling matches the step's test."""
+        alias, step = ctx
         sibling = f"{alias}_last"
         count = (
             Select()
@@ -323,9 +264,10 @@ class TableTranslator(BaseTranslator):
         return ScalarSubquery(count).eq(Raw("0"))
 
     def count_condition(
-        self, predicate: CountPredicate, alias: str, doc_id: int
+        self, predicate: CountPredicate, ctx, doc_id: int
     ) -> SqlExpr:
         """``[count(path) op n]`` as a scalar COUNT subquery."""
+        alias, _ = ctx
         path = predicate.path
         if not path.element_names and path.target == "content":
             # count(.) is always 1 for a node context.
@@ -378,7 +320,7 @@ class TableTranslator(BaseTranslator):
     def value_condition(
         self,
         path: ValuePath,
-        alias: str,
+        ctx,
         doc_id: int,
         op: str | None = None,
         literal: str | None = None,
@@ -386,6 +328,7 @@ class TableTranslator(BaseTranslator):
         like_pattern: str | None = None,
     ) -> SqlExpr:
         """EXISTS chain along child links ending at the compared value."""
+        alias, _ = ctx
         if not path.element_names and path.target == "content":
             condition = compare_value(
                 Col("content", alias), op, literal, numeric, like_pattern

@@ -343,5 +343,5 @@ class EdgeTranslator(TableTranslator):
             query.where(condition)
         for predicate in step.predicates:
             query.where(
-                self.predicate_condition(predicate, alias, step, doc_id)
+                self.predicate_condition(predicate, (alias, step), doc_id)
             )

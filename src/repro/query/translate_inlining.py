@@ -25,19 +25,12 @@ from repro.query.plan import (
     AXIS_ATTRIBUTE,
     AXIS_CHILD,
     AXIS_SELF,
-    BooleanPredicate,
-    ComparisonPredicate,
-    ConstantPredicate,
-    ExistsPredicate,
-    NotPredicate,
     PathPlan,
     PositionPredicate,
-    PredicatePlan,
     StepPlan,
-    StringMatchPredicate,
     ValuePath,
 )
-from repro.query.translate_common import compare_value, match_pattern
+from repro.query.translate_common import compare_value
 from repro.query.translator import BaseTranslator
 from repro.relational.sql import (
     And,
@@ -45,8 +38,6 @@ from repro.relational.sql import (
     Comparison,
     DocParam,
     Exists,
-    Not,
-    Or,
     Raw,
     ScalarSubquery,
     Select,
@@ -365,45 +356,13 @@ class InliningTranslator(BaseTranslator):
     ) -> None:
         for predicate in step.predicates:
             branch.select.where(
-                self._predicate_condition(branch, predicate, doc_id)
+                self.predicate_condition(predicate, branch, doc_id)
             )
 
-    def _predicate_condition(
-        self, branch: _Branch, predicate: PredicatePlan, doc_id: int
-    ) -> SqlExpr:
-        if isinstance(predicate, BooleanPredicate):
-            operands = tuple(
-                self._predicate_condition(branch, p, doc_id)
-                for p in predicate.operands
-            )
-            return And(operands) if predicate.op == "and" else Or(operands)
-        if isinstance(predicate, NotPredicate):
-            return Not(
-                self._predicate_condition(branch, predicate.operand, doc_id)
-            )
-        if isinstance(predicate, ConstantPredicate):
-            return Raw("1") if predicate.value else Raw("0")
-        if isinstance(predicate, PositionPredicate):
-            return self._position_condition(branch, predicate, doc_id)
-        if isinstance(predicate, ComparisonPredicate):
-            return self._value_condition(
-                branch, predicate.path, doc_id,
-                op=predicate.op, literal=predicate.literal,
-                numeric=predicate.numeric,
-            )
-        if isinstance(predicate, ExistsPredicate):
-            return self._value_condition(branch, predicate.path, doc_id)
-        if isinstance(predicate, StringMatchPredicate):
-            return self._value_condition(
-                branch, predicate.path, doc_id,
-                like_pattern=match_pattern(
-                    predicate.function, predicate.literal
-                ),
-            )
-        raise self.scheme.unsupported(f"predicate {type(predicate).__name__}")
+    # The shared walk's *ctx* is the branch the predicate's step is on.
 
-    def _position_condition(
-        self, branch: _Branch, predicate: PositionPredicate, doc_id: int
+    def position_condition(
+        self, predicate: PositionPredicate, branch: _Branch, doc_id: int
     ) -> SqlExpr:
         position = branch.position
         if not position.is_root:
@@ -426,10 +385,10 @@ class InliningTranslator(BaseTranslator):
         )
         return ScalarSubquery(count).eq(Raw(str(predicate.position - 1)))
 
-    def _value_condition(
+    def value_condition(
         self,
-        branch: _Branch,
         path: ValuePath,
+        branch: _Branch,
         doc_id: int,
         op: str | None = None,
         literal: str | None = None,

@@ -18,17 +18,11 @@ from repro.errors import UnsupportedQueryError
 from repro.query.plan import (
     AXIS_ATTRIBUTE,
     AXIS_CHILD,
-    BooleanPredicate,
-    ComparisonPredicate,
-    ConstantPredicate,
-    ExistsPredicate,
-    NotPredicate,
     PathPlan,
     PredicatePlan,
-    StringMatchPredicate,
     ValuePath,
 )
-from repro.query.translate_common import compare_value, match_pattern
+from repro.query.translate_common import compare_value
 from repro.query.translator import BaseTranslator
 from repro.relational.sql import (
     And,
@@ -38,7 +32,6 @@ from repro.relational.sql import (
     DocParam,
     Exists,
     Like,
-    Not,
     Or,
     Param,
     Raw,
@@ -84,8 +77,8 @@ class UniversalTranslator(BaseTranslator):
         for index, (__, label, predicates) in enumerate(segments):
             for predicate in predicates:
                 query.where(
-                    self._predicate_condition(
-                        predicate, segments[: index + 1], doc_id, known
+                    self.predicate_condition(
+                        predicate, (segments[: index + 1], known), doc_id
                     )
                 )
         query.select(Col(id_col, "u"), alias="pre")
@@ -151,60 +144,20 @@ class UniversalTranslator(BaseTranslator):
 
     # -- predicates -------------------------------------------------------------------
 
-    def _predicate_condition(
-        self,
-        predicate: PredicatePlan,
-        prefix_segments,
-        doc_id: int,
-        known: dict[str, int],
-    ) -> SqlExpr:
-        if isinstance(predicate, BooleanPredicate):
-            operands = tuple(
-                self._predicate_condition(p, prefix_segments, doc_id, known)
-                for p in predicate.operands
-            )
-            return And(operands) if predicate.op == "and" else Or(operands)
-        if isinstance(predicate, NotPredicate):
-            return Not(
-                self._predicate_condition(
-                    predicate.operand, prefix_segments, doc_id, known
-                )
-            )
-        if isinstance(predicate, ConstantPredicate):
-            return Raw("1") if predicate.value else Raw("0")
-        if isinstance(predicate, ComparisonPredicate):
-            return self._value_exists(
-                predicate.path, prefix_segments, doc_id, known,
-                op=predicate.op, literal=predicate.literal,
-                numeric=predicate.numeric,
-            )
-        if isinstance(predicate, ExistsPredicate):
-            return self._value_exists(
-                predicate.path, prefix_segments, doc_id, known
-            )
-        if isinstance(predicate, StringMatchPredicate):
-            return self._value_exists(
-                predicate.path, prefix_segments, doc_id, known,
-                like_pattern=match_pattern(
-                    predicate.function, predicate.literal
-                ),
-            )
-        raise self.scheme.unsupported(
-            f"predicate {type(predicate).__name__}"
-        )
-
-    def _value_exists(
+    def value_condition(
         self,
         path: ValuePath,
-        prefix_segments,
+        ctx,
         doc_id: int,
-        known: dict[str, int],
         op: str | None = None,
         literal: str | None = None,
         numeric: bool = False,
         like_pattern: str | None = None,
     ) -> SqlExpr:
-        """EXISTS over a second universal row sharing the anchor node."""
+        """EXISTS over a second universal row sharing the anchor node.
+        *ctx* is ``(prefix_segments, known)``: the segments up to the
+        predicate's step, and the stored label → column map."""
+        prefix_segments, known = ctx
         anchor_label = prefix_segments[-1][1]
         if anchor_label not in known:
             return _ALWAYS_FALSE

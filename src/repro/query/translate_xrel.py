@@ -26,18 +26,11 @@ import re
 from repro.query.plan import (
     AXIS_ATTRIBUTE,
     AXIS_CHILD,
-    BooleanPredicate,
-    ComparisonPredicate,
-    ConstantPredicate,
-    ExistsPredicate,
-    NotPredicate,
     PositionPredicate,
-    PredicatePlan,
     StepPlan,
-    StringMatchPredicate,
     ValuePath,
 )
-from repro.query.translate_common import compare_value, match_pattern
+from repro.query.translate_common import compare_value
 from repro.query.translator import BaseTranslator
 from repro.relational.sql import (
     And,
@@ -48,8 +41,6 @@ from repro.relational.sql import (
     Exists,
     Func,
     Like,
-    Not,
-    Or,
     Param,
     Raw,
     Select,
@@ -162,8 +153,8 @@ class XRelTranslator(BaseTranslator):
             query.join(table, alias, And(tuple(node_conditions)))
             for predicate in step.predicates:
                 query.where(
-                    self._predicate_condition(
-                        predicate, alias, paths_alias, doc_id
+                    self.predicate_condition(
+                        predicate, (alias, paths_alias), doc_id
                     )
                 )
             prev_alias, prev_paths = alias, paths_alias
@@ -279,61 +270,27 @@ class XRelTranslator(BaseTranslator):
 
     # -- predicates -------------------------------------------------------------------
 
-    def _predicate_condition(
-        self,
-        predicate: PredicatePlan,
-        alias: str,
-        paths_alias: str,
-        doc_id: int,
-    ) -> SqlExpr:
-        if isinstance(predicate, BooleanPredicate):
-            operands = tuple(
-                self._predicate_condition(p, alias, paths_alias, doc_id)
-                for p in predicate.operands
-            )
-            return And(operands) if predicate.op == "and" else Or(operands)
-        if isinstance(predicate, NotPredicate):
-            return Not(
-                self._predicate_condition(
-                    predicate.operand, alias, paths_alias, doc_id
-                )
-            )
-        if isinstance(predicate, ConstantPredicate):
-            return Raw("1") if predicate.value else Raw("0")
-        if isinstance(predicate, PositionPredicate):
-            raise self.scheme.unsupported(
-                "positional predicates (regions carry no sibling rank)"
-            )
-        if isinstance(predicate, ComparisonPredicate):
-            return self._value_exists(
-                predicate.path, alias, paths_alias, doc_id,
-                op=predicate.op, literal=predicate.literal,
-                numeric=predicate.numeric,
-            )
-        if isinstance(predicate, ExistsPredicate):
-            return self._value_exists(
-                predicate.path, alias, paths_alias, doc_id
-            )
-        if isinstance(predicate, StringMatchPredicate):
-            return self._value_exists(
-                predicate.path, alias, paths_alias, doc_id,
-                like_pattern=match_pattern(
-                    predicate.function, predicate.literal
-                ),
-            )
-        raise self.scheme.unsupported(f"predicate {type(predicate).__name__}")
+    # The shared walk's *ctx* is ``(alias, paths_alias)``: the node and
+    # path-table aliases of the step the predicate sits on.
 
-    def _value_exists(
+    def position_condition(
+        self, predicate: PositionPredicate, ctx, doc_id: int
+    ) -> SqlExpr:
+        raise self.scheme.unsupported(
+            "positional predicates (regions carry no sibling rank)"
+        )
+
+    def value_condition(
         self,
         path: ValuePath,
-        alias: str,
-        paths_alias: str,
+        ctx,
         doc_id: int,
         op: str | None = None,
         literal: str | None = None,
         numeric: bool = False,
         like_pattern: str | None = None,
     ) -> SqlExpr:
+        alias, paths_alias = ctx
         if not path.element_names and path.target == "content":
             condition = compare_value(
                 Col("content", alias), op, literal, numeric, like_pattern

@@ -5,9 +5,34 @@ from __future__ import annotations
 import abc
 
 from repro.errors import PlanLintError, XmlRelError
-from repro.query.plan import PathPlan, plan_path
+from repro.query.plan import (
+    BooleanPredicate,
+    ComparisonPredicate,
+    ConstantPredicate,
+    CountPredicate,
+    ExistsPredicate,
+    LastPredicate,
+    NotPredicate,
+    PathPlan,
+    PositionPredicate,
+    PredicatePlan,
+    StringMatchPredicate,
+    ValuePath,
+    plan_path,
+)
 from repro.relational.plancache import CachedPlan
-from repro.relational.sql import Select, Union, WithQuery, bind_doc_id
+from repro.relational.sql import (
+    And,
+    Not,
+    Or,
+    Raw,
+    Select,
+    SqlExpr,
+    Union,
+    WithQuery,
+    bind_doc_id,
+    like_escape,
+)
 from repro.xpath.ast import BinaryOp, Expr, LocationPath
 from repro.xpath.parser import parse_xpath
 
@@ -28,6 +53,12 @@ def _union_arms(expr: Expr) -> list[Expr] | None:
         else:
             arms.append(node)
     return arms
+
+
+def match_pattern(function: str, literal: str) -> str:
+    """LIKE pattern for contains()/starts-with()."""
+    escaped = like_escape(literal)
+    return f"%{escaped}%" if function == "contains" else f"{escaped}%"
 
 
 class BaseTranslator(abc.ABC):
@@ -76,6 +107,90 @@ class BaseTranslator(abc.ABC):
         id bound."""
         sql, params = self.translate(doc_id, xpath).render()
         return sql, bind_doc_id(params, doc_id)
+
+    # -- predicates ---------------------------------------------------------------
+
+    def predicate_condition(
+        self, predicate: PredicatePlan, ctx, doc_id: int
+    ) -> SqlExpr:
+        """One step predicate as a SQL condition — the walk every
+        scheme shares.  *ctx* is whatever the translator needs to place
+        a condition on the step the predicate sits on (an alias, a
+        branch, a path prefix); it is only threaded through to the
+        hooks below.  A scheme that cannot express a positional,
+        ``last()`` or ``count()`` predicate leaves that hook alone."""
+        if isinstance(predicate, BooleanPredicate):
+            operands = tuple(
+                self.predicate_condition(p, ctx, doc_id)
+                for p in predicate.operands
+            )
+            return And(operands) if predicate.op == "and" else Or(operands)
+        if isinstance(predicate, NotPredicate):
+            return Not(
+                self.predicate_condition(predicate.operand, ctx, doc_id)
+            )
+        if isinstance(predicate, ConstantPredicate):
+            return Raw("1") if predicate.value else Raw("0")
+        if isinstance(predicate, PositionPredicate):
+            return self.position_condition(predicate, ctx, doc_id)
+        if isinstance(predicate, LastPredicate):
+            return self.last_condition(predicate, ctx, doc_id)
+        if isinstance(predicate, CountPredicate):
+            return self.count_condition(predicate, ctx, doc_id)
+        if isinstance(predicate, ComparisonPredicate):
+            return self.value_condition(
+                predicate.path, ctx, doc_id,
+                op=predicate.op, literal=predicate.literal,
+                numeric=predicate.numeric,
+            )
+        if isinstance(predicate, ExistsPredicate):
+            return self.value_condition(predicate.path, ctx, doc_id)
+        if isinstance(predicate, StringMatchPredicate):
+            return self.value_condition(
+                predicate.path, ctx, doc_id,
+                like_pattern=match_pattern(
+                    predicate.function, predicate.literal
+                ),
+            )
+        raise self._unsupported_predicate(predicate)
+
+    def _unsupported_predicate(self, predicate: PredicatePlan):
+        return self.scheme.unsupported(
+            f"predicate {type(predicate).__name__}"
+        )
+
+    @abc.abstractmethod
+    def value_condition(
+        self,
+        path: ValuePath,
+        ctx,
+        doc_id: int,
+        op: str | None = None,
+        literal: str | None = None,
+        numeric: bool = False,
+        like_pattern: str | None = None,
+    ) -> SqlExpr:
+        """The value at *path* below the step exists (no *op*, no
+        *like_pattern*), compares to *literal*, or matches the LIKE
+        pattern."""
+
+    def position_condition(
+        self, predicate: PositionPredicate, ctx, doc_id: int
+    ) -> SqlExpr:
+        """``[n]``."""
+        raise self._unsupported_predicate(predicate)
+
+    def last_condition(
+        self, predicate: LastPredicate, ctx, doc_id: int
+    ) -> SqlExpr:
+        """``[last()]``."""
+        raise self._unsupported_predicate(predicate)
+
+    def count_condition(
+        self, predicate: CountPredicate, ctx, doc_id: int
+    ) -> SqlExpr:
+        """``[count(path) op n]``."""
+        raise self._unsupported_predicate(predicate)
 
     # -- plan caching -------------------------------------------------------------
 

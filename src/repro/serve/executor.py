@@ -104,6 +104,11 @@ QUERY_OUTCOMES = (
 #: Degraded-mode policies for shard failures during scatter-gather.
 SHARD_ERROR_MODES = ("fail", "partial")
 
+#: The worker pool never has fewer threads than this; past it, one per
+#: shard.  The process's only query pool: every read a request owes —
+#: library or gateway, one document or all — runs on it.
+MIN_WORKERS = 4
+
 
 @dataclass(frozen=True)
 class ShardAnswer:
@@ -166,7 +171,6 @@ class QueryExecutor:
     def __init__(
         self,
         pools: dict[int, ConnectionPool],
-        max_workers: int | None = None,
         max_in_flight: int = 32,
         default_deadline: float | None = None,
         on_shard_error: str = "fail",
@@ -216,7 +220,7 @@ class QueryExecutor:
         self.request_log = request_log
         self._gate = threading.Semaphore(max_in_flight)
         self._threads = ThreadPoolExecutor(
-            max_workers=max_workers or max(4, len(self.pools)),
+            max_workers=max(MIN_WORKERS, len(self.pools)),
             thread_name_prefix="xmlrel-serve",
         )
         self._closed = False
@@ -487,8 +491,10 @@ class ScatterStream:
 
     * :meth:`gather` blocks the calling thread; a single-shard request
       runs its read right there, with no pool hand-off;
-    * an async caller (the gateway) calls :meth:`submit` and awaits
-      :attr:`futures` in completion order.
+    * an async caller (the gateway's one driver, behind both of its
+      routes) calls :meth:`submit`, awaits :attr:`futures` in
+      completion order and collects each; :attr:`folded` is what has
+      landed so far.
 
     The ``serve.query`` root span is opened and closed *synchronously*
     at construction (the creating thread may be an event loop
@@ -537,13 +543,15 @@ class ScatterStream:
         #: ``{future: shard}`` for the reads on the worker pool; empty
         #: until (unless) a driver submits them.
         self.futures: dict = {}
-        #: ``(shard, answer)`` of the shards answered while opening.
+        #: ``(shard, answer)`` of every shard folded in so far, in fold
+        #: order: the result-cache hits of the lookup phase first, then
+        #: whatever a driver has collected (``None``: the shard failed
+        #: under the ``"partial"`` degraded mode).
         self.folded: list[tuple[int, ShardAnswer | None]] = []
         #: ``(shard, read)`` a driver still has to run: the misses.
         self._owed: list = []
         #: The merged answer, once :meth:`finish` ran without an error.
         self.result: ScatterResult | None = None
-        self._answers: list[ShardAnswer] = []
         self._runs: list[Run] = []
         self._failures: list[tuple[int, str]] = []
         self._holds_slot = False
@@ -631,7 +639,7 @@ class ScatterStream:
                 if None in looked[1]:
                     self._owed.append((shard, read))
                     continue
-            self.folded.append((shard, self._fold(shard, read)))
+            self._fold(shard, read)
 
     def _read_shard(
         self,
@@ -847,8 +855,8 @@ class ScatterStream:
             raise
         except XmlRelError as error:
             self.executor._note_shard_failure(shard, error, self._failures)
-            return None
-        self._answers.append(answer)
+            answer = None
+        self.folded.append((shard, answer))
         return answer
 
     def failures(self) -> list[tuple[int, str]]:
@@ -875,10 +883,11 @@ class ScatterStream:
         error_text: str | None = None
         if error is None:
             tracer = self.executor.tracer
+            answers = [a for _, a in self.folded if a is not None]
             with tracer.adopt(self.ctx), tracer.span(
-                "serve.merge", answers=len(self._answers)
+                "serve.merge", answers=len(answers)
             ):
-                self.result = self._merge()
+                self.result = self._merge(answers)
             outcome = "partial" if self.result.partial else "ok"
         else:
             outcome = outcome_for(error)
@@ -888,14 +897,14 @@ class ScatterStream:
         self._finish_query(outcome, error_text)
         return self.result
 
-    def _merge(self) -> ScatterResult:
-        """Fold the collected per-shard answers into one sorted,
+    def _merge(self, answers: list[ShardAnswer]) -> ScatterResult:
+        """Fold the collected per-shard *answers* into one sorted,
         staleness-bounded result (and :attr:`fragment`'s runs)."""
-        replicas = [a for a in self._answers if a.replica is not None]
+        replicas = [a for a in answers if a.replica is not None]
         # Each run is one document in document order, so the sorted
         # answer is the runs in doc-id order, end to end.
         self._runs = sorted(
-            chain.from_iterable(answer.runs for answer in self._answers),
+            chain.from_iterable(answer.runs for answer in answers),
             key=attrgetter("doc_id"),
         )
         return ScatterResult(

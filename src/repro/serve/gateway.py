@@ -18,10 +18,10 @@ with a small JSON protocol (:mod:`repro.serve.protocol`):
 
 This is the process's only HTTP surface.  The four read-only routes
 are ops documents (:mod:`repro.obs.ops`): built and encoded on the
-loop's default executor — never on the query dispatch pool, so they
-answer while every dispatch worker is busy — outside quota and
-admission, and a failure in one is a typed JSON error on a connection
-that stays usable.
+loop's default executor — never on the query worker pool, so they
+answer while every worker holds a read — outside quota and admission,
+and a failure in one is a typed JSON error on a connection that stays
+usable.
 
 **Division of labour.**  The event loop does only cheap, non-blocking
 work: HTTP parsing, XPath parsing, the optional DTD/path-summary lint
@@ -29,15 +29,21 @@ work: HTTP parsing, XPath parsing, the optional DTD/path-summary lint
 per-client quota admission, shard-map target resolution, and opening
 the executor's one request path
 (:class:`~repro.serve.executor.ScatterStream`): admission plus the
-result-cache lookups.  A stream *settled* by then — every shard a hit,
-whether it names one document or all — is finished and answered from
-the loop in one write, spliced from wire fragments cached beside the
-rows.  Execution always happens off-loop:
-materialized queries hand the stream's blocking driver
-(:meth:`~repro.serve.executor.ScatterStream.gather`) to a small
-dispatch pool; streamed queries await the owed reads' futures as
-asyncio awaitables.  Nothing on the loop ever touches SQLite, a pooled
-connection or a wait (:mod:`repro.analysis.concurrency` rule C006).
+result-cache lookups.  Execution always happens off-loop, on the
+process's one query worker pool (the executor's): the gateway's one
+driver (:meth:`Gateway._drive`) submits the reads a stream still owes
+and awaits their futures as asyncio awaitables, folding each shard in
+as it completes.  The two routes differ only in what they do with a
+folded shard — the streamed one flushes its ``rows`` event, the
+materialized one waits for the last and splices one body.  A stream
+*settled* at open — every shard a hit, whether it names one document
+or all — owes nothing, so the same code answers it from the loop in
+one write, from wire fragments cached beside the rows.  Nothing on the
+loop ever touches SQLite, a pooled connection or a blocking wait
+(:mod:`repro.analysis.concurrency` rule C006).  An exception that is
+not one of the library's typed errors still ends the request in an
+answer — a JSON 500, or the in-band ``error`` event once a chunked
+head is out — never in a dropped connection.
 
 **Admission is layered.**  A per-client token bucket
 (:class:`ClientQuotas`) sheds abusive clients *before* any work, with a
@@ -72,7 +78,6 @@ import math
 import threading
 import time
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import (
     Overloaded,
@@ -231,7 +236,8 @@ class Gateway:
     ``start()`` binds the socket and runs the event loop on a named
     daemon thread; the gateway is usable from synchronous code (tests,
     benchmarks, ``curl``) immediately after.  ``stop()`` (or the
-    owning store's ``close()``) shuts it down.
+    owning store's ``close()``) shuts it down.  The gateway owns no
+    worker threads: every read runs on ``store.executor``'s pool.
     """
 
     def __init__(
@@ -243,7 +249,6 @@ class Gateway:
         quota_burst: float | None = None,
         default_deadline: float | None = None,
         analyzer=None,
-        max_dispatch_workers: int | None = None,
         idle_timeout: float = 30.0,
     ) -> None:
         self.store = store
@@ -261,11 +266,6 @@ class Gateway:
         #: cached.  Only the event loop calls it.
         self._parse_xpath = functools.lru_cache(maxsize=XPATH_PARSE_CACHE)(
             parse_xpath
-        )
-        self._dispatch = ThreadPoolExecutor(
-            max_workers=max_dispatch_workers
-            or max(4, len(store.pools)),
-            thread_name_prefix="xmlrel-gateway-dispatch",
         )
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
@@ -316,7 +316,7 @@ class Gateway:
             await self._stop_event.wait()
 
     def stop(self) -> None:
-        """Shut the listener and the dispatch pool down; idempotent."""
+        """Shut the listener down; idempotent."""
         loop, stop_event = self._loop, self._stop_event
         if loop is not None and stop_event is not None:
             try:
@@ -325,7 +325,6 @@ class Gateway:
                 pass  # loop already gone
         if self._thread is not None:
             self._thread.join(timeout=10.0)
-        self._dispatch.shutdown(wait=False, cancel_futures=True)
 
     @property
     def port(self) -> int:
@@ -523,7 +522,7 @@ class Gateway:
         route = path[1:] if path[1:] in OPS_ROUTES else "other"
         try:
             # Off the loop (instrument locks, pool probes) and off the
-            # dispatch pool (answers while every worker holds a query).
+            # query worker pool (answers while every worker holds a read).
             status, content_type, payload = await asyncio.to_thread(
                 self._ops_response, path
             )
@@ -643,31 +642,38 @@ class Gateway:
                 # await.  Children attach via the captured context.
                 self.tracer.end_span(root)
             route = "query_stream" if spec.stream else "query"
-            if spec.stream:
-                # Streamed responses (short-circuit ones included) are
-                # chunked with Connection: close — never reuse.
-                close = True
-            if short_circuit:
+            # The one door: admission and the result-cache lookups
+            # happen right here, on the loop.  A request it refuses (shed
+            # at the gate, past its deadline at the lookup) is answered
+            # below like any typed error, streamed or not.
+            stream = None if short_circuit else ScatterStream(
+                self.executor, spec.xpath, targets,
+                spec.deadline, spec.read_from, ctx,
+            )
+            # From here a streamed response (short-circuit ones
+            # included) is chunked with Connection: close — never reuse.
+            close = close or spec.stream
+            if stream is None:
                 status, rows = await self._respond_short_circuit(
                     writer, spec, request_id, started, keep_alive
                 )
-            else:
-                # The one door: admission, the result-cache lookups and
-                # every full hit happen right here, on the loop.
-                stream = ScatterStream(
-                    self.executor, spec.xpath, targets,
-                    spec.deadline, spec.read_from, ctx,
+            elif spec.stream:
+                status, first_byte, rows = await self._stream_query(
+                    writer, stream, spec
                 )
-                if spec.stream:
-                    status, first_byte, rows = await self._stream_query(
-                        writer, stream, spec
-                    )
-                else:
-                    status, rows = await self._materialized_query(
-                        writer, stream, keep_alive
-                    )
-        except XmlRelError as error:
+            else:
+                status, rows = await self._materialized_query(
+                    writer, stream, keep_alive
+                )
+        except ConnectionError:
+            raise  # the client hung up: nobody left to answer
+        except Exception as error:
+            # Nothing is on the wire yet.  A typed error answers by the
+            # one status table on a connection that stays usable; an
+            # untyped one (a bug under a shard read) is a 500 and the
+            # connection closes — it never takes the endpoint down.
             status = http_status(error)
+            close = close or not isinstance(error, XmlRelError)
             extra = {}
             if isinstance(error, Overloaded):
                 retry_after = getattr(error, "retry_after", None) or 1.0
@@ -678,7 +684,7 @@ class Gateway:
                 writer,
                 status,
                 error_body(error, request_id),
-                keep_alive=keep_alive,
+                keep_alive=not close,
                 extra_headers=extra,
             )
         if root:
@@ -729,23 +735,48 @@ class Gateway:
             )
         return 200, 0
 
+    async def _drive(self, stream, flush=None) -> None:
+        """The one driver of a request on the loop: put the reads
+        *stream* still owes on the worker pool, await their futures as
+        asyncio awaitables and fold each into ``stream.folded`` as it
+        completes; reads still executing at the deadline raise the
+        typed miss.  *flush*, when given, is awaited before every
+        suspension (the streamed route sends what is folded so far).
+        A settled stream owes nothing and is finished right here.
+
+        The stream holds an admission slot.  Leaving this block is the
+        one place it is finished — slot released, metrics and wide
+        event landed — whether the request was answered, failed,
+        expired, was cancelled or lost its client inside *flush*."""
+        with stream:
+            stream.submit()
+            pending = {}
+            for future in stream.futures:
+                wrapped = asyncio.wrap_future(future)
+                # Consume late results/exceptions so abandoned shard
+                # tasks never log "exception was never retrieved".
+                wrapped.add_done_callback(
+                    lambda f: f.cancelled() or f.exception()
+                )
+                pending[wrapped] = future
+            while pending:
+                if flush is not None:
+                    await flush()
+                done, _ = await asyncio.wait(
+                    pending,
+                    timeout=stream.deadline_remaining(),
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+                if not done:
+                    raise stream.expire()
+                for wrapped in done:
+                    stream.collect(pending.pop(wrapped))
+
     async def _materialized_query(self, writer, stream, keep_alive):
-        """Answer *stream* as one JSON body: finished right here when
-        settled (every shard a cache hit), else by its blocking driver
-        on the dispatch pool while the loop awaits the hand-off.  The
-        body is a splice of fragments encoded where the SQL ran."""
-        if stream.settled:
-            result = stream.finish()
-        else:
-            handoff = self._dispatch.submit(stream.gather)
-            # gather() finishes the stream on every path it runs; a
-            # hand-off cancelled before it ran (the gateway stopping)
-            # has nobody else to release the slot.
-            handoff.add_done_callback(
-                lambda done: done.cancelled()
-                and stream.finish(asyncio.CancelledError())
-            )
-            result = await asyncio.wrap_future(handoff)
+        """Answer *stream* as one JSON body once every shard is folded
+        in: a splice of fragments encoded where the SQL ran."""
+        await self._drive(stream)
+        result = stream.result
         status = 206 if result.partial else 200
         await self._respond(
             writer,
@@ -764,7 +795,8 @@ class Gateway:
         is the whole response in that one write."""
         first_byte = None
         rows_sent = 0
-        out = [
+        flushed = 0  # how much of stream.folded is on the wire
+        head = [
             self._head(200, NDJSON_CONTENT_TYPE, chunked=True),
             _chunk(ndjson_line(
                 {
@@ -788,46 +820,22 @@ class Gateway:
             return _chunk(rows_event(shard, answer.fragment))
 
         async def flush(*last: bytes) -> None:
-            nonlocal first_byte
-            await self._send(writer, *out, *last)
-            del out[:]
+            nonlocal first_byte, flushed
+            fresh = stream.folded[flushed:]
+            flushed += len(fresh)
+            await self._send(
+                writer, *head, *(shard_event(*pair) for pair in fresh), *last
+            )
+            del head[:]
             if first_byte is None:
                 first_byte = time.perf_counter()
 
         try:
-            # The stream holds an admission slot.  Leaving this block
-            # is the one place it is finished — slot released, metrics
-            # and wide event landed — so every write made before the
-            # last shard is in sits inside it.
-            with stream:
-                stream.submit()
-                out.extend(
-                    shard_event(shard, answer)
-                    for shard, answer in stream.folded
-                )
-                pending = {}
-                for future in stream.futures:
-                    wrapped = asyncio.wrap_future(future)
-                    # Consume late results/exceptions so abandoned shard
-                    # tasks never log "exception was never retrieved".
-                    wrapped.add_done_callback(
-                        lambda f: f.cancelled() or f.exception()
-                    )
-                    pending[wrapped] = future
-                while pending:
-                    await flush()
-                    done, _ = await asyncio.wait(
-                        pending,
-                        timeout=stream.deadline_remaining(),
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        raise stream.expire()
-                    out.extend(
-                        shard_event(*stream.collect(pending.pop(wrapped)))
-                        for wrapped in done
-                    )
-        except XmlRelError as error:
+            await self._drive(stream, flush)
+        except ConnectionError:
+            raise  # the client hung up: nobody left to tell
+        except Exception as error:
+            # Typed or not, the status line is in-band from here.
             await flush(
                 _chunk(ndjson_line(
                     {"event": "error",

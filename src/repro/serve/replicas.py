@@ -40,6 +40,10 @@ from repro.relational.database import Database
 from repro.serve.pool import ConnectionPool
 
 
+#: Connections in each replica's read pool.
+REPLICA_POOL_CONNECTIONS = 2
+
+
 def replica_fault_key(shard: int, replica: int) -> int:
     """The :class:`~repro.reliability.faults.ShardFaultPolicy` key a
     replica's connections consult.  Negative by construction so it can
@@ -56,7 +60,6 @@ class ReplicaSet:
         directory: str,
         count: int,
         scheme: str,
-        pool_size: int = 2,
         acquire_timeout: float = 1.0,
         profile: str = "durable",
         metrics: MetricsRegistry | None = None,
@@ -71,7 +74,6 @@ class ReplicaSet:
         self.directory = directory
         self.count = count
         self.scheme = scheme
-        self.pool_size = pool_size
         self.acquire_timeout = acquire_timeout
         self.profile = profile
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -144,7 +146,7 @@ class ReplicaSet:
         return ConnectionPool(
             self.replica_path(replica),
             self.scheme,
-            size=self.pool_size,
+            size=REPLICA_POOL_CONNECTIONS,
             acquire_timeout=self.acquire_timeout,
             profile=self.profile,
             lint="off",

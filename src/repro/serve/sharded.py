@@ -218,7 +218,6 @@ class ShardedStore:
         profile: str = "durable",
         pool_size: int = 4,
         acquire_timeout: float = 1.0,
-        max_workers: int | None = None,
         max_in_flight: int = 32,
         default_deadline: float | None = None,
         on_shard_error: str = "fail",
@@ -227,7 +226,6 @@ class ShardedStore:
         lint: str = "default",
         fault_policy=None,
         replicas: int = 0,
-        replica_pool_size: int = 2,
         read_from: str = "primary",
         request_log: RequestLog | None = None,
         **scheme_kwargs,
@@ -314,7 +312,6 @@ class ShardedStore:
                     directory,
                     replicas,
                     scheme,
-                    pool_size=replica_pool_size,
                     acquire_timeout=acquire_timeout,
                     profile=profile,
                     metrics=metrics,
@@ -325,7 +322,6 @@ class ShardedStore:
                 )
         executor = QueryExecutor(
             pools,
-            max_workers=max_workers,
             max_in_flight=max_in_flight,
             default_deadline=default_deadline,
             on_shard_error=on_shard_error,

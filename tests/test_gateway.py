@@ -1116,22 +1116,24 @@ class TestOpsRoutes:
     gateway: isolation from query load, scrapes that do not pollute
     what they report, and failures that never take the endpoint down."""
 
-    def test_ops_routes_answer_with_every_dispatch_worker_wedged(
+    def test_ops_routes_answer_with_every_query_worker_wedged(
         self, tmp_path
     ):
+        """The pool every query read lands on — the executor's, the
+        process's only one — is full of stuck work."""
         store, _ = _open(tmp_path)
         with store:
             gateway = store.serve_gateway()
             release = threading.Event()
-            workers = gateway._dispatch._max_workers
+            threads = store.executor._threads
+            workers = threads._max_workers
             wedged = [
-                gateway._dispatch.submit(release.wait, 30)
-                for _ in range(workers)
+                threads.submit(release.wait, 30) for _ in range(workers)
             ]
             try:
                 assert _wait_for(
                     lambda: sum(
-                        thread.name.startswith("xmlrel-gateway-dispatch")
+                        thread.name.startswith("xmlrel-serve")
                         for thread in threading.enumerate()
                     ) == workers
                 )
@@ -1145,12 +1147,12 @@ class TestOpsRoutes:
             finally:
                 release.set()
 
-    def test_ops_documents_are_built_off_the_loop_and_the_dispatch_pool(
+    def test_ops_documents_are_built_off_the_loop_and_the_worker_pool(
         self, tmp_path
     ):
         """No sqlite call (health probes, shard counts) and no
         registry / request-log read runs on the event-loop thread — or
-        on a query dispatch worker."""
+        on a query worker."""
         store, _ = _open(tmp_path)
         with store:
             gateway = store.serve_gateway()
@@ -1191,7 +1193,7 @@ class TestOpsRoutes:
             assert gateway._thread not in threads
             assert threading.current_thread() not in threads
             assert not any(
-                thread.name.startswith("xmlrel-gateway")
+                thread.name.startswith(("xmlrel-gateway", "xmlrel-serve"))
                 for thread in threads
             )
 
@@ -1597,8 +1599,8 @@ class TestOnLoopLane:
         self, tmp_path, streamed, route, monkeypatch
     ):
         """``doc_id`` requests take the same lane as a scatter: the
-        repeat is not handed to the dispatch pool, acquires no
-        connection and runs no statement — on any thread."""
+        repeat puts nothing on the worker pool, acquires no connection
+        and runs no statement — on any thread."""
         store, ids = _open(tmp_path, replicas=1)
         with store:
             store.ship_replicas()
@@ -1613,7 +1615,7 @@ class TestOnLoopLane:
             assert read() == self.expected([doc])  # cold: executes
             handed_off, acquirers, statements = [], [], []
             monkeypatch.setattr(
-                gateway._dispatch, "submit",
+                store.executor._threads, "submit",
                 lambda *args: handed_off.append(args),
             )
             for pool in all_pools(store):
@@ -1753,7 +1755,7 @@ class TestOnLoopLane:
             assert read() == self.expected(ids)  # warm
             handed_off = []
             monkeypatch.setattr(
-                gateway._dispatch, "submit",
+                store.executor._threads, "submit",
                 lambda *args: handed_off.append(args),
             )
             if exit_name == "hit":
@@ -1806,13 +1808,16 @@ class TestOnLoopLane:
     def test_a_handoff_cancelled_before_it_ran_releases_the_slot(
         self, tmp_path
     ):
-        """The miss path: ``gather`` finishes the stream wherever it
-        runs, but a hand-off cancelled while still queued never runs."""
+        """The miss path: a materialized request cancelled while its
+        reads are still queued behind wedged workers — no read ever
+        runs, the driver's ``with stream:`` still finishes it."""
         store, _ = _open(tmp_path, max_in_flight=self.LIMIT)
         with store:
-            gateway = store.serve_gateway(max_dispatch_workers=1)
+            gateway = store.serve_gateway()
+            threads = store.executor._threads
             wedge = threading.Event()
-            gateway._dispatch.submit(wedge.wait)  # the one worker is busy
+            for _ in range(threads._max_workers):
+                threads.submit(wedge.wait)  # every worker is busy
 
             async def cancelled():
                 stream = ScatterStream(
@@ -1829,6 +1834,7 @@ class TestOnLoopLane:
                 task.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await task
+                assert all(future.cancelled() for future in stream.futures)
 
             try:
                 asyncio.run(cancelled())
@@ -1910,3 +1916,272 @@ class TestOnLoopLane:
             else:
                 assert len(writer.writes) > 1
                 assert b'"event":"rows"' not in first
+
+
+# -- one driver: both routes are submit -> await -> fold on the worker pool ---
+
+
+class FlakyWriter(RecordingWriter):
+    """A client that takes the first write and is gone by the second."""
+
+    def write(self, data):
+        if self.writes:
+            raise ConnectionResetError("client went away")
+        super().write(data)
+
+
+class TestOneDriver:
+    XPATH = TestOnLoopLane.XPATH
+    STALL = 0.3
+    CASES = ("miss", "partial", "fail", "deadline", "hangup")
+
+    def request(self, gateway, streamed, **fields):
+        """One HTTP request normalized across routes: ``(status, rows,
+        error name)`` — a streamed body's status is its terminal
+        event's, its rows the sorted union of its ``rows`` events."""
+        payload = {"xpath": self.XPATH, "stream": streamed, **fields}
+        if not streamed:
+            status, body = _post(
+                gateway.url + "/query", payload, expect_error=True
+            )
+            rows = body.get("rows")
+            if rows is not None:
+                rows = [tuple(row) for row in rows]
+            return status, rows, body.get("error")
+        events = _stream(gateway.url + "/query", payload)
+        last = events[-1]
+        if last["event"] == "error":
+            return last["status"], None, last["error"]
+        assert last["event"] == "end"
+        return (
+            206 if last["outcome"] == "partial" else 200,
+            sorted(
+                tuple(row) for event in events if event["event"] == "rows"
+                for row in event["rows"]
+            ),
+            None,
+        )
+
+    def drive(self, tmp_path, streamed, one_document, case):
+        """*case* on a fresh (so uncached) store through one route:
+        what the client saw, plus the ``serve.*`` span paths under the
+        request's ``serve.query``."""
+        policy = ShardFaultPolicy()
+        store, ids = _open(
+            tmp_path,
+            "streamed" if streamed else "materialized",
+            fault_policy=policy,
+            tracer=Tracer(enabled=True),
+            on_shard_error="partial" if case == "partial" else "fail",
+        )
+        with store:
+            gateway = store.serve_gateway()
+            executor = store.executor
+            doc_id = ids[2] if one_document else None
+            bad = store.resolve(ids[2]).shard
+            fields = {} if doc_id is None else {"doc_id": doc_id}
+            asked = ids if doc_id is None else [doc_id]
+            if case in ("partial", "fail"):
+                policy.fail_shard(bad)
+            elif case in ("deadline", "hangup"):
+                policy.stall_shard(bad, self.STALL)
+            if case == "hangup":
+                spec = parse_query_payload(
+                    {"xpath": self.XPATH, "stream": streamed, **fields}
+                )
+
+                async def hangup():
+                    stream = ScatterStream(
+                        executor, spec.xpath, store.targets(doc_id)
+                    )
+                    assert not stream.settled
+                    answer = (
+                        gateway._stream_query(FlakyWriter(), stream, spec)
+                        if streamed
+                        else gateway._materialized_query(
+                            HangupWriter(), stream, False
+                        )
+                    )
+                    with pytest.raises(ConnectionResetError):
+                        await answer
+
+                asyncio.run(hangup())
+                seen = None
+            elif case == "deadline":
+                seen = self.request(
+                    gateway, streamed,
+                    deadline_seconds=self.STALL / 3, **fields
+                )
+            else:
+                seen = self.request(gateway, streamed, **fields)
+            if case == "miss":
+                assert seen == (200, TestOnLoopLane.expected(asked), None)
+            elif case == "partial":
+                survivors = [
+                    doc for doc in asked if store.resolve(doc).shard != bad
+                ]
+                assert seen == (
+                    206, TestOnLoopLane.expected(survivors), None
+                )
+            elif case == "fail":
+                assert seen == (502, None, "ShardError")
+            elif case == "deadline":
+                assert seen == (504, None, "DeadlineExceeded")
+            # The owed reads ran on the one worker pool: all of them,
+            # unless the request ended early (a read still queued when
+            # it fails fast or loses its client is cancelled, not run).
+            whole = case in ("miss", "partial", "deadline")
+            shards = len(store.targets(doc_id))
+            tracer = store.tracer
+            assert _wait_for(
+                lambda: len(tracer.spans_named("serve.execute"))
+                >= (shards if whole else 1)
+            )
+            workers = {
+                thread.ident for thread in threading.enumerate()
+                if thread.name.startswith("xmlrel-serve")
+            }
+            assert {
+                span.thread_id
+                for span in tracer.spans_named("serve.execute")
+            } <= workers
+            assert _wait_for(
+                lambda: store.metrics.gauge("serve.in_flight").value == 0
+            )
+            assert free_slots(executor) == executor.max_in_flight
+            (query,) = [
+                span for root in tracer.roots for span in root.walk()
+                if span.name == "serve.query"
+            ]
+            assert _wait_for(
+                lambda: all(span.finished for span in query.walk())
+            )
+
+            def paths(span, prefix=()):
+                here = prefix + (span.name,)
+                yield here
+                for child in span.children:
+                    if child.name.startswith("serve."):
+                        yield from paths(child, here)
+
+            shape = sorted(paths(query) if whole else set(paths(query)))
+            if case == "hangup":
+                # A client found gone at the last write (one body
+                # always; a stream when its last shard was the slow
+                # one) hung up after the merge, else before it.
+                shape = [path for path in shape if "serve.merge" not in path]
+            assert ("serve.query", "serve.shard", "serve.execute") in shape
+            return seen, shape
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize(
+        "one_document", (True, False), ids=("doc_id", "all")
+    )
+    def test_both_routes_are_the_same_request(
+        self, tmp_path, one_document, case
+    ):
+        """Materialized and streamed differ only in what they do with
+        a folded shard: same answer (the evaluator's), same span tree,
+        same pool, same accounting — for every way a miss can end."""
+        materialized = self.drive(tmp_path, False, one_document, case)
+        streamed = self.drive(tmp_path, True, one_document, case)
+        assert materialized == streamed
+
+    @pytest.mark.parametrize(
+        "one_document", (True, False), ids=("doc_id", "all")
+    )
+    @pytest.mark.parametrize(
+        "streamed", (False, True), ids=("materialized", "streamed")
+    )
+    def test_an_untyped_error_in_a_shard_read_is_answered(
+        self, tmp_path, streamed, one_document, monkeypatch
+    ):
+        """A bug under a shard read (not an ``XmlRelError``) is a typed
+        JSON 500 — in-band once the chunked head is out — accounted and
+        logged like any request; it used to drop the connection."""
+        from repro.storage.base import MappingScheme
+
+        store, ids = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            log = store.executor.request_log
+            monkeypatch.setattr(
+                MappingScheme, "query_pres", _raiser(RuntimeError("boom"))
+            )
+            fields = {"doc_id": ids[1]} if one_document else {}
+            assert self.request(gateway, streamed, **fields) == (
+                500, None, "RuntimeError"
+            )
+            monkeypatch.undo()
+
+            def events(kind):
+                return [e for e in log.tail(50) if e["event"] == kind]
+
+            assert _wait_for(lambda: len(events("http")) == 1)
+            (http_event,), (query_event,) = events("http"), events("query")
+            assert http_event["status"] == 500
+            assert query_event["outcome"] == "error"
+            assert http_event["request_id"] == query_event["request_id"]
+            assert store.metrics.counter("gateway.status.500").value == 1
+            assert store.metrics.counter("gateway.requests").value == 1
+            assert store.metrics.gauge("serve.in_flight").value == 0
+            assert free_slots(store.executor) == store.executor.max_in_flight
+            # The endpoint is still up.
+            assert self.request(gateway, streamed, **fields)[0] == 200
+
+    @pytest.mark.parametrize("refusal", ("shed", "expired"))
+    def test_a_stream_refused_before_its_first_byte_keeps_the_connection(
+        self, tmp_path, refusal
+    ):
+        """A streamed request refused while opening (429 at the gate,
+        504 for a hit already past its deadline) is a plain JSON
+        response: its head must not promise keep-alive on a socket the
+        gateway then closes — the retry goes out on the same one."""
+        store, ids = _open(tmp_path)
+        with store:
+            gateway = store.serve_gateway()
+            executor = store.executor
+            payload = {"xpath": self.XPATH, "stream": True}
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", gateway.port, timeout=5
+            )
+
+            def post(**fields):
+                connection.request(
+                    "POST", "/query",
+                    body=json.dumps({**payload, **fields}),
+                )
+                response = connection.getresponse()
+                return response, response.read()
+
+            try:
+                if refusal == "shed":
+                    held = 0
+                    while executor._gate.acquire(blocking=False):
+                        held += 1
+                    try:
+                        response, body = post()
+                    finally:
+                        for _ in range(held):
+                            executor._gate.release()
+                    assert response.status == 429
+                    assert response.getheader("Retry-After") == "1"
+                else:
+                    store.query_all(self.XPATH)  # warm: settled at open
+                    response, body = post(deadline_seconds=1e-9)
+                    assert response.status == 504
+                assert response.getheader("Connection") == "keep-alive"
+                assert json.loads(body)["status"] == response.status
+                sock = connection.sock
+                response, body = post()  # the retry, same connection
+                assert connection.sock is None or connection.sock is sock
+                assert response.status == 200
+                assert response.getheader("Connection") == "close"
+                events = [json.loads(line) for line in body.splitlines()]
+                rows = sorted(
+                    tuple(row) for event in events
+                    if event["event"] == "rows" for row in event["rows"]
+                )
+                assert rows == TestOnLoopLane.expected(ids)
+            finally:
+                connection.close()
