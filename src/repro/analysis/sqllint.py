@@ -21,6 +21,10 @@ code      severity  finding
                     no base case, the recursion cannot terminate
 ``P006``  advice    equality join on a base-table column that no index
                     prefix covers (full-scan join)
+``P007``  advice    the engine's own plan builds an index at run time
+                    over a stored table or view, or materializes a view
+                    (:func:`lint_query_plan` — needs ``EXPLAIN QUERY
+                    PLAN``, so the sweep runs it, not the translate path)
 ========  ========  =====================================================
 
 The linter is deliberately *lenient* where static knowledge runs out:
@@ -31,6 +35,8 @@ leak or multiply rows.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -69,6 +75,89 @@ def lint_statement(
     linter = _PlanLinter(catalog)
     linter.check_statement(statement)
     return tuple(linter.diagnostics)
+
+
+_AUTOMATIC_INDEX = re.compile(r"(?:SEARCH|SCAN) (\S+) USING AUTOMATIC .*INDEX")
+_MATERIALIZE = re.compile(r"MATERIALIZE (\S+)")
+
+
+def lint_query_plan(
+    statement: Select | Union | WithQuery,
+    plan_lines,
+    catalog: SchemaCatalog,
+) -> tuple[Diagnostic, ...]:
+    """``P007`` over sqlite's ``EXPLAIN QUERY PLAN`` detail lines for
+    *statement*: work the engine redoes on every execution because no
+    stored access path serves the statement — an automatic index over a
+    stored table or view, or a view copied out in full.  An automatic
+    index over a *CTE result* is sqlite's hash join and is not reported.
+    What P006 cannot see (range and ``IN`` semi-joins, predicates
+    outside ``JOIN … ON``) the planner's own verdict can."""
+    stored = {
+        ref.alias.lower()
+        for ref in _table_refs(statement)
+        if catalog.table(ref.table.lower()) is not None
+    }
+    found: list[Diagnostic] = []
+    for line in plan_lines:
+        match = _AUTOMATIC_INDEX.match(line)
+        if match and match.group(1).lower() in stored:
+            found.append(Diagnostic(
+                "P007", SEVERITY_ADVICE,
+                "index built at run time over a stored relation "
+                f"(alias {match.group(1)!r}): no stored index serves "
+                "this join",
+                location=line,
+            ))
+        match = _MATERIALIZE.match(line)
+        if match:
+            info = catalog.table(match.group(1).lower())
+            if info is not None and info.is_view:
+                found.append(Diagnostic(
+                    "P007", SEVERITY_ADVICE,
+                    f"view {info.name!r} is materialized in full on "
+                    "every execution",
+                    location=line,
+                ))
+    return tuple(dict.fromkeys(found))
+
+
+def _table_refs(statement):
+    """Every ``table AS alias`` *statement* scans, at any depth."""
+    for select in _all_selects(statement):
+        if select.from_item is not None:
+            yield select.from_item
+        for join in select.joins:
+            yield join.table
+
+
+def _all_selects(statement):
+    """Every SELECT of *statement*: CTE bodies, union arms, the final
+    select and all nested subqueries."""
+    if isinstance(statement, WithQuery):
+        stack = [query for _name, query in statement.ctes]
+        if statement.final is not None:
+            stack.append(statement.final)
+    else:
+        stack = [statement]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, Union):
+            stack.extend(current.selects)
+            continue
+        yield current
+        for expr in _own_expressions(current):
+            stack.extend(_nested_selects(expr))
+
+
+def _nested_selects(expr):
+    """Subquery selects anywhere inside *expr* (not their own nested
+    ones — the caller walks those)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield from _subqueries(node)
+        stack.extend(_iter_children(node))
 
 
 def _iter_children(expr):
@@ -220,7 +309,8 @@ class _PlanLinter:
         in_scope = frozenset(visible | {lowered})
         arms = query.selects if isinstance(query, Union) else (query,)
         self_referencing = [
-            lowered in self._referenced_tables(arm) for arm in arms
+            any(ref.table.lower() == lowered for ref in _table_refs(arm))
+            for arm in arms
         ]
         if self_referencing and all(self_referencing):
             self._report(
@@ -233,20 +323,6 @@ class _PlanLinter:
             )
         for arm in arms:
             self.check_select(arm, in_scope, {})
-
-    def _referenced_tables(self, select: Select) -> set[str]:
-        """Table names scanned by *select*, including its subqueries."""
-        names: set[str] = set()
-        stack = [select]
-        while stack:
-            current = stack.pop()
-            if current.from_item is not None:
-                names.add(current.from_item.table.lower())
-            for join in current.joins:
-                names.add(join.table.table.lower())
-            for expr in _own_expressions(current):
-                stack.extend(_ExprScan(expr).subqueries)
-        return names
 
     # -- per-select checks ---------------------------------------------------
 

@@ -213,24 +213,20 @@ class PathPlan:
         return len(self.steps)
 
 
-def plan_path(xpath: str | LocationPath, scheme: str | None = None) -> PathPlan:
-    """Parse (if needed) and normalize *xpath* into a :class:`PathPlan`.
+def plan_path(xpath: str | Expr, scheme: str | None = None) -> PathPlan:
+    """Parse (if needed) and normalize *xpath* — a string or an already
+    parsed expression — into a :class:`PathPlan`.
 
     Raises :class:`UnsupportedQueryError` for anything the SQL translators
     do not implement: relative paths, reverse axes other than ``parent``,
     positional predicates on descendant steps, non-literal comparisons...
     """
-    if isinstance(xpath, LocationPath):
-        path = xpath
-        source = str(xpath)
-    else:
-        source = xpath
-        parsed = parse_xpath(xpath)
-        if not isinstance(parsed, LocationPath):
-            raise UnsupportedQueryError(
-                f"not a location path: {xpath}", scheme
-            )
-        path = parsed
+    path = parse_xpath(xpath) if isinstance(xpath, str) else xpath
+    source = str(xpath)
+    if not isinstance(path, LocationPath):
+        raise UnsupportedQueryError(
+            f"not a location path: {xpath}", scheme
+        )
     if not path.absolute:
         raise UnsupportedQueryError(
             "relative paths (queries must start at the root)", scheme

@@ -5,9 +5,12 @@ the narrowest relation:
 
 * a step/hop with a *named* test touches only that label's partition —
   the mapping's published advantage on label-selective queries;
-* wildcards, kind tests and descendant closures must use the
-  ``binary_edges`` view (the UNION ALL of every partition) — its published
-  weakness.
+* ``text()`` and ``comment()`` steps are label-selective too: every text
+  node lives in the ``#text`` partition, every comment in ``#comment``;
+* wildcards, ``node()``, ``processing-instruction()`` (a PI's label
+  carries its target, so PIs spread over partitions) and descendant
+  closures must use the ``binary_edges`` view (the UNION ALL of every
+  partition) — its published weakness.
 
 A label that was never stored has no partition; scans fall back to the
 view, which simply finds nothing.
@@ -18,7 +21,11 @@ from __future__ import annotations
 from repro.query.plan import AXIS_ATTRIBUTE, AXIS_CHILD, StepPlan
 from repro.query.translate_edge import EdgeTranslator
 from repro.storage.binary import EDGES_VIEW
-from repro.xpath.ast import NameTest
+from repro.storage.edge import COMMENT_LABEL, TEXT_LABEL
+from repro.xpath.ast import KindTest, NameTest
+
+#: Kind tests whose nodes all carry one label, hence one partition.
+_LABEL_OF_KIND = {"text": TEXT_LABEL, "comment": COMMENT_LABEL}
 
 
 class BinaryTranslator(EdgeTranslator):
@@ -36,6 +43,12 @@ class BinaryTranslator(EdgeTranslator):
             and not step.test.is_wildcard
         ):
             return self._partition_or_view(step.test.name)
+        if (
+            step.axis == AXIS_CHILD
+            and isinstance(step.test, KindTest)
+            and step.test.kind in _LABEL_OF_KIND
+        ):
+            return self._partition_or_view(_LABEL_OF_KIND[step.test.kind])
         return EDGES_VIEW
 
     def closure_table(self) -> str:
@@ -48,8 +61,6 @@ class BinaryTranslator(EdgeTranslator):
         return self._partition_or_view(name)
 
     def text_table(self) -> str:
-        from repro.storage.edge import TEXT_LABEL
-
         return self._partition_or_view(TEXT_LABEL)
 
     def position_table(self, step: StepPlan) -> str:

@@ -1,24 +1,28 @@
 """XPath→SQL for the universal-table mapping.
 
-A linear path over named steps touches **one relation and zero joins**:
-the path catalog restricts ``pathexp`` and the answer is the final
-label's id column.  That is the whole published appeal of the universal
-table (experiments E3/E8) — and its limits show just as quickly:
+A linear path over named steps needs **no structural join**: the path
+catalog (``universal_paths``, tens of rows) restricts ``pathexp``,
+the wide relation is probed through its ``(doc_id, path_id)`` index, and
+the answer is the final label's id column.  That is the whole published
+appeal of the universal table (experiments E3/E8) — and its limits show
+just as quickly:
 
 * wildcards, ``node()``, ``self``/``parent`` axes and positional
   predicates are untranslatable (``UnsupportedQueryError``),
-* value predicates need EXISTS self-joins of the wide relation anchored
-  on the shared ancestor's id column,
+* a value predicate is a set-at-a-time semi-join of the wide relation
+  with itself: the shared ancestor's id ``IN`` the ids of the rows whose
+  path runs through the predicate's path and whose value qualifies —
+  computed once per statement, not once per outer row,
 * recursion is rejected at *storage* time already.
 """
 
 from __future__ import annotations
 
-from repro.errors import UnsupportedQueryError
 from repro.query.plan import (
     AXIS_ATTRIBUTE,
     AXIS_CHILD,
     PathPlan,
+    PositionPredicate,
     PredicatePlan,
     ValuePath,
 )
@@ -26,11 +30,10 @@ from repro.query.translate_common import compare_value
 from repro.query.translator import BaseTranslator
 from repro.relational.sql import (
     And,
-    Arith,
     Col,
     Comparison,
     DocParam,
-    Exists,
+    InSubquery,
     Like,
     Or,
     Param,
@@ -116,8 +119,6 @@ class UniversalTranslator(BaseTranslator):
                 label = f"@{step.test.name}"
             else:
                 raise self.scheme.unsupported(f"axis {step.axis}")
-            from repro.query.plan import PositionPredicate
-
             for predicate in step.predicates:
                 if isinstance(predicate, PositionPredicate):
                     raise self.scheme.unsupported(
@@ -154,9 +155,10 @@ class UniversalTranslator(BaseTranslator):
         numeric: bool = False,
         like_pattern: str | None = None,
     ) -> SqlExpr:
-        """EXISTS over a second universal row sharing the anchor node.
-        *ctx* is ``(prefix_segments, known)``: the segments up to the
-        predicate's step, and the stored label → column map."""
+        """The anchor node's id is among those of the universal rows
+        that carry a qualifying value below it.  *ctx* is
+        ``(prefix_segments, known)``: the segments up to the predicate's
+        step, and the stored label → column map."""
         prefix_segments, known = ctx
         anchor_label = prefix_segments[-1][1]
         if anchor_label not in known:
@@ -182,9 +184,13 @@ class UniversalTranslator(BaseTranslator):
             )
             return condition if condition is not None else Raw("1")
         suffix = "".join(PATH_SEP + like_escape(label) for label in chain)
+        # Uncorrelated, so it is evaluated once per statement.  Every
+        # row it selects has the anchor label on its path (the suffix
+        # starts with it), hence a non-NULL anchor id: the IN is never
+        # NULL and ``not(...)`` around it stays two-valued.
         sub = (
             Select()
-            .select(Raw("1"))
+            .select(Col(anchor_id, "u2"))
             .from_table(UNIVERSAL, "u2")
             .join(
                 "universal_paths",
@@ -195,9 +201,6 @@ class UniversalTranslator(BaseTranslator):
                 )),
             )
             .where(Col("doc_id", "u2").eq(DocParam()))
-            .where(
-                Col(anchor_id, "u2").eq(Col(anchor_id, "u"))
-            )
             .where(
                 Or((
                     Like(Col("pathexp", "p2"), f"%{suffix}"),
@@ -210,4 +213,4 @@ class UniversalTranslator(BaseTranslator):
         )
         if condition is not None:
             sub.where(condition)
-        return Exists(sub)
+        return InSubquery(Col(anchor_id, "u"), sub)

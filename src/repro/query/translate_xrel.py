@@ -4,11 +4,17 @@ The defining property: a location path does **not** become per-step joins.
 Consecutive predicate-free steps collapse into one string pattern matched
 against the small ``xrel_paths`` relation; only steps that carry
 predicates (and the final step) materialize a node-table alias, and
-consecutive aliases are connected by *region containment* plus a
-correlated path-extension condition:
+consecutive aliases are connected by a correlated path-extension
+condition plus *region containment*:
 
-* pure child chain   — ``cp.pathexp = ep.pathexp || '#/a#/b'``
-* chain containing //— ``cp.pathexp LIKE ep.pathexp || '#%/b'``
+* pure child chain    — ``cp.pathexp = ep.pathexp || '#/a#/b'``
+* chain containing // — ``ep.pathexp`` is a prefix of ``cp.pathexp`` and
+  ``xrel_path_match`` accepts the remainder
+* containment         — ``c.start > e.start AND c.start <= e.end AND
+  c.end <= e.end``.  The middle term is implied by the other two; it is
+  there because it makes the join a range probe of the node table's
+  ``(doc_id, path_id, start)`` index.  It is **inclusive**: ``e.end``
+  is the ``start`` of ``e``'s last descendant, not one past it.
 
 Absolute patterns (containing ``//`` or wildcards) are matched with the
 ``xrel_path_match`` UDF (regex over the path table only — the tiny
@@ -40,12 +46,11 @@ from repro.relational.sql import (
     DocParam,
     Exists,
     Func,
-    Like,
+    InSubquery,
     Param,
     Raw,
     Select,
     SqlExpr,
-    like_escape,
 )
 from repro.storage.xrel import PATH_SEP
 from repro.xml.dom import NodeKind
@@ -92,6 +97,19 @@ def xrel_path_match(pattern: str, pathexp: str) -> bool:
     return compiled.match(pathexp) is not None
 
 
+def _contained_in(inner: str, outer: str) -> list[SqlExpr]:
+    """Alias *inner*'s region lies strictly inside alias *outer*'s.  The
+    upper bound on ``start`` is redundant — and inclusive, because
+    ``end = pre + size`` is the last descendant's own ``start`` — but it
+    is what turns the join into ``SEARCH … (doc_id=? AND path_id=? AND
+    start>? AND start<?)`` instead of a filter over the whole path."""
+    return [
+        Col("start", inner).gt(Col("start", outer)),
+        Col("start", inner).le(Col("end", outer)),
+        Col("end", inner).le(Col("end", outer)),
+    ]
+
+
 class XRelTranslator(BaseTranslator):
     """Path-pattern + region-containment translator."""
 
@@ -126,7 +144,7 @@ class XRelTranslator(BaseTranslator):
             # The path table comes first so its equality condition (exact
             # pathexp, or the correlated extension of the previous path)
             # drives the plan; the node table then probes its
-            # (doc_id, path_id) index — never a region-only scan.
+            # (doc_id, path_id, start) index — never a region-only scan.
             path_conditions = And((
                 Col("doc_id", paths_alias).eq(DocParam()),
                 self._path_condition(
@@ -138,12 +156,7 @@ class XRelTranslator(BaseTranslator):
                 Col("path_id", alias).eq(Col("path_id", paths_alias)),
             ]
             if prev_alias is not None:
-                node_conditions.append(
-                    Col("start", alias).gt(Col("start", prev_alias))
-                )
-                node_conditions.append(
-                    Col("end", alias).le(Col("end", prev_alias))
-                )
+                node_conditions += _contained_in(alias, prev_alias)
             node_conditions += self._test_conditions(step, alias)
             if query.from_item is None:
                 query.from_table("xrel_paths", paths_alias)
@@ -244,8 +257,6 @@ class XRelTranslator(BaseTranslator):
                     ).eq(Raw("1"))
                 )
             )
-            from repro.relational.sql import InSubquery
-
             return InSubquery(Col("path_id", paths_alias), matching)
         prev_path = Col("pathexp", prev_paths)
         if pattern == "":
@@ -309,8 +320,8 @@ class XRelTranslator(BaseTranslator):
         target = f"{alias}_v"
         target_paths = f"{alias}_vp"
         # Path table first (its pathexp equality is index-seekable per
-        # outer row), then the node table by path id — the same ordering
-        # fix as in translate(): a region-only node scan is never cheap.
+        # outer row), then the node table by path id and start range —
+        # the same ordering as in translate().
         sub = (
             Select()
             .select(Raw("1"))
@@ -331,8 +342,7 @@ class XRelTranslator(BaseTranslator):
                 And((
                     Col("doc_id", target).eq(DocParam()),
                     Col("path_id", target).eq(Col("path_id", target_paths)),
-                    Col("start", target).gt(Col("start", alias)),
-                    Col("end", target).le(Col("end", alias)),
+                    *_contained_in(target, alias),
                 )),
             )
         )
@@ -348,16 +358,3 @@ class XRelTranslator(BaseTranslator):
         if condition is not None:
             sub.where(condition)
         return Exists(sub)
-
-
-def _pattern_to_like(pattern: str) -> str:
-    """Convert a relative XRel pattern to a LIKE pattern.
-
-    ``#//label`` becomes ``#%/label`` — the ``%`` absorbs zero or more
-    whole intermediate components while the trailing ``/`` keeps label
-    boundaries intact (``#%/b`` cannot match a label merely *ending* in
-    ``b``).  Wildcard fragments never reach here (they force UDF/absolute
-    matching), so only literal labels are escaped.
-    """
-    like = like_escape(pattern.replace("#//", "\x00"))
-    return like.replace("\x00", "#%/")

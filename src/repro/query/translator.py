@@ -267,11 +267,12 @@ class BaseTranslator(abc.ABC):
             if tracer.enabled:
                 tracer.metrics.counter("plan_cache.misses").inc()
         with tracer.span("translate") as translate_span:
-            arms = _union_arms(parse_xpath(xpath)) if key else None
-            if arms is None:
-                statements = [self.translate(doc_id, xpath)]
-            else:
-                statements = [self.translate(doc_id, arm) for arm in arms]
+            # The one parse of a cache miss: translate() gets the AST.
+            expr = parse_xpath(xpath) if key else xpath
+            statements = [
+                self.translate(doc_id, arm)
+                for arm in _union_arms(expr) or [expr]
+            ]
             plans = self._render_plans(statements)
             if translate_span:
                 translate_span.set(

@@ -11,7 +11,9 @@ non-NULL label *sets* coincide but whose paths differ.
 
 Published behaviour reproduced here:
 
-* linear path queries are single-table scans — no joins at all (E3/E8),
+* linear path queries need no structural join (E3/E8): the path catalog
+  picks the matching ``path_id``s and the wide relation is probed by its
+  one index, ``(doc_id, path_id)``,
 * storage explodes with document size and fanout — ancestors are repeated
   once per leaf below them (E1),
 * recursive documents (a label repeating along one path) cannot be
@@ -26,7 +28,7 @@ nodes use the same reserved labels as the edge mapping.
 from __future__ import annotations
 
 from repro.errors import SchemaMappingError, StorageError
-from repro.relational.schema import Column, INTEGER, Table, TEXT
+from repro.relational.schema import Column, INTEGER, Index, Table, TEXT
 from repro.storage.base import BufferedStreamInserter, MappingScheme
 from repro.storage.numbering import NodeRecord
 from repro.xml.dom import NodeKind
@@ -50,6 +52,19 @@ PATHS_TABLE = Table(
 )
 
 UNIVERSAL = "universal"
+
+#: The wide relation as created; one ``(ord, id, val)`` column triple
+#: per label is added as documents bring labels in.
+UNIVERSAL_TABLE = Table(
+    name=UNIVERSAL,
+    columns=[
+        Column("doc_id", INTEGER, nullable=False),
+        Column("path_id", INTEGER, nullable=False),
+    ],
+    indexes=[
+        Index("universal_path", UNIVERSAL, ("doc_id", "path_id")),
+    ],
+)
 
 # Separator inside pathexp strings: '#/label' per child step.
 PATH_SEP = "#/"
@@ -105,20 +120,12 @@ class UniversalScheme(MappingScheme):
     translation_depends_on_data = True
 
     def tables(self):
-        return [LABELS_TABLE, PATHS_TABLE]
+        return [LABELS_TABLE, PATHS_TABLE, UNIVERSAL_TABLE]
 
     def stream_inserter(self, doc_id):
         # The wide relation needs the whole record set: each tuple spans
         # a root-to-leaf chain.
         return BufferedStreamInserter(self, doc_id, self._insert_all)
-
-    def create_schema(self) -> None:
-        super().create_schema()
-        if not self.db.table_exists(UNIVERSAL):
-            self.db.execute(
-                f"CREATE TABLE {UNIVERSAL} ("
-                "doc_id INTEGER NOT NULL, path_id INTEGER NOT NULL)"
-            )
 
     # -- label columns ------------------------------------------------------------
 
@@ -156,9 +163,6 @@ class UniversalScheme(MappingScheme):
                 f"ALTER TABLE {UNIVERSAL} ADD COLUMN {column} {col_type}"
             )
         return index
-
-    def table_names(self) -> list[str]:
-        return ["universal_labels", "universal_paths", UNIVERSAL]
 
     # -- shredding ---------------------------------------------------------------------
 

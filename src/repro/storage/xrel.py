@@ -15,7 +15,11 @@ here ``start = pre`` and ``end = pre + size``, which nest exactly like
 XRel's byte offsets.  Simple paths become a match against the small path
 table plus one probe of a node table; ancestor/descendant relationships
 between *instances* are region containment (``c.start > e.start AND
-c.end <= e.end``).
+c.end <= e.end``).  Each node table is indexed ``(doc_id, path_id,
+start)``, and because ``e.end`` is the ``start`` of ``e``'s last
+descendant, containment implies ``c.start <= e.end``: a structural join
+is one ``start`` range probe per context node, not a scan of every node
+on the child path.
 
 Text, comment and PI nodes share ``xrel_text`` (a ``kind`` column tells
 them apart; comments/PIs are outside XRel's published scope but keeping
@@ -63,7 +67,11 @@ ELEMENT_TABLE = Table(
     ],
     primary_key=("doc_id", "start"),
     indexes=[
-        Index("xrel_element_path", "xrel_element", ("doc_id", "path_id")),
+        Index(
+            "xrel_element_region",
+            "xrel_element",
+            ("doc_id", "path_id", "start"),
+        ),
         Index(
             "xrel_element_content",
             "xrel_element",
@@ -85,7 +93,11 @@ ATTRIBUTE_TABLE = Table(
     ],
     primary_key=("doc_id", "start"),
     indexes=[
-        Index("xrel_attribute_path", "xrel_attribute", ("doc_id", "path_id")),
+        Index(
+            "xrel_attribute_region",
+            "xrel_attribute",
+            ("doc_id", "path_id", "start"),
+        ),
         Index(
             "xrel_attribute_value",
             "xrel_attribute",
@@ -108,7 +120,11 @@ TEXT_TABLE = Table(
     ],
     primary_key=("doc_id", "start"),
     indexes=[
-        Index("xrel_text_path", "xrel_text", ("doc_id", "path_id")),
+        Index(
+            "xrel_text_region",
+            "xrel_text",
+            ("doc_id", "path_id", "start"),
+        ),
         Index("xrel_text_value", "xrel_text", ("doc_id", "value")),
     ],
 )

@@ -5,7 +5,7 @@ Four families of tests pin the layer down:
 * the *negative space* — every translated plan of the benchmark workload
   lints clean on every scheme (the CI sweep's contract, in miniature);
 * the *positive space* — hand-built defective statements and repo
-  fixtures trip each diagnostic code exactly (P001–P006, X001/X002,
+  fixtures trip each diagnostic code exactly (P001–P007, X001/X002,
   L001–L005; the concurrency rules C001–C005 live in
   ``tests/test_concurrency_analysis.py``);
 * the *semantics* — an unsatisfiable query executes zero SQL statements,
@@ -38,6 +38,8 @@ from repro.analysis.diagnostics import (
     sorted_by_severity,
 )
 from repro.analysis.lint import lint_paths, main as lint_main
+from repro.analysis import sweep
+from repro.analysis.sqllint import lint_query_plan
 from repro.analysis.sweep import main as sweep_main, run_sweep
 from repro.errors import UnsupportedQueryError, XmlRelError
 from repro.obs.trace import Tracer
@@ -135,6 +137,21 @@ class TestWorkloadPlansClean:
         report = run_sweep(["edge", "interval"])
         assert report["errors"] == 0
         assert report["checked"] > 0
+        assert report["diagnostics"] == []
+
+    def test_sweep_asks_the_engine(self, monkeypatch, capsys):
+        # P007 comes from EXPLAIN QUERY PLAN on the stored corpus; the
+        # only cells that may carry one are the declared ones, and an
+        # undeclared one fails the job like an error would.
+        report = run_sweep(["binary", "universal", "xrel"])
+        assert report["errors"] == report["undeclared_p007"] == 0
+        assert {
+            (d["corpus"], d["scheme"], d["query"])
+            for d in report["diagnostics"] if d["code"] == "P007"
+        } == sweep.DECLARED_CLOSURES
+        monkeypatch.setattr(sweep, "DECLARED_CLOSURES", frozenset())
+        assert sweep_main(["binary"]) == 1
+        assert "undeclared P007" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +304,51 @@ class TestSqlLintFixtures:
             .where(Comparison("=", Col("doc_id", "b"), DocParam()))
         )
         assert not lint_statement(statement, interval_catalog)
+
+    def test_p007_run_time_index_on_a_stored_relation(self):
+        # The engine's own verdict: without its one index the universal
+        # semi-join builds an index per execution, which no static rule
+        # sees (P006 reads equality pairs inside JOIN ... ON only).
+        with XmlRelStore.open(scheme="universal") as store:
+            doc_id = store.store(generate_auction(scale_factor=0.02))
+            xpath = "/site/open_auctions/open_auction[bidder]/@id"
+            translator = store.scheme.translator()
+            statement = translator.translate(doc_id, xpath)
+            assert not lint_statement(statement, store.db.schema_catalog())
+
+            def p007():
+                sql, params = translator.sql_for(doc_id, xpath)
+                return lint_query_plan(
+                    statement,
+                    store.db.explain_plan(sql, params),
+                    store.db.schema_catalog(),
+                )
+
+            assert p007() == ()
+            store.db.execute("DROP INDEX universal_path")
+            found = p007()
+            assert codes(found) == {"P007"}
+            assert all(d.severity == SEVERITY_ADVICE for d in found)
+            assert all("AUTOMATIC" in d.location for d in found)
+
+    def test_p007_materialized_partition_view(self):
+        with XmlRelStore.open(scheme="binary") as store:
+            doc_id = store.store_text("<a><b>t<c/></b></a>")
+            translator = store.scheme.translator()
+            catalog = store.db.schema_catalog()
+            for xpath, expected in [
+                ("/a/b/c", set()),
+                ("/a/b/text()", set()),
+                ("/a//c", {"P007"}),       # the closure: declared cost
+                ("/a/*", {"P007"}),        # no label, no partition
+            ]:
+                sql, params = translator.sql_for(doc_id, xpath)
+                found = lint_query_plan(
+                    translator.translate(doc_id, xpath),
+                    store.db.explain_plan(sql, params),
+                    catalog,
+                )
+                assert codes(found) == expected, xpath
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +794,8 @@ class TestReportSchemas:
         assert "plan-lint sweep" in capsys.readouterr().out
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert set(report) >= {
-            "checked", "skipped", "errors", "diagnostics", "entries",
+            "checked", "skipped", "errors", "undeclared_p007",
+            "diagnostics", "entries",
         }
         assert report["errors"] == 0
         assert report["checked"] > 0

@@ -29,6 +29,7 @@ from repro.workloads import (
     generate_auction,
     generate_dblp,
 )
+from repro.xpath.parser import parse_xpath
 from tests.conftest import BIB_XML, SCHEMALESS_SCHEMES
 
 ALL_SCHEMES = SCHEMALESS_SCHEMES + ["inlining"]
@@ -201,6 +202,34 @@ class TestPlanCache:
             warm = store.query_pres(doc_id, xpath)
             assert cold == warm and len(cold) == 3
             assert store.db.plan_cache.stats()["hits"] >= 1
+
+    @pytest.mark.parametrize("xpath", [
+        "/bib/book[@year = '2000']/title",
+        "/bib/book/title | /bib/article/title",
+        "count(/bib)",
+    ])
+    def test_a_cache_miss_parses_the_xpath_once(self, monkeypatch, xpath):
+        # plans_for parses to look for union arms and hands translate()
+        # the AST, not the string again; a hit parses nothing, and what
+        # cannot be planned is not cached.
+        from repro.query import plan, translator
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_xpath(text)
+
+        monkeypatch.setattr(plan, "parse_xpath", counting)
+        monkeypatch.setattr(translator, "parse_xpath", counting)
+        with open_scheme_store("interval") as store:
+            doc_id = store.store_text(BIB_XML, "bib")
+            for _ in range(2):
+                try:
+                    store.query_pres(doc_id, xpath)
+                except UnsupportedQueryError as error:
+                    assert "not a location path: count(/bib)" in str(error)
+        assert calls == [xpath] * (2 if xpath == "count(/bib)" else 1)
 
     def test_universal_store_invalidates(self):
         # Universal bakes the known-label set into the SQL: an unknown
