@@ -6,7 +6,7 @@ that (a) user values are always bound parameters, never interpolated, and
 instead of parsing SQL text.
 
 Only the SELECT surface the translators need is modelled: column refs,
-parameters, comparison/boolean operators, LIKE, IN, EXISTS subqueries,
+parameters, comparison/boolean operators, LIKE as GLOB, IN, EXISTS subqueries,
 scalar functions, joins (inner/left), DISTINCT, ORDER BY, LIMIT.
 """
 
@@ -179,17 +179,39 @@ class Not(SqlExpr):
         return f"NOT ({self.operand.render(params)})"
 
 
+#: GLOB metacharacters as one-character classes matching only themselves.
+_GLOB_LITERALS = {"*": "[*]", "?": "[?]", "[": "[[]"}
+
+
+def glob_pattern(like: str) -> str:
+    """The GLOB spelling of a LIKE pattern with ``\\`` escapes: ``%`` and
+    ``_`` become ``*`` and ``?``, an escaped character is itself, and
+    GLOB's own metacharacters are bracketed."""
+    out = []
+    chars = iter(like)
+    for char in chars:
+        if char == "\\":
+            char = next(chars, char)
+        elif char in "%_":
+            out.append("*" if char == "%" else "?")
+            continue
+        out.append(_GLOB_LITERALS.get(char, char))
+    return "".join(out)
+
+
 @dataclass(frozen=True)
 class Like(SqlExpr):
-    """``expr LIKE pattern ESCAPE '\\'`` — pattern is always a parameter."""
+    """A LIKE-pattern match that respects case, as XPath and XML names
+    do (sqlite's ``LIKE`` folds ASCII case): ``expr GLOB ?``, the
+    pattern translated by :func:`glob_pattern`, always a parameter."""
 
     operand: SqlExpr
     pattern: str
 
     def render(self, params: list) -> str:
         left = self.operand.render(params)
-        params.append(self.pattern)
-        return f"{left} LIKE ? ESCAPE '\\'"
+        params.append(glob_pattern(self.pattern))
+        return f"{left} GLOB ?"
 
 
 @dataclass(frozen=True)

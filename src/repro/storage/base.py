@@ -21,6 +21,7 @@ the same set of integers.
 from __future__ import annotations
 
 import abc
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
@@ -47,16 +48,15 @@ from repro.xml.events import (
 from repro.xml.serialize import write_events
 
 
-#: Batched-fetch statements bind a handful of parameters per subtree
-#: root; chunking at this many roots keeps every statement comfortably
-#: under SQLite's bind-variable limit.
-ROOT_BATCH = 100
+#: The subtree roots of a batched fetch as a relation, bound as one JSON
+#: array (:func:`roots_param`): one statement with one SQL text for any
+#: root count, sqlite's bind-variable limit included.  Needs JSON1.
+ROOTS = "SELECT value FROM json_each(?)"
 
 
-def iter_batches(items: list, size: int = ROOT_BATCH):
-    """Yield *items* in order as chunks of at most *size*."""
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
+def roots_param(pres: list[int]) -> str:
+    """The one bind value of :data:`ROOTS`."""
+    return json.dumps(pres)
 
 
 def carve_subtrees(rows: list[tuple], pres: list[int]) -> list[tuple]:
@@ -312,10 +312,10 @@ class MappingScheme(abc.ABC):
         node then appears once under every enclosing root.
 
         Schemes with a subtree handle (a region, a label prefix, a
-        parent→child closure) override this with O(1) statements per
-        :data:`ROOT_BATCH` roots.  Those without one (universal,
-        inlining) must read the document whatever is asked for, and this
-        default carves every root out of that one read in one pass.
+        parent→child closure) override this with one statement over
+        :data:`ROOTS`.  Those without one (universal, inlining) must
+        read the document whatever is asked for, and this default carves
+        every root out of that one read in one pass.
         """
         if not pres:
             return []
@@ -340,7 +340,9 @@ class MappingScheme(abc.ABC):
 
     def _publish_subtrees(self, doc_id: int, pres: list[int], consume):
         """``consume(events)`` of each subtree rooted at *pres*, in
-        *pres* order, through one batched fetch."""
+        *pres* order, through one batched fetch (none for no roots)."""
+        if not pres:
+            return []
         unique = list(dict.fromkeys(pres))
         published = {
             root: consume(records_to_events(run))

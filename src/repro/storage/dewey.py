@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from repro.relational.schema import Column, INTEGER, Index, Table, TEXT
 from repro.storage.base import (
+    ROOTS,
     STREAM_BATCH,
     MappingScheme,
     StreamInserter,
-    iter_batches,
+    roots_param,
 )
 from repro.storage.numbering import DEWEY_SEPARATOR, dewey_parent
 
@@ -132,18 +133,16 @@ class DeweyScheme(MappingScheme):
         # A subtree is the root's label plus everything it prefixes —
         # one contiguous range of the (doc_id, label) key, since no
         # label character sorts below the separator.
-        rows: list[tuple] = []
-        for batch in iter_batches(pres):
-            marks = ", ".join("?" for _ in batch)
-            rows += self.db.query(
+        return _with_parents(
+            self.db.query(
                 "SELECT r.pre, d.pre, d.depth, d.kind, d.name, d.value "
                 "FROM dewey AS r JOIN dewey AS d ON d.doc_id = r.doc_id "
                 "AND d.label >= r.label AND d.label < r.label || ? "
-                f"WHERE r.doc_id = ? AND r.pre IN ({marks}) "
+                f"WHERE r.doc_id = ? AND r.pre IN ({ROOTS}) "
                 "ORDER BY r.pre, d.label",
-                [PREFIX_RANGE_END, doc_id, *batch],
+                (PREFIX_RANGE_END, doc_id, roots_param(pres)),
             )
-        return _with_parents(rows)
+        )
 
     def _delete_rows(self, doc_id: int) -> None:
         self.db.execute("DELETE FROM dewey WHERE doc_id = ?", (doc_id,))

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from repro.relational.schema import Column, INTEGER, Index, Table, TEXT
 from repro.storage.base import (
+    ROOTS,
     STREAM_BATCH,
     MappingScheme,
     StreamInserter,
-    iter_batches,
+    roots_param,
 )
 from repro.storage.numbering import NodeRecord
 from repro.xml.dom import NodeKind
@@ -99,43 +100,39 @@ def fetch_edge_rows(
     ``pres=None`` the whole document as one run under root 0.
 
     No region encoding exists, so a subtree is collected by the
-    parent→child closure — one recursive CTE per batch, seeded by all
-    roots at once, each seed's tag propagated down its closure (a node
-    under two nested roots comes back once per root).  Node ids stop
-    being document order at the first insert; (parent, ordinal) never
-    does, so the closure itself walks depth-first in ordinal order — the
+    parent→child closure — one recursive CTE seeded by all roots at
+    once, each seed's tag propagated down its closure (a node under two
+    nested roots comes back once per root).  Node ids stop being
+    document order at the first insert; (parent, ordinal) never does, so
+    the closure itself walks depth-first in ordinal order — the
     recursive arm's ORDER BY makes its queue a priority queue, deepest
     level first — and rows leave the engine already in document order.
     """
     if pres is None:
-        batches = [("0", "source = 0", [])]
+        root, seed, seed_params = "0", "source = 0", []
     else:
-        batches = [
-            ("target", f"target IN ({', '.join('?' for _ in batch)})", batch)
-            for batch in iter_batches(pres)
-        ]
-    rows: list[tuple] = []
-    for root, seed, seed_params in batches:
-        rows += db.query(
-            f"""
-            WITH RECURSIVE subtree(root, target, source, kind, name,
-                                   value, level, ordinal) AS (
-              SELECT {root}, target, source, kind, {label_name_sql()},
-                     value, 0, ordinal
-              FROM {relation} WHERE doc_id = ? AND {seed}
-              UNION ALL
-              SELECT s.root, e.target, e.source, e.kind,
-                     {label_name_sql("e.")}, e.value, s.level + 1,
-                     e.ordinal
-              FROM {relation} e JOIN subtree s ON e.source = s.target
-              WHERE e.doc_id = ?
-              ORDER BY 7 DESC, 8, 2
-            )
-            SELECT root, target, source, kind, name, value FROM subtree
-            """,
-            [doc_id, *seed_params, doc_id],
+        root, seed, seed_params = (
+            "target", f"target IN ({ROOTS})", [roots_param(pres)]
         )
-    return rows
+    return db.query(
+        f"""
+        WITH RECURSIVE subtree(root, target, source, kind, name,
+                               value, level, ordinal) AS (
+          SELECT {root}, target, source, kind, {label_name_sql()},
+                 value, 0, ordinal
+          FROM {relation} WHERE doc_id = ? AND {seed}
+          UNION ALL
+          SELECT s.root, e.target, e.source, e.kind,
+                 {label_name_sql("e.")}, e.value, s.level + 1,
+                 e.ordinal
+          FROM {relation} e JOIN subtree s ON e.source = s.target
+          WHERE e.doc_id = ?
+          ORDER BY 7 DESC, 8, 2
+        )
+        SELECT root, target, source, kind, name, value FROM subtree
+        """,
+        [doc_id, *seed_params, doc_id],
+    )
 
 
 class _EdgeStreamInserter(StreamInserter):

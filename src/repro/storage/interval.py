@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from repro.relational.schema import Column, INTEGER, Index, Table, TEXT
 from repro.storage.base import (
+    ROOTS,
     STREAM_BATCH,
     MappingScheme,
     StreamInserter,
-    iter_batches,
+    roots_param,
 )
 
 ACCEL_TABLE = Table(
@@ -103,19 +104,14 @@ class IntervalScheme(MappingScheme):
         # A subtree is a contiguous pre block, so each root row opens
         # one primary-key range scan, and the nested loop already
         # delivers (root, pre) order.
-        rows: list[tuple] = []
-        for batch in iter_batches(pres):
-            marks = ", ".join("?" for _ in batch)
-            rows += self.db.query(
-                "SELECT r.pre, a.pre, a.parent_pre, a.kind, a.name, "
-                "a.value "
-                "FROM accel AS r JOIN accel AS a ON a.doc_id = r.doc_id "
-                "AND a.pre >= r.pre AND a.pre <= r.pre + r.size "
-                f"WHERE r.doc_id = ? AND r.pre IN ({marks}) "
-                "ORDER BY r.pre, a.pre",
-                [doc_id, *batch],
-            )
-        return rows
+        return self.db.query(
+            "SELECT r.pre, a.pre, a.parent_pre, a.kind, a.name, a.value "
+            "FROM accel AS r JOIN accel AS a ON a.doc_id = r.doc_id "
+            "AND a.pre >= r.pre AND a.pre <= r.pre + r.size "
+            f"WHERE r.doc_id = ? AND r.pre IN ({ROOTS}) "
+            "ORDER BY r.pre, a.pre",
+            (doc_id, roots_param(pres)),
+        )
 
     def _delete_rows(self, doc_id: int) -> None:
         self.db.execute("DELETE FROM accel WHERE doc_id = ?", (doc_id,))

@@ -245,69 +245,53 @@ class UniversalScheme(MappingScheme):
 
     # -- retrieval -----------------------------------------------------------------------
 
-    def _path_plans(self, doc_id: int) -> tuple[list[str], dict[int, tuple]]:
-        """Resolve every path of the document, once, to positions in a
-        fetched row: the column list to select, and per ``path_id`` its
-        label chain plus, per chain position, ``(id at, kind, name,
-        value at)``."""
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        # The table has no subtree handle and no order: whatever is
+        # asked for, every row of the document is read (the published
+        # behaviour), but path by path through the (doc_id, path_id)
+        # index and only the chain's columns.  The paths come from the
+        # rows, so one missing from the catalog is still seen.
         labels = self.label_columns()
         element_kind = int(NodeKind.ELEMENT)
-        columns = ["path_id"]
-        decoded: dict[str, tuple] = {}
-        plans: dict[int, tuple] = {}
+        leaves = []
         for path_id, pathexp in self.db.query(
-            "SELECT path_id, pathexp FROM universal_paths WHERE doc_id = ?",
-            (doc_id,),
+            f"SELECT u.path_id, p.pathexp FROM (SELECT DISTINCT path_id "
+            f"FROM {UNIVERSAL} WHERE doc_id = ?) AS u "
+            "LEFT JOIN universal_paths AS p "
+            "ON p.doc_id = ? AND p.path_id = u.path_id",
+            (doc_id, doc_id),
         ):
+            if pathexp is None:
+                raise StorageError(
+                    f"universal row references path_id {path_id} absent "
+                    "from universal_paths"
+                )
             chain = [label for label in pathexp.split(PATH_SEP) if label]
             for label in chain:
-                if label in decoded:
-                    continue
                 if label not in labels:
                     raise StorageError(
                         f"universal path {pathexp!r} uses label {label!r} "
                         "with no column assignment"
                     )
-                _, id_col, val_col = self.column_triple(labels[label])
-                kind = label_kind(label)
-                id_at = len(columns)
-                columns.append(id_col)
-                # An element's value column caches its text content,
-                # which its text rows carry anyway: not read.
-                value_at = None
-                if kind != element_kind:
-                    value_at = len(columns)
-                    columns.append(val_col)
-                decoded[label] = (id_at, kind, label_name(label), value_at)
-            plans[path_id] = (chain, [decoded[label] for label in chain])
-        return columns, plans
-
-    def fetch_records(self, doc_id: int) -> list[tuple]:
-        # The table has no subtree handle and no order: whatever is
-        # asked for, every row of the document is read (the published
-        # behaviour).  What is avoidable is decoding it more than once:
-        # paths are resolved to row positions up front and rows are
-        # then read positionally.
-        columns, plans = self._path_plans(doc_id)
-        leaves = []
-        for row in self.db.query(
-            f"SELECT {', '.join(columns)} FROM {UNIVERSAL} WHERE doc_id = ?",
-            (doc_id,),
-        ):
-            plan = plans.get(row[0])
-            if plan is None:
-                raise StorageError(
-                    f"universal row references path_id {row[0]} absent "
-                    "from universal_paths"
-                )
-            chain, nodes = plan
-            ids = [row[node[0]] for node in nodes]
-            if None in ids:
-                raise StorageError(
-                    "universal row missing id for label "
-                    f"{chain[ids.index(None)]!r}"
-                )
-            leaves.append((ids, nodes, row))
+            triples = [self.column_triple(labels[label]) for label in chain]
+            nodes = [(label_kind(label), label_name(label)) for label in chain]
+            # Only the leaf can carry a value (an element's value column
+            # caches text its text rows carry anyway: not read).
+            leaf_value = (
+                "NULL" if nodes[-1][0] == element_kind else triples[-1][2]
+            )
+            columns = [id_col for _, id_col, _ in triples] + [leaf_value]
+            for *ids, value in self.db.query(
+                f"SELECT {', '.join(columns)} FROM {UNIVERSAL} "
+                "WHERE doc_id = ? AND path_id = ?",
+                (doc_id, path_id),
+            ):
+                if None in ids:
+                    raise StorageError(
+                        "universal row missing id for label "
+                        f"{chain[ids.index(None)]!r}"
+                    )
+                leaves.append((ids, nodes, value))
         # One row per leaf, and a leaf closes its chain: sorted by leaf
         # id, each row repeats a prefix of the row before it and every
         # position past that prefix is a node not yet seen — in
@@ -315,17 +299,17 @@ class UniversalScheme(MappingScheme):
         leaves.sort(key=lambda leaf: leaf[0][-1])
         rows: list[tuple] = []
         seen: list[int] = []
-        for ids, nodes, row in leaves:
-            depth = len(ids) - 1
+        for ids, nodes, value in leaves:
+            depth = leaf = len(ids) - 1
             while depth and (
                 depth > len(seen) or ids[depth - 1] != seen[depth - 1]
             ):
                 depth -= 1
-            for at in range(depth, len(ids)):
-                _, kind, name, value_at = nodes[at]
+            for at in range(depth, leaf + 1):
+                kind, name = nodes[at]
                 rows.append((
                     0, ids[at], ids[at - 1] if at else 0, kind, name,
-                    None if value_at is None else row[value_at],
+                    value if at == leaf else None,
                 ))
             seen = ids
         return rows

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from repro.relational.schema import Column, INTEGER, Index, Table, TEXT
 from repro.storage.base import (
+    ROOTS,
     STREAM_BATCH,
     MappingScheme,
     StreamInserter,
-    iter_batches,
+    roots_param,
 )
 from repro.xml.dom import NodeKind
 
@@ -278,28 +279,26 @@ class XRelScheme(MappingScheme):
     def fetch_records_many(
         self, doc_id: int, pres: list[int]
     ) -> list[tuple]:
-        # One statement per batch: the root regions are looked up where
-        # they live (a root may sit in any node table), then every node
-        # table is range-joined against them — one (doc_id, start) key
-        # range per root and table.
-        rows: list[tuple] = []
-        for batch in iter_batches(pres):
-            marks = ", ".join("?" for _ in batch)
-            regions = " UNION ALL ".join(
-                f"SELECT start, end FROM {table} "
-                f"WHERE doc_id = ? AND start IN ({marks})"
-                for table in _NODE_COLUMNS
-            )
-            rows += self.db.query(
+        # One statement: the root regions are looked up where they live
+        # (a root may sit in any node table), then every node table is
+        # range-joined against them — one (doc_id, start) key range per
+        # root and table.
+        regions = " UNION ALL ".join(
+            f"SELECT start, end FROM {table} "
+            f"WHERE doc_id = ? AND start IN ({ROOTS})"
+            for table in _NODE_COLUMNS
+        )
+        return _with_parents(
+            self.db.query(
                 f"WITH regions(lo, hi) AS ({regions}) "
                 + _node_union(
                     "lo",
                     "JOIN regions ON start BETWEEN lo AND hi "
                     "WHERE doc_id = ?",
                 ),
-                [doc_id, *batch] * 3 + [doc_id] * 3,
+                [doc_id, roots_param(pres)] * 3 + [doc_id] * 3,
             )
-        return _with_parents(rows)
+        )
 
     def _delete_rows(self, doc_id: int) -> None:
         for table in ("xrel_paths", "xrel_element", "xrel_attribute",

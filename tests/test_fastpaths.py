@@ -13,6 +13,7 @@ paths they replace:
   per-document stores, atomically.
 """
 
+import sqlite3
 from itertools import groupby
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro import XmlRelStore, parse_document, parse_fragment, serialize
 from repro.errors import StorageError, UnsupportedQueryError
 from repro.obs.trace import Tracer
+from repro.storage.base import ROOTS
 from repro.updates import insert_subtree
 from repro.workloads import (
     AUCTION_QUERIES,
@@ -116,17 +118,58 @@ class TestBatchedReconstruction:
                 assert run[0][1] == pre
 
     @pytest.mark.parametrize(
-        "scheme_name", ["interval", "dewey", "edge", "binary", "xrel"]
+        "scheme_name", ["edge", "binary", "interval", "dewey", "xrel"]
     )
-    def test_more_roots_than_one_batch(self, scheme_name):
-        # 150 result roots force at least two ROOT_BATCH chunks.
-        xml = "<r>" + "<x>v</x>" * 150 + "</r>"
-        with open_scheme_store(scheme_name) as store:
-            doc_id = store.store_text(xml, "wide")
-            pres = store.query_pres(doc_id, "/r/x")
-            assert len(pres) == 150
-            nodes = store.query(doc_id, "/r/x")
-            assert [serialize(n) for n in nodes] == ["<x>v</x>"] * 150
+    def test_any_root_count_is_one_fetch_statement(self, scheme_name):
+        # The roots bind as one JSON array: one statement for 1, 150 or
+        # 40 000 roots — the last past sqlite's 32 766 bind variables.
+        tracer = Tracer()
+        with open_scheme_store(scheme_name, tracer=tracer) as store:
+            scheme = store.scheme
+
+            def fetch(doc_id, roots):
+                before = len(tracer.spans_named("sql.statement"))
+                rows = scheme.fetch_records_many(doc_id, roots)
+                assert len(tracer.spans_named("sql.statement")) == (
+                    before + 1
+                ), len(roots)
+                runs = {
+                    root: list(run)
+                    for root, run in groupby(rows, lambda row: row[0])
+                }
+                assert len(runs) == len(roots)  # one contiguous run each
+                return runs
+
+            small = store.store_text(
+                "<r>" + '<x k="a">v<y/></x>' * 150 + "</r>", "small"
+            )
+            pres = store.query_pres(small, "/r/x")
+            for count in (1, 150):
+                runs = fetch(small, pres[:count])
+                for root in pres[:count]:
+                    assert runs[root] == scheme.fetch_records_many(
+                        small, [root]
+                    )
+            wide = store.store_text("<r>" + "<x>v</x>" * 40_000 + "</r>")
+            pres = store.query_pres(wide, "/r/x")
+            runs = fetch(wide, pres)
+            for root in pres[::9_999]:
+                assert runs[root] == scheme.fetch_records_many(wide, [root])
+            assert all(len(run) == 2 for run in runs.values())
+
+    def test_sqlite_has_json_each(self):
+        # Every batched subtree fetch binds its roots through json_each
+        # (storage.base.ROOTS): a sqlite built without JSON1 cannot
+        # publish query results.
+        with XmlRelStore.open(scheme="interval") as store:
+            try:
+                rows = store.db.query(ROOTS, ("[3, 1, 2]",))
+            except sqlite3.OperationalError as error:
+                pytest.fail(
+                    f"this sqlite ({sqlite3.sqlite_version}) lacks the "
+                    f"JSON1 function json_each: {error}"
+                )
+        assert rows == [(3,), (1,), (2,)]
 
     def test_missing_root_raises(self):
         with open_scheme_store("interval") as store:
@@ -134,31 +177,40 @@ class TestBatchedReconstruction:
             with pytest.raises(StorageError, match="no stored node"):
                 store.scheme.reconstruct_subtrees(doc_id, [999999])
 
-    def test_reconstruction_statement_count_is_flat(self):
+    def test_reconstruction_statement_count_is_flat(self, auction_doc):
         # The batched fast lane issues O(1) statements per query, not
-        # O(N): a 2-result query and a 30+-result query must run the
-        # same number of SQL statements.
-        tracer = Tracer()
-        with XmlRelStore.open(scheme="interval", tracer=tracer) as store:
-            doc_id = store.store_text(BIB_XML, "bib")
-            wide_id = store.store_text(
-                "<r>" + "<x>v</x>" * 30 + "</r>", "wide"
-            )
+        # O(N): with warm plans a 1-result query and a 25-result query
+        # run the same number of SQL statements under every scheme.
+        # Universal reads its document one path at a time, so its count
+        # follows the document's paths, never the roots.
+        for scheme_name in ALL_SCHEMES:
+            tracer = Tracer()
+            with open_scheme_store(scheme_name, tracer=tracer) as store:
+                doc_id = store.store(auction_doc, "auction")
 
-            def statements_for(target, xpath):
-                before = len(tracer.spans_named("sql.statement"))
-                nodes = store.query(target, xpath)
-                return (
-                    len(nodes),
-                    len(tracer.spans_named("sql.statement")) - before,
+                def statements_for(xpath):
+                    store.query_xml(doc_id, xpath)  # warm the plan
+                    before = len(tracer.spans_named("sql.statement"))
+                    published = store.query_xml(doc_id, xpath)
+                    return (
+                        len(published),
+                        len(tracer.spans_named("sql.statement")) - before,
+                    )
+
+                narrow_n, narrow_stmts = statements_for(
+                    "/site/regions/asia/item"
                 )
-
-            narrow_n, narrow_stmts = statements_for(
-                doc_id, "/bib/book/title"
-            )
-            wide_n, wide_stmts = statements_for(wide_id, "/r/x")
-            assert narrow_n == 2 and wide_n == 30
-            assert narrow_stmts == wide_stmts
+                wide_n, wide_stmts = statements_for("/site/people/person")
+                assert (narrow_n, wide_n) == (1, 25), scheme_name
+                assert narrow_stmts == wide_stmts, scheme_name
+                if scheme_name == "universal":
+                    paths = store.db.scalar(
+                        "SELECT COUNT(*) FROM universal_paths "
+                        "WHERE doc_id = ?", (doc_id,),
+                    )
+                    # the query, the label map, the path list, a read
+                    # per path
+                    assert wide_stmts == 3 + paths
 
 
 class TestPlanCache:

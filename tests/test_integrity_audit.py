@@ -228,6 +228,14 @@ class TestPublishLaneOnCorruptRows:
             "(SELECT MAX(rowid) FROM universal)",
             "missing id for label 'bib'", "fetch",
         ),
+        # Universal publishes path by path; a row on no catalogued path
+        # must still be seen, not silently skipped.
+        "universal-orphan-path": (
+            "universal",
+            "UPDATE universal SET path_id = 4242 WHERE rowid = "
+            "(SELECT MAX(rowid) FROM universal)",
+            "absent from universal_paths", "universal-paths",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -490,9 +490,8 @@ class TestUniversalSemiJoin:
 # else {c} again.  Comparisons read
 # attributes and text nodes only (an *element* compared by value is the
 # deviation pinned by test_mixed_content_string_value below); string
-# functions match no letters and read the context node's own attribute
-# (test_string_matches_are_case_sensitive and
-# test_string_functions_read_the_first_node, likewise).
+# functions read the context node's own attribute
+# (test_string_functions_read_the_first_node, likewise).
 PROBE_TEMPLATES = [
     "//{p}[{c}]", "//{p}[not({c})]", "//{p}[{o}]", "//{p}[not({o})]",
     "//{p}[{c}/{o}]", "//{p}[not({c}/{o})]",
@@ -597,9 +596,9 @@ def test_mixed_content_string_value(scheme_name):
 
 # Found by the generated probes above on their first full run: sqlite's
 # LIKE folds ASCII case, XPath's contains() / starts-with() and XML
-# names do not.  Every mapping matches 'a' in "A"; the universal table,
-# whose *path* conditions are LIKE patterns too, also answers ``/R``
-# with the ``R`` below ``r``.  EXPERIMENTS.md deviation 6; strict.
+# names do not.  Every mapping used to match 'a' in "A", and the
+# universal table, whose *path* conditions are patterns too, answered
+# ``/R`` with the ``R`` below ``r``; patterns now render as GLOB.
 FOLDED_CASE_XML = '<r k="A"><x/><R/></r>'
 
 
@@ -610,7 +609,6 @@ FOLDED_CASE_CELLS = [
 ] + [("universal", "/R")]
 
 
-@pytest.mark.xfail(strict=True, reason="sqlite LIKE folds ASCII case")
 @pytest.mark.parametrize("scheme_name,query", FOLDED_CASE_CELLS)
 def test_string_matches_are_case_sensitive(scheme_name, query):
     doc = parse_document(FOLDED_CASE_XML)

@@ -208,10 +208,32 @@ class TestSqlBuilder:
         assert Or(()).render([]) == "0"
 
     def test_like_with_escape(self):
+        # Rendered as a case-sensitive GLOB: wildcards translated,
+        # escaped ones literal, GLOB's own metacharacters bracketed.
         params: list = []
-        text = Like(Col("v"), "%abc\\%%").render(params)
-        assert text == "v LIKE ? ESCAPE '\\'"
-        assert params == ["%abc\\%%"]
+        text = Like(Col("v"), "%abc\\%_*?[\\\\%").render(params)
+        assert text == "v GLOB ?"
+        assert params == ["*abc%?[*][?][[]\\*"]
+
+    def test_like_respects_case_and_metacharacters(self, db):
+        db.execute("CREATE TABLE t (v TEXT)")
+        db.executemany(
+            "INSERT INTO t VALUES (?)",
+            [("Abc",), ("abc",), ("a*c",), ("a[b]c",), ("50%",)],
+        )
+
+        def matches(pattern):
+            params: list = []
+            where = Like(Col("v"), pattern).render(params)
+            return sorted(
+                v for (v,) in db.query(f"SELECT v FROM t WHERE {where}", params)
+            )
+
+        assert matches("a%") == ["a*c", "a[b]c", "abc"]
+        assert matches("%" + like_escape("*") + "%") == ["a*c"]
+        assert matches("%" + like_escape("[b]") + "%") == ["a[b]c"]
+        assert matches(like_escape("50%")) == ["50%"]
+        assert matches("a_c") == ["a*c", "abc"]
 
     def test_like_escape_helper(self):
         assert like_escape("50%_done\\x") == "50\\%\\_done\\\\x"
