@@ -76,19 +76,39 @@ class ForeignKey:
 
 @dataclass(frozen=True)
 class Index:
-    """A secondary index on one table."""
+    """A secondary index on one table.
+
+    ``where`` names a column whose NULL rows the index leaves out
+    (``CREATE INDEX … WHERE <where> IS NOT NULL``).  sqlite uses such a
+    partial index for any query that compares that column with ``=``,
+    ``<>``, ``<``, ``>``, ``<=``, ``>=`` or ``IN``, since each implies
+    ``IS NOT NULL``; the rows it drops are the ones no such probe can
+    return.
+    """
 
     name: str
     table: str
     columns: tuple[str, ...]
     unique: bool = False
+    where: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.where is not None and self.where not in self.columns:
+            raise StorageError(
+                f"index {self.name}: partial column {self.where!r} "
+                "is not one of its columns"
+            )
 
     def ddl(self) -> str:
         unique = "UNIQUE " if self.unique else ""
         cols = ", ".join(quote_identifier(c) for c in self.columns)
+        partial = (
+            f" WHERE {quote_identifier(self.where)} IS NOT NULL"
+            if self.where else ""
+        )
         return (
             f"CREATE {unique}INDEX IF NOT EXISTS {quote_identifier(self.name)} "
-            f"ON {quote_identifier(self.table)} ({cols})"
+            f"ON {quote_identifier(self.table)} ({cols}){partial}"
         )
 
 

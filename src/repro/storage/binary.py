@@ -77,8 +77,10 @@ def partition_table(label: str) -> Table:
         primary_key=("doc_id", "target"),
         indexes=[
             Index(f"{name}_source", name, ("doc_id", "source")),
-            Index(f"{name}_content", name, ("doc_id", "content")),
-            Index(f"{name}_value", name, ("doc_id", "value")),
+            Index(f"{name}_content", name, ("doc_id", "content"),
+                  where="content"),
+            Index(f"{name}_value", name, ("doc_id", "value"),
+                  where="value"),
         ],
     )
 

@@ -51,11 +51,14 @@ DEWEY_TABLE = Table(
     ],
     primary_key=("doc_id", "label"),
     indexes=[
-        Index("dewey_name", "dewey", ("doc_id", "name", "label")),
+        Index("dewey_name", "dewey", ("doc_id", "name", "label"),
+              where="name"),
         Index("dewey_parent", "dewey", ("doc_id", "parent_label")),
         Index("dewey_pre", "dewey", ("doc_id", "pre")),
-        Index("dewey_value", "dewey", ("doc_id", "name", "value")),
-        Index("dewey_content", "dewey", ("doc_id", "name", "content")),
+        Index("dewey_value", "dewey", ("doc_id", "name", "value"),
+              where="value"),
+        Index("dewey_content", "dewey", ("doc_id", "name", "content"),
+              where="content"),
     ],
 )
 

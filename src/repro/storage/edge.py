@@ -59,8 +59,10 @@ EDGE_TABLE = Table(
     indexes=[
         Index("edge_source", "edge", ("doc_id", "source", "ordinal")),
         Index("edge_label", "edge", ("doc_id", "label", "source")),
-        Index("edge_content", "edge", ("doc_id", "label", "content")),
-        Index("edge_value", "edge", ("doc_id", "label", "value")),
+        Index("edge_content", "edge", ("doc_id", "label", "content"),
+              where="content"),
+        Index("edge_value", "edge", ("doc_id", "label", "value"),
+              where="value"),
     ],
 )
 

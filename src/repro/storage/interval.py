@@ -46,10 +46,13 @@ ACCEL_TABLE = Table(
     ],
     primary_key=("doc_id", "pre"),
     indexes=[
-        Index("accel_name", "accel", ("doc_id", "name", "pre")),
+        Index("accel_name", "accel", ("doc_id", "name", "pre"),
+              where="name"),
         Index("accel_parent", "accel", ("doc_id", "parent_pre")),
-        Index("accel_content", "accel", ("doc_id", "name", "content")),
-        Index("accel_value", "accel", ("doc_id", "name", "value")),
+        Index("accel_content", "accel", ("doc_id", "name", "content"),
+              where="content"),
+        Index("accel_value", "accel", ("doc_id", "name", "value"),
+              where="value"),
     ],
 )
 

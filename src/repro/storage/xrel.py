@@ -77,6 +77,7 @@ ELEMENT_TABLE = Table(
             "xrel_element_content",
             "xrel_element",
             ("doc_id", "name", "content"),
+            where="content",
         ),
     ],
 )

@@ -30,6 +30,8 @@ from repro.analysis.sqllint import lint_query_plan
 from repro.analysis.sweep import DECLARED_CLOSURES, corpora
 from repro.core.registry import available_schemes
 from repro.errors import UnsupportedQueryError
+from repro.relational.schema import quote_identifier
+from repro.storage.binary import partition_table_name
 
 SCHEMES = available_schemes()
 
@@ -161,6 +163,117 @@ def test_binary_kind_tests_read_their_partition(explained):
     explanation, _, _ = explained["auction", "binary", "Q16"]
     assert not any("UNION ALL" in line for line in explanation.plan)
     assert "b_text_" in explanation.sql
+
+
+# -- partial indexes ----------------------------------------------------------------
+#
+# The value, content and name indexes hold only rows whose indexed
+# column is not NULL.  sqlite picks such an index only for a query that
+# implies ``col IS NOT NULL``; every generated probe is a comparison
+# against a bound value, which does.
+
+#: The partial indexes each mapping declares, by name; binary's are per
+#: partition, matched by their suffix.
+PARTIAL_INDEXES = {
+    "edge": {"edge_content", "edge_value"},
+    "binary": {"_content", "_value"},
+    "interval": {"accel_name", "accel_content", "accel_value"},
+    "dewey": {"dewey_name", "dewey_content", "dewey_value"},
+    "xrel": {"xrel_element_content"},
+    "universal": set(),
+    "inlining": set(),
+}
+
+#: The one-hop point lookups and the partial index each must probe.
+POINT_LOOKUPS = {
+    "edge": {"Q7": "edge_value", "D2": "edge_content"},
+    "binary": {
+        "Q7": partition_table_name("id") + "_value",
+        "D2": partition_table_name("year") + "_content",
+    },
+    "interval": {"Q7": "accel_value", "D2": "accel_content"},
+    "dewey": {"Q7": "dewey_value", "D2": "dewey_content"},
+}
+
+
+def declared_partial(scheme, index_name):
+    if scheme == "binary":
+        return index_name.startswith("b_") and index_name.endswith(
+            tuple(PARTIAL_INDEXES["binary"])
+        )
+    return index_name in PARTIAL_INDEXES[scheme]
+
+
+@pytest.fixture(scope="module")
+def auction_stores():
+    """Every scheme with the sweep's auction document stored."""
+    corpus, document, dtd, _queries = corpora()[0]
+    stores = {}
+    for scheme in SCHEMES:
+        kwargs = {"dtd": dtd} if scheme == "inlining" else {}
+        store = XmlRelStore.open(scheme=scheme, **kwargs)
+        stores[scheme] = (store, store.store(document, corpus))
+    yield stores
+    for store, _doc_id in stores.values():
+        store.close()
+
+
+@pytest.mark.parametrize("scheme,key", [
+    (scheme, key) for scheme, keys in POINT_LOOKUPS.items() for key in keys
+])
+def test_point_lookups_search_the_partial_index(explained, scheme, key):
+    corpus = "auction" if key.startswith("Q") else "dblp"
+    index = POINT_LOOKUPS[scheme][key]
+    column = "value" if index.endswith("_value") else "content"
+    probe = re.compile(
+        rf"SEARCH \w+ USING (?:COVERING )?INDEX {index} \(.*{column}=\?\)$"
+    )
+    plan = explained[corpus, scheme, key][0].plan
+    assert any(probe.match(line) for line in plan), plan
+
+
+def test_xrel_content_probe_searches_its_partial_index(auction_stores):
+    # XRel's Q7 and D2 read a start range below the path catalog, so the
+    # content lookup is pinned as the statement itself.
+    store, doc_id = auction_stores["xrel"]
+    plan = store.db.explain_plan(
+        "SELECT start FROM xrel_element "
+        "WHERE doc_id = ? AND name = ? AND content = ?",
+        (doc_id, "city", "Berlin"),
+    )
+    assert plan == [
+        "SEARCH xrel_element USING INDEX xrel_element_content "
+        "(doc_id=? AND name=? AND content=?)"
+    ]
+
+
+def test_a_null_probe_cannot_use_the_partial_index(auction_stores):
+    store, doc_id = auction_stores["interval"]
+    plan = store.db.explain_plan(
+        "SELECT pre FROM accel WHERE doc_id = ? AND name IS NULL", (doc_id,)
+    )
+    assert plan and not any("accel_name" in line for line in plan), plan
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_exactly_the_declared_indexes_are_partial(auction_stores, scheme):
+    store, _doc_id = auction_stores[scheme]
+    flags = {
+        name: bool(partial)
+        for table in store.db.table_names()
+        for _seq, name, _unique, _origin, partial in store.db.query(
+            f"PRAGMA index_list({quote_identifier(table)})"
+        )
+    }
+    assert flags == {
+        name: declared_partial(scheme, name) for name in flags
+    }
+    declared = {name for name, partial in flags.items() if partial}
+    if scheme == "binary":
+        # two per partition
+        assert len(declared) == 2 * len(store.scheme.partitions())
+    else:
+        assert declared == PARTIAL_INDEXES[scheme]
 
 
 def test_p007_reports_exactly_what_the_plans_show(explained):

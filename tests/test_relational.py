@@ -1,10 +1,19 @@
 """Unit tests for the relational substrate (schema, SQL builder, db)."""
 
 import math
+import os
+import sqlite3
 
 import pytest
 
-from repro.errors import DocumentNotFoundError, StorageError
+from repro import XmlRelStore
+from repro.core.registry import available_schemes
+from repro.errors import (
+    DocumentNotFoundError,
+    ShardError,
+    StorageError,
+    UnsupportedQueryError,
+)
 from repro.relational.catalog import Catalog
 from repro.relational.database import Database
 from repro.relational.schema import (
@@ -36,6 +45,10 @@ from repro.relational.sql import (
     WithQuery,
     like_escape,
 )
+from repro.serve import ShardedStore
+from repro.workloads import AUCTION_QUERIES, auction_dtd, generate_auction
+
+from tests.test_query_translation import expected_pres, generated_probes
 
 
 @pytest.fixture()
@@ -97,6 +110,18 @@ class TestSchema:
     def test_unknown_type_rejected(self):
         with pytest.raises(StorageError, match="unknown column type"):
             Column("x", "BLOB8")
+
+    def test_partial_index_ddl(self):
+        index = Index("sample_score", "sample", ("name", "score"),
+                      where="score")
+        assert index.ddl() == (
+            "CREATE INDEX IF NOT EXISTS sample_score ON sample "
+            "(name, score) WHERE score IS NOT NULL"
+        )
+
+    def test_partial_column_must_be_indexed(self):
+        with pytest.raises(StorageError, match="partial column"):
+            Index("sample_name", "sample", ("name",), where="score")
 
     def test_quote_identifier(self):
         assert quote_identifier("plain_name") == "plain_name"
@@ -356,3 +381,92 @@ class TestCatalog:
         doc_id = catalog.register("a", "edge", "r", 1)
         catalog.update_node_count(doc_id, 5)
         assert catalog.get(doc_id).node_count == 5
+
+
+# -- partial indexes on the mappings' files ------------------------------------------
+
+#: The mappings that declare ``Index.where`` on some index.
+PARTIAL_SCHEMES = ["edge", "binary", "interval", "dewey", "xrel"]
+
+
+def index_sql(db):
+    """``{index name: stored CREATE INDEX}`` of every declared index."""
+    return dict(db.query(
+        "SELECT name, sql FROM sqlite_master "
+        "WHERE type = 'index' AND sql IS NOT NULL"
+    ))
+
+
+def drop_index_predicates(path):
+    """Rewrite the file at *path* the way files made before partial
+    indexes hold them: every index over the same columns, no WHERE."""
+    conn = sqlite3.connect(path)
+    with conn:
+        for name, sql in conn.execute(
+            "SELECT name, sql FROM sqlite_master "
+            "WHERE type = 'index' AND sql LIKE '% WHERE %'"
+        ).fetchall():
+            conn.execute(f"DROP INDEX {quote_identifier(name)}")
+            conn.execute(sql.split(" WHERE ")[0])
+        conn.execute("ANALYZE")
+    conn.close()
+
+
+class TestPartialIndexes:
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_a_bulk_session_rebuilds_what_a_store_creates(self, scheme):
+        document = generate_auction(0.02, seed=1)
+        kwargs = {"dtd": auction_dtd()} if scheme == "inlining" else {}
+        with XmlRelStore.open(scheme=scheme, **kwargs) as single, \
+                XmlRelStore.open(scheme=scheme, **kwargs) as bulk:
+            single.store(document, "auction")
+            with bulk.bulk_session() as session:
+                session.store(document, "auction")
+            expected = index_sql(single.db)
+            assert index_sql(bulk.db) == expected
+        partial = [sql for sql in expected.values() if " WHERE " in sql]
+        assert bool(partial) == (scheme in PARTIAL_SCHEMES)
+        assert all(sql.endswith(" IS NOT NULL") for sql in partial)
+
+    @pytest.mark.parametrize("scheme", PARTIAL_SCHEMES)
+    def test_a_file_with_full_indexes_still_answers(self, tmp_path, scheme):
+        document = generate_auction(0.02, seed=1)
+        queries = [spec.xpath for spec in AUCTION_QUERIES]
+        queries += generated_probes(document, pairs=1)
+        assert len(queries) == 16 + 46
+        directory = str(tmp_path / scheme)
+        answers = {}
+        with ShardedStore.open(directory, scheme=scheme, shards=1) as store:
+            doc_id = store.store(document, "auction")
+            for xpath in queries:
+                try:
+                    answers[xpath] = store.query_pres(doc_id, xpath)
+                except ShardError as error:
+                    assert isinstance(error.__cause__, UnsupportedQueryError)
+        drop_index_predicates(os.path.join(directory, "shard-00.db"))
+
+        with ShardedStore.open(directory, scheme=scheme, shards=1) as store:
+            writer = store.writers[0]
+            full = index_sql(writer.db)
+            # CREATE INDEX IF NOT EXISTS leaves the full indexes in place.
+            assert full and not any(" WHERE " in sql for sql in full.values())
+            for xpath, pres in answers.items():
+                assert store.query_pres(doc_id, xpath) == pres, xpath
+                assert pres == expected_pres(document, xpath), xpath
+            assert store.verify_ok()
+
+            # The next bulk session rebuilds the mapping's own tables'
+            # indexes as declared; binary's partitions are not among
+            # them, so a partition keeps the indexes it was made with.
+            store.store_many([generate_auction(0.01, seed=2)], ["more"])
+            rebuilt = index_sql(writer.db)
+            for table in writer.scheme.tables():
+                for index in table.indexes:
+                    assert rebuilt[index.name] == index.ddl().replace(
+                        " IF NOT EXISTS", ""
+                    )
+            if scheme == "binary":
+                assert rebuilt == full
+            else:
+                assert any(" WHERE " in sql for sql in rebuilt.values())
+            assert store.verify_ok()
