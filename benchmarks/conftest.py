@@ -1,4 +1,4 @@
-"""Shared fixtures for the experiment suite (E1–E15, E18, A1).
+"""Shared fixtures for the experiment suite (E1–E12, A1).
 
 Documents and populated stores are built once per session; every bench
 draws from them.  Scale factors are laptop-sized — the experiments
@@ -12,7 +12,7 @@ import pytest
 from repro.bench import report as bench_report
 from repro.core.registry import available_schemes, create_scheme
 from repro.obs import Tracer, write_chrome_trace, write_jsonl
-from repro.relational.database import DURABILITY_PROFILES, Database
+from repro.relational.database import Database
 from repro.workloads import (
     auction_dtd,
     dblp_dtd,
@@ -28,16 +28,8 @@ BASE_SCALE = 0.1
 SCALE_SWEEP = (0.05, 0.1, 0.2, 0.4)
 SEED = 42
 
-#: Durability profile for every benchmark database.  The suite defaults
-#: to the seed pragmas (``bulk_load``); rerun with
-#: ``XMLREL_BENCH_PROFILE=durable`` (or ``paranoid``) to measure the
-#: experiments under crash-safe settings — E13 quantifies the gap.
-PROFILE = os.environ.get("XMLREL_BENCH_PROFILE", "bulk_load")
-if PROFILE not in DURABILITY_PROFILES:
-    raise RuntimeError(
-        f"XMLREL_BENCH_PROFILE={PROFILE!r} is not one of "
-        f"{sorted(DURABILITY_PROFILES)}"
-    )
+#: Durability profile for every benchmark database: the seed pragmas.
+PROFILE = "bulk_load"
 
 #: ``XMLREL_TRACE=/path/to/trace.jsonl`` turns on session-wide tracing:
 #: every benchmark database reports spans/statement events/metrics into

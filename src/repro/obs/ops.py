@@ -149,8 +149,8 @@ def parse_prometheus(text: str) -> dict:
     lines.
 
     Returns ``{"samples": [{"name", "labels", "value"}...],
-    "types": {family: type}}``.  Used by the tests and the CI ops-smoke
-    job to assert ``/metrics`` output is well-formed.
+    "types": {family: type}}``.  Used by the tests to assert
+    ``/metrics`` output is well-formed.
     """
     samples: list[dict] = []
     types: dict[str, str] = {}

@@ -31,8 +31,6 @@ Durability profiles
     WAL journal with ``synchronous = FULL`` and a longer busy timeout:
     every commit is fsync'd, surviving power failure at commit
     granularity.
-
-The load-time cost of each profile is measured by experiment E13.
 """
 
 from __future__ import annotations

@@ -706,10 +706,7 @@ class ShardedStore:
         after — never neither, never both.  A crash at any statement
         leaves a journal state :meth:`recover` repairs.
         """
-        if not 0 <= to_shard < len(self.writers):
-            raise StorageError(
-                f"no shard {to_shard} (store has {len(self.writers)})"
-            )
+        self._check_shard(to_shard)
         with self._observed_update(
             "rebalance", doc_id=doc_id, to_shard=to_shard
         ):
@@ -727,6 +724,12 @@ class ShardedStore:
                         moved = self.shard_map.resolve(doc_id)
                 self.metrics.counter("serve.rebalances").inc()
                 return moved
+
+    def _check_shard(self, shard: int) -> None:
+        if not 0 <= shard < len(self.writers):
+            raise StorageError(
+                f"no shard {shard} (store has {len(self.writers)})"
+            )
 
     def _rebalance_locked(
         self, record: ShardedDocument, to_shard: int
@@ -766,6 +769,8 @@ class ShardedStore:
     ) -> list[int]:
         """Move up to *count* documents (default: enough to even the
         pair) from one shard to another; returns the moved doc ids."""
+        self._check_shard(from_shard)
+        self._check_shard(to_shard)
         counts = self.shard_counts()
         if count is None:
             count = max(0, (counts[from_shard] - counts[to_shard]) // 2)

@@ -538,6 +538,31 @@ class TestDescendantExpansion:
             analyzer = store.enable_analysis(doc_id=doc_id, expand=True)
             assert not analyzer.expansion_enabled
 
+    def test_expansion_replaces_the_edge_closure(self, auction_doc):
+        # Edge answers a mid-path // with a recursive CTE; expanded over
+        # the auction DTD it runs one child chain per continent instead,
+        # and finds the same ids.
+        xpath = "/site/regions//item/name"
+        tracer = Tracer(enabled=True)
+        with XmlRelStore.open(scheme="edge", tracer=tracer) as store:
+            doc_id = store.store(auction_doc, "auction")
+
+            def executed():
+                before = len(tracer.spans_named("sql.statement"))
+                pres = store.query_pres(doc_id, xpath)
+                return pres, [
+                    span.attributes["sql"]
+                    for span in tracer.spans_named("sql.statement")[before:]
+                ]
+
+            plain, plain_sql = executed()
+            store.enable_analysis(dtd=auction_dtd(), expand=True)
+            expanded, expanded_sql = executed()
+        assert plain and expanded == plain
+        assert len(plain_sql) == 1 and "WITH RECURSIVE" in plain_sql[0]
+        assert len(expanded_sql) > 1
+        assert not any("WITH RECURSIVE" in sql for sql in expanded_sql)
+
     @pytest.mark.parametrize("scheme_name", ["edge", "interval", "dewey"])
     def test_auction_differential(self, scheme_name, auction_doc):
         specs = [s for s in AUCTION_QUERIES if "//" in s.xpath]

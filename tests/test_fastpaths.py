@@ -283,6 +283,41 @@ class TestPlanCache:
                     assert "not a location path: count(/bib)" in str(error)
         assert calls == [xpath] * (2 if xpath == "count(/bib)" else 1)
 
+    def test_a_warm_lookup_neither_translates_nor_lints(
+        self, monkeypatch, auction_doc
+    ):
+        # A miss translates once and lints what it rendered (arms that
+        # render the same SQL share one lint); the hit that follows does
+        # neither and answers the same.
+        from repro.analysis import sqllint
+
+        linted = []
+        real_lint = sqllint.lint_statement
+
+        def counting(statement, catalog):
+            linted.append(statement)
+            return real_lint(statement, catalog)
+
+        monkeypatch.setattr(sqllint, "lint_statement", counting)
+        xpaths = (
+            "/site/people/person[@id = 'person0']/name",
+            "/site/open_auctions/open_auction/bidder[1]/increase",
+            "/site/regions/africa/item/name | /site/regions/asia/item/name"
+            " | /site/closed_auctions/closed_auction/price",
+        )
+        tracer = Tracer()
+        with open_scheme_store("interval", tracer=tracer) as store:
+            doc_id = store.store(auction_doc, "auction")
+            cold = [store.query_pres(doc_id, xpath) for xpath in xpaths]
+            assert len(tracer.spans_named("translate")) == len(xpaths)
+            lints = len(linted)
+            assert lints >= len(xpaths)
+            warm = [store.query_pres(doc_id, xpath) for xpath in xpaths]
+            assert warm == cold and all(cold)
+            assert len(tracer.spans_named("translate")) == len(xpaths)
+            assert len(linted) == lints
+            assert store.db.plan_cache.stats()["hits"] == len(xpaths)
+
     def test_universal_store_invalidates(self):
         # Universal bakes the known-label set into the SQL: an unknown
         # label compiles to an always-false plan.  Storing a document

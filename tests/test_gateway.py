@@ -1844,34 +1844,48 @@ class TestOnLoopLane:
             assert free_slots(store.executor) == self.LIMIT
 
     @pytest.mark.parametrize(
-        "streamed", (False, True), ids=("materialized", "streamed")
+        "streamed, scoped",
+        ((False, False), (True, False), (False, True), (True, True)),
+        ids=("materialized", "streamed", "materialized-doc", "streamed-doc"),
     )
     def test_a_full_hit_is_accounted_like_any_request(
-        self, tmp_path, streamed
+        self, tmp_path, streamed, scoped
     ):
         """Counters, latency histograms, per-shard histograms and the
-        wide event all land — once, from the one ``finish``."""
+        wide event all land — once, from the one ``finish``.  The cold
+        request's shards all executed; the warm one's all hit."""
         store, ids = _open(tmp_path)
         with store:
             gateway = store.serve_gateway()
             log = store.executor.request_log
             metrics = store.metrics
-            self.read(gateway, streamed)  # warm
+            docs = ids[:1] if scoped else ids
+            fields = {"doc_id": docs[0]} if scoped else {}
+            shards = (
+                [store.resolve(docs[0]).shard] if scoped else list(store.pools)
+            )
+            self.read(gateway, streamed, **fields)  # warm
 
             def http_events():
                 return [e for e in log.tail(50) if e["event"] == "http"]
 
             assert _wait_for(lambda: len(http_events()) == 1)
+            counter = (
+                "serve.doc_scoped_queries" if scoped
+                else "serve.scatter_queries"
+            )
             counted = {
                 name: metrics.counter(name).value
-                for name in ("serve.queries", "serve.scatter_queries")
+                for name in ("serve.queries", counter)
             }
             timed = {
                 name: metrics.histogram(name).count
                 for name in ["serve.query_seconds", "serve.query_seconds.ok"]
-                + [f"serve.shard{n}.query_seconds" for n in store.pools]
+                + [f"serve.shard{n}.query_seconds" for n in shards]
             }
-            assert self.read(gateway, streamed) == self.expected(ids)
+            assert self.read(gateway, streamed, **fields) == self.expected(
+                docs
+            )
             assert _wait_for(lambda: len(http_events()) == 2)
             for name, before in counted.items():
                 assert metrics.counter(name).value == before + 1, name
@@ -1879,11 +1893,14 @@ class TestOnLoopLane:
                 assert metrics.histogram(name).count == before + 1, name
             queries = [e for e in log.tail(50) if e["event"] == "query"]
             assert len(queries) == 2
-            hit = queries[-1]
-            assert hit["outcome"] == "ok" and hit["rows"] == len(ids) * 2
+            cold, hit = queries
+            assert [s["result_cache"] for s in cold["per_shard"]] == [
+                "miss"
+            ] * len(shards)
+            assert hit["outcome"] == "ok" and hit["rows"] == len(docs) * 2
             assert [s["result_cache"] for s in hit["per_shard"]] == [
                 "hit"
-            ] * len(store.pools)
+            ] * len(shards)
             assert hit["request_id"] == http_events()[-1]["request_id"]
 
     @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))

@@ -218,6 +218,20 @@ class TestRebalance:
             assert store.shard_counts() == {0: 2, 1: 2}
             assert store.verify_ok()
 
+    @pytest.mark.parametrize(
+        "args, missing",
+        [((0, 5), 5), ((5, 0), 5), ((-1, 0), -1), ((5, 0, 1), 5)],
+        ids=("to", "from", "negative", "from-with-count"),
+    )
+    def test_rebalance_shard_names_a_missing_shard(
+        self, tmp_path, args, missing
+    ):
+        with open_store(tmp_path, shards=2) as store:
+            store.store_text(SMALL_XML, name="a")
+            with pytest.raises(StorageError, match=f"no shard {missing} "):
+                store.rebalance_shard(*args)
+            assert store.shard_counts() == {0: 1, 1: 0}
+
 
 # -- replica fan-out -------------------------------------------------------------
 
