@@ -49,6 +49,7 @@ from repro.relational.sql import (
     Arith,
     Col,
     Comparison,
+    CountAtMost,
     Exists,
     InList,
     InSubquery,
@@ -56,7 +57,6 @@ from repro.relational.sql import (
     Not,
     Or,
     Raw,
-    ScalarSubquery,
     Select,
     Union,
     WithQuery,
@@ -180,7 +180,7 @@ def _iter_children(expr):
 
 def _subqueries(expr):
     """The directly nested subquery selects of *expr*, if any."""
-    if isinstance(expr, (Exists, ScalarSubquery, InSubquery)):
+    if isinstance(expr, (Exists, CountAtMost, InSubquery)):
         return (expr.query,)
     return ()
 

@@ -64,6 +64,11 @@ _COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 
 _SWAPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
+# A position ranks among the siblings that pass the step's earlier
+# predicates, so its sibling probe repeats all of them, earlier
+# positions and their probes included: each one doubles the SQL.
+_MAX_POSITIONS_PER_STEP = 3
+
 
 # ---------------------------------------------------------------------------
 # Value paths (the relative paths inside predicates)
@@ -277,17 +282,23 @@ def _plan_step(
     predicates = tuple(
         classify_predicate(p, scheme) for p in step.predicates
     )
-    positional_forbidden = (
-        (from_descendant and axis == AXIS_CHILD) or axis in EXTENDED_AXES
+    positions = sum(
+        isinstance(p, (PositionPredicate, LastPredicate)) for p in predicates
     )
-    if positional_forbidden:
-        for predicate in predicates:
-            if isinstance(predicate, (PositionPredicate, LastPredicate)):
-                raise UnsupportedQueryError(
-                    "positional predicate on a descendant/extended-axis "
-                    "step (positions there are proximity-based)",
-                    scheme,
-                )
+    if positions and (
+        (from_descendant and axis == AXIS_CHILD) or axis in EXTENDED_AXES
+    ):
+        raise UnsupportedQueryError(
+            "positional predicate on a descendant/extended-axis "
+            "step (positions there are proximity-based)",
+            scheme,
+        )
+    if positions > _MAX_POSITIONS_PER_STEP:
+        raise UnsupportedQueryError(
+            f"more than {_MAX_POSITIONS_PER_STEP} positional predicates "
+            "on one step",
+            scheme,
+        )
     return StepPlan(axis, step.test, predicates, from_descendant)
 
 

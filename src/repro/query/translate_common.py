@@ -15,6 +15,7 @@ translators provide:
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 
 from repro.query.plan import (
     AXIS_ATTRIBUTE,
@@ -29,13 +30,15 @@ from repro.relational.sql import (
     And,
     Col,
     Comparison,
+    CountAtMost,
     DocParam,
     Exists,
     Func,
+    InSubquery,
     Like,
+    Not,
     Param,
     Raw,
-    ScalarSubquery,
     Select,
     SqlExpr,
 )
@@ -176,11 +179,7 @@ class TableTranslator(BaseTranslator):
             alias = f"n{i}"
             conditions = [Col("doc_id", alias).eq(DocParam())]
             conditions += self.axis_conditions(step, alias, prev)
-            conditions += self.test_conditions(step.test, step.axis, alias)
-            for predicate in step.predicates:
-                conditions.append(
-                    self.predicate_condition(predicate, (alias, step), doc_id)
-                )
+            conditions += self.step_conditions(step, alias, doc_id)
             if prev is None:
                 query.from_table(self.table, alias)
                 for condition in conditions:
@@ -227,46 +226,63 @@ class TableTranslator(BaseTranslator):
     # The shared walk's *ctx* is ``(alias, step)``: the node-table
     # alias of the step the predicate sits on, and that step.
 
+    def step_conditions(
+        self, step: StepPlan, alias: str, doc_id: int
+    ) -> list[SqlExpr]:
+        """*step*'s node test and predicates on *alias*.  Each predicate
+        sees the step cut to the predicates before it, so a position
+        ranks among the siblings that passed those."""
+        conditions = self.test_conditions(step.test, step.axis, alias)
+        for i, predicate in enumerate(step.predicates):
+            passed = replace(step, predicates=step.predicates[:i])
+            conditions.append(
+                self.predicate_condition(predicate, (alias, passed), doc_id)
+            )
+        return conditions
+
+    def _siblings(
+        self, step: StepPlan, alias: str, doc_id: int, later: bool
+    ) -> Select:
+        """The siblings before *alias* (after it, if *later*) that pass
+        *step* — one probe of the parent index."""
+        sibling = f"{alias}_{'last' if later else 'pos'}"
+        ordinal = Col("ordinal", sibling)
+        siblings = (
+            Select()
+            .from_table(self.position_table(step), sibling)
+            .select(Raw("1"))
+            .where(Col("doc_id", sibling).eq(DocParam()))
+            .where(self.same_parent(sibling, alias))
+            .where((ordinal.gt if later else ordinal.lt)(
+                Col("ordinal", alias)
+            ))
+        )
+        for condition in self.step_conditions(step, sibling, doc_id):
+            siblings.where(condition)
+        return siblings
+
     def position_condition(
         self, predicate: PositionPredicate, ctx, doc_id: int
     ) -> SqlExpr:
-        """``[n]`` as "exactly n-1 preceding siblings match the test"."""
+        """``[n]``: exactly n-1 earlier siblings pass, so counting stops
+        at n."""
         alias, step = ctx
-        sibling = f"{alias}_pos"
-        count = (
-            Select()
-            .from_table(self.position_table(step), sibling)
-            .select(Raw("COUNT(*)"))
-            .where(Col("doc_id", sibling).eq(DocParam()))
-            .where(self.same_parent(sibling, alias))
-            .where(Col("ordinal", sibling).lt(Col("ordinal", alias)))
-        )
-        for condition in self.test_conditions(step.test, step.axis, sibling):
-            count.where(condition)
-        return ScalarSubquery(count).eq(Raw(str(predicate.position - 1)))
+        n = predicate.position
+        earlier = self._siblings(step, alias, doc_id, later=False)
+        return CountAtMost(earlier, n).eq(Raw(str(n - 1)))
 
     def last_condition(
         self, predicate: LastPredicate, ctx, doc_id: int
     ) -> SqlExpr:
-        """``[last()]`` — no later sibling matches the step's test."""
+        """``[last()]``: no later sibling passes."""
         alias, step = ctx
-        sibling = f"{alias}_last"
-        count = (
-            Select()
-            .from_table(self.position_table(step), sibling)
-            .select(Raw("COUNT(*)"))
-            .where(Col("doc_id", sibling).eq(DocParam()))
-            .where(self.same_parent(sibling, alias))
-            .where(Col("ordinal", sibling).gt(Col("ordinal", alias)))
-        )
-        for condition in self.test_conditions(step.test, step.axis, sibling):
-            count.where(condition)
-        return ScalarSubquery(count).eq(Raw("0"))
+        return Not(Exists(self._siblings(step, alias, doc_id, later=True)))
 
     def count_condition(
         self, predicate: CountPredicate, ctx, doc_id: int
     ) -> SqlExpr:
-        """``[count(path) op n]`` as a scalar COUNT subquery."""
+        """``[count(path) op v]``, counting no further than ⌊v⌋ + 1: past
+        that, no comparison with v changes its answer."""
         alias, _ = ctx
         path = predicate.path
         if not path.element_names and path.target == "content":
@@ -275,7 +291,7 @@ class TableTranslator(BaseTranslator):
             matches = _static_compare(count_value, predicate.op,
                                       predicate.value)
             return Raw("1") if matches else Raw("0")
-        sub = Select().select(Raw("COUNT(*)"))
+        sub = Select().select(Raw("1"))
         prev = alias
         for depth, name in enumerate(path.element_names):
             current = f"{alias}_c{depth}"
@@ -312,7 +328,8 @@ class TableTranslator(BaseTranslator):
             )
         sql_op = "<>" if predicate.op == "!=" else predicate.op
         return Comparison(
-            sql_op, ScalarSubquery(sub), Param(predicate.value)
+            sql_op, CountAtMost(sub, predicate.value + 1),
+            Param(predicate.value),
         )
 
     # -- value chains ----------------------------------------------------------------------
@@ -430,8 +447,6 @@ class TableTranslator(BaseTranslator):
             .where(Col(self.name_column, inner).eq(Param(name)))
             .where(Col(value_column, inner).eq(Param(literal or "")))
         )
-        from repro.relational.sql import InSubquery
-
         return InSubquery(Col(key_column, alias), subquery)
 
     def _attach(

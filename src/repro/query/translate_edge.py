@@ -339,9 +339,5 @@ class EdgeTranslator(TableTranslator):
     def _apply_tests_and_predicates(
         self, query: Select, step: StepPlan, alias: str, doc_id: int
     ) -> None:
-        for condition in self.test_conditions(step.test, step.axis, alias):
+        for condition in self.step_conditions(step, alias, doc_id):
             query.where(condition)
-        for predicate in step.predicates:
-            query.where(
-                self.predicate_condition(predicate, (alias, step), doc_id)
-            )

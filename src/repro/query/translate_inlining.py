@@ -36,10 +36,10 @@ from repro.relational.sql import (
     And,
     Col,
     Comparison,
+    CountAtMost,
     DocParam,
     Exists,
     Raw,
-    ScalarSubquery,
     Select,
     SqlExpr,
     Union,
@@ -354,24 +354,33 @@ class InliningTranslator(BaseTranslator):
     def _apply_predicates(
         self, branch: _Branch, step: StepPlan, doc_id: int
     ) -> None:
-        for predicate in step.predicates:
+        for i, predicate in enumerate(step.predicates):
+            passed = replace(step, predicates=step.predicates[:i])
             branch.select.where(
-                self.predicate_condition(predicate, branch, doc_id)
+                self.predicate_condition(predicate, (branch, passed), doc_id)
             )
 
-    # The shared walk's *ctx* is the branch the predicate's step is on.
+    # The shared walk's *ctx* is ``(branch, step)``: the branch the
+    # predicate's step is on, and that step cut to the predicates
+    # before this one.
 
     def position_condition(
-        self, predicate: PositionPredicate, branch: _Branch, doc_id: int
+        self, predicate: PositionPredicate, ctx, doc_id: int
     ) -> SqlExpr:
+        """``[n]``: exactly n-1 earlier same-name siblings pass the
+        step's earlier predicates, so counting stops at n."""
+        branch, step = ctx
+        if not isinstance(step.test, NameTest) or step.test.is_wildcard:
+            # Each child name is its own branch; none sees the others.
+            raise self.scheme.unsupported("positions on a wildcard step")
         position = branch.position
         if not position.is_root:
             # Inlined fields occur at most once: [1] holds, [n>1] cannot.
             return Raw("1") if predicate.position == 1 else Raw("0")
         sibling = self._new_alias()
-        count = (
+        siblings = (
             Select()
-            .select(Raw("COUNT(*)"))
+            .select(Raw("1"))
             .from_table(branch.relation.table.name, sibling)
             .where(Col("doc_id", sibling).eq(DocParam()))
             .where(
@@ -383,12 +392,18 @@ class InliningTranslator(BaseTranslator):
                 Col("ordinal", sibling).lt(Col("ordinal", branch.alias))
             )
         )
-        return ScalarSubquery(count).eq(Raw(str(predicate.position - 1)))
+        self._apply_predicates(
+            _Branch(siblings, branch.relation, sibling, position,
+                    Col("pre", sibling)),
+            step, doc_id,
+        )
+        n = predicate.position
+        return CountAtMost(siblings, n).eq(Raw(str(n - 1)))
 
     def value_condition(
         self,
         path: ValuePath,
-        branch: _Branch,
+        ctx,
         doc_id: int,
         op: str | None = None,
         literal: str | None = None,
@@ -396,6 +411,7 @@ class InliningTranslator(BaseTranslator):
         like_pattern: str | None = None,
     ) -> SqlExpr:
         mapping = self.scheme.require_mapping()
+        branch, _ = ctx
         # Walk inlined hops for free; open an EXISTS at the first relation
         # boundary and keep joining inside it afterwards.
         relation = branch.relation

@@ -7,7 +7,8 @@ instead of parsing SQL text.
 
 Only the SELECT surface the translators need is modelled: column refs,
 parameters, comparison/boolean operators, LIKE as GLOB, IN, EXISTS subqueries,
-scalar functions, joins (inner/left), DISTINCT, ORDER BY, LIMIT.
+bounded counts, scalar functions, joins (inner/left), DISTINCT, ORDER BY,
+LIMIT.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def bind_doc_id(params: list | tuple, doc_id: int) -> list:
 
 @dataclass(frozen=True)
 class Raw(SqlExpr):
-    """A raw SQL fragment — for constants like ``1`` or ``COUNT(*)``.
+    """A raw SQL fragment — for constants like ``1`` or ``NULL``.
 
     Never used with user-supplied values (those go through :class:`Param`).
     """
@@ -251,15 +252,22 @@ class Exists(SqlExpr):
 
 
 @dataclass(frozen=True)
-class ScalarSubquery(SqlExpr):
-    """``(SELECT ...)`` used as a scalar value (e.g. sibling counting)."""
+class CountAtMost(SqlExpr):
+    """How many rows *query* yields, counted no further than *bound*:
+    ``(SELECT COUNT(*) FROM (<query> LIMIT bound))``.  A predicate that
+    only asks whether the count is below, at or past a threshold reads
+    at most *bound* rows instead of all of them.  *bound* may be any
+    number: the LIMIT is ⌊bound⌋ held to 0..2^62, since sqlite reads a
+    larger literal as REAL and refuses it."""
 
     query: "Select"
+    bound: float
 
     def render(self, params: list) -> str:
         sql, sub_params = self.query.render()
         params.extend(sub_params)
-        return f"({sql})"
+        limit = int(min(max(self.bound, 0), 2**62))
+        return f"(SELECT COUNT(*) FROM ({sql}\nLIMIT {limit}))"
 
 
 @dataclass(frozen=True)
@@ -464,7 +472,7 @@ class WithQuery:
 
 def _nested_join_count(expr: SqlExpr) -> int:
     """Joins hidden inside EXISTS/IN subqueries of *expr*."""
-    if isinstance(expr, (Exists, InSubquery, ScalarSubquery)):
+    if isinstance(expr, (Exists, InSubquery, CountAtMost)):
         # The subquery itself costs one join (its FROM) plus its own joins.
         return 1 + expr.query.join_count
     if isinstance(expr, (And, Or)):

@@ -165,6 +165,67 @@ def test_binary_kind_tests_read_their_partition(explained):
     assert "b_text_" in explanation.sql
 
 
+# -- positions: counts that stop once decided -------------------------------------
+#
+# Q13 (``open_auction[1]``) and Q14 (``bidder[2]``) count earlier
+# siblings, and every such count reads at most n of them: ``(SELECT
+# COUNT(*) FROM (… LIMIT n))``.  The sibling select is one probe of the
+# parent link's index, and the bound adds no join.
+
+_BOUNDED_COUNT = re.compile(
+    r"\(SELECT COUNT\(\*\) FROM \(SELECT 1\n(?:(?!COUNT\(\*\)).)*?"
+    r"\n\s*LIMIT (\d+)\)\)",
+    re.S,
+)
+
+#: The sibling probe per mapping: (index, parent column in its key).
+#: Edge keys the parent in two indexes and sqlite picks either by size;
+#: binary probes the step's partition.
+SIBLING_PROBE = {
+    "edge": (r"edge_(?:source|label)", "source"),
+    "binary": ("{partition}_source", "source"),
+    "interval": ("accel_parent", "parent_pre"),
+    "dewey": ("dewey_parent", "parent_label"),
+}
+
+#: ``join_count`` of Q13 / Q14 before the bound existed.
+POSITION_JOINS = {
+    "edge": (5, 5), "binary": (5, 5), "interval": (4, 4), "dewey": (4, 4),
+    "inlining": (3, 3),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(POSITION_JOINS))
+@pytest.mark.parametrize("key,label,n", [
+    ("Q13", "open_auction", 1), ("Q14", "bidder", 2),
+])
+def test_positions_count_no_further_than_n(explained, scheme, key, label, n):
+    explanation, _, _ = explained["auction", scheme, key]
+    bounds = _BOUNDED_COUNT.findall(explanation.sql)
+    assert bounds == [str(n)], explanation.sql
+    assert explanation.sql.count("COUNT(*)") == 1, explanation.sql
+    if scheme in SIBLING_PROBE:
+        index, column = SIBLING_PROBE[scheme]
+        index = index.format(partition=partition_table_name(label))
+        probe = re.compile(
+            rf"SEARCH \w+_pos USING (?:COVERING )?INDEX {index} "
+            rf"\(doc_id=\? AND (?:\w+=\? AND )*{column}=\?"
+        )
+        assert any(probe.match(line) for line in explanation.plan), (
+            explanation.plan
+        )
+
+
+@pytest.mark.parametrize("scheme", sorted(POSITION_JOINS))
+def test_the_bound_adds_no_join(auction_stores, scheme):
+    store, doc_id = auction_stores[scheme]
+    translator = store.scheme.translator()
+    queries = {spec.key: spec.xpath for spec in corpora()[0][3]}
+    assert tuple(
+        translator.join_count(doc_id, queries[key]) for key in ("Q13", "Q14")
+    ) == POSITION_JOINS[scheme]
+
+
 # -- partial indexes ----------------------------------------------------------------
 #
 # The value, content and name indexes hold only rows whose indexed

@@ -9,6 +9,7 @@ from repro.core.registry import available_schemes
 from repro.errors import SchemaMappingError, UnsupportedQueryError
 from repro.query.plan import plan_path
 from repro.relational.database import Database
+from repro.workloads import auction_dtd, generate_auction
 from repro.xml import parse_document, serialize
 from repro.xml.dom import NodeKind
 from repro.xml.parser import ParseOptions
@@ -367,6 +368,110 @@ class TestAggregatePredicates:
                 scheme.query_pres(doc_id, "/bib/book[count(author) = 3]")
 
 
+# -- a position after another predicate ----------------------------------------------
+#
+# Each predicate filters what the one before it left, so a position
+# ranks among the siblings that passed the earlier predicates, not among
+# every sibling the node test admits (XPath 1.0 §2.4).  The translators
+# used to count every same-test sibling: ``c[@k][2]`` found no second
+# ``c`` with ``@k`` among *all* ``c``s and answered nothing, and
+# ``c[2][2]`` answered the second ``c``.  EXPERIMENTS.md deviation 8.
+RANKED_XML = '<r><p><c k="1"/><c/><o/><c k="2"><o/></c></p><p><c/></p></r>'
+RANKED_QUERIES = [
+    "//p/c[@k][2]", "//p/c[2][1]", "//p/c[o][1]", "//p/c[2][2]",
+    "//p/c[not(@k)][1]/following-sibling::c",
+]
+ORDERED_SCHEMES = ["edge", "binary", "interval", "dewey"]
+
+
+@pytest.mark.parametrize("query", RANKED_QUERIES)
+@pytest.mark.parametrize("scheme_name", ORDERED_SCHEMES)
+def test_a_position_ranks_among_the_earlier_predicates_survivors(
+    scheme_name, query
+):
+    doc = parse_document(RANKED_XML)
+    with Database() as db:
+        scheme = make_scheme(scheme_name, db)
+        doc_id = scheme.store(doc, "ranked").doc_id
+        assert scheme.query_pres(doc_id, query) == expected_pres(doc, query)
+
+
+AUCTION_RANKED_QUERIES = [
+    "/site/open_auctions/open_auction/bidder[increase > 20][1]",
+    "/site/open_auctions/open_auction/bidder[2][1]",
+    "/site/open_auctions/open_auction/bidder[increase > 20][last()]",
+]
+
+
+@pytest.fixture(scope="module")
+def auction_stores():
+    """The auction document (sf 0.1, seed 11) under every mapping that
+    answers positions."""
+    doc = generate_auction(0.1, seed=11)
+    built = {}
+    for name in ORDERED_SCHEMES + ["inlining"]:
+        scheme = make_scheme(name, Database(), dtd=auction_dtd())
+        built[name] = (scheme, scheme.store(doc, "auction").doc_id)
+    yield doc, built
+    for scheme, _doc_id in built.values():
+        scheme.db.close()
+
+
+@pytest.mark.parametrize("query", AUCTION_RANKED_QUERIES)
+@pytest.mark.parametrize("scheme_name", ORDERED_SCHEMES + ["inlining"])
+def test_auction_positions_rank_among_the_survivors(
+    auction_stores, scheme_name, query
+):
+    doc, built = auction_stores
+    scheme, doc_id = built[scheme_name]
+    if scheme_name == "inlining" and "last()" in query:
+        with pytest.raises(UnsupportedQueryError):
+            scheme.query_pres(doc_id, query)
+        return
+    expected = expected_pres(doc, query)
+    assert expected  # the auction has such bidders
+    assert scheme.query_pres(doc_id, query) == expected
+
+
+@pytest.mark.parametrize("query", ["/bib/*[2]", "/bib/book/*[1]"])
+def test_inlining_refuses_a_position_among_several_names(stores, query):
+    # One SQL branch per child name: none can rank among the others.
+    __, built = stores
+    scheme, doc_id = built["inlining"]
+    with pytest.raises(UnsupportedQueryError, match="wildcard"):
+        scheme.query_pres(doc_id, query)
+
+
+@pytest.mark.parametrize("scheme_name", ORDERED_SCHEMES + ["inlining"])
+def test_many_positions_on_one_step_are_refused(stores, scheme_name):
+    # Each position's sibling probe repeats the predicates before it,
+    # so the SQL doubles per position: thirty would never finish.
+    doc, built = stores
+    scheme, doc_id = built[scheme_name]
+    with pytest.raises(UnsupportedQueryError, match="positional predicates"):
+        scheme.query_pres(doc_id, "/bib/book" + "[1]" * 30)
+    query = "/bib/book[2][1][1]/title"
+    assert scheme.query_pres(doc_id, query) == expected_pres(doc, query)
+
+
+# Past 2^63 sqlite reads an integer literal as REAL, which LIMIT refuses.
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("query,schemes", [
+    (f"/bib/book[{HUGE}]", ORDERED_SCHEMES + ["inlining"]),
+    (f"/bib/book/author[{HUGE}]", ORDERED_SCHEMES + ["inlining"]),
+    (f"/bib/book[count(author) < {HUGE}]/@id", ORDERED_SCHEMES),
+    (f"/bib/book[count(author) >= {HUGE}]", ORDERED_SCHEMES),
+])
+def test_bounds_past_a_64_bit_limit(stores, query, schemes):
+    doc, built = stores
+    expected = expected_pres(doc, query)
+    for scheme_name in schemes:
+        scheme, doc_id = built[scheme_name]
+        assert scheme.query_pres(doc_id, query) == expected, scheme_name
+
+
 class TestBooleanContextPredicates:
     """Numbers under not/and/or are boolean-converted, not positional."""
 
@@ -513,9 +618,9 @@ PROBE_TEMPLATES = [
 ]
 
 
-def generated_probes(document, pairs=3):
-    """:data:`PROBE_TEMPLATES` filled from up to *pairs* (parent tag,
-    child tag) pairs of *document*, in document order."""
+def generated_probes(document, pairs=3, templates=PROBE_TEMPLATES):
+    """*templates* filled from up to *pairs* (parent tag, child tag)
+    pairs of *document*, in document order."""
     def element_children(node):
         return [
             child for child in node.children
@@ -540,7 +645,7 @@ def generated_probes(document, pairs=3):
     return [
         template.format(p=p, c=c, o=o)
         for (p, c), o in list(found.items())[:pairs]
-        for template in PROBE_TEMPLATES
+        for template in templates
     ]
 
 
@@ -566,6 +671,35 @@ def test_predicate_probes_on_generated_documents(document):
                     ), probe
                     continue
                 assert got == expected[probe], (
+                    scheme_name, probe, serialize(document)
+                )
+
+
+# Positions are refused on ``//`` steps, so the templates above never
+# reach one.  These put the positional and count() predicates on a
+# child step below a ``//`` context, alone and after or before another
+# predicate, and run them on the four mappings that store a sibling
+# order.
+POSITIONAL_TEMPLATES = [
+    "//{p}/{c}[1]", "//{p}/{c}[2]", "//{p}/{c}[last()]", "//{p}/*[2]",
+    "//{p}/{c}[@k][1]", "//{p}/{c}[{o}][2]", "//{p}/{c}[2][1]",
+    "//{p}/{c}[1][{o}]", "//{p}/{c}[@k][last()]",
+    "//{p}[count({c}) > 1]", "//{p}[count({c}) = 2]",
+    "//{p}[count({c}) < 2]", "//{p}[count({c}) >= 1.5]",
+]
+
+
+@given(documents())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_positional_probes_on_generated_documents(document):
+    probes = generated_probes(document, templates=POSITIONAL_TEMPLATES)
+    expected = {probe: expected_pres(document, probe) for probe in probes}
+    for scheme_name in ORDERED_SCHEMES:
+        with Database() as db:
+            scheme = make_scheme(scheme_name, db)
+            doc_id = scheme.store(document, "generated").doc_id
+            for probe in probes:
+                assert scheme.query_pres(doc_id, probe) == expected[probe], (
                     scheme_name, probe, serialize(document)
                 )
 

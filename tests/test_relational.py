@@ -31,6 +31,7 @@ from repro.relational.sql import (
     Arith,
     Col,
     Comparison,
+    CountAtMost,
     Exists,
     Func,
     InList,
@@ -39,7 +40,6 @@ from repro.relational.sql import (
     Or,
     Param,
     Raw,
-    ScalarSubquery,
     Select,
     Union,
     WithQuery,
@@ -279,10 +279,30 @@ class TestSqlBuilder:
         assert text.startswith("EXISTS (SELECT 1")
         assert params == [9]
 
-    def test_scalar_subquery(self):
-        sub = Select().from_table("t", "s").select(Raw("COUNT(*)"))
-        text = ScalarSubquery(sub).eq(Raw("0")).render([])
-        assert text == "(SELECT COUNT(*)\nFROM t AS s) = 0"
+    def test_count_at_most(self, db):
+        sub = (
+            Select().from_table("t", "s").select(Raw("1"))
+            .where(Col("k", "s").gt(Param(1)))
+        )
+        params: list = []
+        text = CountAtMost(sub, 3).eq(Raw("0")).render(params)
+        assert text == (
+            "(SELECT COUNT(*) FROM (SELECT 1\nFROM t AS s\n"
+            "WHERE s.k > ?\nLIMIT 3)) = 0"
+        )
+        assert params == [1]
+        # E8 counts the subquery's FROM like any other subquery's.
+        outer = Select().from_table("t").where(CountAtMost(sub, 1))
+        assert outer.join_count == 1
+        db.execute("CREATE TABLE t (k INTEGER)")
+        db.execute("INSERT INTO t VALUES (1), (2), (3), (4), (5), (6)")
+        params = []
+        counted = CountAtMost(sub, 3).render(params)
+        assert db.scalar(f"SELECT {counted}", params) == 3  # of 5 rows
+        # The LIMIT is ⌊bound⌋ held to what sqlite takes as an integer.
+        for bound, limit in [(2.5, 2), (-3, 0), (10**20, 2**62),
+                             (float("inf"), 2**62)]:
+            assert f"LIMIT {limit})" in CountAtMost(sub, bound).render([])
 
     def test_func_and_cast_and_arith(self):
         expr = Func("xpath_num", (Arith("||", Col("a"), Col("b")),))
