@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from functools import partial
 
 from repro.errors import PlanLintError, XmlRelError
 from repro.query.plan import (
@@ -59,6 +60,19 @@ def match_pattern(function: str, literal: str) -> str:
     """LIKE pattern for contains()/starts-with()."""
     escaped = like_escape(literal)
     return f"%{escaped}%" if function == "contains" else f"{escaped}%"
+
+
+def _lint_into(memo: dict, memo_key: tuple, statement, catalog) -> tuple:
+    """A plan's deferred lint over the render-time *catalog* snapshot,
+    memoized.  It touches no connection, so it can run after the
+    rendering connection went back to its pool."""
+    # Deferred import: repro.analysis depends on repro.query.plan.
+    from repro.analysis.sqllint import lint_statement
+
+    verdict = memo.get(memo_key)  # another plan may have run this walk
+    if not isinstance(verdict, tuple):
+        verdict = memo[memo_key] = lint_statement(statement, catalog)
+    return verdict
 
 
 class BaseTranslator(abc.ABC):
@@ -195,39 +209,44 @@ class BaseTranslator(abc.ABC):
     # -- plan caching -------------------------------------------------------------
 
     def _render_plans(self, statements) -> tuple[CachedPlan, ...]:
-        """Render *statements* to cached-plan entries, linting each one.
+        """Render *statements* to cached-plan entries.
 
-        Under lint mode ``default`` the plan linter's diagnostics ride
-        along inside the :class:`CachedPlan`; ``strict`` raises
+        Under lint mode ``default`` each plan carries the memoized lint
+        verdict for its SQL text, or a walk over this render's catalog
+        snapshot that runs when :attr:`CachedPlan.diagnostics` is first
+        read (most plans never are).  ``strict`` reads it here and raises
         :class:`~repro.errors.PlanLintError` when any diagnostic is
         error-severity; ``off`` skips the walk entirely.
         """
         lint_mode = self.db.lint_mode
         catalog = None
         if lint_mode != "off":
-            # Deferred import: repro.analysis depends on repro.query.plan.
-            from repro.analysis.sqllint import lint_statement
-
             catalog = self.db.schema_catalog()
+            memo = self.db.lint_memo
         plans = []
         for statement in statements:
             sql, params = statement.render()
-            diagnostics = ()
+            verdict, lint = (), None
             if catalog is not None:
                 # Rendering is deterministic, so the SQL text (plus the
-                # schema generation) is a sound memo key: re-translating
-                # an evicted plan never re-walks an already-linted tree.
-                memo = self.db.lint_memo
+                # schema generation) is a sound memo key.  It holds the
+                # verdict or the one pending walk all renders of the text
+                # share, so literal variants keep one tree, not one each.
                 memo_key = (catalog.schema_version, sql)
-                diagnostics = memo.get(memo_key)
-                if diagnostics is None:
-                    diagnostics = lint_statement(statement, catalog)
+                entry = memo.get(memo_key)
+                if entry is None:
                     if len(memo) >= 1024:
                         memo.clear()
-                    memo[memo_key] = diagnostics
+                    entry = memo[memo_key] = partial(
+                        _lint_into, memo, memo_key, statement, catalog
+                    )
+                if isinstance(entry, tuple):
+                    verdict = entry
+                else:
+                    verdict, lint = None, entry
             plans.append(
                 CachedPlan(
-                    sql, tuple(params), statement.join_count, diagnostics
+                    sql, tuple(params), statement.join_count, verdict, lint
                 )
             )
         plans = tuple(plans)

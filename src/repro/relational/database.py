@@ -170,13 +170,14 @@ class Database:
         #: layer's pools do, so each shard warms one cache, not one per
         #: pooled connection (see :mod:`repro.relational.plancache`).
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        #: Plan-lint mode: every translation is linted before it enters
-        #: the plan cache (see :mod:`repro.analysis.sqllint`).
+        #: Plan-lint mode: every translation is linted when its verdict
+        #: is first read (see :mod:`repro.analysis.sqllint`).
         self.lint_mode = lint
         self._catalog_cache: SchemaCatalog | None = None
-        #: Plan-lint results keyed ``(schema_version, sql)`` — rendering
-        #: is deterministic, so an identical statement never re-lints.
-        self.lint_memo: dict[tuple[int, str], tuple] = {}
+        #: Plan-lint verdicts keyed ``(schema_version, sql)``, or the
+        #: pending walk that computes one — rendering is deterministic,
+        #: so an identical statement never re-lints.
+        self.lint_memo: dict[tuple[int, str], tuple | Callable] = {}
         #: Per-thread holder of the most recent statement span, so
         #: ``query()``'s post-hoc row-count attachment never races when
         #: a connection is handed between pool threads.

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -29,16 +30,29 @@ class CachedPlan:
 
     ``params`` is a template: :data:`~repro.relational.sql.DOC_ID`
     placeholders mark where the document id goes at execution time.
-    ``diagnostics`` carries the plan linter's findings for this
-    statement (empty when linting is off or the plan is clean) — cached
-    alongside the SQL so cache hits keep their analysis for
-    :meth:`repro.XmlRelStore.query_report`.
+    :attr:`diagnostics` is the plan linter's verdict on this statement
+    (empty when linting is off or the plan is clean), walked by
+    ``_lint`` the first time it is read (``_verdict`` is ``None`` until
+    then) and kept with the SQL, so cache hits keep their analysis.
     """
 
     sql: str
     params: tuple
     join_count: int
-    diagnostics: tuple = ()
+    _verdict: tuple | None = field(default=(), compare=False, repr=False)
+    _lint: Callable | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def diagnostics(self) -> tuple:
+        # Walk before verdict: a racing reader stores the verdict before
+        # it clears the walk, so one of the two is always there.
+        lint = self._lint
+        verdict = self._verdict
+        if verdict is None:
+            verdict = lint()
+            object.__setattr__(self, "_verdict", verdict)
+            object.__setattr__(self, "_lint", None)
+        return verdict
 
 
 class PlanCache:

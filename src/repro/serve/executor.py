@@ -723,12 +723,12 @@ class ScatterStream:
                     info["replica"] = replica
                     info["replica_lag_writes"] = answer.lag_writes
                     info["replica_age_seconds"] = answer.age_seconds
-                primary = executor.pools[shard]
-                plans = primary.plan_cache.peek(
-                    (primary.scheme_name, primary.epoch, self.xpath)
+                source = executor.pools[shard] if replica is None else pool
+                plans = source.plan_cache.peek(
+                    (source.scheme_name, source.epoch, self.xpath)
                 )
                 info["plan_cached"] = plans is not None
-                info["lint"] = executor._lint_verdict(primary, plans)
+                info["lint"] = executor._lint_verdict(source, plans)
             return answer
 
     def _read_pool(

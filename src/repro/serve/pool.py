@@ -257,7 +257,7 @@ class ConnectionPool:
         size: int = 4,
         acquire_timeout: float = 1.0,
         profile: str = "durable",
-        lint: str = "off",
+        lint: str = "default",
         name: str = "shard",
         metrics: MetricsRegistry | None = None,
         database_factory: Callable | None = None,

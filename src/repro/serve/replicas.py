@@ -62,6 +62,7 @@ class ReplicaSet:
         scheme: str,
         acquire_timeout: float = 1.0,
         profile: str = "durable",
+        lint: str = "default",
         metrics: MetricsRegistry | None = None,
         fault_policy=None,
         scheme_kwargs: dict | None = None,
@@ -76,6 +77,7 @@ class ReplicaSet:
         self.scheme = scheme
         self.acquire_timeout = acquire_timeout
         self.profile = profile
+        self.lint = lint
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.fault_policy = fault_policy
         self.scheme_kwargs = dict(scheme_kwargs or {})
@@ -149,7 +151,7 @@ class ReplicaSet:
             size=REPLICA_POOL_CONNECTIONS,
             acquire_timeout=self.acquire_timeout,
             profile=self.profile,
-            lint="off",
+            lint=self.lint,
             name=f"shard{self.shard}r{replica}",
             metrics=self.metrics,
             database_factory=(

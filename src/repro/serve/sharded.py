@@ -296,7 +296,7 @@ class ShardedStore:
                 size=pool_size,
                 acquire_timeout=acquire_timeout,
                 profile=profile,
-                lint="off",
+                lint=lint,
                 name=f"shard{shard}",
                 metrics=metrics,
                 database_factory=(
@@ -314,6 +314,7 @@ class ShardedStore:
                     scheme,
                     acquire_timeout=acquire_timeout,
                     profile=profile,
+                    lint=lint,
                     metrics=metrics,
                     fault_policy=fault_policy,
                     scheme_kwargs=scheme_kwargs,

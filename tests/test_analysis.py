@@ -133,6 +133,47 @@ class TestWorkloadPlansClean:
                     d.is_error for plan in plans for d in plan.diagnostics
                 ), f"{scheme_name}/{spec.key}"
 
+    @pytest.mark.parametrize("indexed", [True, False])
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_deferred_verdict_equals_the_translate_time_lint(
+        self, scheme_name, indexed, auction_doc
+    ):
+        # A cold translation defers its lint until the verdict is read.
+        # Read only after the store is closed, each verdict must still
+        # equal the walk over the catalog the translation saw.  Without
+        # indexes, joins draw P006 advice; the indexes are rebuilt before
+        # the read, so a walk over the read-time schema would disagree.
+        from tests.test_query_translation import generated_probes
+
+        xpaths = [spec.xpath for spec in AUCTION_QUERIES]
+        xpaths += generated_probes(auction_doc, pairs=1)
+        expected, plans = {}, {}
+        with open_scheme_store(scheme_name, "auction") as store:
+            doc_id = store.store(auction_doc, "auction")
+            indexes = [] if indexed else store.db.query(
+                "SELECT name, sql FROM sqlite_master "
+                "WHERE type = 'index' AND sql IS NOT NULL"
+            )
+            for name, _sql in indexes:
+                store.db.execute(f"DROP INDEX {name}")
+            translator = store.scheme.translator()
+            for xpath in xpaths:
+                try:
+                    statement = translator.translate(doc_id, xpath)
+                except UnsupportedQueryError:
+                    continue
+                expected[xpath] = lint_statement(
+                    statement, store.db.schema_catalog()
+                )
+                plans[xpath] = translator.plans_for(doc_id, xpath)[0]
+            for _name, sql in indexes:
+                store.db.execute(sql)
+        assert len(plans) > len(AUCTION_QUERIES)
+        for xpath, (plan,) in plans.items():
+            assert plan.diagnostics == expected[xpath], xpath
+        if not indexed and scheme_name in ("interval", "dewey", "xrel"):
+            assert any(expected.values())
+
     def test_sweep_runs_clean(self):
         report = run_sweep(["edge", "interval"])
         assert report["errors"] == 0
@@ -387,6 +428,61 @@ class TestLintModes:
             assert isinstance(report.analysis, tuple)
             assert not has_errors(report.analysis)
             assert "rows:" in report.format()
+
+    def test_strict_mode_lints_at_the_translating_call(self, monkeypatch):
+        # Only strict mode reads the verdict while translating; the
+        # default mode leaves the walk to whoever asks.
+        from repro.analysis import sqllint
+
+        linted = []
+        real_lint = sqllint.lint_statement
+
+        def counting(statement, catalog):
+            linted.append(statement)
+            return real_lint(statement, catalog)
+
+        monkeypatch.setattr(sqllint, "lint_statement", counting)
+        for mode, walks in (("strict", 1), ("default", 0)):
+            linted.clear()
+            with XmlRelStore.open(scheme="interval", lint=mode) as store:
+                doc_id = store.store_text("<a><b>x</b></a>")
+                assert store.query_pres(doc_id, "/a/b") == [2]
+                assert len(linted) == walks, mode
+
+    def test_traced_translate_span_carries_diagnostics(self):
+        # Without its parent index every child join of interval is a
+        # P006 advice; the traced translate span still reports it.
+        tracer = Tracer()
+        with XmlRelStore.open(scheme="interval", tracer=tracer) as store:
+            doc_id = store.store_text("<a><b>x<c/></b></a>")
+            store.db.execute("DROP INDEX accel_parent")
+            store.clear_plan_cache()
+            report = store.query_report(doc_id, "/a/b/c")
+        span = tracer.spans_named("translate")[-1]
+        assert codes(report.analysis) == {"P006"}
+        assert span.attributes["diagnostics"] == [
+            d.format() for d in report.analysis
+        ]
+
+    def test_wide_event_verdict_of_a_miss_and_its_hit_agree(self, tmp_path):
+        from repro.obs import RequestLog
+        from repro.serve import ShardedStore
+
+        log = RequestLog(capacity=16)
+        with ShardedStore.open(
+            str(tmp_path / "store"), scheme="interval", shards=1,
+            request_log=log,
+        ) as store:
+            doc_id = store.store_text("<a><b>x<c/></b></a>")
+            store.writers[0].db.execute("DROP INDEX accel_parent")
+            for _ in range(2):
+                assert store.query_pres(doc_id, "/a/b/c") == [4]
+        shards = [
+            event["per_shard"][0]
+            for event in log.tail() if event["event"] == "query"
+        ]
+        assert [s["result_cache"] for s in shards] == ["miss", "hit"]
+        assert [s["lint"] for s in shards] == ["warn", "warn"]
 
     def test_plan_cache_size_gauge(self):
         tracer = Tracer(enabled=True)

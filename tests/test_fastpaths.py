@@ -50,6 +50,22 @@ def dblp_doc():
     return generate_dblp(40, seed=SEED)
 
 
+@pytest.fixture()
+def linted(monkeypatch):
+    """Every statement the plan linter walks during the test."""
+    from repro.analysis import sqllint
+
+    walked = []
+    real_lint = sqllint.lint_statement
+
+    def counting(statement, catalog):
+        walked.append(statement)
+        return real_lint(statement, catalog)
+
+    monkeypatch.setattr(sqllint, "lint_statement", counting)
+    return walked
+
+
 def open_scheme_store(name, workload="auction", tracer=None):
     kwargs = {}
     if name == "inlining":
@@ -284,21 +300,12 @@ class TestPlanCache:
         assert calls == [xpath] * (2 if xpath == "count(/bib)" else 1)
 
     def test_a_warm_lookup_neither_translates_nor_lints(
-        self, monkeypatch, auction_doc
+        self, linted, auction_doc
     ):
-        # A miss translates once and lints what it rendered (arms that
-        # render the same SQL share one lint); the hit that follows does
-        # neither and answers the same.
-        from repro.analysis import sqllint
-
-        linted = []
-        real_lint = sqllint.lint_statement
-
-        def counting(statement, catalog):
-            linted.append(statement)
-            return real_lint(statement, catalog)
-
-        monkeypatch.setattr(sqllint, "lint_statement", counting)
+        # A traced miss translates once and lints what it rendered (its
+        # translate span reads the verdict; arms that render the same SQL
+        # share one lint); the hit that follows does neither and answers
+        # the same.
         xpaths = (
             "/site/people/person[@id = 'person0']/name",
             "/site/open_auctions/open_auction/bidder[1]/increase",
@@ -317,6 +324,43 @@ class TestPlanCache:
             assert len(tracer.spans_named("translate")) == len(xpaths)
             assert len(linted) == lints
             assert store.db.plan_cache.stats()["hits"] == len(xpaths)
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_an_untraced_cold_pass_lints_nothing(
+        self, linted, scheme_name, auction_doc
+    ):
+        # The paper's Q1-Q16 on a fresh store: every query translates
+        # cold and nobody reads a verdict, so no plan is linted.  The
+        # first query_report that asks walks its one statement.
+        with open_scheme_store(scheme_name) as store:
+            doc_id = store.store(auction_doc, "auction")
+            answered = []
+            for spec in AUCTION_QUERIES:
+                try:
+                    store.query_pres(doc_id, spec.xpath)
+                except UnsupportedQueryError:
+                    continue
+                answered.append(spec.xpath)
+            assert answered and linted == []
+            store.query_report(doc_id, answered[0])
+            assert len(linted) == 1
+
+    def test_literal_variants_share_one_pending_lint(
+        self, linted, auction_doc
+    ):
+        # Literals are parameters, so these render one SQL text: its
+        # plans share one pending walk, which runs once for all of them.
+        xpaths = [
+            f"/site/people/person[@id = 'person{i}']/name" for i in range(5)
+        ]
+        with open_scheme_store("interval") as store:
+            doc_id = store.store(auction_doc, "auction")
+            translator = store.scheme.translator()
+            plans = [translator.plans_for(doc_id, x)[0][0] for x in xpaths]
+            assert len({plan.sql for plan in plans}) == 1
+            assert len(store.db.lint_memo) == 1 and linted == []
+            assert len({plan.diagnostics for plan in plans}) == 1
+            assert len(linted) == 1
 
     def test_universal_store_invalidates(self):
         # Universal bakes the known-label set into the SQL: an unknown

@@ -281,6 +281,52 @@ class TestWideEventLog:
             # query populated it), and the warm query reused it.
             assert warm["per_shard"][0]["plan_cached"] is True
 
+    def test_a_replica_read_logs_the_replicas_plan_cache(self, tmp_path):
+        # The event describes the pool that answered: a replica read
+        # translated into the replica's plan cache, not the primary's.
+        log = RequestLog(capacity=64)
+        with ShardedStore.open(
+            str(tmp_path / "store"),
+            scheme="interval",
+            shards=1,
+            replicas=1,
+            read_from="replica",
+            request_log=log,
+        ) as store:
+            doc = store.store_text(BOOK.format(i=1), name="doc")
+            store.ship_replicas()
+            store.query_pres(doc, "//title")
+            store.query_pres(doc, "//title")
+            events = [e for e in log.tail() if e["event"] == "query"]
+            shards = [event["per_shard"][0] for event in events]
+            assert [s["read_from"] for s in shards] == ["replica"] * 2
+            assert [s["result_cache"] for s in shards] == ["miss", "hit"]
+            assert [s["plan_cached"] for s in shards] == [True, True]
+            assert [s["lint"] for s in shards] == ["clean", "clean"]
+
+    @pytest.mark.parametrize("lint, verdict", [
+        ("default", "clean"),
+        ("off", "off"),
+    ])
+    def test_the_event_carries_the_pools_lint_verdict(
+        self, tmp_path, lint, verdict
+    ):
+        log = RequestLog(capacity=64)
+        with ShardedStore.open(
+            str(tmp_path / "store"),
+            scheme="interval",
+            shards=1,
+            lint=lint,
+            request_log=log,
+        ) as store:
+            doc = store.store_text(BOOK.format(i=1), name="doc")
+            store.query_pres(doc, "//title")  # cold
+            store.query_pres(doc, "//title")  # result-cache hit
+            events = [e for e in log.tail() if e["event"] == "query"]
+            assert [e["per_shard"][0]["lint"] for e in events] == (
+                [verdict] * 2
+            )
+
     def test_failed_queries_emit_events_and_outcome_metrics(
         self, tmp_path
     ):
