@@ -20,14 +20,17 @@ statements executed (diagnostic ``X001``).
 **Descendant expansion** — when the DTD's child graph is non-recursive,
 a ``//`` step has finitely many concrete child chains, so ``//author``
 on the dblp DTD rewrites into ``/dblp/article/author |
-/dblp/book/author | ...`` (diagnostic ``X002``, the classic *path
-minimization* of DTD-aware query processing).  Each chain translates as
-an ordinary child path — no recursive CTE, no region self-join fanout —
-and the arms run through the translator's existing union machinery
-(sorted distinct merge ≡ XPath union semantics).  Expansion is refused
-(returns ``None``) whenever it cannot be exact: recursive or open
-content models (undeclared element references, ANY is fine), wildcard
-steps, non-child axes, or more than :data:`MAX_EXPANSION_ARMS` chains.
+/dblp/book/author | ...`` (the classic *path minimization* of DTD-aware
+query processing).  Each chain translates as an ordinary child path and
+the arms run through the translator's existing union machinery (sorted
+distinct merge ≡ XPath union semantics).  The translator asks for an
+expansion only where its mapping would otherwise answer the ``//`` with
+a transitive closure
+(:meth:`~repro.query.translator.BaseTranslator.expansion_pays`).
+Expansion is refused (returns ``None``) whenever it cannot be exact:
+recursive or open content models (undeclared element references, ANY is
+fine), wildcard steps, non-child axes, no DTD, or more than
+:data:`MAX_EXPANSION_ARMS` chains.
 
 Both answers trust the schema they were given: satisfiability verdicts
 hold for documents that *conform* to the DTD (or for the document the
@@ -98,15 +101,15 @@ class XPathAnalyzer:
 
     Attach one to a scheme (``scheme.attach_analyzer(analyzer)`` or
     :meth:`repro.XmlRelStore.enable_analysis`) and the translator
-    consults it on every query.  Stateless after construction, so one
-    analyzer may serve many schemes over the same vocabulary.
+    consults it once per XPath, when it caches the analyzed plans.
+    Stateless after construction, so one analyzer may serve many
+    schemes over the same vocabulary.
     """
 
     def __init__(
         self,
         dtd: Dtd | None = None,
         summary: PathSummary | None = None,
-        expand: bool = False,
     ) -> None:
         if dtd is None and summary is None:
             raise XmlRelError(
@@ -114,24 +117,19 @@ class XPathAnalyzer:
             )
         self.dtd = dtd
         self.summary = summary
-        #: ``//`` expansion needs the closed-world child graph only a
-        #: DTD provides (a summary reflects one instance, which updates
-        #: could invalidate under cached plans).
-        self.expansion_enabled = bool(expand and dtd is not None)
         self._children: dict[str, frozenset[str] | None] = {}
         self._attributes: dict[str, frozenset[str]] = {}
         self._root: str | None = None
+        #: ``//`` expansion needs the closed-world child graph only a
+        #: DTD provides (a summary reflects one instance, which updates
+        #: could invalidate under cached plans).
         self._closed_world = False
         if dtd is not None:
             self._build_dtd_graph(dtd)
 
     @classmethod
-    def from_dtd(cls, dtd: Dtd, expand: bool = False) -> "XPathAnalyzer":
-        return cls(dtd=dtd, expand=expand)
-
-    @classmethod
-    def from_summary(cls, summary: PathSummary) -> "XPathAnalyzer":
-        return cls(summary=summary)
+    def from_dtd(cls, dtd: Dtd) -> "XPathAnalyzer":
+        return cls(dtd=dtd)
 
     def _build_dtd_graph(self, dtd: Dtd) -> None:
         declared = frozenset(dtd.elements)
@@ -366,7 +364,7 @@ class XPathAnalyzer:
         returned plans carry the original predicates on their final
         steps and are executed as union arms.
         """
-        if not self.expansion_enabled or not self._closed_world:
+        if not self._closed_world:
             return None
         try:
             plans = self._plans_of(xpath)
@@ -401,20 +399,6 @@ class XPathAnalyzer:
             PathPlan(chain, source=f"{plan.source or xpath}#expand{i}")
             for i, chain in enumerate(chains)
         ]
-
-    def expansion_diagnostics(
-        self, xpath, expanded: list[PathPlan]
-    ) -> tuple[Diagnostic, ...]:
-        """The ``X002`` record documenting an applied expansion."""
-        return (
-            Diagnostic(
-                "X002",
-                "advice",
-                f"'//' expanded into {len(expanded)} explicit child "
-                "chain(s) under the non-recursive DTD",
-                location=str(xpath),
-            ),
-        )
 
     def _expand_steps(
         self, steps: tuple[StepPlan, ...]

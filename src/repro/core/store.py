@@ -28,7 +28,7 @@ from repro.relational.database import Database
 from repro.relational.retry import RetryPolicy
 from repro.relational.sql import bind_doc_id
 from repro.reliability.audit import IntegrityReport
-from repro.storage.base import BulkSession, MappingScheme, ShredResult
+from repro.storage.base import BulkSession, MappingScheme
 from repro.xml.dom import Document, Node
 from repro.xml.events import payload_events
 from repro.xml.parser import ParseOptions
@@ -76,6 +76,25 @@ def build_query_report(
     )
 
 
+def open_scheme(
+    path: str,
+    scheme: str,
+    factory=Database,
+    scheme_kwargs: dict | None = None,
+    **db_options,
+) -> MappingScheme:
+    """Open the database at *path* through *factory* (``db_options``
+    pass to it) and build *scheme* over it — the one recipe behind
+    every store, shard writer and pooled reader.  The database is
+    closed again when the scheme cannot be built."""
+    db = factory(path, **db_options)
+    try:
+        return create_scheme(scheme, db, **(scheme_kwargs or {}))
+    except BaseException:
+        db.close()
+        raise
+
+
 class XmlRelStore:
     """An XML document store over a relational database."""
 
@@ -103,17 +122,18 @@ class XmlRelStore:
         transient busy/locked errors, *tracer* an optional
         :class:`~repro.obs.trace.Tracer` that records spans, statement
         events, and metrics for everything this store does (tracing is
-        off without one), *lint* the plan-lint mode (``off`` /
-        ``default`` / ``strict`` — see
+        off without one), *lint* the plan-lint mode (``default`` /
+        ``strict`` — see
         :data:`repro.relational.database.LINT_MODES`; ``strict`` raises
         :class:`~repro.errors.PlanLintError` on error-severity
         diagnostics).  ``kwargs`` pass through to the scheme (e.g.
         ``dtd=``/``strategy=`` for ``inlining``).
         """
-        db = Database(
-            path, profile=profile, retry=retry, tracer=tracer, lint=lint
+        opened = open_scheme(
+            path, scheme, scheme_kwargs=kwargs,
+            profile=profile, retry=retry, tracer=tracer, lint=lint,
         )
-        return cls(db, create_scheme(scheme, db, **kwargs))
+        return cls(opened.db, opened)
 
     @property
     def tracer(self) -> Tracer:
@@ -135,12 +155,6 @@ class XmlRelStore:
     def store(self, document: Document, name: str = "document") -> int:
         """Shred a parsed document; returns its doc_id."""
         return self.scheme.store(document, name).doc_id
-
-    def store_detailed(
-        self, document: Document, name: str = "document"
-    ) -> ShredResult:
-        """Like :meth:`store` but returns full row accounting."""
-        return self.scheme.store(document, name)
 
     def store_text(
         self,
@@ -275,7 +289,6 @@ class XmlRelStore:
         dtd=None,
         summary=None,
         doc_id: int | None = None,
-        expand: bool = False,
     ):
         """Attach an XPath static analyzer to this store's scheme.
 
@@ -284,9 +297,10 @@ class XmlRelStore:
         :class:`~repro.stats.pathsummary.PathSummary`, or a *doc_id*
         whose stored document the summary is built from.  Once enabled,
         queries the analyzer proves unsatisfiable short-circuit with
-        zero SQL statements executed, and — with ``expand=True`` and a
-        DTD — non-recursive ``//`` steps are rewritten into explicit
-        child chains.  Returns the attached
+        zero SQL statements executed, and — given a DTD — non-recursive
+        ``//`` steps are rewritten into explicit child chains where the
+        scheme would otherwise compute a transitive closure (edge,
+        binary).  Returns the attached
         :class:`~repro.analysis.xpathlint.XPathAnalyzer`.
         """
         from repro.analysis.xpathlint import XPathAnalyzer
@@ -295,13 +309,13 @@ class XmlRelStore:
             from repro.stats.pathsummary import build_summary
 
             summary = build_summary(self.reconstruct(doc_id))
-        analyzer = XPathAnalyzer(dtd=dtd, summary=summary, expand=expand)
+        analyzer = XPathAnalyzer(dtd=dtd, summary=summary)
         self.scheme.attach_analyzer(analyzer)
         return analyzer
 
     def clear_plan_cache(self) -> None:
-        """Drop every cached translation (cold-start measurements and
-        the analysis benchmarks; cumulative hit/miss counters are kept)."""
+        """Drop every cached translation (cold-start measurements;
+        cumulative hit/miss counters are kept)."""
         self.db.plan_cache.clear()
 
     # -- introspection -------------------------------------------------------------

@@ -88,10 +88,6 @@ class QueryReport:
         """Length of the generated SQL text (plan-complexity proxy)."""
         return len(self.sql)
 
-    @property
-    def total_seconds(self) -> float:
-        return self.translate_seconds + self.execute_seconds
-
     def format(self) -> str:
         return "\n".join(
             [

@@ -213,10 +213,6 @@ class PathPlan:
     steps: tuple[StepPlan, ...]
     source: str = ""
 
-    @property
-    def join_steps(self) -> int:
-        return len(self.steps)
-
 
 def plan_path(xpath: str | Expr, scheme: str | None = None) -> PathPlan:
     """Parse (if needed) and normalize *xpath* — a string or an already

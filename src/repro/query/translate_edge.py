@@ -77,6 +77,12 @@ class EdgeTranslator(TableTranslator):
 
     # -- translation -------------------------------------------------------------
 
+    def expansion_pays(self, plan) -> bool:
+        """A ``//`` after the first step is a recursive closure here
+        (:meth:`translate`), so the DTD's child chains beat it; a leading
+        ``//`` is one label scan and stays."""
+        return any(step.from_descendant for step in plan.steps[1:])
+
     def translate(self, doc_id: int, xpath) -> WithQuery:
         plan = self.plan(xpath)
         statement = WithQuery()

@@ -211,46 +211,40 @@ class BaseTranslator(abc.ABC):
     def _render_plans(self, statements) -> tuple[CachedPlan, ...]:
         """Render *statements* to cached-plan entries.
 
-        Under lint mode ``default`` each plan carries the memoized lint
-        verdict for its SQL text, or a walk over this render's catalog
-        snapshot that runs when :attr:`CachedPlan.diagnostics` is first
-        read (most plans never are).  ``strict`` reads it here and raises
+        Each plan carries the memoized lint verdict for its SQL text, or
+        a walk over this render's catalog snapshot that runs when
+        :attr:`CachedPlan.diagnostics` is first read (most plans never
+        are).  Lint mode ``strict`` reads it here and raises
         :class:`~repro.errors.PlanLintError` when any diagnostic is
-        error-severity; ``off`` skips the walk entirely.
+        error-severity.
         """
-        lint_mode = self.db.lint_mode
-        catalog = None
-        if lint_mode != "off":
-            catalog = self.db.schema_catalog()
-            memo = self.db.lint_memo
+        catalog = self.db.schema_catalog()
+        memo = self.db.lint_memo
         plans = []
         for statement in statements:
             sql, params = statement.render()
-            verdict, lint = (), None
-            if catalog is not None:
-                # Rendering is deterministic, so the SQL text (plus the
-                # schema generation) is a sound memo key.  It holds the
-                # verdict or the one pending walk all renders of the text
-                # share, so literal variants keep one tree, not one each.
-                memo_key = (catalog.schema_version, sql)
-                entry = memo.get(memo_key)
-                if entry is None:
-                    if len(memo) >= 1024:
-                        memo.clear()
-                    entry = memo[memo_key] = partial(
-                        _lint_into, memo, memo_key, statement, catalog
-                    )
-                if isinstance(entry, tuple):
-                    verdict = entry
-                else:
-                    verdict, lint = None, entry
+            # Rendering is deterministic, so the SQL text (plus the
+            # schema generation) is a sound memo key.  It holds the
+            # verdict or the one pending walk all renders of the text
+            # share, so literal variants keep one tree, not one each.
+            memo_key = (catalog.schema_version, sql)
+            entry = memo.get(memo_key)
+            if entry is None:
+                if len(memo) >= 1024:
+                    memo.clear()
+                entry = memo[memo_key] = partial(
+                    _lint_into, memo, memo_key, statement, catalog
+                )
+            verdict, lint = (
+                (entry, None) if isinstance(entry, tuple) else (None, entry)
+            )
             plans.append(
                 CachedPlan(
                     sql, tuple(params), statement.join_count, verdict, lint
                 )
             )
         plans = tuple(plans)
-        if lint_mode == "strict":
+        if self.db.lint_mode == "strict":
             errors = [
                 diagnostic
                 for plan in plans
@@ -273,41 +267,7 @@ class BaseTranslator(abc.ABC):
         cache key includes the scheme's ``plan_epoch`` so schemes whose
         translations depend on stored data invalidate by bumping it.
         """
-        cache = self.db.plan_cache
-        tracer = self.db.tracer
-        key = None
-        if isinstance(xpath, str):
-            key = (self.scheme.name, self.scheme.plan_epoch, xpath)
-            plans = cache.get(key)
-            if plans is not None:
-                if tracer.enabled:
-                    tracer.metrics.counter("plan_cache.hits").inc()
-                return plans, True
-            if tracer.enabled:
-                tracer.metrics.counter("plan_cache.misses").inc()
-        with tracer.span("translate") as translate_span:
-            # The one parse of a cache miss: translate() gets the AST.
-            expr = parse_xpath(xpath) if key else xpath
-            statements = [
-                self.translate(doc_id, arm)
-                for arm in _union_arms(expr) or [expr]
-            ]
-            plans = self._render_plans(statements)
-            if translate_span:
-                translate_span.set(
-                    sql_length=sum(len(p.sql) for p in plans),
-                    joins=sum(p.join_count for p in plans),
-                )
-                diagnostics = [
-                    d.format() for p in plans for d in p.diagnostics
-                ]
-                if diagnostics:
-                    translate_span.set(diagnostics=diagnostics)
-        if key is not None:
-            cache.put(key, plans)
-            if tracer.enabled:
-                tracer.metrics.gauge("plan_cache.size").set(len(cache))
-        return plans, False
+        return self._plans(doc_id, xpath, None)
 
     def cached_translation(
         self, doc_id: int, xpath: str | LocationPath | PathPlan
@@ -324,65 +284,91 @@ class BaseTranslator(abc.ABC):
 
     # -- static analysis ----------------------------------------------------------
 
+    def expansion_pays(self, plan: PathPlan) -> bool:
+        """Whether rewriting *plan*'s ``//`` steps into the DTD's child
+        chains beats this mapping's own descendant plan.  Order-encoded
+        mappings answer ``//`` with one range or prefix probe, so by
+        default it does not."""
+        return False
+
     def _execution_plans(
         self, doc_id: int, xpath: str | LocationPath | PathPlan
     ) -> tuple[tuple[CachedPlan, ...], bool]:
-        """Like :meth:`plans_for`, but routed through the scheme's
-        :class:`~repro.analysis.xpathlint.XPathAnalyzer` when one is
-        attached with expansion enabled: a ``//`` path over a
-        non-recursive DTD compiles into one plan per concrete child
-        chain (executed as union arms) instead of a descendant scan.
+        """The plans :meth:`query_pres` runs: :meth:`plans_for`'s, or —
+        with an :class:`~repro.analysis.xpathlint.XPathAnalyzer`
+        attached — the analyzed ones, cached under their own key (the
+        plain key still serves :meth:`cached_translation`/``explain``,
+        which promise a single statement).  A path the analyzer proves
+        empty caches as ``()``, so it runs zero statements; a ``//``
+        path compiles into one plan per concrete child chain where
+        :meth:`expansion_pays`."""
+        return self._plans(doc_id, xpath, self.scheme.analyzer)
 
-        Expanded translations cache under their own key (the plain key
-        still serves :meth:`cached_translation`/``explain``, which
-        promise a single statement); "no expansion applies" caches as an
-        empty tuple so the analyzer runs once per (scheme, epoch, path).
-        """
-        analyzer = getattr(self.scheme, "analyzer", None)
-        if (
-            analyzer is None
-            or not analyzer.expansion_enabled
-            or not isinstance(xpath, str)
-        ):
-            return self.plans_for(doc_id, xpath)
-        cache = self.db.plan_cache
-        key = (self.scheme.name, self.scheme.plan_epoch, xpath, "expand")
-        plans = cache.get(key)
-        if plans is not None:
-            if not plans:  # cached "nothing to expand" sentinel
-                return self.plans_for(doc_id, xpath)
-            return plans, True
+    def _analyzed_arms(self, analyzer, expr) -> list:
+        """What to translate for *expr* under *analyzer*: nothing when
+        it is provably empty, the expanded child chains when expansion
+        pays, else its union arms."""
+        if analyzer.satisfiable(expr) is False:
+            return []
+        arms = _union_arms(expr)
+        if arms is not None:
+            return arms
         try:
-            expanded = analyzer.expand(xpath)
+            plan = self.plan(expr)
         except XmlRelError:
-            expanded = None
-        if not expanded:
-            cache.put(key, ())
-            return self.plans_for(doc_id, xpath)
+            return [expr]  # translate() raises the planner's error
+        if self.expansion_pays(plan):
+            expanded = analyzer.expand(plan)
+            if expanded:
+                if self.db.tracer.enabled:
+                    self.db.tracer.metrics.counter(
+                        "analysis.expanded_queries"
+                    ).inc()
+                return expanded
+        return [plan]
+
+    def _plans(
+        self, doc_id: int, xpath: str | LocationPath | PathPlan, analyzer
+    ) -> tuple[tuple[CachedPlan, ...], bool]:
+        cache = self.db.plan_cache
         tracer = self.db.tracer
+        key = None
+        if isinstance(xpath, str):
+            key = (self.scheme.name, self.scheme.plan_epoch, xpath)
+            if analyzer is not None:
+                key += ("analyzed",)
+            plans = cache.get(key)
+            if plans is not None:
+                if tracer.enabled:
+                    tracer.metrics.counter("plan_cache.hits").inc()
+                return plans, True
+            if tracer.enabled:
+                tracer.metrics.counter("plan_cache.misses").inc()
         with tracer.span("translate") as translate_span:
-            statements = [self.translate(doc_id, p) for p in expanded]
-            plans = self._render_plans(statements)
+            # The one parse of a cache miss: translate() gets the AST.
+            expr = parse_xpath(xpath) if key else xpath
+            if analyzer is None:
+                arms = _union_arms(expr) or [expr]
+            else:
+                arms = self._analyzed_arms(analyzer, expr)
+            plans = self._render_plans(
+                [self.translate(doc_id, arm) for arm in arms]
+            )
             if translate_span:
                 translate_span.set(
                     sql_length=sum(len(p.sql) for p in plans),
                     joins=sum(p.join_count for p in plans),
-                    expanded_arms=len(plans),
                 )
-        if tracer.enabled:
-            tracer.metrics.counter("analysis.expanded_queries").inc()
-        cache.put(key, plans)
+                diagnostics = [
+                    d.format() for p in plans for d in p.diagnostics
+                ]
+                if diagnostics:
+                    translate_span.set(diagnostics=diagnostics)
+        if key is not None:
+            cache.put(key, plans)
+            if tracer.enabled:
+                tracer.metrics.gauge("plan_cache.size").set(len(cache))
         return plans, False
-
-    def _provably_empty(
-        self, xpath: str | LocationPath | PathPlan
-    ) -> bool:
-        """True when the attached analyzer proves *xpath* matches
-        nothing (the zero-statement short-circuit)."""
-        analyzer = getattr(self.scheme, "analyzer", None)
-        if analyzer is None:
-            return False
-        return analyzer.satisfiable(xpath) is False
 
     # -- execution ----------------------------------------------------------------
 
@@ -416,13 +402,13 @@ class BaseTranslator(abc.ABC):
                     scheme=self.scheme.name, xpath=str(xpath)
                 )
                 tracer.metrics.counter("query.executed").inc()
-            if self._provably_empty(xpath):
+            plans, cache_hit = self._execution_plans(doc_id, xpath)
+            if not plans:
                 if query_span:
                     query_span.set(rows=0, unsatisfiable=True)
                 if tracer.enabled:
                     tracer.metrics.counter("analysis.unsat_queries").inc()
                 return []
-            plans, cache_hit = self._execution_plans(doc_id, xpath)
             if len(plans) == 1:
                 plan = plans[0]
                 with tracer.span("execute"):

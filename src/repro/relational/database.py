@@ -72,11 +72,10 @@ DURABILITY_PROFILES: dict[str, tuple[tuple[str, str], ...]] = {
     ),
 }
 
-#: Plan-lint modes: ``off`` skips linting entirely, ``default`` attaches
-#: diagnostics to cached plans (and the ``translate`` span), ``strict``
-#: additionally raises :class:`~repro.errors.PlanLintError` on
-#: error-severity findings.
-LINT_MODES = ("off", "default", "strict")
+#: Plan-lint modes: ``default`` attaches diagnostics to cached plans
+#: (walked when first read), ``strict`` additionally raises
+#: :class:`~repro.errors.PlanLintError` on error-severity findings.
+LINT_MODES = ("default", "strict")
 
 #: Statement head keywords a read-only connection rejects before the
 #: engine sees them (``PRAGMA``/``EXPLAIN``/``SELECT``/``WITH`` pass).
@@ -184,31 +183,29 @@ class Database:
         self._span_local = threading.local()
         self._txn_depth = 0
         self._savepoint_seq = 0
-        if read_only:
-            self._conn = sqlite3.connect(
-                f"file:{quote(path)}?mode=ro",
-                uri=True,
-                check_same_thread=check_same_thread,
-            )
-        else:
-            self._conn = sqlite3.connect(
-                path, check_same_thread=check_same_thread
-            )
-        self._conn.isolation_level = None  # explicit transaction control
-        cursor = self._conn.cursor()
+        pragmas = DURABILITY_PROFILES[profile]
         if read_only:
             # The journal/synchronous pragmas are write-side settings (a
             # WAL switch even writes the header); a reader only needs
             # the busy timeout, plus query_only as defense in depth.
-            for pragma, value in DURABILITY_PROFILES[profile]:
-                if pragma == "busy_timeout":
-                    cursor.execute(f"PRAGMA {pragma} = {value}")
-            cursor.execute("PRAGMA query_only = ON")
-        else:
-            for pragma, value in DURABILITY_PROFILES[profile]:
-                cursor.execute(f"PRAGMA {pragma} = {value}")
-        cursor.execute("PRAGMA foreign_keys = ON")
-        cursor.close()
+            pragmas = [p for p in pragmas if p[0] == "busy_timeout"]
+            pragmas.append(("query_only", "ON"))
+        self._conn = None
+        try:
+            self._conn = sqlite3.connect(
+                f"file:{quote(path)}?mode=ro" if read_only else path,
+                uri=read_only,
+                check_same_thread=check_same_thread,
+            )
+            self._conn.isolation_level = None  # explicit transactions
+            for pragma, value in (*pragmas, ("foreign_keys", "ON")):
+                self._conn.execute(f"PRAGMA {pragma} = {value}")
+        except sqlite3.Error as error:
+            if self._conn is not None:
+                self._conn.close()
+            raise StorageError(
+                f"cannot open database {path!r}: {error}"
+            ) from error
         # XPath-faithful numeric conversion: returns NULL (not 0.0, as
         # CAST would) for non-numeric text, so NaN comparisons are false
         # in SQL exactly as they are in XPath.

@@ -31,7 +31,7 @@ class CachedPlan:
     ``params`` is a template: :data:`~repro.relational.sql.DOC_ID`
     placeholders mark where the document id goes at execution time.
     :attr:`diagnostics` is the plan linter's verdict on this statement
-    (empty when linting is off or the plan is clean), walked by
+    (empty when the plan is clean), walked by
     ``_lint`` the first time it is read (``_verdict`` is ``None`` until
     then) and kept with the SQL, so cache hits keep their analysis.
     """

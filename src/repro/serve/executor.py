@@ -313,12 +313,10 @@ class QueryExecutor:
         return read(self.pools[shard], None), None
 
     @staticmethod
-    def _lint_verdict(pool: ConnectionPool, plans) -> str:
+    def _lint_verdict(plans) -> str:
         """The plan linter's word on this query's cached plans:
-        ``off`` (linting disabled on the pool), ``unknown`` (no cached
-        plan to inspect), ``clean``, ``warn``, or ``error``."""
-        if pool.lint == "off":
-            return "off"
+        ``unknown`` (no cached plan to inspect), ``clean``, ``warn``, or
+        ``error``."""
         if plans is None:
             return "unknown"
         diagnostics = [d for plan in plans for d in plan.diagnostics]
@@ -728,7 +726,7 @@ class ScatterStream:
                     (source.scheme_name, source.epoch, self.xpath)
                 )
                 info["plan_cached"] = plans is not None
-                info["lint"] = executor._lint_verdict(source, plans)
+                info["lint"] = executor._lint_verdict(plans)
             return answer
 
     def _read_pool(

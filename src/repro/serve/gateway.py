@@ -100,7 +100,6 @@ from repro.serve.protocol import (
     JSON_CONTENT_TYPE,
     MAX_BODY_BYTES,
     NDJSON_CONTENT_TYPE,
-    QuerySpec,
     error_body,
     ndjson_line,
     parse_json_body,
@@ -225,8 +224,6 @@ class Gateway:
     :param store: the :class:`~repro.serve.sharded.ShardedStore` served.
     :param quota_rate: per-client admitted requests/second (None: off).
     :param quota_burst: per-client burst allowance (default: the rate).
-    :param default_deadline: deadline applied when a request names none
-        (the executor's own default still applies underneath).
     :param analyzer: optional
         :class:`~repro.analysis.xpathlint.XPathAnalyzer`; queries it
         proves unsatisfiable short-circuit on the event loop with an
@@ -247,7 +244,6 @@ class Gateway:
         port: int = 0,
         quota_rate: float | None = None,
         quota_burst: float | None = None,
-        default_deadline: float | None = None,
         analyzer=None,
         idle_timeout: float = 30.0,
     ) -> None:
@@ -257,7 +253,6 @@ class Gateway:
         self.tracer = store.tracer
         self.host = host
         self.requested_port = port
-        self.default_deadline = default_deadline
         self.analyzer = analyzer
         self.idle_timeout = idle_timeout
         self.quotas = ClientQuotas(quota_rate, quota_burst)
@@ -579,15 +574,6 @@ class Gateway:
             else:
                 raise ProtocolError(
                     f"method {method} not allowed on /query"
-                )
-            if spec.deadline is None and self.default_deadline is not None:
-                spec = QuerySpec(
-                    xpath=spec.xpath,
-                    doc_id=spec.doc_id,
-                    deadline=self.default_deadline,
-                    read_from=spec.read_from,
-                    stream=spec.stream,
-                    client=spec.client,
                 )
             parsed = self._parse_xpath(spec.xpath)
         with self.tracer.span("gateway.admit", client=spec.client):
@@ -943,6 +929,5 @@ class Gateway:
                 "documents": len(self.store.shard_map),
             },
             "quotas": self.quotas.stats(),
-            "default_deadline": self.default_deadline,
             "metrics": self.metrics.snapshot(prefix="gateway."),
         }

@@ -62,10 +62,11 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
+from functools import partial
 from collections.abc import Callable
 from typing import NamedTuple
 
-from repro.core.registry import create_scheme
+from repro.core.store import open_scheme
 from repro.errors import Overloaded, StorageError, XmlRelError
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.database import Database
@@ -256,36 +257,30 @@ class ConnectionPool:
         scheme: str,
         size: int = 4,
         acquire_timeout: float = 1.0,
-        profile: str = "durable",
-        lint: str = "default",
         name: str = "shard",
         metrics: MetricsRegistry | None = None,
-        database_factory: Callable | None = None,
-        scheme_kwargs: dict | None = None,
         retry: RetryPolicy | None = None,
-        tracer=None,
+        factory: Callable = Database,
+        scheme_kwargs: dict | None = None,
+        profile: str = "durable",
+        **db_options,
     ) -> None:
+        """*factory*, *scheme_kwargs*, *profile* and ``db_options``
+        (``lint``, ``tracer``) build each pooled connection through
+        :func:`~repro.core.store.open_scheme`; tests swap in
+        fault-injecting factories (see
+        :meth:`repro.reliability.faults.ShardFaultPolicy.factory`)."""
         if size < 1:
             raise StorageError("pool size must be >= 1")
         self.path = path
         self.scheme_name = scheme
         self.size = size
         self.acquire_timeout = acquire_timeout
-        self.profile = profile
-        self.lint = lint
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Builds the underlying database; tests swap in fault-injecting
-        #: factories (see
-        #: :meth:`repro.reliability.faults.ShardFaultPolicy.factory`).
-        self.database_factory = database_factory
-        self.scheme_kwargs = dict(scheme_kwargs or {})
         #: Backoff for fresh-connection health failures (None: report
         #: shard-down on the first one, the pre-retry behaviour).
         self.retry = retry
-        #: Tracer threaded into every pooled Database so per-statement
-        #: ``sql.statement`` spans nest under adopted request roots.
-        self.tracer = tracer
         #: One warm translation cache for the whole pool.
         self.plan_cache = PlanCache()
         #: Finished runs per (document, xpath); see :class:`ResultCache`.
@@ -298,6 +293,11 @@ class ConnectionPool:
         self._closed = False
         self._epoch = 0
         self._generation = 0
+        self._open = partial(
+            open_scheme, path, scheme, factory, scheme_kwargs,
+            profile=profile, read_only=True, check_same_thread=False,
+            plan_cache=self.plan_cache, **db_options,
+        )
 
     # -- metrics helpers ----------------------------------------------------------
 
@@ -310,28 +310,11 @@ class ConnectionPool:
     # -- connection lifecycle -----------------------------------------------------
 
     def _build(self) -> ReadSession:
-        factory = self.database_factory or Database
-        kwargs = dict(
-            profile=self.profile,
-            lint=self.lint,
-            read_only=True,
-            check_same_thread=False,
-            plan_cache=self.plan_cache,
-        )
-        # Only pass the tracer when one was provided — injected
-        # database factories (fault policies) may not accept the kwarg.
-        if self.tracer is not None:
-            kwargs["tracer"] = self.tracer
-        db = factory(self.path, **kwargs)
-        try:
-            scheme = create_scheme(self.scheme_name, db, **self.scheme_kwargs)
-        except BaseException:
-            db.close()
-            raise
+        scheme = self._open()
         self._counter("created").inc()
         with self._lock:
             generation = self._generation
-        return ReadSession(db, scheme, generation)
+        return ReadSession(scheme.db, scheme, generation)
 
     def _healthy(self, session: ReadSession) -> bool:
         """One cheap round trip proving the connection still answers."""

@@ -33,6 +33,7 @@ write.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 
 from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry
@@ -59,30 +60,18 @@ class ReplicaSet:
         shard: int,
         directory: str,
         count: int,
-        scheme: str,
-        acquire_timeout: float = 1.0,
-        profile: str = "durable",
-        lint: str = "default",
-        metrics: MetricsRegistry | None = None,
-        fault_policy=None,
-        scheme_kwargs: dict | None = None,
-        retry=None,
-        tracer=None,
+        pool_for: Callable[[str, str, int, int], ConnectionPool],
+        metrics: MetricsRegistry,
     ) -> None:
+        """*pool_for* ``(path, name, fault_key, size)`` builds a read
+        pool the way the owning store builds its primaries'."""
         if count < 1:
             raise StorageError("replica count must be >= 1")
         self.shard = shard
         self.directory = directory
         self.count = count
-        self.scheme = scheme
-        self.acquire_timeout = acquire_timeout
-        self.profile = profile
-        self.lint = lint
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.fault_policy = fault_policy
-        self.scheme_kwargs = dict(scheme_kwargs or {})
-        self.retry = retry
-        self.tracer = tracer
+        self.pool_for = pool_for
+        self.metrics = metrics
         #: replica index → pool, created on first ship (before that the
         #: replica file does not exist and nothing should read it).
         self.pools: dict[int, ConnectionPool] = {}
@@ -136,34 +125,12 @@ class ReplicaSet:
         else:
             self.pools[replica] = self._build_pool(replica)
 
-    def ship(self, source: Database) -> list[int]:
-        """Ship every replica from *source*; returns their indices."""
-        shipped = []
-        for replica in range(self.count):
-            self.ship_one(source, replica)
-            shipped.append(replica)
-        return shipped
-
     def _build_pool(self, replica: int) -> ConnectionPool:
-        return ConnectionPool(
+        return self.pool_for(
             self.replica_path(replica),
-            self.scheme,
-            size=REPLICA_POOL_CONNECTIONS,
-            acquire_timeout=self.acquire_timeout,
-            profile=self.profile,
-            lint=self.lint,
-            name=f"shard{self.shard}r{replica}",
-            metrics=self.metrics,
-            database_factory=(
-                self.fault_policy.factory(
-                    replica_fault_key(self.shard, replica)
-                )
-                if self.fault_policy
-                else None
-            ),
-            scheme_kwargs=self.scheme_kwargs,
-            retry=self.retry,
-            tracer=self.tracer,
+            f"shard{self.shard}r{replica}",
+            replica_fault_key(self.shard, replica),
+            REPLICA_POOL_CONNECTIONS,
         )
 
     def shipped_pools(self) -> list[ConnectionPool]:

@@ -92,8 +92,8 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
 from repro import updates as updates_module
-from repro.core.registry import create_scheme, scheme_class
-from repro.core.store import XmlRelStore, build_query_report
+from repro.core.registry import scheme_class
+from repro.core.store import XmlRelStore, build_query_report, open_scheme
 from repro.errors import DocumentNotFoundError, Overloaded, StorageError
 from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
@@ -165,7 +165,6 @@ class ShardedStore:
         shard_state: ShardState | None = None,
         journal: RebalanceJournal | None = None,
         replica_sets: dict[int, ReplicaSet] | None = None,
-        fault_policy=None,
     ) -> None:
         self.directory = directory
         self.catalog_db = catalog_db
@@ -186,7 +185,6 @@ class ShardedStore:
             journal if journal is not None else RebalanceJournal(catalog_db)
         )
         self.replica_sets = dict(replica_sets or {})
-        self.fault_policy = fault_policy
         #: One single-writer lock per shard: writes to different shards
         #: proceed concurrently, writes to one shard serialize.
         self._shard_locks = [threading.Lock() for _ in writers]
@@ -263,91 +261,81 @@ class ShardedStore:
             )
         scheme_class(scheme)  # fail fast on unknown scheme names
         os.makedirs(directory, exist_ok=True)
-        catalog_db = Database(
-            os.path.join(directory, "catalog.db"),
-            profile=profile,
-            check_same_thread=False,
-            lint="off",
-        )
-        pin_shard_config(catalog_db, scheme, shards, placement)
-        shard_map = ShardMap(catalog_db)
-        shard_state = ShardState(catalog_db, shards)
-        journal = RebalanceJournal(catalog_db)
         metrics = tracer.metrics if tracer is not None else MetricsRegistry()
         the_tracer = tracer if tracer is not None else NULL_TRACER
-        writers = []
-        pools: dict[int, ConnectionPool] = {}
-        replica_sets: dict[int, ReplicaSet] = {}
-        for shard in range(shards):
-            path = os.path.join(directory, f"shard-{shard:02d}.db")
-            writer_factory = (
-                fault_policy.factory(shard) if fault_policy else Database
+
+        def factory(fault_key: int):
+            if fault_policy is None:
+                return Database
+            return fault_policy.factory(fault_key)
+
+        def pool_for(path, name, fault_key, size) -> ConnectionPool:
+            return ConnectionPool(
+                path, scheme, size=size, acquire_timeout=acquire_timeout,
+                name=name, metrics=metrics, retry=retry,
+                factory=factory(fault_key), scheme_kwargs=scheme_kwargs,
+                profile=profile, lint=lint, tracer=the_tracer,
             )
-            db = writer_factory(
-                path, profile=profile, retry=retry, tracer=the_tracer,
-                lint=lint, check_same_thread=False,
-            )
-            writers.append(
-                XmlRelStore(db, create_scheme(scheme, db, **scheme_kwargs))
-            )
-            pools[shard] = ConnectionPool(
-                path,
-                scheme,
-                size=pool_size,
-                acquire_timeout=acquire_timeout,
+
+        # Everything opened so far closes again if a later step raises.
+        with ExitStack() as opened:
+            catalog_db = Database(
+                os.path.join(directory, "catalog.db"),
                 profile=profile,
-                lint=lint,
-                name=f"shard{shard}",
-                metrics=metrics,
-                database_factory=(
-                    fault_policy.factory(shard) if fault_policy else None
-                ),
-                scheme_kwargs=scheme_kwargs,
-                retry=retry,
-                tracer=the_tracer if the_tracer.enabled else None,
+                check_same_thread=False,
             )
-            if replicas:
-                replica_sets[shard] = ReplicaSet(
-                    shard,
-                    directory,
-                    replicas,
-                    scheme,
-                    acquire_timeout=acquire_timeout,
-                    profile=profile,
-                    lint=lint,
-                    metrics=metrics,
-                    fault_policy=fault_policy,
-                    scheme_kwargs=scheme_kwargs,
-                    retry=retry,
-                    tracer=the_tracer if the_tracer.enabled else None,
+            opened.callback(catalog_db.close)
+            pin_shard_config(catalog_db, scheme, shards, placement)
+            shard_map = ShardMap(catalog_db)
+            shard_state = ShardState(catalog_db, shards)
+            writers = []
+            pools: dict[int, ConnectionPool] = {}
+            replica_sets: dict[int, ReplicaSet] = {}
+            for shard in range(shards):
+                path = os.path.join(directory, f"shard-{shard:02d}.db")
+                writer = open_scheme(
+                    path, scheme, factory(shard), scheme_kwargs,
+                    profile=profile, retry=retry, tracer=the_tracer,
+                    lint=lint, check_same_thread=False,
                 )
-        executor = QueryExecutor(
-            pools,
-            max_in_flight=max_in_flight,
-            default_deadline=default_deadline,
-            on_shard_error=on_shard_error,
-            metrics=metrics,
-            tracer=the_tracer,
-            read_from=read_from,
-            shard_state=shard_state,
-            request_log=request_log,
-        )
-        store = cls(
-            directory,
-            catalog_db,
-            shard_map,
-            writers,
-            pools,
-            executor,
-            placement,
-            metrics,
-            the_tracer,
-            shard_state=shard_state,
-            journal=journal,
-            replica_sets=replica_sets,
-            fault_policy=fault_policy,
-        )
-        store.recover()
+                opened.callback(writer.db.close)
+                writers.append(XmlRelStore(writer.db, writer))
+                pool = pools[shard] = pool_for(
+                    path, f"shard{shard}", shard, pool_size
+                )
+                opened.callback(pool.close)
+                if replicas:
+                    replica_sets[shard] = ReplicaSet(
+                        shard, directory, replicas, pool_for, metrics
+                    )
+                    opened.callback(replica_sets[shard].close)
+            executor = QueryExecutor(
+                pools,
+                max_in_flight=max_in_flight,
+                default_deadline=default_deadline,
+                on_shard_error=on_shard_error,
+                metrics=metrics,
+                tracer=the_tracer,
+                read_from=read_from,
+                shard_state=shard_state,
+                request_log=request_log,
+            )
+            opened.callback(executor.close)
+            store = cls(
+                directory,
+                catalog_db,
+                shard_map,
+                writers,
+                pools,
+                executor,
+                placement,
+                metrics,
+                the_tracer,
+                shard_state=shard_state,
+                replica_sets=replica_sets,
+            )
+            store.recover()
+            opened.pop_all()
         return store
 
     # -- placement ----------------------------------------------------------------
@@ -1276,7 +1264,7 @@ class ShardedStore:
         gate, and the read-only ops routes ``/metrics`` (Prometheus
         text), ``/snapshot`` (``python -m repro.obs.top --url
         <gateway.url>`` renders it live), ``/healthz`` and ``/stats``.
-        Extra *kwargs* (``quota_rate``, ``default_deadline``,
+        Extra *kwargs* (``quota_rate``, ``idle_timeout``,
         ``analyzer``, ...) pass through to the gateway constructor.
         When the store has no request log yet, an in-memory one is
         attached so wide events have a sink and ``/snapshot`` a tail.

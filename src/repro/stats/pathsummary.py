@@ -141,14 +141,6 @@ class PathSummary:
             if _pattern_matches(steps, path)
         ]
 
-    def child_paths(
-        self, parent: tuple[str, ...]
-    ) -> list[PathStatistics]:
-        return [
-            s for p, s in self.paths.items()
-            if len(p) == len(parent) + 1 and p[:len(parent)] == parent
-        ]
-
     @property
     def path_count(self) -> int:
         return len(self.paths)

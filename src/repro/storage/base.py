@@ -398,10 +398,10 @@ class MappingScheme(abc.ABC):
 
         Once attached, :meth:`query_pres` short-circuits queries the
         analyzer proves unsatisfiable (zero SQL statements executed) and
-        — when the analyzer was built with ``expand=True`` and a DTD —
-        rewrites ``//`` steps into explicit child chains.  Expanded
-        plans cache under a separate key, so the epoch bump here keeps
-        previously cached un-expanded translations from shadowing them.
+        — given a DTD, where the translator's
+        :meth:`~repro.query.translator.BaseTranslator.expansion_pays` —
+        rewrites ``//`` steps into explicit child chains.  The epoch
+        bump here retires plans analyzed by a previous analyzer.
         """
         self.analyzer = analyzer
         self.invalidate_plans()

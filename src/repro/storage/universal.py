@@ -139,13 +139,6 @@ class UniversalScheme(MappingScheme):
         """(ord, id, val) column names of label column *index*."""
         return f"n{index}_ord", f"n{index}_id", f"n{index}_val"
 
-    def columns_for(self, label: str) -> tuple[str, str, str] | None:
-        """Column triple of *label*, or None if the label is unknown."""
-        index = self.label_columns().get(label)
-        if index is None:
-            return None
-        return self.column_triple(index)
-
     def _ensure_label(self, label: str, known: dict[str, int]) -> int:
         if label in known:
             return known[label]

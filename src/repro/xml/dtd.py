@@ -76,10 +76,6 @@ class AttributeDecl:
     default_value: str | None = None
     enumeration: tuple[str, ...] = ()
 
-    @property
-    def is_required(self) -> bool:
-        return self.default_kind == DEFAULT_REQUIRED
-
 
 @dataclass(frozen=True)
 class ElementDecl:

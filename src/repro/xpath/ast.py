@@ -191,11 +191,6 @@ class FilterExpr(Expr):
         return f"({self.primary}){preds}{tail}"
 
 
-def is_simple_path(expr: Expr) -> bool:
-    """True if *expr* is a plain location path (the SQL-translatable core)."""
-    return isinstance(expr, LocationPath)
-
-
 def path_of(*names: str, absolute: bool = True) -> LocationPath:
     """Convenience constructor: ``path_of('a', 'b')`` == ``/a/b``."""
     steps = tuple(Step("child", NameTest(n)) for n in names)

@@ -5,12 +5,12 @@ Four families of tests pin the layer down:
 * the *negative space* — every translated plan of the benchmark workload
   lints clean on every scheme (the CI sweep's contract, in miniature);
 * the *positive space* — hand-built defective statements and repo
-  fixtures trip each diagnostic code exactly (P001–P007, X001/X002,
+  fixtures trip each diagnostic code exactly (P001–P007, X001,
   L001–L005; the concurrency rules C001–C005 live in
   ``tests/test_concurrency_analysis.py``);
 * the *semantics* — an unsatisfiable query executes zero SQL statements,
-  and a ``//``-expanded query returns byte-identical results to the
-  unexpanded translation on real workload documents;
+  and a ``//``-expanded query returns the unexpanded translation's and
+  the in-memory evaluator's answer on real workload documents;
 * the *gate* — xmlrel-lint runs clean over ``src/repro`` itself (which
   pins the XRel ``create_function`` reach-around fix, the one real
   finding the gate surfaced).
@@ -61,6 +61,7 @@ from repro.workloads import (
     generate_dblp,
 )
 from repro.xml.dtd import parse_dtd
+from repro.xpath import evaluate_nodes
 from tests.conftest import SCHEMALESS_SCHEMES
 
 ALL_SCHEMES = SCHEMALESS_SCHEMES + ["inlining"]
@@ -76,6 +77,15 @@ def auction_doc():
 @pytest.fixture(scope="module")
 def dblp_doc():
     return generate_dblp(40, seed=7)
+
+
+def evaluated_pres(document, xpath):
+    """The in-memory evaluator's answer as SQL returns it: order keys,
+    ascending, without the document node."""
+    return sorted(
+        node.order_key for node in evaluate_nodes(document, xpath)
+        if node.order_key > 0
+    )
 
 
 def open_scheme_store(name, workload="auction", tracer=None, lint="default"):
@@ -411,15 +421,10 @@ class TestLintModes:
                 store.query_pres(doc_id, "/a/b/c")
             assert any(d.code == "P001" for d in excinfo.value.diagnostics)
 
-    def test_off_mode_skips_linting(self):
-        with XmlRelStore.open(scheme="interval", lint="off") as store:
-            doc_id = store.store_text("<a><b>x</b></a>")
-            report = store.query_report(doc_id, "/a/b")
-            assert report.analysis == ()
-
     def test_invalid_mode_rejected(self):
-        with pytest.raises(XmlRelError):
-            XmlRelStore.open(scheme="interval", lint="pedantic")
+        for mode in ("pedantic", "off"):
+            with pytest.raises(XmlRelError):
+                XmlRelStore.open(scheme="interval", lint=mode)
 
     def test_query_report_carries_analysis_field(self):
         with XmlRelStore.open(scheme="interval") as store:
@@ -597,42 +602,58 @@ RECURSIVE_DTD = """\
 
 class TestDescendantExpansion:
     def test_expands_into_concrete_chains(self):
-        analyzer = XPathAnalyzer(dtd=parse_dtd(BOOK_DTD), expand=True)
+        analyzer = XPathAnalyzer(dtd=parse_dtd(BOOK_DTD))
         expanded = analyzer.expand("//author")
         assert expanded is not None and len(expanded) == 1
         assert "#expand" in expanded[0].source
-        found = analyzer.expansion_diagnostics("//author", expanded)
-        assert [d.code for d in found] == ["X002"]
 
     def test_refuses_recursive_target(self):
-        analyzer = XPathAnalyzer(dtd=parse_dtd(RECURSIVE_DTD), expand=True)
+        analyzer = XPathAnalyzer(dtd=parse_dtd(RECURSIVE_DTD))
         assert analyzer.expand("//section") is None
         # Nested sections must still all be found (the translator falls
         # back to the ordinary descendant plan).
-        with XmlRelStore.open(scheme="interval") as store:
+        with XmlRelStore.open(scheme="edge") as store:
             doc_id = store.store_text(
                 "<doc><section><title>a</title>"
                 "<section><title>b</title></section>"
                 "</section></doc>"
             )
-            store.enable_analysis(
-                dtd=parse_dtd(RECURSIVE_DTD), expand=True
-            )
+            store.enable_analysis(dtd=parse_dtd(RECURSIVE_DTD))
             assert len(store.query_pres(doc_id, "//section")) == 2
-            assert len(store.query_pres(doc_id, "//title")) == 2
+            assert len(store.query_pres(doc_id, "/doc//title")) == 2
 
     def test_refuses_without_descendant_or_with_wildcards(self):
-        analyzer = XPathAnalyzer(dtd=parse_dtd(BOOK_DTD), expand=True)
+        analyzer = XPathAnalyzer(dtd=parse_dtd(BOOK_DTD))
         assert analyzer.expand("/bib/book/title") is None
         assert analyzer.expand("//*") is None
         assert analyzer.expand("//book | //title") is None
 
-    def test_disabled_without_flag_or_dtd(self):
-        assert not XPathAnalyzer(dtd=parse_dtd(BOOK_DTD)).expansion_enabled
-        with XmlRelStore.open(scheme="interval") as store:
+    def test_disabled_without_dtd_or_closure(self):
+        with XmlRelStore.open(scheme="edge") as store:
             doc_id = store.store_text(BOOK_XML)
-            analyzer = store.enable_analysis(doc_id=doc_id, expand=True)
-            assert not analyzer.expansion_enabled
+            analyzer = store.enable_analysis(doc_id=doc_id)
+            assert analyzer.expand("//author") is None  # summary only
+        for scheme_name in ALL_SCHEMES:
+            with open_scheme_store(scheme_name) as store:
+                translator = store.scheme.translator()
+                leading = translator.plan("//author")
+                assert translator.expansion_pays(leading) is False
+                mid_path = translator.plan("/bib//author")
+                assert translator.expansion_pays(mid_path) is (
+                    scheme_name in ("edge", "binary")
+                ), scheme_name
+
+    @staticmethod
+    def _statements(tracer, store, doc_id, xpath):
+        """The ids *xpath* finds and the query statements it ran
+        (binary's partition-name lookups left out)."""
+        before = len(tracer.spans_named("sql.statement"))
+        pres = store.query_pres(doc_id, xpath)
+        return pres, [
+            span.attributes["sql"]
+            for span in tracer.spans_named("sql.statement")[before:]
+            if "binary_labels" not in span.attributes["sql"]
+        ]
 
     def test_expansion_replaces_the_edge_closure(self, auction_doc):
         # Edge answers a mid-path // with a recursive CTE; expanded over
@@ -642,54 +663,126 @@ class TestDescendantExpansion:
         tracer = Tracer(enabled=True)
         with XmlRelStore.open(scheme="edge", tracer=tracer) as store:
             doc_id = store.store(auction_doc, "auction")
-
-            def executed():
-                before = len(tracer.spans_named("sql.statement"))
-                pres = store.query_pres(doc_id, xpath)
-                return pres, [
-                    span.attributes["sql"]
-                    for span in tracer.spans_named("sql.statement")[before:]
-                ]
-
-            plain, plain_sql = executed()
-            store.enable_analysis(dtd=auction_dtd(), expand=True)
-            expanded, expanded_sql = executed()
+            plain, plain_sql = self._statements(tracer, store, doc_id, xpath)
+            store.enable_analysis(dtd=auction_dtd())
+            expanded, expanded_sql = self._statements(
+                tracer, store, doc_id, xpath
+            )
         assert plain and expanded == plain
         assert len(plain_sql) == 1 and "WITH RECURSIVE" in plain_sql[0]
         assert len(expanded_sql) > 1
         assert not any("WITH RECURSIVE" in sql for sql in expanded_sql)
 
-    @pytest.mark.parametrize("scheme_name", ["edge", "interval", "dewey"])
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_expansion_only_where_it_pays(self, scheme_name, auction_doc):
+        # Only edge and binary answer a mid-path // with a closure; the
+        # other mappings probe their order encoding once, so they keep
+        # the plain plan.  A leading // is one label scan everywhere.
+        tracer = Tracer(enabled=True)
+        xpaths = ("/site/regions//item/name", "//increase")
+        with open_scheme_store(scheme_name, tracer=tracer) as store:
+            doc_id = store.store(auction_doc, "auction")
+            plain = [
+                self._statements(tracer, store, doc_id, xpath)
+                for xpath in xpaths
+            ]
+            store.enable_analysis(dtd=auction_dtd())
+            translator = store.scheme.translator()
+            for xpath, (pres, sql) in zip(xpaths, plain):
+                analyzed, analyzed_sql = self._statements(
+                    tracer, store, doc_id, xpath
+                )
+                assert pres and analyzed == pres
+                pays = translator.expansion_pays(translator.plan(xpath))
+                assert pays is (
+                    xpath == xpaths[0] and scheme_name in ("edge", "binary")
+                ), xpath
+                if pays:
+                    assert len(sql) == 1 and "WITH RECURSIVE" in sql[0]
+                    assert len(analyzed_sql) > 1
+                    assert not any(
+                        "WITH RECURSIVE" in text for text in analyzed_sql
+                    )
+                else:
+                    assert analyzed_sql == sql, xpath
+
+    def test_warm_query_does_not_reanalyze(self, monkeypatch):
+        from repro.analysis import xpathlint
+        from repro.query import translator as translator_module
+
+        calls = {"parse": 0, "satisfiable": 0}
+        real_parse = translator_module.parse_xpath
+        real_satisfiable = xpathlint.XPathAnalyzer.satisfiable
+
+        def parse(text):
+            calls["parse"] += 1
+            return real_parse(text)
+
+        def satisfiable(analyzer, xpath):
+            calls["satisfiable"] += 1
+            return real_satisfiable(analyzer, xpath)
+
+        monkeypatch.setattr(translator_module, "parse_xpath", parse)
+        monkeypatch.setattr(
+            xpathlint.XPathAnalyzer, "satisfiable", satisfiable
+        )
+        tracer = Tracer(enabled=True)
+        with XmlRelStore.open(scheme="edge", tracer=tracer) as store:
+            doc_id = store.store_text(BOOK_XML)
+            store.enable_analysis(dtd=parse_dtd(BOOK_DTD))
+            for xpath, expected in (("/bib//author", [6]), ("/bib/x", [])):
+                assert store.query_pres(doc_id, xpath) == expected
+                cold = dict(calls)
+                assert cold["parse"] >= 1 and cold["satisfiable"] >= 1
+                before = len(tracer.spans_named("sql.statement"))
+                assert store.query_pres(doc_id, xpath) == expected
+                assert calls == cold, xpath
+                statements = len(tracer.spans_named("sql.statement"))
+                if not expected:
+                    assert statements == before  # provably empty: no SQL
+                calls.update(parse=0, satisfiable=0)
+            counter = tracer.metrics.counter_value
+            assert counter("plan_cache.hits") == 2
+            assert counter("plan_cache.misses") == 2
+            assert counter("analysis.unsat_queries") == 2
+            assert counter("analysis.expanded_queries") == 1
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
     def test_auction_differential(self, scheme_name, auction_doc):
         specs = [s for s in AUCTION_QUERIES if "//" in s.xpath]
         assert specs
         self._differential(
-            scheme_name, auction_doc, auction_dtd(), specs
+            scheme_name, "auction", auction_doc, auction_dtd(), specs
         )
 
-    @pytest.mark.parametrize("scheme_name", ["edge", "interval"])
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
     def test_dblp_differential(self, scheme_name, dblp_doc):
         specs = [s for s in DBLP_QUERIES if "//" in s.xpath]
         assert specs
-        self._differential(scheme_name, dblp_doc, dblp_dtd(), specs)
+        self._differential(
+            scheme_name, "dblp", dblp_doc, dblp_dtd(), specs
+        )
 
-    def _differential(self, scheme_name, document, dtd, specs):
-        tracer = Tracer(enabled=True)
-        with XmlRelStore.open(scheme=scheme_name) as plain, XmlRelStore.open(
-            scheme=scheme_name, tracer=tracer
-        ) as analyzed:
+    def _differential(self, scheme_name, workload, document, dtd, specs):
+        with open_scheme_store(
+            scheme_name, workload
+        ) as plain, open_scheme_store(scheme_name, workload) as analyzed:
             plain_id = plain.store(document, "doc")
             analyzed_id = analyzed.store(document, "doc")
-            analyzed.enable_analysis(dtd=dtd, expand=True)
+            analyzed.enable_analysis(dtd=dtd)
+            compared = 0
             for spec in specs:
                 try:
                     expected = plain.query_pres(plain_id, spec.xpath)
                 except UnsupportedQueryError:
                     continue
+                label = f"{scheme_name}/{spec.key}"
+                assert expected == evaluated_pres(document, spec.xpath), label
                 assert (
-                    analyzed.query_pres(analyzed_id, spec.xpath)
-                    == expected
-                ), f"{scheme_name}/{spec.key}"
+                    analyzed.query_pres(analyzed_id, spec.xpath) == expected
+                ), label
+                compared += 1
+            assert compared
 
 
 # ---------------------------------------------------------------------------

@@ -534,9 +534,9 @@ class TestGatewayAdmission:
             assert body["deadline_seconds"] == 1e-6
 
     def test_default_deadline_applies(self, tmp_path):
-        store, _ = _open(tmp_path)
+        store, _ = _open(tmp_path, default_deadline=1e-6)
         with store:
-            gateway = store.serve_gateway(default_deadline=1e-6)
+            gateway = store.serve_gateway()
             status, body = _get(
                 gateway.url + "/query?xpath=/bib", expect_error=True
             )

@@ -306,7 +306,7 @@ class TestWideEventLog:
 
     @pytest.mark.parametrize("lint, verdict", [
         ("default", "clean"),
-        ("off", "off"),
+        ("strict", "clean"),
     ])
     def test_the_event_carries_the_pools_lint_verdict(
         self, tmp_path, lint, verdict

@@ -184,6 +184,17 @@ class TestDatabase:
         lines = db.explain_plan("SELECT * FROM sample WHERE name = ?", ("x",))
         assert any("sample" in line for line in lines)
 
+    def test_unopenable_path_raises_storage_error(self, tmp_path):
+        # One exception type for callers: a missing directory or a file
+        # that is no database is a StorageError naming the path.
+        missing = str(tmp_path / "no" / "such" / "dir" / "x.db")
+        garbage = tmp_path / "garbage.db"
+        garbage.write_bytes(b"not a database " * 512)
+        for path in (missing, str(garbage)):
+            for profile in ("bulk_load", "durable"):
+                with pytest.raises(StorageError, match="garbage|x.db"):
+                    Database(path, profile=profile)
+
 
 class TestSqlBuilder:
     def test_basic_select(self):

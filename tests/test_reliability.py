@@ -432,3 +432,61 @@ class TestFileBytesGuard:
     def test_fine_outside_transaction(self, db):
         db.execute("CREATE TABLE t (x)")
         assert db.file_bytes() > 0
+
+
+class TestFailedOpenClosesConnections:
+    """An open that raises leaves no connection behind."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """Every :class:`Database` constructed during the test."""
+        databases = []
+        real_init = Database.__init__
+
+        def recording(self, *args, **kwargs):
+            databases.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "__init__", recording)
+        return databases
+
+    @staticmethod
+    def assert_closed(databases):
+        assert databases
+        for db in databases:
+            conn = getattr(db, "_conn", None)
+            if conn is None:
+                continue  # failed before connecting
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+
+    def test_config_mismatch(self, tmp_path, opened):
+        from repro.serve import ShardedStore
+
+        directory = str(tmp_path / "store")
+        ShardedStore.open(directory, shards=2).close()
+        opened.clear()
+        with pytest.raises(StorageError):
+            ShardedStore.open(directory, shards=3)
+        self.assert_closed(opened)
+
+    def test_unreadable_shard_file(self, tmp_path, opened):
+        from repro.serve import ShardedStore
+
+        directory = tmp_path / "store"
+        ShardedStore.open(str(directory), shards=2).close()
+        (directory / "shard-01.db").write_bytes(b"not a database " * 512)
+        for leftover in directory.glob("shard-01.db-*"):
+            leftover.unlink()
+        opened.clear()
+        with pytest.raises(StorageError):
+            ShardedStore.open(str(directory), shards=2)
+        self.assert_closed(opened)
+
+    def test_unknown_scheme(self, opened):
+        from repro.core.store import XmlRelStore
+        from repro.errors import XmlRelError
+
+        with pytest.raises(XmlRelError):
+            XmlRelStore.open(":memory:", scheme="nope")
+        self.assert_closed(opened)

@@ -215,7 +215,7 @@ class TestConnectionPool:
         metrics = MetricsRegistry()
         with ConnectionPool(path, "interval", size=2, metrics=metrics,
                             name="p",
-                            database_factory=policy.factory(0)) as pool:
+                            factory=policy.factory(0)) as pool:
             with pytest.raises(StorageError, match="shard down"):
                 pool.acquire()
             snap = metrics.snapshot()
@@ -225,7 +225,7 @@ class TestConnectionPool:
         path = make_shard_file(tmp_path)
         policy = ShardFaultPolicy()
         with ConnectionPool(path, "interval", size=2,
-                            database_factory=policy.factory(0)) as pool:
+                            factory=policy.factory(0)) as pool:
             with pool.connection():
                 pass  # one healthy idle connection
             policy.fail_shard(0)

@@ -372,7 +372,7 @@ class TestPoolHealthRetry:
             size=1,
             name="flaky",
             metrics=metrics,
-            database_factory=FlakySelectOneDatabase,
+            factory=FlakySelectOneDatabase,
             retry=RetryPolicy(
                 max_attempts=4, base_delay=0.01, jitter=0.0,
                 sleep=sleeps.append,
@@ -394,7 +394,7 @@ class TestPoolHealthRetry:
             "interval",
             size=1,
             name="down",
-            database_factory=FlakySelectOneDatabase,
+            factory=FlakySelectOneDatabase,
             retry=RetryPolicy(
                 max_attempts=3, base_delay=0.0, jitter=0.0,
                 sleep=lambda _: None,
