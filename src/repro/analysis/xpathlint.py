@@ -2,7 +2,7 @@
 
 Given a DTD (:mod:`repro.xml.dtd` content models) or a
 :class:`~repro.stats.pathsummary.PathSummary`, an :class:`XPathAnalyzer`
-answers two questions about a query *before* any SQL is generated:
+answers one question about a query *before* any SQL is generated:
 
 **Satisfiability** — can the path match anything at all?  A DTD bounds
 which child/attribute names each element may carry, so
@@ -15,27 +15,28 @@ particle may be optional), and text/extended-axis steps stay unknown
 because the non-validating parser stores whitespace text even where a
 children model allows none.  Provably-empty queries short-circuit in
 :meth:`~repro.query.translator.BaseTranslator.query_pres` with zero SQL
-statements executed (diagnostic ``X001``).
+statements executed (diagnostic ``X001``).  Both answers trust the
+schema they were given: they hold for documents that *conform* to the
+DTD (or for the document the summary was built from — rebuild or
+re-attach after updates).  Analysis is opt-in per store via
+:meth:`repro.XmlRelStore.enable_analysis`.
 
-**Descendant expansion** — when the DTD's child graph is non-recursive,
-a ``//`` step has finitely many concrete child chains, so ``//author``
-on the dblp DTD rewrites into ``/dblp/article/author |
-/dblp/book/author | ...`` (the classic *path minimization* of DTD-aware
-query processing).  Each chain translates as an ordinary child path and
-the arms run through the translator's existing union machinery (sorted
-distinct merge ≡ XPath union semantics).  The translator asks for an
-expansion only where its mapping would otherwise answer the ``//`` with
-a transitive closure
-(:meth:`~repro.query.translator.BaseTranslator.expansion_pays`).
-Expansion is refused (returns ``None``) whenever it cannot be exact:
-recursive or open content models (undeclared element references, ANY is
-fine), wildcard steps, non-child axes, no DTD, or more than
+**Descendant expansion** (:func:`expand_descendants`) needs no analyzer
+and no DTD.  Edge and binary record every element label path of each
+document while they shred it
+(:class:`~repro.storage.base.LabelPathCatalog`), so a ``//`` step has
+exactly the concrete child chains that occur in the store:
+``/site//item/name`` rewrites into ``/site/regions/africa/item/name |
+/site/regions/asia/item/name | ...`` — the structural-summary rewrite
+of "Indices in XML Databases".  Each chain translates as an ordinary
+child path and the arms run through the translator's union machinery
+(sorted distinct merge ≡ XPath union semantics).  The translator asks
+for an expansion only where its mapping would otherwise answer the
+``//`` with a transitive closure
+(:meth:`~repro.query.translator.BaseTranslator.expansion_pays`), and
+keeps that closure whenever expansion cannot be exact: wildcard steps,
+non-child axes, a store with no complete catalog, or more than
 :data:`MAX_EXPANSION_ARMS` chains.
-
-Both answers trust the schema they were given: satisfiability verdicts
-hold for documents that *conform* to the DTD (or for the document the
-summary was built from — rebuild or re-attach after updates).  Analysis
-is opt-in per store via :meth:`repro.XmlRelStore.enable_analysis`.
 """
 
 from __future__ import annotations
@@ -67,18 +68,16 @@ from repro.xpath.parser import parse_xpath
 #: this — past a few dozen chains the n-way union stops being a win.
 MAX_EXPANSION_ARMS = 24
 
-#: Chains deeper than this are almost certainly a mis-modelled DTD.
-MAX_CHAIN_DEPTH = 40
+#: Label positions tried while binding steps to paths before giving up:
+#: a label repeated down a path can bind ``//`` steps in
+#: combinatorially many ways.
+MAX_BINDING_TRIES = 4096
 
 #: Context sentinel: the document node (parent of the root element).
 _DOCUMENT = None
 
 #: Child-set sentinel: statically unknown (open) content.
 _OPEN = None
-
-
-class _Bail(Exception):
-    """Internal: expansion hit an open/recursive/oversized region."""
 
 
 def _union_arms(expr):
@@ -97,7 +96,7 @@ def _union_arms(expr):
 
 
 class XPathAnalyzer:
-    """Satisfiability and ``//`` expansion over one DTD and/or summary.
+    """Satisfiability over one DTD and/or summary.
 
     Attach one to a scheme (``scheme.attach_analyzer(analyzer)`` or
     :meth:`repro.XmlRelStore.enable_analysis`) and the translator
@@ -120,10 +119,6 @@ class XPathAnalyzer:
         self._children: dict[str, frozenset[str] | None] = {}
         self._attributes: dict[str, frozenset[str]] = {}
         self._root: str | None = None
-        #: ``//`` expansion needs the closed-world child graph only a
-        #: DTD provides (a summary reflects one instance, which updates
-        #: could invalidate under cached plans).
-        self._closed_world = False
         if dtd is not None:
             self._build_dtd_graph(dtd)
 
@@ -153,7 +148,6 @@ class XPathAnalyzer:
                 attr.name for attr in dtd.attributes_of(name)
             )
         self._root = dtd.root_name
-        self._closed_world = not dtd.undeclared_references()
 
     # -- satisfiability -------------------------------------------------------
 
@@ -352,151 +346,6 @@ class XPathAnalyzer:
             return False
         return None
 
-    # -- // expansion ---------------------------------------------------------
-
-    def expand(self, xpath) -> list[PathPlan] | None:
-        """Concrete child-chain plans replacing the ``//`` steps of
-        *xpath*, or ``None`` when exact expansion is impossible.
-
-        Only fires for a single absolute path whose steps are named
-        child steps (a trailing non-descendant attribute step is fine)
-        with at least one ``//``, over a closed non-recursive DTD.  The
-        returned plans carry the original predicates on their final
-        steps and are executed as union arms.
-        """
-        if not self._closed_world:
-            return None
-        try:
-            plans = self._plans_of(xpath)
-        except XmlRelError:
-            return None
-        if len(plans) != 1:
-            return None
-        plan = plans[0]
-        if not any(step.from_descendant for step in plan.steps):
-            return None
-        for index, step in enumerate(plan.steps):
-            named = isinstance(step.test, NameTest) and not (
-                step.test.is_wildcard
-            )
-            if step.axis == AXIS_CHILD and named:
-                continue
-            if (
-                step.axis == AXIS_ATTRIBUTE
-                and named
-                and index == len(plan.steps) - 1
-                and not step.from_descendant
-            ):
-                continue
-            return None
-        try:
-            chains = self._expand_steps(plan.steps)
-        except _Bail:
-            return None
-        if not chains or len(chains) > MAX_EXPANSION_ARMS:
-            return None
-        return [
-            PathPlan(chain, source=f"{plan.source or xpath}#expand{i}")
-            for i, chain in enumerate(chains)
-        ]
-
-    def _expand_steps(
-        self, steps: tuple[StepPlan, ...]
-    ) -> list[tuple[StepPlan, ...]]:
-        """All concrete rewrites of *steps*; raises :class:`_Bail` on
-        open/recursive models or combinatorial blowup."""
-        # Each partial: (steps so far, current element name or _DOCUMENT)
-        partials: list[tuple[tuple[StepPlan, ...], str | None]] = [
-            ((), _DOCUMENT)
-        ]
-        for step in steps:
-            grown: list[tuple[tuple[StepPlan, ...], str | None]] = []
-            for prefix, state in partials:
-                if step.axis == AXIS_ATTRIBUTE:
-                    grown.append((prefix + (step,), state))
-                    continue
-                target = step.test.name
-                if not step.from_descendant:
-                    kids = self._children_of(
-                        _DOCUMENT if state is _DOCUMENT
-                        else frozenset({state})
-                    )
-                    if kids is _OPEN:
-                        raise _Bail
-                    if target in kids:
-                        grown.append((prefix + (step,), target))
-                    continue
-                for chain in self._chains_to(state, target):
-                    rewritten = tuple(
-                        StepPlan(AXIS_CHILD, NameTest(name))
-                        for name in chain[:-1]
-                    ) + (
-                        StepPlan(
-                            AXIS_CHILD,
-                            step.test,
-                            step.predicates,
-                            from_descendant=False,
-                        ),
-                    )
-                    grown.append((prefix + rewritten, target))
-            if len(grown) > MAX_EXPANSION_ARMS:
-                raise _Bail
-            partials = grown
-        return [prefix for prefix, _state in partials]
-
-    def _chains_to(
-        self, state: str | None, target: str
-    ) -> list[tuple[str, ...]]:
-        """Every child-edge chain from *state* to *target* (inclusive),
-        shortest-first; raises :class:`_Bail` on cycles along the way."""
-        reaches = self._co_reachable(target)
-        if target in reaches:
-            # The target sits below itself (recursive model): the chain
-            # set is infinite, no exact finite rewrite exists.
-            raise _Bail
-        chains: list[tuple[str, ...]] = []
-
-        def descend(node, path: tuple[str, ...], on_stack: frozenset):
-            if len(path) > MAX_CHAIN_DEPTH or len(chains) > (
-                MAX_EXPANSION_ARMS
-            ):
-                raise _Bail
-            kids = self._children_of(
-                _DOCUMENT if node is _DOCUMENT else frozenset({node})
-            )
-            if kids is _OPEN:
-                raise _Bail
-            for kid in sorted(kids):
-                if kid == target:
-                    chains.append(path + (kid,))
-                    # In an acyclic graph the target cannot also sit
-                    # below itself; nothing deeper to find here.
-                    continue
-                if kid not in reaches:
-                    continue
-                if kid in on_stack:
-                    raise _Bail  # cycle on a target-reaching path
-                descend(kid, path + (kid,), on_stack | {kid})
-
-        descend(state, (), frozenset())
-        return sorted(chains, key=len)
-
-    def _co_reachable(self, target: str) -> frozenset[str]:
-        """Elements from which *target* is reachable via child edges."""
-        parents: dict[str, set[str]] = {}
-        for element, kids in self._children.items():
-            for kid in kids or ():
-                parents.setdefault(kid, set()).add(element)
-        seen: set[str] = set()
-        frontier = [target]
-        while frontier:
-            current = frontier.pop()
-            for parent in parents.get(current, ()):
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return frozenset(seen)
-
 
 def _context_or_children(analyzer: XPathAnalyzer, context):
     """For a plain attribute step the attribute hangs off the *context*
@@ -504,3 +353,102 @@ def _context_or_children(analyzer: XPathAnalyzer, context):
     if context is _DOCUMENT:
         return frozenset()
     return context
+
+
+# -- // expansion ----------------------------------------------------------
+
+
+def _named(step: StepPlan) -> bool:
+    return isinstance(step.test, NameTest) and not step.test.is_wildcard
+
+
+class _TooManyBindings(Exception):
+    """Internal: binding ran past :data:`MAX_BINDING_TRIES`."""
+
+
+def _bindings(steps, path, tries, start=0, index=0):
+    """Every way to bind ``steps[index:]`` to positions of *path* from
+    *start* on: a child step takes the next position, a ``//`` step any
+    later one with its label, and the last step the path's last.
+    *tries* is a one-item list counting positions tried."""
+    step = steps[index]
+    stop = len(path) if step.from_descendant else min(start + 1, len(path))
+    for at in range(start, stop):
+        tries[0] += 1
+        if tries[0] > MAX_BINDING_TRIES:
+            raise _TooManyBindings
+        if path[at] != step.test.name:
+            continue
+        if index == len(steps) - 1:
+            if at == len(path) - 1:
+                yield (at,)
+        else:
+            for rest in _bindings(steps, path, tries, at + 1, index + 1):
+                yield (at,) + rest
+
+
+def expand_descendants(plan: PathPlan, paths) -> list[PathPlan] | None:
+    """*plan* with its ``//`` steps rewritten into the concrete child
+    chains *paths* holds, or ``None`` when no exact rewrite is possible.
+
+    *paths* are element label paths from the root (tuples of tags) —
+    a store's :class:`~repro.storage.base.LabelPathCatalog` snapshot.
+    Every path whose labels bind the plan's steps becomes one arm: the
+    path as plain child steps, each of the plan's steps (and so its
+    predicates) on the position it binds to.  A label that occurs below
+    itself binds once per occurrence; where a predicated step binds in
+    several places, each binding is its own arm, and the translator
+    unions the arms.  A trailing attribute step rides on every arm.
+
+    Only a single absolute path of named child steps (a trailing
+    non-``//`` attribute step allowed) with at least one ``//`` can
+    expand.  More than :data:`MAX_EXPANSION_ARMS` arms (or
+    :data:`MAX_BINDING_TRIES` positions tried), and no arm at all,
+    return ``None``:
+    the caller keeps its own descendant plan.  Exact whenever *paths*
+    is a superset of the stored paths — an arm whose path is gone finds
+    nothing.
+    """
+    steps = plan.steps
+    if not any(step.from_descendant for step in steps):
+        return None
+    tail: tuple[StepPlan, ...] = ()
+    if steps[-1].axis == AXIS_ATTRIBUTE:
+        tail, steps = steps[-1:], steps[:-1]
+        if tail[0].from_descendant or not _named(tail[0]):
+            return None
+    if not steps or not all(
+        step.axis == AXIS_CHILD and _named(step) for step in steps
+    ):
+        return None
+    # Without a predicate above the last step every binding of one path
+    # renders the same chain: the first one is enough.
+    first_only = not any(step.predicates for step in steps[:-1])
+    target = steps[-1].test.name
+    arms: dict[tuple[StepPlan, ...], None] = {}
+    tries = [0]
+    try:
+        for path in paths:
+            if path[-1] != target or len(path) < len(steps):
+                continue
+            for positions in _bindings(steps, path, tries):
+                chain = [
+                    StepPlan(AXIS_CHILD, NameTest(label)) for label in path
+                ]
+                for step, at in zip(steps, positions):
+                    chain[at] = StepPlan(
+                        AXIS_CHILD, step.test, step.predicates
+                    )
+                arms[tuple(chain) + tail] = None
+                if len(arms) > MAX_EXPANSION_ARMS:
+                    return None
+                if first_only:
+                    break
+    except _TooManyBindings:
+        return None
+    if not arms:
+        return None
+    return [
+        PathPlan(chain, source=f"{plan.source}#expand{i}")
+        for i, chain in enumerate(arms)
+    ]

@@ -297,11 +297,10 @@ class XmlRelStore:
         :class:`~repro.stats.pathsummary.PathSummary`, or a *doc_id*
         whose stored document the summary is built from.  Once enabled,
         queries the analyzer proves unsatisfiable short-circuit with
-        zero SQL statements executed, and — given a DTD — non-recursive
-        ``//`` steps are rewritten into explicit child chains where the
-        scheme would otherwise compute a transitive closure (edge,
-        binary).  Returns the attached
-        :class:`~repro.analysis.xpathlint.XPathAnalyzer`.
+        zero SQL statements executed.  ``//`` expansion needs none of
+        this: edge and binary rewrite a mid-path ``//`` into the child
+        chains their own label-path catalog holds, DTD or not.  Returns
+        the attached :class:`~repro.analysis.xpathlint.XPathAnalyzer`.
         """
         from repro.analysis.xpathlint import XPathAnalyzer
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 from functools import partial
 
 from repro.errors import PlanLintError, XmlRelError
@@ -267,7 +268,7 @@ class BaseTranslator(abc.ABC):
         cache key includes the scheme's ``plan_epoch`` so schemes whose
         translations depend on stored data invalidate by bumping it.
         """
-        return self._plans(doc_id, xpath, None)
+        return self._plans(doc_id, xpath)
 
     def cached_translation(
         self, doc_id: int, xpath: str | LocationPath | PathPlan
@@ -285,10 +286,10 @@ class BaseTranslator(abc.ABC):
     # -- static analysis ----------------------------------------------------------
 
     def expansion_pays(self, plan: PathPlan) -> bool:
-        """Whether rewriting *plan*'s ``//`` steps into the DTD's child
-        chains beats this mapping's own descendant plan.  Order-encoded
-        mappings answer ``//`` with one range or prefix probe, so by
-        default it does not."""
+        """Whether rewriting *plan*'s ``//`` steps into the store's
+        concrete child chains beats this mapping's own descendant plan.
+        Order-encoded mappings answer ``//`` with one range or prefix
+        probe, so by default it does not."""
         return False
 
     def _execution_plans(
@@ -296,49 +297,71 @@ class BaseTranslator(abc.ABC):
     ) -> tuple[tuple[CachedPlan, ...], bool]:
         """The plans :meth:`query_pres` runs: :meth:`plans_for`'s, or —
         with an :class:`~repro.analysis.xpathlint.XPathAnalyzer`
-        attached — the analyzed ones, cached under their own key (the
-        plain key still serves :meth:`cached_translation`/``explain``,
-        which promise a single statement).  A path the analyzer proves
-        empty caches as ``()``, so it runs zero statements; a ``//``
-        path compiles into one plan per concrete child chain where
-        :meth:`expansion_pays`."""
-        return self._plans(doc_id, xpath, self.scheme.analyzer)
+        attached or a label-path catalog to expand over — the analyzed
+        ones, cached under their own key (the plain key still serves
+        :meth:`cached_translation`/``explain``, which promise a single
+        statement).  A path the analyzer proves empty caches as ``()``,
+        so it runs zero statements; a ``//`` path compiles into one plan
+        per concrete child chain where :meth:`expansion_pays`."""
+        return self._plans(doc_id, xpath, analyzed=True)
 
-    def _analyzed_arms(self, analyzer, expr) -> list:
-        """What to translate for *expr* under *analyzer*: nothing when
-        it is provably empty, the expanded child chains when expansion
-        pays, else its union arms."""
-        if analyzer.satisfiable(expr) is False:
-            return []
+    def _analyzed_arms(self, expr) -> tuple[list, int | None]:
+        """What to translate for *expr*: nothing when the attached
+        analyzer proves it empty, the catalog's child chains when
+        expansion pays, else its union arms — plus the catalog version
+        the chains were read at (``None`` when none were)."""
+        analyzer = self.scheme.analyzer
+        if analyzer is not None and analyzer.satisfiable(expr) is False:
+            return [], None
         arms = _union_arms(expr)
         if arms is not None:
-            return arms
+            return arms, None
         try:
             plan = self.plan(expr)
         except XmlRelError:
-            return [expr]  # translate() raises the planner's error
-        if self.expansion_pays(plan):
-            expanded = analyzer.expand(plan)
+            return [expr], None  # translate() raises the planner's error
+        catalog = self.scheme.label_paths
+        if catalog is not None and self.expansion_pays(plan):
+            # Deferred import: repro.analysis depends on repro.query.plan.
+            from repro.analysis.xpathlint import expand_descendants
+
+            version, paths = catalog.snapshot()
+            expanded = paths and expand_descendants(plan, paths)
             if expanded:
                 if self.db.tracer.enabled:
                     self.db.tracer.metrics.counter(
                         "analysis.expanded_queries"
                     ).inc()
-                return expanded
-        return [plan]
+                return expanded, version
+        return [plan], None
+
+    def _stale(self, plans: tuple[CachedPlan, ...]) -> bool:
+        """A cached expansion that may miss a label path committed
+        since it was built, by this connection or any other: catalog
+        ids only grow, so the version moved past the plan's."""
+        version = plans[0].paths_version if plans else None
+        return (
+            version is not None
+            and self.scheme.label_paths.version() > version
+        )
 
     def _plans(
-        self, doc_id: int, xpath: str | LocationPath | PathPlan, analyzer
+        self, doc_id: int, xpath: str | LocationPath | PathPlan,
+        analyzed: bool = False,
     ) -> tuple[tuple[CachedPlan, ...], bool]:
         cache = self.db.plan_cache
         tracer = self.db.tracer
+        analyzed = analyzed and (
+            self.scheme.analyzer is not None
+            or self.scheme.label_paths is not None
+        )
         key = None
         if isinstance(xpath, str):
             key = (self.scheme.name, self.scheme.plan_epoch, xpath)
-            if analyzer is not None:
+            if analyzed:
                 key += ("analyzed",)
             plans = cache.get(key)
-            if plans is not None:
+            if plans is not None and not self._stale(plans):
                 if tracer.enabled:
                     tracer.metrics.counter("plan_cache.hits").inc()
                 return plans, True
@@ -347,13 +370,18 @@ class BaseTranslator(abc.ABC):
         with tracer.span("translate") as translate_span:
             # The one parse of a cache miss: translate() gets the AST.
             expr = parse_xpath(xpath) if key else xpath
-            if analyzer is None:
-                arms = _union_arms(expr) or [expr]
+            version = None
+            if analyzed:
+                arms, version = self._analyzed_arms(expr)
             else:
-                arms = self._analyzed_arms(analyzer, expr)
+                arms = _union_arms(expr) or [expr]
             plans = self._render_plans(
                 [self.translate(doc_id, arm) for arm in arms]
             )
+            if version is not None:
+                plans = tuple(
+                    replace(plan, paths_version=version) for plan in plans
+                )
             if translate_span:
                 translate_span.set(
                     sql_length=sum(len(p.sql) for p in plans),

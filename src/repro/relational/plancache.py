@@ -10,10 +10,14 @@ every document in the store (see
 :func:`repro.relational.sql.bind_doc_id`).
 
 Invalidation is by *epoch*: schemes whose translations depend on stored
-data (universal's label columns, binary's partition tables) bump their
-``plan_epoch`` on schema-affecting stores/deletes/updates, which makes
-every older key unreachable; the LRU bound then ages the stale entries
-out.  Data-independent schemes never need to invalidate.
+data (universal's label columns, binary's partition tables, edge's and
+binary's label paths) bump their ``plan_epoch`` on schema-affecting
+stores/deletes/updates, which makes every older key unreachable; the
+LRU bound then ages the stale entries out.  Data-independent schemes
+never need to invalidate.  A plan expanded over the label-path catalog
+also carries the catalog version it was built at
+(:attr:`CachedPlan.paths_version`), which a hit checks, so a path
+another connection committed is not missed either.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ class CachedPlan:
     join_count: int
     _verdict: tuple | None = field(default=(), compare=False, repr=False)
     _lint: Callable | None = field(default=None, compare=False, repr=False)
+    #: The label-path catalog version a ``//`` expansion was built at
+    #: (``None``: the plan does not depend on the catalog).
+    paths_version: int | None = field(default=None, compare=False)
 
     @property
     def diagnostics(self) -> tuple:

@@ -41,6 +41,10 @@ class Column:
     type: str = TEXT
     nullable: bool = True
     primary_key: bool = False
+    #: ``INTEGER PRIMARY KEY AUTOINCREMENT``: ids only grow, even past
+    #: deleted rows (sqlite keeps the high-water mark in
+    #: ``sqlite_sequence``).
+    autoincrement: bool = False
 
     def __post_init__(self) -> None:
         if self.type not in _VALID_TYPES:
@@ -50,6 +54,8 @@ class Column:
         parts = [quote_identifier(self.name), self.type]
         if self.primary_key:
             parts.append("PRIMARY KEY")
+            if self.autoincrement:
+                parts.append("AUTOINCREMENT")
         elif not self.nullable:
             parts.append("NOT NULL")
         return " ".join(parts)

@@ -403,8 +403,10 @@ class ShardedStore:
         the persistent write sequence (the replica staleness
         denominator) and — only for schemes whose translations depend
         on stored data (universal's label columns, binary's partition
-        tables) — bump the shard-local plan epoch so this shard's
-        pooled readers stop using stale cached plans.
+        tables, edge's and binary's label paths) — bump the shard-local
+        plan epoch so this shard's pooled readers stop using stale
+        cached plans.  A ``//`` expansion a reader cached before the
+        bump reached it still checks the catalog version on its hit.
         Other shards' caches are never touched.
         """
         self.pools[shard].bump_data_version()

@@ -31,7 +31,7 @@ from typing import ClassVar
 from repro.errors import StorageError, UnsupportedQueryError
 from repro.relational.catalog import Catalog, DocumentRecord
 from repro.relational.database import Database
-from repro.relational.schema import Table
+from repro.relational.schema import Column, INTEGER, Index, Table, TEXT
 from repro.reliability.audit import IntegrityReport
 from repro.storage.numbering import (
     NodeRecord,
@@ -113,7 +113,7 @@ class StreamInserter:
     """
 
     #: True for inserters whose :meth:`enter` does real work (binary's
-    #: partition registry, XRel's path dictionary).  ``store_stream``
+    #: partition registry, the :class:`PathDictionary`).  ``store_stream``
     #: skips the call entirely when False — one fewer no-op method call
     #: per element on the hot path.
     needs_enter = False
@@ -164,6 +164,200 @@ class BufferedStreamInserter(StreamInserter):
         return self._insert_all(self.doc_id, self._records, self._contents)
 
 
+class PathDictionary:
+    """The shred lane's label-path dictionary: every distinct
+    root-to-node label path of one document (or of one inserted
+    fragment), numbered by first sighting.
+
+    A path is a tuple of labels — element tags, attributes as
+    ``@name`` — and ``()`` is the document node (or the point an
+    inserted fragment is grafted at).  :meth:`enter` has the
+    :meth:`StreamInserter.enter` signature, so it plugs straight into
+    :func:`~repro.storage.numbering.shred_into`: element paths are
+    numbered in pre order.  Only the open elements are kept, and a
+    completed one is dropped at the next call that reaches past it, so
+    callers never pop.  XRel numbers its ``xrel_paths`` from it; edge
+    and binary persist its element paths as their
+    :class:`LabelPathCatalog`.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple[str, ...], int] = {}
+        # (pre, path) of the open elements, innermost last; pre 0 is
+        # the document (a fragment's top-level nodes have parent 0).
+        self._open: list[tuple[int, tuple[str, ...]]] = [(0, ())]
+
+    def id_of(self, path: tuple[str, ...]) -> int:
+        """The number of *path*, issuing the next one at first sight."""
+        pid = self.ids.get(path)
+        if pid is None:
+            pid = self.ids[path] = len(self.ids) + 1
+        return pid
+
+    def path_of(self, pre: int) -> tuple[str, ...]:
+        """The label path of the open element *pre* (0: the document)."""
+        open_ = self._open
+        while open_[-1][0] != pre:
+            open_.pop()
+        return open_[-1][1]
+
+    def enter(self, pre: int, name: str, parent_pre: int) -> None:
+        """Element *pre* opened below *parent_pre*: number its path."""
+        path = self.path_of(parent_pre) + (name,)
+        self.id_of(path)
+        self._open.append((pre, path))
+
+
+def label_paths_table(name: str) -> Table:
+    """The relation of a :class:`LabelPathCatalog`: one trie node per
+    element label path of each document, ``parent_id`` 0 at the root."""
+    return Table(
+        name=name,
+        columns=[
+            Column("id", INTEGER, primary_key=True, autoincrement=True),
+            Column("doc_id", INTEGER, nullable=False),
+            Column("parent_id", INTEGER, nullable=False),
+            Column("label", TEXT, nullable=False),
+        ],
+        indexes=[Index(f"{name}_doc", name, ("doc_id",))],
+    )
+
+
+class LabelPathCatalog:
+    """Every distinct element label path of each stored document, as
+    the edge-shaped mappings record it while they shred (DESIGN §7).
+
+    The rows form one trie per document.  Ids are store-wide and never
+    reused, so the largest id ever issued (:meth:`version`) grows with
+    every recorded path: a plan expanded over the catalog is stale
+    exactly when the version moved past the one it was built at.  The
+    catalog is a *superset* of the stored paths — a deleted subtree
+    leaves its paths behind, which only adds arms that find nothing;
+    a deleted document takes its rows along.
+
+    *relation* is the scheme's edge-shaped relation (``edge``, binary's
+    ``binary_edges`` view), read to find where an inserted fragment
+    hangs.
+    """
+
+    def __init__(self, scheme: "MappingScheme", table: Table,
+                 relation: str) -> None:
+        self.db = scheme.db
+        self.scheme_name = scheme.name
+        self.table = table
+        self.relation = relation
+        #: ``(version, paths)`` of the last :meth:`snapshot`.
+        self._snapshot: tuple[int, tuple | None] | None = None
+
+    def version(self) -> int:
+        """The largest id ever issued (0 before the first path)."""
+        return self.db.scalar(
+            "SELECT seq FROM sqlite_sequence WHERE name = ?",
+            (self.table.name,),
+        ) or 0
+
+    def record(self, doc_id: int, paths: PathDictionary) -> int:
+        """Persist a freshly shredded document's element paths (inside
+        the store's transaction); returns the rows written."""
+        ids = paths.ids
+        if ids:
+            base = self.version()
+            self.db.executemany(
+                f"INSERT INTO {self.table.name} "
+                "(id, doc_id, parent_id, label) VALUES (?, ?, ?, ?)",
+                [
+                    (base + pid, doc_id,
+                     base + ids[path[:-1]] if len(path) > 1 else 0,
+                     path[-1])
+                    for path, pid in ids.items()
+                ],
+            )
+        return len(ids)
+
+    def _paths_by_id(
+        self, where: str = "", params: tuple = ()
+    ) -> dict[int, tuple[str, ...]] | None:
+        """Id → label path of the rows *where* selects, or ``None`` when
+        a row's parent is missing (rows removed by hand)."""
+        by_id: dict[int, tuple[str, ...]] = {0: ()}
+        for pid, parent, label in self.db.query(
+            f"SELECT id, parent_id, label FROM {self.table.name} {where} "
+            "ORDER BY id",
+            params,
+        ):
+            prefix = by_id.get(parent)
+            if prefix is None:
+                return None
+            by_id[pid] = prefix + (label,)
+        del by_id[0]
+        return by_id
+
+    def graft(self, doc_id: int, parent_pre: int,
+              fragment: PathDictionary) -> None:
+        """Add the element paths of a fragment inserted below element
+        *parent_pre*: the fragment's own paths, rooted at the parent's
+        label path.  A document with no catalog rows (stored before the
+        catalog existed) is left without, so it keeps the closure."""
+        by_id = self._paths_by_id("WHERE doc_id = ?", (doc_id,))
+        if not by_id or not fragment.ids:
+            return
+        ids = {path: pid for pid, path in by_id.items()}
+        parent_path = tuple(
+            label for (label,) in self.db.query(
+                f"""
+                WITH RECURSIVE up(source, label, depth) AS (
+                  SELECT source, label, 0 FROM {self.relation}
+                  WHERE doc_id = ? AND target = ?
+                  UNION ALL
+                  SELECT e.source, e.label, up.depth + 1
+                  FROM {self.relation} e JOIN up ON e.target = up.source
+                  WHERE e.doc_id = ?
+                )
+                SELECT label FROM up ORDER BY depth DESC
+                """,
+                (doc_id, parent_pre, doc_id),
+            )
+        )
+        for path in fragment.ids:
+            full = parent_path + path
+            # Every missing prefix, parents first: the trie stays whole
+            # even where the parent's own path was never recorded.
+            for depth in range(1, len(full) + 1):
+                prefix = full[:depth]
+                if prefix not in ids:
+                    ids[prefix] = self.db.execute(
+                        f"INSERT INTO {self.table.name} "
+                        "(doc_id, parent_id, label) VALUES (?, ?, ?)",
+                        (doc_id, ids.get(prefix[:-1], 0), prefix[-1]),
+                    ).lastrowid
+
+    def delete(self, doc_id: int) -> None:
+        self.db.execute(
+            f"DELETE FROM {self.table.name} WHERE doc_id = ?", (doc_id,)
+        )
+
+    def snapshot(self) -> tuple[int, tuple | None]:
+        """``(version, paths)``: the union of every stored document's
+        element label paths, sorted, or ``None`` for paths while some
+        document of this scheme has no rows (a file written before the
+        catalog existed) — expansion then keeps the closure.  Reloaded
+        only when the version moved."""
+        version = self.version()
+        cached = self._snapshot
+        if cached is not None and cached[0] == version:
+            return cached
+        missing = self.db.query_one(
+            "SELECT 1 FROM xmlrel_documents d WHERE d.scheme = ? "
+            f"AND NOT EXISTS (SELECT 1 FROM {self.table.name} p "
+            "WHERE p.doc_id = d.doc_id) LIMIT 1",
+            (self.scheme_name,),
+        )
+        by_id = self._paths_by_id() if missing is None else None
+        paths = None if by_id is None else tuple(sorted(set(by_id.values())))
+        self._snapshot = (version, paths)
+        return self._snapshot
+
+
 class MappingScheme(abc.ABC):
     """Abstract base of all XML→relational mappings."""
 
@@ -177,7 +371,8 @@ class MappingScheme(abc.ABC):
     lossless_node_count: ClassVar[bool] = True
 
     #: Whether XPath→SQL translation consults *stored data* (universal's
-    #: label columns, binary's partition tables) rather than being a pure
+    #: label columns, binary's partition tables, the label paths edge
+    #: and binary expand ``//`` over) rather than being a pure
     #: function of the XPath.  Such schemes must invalidate cached plans
     #: whenever a store/delete/update can change that data — see
     #: :meth:`invalidate_plans`.
@@ -195,8 +390,11 @@ class MappingScheme(abc.ABC):
         self._defer_analyze = False
         #: Optional :class:`~repro.analysis.xpathlint.XPathAnalyzer`
         #: consulted by the translator for unsatisfiable-query pruning
-        #: and ``//``-expansion (see :meth:`attach_analyzer`).
+        #: (see :meth:`attach_analyzer`).
         self.analyzer = None
+        #: The :class:`LabelPathCatalog` ``//`` expansion reads, on the
+        #: mappings that record one while they shred (edge, binary).
+        self.label_paths: LabelPathCatalog | None = None
         self.create_schema()
 
     # -- schema ----------------------------------------------------------------
@@ -378,6 +576,8 @@ class MappingScheme(abc.ABC):
         self.catalog.get(doc_id)
         with self.db.transaction():
             self._delete_rows(doc_id)
+            if self.label_paths is not None:
+                self.label_paths.delete(doc_id)
             self.catalog.remove(doc_id)
         if self.translation_depends_on_data:
             self.invalidate_plans()
@@ -397,11 +597,10 @@ class MappingScheme(abc.ABC):
         """Attach an XPath static analyzer to this scheme.
 
         Once attached, :meth:`query_pres` short-circuits queries the
-        analyzer proves unsatisfiable (zero SQL statements executed) and
-        — given a DTD, where the translator's
-        :meth:`~repro.query.translator.BaseTranslator.expansion_pays` —
-        rewrites ``//`` steps into explicit child chains.  The epoch
-        bump here retires plans analyzed by a previous analyzer.
+        analyzer proves unsatisfiable (zero SQL statements executed).
+        ``//`` expansion needs no analyzer: it reads the store's own
+        :attr:`label_paths`.  The epoch bump here retires plans analyzed
+        by a previous analyzer.
         """
         self.analyzer = analyzer
         self.invalidate_plans()
@@ -412,9 +611,10 @@ class MappingScheme(abc.ABC):
         Bumps :attr:`plan_epoch`, which is part of every plan-cache key;
         the LRU bound ages the stale entries out.  Called automatically
         on stores/deletes/updates when :attr:`translation_depends_on_data`
-        is set — universal translations bake in the known label columns
-        and binary translations the known partition tables, so a cached
-        plan could otherwise miss data added after it was rendered.
+        is set — universal translations bake in the known label columns,
+        binary translations the known partition tables and edge and
+        binary ``//`` expansions the known label paths, so a cached plan
+        could otherwise miss data added after it was rendered.
         """
         self.plan_epoch += 1
 

@@ -9,10 +9,12 @@ Florescu & Kossmann's second mapping stores one table per distinct label
     b_<label>(doc_id, source, ordinal, label, kind, target, value, content)
 
 plus a catalog relation ``binary_labels`` mapping labels to their
-partition tables and a ``binary_edges`` view (the UNION ALL of all
+partition tables, a ``binary_edges`` view (the UNION ALL of all
 partitions) for the operations that cannot be pruned to one partition —
-wildcard steps and descendant closures.  The ``label`` column is kept in
-every partition (redundantly) so the view has a uniform shape.
+wildcard steps and descendant closures — and, as with edge, the
+``binary_paths`` label-path catalog a mid-path ``//`` expands over.
+The ``label`` column is kept in every partition (redundantly) so the
+view has a uniform shape.
 
 The published trade-off this reproduces: label-selective child steps only
 touch one small partition (beating the edge table), while ``//`` and
@@ -32,7 +34,14 @@ from repro.relational.schema import (
     TEXT,
     quote_identifier,
 )
-from repro.storage.base import STREAM_BATCH, MappingScheme, StreamInserter
+from repro.storage.base import (
+    STREAM_BATCH,
+    LabelPathCatalog,
+    MappingScheme,
+    PathDictionary,
+    StreamInserter,
+    label_paths_table,
+)
 from repro.storage.edge import edge_label, fetch_edge_rows
 
 LABELS_TABLE = Table(
@@ -44,6 +53,9 @@ LABELS_TABLE = Table(
 )
 
 EDGES_VIEW = "binary_edges"
+
+#: Every element label path of each stored document (DESIGN §7).
+PATHS_TABLE = label_paths_table("binary_paths")
 
 _SANITIZE_RE = re.compile(r"[^a-z0-9_]+")
 
@@ -101,6 +113,7 @@ class _BinaryStreamInserter(StreamInserter):
         self._tables: dict[str, str] = {}   # label -> partition table
         self._rows: dict[str, list[tuple]] = {}
         self._counts: dict[str, int] = {}
+        self._paths = PathDictionary()
 
     def _table_for(self, label: str) -> str:
         table = self._tables.get(label)
@@ -113,6 +126,7 @@ class _BinaryStreamInserter(StreamInserter):
 
     def enter(self, pre, name, parent_pre):
         self._table_for(name or "")
+        self._paths.enter(pre, name, parent_pre)
 
     def add(self, r, content):
         label = edge_label(r)
@@ -139,6 +153,9 @@ class _BinaryStreamInserter(StreamInserter):
         for label, bucket in self._rows.items():
             if bucket:
                 self._flush(label, self._tables[label], bucket)
+        self._counts[PATHS_TABLE.name] = self.scheme.label_paths.record(
+            self.doc_id, self._paths
+        )
         return self._counts
 
 
@@ -149,12 +166,16 @@ class BinaryScheme(MappingScheme):
 
     # Translation consults the partition catalog (label-selective steps
     # compile to their partition table; unknown labels fall back to the
-    # view), so cached plans go stale when a store/update adds a
-    # partition.
+    # view) and, for a mid-path //, the label paths, so cached plans go
+    # stale when a store/update adds a partition or a path.
     translation_depends_on_data = True
 
+    def __init__(self, db) -> None:
+        super().__init__(db)
+        self.label_paths = LabelPathCatalog(self, PATHS_TABLE, EDGES_VIEW)
+
     def tables(self):
-        return [LABELS_TABLE]
+        return [LABELS_TABLE, PATHS_TABLE]
 
     # -- partition management ---------------------------------------------------
 
@@ -198,7 +219,9 @@ class BinaryScheme(MappingScheme):
         self.db.execute(f"CREATE VIEW {EDGES_VIEW} AS {arms}")
 
     def table_names(self) -> list[str]:
-        return ["binary_labels"] + sorted(self.partitions().values())
+        return ["binary_labels", PATHS_TABLE.name] + sorted(
+            self.partitions().values()
+        )
 
     # -- shred / fetch / delete ------------------------------------------------------
 

@@ -16,7 +16,10 @@ separate-value-table variant is exercised by the binary mapping instead.
 
 A child step is one self-join on ``source = target``; a descendant step
 needs the transitive closure (a recursive CTE here), which is this
-mapping's published weakness and the subject of experiment E4.
+mapping's published weakness and the subject of experiment E4.  The
+mapping also records each document's element label paths in
+``edge_paths`` while it shreds, so ``query_pres`` can run a mid-path
+``//`` as the concrete child chains that occur instead (DESIGN §7).
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ from repro.relational.schema import Column, INTEGER, Index, Table, TEXT
 from repro.storage.base import (
     ROOTS,
     STREAM_BATCH,
+    LabelPathCatalog,
     MappingScheme,
+    PathDictionary,
     StreamInserter,
+    label_paths_table,
     roots_param,
 )
 from repro.storage.numbering import NodeRecord
@@ -65,6 +71,9 @@ EDGE_TABLE = Table(
               where="value"),
     ],
 )
+
+#: Every element label path of each stored document (DESIGN §7).
+PATHS_TABLE = label_paths_table("edge_paths")
 
 
 def edge_label(record: NodeRecord) -> str:
@@ -138,12 +147,18 @@ def fetch_edge_rows(
 
 
 class _EdgeStreamInserter(StreamInserter):
-    """Constant-memory row sink: every completed node is one edge row."""
+    """Constant-memory row sink: every completed node is one edge row,
+    and every opened element's label path goes to the path dictionary
+    the scheme's :class:`~repro.storage.base.LabelPathCatalog` keeps."""
+
+    needs_enter = True
 
     def __init__(self, scheme, doc_id):
         super().__init__(scheme, doc_id)
         self._rows: list[tuple] = []
         self._count = 0
+        self._paths = PathDictionary()
+        self.enter = self._paths.enter
 
     def add(self, r, content):
         self._rows.append(
@@ -160,7 +175,12 @@ class _EdgeStreamInserter(StreamInserter):
 
     def finish(self):
         self._flush()
-        return {EDGE_TABLE.name: self._count}
+        return {
+            EDGE_TABLE.name: self._count,
+            PATHS_TABLE.name: self.scheme.label_paths.record(
+                self.doc_id, self._paths
+            ),
+        }
 
 
 class EdgeScheme(MappingScheme):
@@ -168,8 +188,16 @@ class EdgeScheme(MappingScheme):
 
     name = "edge"
 
+    # A mid-path // expands over the recorded label paths, so a write
+    # that adds a path must retire the plans cached before it.
+    translation_depends_on_data = True
+
+    def __init__(self, db) -> None:
+        super().__init__(db)
+        self.label_paths = LabelPathCatalog(self, PATHS_TABLE, "edge")
+
     def tables(self):
-        return [EDGE_TABLE]
+        return [EDGE_TABLE, PATHS_TABLE]
 
     def stream_inserter(self, doc_id):
         return _EdgeStreamInserter(self, doc_id)

@@ -35,6 +35,7 @@ from repro.storage.base import (
     ROOTS,
     STREAM_BATCH,
     MappingScheme,
+    PathDictionary,
     StreamInserter,
     roots_param,
 )
@@ -175,41 +176,29 @@ def _with_parents(rows: list[tuple]) -> list[tuple]:
 
 
 class _XRelStreamInserter(StreamInserter):
-    """Streaming sink tracking the open-element path expressions.
+    """Streaming sink over the shred lane's
+    :class:`~repro.storage.base.PathDictionary`.
 
-    The path dictionary is numbered by first use: element paths at the
-    start tag (:meth:`enter`), attribute paths at the attribute node,
-    non-element paths by reuse of the open parent's — the order a
-    pre-order walk of the document would assign.  Node rows land in
-    completion order (elements close after their descendants); the
-    tables are keyed and queried by ``start``, so insertion order is
-    immaterial.  Memory is bounded by the path dictionary plus one row
-    batch per table.
+    Paths are numbered by first use: element paths at the start tag
+    (:meth:`enter`), attribute paths at the attribute node, non-element
+    paths by reuse of the open parent's — the order a pre-order walk of
+    the document would assign.  Node rows land in completion order
+    (elements close after their descendants); the tables are keyed and
+    queried by ``start``, so insertion order is immaterial.  Memory is
+    bounded by the path dictionary plus one row batch per table.
     """
+
+    needs_enter = True
 
     def __init__(self, scheme, doc_id):
         super().__init__(scheme, doc_id)
-        self._path_ids: dict[str, int] = {}
-        self._stack: list[str] = [""]  # pathexps of open elements
+        self._paths = PathDictionary()
+        self.enter = self._paths.enter
         self._tables = {
             t.name: t for t in (ELEMENT_TABLE, ATTRIBUTE_TABLE, TEXT_TABLE)
         }
         self._rows = {name: [] for name in self._tables}
         self._counts = {name: 0 for name in self._tables}
-
-    def _pid(self, pathexp: str) -> int:
-        pid = self._path_ids.get(pathexp)
-        if pid is None:
-            pid = len(self._path_ids) + 1
-            self._path_ids[pathexp] = pid
-        return pid
-
-    needs_enter = True
-
-    def enter(self, pre, name, parent_pre):
-        pathexp = f"{self._stack[-1]}{PATH_SEP}{name}"
-        self._pid(pathexp)
-        self._stack.append(pathexp)
 
     def _buffer(self, table, row):
         rows = self._rows[table.name]
@@ -226,20 +215,21 @@ class _XRelStreamInserter(StreamInserter):
 
     def add(self, r, content):
         start, end = r.pre, r.pre + r.size
+        paths = self._paths
         if r.kind == int(NodeKind.ELEMENT):
-            pid = self._path_ids[self._stack.pop()]
+            pid = paths.ids[paths.path_of(r.pre)]
             self._buffer(
                 ELEMENT_TABLE,
                 (self.doc_id, pid, start, end, r.ordinal, r.name, content),
             )
         elif r.kind == int(NodeKind.ATTRIBUTE):
-            pid = self._pid(f"{self._stack[-1]}{PATH_SEP}@{r.name}")
+            pid = paths.id_of(paths.path_of(r.parent_pre) + (f"@{r.name}",))
             self._buffer(
                 ATTRIBUTE_TABLE,
                 (self.doc_id, pid, start, end, r.ordinal, r.name, r.value),
             )
         else:
-            pid = self._pid(self._stack[-1])
+            pid = paths.id_of(paths.path_of(r.parent_pre))
             self._buffer(
                 TEXT_TABLE,
                 (self.doc_id, pid, start, end, r.ordinal, r.kind, r.name,
@@ -249,13 +239,14 @@ class _XRelStreamInserter(StreamInserter):
     def finish(self):
         for name in self._rows:
             self._flush(name)
+        ids = self._paths.ids
         self.scheme.db.executemany(
             "INSERT INTO xrel_paths (doc_id, path_id, pathexp) "
             "VALUES (?, ?, ?)",
-            [(self.doc_id, pid, exp)
-             for exp, pid in self._path_ids.items()],
+            [(self.doc_id, pid, "".join(PATH_SEP + label for label in path))
+             for path, pid in ids.items()],
         )
-        self._counts[PATHS_TABLE.name] = len(self._path_ids)
+        self._counts[PATHS_TABLE.name] = len(ids)
         return self._counts
 
 

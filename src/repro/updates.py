@@ -22,7 +22,10 @@ like: an insert numbers the fragment through the ingest lane
 scheme's order encoding demands, moves the numbered records into it
 (:func:`_relocate`) and hands them to the scheme's own
 :meth:`~repro.storage.base.MappingScheme.stream_inserter`.  What differs
-per scheme is stated once, in :func:`_shape`.
+per scheme is stated once, in :func:`_shape`.  Edge and binary also
+graft the fragment's label paths into their
+:class:`~repro.storage.base.LabelPathCatalog` at the parent's path;
+a delete leaves the catalog alone (it is a superset, DESIGN §7).
 
 The xrel, universal and inlining mappings do not implement updates here:
 xrel shares interval's renumbering story, the universal table would
@@ -38,7 +41,7 @@ from typing import NamedTuple
 
 from repro.errors import UpdateError
 from repro.relational.schema import quote_identifier
-from repro.storage.base import MappingScheme
+from repro.storage.base import MappingScheme, PathDictionary
 from repro.storage.binary import EDGES_VIEW, BinaryScheme
 from repro.storage.dewey import DeweyScheme, prefix_range
 from repro.storage.edge import EdgeScheme
@@ -147,9 +150,13 @@ def insert_subtree(
     if fragment.parent is not None:
         raise UpdateError("fragment must be detached")
     numbered: list[tuple[NodeRecord, str | None]] = []
+    # The fragment's own label paths, for a scheme that records them;
+    # they are grafted at the parent's path once the parent is known.
+    paths = PathDictionary() if scheme.label_paths is not None else None
     shred_into(
         stream_events(fragment),
         lambda record, content: numbered.append((record, content)),
+        paths.enter if paths is not None else None,
     )
     db = scheme.db
     # One transaction covers the checks, the row surgery, the parent's
@@ -182,6 +189,8 @@ def insert_subtree(
                 _relocate(record, offset, parent, ordinal, label), content
             )
         inserter.finish()
+        if paths is not None:
+            scheme.label_paths.graft(doc_id, parent.pre, paths)
         _refresh_content(db, shape, doc_id, parent.key)
         record = scheme.catalog.get(doc_id)
         scheme.catalog.update_node_count(
@@ -189,7 +198,8 @@ def insert_subtree(
         )
     if scheme.translation_depends_on_data:
         # e.g. binary's inserter may have added a partition, changing
-        # what label-selective steps compile to.
+        # what label-selective steps compile to, or the fragment a
+        # label path a cached // expansion lacks.
         scheme.invalidate_plans()
     return UpdateStats(rows_inserted=len(numbered), rows_updated=updated)
 

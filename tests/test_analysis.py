@@ -40,9 +40,11 @@ from repro.analysis.diagnostics import (
 from repro.analysis.lint import lint_paths, main as lint_main
 from repro.analysis import sweep
 from repro.analysis.sqllint import lint_query_plan
+from repro.analysis.xpathlint import expand_descendants
 from repro.analysis.sweep import main as sweep_main, run_sweep
 from repro.errors import UnsupportedQueryError, XmlRelError
 from repro.obs.trace import Tracer
+from repro.query.plan import plan_path
 from repro.relational.sql import (
     Col,
     Comparison,
@@ -52,6 +54,7 @@ from repro.relational.sql import (
     Union,
     WithQuery,
 )
+from repro.stats.pathsummary import build_summary
 from repro.workloads import (
     AUCTION_QUERIES,
     DBLP_QUERIES,
@@ -60,6 +63,7 @@ from repro.workloads import (
     generate_auction,
     generate_dblp,
 )
+from repro.xml import parse_document, parse_fragment
 from repro.xml.dtd import parse_dtd
 from repro.xpath import evaluate_nodes
 from tests.conftest import SCHEMALESS_SCHEMES
@@ -600,18 +604,24 @@ RECURSIVE_DTD = """\
 """
 
 
+BOOK_PATHS = (("bib",), ("bib", "book"), ("bib", "book", "author"),
+              ("bib", "book", "title"))
+
+
 class TestDescendantExpansion:
     def test_expands_into_concrete_chains(self):
-        analyzer = XPathAnalyzer(dtd=parse_dtd(BOOK_DTD))
-        expanded = analyzer.expand("//author")
+        expanded = expand_descendants(plan_path("//author"), BOOK_PATHS)
         assert expanded is not None and len(expanded) == 1
         assert "#expand" in expanded[0].source
 
     def test_refuses_recursive_target(self):
-        analyzer = XPathAnalyzer(dtd=parse_dtd(RECURSIVE_DTD))
-        assert analyzer.expand("//section") is None
-        # Nested sections must still all be found (the translator falls
-        # back to the ordinary descendant plan).
+        # A label below itself binds once per occurrence in the catalog:
+        # //section is one arm per nesting depth that occurs, not a bail.
+        paths = (("doc",), ("doc", "section"), ("doc", "section", "title"),
+                 ("doc", "section", "section"),
+                 ("doc", "section", "section", "title"))
+        assert len(expand_descendants(plan_path("//section"), paths)) == 2
+        # Nested sections must still all be found.
         with XmlRelStore.open(scheme="edge") as store:
             doc_id = store.store_text(
                 "<doc><section><title>a</title>"
@@ -623,18 +633,22 @@ class TestDescendantExpansion:
             assert len(store.query_pres(doc_id, "/doc//title")) == 2
 
     def test_refuses_without_descendant_or_with_wildcards(self):
-        analyzer = XPathAnalyzer(dtd=parse_dtd(BOOK_DTD))
-        assert analyzer.expand("/bib/book/title") is None
-        assert analyzer.expand("//*") is None
-        assert analyzer.expand("//book | //title") is None
+        for xpath in ("/bib/book/title", "//*", "//book/@*"):
+            assert expand_descendants(plan_path(xpath), BOOK_PATHS) is None
 
     def test_disabled_without_dtd_or_closure(self):
-        with XmlRelStore.open(scheme="edge") as store:
-            doc_id = store.store_text(BOOK_XML)
-            analyzer = store.enable_analysis(doc_id=doc_id)
-            assert analyzer.expand("//author") is None  # summary only
+        # No DTD and no analyzer: edge and binary expand over the label
+        # paths they recorded while shredding; the other mappings keep
+        # no catalog.  Only a non-leading // on edge/binary pays.
         for scheme_name in ALL_SCHEMES:
             with open_scheme_store(scheme_name) as store:
+                catalog = store.scheme.label_paths
+                if scheme_name in ("edge", "binary"):
+                    store.store_text(BOOK_XML)
+                    _version, paths = catalog.snapshot()
+                    assert paths == BOOK_PATHS
+                else:
+                    assert catalog is None, scheme_name
                 translator = store.scheme.translator()
                 leading = translator.plan("//author")
                 assert translator.expansion_pays(leading) is False
@@ -646,32 +660,39 @@ class TestDescendantExpansion:
     @staticmethod
     def _statements(tracer, store, doc_id, xpath):
         """The ids *xpath* finds and the query statements it ran
-        (binary's partition-name lookups left out)."""
+        (binary's partition-name lookups and the label-path catalog
+        reads left out)."""
         before = len(tracer.spans_named("sql.statement"))
         pres = store.query_pres(doc_id, xpath)
         return pres, [
             span.attributes["sql"]
             for span in tracer.spans_named("sql.statement")[before:]
-            if "binary_labels" not in span.attributes["sql"]
+            if not any(
+                table in span.attributes["sql"]
+                for table in ("binary_labels", "sqlite_sequence", "_paths")
+            )
         ]
 
     def test_expansion_replaces_the_edge_closure(self, auction_doc):
-        # Edge answers a mid-path // with a recursive CTE; expanded over
-        # the auction DTD it runs one child chain per continent instead,
-        # and finds the same ids.
+        # Edge's own plan for a mid-path // is a recursive CTE; its
+        # query_pres runs one child chain per continent instead, with
+        # or without a DTD attached, and finds the same ids.
         xpath = "/site/regions//item/name"
         tracer = Tracer(enabled=True)
         with XmlRelStore.open(scheme="edge", tracer=tracer) as store:
             doc_id = store.store(auction_doc, "auction")
+            closure_sql, params = store.sql_for(doc_id, xpath)
+            closure = [row[0] for row in store.db.query(closure_sql, params)]
             plain, plain_sql = self._statements(tracer, store, doc_id, xpath)
             store.enable_analysis(dtd=auction_dtd())
             expanded, expanded_sql = self._statements(
                 tracer, store, doc_id, xpath
             )
-        assert plain and expanded == plain
-        assert len(plain_sql) == 1 and "WITH RECURSIVE" in plain_sql[0]
-        assert len(expanded_sql) > 1
-        assert not any("WITH RECURSIVE" in sql for sql in expanded_sql)
+        assert closure and plain == closure and expanded == closure
+        assert "WITH RECURSIVE" in closure_sql
+        for sql in (plain_sql, expanded_sql):
+            assert len(sql) > 1
+            assert not any("WITH RECURSIVE" in text for text in sql)
 
     @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
     def test_expansion_only_where_it_pays(self, scheme_name, auction_doc):
@@ -698,11 +719,13 @@ class TestDescendantExpansion:
                     xpath == xpaths[0] and scheme_name in ("edge", "binary")
                 ), xpath
                 if pays:
-                    assert len(sql) == 1 and "WITH RECURSIVE" in sql[0]
-                    assert len(analyzed_sql) > 1
-                    assert not any(
-                        "WITH RECURSIVE" in text for text in analyzed_sql
-                    )
+                    own_sql, _params = translator.sql_for(doc_id, xpath)
+                    assert "WITH RECURSIVE" in own_sql
+                    for ran in (sql, analyzed_sql):
+                        assert len(ran) > 1
+                        assert not any(
+                            "WITH RECURSIVE" in text for text in ran
+                        )
                 else:
                     assert analyzed_sql == sql, xpath
 
@@ -783,6 +806,285 @@ class TestDescendantExpansion:
                 ), label
                 compared += 1
             assert compared
+
+
+# ---------------------------------------------------------------------------
+# // expansion from the store's own label paths: no DTD, every answer the
+# evaluator's, and never a stale plan.
+# ---------------------------------------------------------------------------
+
+
+#: E30's queries: the suite's five // queries, three mid-path ones, and
+#: a leading one.
+E30_QUERIES = (
+    "//item/name", "//bidder//date", "//name",
+    "//person[profile/@income > 80000]/name",
+    "//item[contains(description, 'vintage')]/name",
+    "/site//person/name", "/site/people//city", "/site/regions//item/name",
+    "//increase",
+)
+
+#: XMark's recursive text model: a parlist below a listitem below a
+#: parlist.
+PARLIST_XML = (
+    "<site><description><parlist><listitem><text>a</text>"
+    "<parlist><listitem><text>b</text><parlist><listitem>"
+    "<text>c</text></listitem></parlist></listitem></parlist>"
+    "</listitem></parlist></description>"
+    "<annotation><text>d</text></annotation></site>"
+)
+
+#: Thirty continents, one item each: /r//item has thirty chains.
+WIDE_XML = "<r>" + "".join(
+    f"<c{i}><item>{i}</item></c{i}>" for i in range(30)
+) + "</r>"
+
+EDGE_SHAPED = ["edge", "binary"]
+
+
+def traced_run(tracer, store, doc_id, xpath):
+    """The ids *xpath* finds through ``query_pres`` and how many of the
+    statements it ran were recursive."""
+    before = len(tracer.spans_named("sql.statement"))
+    pres = store.query_pres(doc_id, xpath)
+    ran = [
+        span.attributes["sql"]
+        for span in tracer.spans_named("sql.statement")[before:]
+    ]
+    return pres, sum("WITH RECURSIVE" in sql for sql in ran)
+
+
+class TestLabelPathExpansion:
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_e30_queries_without_a_dtd(self, scheme_name, auction_doc):
+        tracer = Tracer(enabled=True)
+        with XmlRelStore.open(scheme=scheme_name, tracer=tracer) as store:
+            doc_id = store.store(auction_doc, "auction")
+            # E30's queries and E4's Figure 2 query.
+            for xpath in E30_QUERIES + ("/site/open_auctions//date",):
+                pres, recursive = traced_run(tracer, store, doc_id, xpath)
+                assert pres == evaluated_pres(auction_doc, xpath), xpath
+                assert recursive == 0, xpath
+            counter = tracer.metrics.counter_value
+            # Q5, M1–M3 and E4's expand; the leading ones never needed to.
+            assert counter("analysis.expanded_queries") == 5
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_recursive_label_binds_once_per_occurrence(self, scheme_name):
+        document = parse_document(PARLIST_XML)
+        tracer = Tracer(enabled=True)
+        with XmlRelStore.open(scheme=scheme_name, tracer=tracer) as store:
+            doc_id = store.store(document, "xmark")
+            for xpath in ("//parlist//text", "/site//parlist//text",
+                          "//listitem//listitem/text",
+                          "//parlist//parlist//text"):
+                pres, recursive = traced_run(tracer, store, doc_id, xpath)
+                assert pres == evaluated_pres(document, xpath), xpath
+                assert recursive == 0, xpath
+        arms = expand_descendants(
+            plan_path("//parlist//text"),
+            build_summary_paths(document),
+        )
+        assert len(arms) == 3  # one per nesting depth
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_predicates_on_intermediate_descendant_steps(
+        self, scheme_name, auction_doc
+    ):
+        nested = parse_document(
+            "<r><a><p/><a><a><q/></a></a></a><a><a/></a></r>"
+        )
+        cases = [
+            (auction_doc, "/site//open_auction[bidder]//increase"),
+            (auction_doc, "/site//person[profile/@income > 50000]//city"),
+            (auction_doc, "//open_auction[initial > 100]//date"),
+            # A label that repeats on one path: every binding is a run.
+            (nested, "//a[p]//a"),
+            (nested, "/r//a[q]"),
+            (nested, "//a[a]//a[not(a)]"),
+        ]
+        for document, xpath in cases:
+            with XmlRelStore.open(scheme=scheme_name) as store:
+                doc_id = store.store(document, "doc")
+                assert store.query_pres(doc_id, xpath) == evaluated_pres(
+                    document, xpath
+                ), xpath
+        arms = expand_descendants(
+            plan_path("//a[p]//a"), build_summary_paths(nested)
+        )
+        # /r/a[p]/a and /r/a[p]/a/a, /r/a/a[p]/a: three bindings.
+        assert len(arms) == 3
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_one_store_two_vocabularies(
+        self, scheme_name, auction_doc, dblp_doc
+    ):
+        tracer = Tracer(enabled=True)
+        with XmlRelStore.open(scheme=scheme_name, tracer=tracer) as store:
+            auction_id = store.store(auction_doc, "auction")
+            dblp_id = store.store(dblp_doc, "dblp")
+            for doc_id, document, xpaths in (
+                (auction_id, auction_doc,
+                 ("/site//person/name", "//bidder//date", "/dblp//author")),
+                (dblp_id, dblp_doc,
+                 ("/dblp//author", "/dblp//title", "/site//person/name")),
+            ):
+                for xpath in xpaths:
+                    pres, recursive = traced_run(
+                        tracer, store, doc_id, xpath
+                    )
+                    assert pres == evaluated_pres(document, xpath), xpath
+                    assert recursive == 0, xpath
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_too_many_chains_keep_the_closure(self, scheme_name):
+        document = parse_document(WIDE_XML)
+        tracer = Tracer(enabled=True)
+        with XmlRelStore.open(scheme=scheme_name, tracer=tracer) as store:
+            doc_id = store.store(document, "wide")
+            pres, recursive = traced_run(tracer, store, doc_id, "/r//item")
+            assert pres == evaluated_pres(document, "/r//item")
+            assert len(pres) == 30 and recursive == 1
+        assert expand_descendants(
+            plan_path("/r//item"), build_summary_paths(document)
+        ) is None
+        # A label repeated forty deep binds in too many ways to try.
+        deep = (("r",) + ("a",) * 39 + ("b",),)
+        assert expand_descendants(plan_path("//a//a//a//d//b"), deep) is None
+        assert len(expand_descendants(plan_path("//a//b"), deep)) == 1
+
+
+def build_summary_paths(document):
+    """The element label paths of *document*, as a catalog holds them."""
+    return tuple(sorted(
+        path for path in build_summary(document).paths
+        if not path[-1].startswith(("@", "#"))
+    ))
+
+
+class TestLabelPathCoherence:
+    """A cached ``//`` expansion never misses a label path written after
+    it was built — by the same handle, another handle on the file, or
+    the shard writer behind a pooled reader."""
+
+    BASE = "<r><a><b>1</b></a></r>"
+    XPATH = "/r//b"
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_insert_adds_a_path_under_a_cached_query(self, scheme_name):
+        from repro.updates import insert_subtree
+
+        with XmlRelStore.open(scheme=scheme_name) as store:
+            doc_id = store.store_text(self.BASE)
+            assert len(store.query_pres(doc_id, self.XPATH)) == 1
+            a = store.query_pres(doc_id, "/r/a")[0]
+            insert_subtree(
+                store.scheme, doc_id, a,
+                parse_fragment("<c><d><b>2</b></d></c>"),
+            )
+            assert len(store.query_pres(doc_id, self.XPATH)) == 2
+            _version, paths = store.scheme.label_paths.snapshot()
+            assert ("r", "a", "c", "d", "b") in paths
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_deletes_leave_a_sound_catalog(self, scheme_name):
+        from repro.updates import delete_subtree, insert_subtree
+
+        with XmlRelStore.open(scheme=scheme_name) as store:
+            first = store.store_text(self.BASE)
+            second = store.store_text("<r><x><b>2</b></x></r>")
+            assert len(store.query_pres(second, self.XPATH)) == 1
+            # A deleted subtree leaves its path: the arm finds nothing.
+            x = store.query_pres(second, "/r/x")[0]
+            delete_subtree(store.scheme, second, x)
+            assert store.query_pres(second, self.XPATH) == []
+            # A deleted document takes its rows along.
+            store.delete(second)
+            table = store.scheme.label_paths.table.name
+            assert store.db.scalar(
+                f"SELECT COUNT(*) FROM {table} WHERE doc_id = ?", (second,)
+            ) == 0
+            third = store.store_text("<r><y><z><b>3</b></z></y></r>")
+            assert len(store.query_pres(third, self.XPATH)) == 1
+            a = store.query_pres(first, "/r/a")[0]
+            insert_subtree(
+                store.scheme, first, a, parse_fragment("<e><b>4</b></e>")
+            )
+            assert len(store.query_pres(first, self.XPATH)) == 2
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_reopened_file_expands(self, scheme_name, tmp_path):
+        from repro.updates import insert_subtree
+
+        path = str(tmp_path / "store.db")
+        with XmlRelStore.open(path, scheme=scheme_name) as store:
+            doc_id = store.store_text(self.BASE)
+        tracer = Tracer(enabled=True)
+        with XmlRelStore.open(
+            path, scheme=scheme_name, tracer=tracer
+        ) as store:
+            pres, recursive = traced_run(tracer, store, doc_id, self.XPATH)
+            assert len(pres) == 1 and recursive == 0
+            a = store.query_pres(doc_id, "/r/a")[0]
+            insert_subtree(
+                store.scheme, doc_id, a, parse_fragment("<c><b>2</b></c>")
+            )
+        with XmlRelStore.open(path, scheme=scheme_name) as store:
+            assert len(store.query_pres(doc_id, self.XPATH)) == 2
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_two_handles_on_one_file(self, scheme_name, tmp_path):
+        path = str(tmp_path / "store.db")
+        with XmlRelStore.open(path, scheme=scheme_name) as a_handle, \
+                XmlRelStore.open(path, scheme=scheme_name) as b_handle:
+            first = a_handle.store_text("<r><x><z><y/></z></x></r>")
+            newest = a_handle.store_text("<r><w><y/></w></r>")
+            assert len(a_handle.query_pres(first, "/r//y")) == 1
+            # Handle B removes the document that holds the newest
+            # catalog ids, then stores a path A never saw: ids must not
+            # be reused, or A's cached plan would look current.
+            b_handle.delete(newest)
+            second = b_handle.store_text("<r><x><y/></x></r>")
+            assert a_handle.query_pres(second, "/r//y") == (
+                b_handle.query_pres(second, "/r//y")
+            )
+            assert len(a_handle.query_pres(second, "/r//y")) == 1
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_pooled_reader_after_a_write(self, scheme_name, tmp_path):
+        from repro.serve.sharded import ShardedStore
+
+        with ShardedStore.open(
+            str(tmp_path / "shards"), scheme=scheme_name, shards=1
+        ) as store:
+            doc_id = store.store_text(self.BASE)
+            assert len(store.query_pres(doc_id, self.XPATH)) == 1
+            a = store.query_pres(doc_id, "/r/a")[0]
+            store.insert_subtree(
+                doc_id, a, parse_fragment("<c><d><b>2</b></d></c>")
+            )
+            assert len(store.query_pres(doc_id, self.XPATH)) == 2
+
+    @pytest.mark.parametrize("scheme_name", EDGE_SHAPED)
+    def test_document_without_catalog_rows_keeps_the_closure(
+        self, scheme_name, tmp_path
+    ):
+        # As a file written before the catalog existed: one document
+        # has no rows, so the union would miss its paths.
+        path = str(tmp_path / "store.db")
+        with XmlRelStore.open(path, scheme=scheme_name) as store:
+            store.store_text(self.BASE)
+            doc_id = store.store_text("<r><x><b>2</b></x></r>")
+            table = store.scheme.label_paths.table.name
+            store.db.execute(
+                f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
+            )
+        tracer = Tracer(enabled=True)
+        with XmlRelStore.open(
+            path, scheme=scheme_name, tracer=tracer
+        ) as store:
+            pres, recursive = traced_run(tracer, store, doc_id, self.XPATH)
+            assert len(pres) == 1 and recursive == 1
 
 
 # ---------------------------------------------------------------------------

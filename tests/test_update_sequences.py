@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.registry import create_scheme
 from repro.relational.database import Database
+from repro.stats.pathsummary import build_summary
 from repro.updates import delete_subtree, insert_subtree
 from repro.xml import parse_document, parse_fragment
 from repro.xml.dom import Element, deep_equal
@@ -51,6 +52,7 @@ PUBLISHED_QUERIES = [
     "//item",
     "//item/text()",
     "//box/@m",
+    "/inventory//box//item",  # edge/binary: a label-path expansion
 ]
 
 
@@ -143,6 +145,21 @@ class _Mutator:
             f"dom: {serialize(self.document)}\ndb:  {serialize(rebuilt)}"
         )
         self.check_published_text()
+        self.check_label_paths()
+
+    def check_label_paths(self):
+        """Edge's and binary's label-path catalog holds every element
+        path of the document after every step (it may hold more: a
+        deleted subtree leaves its paths behind)."""
+        catalog = self.scheme.label_paths
+        if catalog is None:
+            return
+        _version, recorded = catalog.snapshot()
+        element_paths = {
+            path for path in build_summary(self.document).paths
+            if not path[-1].startswith(("@", "#"))
+        }
+        assert element_paths <= set(recorded), element_paths - set(recorded)
 
     def check_published_text(self):
         """The rows → events → text lane walks a stack of open
