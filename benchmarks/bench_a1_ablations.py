@@ -113,7 +113,7 @@ def test_a1_content_cache(benchmark, dblp_pair):
 
 def _executed_sql(translator, doc_id, query):
     """The SQL text ``query_pres`` runs for *query* (single plan)."""
-    (plan,), __ = translator._execution_plans(doc_id, query)
+    (plan,), __ = translator.plans_for(doc_id, query)
     return plan.sql
 
 

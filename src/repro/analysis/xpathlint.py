@@ -52,12 +52,12 @@ from repro.query.plan import (
     PathPlan,
     StepPlan,
     plan_path,
+    union_arms,
 )
 from repro.stats.pathsummary import PathSummary
 from repro.xml.dtd import Dtd
 from repro.xpath.ast import (
     AnyKindTest,
-    BinaryOp,
     KindTest,
     LocationPath,
     NameTest,
@@ -80,27 +80,12 @@ _DOCUMENT = None
 _OPEN = None
 
 
-def _union_arms(expr):
-    """Arms of a top-level ``|`` expression (or the expression itself)."""
-    if not (isinstance(expr, BinaryOp) and expr.op == "|"):
-        return [expr]
-    arms = []
-    stack = [expr.left, expr.right]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinaryOp) and node.op == "|":
-            stack.extend((node.left, node.right))
-        else:
-            arms.append(node)
-    return arms
-
-
 class XPathAnalyzer:
     """Satisfiability over one DTD and/or summary.
 
     Attach one to a scheme (``scheme.attach_analyzer(analyzer)`` or
     :meth:`repro.XmlRelStore.enable_analysis`) and the translator
-    consults it once per XPath, when it caches the analyzed plans.
+    consults it once per XPath, when it caches the plans that run.
     Stateless after construction, so one analyzer may serve many
     schemes over the same vocabulary.
     """
@@ -190,7 +175,7 @@ class XPathAnalyzer:
             return [xpath]
         expr = parse_xpath(xpath) if isinstance(xpath, str) else xpath
         plans = []
-        for arm in _union_arms(expr):
+        for arm in union_arms(expr):
             if not isinstance(arm, LocationPath):
                 raise XmlRelError(f"not a location path: {arm}")
             plans.append(plan_path(arm))

@@ -35,6 +35,28 @@ from repro.xml.parser import ParseOptions
 from repro.xml.serialize import serialize
 
 
+def _explain_plans(
+    db: Database, scheme: MappingScheme, doc_id: int, xpath: str, plans
+) -> Explanation:
+    """Describe every statement of *plans* (``plans_for``'s, in arm
+    order) as it runs over document *doc_id*: their SQL joined by
+    ``";\\n"``, their bound parameters in the same order, and their
+    ``EXPLAIN QUERY PLAN`` lines.  No plans (a provably empty path):
+    no statement."""
+    bound = [bind_doc_id(plan.params, doc_id) for plan in plans]
+    return Explanation(
+        xpath=str(xpath),
+        scheme=scheme.name,
+        sql=";\n".join(plan.sql for plan in plans),
+        params=tuple(param for params in bound for param in params),
+        plan=tuple(
+            line
+            for plan, params in zip(plans, bound)
+            for line in db.explain_plan(plan.sql, params)
+        ),
+    )
+
+
 def build_query_report(
     db: Database,
     scheme: MappingScheme,
@@ -43,27 +65,26 @@ def build_query_report(
     **extra,
 ) -> QueryReport:
     """Run *xpath* against one document and assemble the full per-query
-    cost record.  Shared by :meth:`XmlRelStore.query_report` and the
-    sharded store (which runs it on a pooled read session and adds
-    routing/staleness fields through ``extra``)."""
+    cost record over the plans ``query_pres`` runs.  Shared by
+    :meth:`XmlRelStore.query_report` and the sharded store (which runs
+    it on a pooled read session and adds routing/staleness fields
+    through ``extra``)."""
     translator = scheme.translator()
     started = time.perf_counter()
-    plan_entry, cache_hit = translator.cached_translation(doc_id, xpath)
+    plans, cache_hit = translator.plans_for(doc_id, xpath)
     translate_seconds = time.perf_counter() - started
-    params = bind_doc_id(plan_entry.params, doc_id)
-    plan = db.explain_plan(plan_entry.sql, params)
+    explanation = _explain_plans(db, scheme, doc_id, xpath, plans)
     started = time.perf_counter()
-    rows = db.query(plan_entry.sql, params)
+    pres = tuple(translator.execute_plans(doc_id, plans))
     execute_seconds = time.perf_counter() - started
-    pres = tuple(row[0] for row in rows)
     cache_stats = db.plan_cache.stats()
     return QueryReport(
-        xpath=str(xpath),
-        scheme=scheme.name,
-        sql=plan_entry.sql,
-        params=tuple(params),
-        join_count=plan_entry.join_count,
-        plan=tuple(plan),
+        xpath=explanation.xpath,
+        scheme=explanation.scheme,
+        sql=explanation.sql,
+        params=explanation.params,
+        join_count=sum(plan.join_count for plan in plans),
+        plan=explanation.plan,
         translate_seconds=translate_seconds,
         execute_seconds=execute_seconds,
         row_count=len(pres),
@@ -71,7 +92,7 @@ def build_query_report(
         cache_hit=cache_hit,
         cache_hits=cache_stats["hits"],
         cache_misses=cache_stats["misses"],
-        analysis=tuple(plan_entry.diagnostics),
+        analysis=tuple(d for plan in plans for d in plan.diagnostics),
         **extra,
     )
 
@@ -322,21 +343,15 @@ class XmlRelStore:
     def explain(self, doc_id: int, xpath: str) -> Explanation:
         """Translate *xpath* and ask the engine how it would run it.
 
-        Returns the generated SQL plus the ``EXPLAIN QUERY PLAN`` detail
-        lines — index usage (experiment E11) without touching scheme
-        internals and without executing the query.  Top-level unions are
-        not explainable (each arm runs as its own statement); explain an
-        arm instead.
+        Returns the SQL of every statement :meth:`query_pres` runs for
+        it plus their ``EXPLAIN QUERY PLAN`` detail lines — index usage
+        (experiment E11) without touching scheme internals and without
+        executing the query.  A union, or a ``//`` expanded into child
+        chains, shows one statement per arm (``";\\n"``-joined); a path
+        the attached analyzer proves empty shows none.
         """
-        sql, params = self.sql_for(doc_id, xpath)
-        plan = self.db.explain_plan(sql, params)
-        return Explanation(
-            xpath=str(xpath),
-            scheme=self.scheme.name,
-            sql=sql,
-            params=tuple(params),
-            plan=tuple(plan),
-        )
+        plans, _hit = self.scheme.translator().plans_for(doc_id, xpath)
+        return _explain_plans(self.db, self.scheme, doc_id, xpath, plans)
 
     def query_report(self, doc_id: int, xpath: str) -> QueryReport:
         """Run *xpath* and return the full per-query cost record:

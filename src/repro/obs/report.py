@@ -20,6 +20,8 @@ class Explanation:
 
     xpath: str
     scheme: str
+    #: The statements that run, ``";\n"``-joined in arm order (empty
+    #: for a provably empty path).
     sql: str
     params: tuple
     #: ``EXPLAIN QUERY PLAN`` detail lines (index usage, scan order).
@@ -51,7 +53,7 @@ class QueryReport:
     scheme: str
     sql: str
     params: tuple
-    #: Structural joins in the generated statement (experiment E8).
+    #: Structural joins in the generated statements (experiment E8).
     join_count: int
     #: ``EXPLAIN QUERY PLAN`` detail lines.
     plan: tuple[str, ...]
@@ -69,9 +71,9 @@ class QueryReport:
     cache_hits: int = 0
     #: Lifetime plan-cache misses of the store's database.
     cache_misses: int = 0
-    #: Plan-linter diagnostics for the executed statement
-    #: (:class:`repro.analysis.Diagnostic` records; empty when linting
-    #: is off or the plan is clean).
+    #: Plan-linter diagnostics for the executed statements
+    #: (:class:`repro.analysis.Diagnostic` records; empty when every
+    #: plan is clean).
     analysis: tuple = ()
     #: Where a sharded store answered from: ``"primary"`` or
     #: ``"replica"`` (empty for single-file stores).
@@ -85,8 +87,10 @@ class QueryReport:
 
     @property
     def sql_length(self) -> int:
-        """Length of the generated SQL text (plan-complexity proxy)."""
-        return len(self.sql)
+        """Length of the generated SQL text, summed over the statements
+        (plan-complexity proxy; generated SQL holds no ``;``, so the
+        separators are all that is left out)."""
+        return len(self.sql) - 2 * self.sql.count(";\n")
 
     def format(self) -> str:
         return "\n".join(

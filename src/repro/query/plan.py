@@ -214,6 +214,22 @@ class PathPlan:
     source: str = ""
 
 
+def union_arms(expr: Expr) -> list[Expr]:
+    """The arms of a top-level ``|`` expression, or ``[expr]`` when it
+    is not a union."""
+    if not (isinstance(expr, BinaryOp) and expr.op == "|"):
+        return [expr]
+    arms: list[Expr] = []
+    stack = [expr.left, expr.right]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinaryOp) and node.op == "|":
+            stack.extend((node.left, node.right))
+        else:
+            arms.append(node)
+    return arms
+
+
 def plan_path(xpath: str | Expr, scheme: str | None = None) -> PathPlan:
     """Parse (if needed) and normalize *xpath* — a string or an already
     parsed expression — into a :class:`PathPlan`.

@@ -21,8 +21,9 @@ from repro.query.plan import (
     StringMatchPredicate,
     ValuePath,
     plan_path,
+    union_arms,
 )
-from repro.relational.plancache import CachedPlan
+from repro.relational.plancache import CachedPlan, plan_key
 from repro.relational.sql import (
     And,
     Not,
@@ -35,26 +36,10 @@ from repro.relational.sql import (
     bind_doc_id,
     like_escape,
 )
-from repro.xpath.ast import BinaryOp, Expr, LocationPath
+from repro.xpath.ast import LocationPath
 from repro.xpath.parser import parse_xpath
 
 Renderable = Select | Union | WithQuery
-
-
-def _union_arms(expr: Expr) -> list[Expr] | None:
-    """Flatten a top-level ``|`` expression into its arms (None if the
-    expression is not a union)."""
-    if not isinstance(expr, BinaryOp) or expr.op != "|":
-        return None
-    arms: list[Expr] = []
-    stack = [expr.left, expr.right]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinaryOp) and node.op == "|":
-            stack.extend((node.left, node.right))
-        else:
-            arms.append(node)
-    return arms
 
 
 def match_pattern(function: str, literal: str) -> str:
@@ -256,33 +241,6 @@ class BaseTranslator(abc.ABC):
                 raise PlanLintError(errors)
         return plans
 
-    def plans_for(
-        self, doc_id: int, xpath: str | LocationPath | PathPlan
-    ) -> tuple[tuple[CachedPlan, ...], bool]:
-        """The executable plans for *xpath* plus whether they came from
-        the cache.
-
-        A plain path yields one plan; a top-level union (``p1 | p2``)
-        yields one plan per arm.  Only string XPaths are cached (ASTs
-        and pre-built plans are already past the expensive phase).  The
-        cache key includes the scheme's ``plan_epoch`` so schemes whose
-        translations depend on stored data invalidate by bumping it.
-        """
-        return self._plans(doc_id, xpath)
-
-    def cached_translation(
-        self, doc_id: int, xpath: str | LocationPath | PathPlan
-    ) -> tuple[CachedPlan, bool]:
-        """The single cached plan for a non-union *xpath* plus whether it
-        was a cache hit (top-level unions raise, as with
-        :meth:`translate`)."""
-        plans, hit = self.plans_for(doc_id, xpath)
-        if len(plans) > 1:
-            # Replicate translate()'s behaviour for union expressions:
-            # planning a union as a single statement raises.
-            self.translate(doc_id, xpath)
-        return plans[0], hit
-
     # -- static analysis ----------------------------------------------------------
 
     def expansion_pays(self, plan: PathPlan) -> bool:
@@ -292,48 +250,41 @@ class BaseTranslator(abc.ABC):
         probe, so by default it does not."""
         return False
 
-    def _execution_plans(
-        self, doc_id: int, xpath: str | LocationPath | PathPlan
-    ) -> tuple[tuple[CachedPlan, ...], bool]:
-        """The plans :meth:`query_pres` runs: :meth:`plans_for`'s, or —
-        with an :class:`~repro.analysis.xpathlint.XPathAnalyzer`
-        attached or a label-path catalog to expand over — the analyzed
-        ones, cached under their own key (the plain key still serves
-        :meth:`cached_translation`/``explain``, which promise a single
-        statement).  A path the analyzer proves empty caches as ``()``,
-        so it runs zero statements; a ``//`` path compiles into one plan
-        per concrete child chain where :meth:`expansion_pays`."""
-        return self._plans(doc_id, xpath, analyzed=True)
-
-    def _analyzed_arms(self, expr) -> tuple[list, int | None]:
-        """What to translate for *expr*: nothing when the attached
-        analyzer proves it empty, the catalog's child chains when
-        expansion pays, else its union arms — plus the catalog version
-        the chains were read at (``None`` when none were)."""
-        analyzer = self.scheme.analyzer
-        if analyzer is not None and analyzer.satisfiable(expr) is False:
-            return [], None
-        arms = _union_arms(expr)
-        if arms is not None:
-            return arms, None
+    def _arms(self, expr) -> tuple[list, int | None]:
+        """What to translate for *expr*, each union arm planned once:
+        the arms less those the attached analyzer proves empty, or — for
+        a single path where expansion pays — the label-path catalog's
+        child chains; plus the catalog version the chains were read at
+        (``None`` when none were)."""
+        arms = union_arms(expr)
         try:
-            plan = self.plan(expr)
+            plans = [self.plan(arm) for arm in arms]
         except XmlRelError:
-            return [expr], None  # translate() raises the planner's error
+            return arms, None  # translate() raises the planner's error
+        analyzer = self.scheme.analyzer
+        if analyzer is not None:
+            plans = [
+                plan for plan in plans
+                if analyzer.satisfiable(plan) is not False
+            ]
         catalog = self.scheme.label_paths
-        if catalog is not None and self.expansion_pays(plan):
+        if (
+            len(plans) == 1
+            and catalog is not None
+            and self.expansion_pays(plans[0])
+        ):
             # Deferred import: repro.analysis depends on repro.query.plan.
             from repro.analysis.xpathlint import expand_descendants
 
             version, paths = catalog.snapshot()
-            expanded = paths and expand_descendants(plan, paths)
+            expanded = paths and expand_descendants(plans[0], paths)
             if expanded:
                 if self.db.tracer.enabled:
                     self.db.tracer.metrics.counter(
                         "analysis.expanded_queries"
                     ).inc()
                 return expanded, version
-        return [plan], None
+        return plans, None
 
     def _stale(self, plans: tuple[CachedPlan, ...]) -> bool:
         """A cached expansion that may miss a label path committed
@@ -345,21 +296,29 @@ class BaseTranslator(abc.ABC):
             and self.scheme.label_paths.version() > version
         )
 
-    def _plans(
-        self, doc_id: int, xpath: str | LocationPath | PathPlan,
-        analyzed: bool = False,
+    def plans_for(
+        self, doc_id: int, xpath: str | LocationPath | PathPlan
     ) -> tuple[tuple[CachedPlan, ...], bool]:
+        """The plans :meth:`query_pres` runs for *xpath* plus whether
+        they came from the cache — the one place a query's plans are
+        read, so ``explain``, ``query_report`` and the serving wide
+        event see what runs.
+
+        A plain path yields one plan; a top-level union (``p1 | p2``)
+        one per arm.  With an
+        :class:`~repro.analysis.xpathlint.XPathAnalyzer` attached, arms
+        it proves empty are dropped, so a provably empty path yields
+        ``()`` and runs zero statements; a ``//`` path compiles into one
+        plan per concrete child chain where :meth:`expansion_pays`.
+        Only string XPaths are cached (ASTs and pre-built plans are
+        already past the expensive phase), under :func:`plan_key`, so a
+        warm query neither parses nor re-runs the analyzer.
+        """
         cache = self.db.plan_cache
         tracer = self.db.tracer
-        analyzed = analyzed and (
-            self.scheme.analyzer is not None
-            or self.scheme.label_paths is not None
-        )
         key = None
         if isinstance(xpath, str):
-            key = (self.scheme.name, self.scheme.plan_epoch, xpath)
-            if analyzed:
-                key += ("analyzed",)
+            key = plan_key(self.scheme.name, self.scheme.plan_epoch, xpath)
             plans = cache.get(key)
             if plans is not None and not self._stale(plans):
                 if tracer.enabled:
@@ -370,11 +329,7 @@ class BaseTranslator(abc.ABC):
         with tracer.span("translate") as translate_span:
             # The one parse of a cache miss: translate() gets the AST.
             expr = parse_xpath(xpath) if key else xpath
-            version = None
-            if analyzed:
-                arms, version = self._analyzed_arms(expr)
-            else:
-                arms = _union_arms(expr) or [expr]
+            arms, version = self._arms(expr)
             plans = self._render_plans(
                 [self.translate(doc_id, arm) for arm in arms]
             )
@@ -430,41 +385,48 @@ class BaseTranslator(abc.ABC):
                     scheme=self.scheme.name, xpath=str(xpath)
                 )
                 tracer.metrics.counter("query.executed").inc()
-            plans, cache_hit = self._execution_plans(doc_id, xpath)
+            plans, cache_hit = self.plans_for(doc_id, xpath)
             if not plans:
                 if query_span:
                     query_span.set(rows=0, unsatisfiable=True)
                 if tracer.enabled:
                     tracer.metrics.counter("analysis.unsat_queries").inc()
                 return []
-            if len(plans) == 1:
-                plan = plans[0]
+            pres = self.execute_plans(doc_id, plans)
+            if query_span:
+                query_span.set(rows=len(pres), cache_hit=cache_hit)
+                if len(plans) > 1:
+                    query_span.set(union_arms=len(plans))
+            return pres
+
+    def execute_plans(
+        self, doc_id: int, plans: tuple[CachedPlan, ...]
+    ) -> list[int]:
+        """Run :meth:`plans_for`'s *plans* over document *doc_id*: the
+        matching ``pre`` ids, distinct and in document order.  One plan
+        runs in an ``execute`` span; several each run in a
+        ``query.arm`` child and merge as a sorted set."""
+        tracer = self.db.tracer
+        if len(plans) == 1:
+            plan = plans[0]
+            with tracer.span("execute"):
+                rows = self.db.query(
+                    plan.sql, bind_doc_id(plan.params, doc_id)
+                )
+            return [row[0] for row in rows]
+        merged: set[int] = set()
+        for index, plan in enumerate(plans):
+            with tracer.span("query.arm") as arm_span:
+                if arm_span:
+                    arm_span.set(arm=index)
                 with tracer.span("execute"):
                     rows = self.db.query(
                         plan.sql, bind_doc_id(plan.params, doc_id)
                     )
-                if query_span:
-                    query_span.set(rows=len(rows), cache_hit=cache_hit)
-                return [row[0] for row in rows]
-            merged: set[int] = set()
-            for index, plan in enumerate(plans):
-                with tracer.span("query.arm") as arm_span:
-                    if arm_span:
-                        arm_span.set(arm=index)
-                    with tracer.span("execute"):
-                        rows = self.db.query(
-                            plan.sql, bind_doc_id(plan.params, doc_id)
-                        )
-                    if arm_span:
-                        arm_span.set(rows=len(rows))
-                    merged.update(row[0] for row in rows)
-            if query_span:
-                query_span.set(
-                    rows=len(merged),
-                    union_arms=len(plans),
-                    cache_hit=cache_hit,
-                )
-            return sorted(merged)
+                if arm_span:
+                    arm_span.set(rows=len(rows))
+                merged.update(row[0] for row in rows)
+        return sorted(merged)
 
     def join_count(
         self, doc_id: int, xpath: str | LocationPath | PathPlan

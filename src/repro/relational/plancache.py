@@ -28,6 +28,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
+def plan_key(scheme: str, epoch: int, xpath: str) -> tuple:
+    """The cache key of *xpath*'s plans on a *scheme* at plan *epoch* —
+    built here only, so the translator that fills the cache and the
+    observers that peek at it agree on the entry."""
+    return (scheme, epoch, xpath)
+
+
 @dataclass(frozen=True)
 class CachedPlan:
     """One rendered, executable statement of a translation.

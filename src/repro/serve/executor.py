@@ -91,6 +91,7 @@ from repro.errors import (
 from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, RequestContext, Tracer
+from repro.relational.plancache import plan_key
 from repro.serve.pool import ConnectionPool, ReadSession, Run
 from repro.serve.protocol import READ_FROM_MODES, encode_rows, join_fragments
 
@@ -723,7 +724,7 @@ class ScatterStream:
                     info["replica_age_seconds"] = answer.age_seconds
                 source = executor.pools[shard] if replica is None else pool
                 plans = source.plan_cache.peek(
-                    (source.scheme_name, source.epoch, self.xpath)
+                    plan_key(source.scheme_name, source.epoch, self.xpath)
                 )
                 info["plan_cached"] = plans is not None
                 info["lint"] = executor._lint_verdict(plans)

@@ -253,11 +253,12 @@ class TestOpsRoutes:
 
 
 class TestWideEventLog:
-    def test_query_events_carry_the_fanout_breakdown(self, tmp_path):
+    @pytest.mark.parametrize("scheme", ["interval", "edge", "binary"])
+    def test_query_events_carry_the_fanout_breakdown(self, tmp_path, scheme):
         log = RequestLog(capacity=64)
         with ShardedStore.open(
             str(tmp_path / "store"),
-            scheme="interval",
+            scheme=scheme,
             shards=2,
             placement="round_robin",
             request_log=log,
@@ -281,13 +282,16 @@ class TestWideEventLog:
             # query populated it), and the warm query reused it.
             assert warm["per_shard"][0]["plan_cached"] is True
 
-    def test_a_replica_read_logs_the_replicas_plan_cache(self, tmp_path):
+    @pytest.mark.parametrize("scheme", ["interval", "edge", "binary"])
+    def test_a_replica_read_logs_the_replicas_plan_cache(
+        self, tmp_path, scheme
+    ):
         # The event describes the pool that answered: a replica read
         # translated into the replica's plan cache, not the primary's.
         log = RequestLog(capacity=64)
         with ShardedStore.open(
             str(tmp_path / "store"),
-            scheme="interval",
+            scheme=scheme,
             shards=1,
             replicas=1,
             read_from="replica",
