@@ -22,10 +22,11 @@ higher rank** than every lock it already holds:
     design: whole write transactions run under them, so blocking on
     SQL or a connection acquire underneath is expected.
 ``map`` (rank 1)
-    The catalog/shard-map locks — ``ShardedStore._map_lock`` plus the
-    in-memory mirrors in :mod:`repro.relational.shardmap`.  Guards
-    every catalog-database write, so SQL underneath is part of the
-    contract; anything else blocking is not.
+    The catalog locks of :mod:`repro.relational.shardmap`: the one
+    ``catalog_lock`` its map, journal and shard state share (every
+    method running catalog SQL takes it itself, so SQL underneath is
+    part of the contract; anything else blocking is not) and the
+    in-memory mirrors' ``_lock``, taken inside it or alone.
 ``pool`` (rank 2)
     Connection-pool and plan-cache bookkeeping locks.  Held for a few
     counter updates only — nothing may block under them.
@@ -77,9 +78,10 @@ What the analyzer can and cannot see
 ------------------------------------
 
 The model is per-class and syntactic: it tracks ``self.<attr>`` locks
-through ``with`` blocks, explicit ``acquire()``/``release()`` pairs
-(including loops over lock lists), and same-class ``self.method()``
-call chains.  Calls that cross object boundaries (``self.pool.foo()``)
+— built in the class, or a registered attribute assigned from a name
+(a lock handed in, such as the shard catalog's) — through ``with``
+blocks, explicit ``acquire()``/``release()`` pairs (including loops
+over lock lists), and same-class ``self.method()`` call chains.  Calls that cross object boundaries (``self.pool.foo()``)
 are opaque — the runtime harness in
 :mod:`repro.analysis.lockharness` covers those by watching real
 acquisitions under the test suites.
@@ -138,13 +140,15 @@ LOCK_CLASSES: dict[str, LockClass] = {c.name: c for c in LOCK_ORDER}
 #: are ``/``-separated suffixes relative to the package root, like
 #: :data:`repro.analysis.lint.SQL_ALLOWED`.
 LOCK_SITES: dict[str, dict[str, str]] = {
-    "repro/serve/sharded.py": {"_shard_locks": "shard", "_map_lock": "map"},
+    "repro/serve/sharded.py": {"_shard_locks": "shard"},
     # ConnectionPool._lock and ResultCache._lock (one name, one class).
     "repro/serve/pool.py": {"_lock": "pool"},
     "repro/serve/executor.py": {"_replica_lock": "pool", "_gate": "pool"},
     "repro/serve/gateway.py": {"_lock": "pool"},
     "repro/relational/plancache.py": {"_lock": "pool"},
-    "repro/relational/shardmap.py": {"_lock": "map"},
+    # The mirrors' _lock; catalog_lock is built once by open_catalog
+    # and handed to the three classes that share the connection.
+    "repro/relational/shardmap.py": {"_lock": "map", "catalog_lock": "map"},
     "repro/obs/metrics.py": {"_lock": "metrics"},
     "repro/obs/window.py": {"_lock": "metrics"},
     "repro/obs/trace.py": {"_lock": "metrics"},
@@ -712,6 +716,13 @@ class _ClassAnalyzer:
             if attr is None or value is None:
                 continue
             kind = _lock_ctor_kind(value)
+            if kind is None and attr in site_attrs and isinstance(
+                value, ast.Name
+            ):
+                # A registered lock handed in by name (a constructor
+                # parameter): one lock several classes share, modeled
+                # as the plain Lock that registered site builds.
+                kind = "lock"
             if kind is not None and attr not in self.locks:
                 lock_class = site_attrs.get(attr)
                 info = LockInfo(

@@ -345,10 +345,11 @@ def instrument_sharded_store(store, watcher: LockWatcher) -> None:
     """Swap a live :class:`~repro.serve.sharded.ShardedStore`'s locks
     for watched :class:`OrderedLock` shims (idempotent).
 
-    Wraps the store's shard/map locks, the shard-map and shard-state
-    mirrors, every primary pool's bookkeeping, plan-cache and
-    result-cache locks, the executor's replica round-robin lock, and
-    the metrics registry lock — the lock set whose relative order the
+    Wraps the store's shard locks, the catalog lock its shard map,
+    journal and shard state share (one shim, handed back to all three),
+    the shard-map and shard-state mirrors, every primary pool's
+    bookkeeping, plan-cache and result-cache locks, the executor's
+    replica round-robin lock, and the metrics registry lock — the lock set whose relative order the
     registry declares.  Queue internals, per-instrument metric locks,
     and replica pools built after instrumentation stay unwrapped.
     """
@@ -356,7 +357,11 @@ def instrument_sharded_store(store, watcher: LockWatcher) -> None:
         watcher.wrap(lock, f"shard[{index}]", "shard", index=index)
         for index, lock in enumerate(store._shard_locks)
     ]
-    store._map_lock = watcher.wrap(store._map_lock, "map", "map")
+    catalog_lock = watcher.wrap(
+        store.shard_map.catalog_lock, "map.catalog", "map"
+    )
+    store.shard_map.catalog_lock = store.journal.catalog_lock = catalog_lock
+    store.shard_state.catalog_lock = catalog_lock
     store.shard_map._lock = watcher.wrap(
         store.shard_map._lock, "map.mirror", "map"
     )

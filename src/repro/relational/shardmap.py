@@ -6,15 +6,16 @@ database.  This module owns that catalog's SQL — the relational layer
 is the only place allowed to speak raw SQL (lint rule L001), so the
 serve layer calls in here instead of embedding statements.
 
-Five pieces:
+Four pieces:
 
 * :class:`ShardMap` — the ``xmlrel_shard_map`` table (global doc id →
   shard, per-shard local doc id, document name), mirrored in memory
   under a lock so query routing never touches SQLite.
-* :func:`pin_shard_config` — the ``xmlrel_shard_config`` key/value
-  table persisting scheme/shards/placement on first open and verifying
-  them on reopen, turning a mismatched reopen into a loud error
-  instead of silent misrouting.
+* :func:`open_catalog` — pins the ``xmlrel_shard_config`` key/value
+  table (:func:`pin_shard_config`: scheme/shards/placement persisted on
+  first open and verified on reopen, turning a mismatched reopen into a
+  loud error instead of silent misrouting), then opens the map, the
+  journal and the shard state on the catalog database.
 * :class:`RebalanceJournal` — the ``xmlrel_rebalance_journal`` table:
   one row per in-flight document move, stepping through the
   ``copying → copied → flipped`` state machine so a crash at any point
@@ -24,18 +25,23 @@ Five pieces:
   ``xmlrel_replica_state`` tables: a monotonic per-shard write
   sequence number and, per read replica, the sequence/wall-time of its
   last shipped snapshot — the two numbers a staleness bound is made of.
-* :func:`connection_alive` — the one-round-trip health probe the read
-  pools run on every acquire.
 
-The catalog database is one shared connection; callers (the sharded
-store) serialize writes to it under their map lock.
+The catalog database is one shared connection, so :func:`open_catalog`
+hands the map, the journal and the shard state one ``catalog_lock``
+and every method here that runs catalog SQL takes it itself; callers
+(the sharded store) hold no catalog lock of their own.  The in-memory
+mirrors sit behind their own short ``_lock``: reads (``resolve``,
+``docs_for_shard``, ``shard_counts``, ``staleness``) take only that one
+and never wait on catalog SQL.  Both are class ``map`` in
+:data:`repro.analysis.concurrency.LOCK_ORDER`; a mirror lock is only
+ever taken inside the catalog lock, never around it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import DocumentNotFoundError, StorageError
 from repro.relational.database import Database
@@ -102,16 +108,6 @@ REPLICA_STATE_TABLE = Table(
 REBALANCE_STATES = ("copying", "copied", "flipped")
 
 
-def connection_alive(db: Database) -> bool:
-    """One cheap round trip proving a pooled connection still answers.
-
-    Delegates to :meth:`~repro.relational.database.Database.ping` — an
-    untraced, unmetered probe, so per-acquire health checks never bury
-    real query spans under ``SELECT 1`` noise.
-    """
-    return db.ping()
-
-
 def pin_shard_config(
     catalog_db: Database, scheme: str, shards: int, placement: str
 ) -> None:
@@ -147,6 +143,21 @@ def pin_shard_config(
         )
 
 
+def open_catalog(
+    catalog_db: Database, scheme: str, shards: int, placement: str
+) -> tuple[ShardMap, RebalanceJournal, ShardState]:
+    """Pin the store's config, then open the three views of its catalog
+    database — sharing one ``catalog_lock``, as they share one
+    connection."""
+    pin_shard_config(catalog_db, scheme, shards, placement)
+    catalog_lock = threading.Lock()
+    return (
+        ShardMap(catalog_db, catalog_lock),
+        RebalanceJournal(catalog_db, catalog_lock),
+        ShardState(catalog_db, shards, catalog_lock),
+    )
+
+
 @dataclass(frozen=True)
 class ShardedDocument:
     """Shard-map row: where one document lives."""
@@ -165,8 +176,9 @@ class ShardMap:
     other) on a SQLite connection.
     """
 
-    def __init__(self, db: Database) -> None:
+    def __init__(self, db: Database, catalog_lock: threading.Lock) -> None:
         self.db = db
+        self.catalog_lock = catalog_lock
         db.create_table(SHARD_MAP_TABLE)
         self._lock = threading.Lock()
         self._docs: dict[int, ShardedDocument] = {}
@@ -175,23 +187,34 @@ class ShardMap:
             "FROM xmlrel_shard_map ORDER BY doc_id"
         ):
             self._docs[row[0]] = ShardedDocument(*row)
+        #: Round-robin placement's next pick, under ``catalog_lock``.
+        self._round_robin = len(self._docs)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._docs)
 
+    def round_robin(self, shards: int, claim: bool) -> int:
+        """The shard round-robin placement gives the next document;
+        *claim* takes it, so the one after lands on the next shard."""
+        with self.catalog_lock:
+            shard = self._round_robin % shards
+            self._round_robin += claim
+        return shard
+
     def register(self, shard: int, local_doc_id: int, name: str) -> int:
         """Persist one placement; returns the new global doc id."""
-        cursor = self.db.execute(
-            "INSERT INTO xmlrel_shard_map (shard, local_doc_id, name) "
-            "VALUES (?, ?, ?)",
-            (shard, local_doc_id, name),
-        )
-        doc_id = int(cursor.lastrowid)
-        with self._lock:
-            self._docs[doc_id] = ShardedDocument(
-                doc_id, shard, local_doc_id, name
+        with self.catalog_lock:
+            cursor = self.db.execute(
+                "INSERT INTO xmlrel_shard_map (shard, local_doc_id, name) "
+                "VALUES (?, ?, ?)",
+                (shard, local_doc_id, name),
             )
+            doc_id = int(cursor.lastrowid)
+            with self._lock:
+                self._docs[doc_id] = ShardedDocument(
+                    doc_id, shard, local_doc_id, name
+                )
         return doc_id
 
     def resolve(self, doc_id: int) -> ShardedDocument:
@@ -203,24 +226,34 @@ class ShardMap:
 
     def remove(self, doc_id: int) -> None:
         self.resolve(doc_id)
-        self.db.execute(
-            "DELETE FROM xmlrel_shard_map WHERE doc_id = ?", (doc_id,)
-        )
-        with self._lock:
-            self._docs.pop(doc_id, None)
-
-    def move(self, doc_id: int, shard: int, local_doc_id: int) -> None:
-        """Repoint one document at a new (shard, local id) placement."""
-        record = self.resolve(doc_id)
-        self.db.execute(
-            "UPDATE xmlrel_shard_map SET shard = ?, local_doc_id = ? "
-            "WHERE doc_id = ?",
-            (shard, local_doc_id, doc_id),
-        )
-        with self._lock:
-            self._docs[doc_id] = ShardedDocument(
-                doc_id, shard, local_doc_id, record.name
+        with self.catalog_lock:
+            self.db.execute(
+                "DELETE FROM xmlrel_shard_map WHERE doc_id = ?", (doc_id,)
             )
+            with self._lock:
+                self._docs.pop(doc_id, None)
+
+    def flip(self, entry: RebalanceEntry) -> None:
+        """The commit point of a journaled move: repoint the document at
+        its destination copy and mark the journal row ``flipped``, in
+        one catalog transaction."""
+        record = self.resolve(entry.doc_id)
+        with self.catalog_lock:
+            with self.db.transaction():
+                self.db.execute(
+                    "UPDATE xmlrel_shard_map SET shard = ?, "
+                    "local_doc_id = ? WHERE doc_id = ?",
+                    (entry.to_shard, entry.to_local, entry.doc_id),
+                )
+                self.db.execute(
+                    "UPDATE xmlrel_rebalance_journal "
+                    "SET state = 'flipped' WHERE journal_id = ?",
+                    (entry.journal_id,),
+                )
+            with self._lock:
+                self._docs[entry.doc_id] = replace(
+                    record, shard=entry.to_shard, local_doc_id=entry.to_local
+                )
 
     def docs_for_shard(self, shard: int) -> list[tuple[int, int]]:
         """``(global, local)`` id pairs of every document on *shard*."""
@@ -263,65 +296,64 @@ class RebalanceJournal:
 
     A move writes its intent here *before* touching any shard, then
     advances the row through ``copying → copied → flipped`` as each
-    step commits.  Recovery (:meth:`ShardedStore.recover`) reads the
-    surviving rows and rolls each move back or forward — see
-    :data:`REBALANCE_STATES` for which state implies which.
+    step commits (the flip is :meth:`ShardMap.flip`).  Recovery
+    (:meth:`ShardedStore.recover`) reads the surviving rows and rolls
+    each move back or forward — see :data:`REBALANCE_STATES` for which
+    state implies which.
     """
 
-    def __init__(self, db: Database) -> None:
+    def __init__(self, db: Database, catalog_lock: threading.Lock) -> None:
         self.db = db
+        self.catalog_lock = catalog_lock
         db.create_table(REBALANCE_JOURNAL_TABLE)
 
     def begin(
-        self,
-        doc_id: int,
-        from_shard: int,
-        from_local: int,
-        to_shard: int,
-        name: str,
-    ) -> int:
-        """Journal intent to move *doc_id*; returns the journal id."""
-        cursor = self.db.execute(
-            "INSERT INTO xmlrel_rebalance_journal "
-            "(doc_id, from_shard, from_local, to_shard, to_local, "
-            "state, name) VALUES (?, ?, ?, ?, NULL, 'copying', ?)",
-            (doc_id, from_shard, from_local, to_shard, name),
+        self, record: ShardedDocument, to_shard: int
+    ) -> RebalanceEntry:
+        """Journal intent to move *record*'s document to *to_shard*."""
+        with self.catalog_lock:
+            cursor = self.db.execute(
+                "INSERT INTO xmlrel_rebalance_journal "
+                "(doc_id, from_shard, from_local, to_shard, to_local, "
+                "state, name) VALUES (?, ?, ?, ?, NULL, 'copying', ?)",
+                (record.doc_id, record.shard, record.local_doc_id,
+                 to_shard, record.name),
+            )
+            journal_id = int(cursor.lastrowid)
+        return RebalanceEntry(
+            journal_id, record.doc_id, record.shard,
+            record.local_doc_id, to_shard, None, "copying", record.name,
         )
-        return int(cursor.lastrowid)
 
-    def mark_copied(self, journal_id: int, to_local: int) -> None:
+    def mark_copied(
+        self, entry: RebalanceEntry, to_local: int
+    ) -> RebalanceEntry:
         """The destination copy committed under *to_local*."""
-        self.db.execute(
-            "UPDATE xmlrel_rebalance_journal "
-            "SET state = 'copied', to_local = ? WHERE journal_id = ?",
-            (to_local, journal_id),
-        )
-
-    def mark_flipped(self, journal_id: int) -> None:
-        """The shard map now points at the destination copy."""
-        self.db.execute(
-            "UPDATE xmlrel_rebalance_journal "
-            "SET state = 'flipped' WHERE journal_id = ?",
-            (journal_id,),
-        )
+        with self.catalog_lock:
+            self.db.execute(
+                "UPDATE xmlrel_rebalance_journal "
+                "SET state = 'copied', to_local = ? WHERE journal_id = ?",
+                (to_local, entry.journal_id),
+            )
+        return replace(entry, to_local=to_local, state="copied")
 
     def finish(self, journal_id: int) -> None:
         """The move fully completed; drop its journal row."""
-        self.db.execute(
-            "DELETE FROM xmlrel_rebalance_journal WHERE journal_id = ?",
-            (journal_id,),
-        )
+        with self.catalog_lock:
+            self.db.execute(
+                "DELETE FROM xmlrel_rebalance_journal WHERE journal_id = ?",
+                (journal_id,),
+            )
 
     def pending(self) -> list[RebalanceEntry]:
         """Surviving journal rows, oldest first — crash leftovers."""
-        return [
-            RebalanceEntry(*row)
-            for row in self.db.query(
+        with self.catalog_lock:
+            rows = self.db.query(
                 "SELECT journal_id, doc_id, from_shard, from_local, "
                 "to_shard, to_local, state, name "
                 "FROM xmlrel_rebalance_journal ORDER BY journal_id"
             )
-        ]
+        return [RebalanceEntry(*row) for row in rows]
 
 
 class ShardState:
@@ -334,8 +366,11 @@ class ShardState:
     two bounds the executor surfaces on replica-served queries.
     """
 
-    def __init__(self, db: Database, shards: int) -> None:
+    def __init__(
+        self, db: Database, shards: int, catalog_lock: threading.Lock
+    ) -> None:
         self.db = db
+        self.catalog_lock = catalog_lock
         db.create_table(SHARD_STATE_TABLE)
         db.create_table(REPLICA_STATE_TABLE)
         for shard in range(shards):
@@ -365,44 +400,38 @@ class ShardState:
 
     def bump_write(self, shard: int) -> int:
         """Record one committed write on *shard*; returns the new seq."""
-        with self._lock:
-            seq = self._write_seq.get(shard, 0) + 1
-            self._write_seq[shard] = seq
-        self.db.execute(
-            "UPDATE xmlrel_shard_state SET write_seq = ? WHERE shard = ?",
-            (seq, shard),
-        )
+        with self.catalog_lock:
+            with self._lock:
+                seq = self._write_seq.get(shard, 0) + 1
+                self._write_seq[shard] = seq
+            self.db.execute(
+                "UPDATE xmlrel_shard_state SET write_seq = ? WHERE shard = ?",
+                (seq, shard),
+            )
         return seq
 
-    def record_ship(
-        self, shard: int, replica: int, seq: int, at: float | None = None
-    ) -> None:
+    def record_ship(self, shard: int, replica: int, seq: int) -> None:
         """A replica snapshot of *shard* at write *seq* just landed."""
-        shipped_at = time.time() if at is None else at
-        self.db.execute(
-            "INSERT INTO xmlrel_replica_state "
-            "(shard, replica, shipped_seq, shipped_at) "
-            "VALUES (?, ?, ?, ?) "
-            "ON CONFLICT (shard, replica) DO UPDATE SET "
-            "shipped_seq = excluded.shipped_seq, "
-            "shipped_at = excluded.shipped_at",
-            (shard, replica, seq, shipped_at),
-        )
-        with self._lock:
-            self._shipped[(shard, replica)] = (seq, shipped_at)
-
-    def replica_state(
-        self, shard: int, replica: int
-    ) -> tuple[int, float] | None:
-        """``(shipped_seq, shipped_at)`` of a replica, if ever shipped."""
-        with self._lock:
-            return self._shipped.get((shard, replica))
+        shipped_at = time.time()
+        with self.catalog_lock:
+            self.db.execute(
+                "INSERT INTO xmlrel_replica_state "
+                "(shard, replica, shipped_seq, shipped_at) "
+                "VALUES (?, ?, ?, ?) "
+                "ON CONFLICT (shard, replica) DO UPDATE SET "
+                "shipped_seq = excluded.shipped_seq, "
+                "shipped_at = excluded.shipped_at",
+                (shard, replica, seq, shipped_at),
+            )
+            with self._lock:
+                self._shipped[(shard, replica)] = (seq, shipped_at)
 
     def staleness(self, shard: int, replica: int) -> tuple[int, float] | None:
         """``(lag_writes, age_seconds)`` of a replica, if ever shipped."""
-        state = self.replica_state(shard, replica)
+        with self._lock:
+            state = self._shipped.get((shard, replica))
+            write_seq = self._write_seq.get(shard, 0)
         if state is None:
             return None
         shipped_seq, shipped_at = state
-        lag = self.write_seq(shard) - shipped_seq
-        return lag, max(0.0, time.time() - shipped_at)
+        return write_seq - shipped_seq, max(0.0, time.time() - shipped_at)

@@ -90,8 +90,9 @@ from repro.errors import (
 )
 from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, RequestContext, Tracer
+from repro.obs.trace import RequestContext, Tracer
 from repro.relational.plancache import plan_key
+from repro.relational.shardmap import ShardState
 from repro.serve.pool import ConnectionPool, ReadSession, Run
 from repro.serve.protocol import READ_FROM_MODES, encode_rows, join_fragments
 
@@ -172,14 +173,13 @@ class QueryExecutor:
     def __init__(
         self,
         pools: dict[int, ConnectionPool],
+        shard_state: ShardState,
+        metrics: MetricsRegistry,
+        tracer: Tracer,
         max_in_flight: int = 32,
         default_deadline: float | None = None,
         on_shard_error: str = "fail",
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        replica_pools: dict[int, list[ConnectionPool]] | None = None,
         read_from: str = "primary",
-        shard_state=None,
         request_log: RequestLog | None = None,
     ) -> None:
         if not pools:
@@ -199,24 +199,23 @@ class QueryExecutor:
         self.pools = dict(pools)
         #: Per-shard replica pools; the owning store attaches entries as
         #: replica snapshots ship, so routing sees them appear live.
-        self.replica_pools = dict(replica_pools or {})
+        self.replica_pools: dict[int, list[ConnectionPool]] = {}
         self.read_from = read_from
-        #: :class:`~repro.relational.shardmap.ShardState` (or None) —
-        #: the staleness bookkeeping replica-served answers report from.
+        #: The staleness bookkeeping replica-served answers report from.
         self.shard_state = shard_state
         self._replica_rr: dict[int, int] = {}
         self._replica_lock = threading.Lock()
         self.max_in_flight = max_in_flight
         self.default_deadline = default_deadline
         self.on_shard_error = on_shard_error
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = metrics
         # Lazy caches for instruments with formatted names — the warm
         # query path must not rebuild "serve.shardN.query_seconds"
         # strings on every request.  Lazy (not eager) so an untouched
         # shard or outcome never materializes an empty instrument.
         self._shard_seconds: dict = {}
         self._outcome_instruments: dict = {}
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         #: Optional wide-event sink: one structured record per query.
         self.request_log = request_log
         self._gate = threading.Semaphore(max_in_flight)
@@ -403,15 +402,6 @@ class QueryExecutor:
         stream.submit()
         return stream
 
-    def run_on_shard(
-        self, shard: int, fn, timeout: float | None = None
-    ):
-        """Run ``fn(session)`` on one shard's pooled connection, under
-        the admission gate — the door for read work that is not a plain
-        pre-id query (node reconstruction, verification, raw reads)."""
-        result, _ = self.run_on_shard_routed(shard, fn, timeout=timeout)
-        return result
-
     def run_on_shard_routed(
         self,
         shard: int,
@@ -419,7 +409,10 @@ class QueryExecutor:
         timeout: float | None = None,
         read_from: str = "primary",
     ) -> tuple:
-        """Like :meth:`run_on_shard`, but routable to a replica.
+        """Run ``fn(session)`` on one shard's pooled connection, under
+        the admission gate — the door for read work that is not a plain
+        pre-id query (node reconstruction, verification, query reports,
+        raw reads), routable to a replica.
 
         Returns ``(result, replica)`` where ``replica`` is the replica
         index that served (None when the primary did — including after
@@ -704,7 +697,7 @@ class ScatterStream:
                 if info is not None:
                     info["elapsed_seconds"] = elapsed
             lag = age = None
-            if replica is not None and executor.shard_state is not None:
+            if replica is not None:
                 staleness = executor.shard_state.staleness(shard, replica)
                 if staleness is not None:
                     lag, age = staleness

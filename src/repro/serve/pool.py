@@ -72,7 +72,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.relational.database import Database
 from repro.relational.plancache import PlanCache
 from repro.relational.retry import RetryPolicy
-from repro.relational.shardmap import connection_alive
 
 
 #: Row units one pool's :class:`ResultCache` may hold.  A row is a
@@ -317,8 +316,10 @@ class ConnectionPool:
         return ReadSession(scheme.db, scheme, generation)
 
     def _healthy(self, session: ReadSession) -> bool:
-        """One cheap round trip proving the connection still answers."""
-        return connection_alive(session.db)
+        """One cheap round trip proving the connection still answers
+        (:meth:`~repro.relational.database.Database.ping`: untraced and
+        unmetered, so per-acquire checks bury no query spans)."""
+        return session.db.ping()
 
     def _stale(self, session: ReadSession) -> bool:
         with self._lock:

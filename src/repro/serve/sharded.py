@@ -70,14 +70,15 @@ a staleness bound (writes behind + snapshot age) surfaced through
 :class:`~repro.serve.executor.ScatterResult` and
 :class:`~repro.obs.report.QueryReport`.
 
-**Lock order.**  The canonical order for every lock in this module —
-and the rest of the tree — is declared once, in
-:data:`repro.analysis.concurrency.LOCK_ORDER`: ``shard`` (the
-per-shard writer locks, outermost; several taken in ascending shard
-index only) → ``map`` (catalog/shard-map locks) → ``pool`` →
-``metrics`` (innermost).  The static analyzer
+**Lock order.**  The canonical order for every lock in the tree is
+declared once, in :data:`repro.analysis.concurrency.LOCK_ORDER`:
+``shard`` (outermost) → ``map`` → ``pool`` → ``metrics`` (innermost).
+This module owns only the ``shard`` class — the per-shard writer
+locks, several taken in ascending shard index only.  The catalog's
+``map`` locks belong to :mod:`repro.relational.shardmap`, whose methods
+take them themselves, so nothing here holds one.  The static analyzer
 (``python -m repro.analysis.concurrency``) and the runtime harness
-(:mod:`repro.analysis.lockharness`) both enforce it; change the
+(:mod:`repro.analysis.lockharness`) both enforce the order; change the
 registry, not just this prose.
 """
 
@@ -102,11 +103,12 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.reliability.audit import IntegrityReport
 from repro.relational.database import Database
 from repro.relational.shardmap import (
+    RebalanceEntry,
     RebalanceJournal,
     ShardedDocument,
     ShardMap,
     ShardState,
-    pin_shard_config,
+    open_catalog,
 )
 from repro.serve.executor import QueryExecutor, ScatterResult
 from repro.serve.pool import ConnectionPool
@@ -156,47 +158,32 @@ class ShardedStore:
         directory: str,
         catalog_db: Database,
         shard_map: ShardMap,
+        journal: RebalanceJournal,
+        shard_state: ShardState,
         writers: list[XmlRelStore],
         pools: dict[int, ConnectionPool],
+        replica_sets: dict[int, ReplicaSet],
         executor: QueryExecutor,
         placement: str,
         metrics: MetricsRegistry,
         tracer: Tracer,
-        shard_state: ShardState | None = None,
-        journal: RebalanceJournal | None = None,
-        replica_sets: dict[int, ReplicaSet] | None = None,
     ) -> None:
         self.directory = directory
         self.catalog_db = catalog_db
         self.shard_map = shard_map
+        self.journal = journal
+        self.shard_state = shard_state
         self.writers = writers
         self.pools = pools
+        self.replica_sets = replica_sets
         self.executor = executor
         self.placement = placement
         self.metrics = metrics
         self.tracer = tracer
         self.scheme_name = writers[0].scheme.name
-        self.shard_state = (
-            shard_state
-            if shard_state is not None
-            else ShardState(catalog_db, len(writers))
-        )
-        self.journal = (
-            journal if journal is not None else RebalanceJournal(catalog_db)
-        )
-        self.replica_sets = dict(replica_sets or {})
         #: One single-writer lock per shard: writes to different shards
         #: proceed concurrently, writes to one shard serialize.
         self._shard_locks = [threading.Lock() for _ in writers]
-        #: Guards the round-robin counter and *every* catalog-database
-        #: write (shard map, journal, shard state) — the catalog is one
-        #: shared connection.  Lock order: class "map", inside the
-        #: "shard" locks above — see the canonical registry
-        #: :data:`repro.analysis.concurrency.LOCK_ORDER`.
-        self._map_lock = threading.Lock()
-        self._rr_counter = len(shard_map)
-        if self.executor.shard_state is None:
-            self.executor.shard_state = self.shard_state
         #: The HTTP/JSON query gateway, once :meth:`serve_gateway`
         #: starts it.
         self._gateway = None
@@ -285,9 +272,9 @@ class ShardedStore:
                 check_same_thread=False,
             )
             opened.callback(catalog_db.close)
-            pin_shard_config(catalog_db, scheme, shards, placement)
-            shard_map = ShardMap(catalog_db)
-            shard_state = ShardState(catalog_db, shards)
+            shard_map, journal, shard_state = open_catalog(
+                catalog_db, scheme, shards, placement
+            )
             writers = []
             pools: dict[int, ConnectionPool] = {}
             replica_sets: dict[int, ReplicaSet] = {}
@@ -311,28 +298,20 @@ class ShardedStore:
                     opened.callback(replica_sets[shard].close)
             executor = QueryExecutor(
                 pools,
+                shard_state,
+                metrics,
+                the_tracer,
                 max_in_flight=max_in_flight,
                 default_deadline=default_deadline,
                 on_shard_error=on_shard_error,
-                metrics=metrics,
-                tracer=the_tracer,
                 read_from=read_from,
-                shard_state=shard_state,
                 request_log=request_log,
             )
             opened.callback(executor.close)
             store = cls(
-                directory,
-                catalog_db,
-                shard_map,
-                writers,
-                pools,
-                executor,
-                placement,
-                metrics,
-                the_tracer,
-                shard_state=shard_state,
-                replica_sets=replica_sets,
+                directory, catalog_db, shard_map, journal, shard_state,
+                writers, pools, replica_sets, executor, placement,
+                metrics, the_tracer,
             )
             store.recover()
             opened.pop_all()
@@ -342,10 +321,14 @@ class ShardedStore:
 
     def place(self, name: str) -> int:
         """The shard that owns (or would own) a document named *name*."""
+        return self._place(name, claim=False)
+
+    def _place(self, name: str, claim: bool) -> int:
+        """:meth:`place`; *claim* when the document is being stored,
+        so round-robin placement moves on to the next shard."""
         if self.placement == "hash":
             return zlib.crc32(name.encode("utf-8")) % len(self.writers)
-        shard = self._rr_counter % len(self.writers)
-        return shard
+        return self.shard_map.round_robin(len(self.writers), claim)
 
     # -- write plumbing -----------------------------------------------------------
 
@@ -410,27 +393,42 @@ class ShardedStore:
         Other shards' caches are never touched.
         """
         self.pools[shard].bump_data_version()
-        with self._map_lock:
-            self.shard_state.bump_write(shard)
+        self.shard_state.bump_write(shard)
         if self.writers[shard].scheme.translation_depends_on_data:
             self.pools[shard].bump_epoch()
 
     @contextmanager
-    def _owning_shard(self, doc_id: int):
-        """Resolve *doc_id* and hold its shard's writer lock.
+    def _writing(self, op: str, doc_id: int, **fields):
+        """The envelope of a single-document write: its wide event
+        around the owning shard's writer lock, and :meth:`_post_write`
+        once the body committed.  Yields the document's record.
 
         Re-resolves under the lock: a concurrent rebalance may have
         moved the document between resolution and acquisition, in which
         case the loop chases it to its new shard.
         """
-        while True:
-            record = self.shard_map.resolve(doc_id)
-            with self._shard_locks[record.shard]:
-                current = self.shard_map.resolve(doc_id)
-                if current.shard == record.shard:
-                    yield current
-                    return
-            # Moved mid-acquire; chase it.
+        with self._observed_update(op, doc_id=doc_id, **fields):
+            while True:
+                record = self.shard_map.resolve(doc_id)
+                with self._shard_locks[record.shard]:
+                    current = self.shard_map.resolve(doc_id)
+                    if current.shard == record.shard:
+                        yield current
+                        self._post_write(current.shard)
+                        return
+                # Moved mid-acquire; chase it.
+
+    @contextmanager
+    def _all_shards(self):
+        """Every shard writer lock, taken in ascending shard order: a
+        corpus load and a recovery have the whole store to themselves."""
+        for lock in self._shard_locks:
+            lock.acquire()
+        try:
+            yield
+        finally:
+            for lock in reversed(self._shard_locks):
+                lock.release()
 
     # -- storing ------------------------------------------------------------------
 
@@ -450,13 +448,10 @@ class ShardedStore:
 
     def _store_payload(self, source, name: str) -> int:
         with self._observed_update("store", name=name):
-            with self._map_lock:
-                shard = self.place(name)
-                self._rr_counter += 1
+            shard = self._place(name, claim=True)
             with self._shard_locks[shard]:
                 local = self.writers[shard].store_stream(source, name)
-                with self._map_lock:
-                    doc_id = self.shard_map.register(shard, local, name)
+                doc_id = self.shard_map.register(shard, local, name)
                 self._post_write(shard)
             self.metrics.counter("serve.documents_stored").inc()
             return doc_id
@@ -518,15 +513,12 @@ class ShardedStore:
             if gc_was_enabled:
                 gc.collect()
                 gc.disable()
-            for lock in self._shard_locks:
-                lock.acquire()
             try:
-                doc_ids = self._load_corpus_locked(
-                    sources, names, keep_whitespace
-                )
+                with self._all_shards():
+                    doc_ids = self._load_corpus_locked(
+                        sources, names, keep_whitespace
+                    )
             finally:
-                for lock in reversed(self._shard_locks):
-                    lock.release()
                 if gc_was_enabled:
                     gc.enable()
             self.metrics.counter("serve.documents_stored").inc(len(doc_ids))
@@ -554,9 +546,7 @@ class ShardedStore:
                         f"payload at position {position} has no name: "
                         f"only {len(names)} name(s) given"
                     )
-                with self._map_lock:
-                    shard = self.place(name)
-                    self._rr_counter += 1
+                shard = self._place(name, claim=True)
                 session = sessions.get(shard)
                 if session is None:
                     session = sessions[shard] = rollback.enter_context(
@@ -608,11 +598,10 @@ class ShardedStore:
                 self._post_write(shard)
         if errors:
             raise errors[min(errors)]
-        with self._map_lock:
-            return [
-                self.shard_map.register(shard, local, name)
-                for shard, local, name in placed
-            ]
+        return [
+            self.shard_map.register(shard, local, name)
+            for shard, local, name in placed
+        ]
 
     def delete(self, doc_id: int) -> None:
         """Remove a document from its shard and the shard map.
@@ -621,12 +610,9 @@ class ShardedStore:
         leaves an orphan (swept by :meth:`recover`), never a map entry
         resolving to missing rows.
         """
-        with self._observed_update("delete", doc_id=doc_id):
-            with self._owning_shard(doc_id) as record:
-                with self._map_lock:
-                    self.shard_map.remove(doc_id)
-                self.writers[record.shard].delete(record.local_doc_id)
-                self._post_write(record.shard)
+        with self._writing("delete", doc_id) as record:
+            self.shard_map.remove(doc_id)
+            self.writers[record.shard].delete(record.local_doc_id)
 
     # -- updates ------------------------------------------------------------------
 
@@ -649,22 +635,17 @@ class ShardedStore:
         not an element — rolls the whole update back while pooled
         readers keep serving the pre-update state.
         """
-        with self._observed_update(
-            "insert_subtree", doc_id=doc_id, parent_pre=parent_pre
-        ):
-            with self._owning_shard(doc_id) as record:
-                writer = self.writers[record.shard]
-                with writer.db.transaction():
-                    stats = updates_module.insert_subtree(
-                        writer.scheme,
-                        record.local_doc_id,
-                        parent_pre,
-                        fragment,
-                        index,
-                    )
-                self._post_write(record.shard)
-            self.metrics.counter("serve.subtree_inserts").inc()
-            return stats
+        with self._writing(
+            "insert_subtree", doc_id, parent_pre=parent_pre
+        ) as record:
+            writer = self.writers[record.shard]
+            with writer.db.transaction():
+                stats = updates_module.insert_subtree(
+                    writer.scheme, record.local_doc_id, parent_pre,
+                    fragment, index,
+                )
+        self.metrics.counter("serve.subtree_inserts").inc()
+        return stats
 
     def delete_subtree(self, doc_id: int, pre: int) -> UpdateStats:
         """Delete the subtree rooted at node *pre* of one document.
@@ -672,18 +653,14 @@ class ShardedStore:
         Same serialization and atomicity contract as
         :meth:`insert_subtree`.
         """
-        with self._observed_update(
-            "delete_subtree", doc_id=doc_id, pre=pre
-        ):
-            with self._owning_shard(doc_id) as record:
-                writer = self.writers[record.shard]
-                with writer.db.transaction():
-                    stats = updates_module.delete_subtree(
-                        writer.scheme, record.local_doc_id, pre
-                    )
-                self._post_write(record.shard)
-            self.metrics.counter("serve.subtree_deletes").inc()
-            return stats
+        with self._writing("delete_subtree", doc_id, pre=pre) as record:
+            writer = self.writers[record.shard]
+            with writer.db.transaction():
+                stats = updates_module.delete_subtree(
+                    writer.scheme, record.local_doc_id, pre
+                )
+        self.metrics.counter("serve.subtree_deletes").inc()
+        return stats
 
     # -- rebalancing --------------------------------------------------------------
 
@@ -726,34 +703,37 @@ class ShardedStore:
         self, record: ShardedDocument, to_shard: int
     ) -> None:
         """The move protocol, with both shard locks held."""
-        from_shard, from_local = record.shard, record.local_doc_id
-        with self._map_lock:
-            journal_id = self.journal.begin(
-                record.doc_id, from_shard, from_local, to_shard, record.name
-            )
+        entry = self.journal.begin(record, to_shard)
         # 1. Copy: publish the source writer's rows as a token stream
         #    and shred it at the destination — no tree in between.  A
         #    crash here leaves state "copying" — the map never learned
         #    of the copy, so recovery rolls back.
         to_local = self.writers[to_shard].scheme.store_stream(
-            self.writers[from_shard].scheme.publish_events(from_local),
+            self.writers[record.shard].scheme.publish_events(
+                record.local_doc_id
+            ),
             record.name,
         ).doc_id
-        with self._map_lock:
-            self.journal.mark_copied(journal_id, to_local)
-        # 2. Flip: map move + journal advance in ONE catalog
-        #    transaction — the atomic commit point of the whole move.
-        with self._map_lock:
-            with self.catalog_db.transaction():
-                self.shard_map.move(record.doc_id, to_shard, to_local)
-                self.journal.mark_flipped(journal_id)
-        # 3. Drop the source copy.  A crash here leaves "flipped" —
-        #    recovery just repeats this step.
-        self.writers[from_shard].delete(from_local)
-        with self._map_lock:
-            self.journal.finish(journal_id)
-        self._post_write(from_shard)
+        # 2.–3. Flip and drop the source copy: the roll-forward that
+        #    recovery runs on a move it finds "copied".
+        self._roll_forward(self.journal.mark_copied(entry, to_local))
+        self._post_write(record.shard)
         self._post_write(to_shard)
+
+    def _roll_forward(self, entry: RebalanceEntry) -> None:
+        """Finish a journaled move from its state.  ``copied``: flip —
+        map move and journal advance in one catalog transaction
+        (:meth:`ShardMap.flip`), the atomic commit point of the whole
+        move.  Then drop the source copy and the journal row; a crash
+        before that leaves ``flipped``, and recovery repeats only the
+        drop."""
+        if entry.state == "copied":
+            self.shard_map.flip(entry)
+        try:
+            self.writers[entry.from_shard].delete(entry.from_local)
+        except DocumentNotFoundError:
+            pass  # the crash interrupted us after this very step
+        self.journal.finish(entry.journal_id)
 
     def rebalance_shard(
         self, from_shard: int, to_shard: int, count: int | None = None
@@ -762,6 +742,8 @@ class ShardedStore:
         pair) from one shard to another; returns the moved doc ids."""
         self._check_shard(from_shard)
         self._check_shard(to_shard)
+        if from_shard == to_shard:
+            return []  # nothing would change shard
         counts = self.shard_counts()
         if count is None:
             count = max(0, (counts[from_shard] - counts[to_shard]) // 2)
@@ -785,52 +767,33 @@ class ShardedStore:
         Runs automatically at :meth:`open`; callable any time the store
         is quiesced.
         """
-        for lock in self._shard_locks:
-            lock.acquire()
-        try:
+        with self._all_shards():
             return self._recover_locked()
-        finally:
-            for lock in reversed(self._shard_locks):
-                lock.release()
 
     def _recover_locked(self) -> RecoveryReport:
         rolled_back: list[int] = []
         rolled_forward: list[int] = []
         cleaned_up: list[int] = []
         touched: set[int] = set()
-        with self._map_lock:
-            entries = self.journal.pending()
-        for entry in entries:
+        for entry in self.journal.pending():
             if entry.state == "copying":
                 # The map never learned of the copy; drop the journal
                 # row and let the orphan sweep collect any committed
                 # destination rows.
-                with self._map_lock:
-                    self.journal.finish(entry.journal_id)
+                self.journal.finish(entry.journal_id)
                 rolled_back.append(entry.doc_id)
                 touched.add(entry.to_shard)
-            elif entry.state == "copied":
-                # The destination copy committed and is journaled —
-                # finish the move: flip, drop the source.
-                with self._map_lock:
-                    with self.catalog_db.transaction():
-                        self.shard_map.move(
-                            entry.doc_id, entry.to_shard, entry.to_local
-                        )
-                        self.journal.mark_flipped(entry.journal_id)
-                self._drop_source_copy(entry)
-                with self._map_lock:
-                    self.journal.finish(entry.journal_id)
+                continue
+            # "copied": the destination copy committed and is journaled
+            # — finish the move.  "flipped": the map already points at
+            # the destination; only the source copy may remain.
+            self._roll_forward(entry)
+            if entry.state == "copied":
                 rolled_forward.append(entry.doc_id)
-                touched.update((entry.from_shard, entry.to_shard))
-            elif entry.state == "flipped":
-                # The map already points at the destination; only the
-                # source copy may remain.
-                self._drop_source_copy(entry)
-                with self._map_lock:
-                    self.journal.finish(entry.journal_id)
+                touched.add(entry.to_shard)
+            else:
                 cleaned_up.append(entry.doc_id)
-                touched.add(entry.from_shard)
+            touched.add(entry.from_shard)
         orphans: list[tuple[int, int]] = []
         for shard, writer in enumerate(self.writers):
             mapped = {
@@ -859,12 +822,6 @@ class ShardedStore:
             self.metrics.counter("serve.recoveries").inc()
         return report
 
-    def _drop_source_copy(self, entry) -> None:
-        try:
-            self.writers[entry.from_shard].delete(entry.from_local)
-        except DocumentNotFoundError:
-            pass  # the crash interrupted us after this very step
-
     # -- replicas -----------------------------------------------------------------
 
     def ship_replicas(self, shard: int | None = None) -> dict[int, list[int]]:
@@ -892,10 +849,7 @@ class ShardedStore:
                         replica_set.ship_one(
                             self.writers[target].db, replica
                         )
-                        with self._map_lock:
-                            self.shard_state.record_ship(
-                                target, replica, seq
-                            )
+                        self.shard_state.record_ship(target, replica, seq)
                         indices.append(replica)
                 finally:
                     pools = replica_set.shipped_pools()
@@ -943,7 +897,7 @@ class ShardedStore:
         pooled read connection of its shard.  The report carries the
         *global* doc id and the shard it ran on."""
         record = self.shard_map.resolve(doc_id)
-        report = self.executor.run_on_shard(
+        report, _ = self.executor.run_on_shard_routed(
             record.shard,
             lambda session: session.scheme.verify_document(
                 record.local_doc_id
@@ -1004,9 +958,7 @@ class ShardedStore:
                 f"shard {shard}",
             )
         report.ran("placement.journal-empty")
-        with self._map_lock:
-            entries = self.journal.pending()
-        for entry in entries:
+        for entry in self.journal.pending():
             if shard in (entry.from_shard, entry.to_shard):
                 report.add(
                     "placement.journal-empty",
@@ -1054,11 +1006,12 @@ class ShardedStore:
         the document's shard (admission-gated like every serving
         read)."""
         record = self.shard_map.resolve(doc_id)
-        return self.executor.run_on_shard(
+        result, _ = self.executor.run_on_shard_routed(
             record.shard,
             lambda session: call(session.scheme, record.local_doc_id),
             timeout=deadline,
         )
+        return result
 
     def query(
         self, doc_id: int, xpath: str, deadline: float | None = None

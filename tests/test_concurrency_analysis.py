@@ -257,6 +257,35 @@ class Bad:
         assert [d.code for d in findings] == ["C005"]
         assert "call path self.helper()" in findings[0].message
 
+    def test_handed_in_registered_lock_is_modeled(self, tmp_path):
+        """A registered lock a class receives (the shard catalog's
+        shared ``catalog_lock``) is checked like one it builds; an
+        unregistered attribute assigned the same way is not a lock."""
+        source = """\
+class View:
+    def __init__(self, catalog_lock, other):
+        self.catalog_lock = catalog_lock
+        self.other = other
+
+    def flip(self):
+        with self.catalog_lock:
+            self.register()
+
+    def register(self):
+        with self.catalog_lock:
+            pass
+"""
+        findings, _suppressed, locks = lint_fixture(
+            tmp_path, source,
+            sites={"fixture/mod.py": {"catalog_lock": "map"}},
+        )
+        assert [d.code for d in findings] == ["C005"]
+        assert [(lock["attr"], lock["lock_class"]) for lock in locks] == [
+            ("catalog_lock", "map")
+        ]
+        findings, _suppressed, locks = lint_fixture(tmp_path, source)
+        assert findings == [] and locks == []
+
     def test_c005_rlock_is_exempt(self, tmp_path):
         findings, _suppressed, _locks = lint_fixture(
             tmp_path,
@@ -700,10 +729,13 @@ class TestInstrumentedStore:
             os.path.join(tmp_path, "store.d"), scheme="interval", shards=2
         )
         instrument_sharded_store(store, watcher)
-        assert isinstance(store._map_lock, OrderedLock)
-        map_lock = store._map_lock
+        catalog_lock = store.shard_map.catalog_lock
+        assert isinstance(catalog_lock, OrderedLock)
+        # One shim for the one catalog connection's three views.
+        assert store.journal.catalog_lock is catalog_lock
+        assert store.shard_state.catalog_lock is catalog_lock
         instrument_sharded_store(store, watcher)  # idempotent
-        assert store._map_lock is map_lock
+        assert store.shard_map.catalog_lock is catalog_lock
         with store:
             ids = [
                 store.store_text(self.SMALL.format(y=2000 + i), f"d{i}")
@@ -727,6 +759,54 @@ class TestInstrumentedStore:
         for source, targets in report["edges"].items():
             for target in targets:
                 assert rank(source) <= rank(target), (source, target)
+
+    def test_reads_never_wait_on_catalog_sql(self, tmp_path):
+        """Routing reads take only the mirrors' short locks: they
+        complete while another thread holds the catalog lock (as it
+        does across every catalog statement)."""
+        with ShardedStore.open(
+            os.path.join(tmp_path, "store.d"), scheme="interval", shards=2
+        ) as store:
+            doc_id = store.store_text(self.SMALL.format(y=1), "d0")
+            record = store.resolve(doc_id)
+            held, done = threading.Event(), threading.Event()
+
+            def hold_catalog():
+                with store.shard_map.catalog_lock:
+                    held.set()
+                    done.wait(10)
+
+            holder = threading.Thread(
+                target=hold_catalog, name="catalog-holder", daemon=True
+            )
+            holder.start()
+            answers = {}
+
+            def read():
+                answers["targets"] = store.targets(doc_id)
+                answers["scatter"] = store.targets()
+                answers["resolve"] = store.resolve(doc_id)
+                answers["counts"] = store.shard_counts()
+
+            try:
+                assert held.wait(5)
+                reader = threading.Thread(
+                    target=read, name="catalog-reader", daemon=True
+                )
+                reader.start()
+                reader.join(5)
+                assert not reader.is_alive(), "a read waited on the catalog"
+            finally:
+                done.set()
+                holder.join(5)
+            assert answers["targets"] == {
+                record.shard: [(doc_id, record.local_doc_id)]
+            }
+            assert answers["scatter"][record.shard] == [
+                (doc_id, record.local_doc_id)
+            ]
+            assert answers["resolve"] == record
+            assert sum(answers["counts"].values()) == 1
 
     def test_instrumented_store_detects_seeded_inversion(self, tmp_path):
         """The harness catches an intentionally inverted pair on a

@@ -5,9 +5,11 @@ import threading
 import pytest
 
 from repro.errors import StorageError, UpdateError
+from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.database import Database
 from repro.relational.retry import RetryPolicy
+from repro.relational.shardmap import ShardMap
 from repro.reliability.faults import ShardFaultPolicy, SimulatedCrash
 from repro.serve import ConnectionPool, ShardedStore, replica_fault_key
 from repro.xml import parse_fragment
@@ -216,6 +218,49 @@ class TestRebalance:
             moved = store.rebalance_shard(0, 1)
             assert len(moved) == 2
             assert store.shard_counts() == {0: 2, 1: 2}
+            assert store.verify_ok()
+
+    def test_rebalance_shard_onto_itself_moves_nothing(self, tmp_path):
+        log = RequestLog(capacity=64)
+        with open_store(tmp_path, shards=2, request_log=log) as store:
+            for i in range(4):
+                store.store_text(SMALL_XML, name=f"doc-{i}")
+            before = store.shard_counts()
+            assert store.rebalance_shard(0, 0, count=2) == []
+            assert store.rebalance_shard(1, 1) == []
+            assert store.shard_counts() == before
+            assert not [
+                event for event in log.tail(64) if event.get("op") == "rebalance"
+            ]
+
+    def test_rebalance_and_recovery_share_one_flip(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash at the flip leaves the move ``copied``; recovery
+        rolls it forward through the very method the move used."""
+        flips = []
+        real_flip = ShardMap.flip
+
+        def flip(shard_map, entry):
+            flips.append(entry.state)
+            if len(flips) == 1:
+                raise SimulatedCrash("crash at the flip")
+            real_flip(shard_map, entry)
+
+        monkeypatch.setattr(ShardMap, "flip", flip)
+        with open_store(tmp_path) as store:
+            doc = store.store_text(SMALL_XML, name="a")  # shard 0
+            before = store.reconstruct_xml(doc)
+            with pytest.raises(SimulatedCrash):
+                store.rebalance(doc, 1)
+            assert [e.state for e in store.journal.pending()] == ["copied"]
+            assert store.resolve(doc).shard == 0
+            report = store.recover()
+            assert report.rolled_forward == (doc,)
+            assert flips == ["copied", "copied"]
+            assert not store.journal.pending()
+            assert store.resolve(doc).shard == 1
+            assert store.reconstruct_xml(doc) == before
             assert store.verify_ok()
 
     @pytest.mark.parametrize(
