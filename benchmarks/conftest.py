@@ -5,13 +5,9 @@ draws from them.  Scale factors are laptop-sized — the experiments
 compare *shapes* across schemes, which are scale-stable (see DESIGN.md).
 """
 
-import os
-
 import pytest
 
-from repro.bench import report as bench_report
 from repro.core.registry import available_schemes, create_scheme
-from repro.obs import Tracer, write_chrome_trace, write_jsonl
 from repro.relational.database import Database
 from repro.workloads import (
     auction_dtd,
@@ -31,34 +27,10 @@ SEED = 42
 #: Durability profile for every benchmark database: the seed pragmas.
 PROFILE = "bulk_load"
 
-#: ``XMLREL_TRACE=/path/to/trace.jsonl`` turns on session-wide tracing:
-#: every benchmark database reports spans/statement events/metrics into
-#: one tracer, experiment reports are folded in as point events, and the
-#: session-finish hook writes the JSON Lines log to the given path plus
-#: a Chrome-trace sibling (``<path>.chrome.json``) for
-#: ``chrome://tracing``.  Unset (the default) the tracer is disabled and
-#: the suite measures the untraced hot paths.
-TRACE_PATH = os.environ.get("XMLREL_TRACE")
-SESSION_TRACER = Tracer(enabled=bool(TRACE_PATH))
-
-if TRACE_PATH:
-    @bench_report.add_sink
-    def _trace_report(record):
-        SESSION_TRACER.event(
-            "experiment-report",
-            **{k: v for k, v in record.items() if k != "text"},
-        )
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if TRACE_PATH:
-        write_jsonl(SESSION_TRACER, TRACE_PATH)
-        write_chrome_trace(SESSION_TRACER, TRACE_PATH + ".chrome.json")
-
 
 def bench_database(path=":memory:"):
     """A database under the suite-wide durability profile."""
-    return Database(path, profile=PROFILE, tracer=SESSION_TRACER)
+    return Database(path, profile=PROFILE)
 
 
 def scheme_kwargs(name, dtd_factory=auction_dtd):

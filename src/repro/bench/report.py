@@ -1,58 +1,13 @@
-"""Rendering of experiment results as paper-style markdown tables.
-
-Reporting goes through one :func:`emit` function instead of bare
-``print()``: every emitted record is a JSON-able dict handed to any
-registered sinks (the benchmark harness registers one to fold reports
-into the session trace — see ``benchmarks/conftest.py``), and the
-rendered text still lands on stdout unless :func:`set_stdout` turned it
-off.
-"""
+"""Rendering of experiment results as paper-style markdown tables."""
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 
 from repro.bench.harness import ExperimentResult, format_value
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..",
                            "benchmarks", "results")
-
-#: Registered report sinks: each is called as ``sink(record)`` with a
-#: JSON-able dict carrying at least ``kind`` and ``text``.
-_SINKS: list[Callable[[dict], None]] = []
-
-#: Whether :func:`emit` also prints the record's text to stdout.
-_STDOUT = True
-
-
-def add_sink(sink: Callable[[dict], None]) -> Callable[[dict], None]:
-    """Register *sink* to receive every emitted report record; returns
-    it (so callers can keep the handle for :func:`remove_sink`)."""
-    _SINKS.append(sink)
-    return sink
-
-
-def remove_sink(sink: Callable[[dict], None]) -> None:
-    """Unregister a sink previously added with :func:`add_sink`."""
-    if sink in _SINKS:
-        _SINKS.remove(sink)
-
-
-def set_stdout(enabled: bool) -> None:
-    """Toggle stdout rendering (sinks still receive every record)."""
-    global _STDOUT
-    _STDOUT = enabled
-
-
-def emit(record: dict) -> None:
-    """Route one report record to every sink, then render its ``text``
-    to stdout (the pre-observability behaviour)."""
-    for sink in list(_SINKS):
-        sink(record)
-    if _STDOUT and record.get("text"):
-        print()
-        print(record["text"])
 
 
 def format_table(result: ExperimentResult) -> str:
@@ -102,8 +57,8 @@ def _format_row(cells: list[str], widths: list[int]) -> str:
 
 
 def write_report(result: ExperimentResult, directory: str | None = None) -> str:
-    """Write the experiment's table to ``benchmarks/results/`` and emit
-    it (stdout rendering plus any registered sinks)."""
+    """Write the experiment's table to ``benchmarks/results/`` and print
+    it."""
     rendered = format_table(result)
     target_dir = directory or os.path.abspath(RESULTS_DIR)
     os.makedirs(target_dir, exist_ok=True)
@@ -112,15 +67,6 @@ def write_report(result: ExperimentResult, directory: str | None = None) -> str:
     )
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(rendered)
-    emit(
-        {
-            "kind": "experiment-report",
-            "experiment": result.experiment,
-            "title": result.title,
-            "workload": result.workload,
-            "path": path,
-            "rows": len(result.rows),
-            "text": rendered,
-        }
-    )
+    print()
+    print(rendered)
     return path

@@ -390,10 +390,5 @@ class XmlRelStore:
         return self.scheme.table_names()
 
 
-def open_store(
-    path: str = ":memory:", scheme: str = "interval", **kwargs
-) -> XmlRelStore:
-    """Module-level convenience alias of :meth:`XmlRelStore.open`."""
-    if not isinstance(path, str):
-        raise XmlRelError("path must be a string (use ':memory:' for RAM)")
-    return XmlRelStore.open(path, scheme, **kwargs)
+#: Module-level alias of :meth:`XmlRelStore.open`.
+open_store = XmlRelStore.open

@@ -35,6 +35,7 @@ Durability profiles
 
 from __future__ import annotations
 
+import os
 import sqlite3
 import threading
 from contextlib import contextmanager
@@ -123,6 +124,17 @@ def _xpath_num(value) -> float | None:
         return None
 
 
+def fs_path(path) -> str:
+    """The path rule of every open door: a ``str`` or an
+    ``os.PathLike`` opens, anything else is a :class:`StorageError`."""
+    if isinstance(path, (str, os.PathLike)):
+        return os.fspath(path)
+    raise StorageError(
+        "path must be a string or os.PathLike (use ':memory:' for RAM), "
+        f"not {type(path).__name__}"
+    )
+
+
 class Database:
     """A managed sqlite3 database (file-backed or in-memory)."""
 
@@ -137,6 +149,7 @@ class Database:
         check_same_thread: bool = True,
         plan_cache: PlanCache | None = None,
     ) -> None:
+        path = fs_path(path)
         if profile not in DURABILITY_PROFILES:
             raise StorageError(
                 f"unknown durability profile {profile!r}; available: "

@@ -101,7 +101,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import QueryReport
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.reliability.audit import IntegrityReport
-from repro.relational.database import Database
+from repro.relational.database import Database, fs_path
 from repro.relational.shardmap import (
     RebalanceEntry,
     RebalanceJournal,
@@ -237,6 +237,7 @@ class ShardedStore:
         returned: interrupted rebalances are rolled back or forward,
         orphans swept, stale replica temporaries removed.
         """
+        directory = fs_path(directory)
         if shards < 1:
             raise StorageError("shard count must be >= 1")
         if replicas < 0:
@@ -498,11 +499,6 @@ class ShardedStore:
 
         Returns global doc ids in input order.
         """
-        if (names is not None and hasattr(sources, "__len__")
-                and len(names) != len(sources)):
-            raise StorageError(
-                f"{len(sources)} document(s) but {len(names)} name(s)"
-            )
         with self._observed_update("load"):
             # Bulk-load GC stance: the streaming shredder allocates
             # millions of short-lived, cycle-free tuples per document,
@@ -562,6 +558,10 @@ class ShardedStore:
                 placed.append((shard, result.doc_id, name))
                 docs_counter.inc()
                 rows_counter.inc(sum(result.row_counts.values()))
+            if names is not None and len(placed) != len(names):
+                raise StorageError(
+                    f"{len(placed)} document(s) but {len(names)} name(s)"
+                )
             # Every payload is stored: from here the sessions close
             # (below) instead of rolling back.
             rollback.pop_all()
@@ -1260,6 +1260,5 @@ class ShardedStore:
         self.close()
 
 
-def open_sharded(directory: str, **kwargs) -> ShardedStore:
-    """Module-level convenience alias of :meth:`ShardedStore.open`."""
-    return ShardedStore.open(directory, **kwargs)
+#: Module-level alias of :meth:`ShardedStore.open`.
+open_sharded = ShardedStore.open

@@ -7,6 +7,7 @@ from repro.core.registry import available_schemes, create_scheme, scheme_class
 from repro.core.store import XmlRelStore, open_store
 from repro.errors import DocumentNotFoundError, XmlRelError
 from repro.relational.database import Database
+from repro.serve import ShardedStore
 from repro.xml import parse_document
 from repro.xml.dom import deep_equal
 
@@ -117,6 +118,25 @@ class TestStoreFacade:
             assert store.scheme.name == "edge"
         with pytest.raises(XmlRelError, match="path must be a string"):
             open_store(123)
+
+
+class TestOpenDoors:
+    """One path rule at every door: ``str`` or ``os.PathLike`` opens,
+    anything else is an :class:`XmlRelError`."""
+
+    def test_embedded_door_rejects_a_non_path(self):
+        with pytest.raises(XmlRelError, match="path must be a string"):
+            XmlRelStore.open(123)
+
+    def test_sharded_door_rejects_a_non_path(self):
+        with pytest.raises(XmlRelError, match="path must be a string"):
+            ShardedStore.open(123)
+
+    def test_open_store_accepts_a_path(self, tmp_path):
+        with open_store(tmp_path / "xml.db", scheme="edge") as store:
+            doc_id = store.store_text(BIB_XML, "bib")
+            assert len(store.query_pres(doc_id, "//book")) == 2
+        assert (tmp_path / "xml.db").exists()
 
 
 class TestCompare:

@@ -9,8 +9,6 @@ import time
 import pytest
 
 from repro import Tracer, XmlRelStore
-from repro.bench import report as bench_report
-from repro.bench.harness import ExperimentResult
 from repro.obs import (
     NULL_TRACER,
     Explanation,
@@ -344,47 +342,6 @@ class TestQueryIntrospection:
                 explanation = store.explain(doc_id, "/bib/book")
                 assert explanation.scheme == name
                 assert explanation.plan, name
-
-
-class TestBenchReportEmit:
-    def result(self):
-        result = ExperimentResult(
-            experiment="E0", title="t", workload="w", expectation="e"
-        )
-        result.add_row("edge", seconds=1.5)
-        return result
-
-    def test_sink_receives_report_record(self, tmp_path, capsys):
-        captured = []
-        sink = bench_report.add_sink(captured.append)
-        try:
-            path = bench_report.write_report(
-                self.result(), directory=str(tmp_path)
-            )
-        finally:
-            bench_report.remove_sink(sink)
-        assert captured and captured[0]["kind"] == "experiment-report"
-        assert captured[0]["experiment"] == "E0"
-        assert captured[0]["path"] == path
-        json.dumps({k: v for k, v in captured[0].items()})
-        # stdout rendering is preserved.
-        assert "E0: t" in capsys.readouterr().out
-
-    def test_stdout_can_be_muted_without_losing_sinks(
-        self, tmp_path, capsys
-    ):
-        captured = []
-        sink = bench_report.add_sink(captured.append)
-        bench_report.set_stdout(False)
-        try:
-            bench_report.write_report(
-                self.result(), directory=str(tmp_path)
-            )
-        finally:
-            bench_report.set_stdout(True)
-            bench_report.remove_sink(sink)
-        assert captured
-        assert capsys.readouterr().out == ""
 
 
 class TestOverheadGuard:

@@ -572,6 +572,20 @@ def test_store_corpus_name_count_mismatch(tmp_path):
             store.store_corpus(["<a/>", "<b/>"], names=["only-one"])
 
 
+def test_store_corpus_surplus_names_from_generator(tmp_path):
+    """A generator cannot be counted up front: a spare name still
+    raises, before any session commits, and nothing is registered."""
+    with ShardedStore.open(
+        str(tmp_path), scheme="interval", shards=2,
+    ) as store:
+        with pytest.raises(StorageError, match="2 document.s. but 3 name"):
+            store.store_corpus(
+                (text for text in ["<a/>", "<b/>"]), names=["x", "y", "z"]
+            )
+        assert store.documents() == []
+        assert sum(store.shard_counts().values()) == 0
+
+
 def test_store_corpus_atomicity_on_bad_document(tmp_path):
     """One malformed payload rolls back the whole corpus: no shard-map
     entries, no catalog rows, nothing partially registered."""
