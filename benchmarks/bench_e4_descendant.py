@@ -31,12 +31,14 @@ QUERY = "/site/open_auctions//date"
 
 #: sha256 prefixes of each mapping's rendered QUERY per scale factor
 #: before the label-path catalog existed: the figure keeps timing that
-#: very statement.
+#: very statement.  Edge's and binary's are the closure seeded by the
+#: joined steps before it, with the rows and plan of the CTE-per-step
+#: form they replaced (E34).
 FIGURE_SQL_SHA256 = {
     (scheme, sf): digest
     for scheme, digest in {
-        "edge": "4b92db7c39c892b9",
-        "binary": "9350a7e329c23018",
+        "edge": "abdb518fe1e38af2",
+        "binary": "c93b9288a78bdad5",
         "universal": "a79bd8413bc67213",
         "interval": "9fc2d11433937c92",
         "dewey": "9125ab1f8b5681e4",

@@ -2,12 +2,38 @@
 
 from __future__ import annotations
 
+import functools
 import os
+import subprocess
 
 from repro.bench.harness import ExperimentResult, format_value
+from repro.relational.database import SQLITE_VERSION
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..",
                            "benchmarks", "results")
+
+#: Opens the line of a written table that says where it was measured.
+STAMP = "*Measured at:*"
+
+
+@functools.cache
+def measurement_stamp() -> str:
+    """Where this process measures: the source tree's commit (``git
+    describe --always --dirty``, ``unknown`` outside a checkout), the
+    sqlite library version and the host's CPU count.  Read once, before
+    the first table is written, so one run stamps every table alike."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True, timeout=10,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    return (
+        f"{STAMP} commit {commit}, sqlite {SQLITE_VERSION}, "
+        f"{os.cpu_count()} CPUs"
+    )
 
 
 def format_table(result: ExperimentResult) -> str:
@@ -18,6 +44,8 @@ def format_table(result: ExperimentResult) -> str:
         f"*Workload:* {result.workload}",
         "",
         f"*Expected shape (from the literature):* {result.expectation}",
+        "",
+        measurement_stamp(),
         "",
     ]
     columns = result.all_columns()
@@ -57,8 +85,8 @@ def _format_row(cells: list[str], widths: list[int]) -> str:
 
 
 def write_report(result: ExperimentResult, directory: str | None = None) -> str:
-    """Write the experiment's table to ``benchmarks/results/`` and print
-    it."""
+    """Write the experiment's table, stamped with
+    :func:`measurement_stamp`, to ``benchmarks/results/`` and print it."""
     rendered = format_table(result)
     target_dir = directory or os.path.abspath(RESULTS_DIR)
     os.makedirs(target_dir, exist_ok=True)

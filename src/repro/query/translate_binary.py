@@ -1,10 +1,11 @@
 """XPath→SQL for the binary (label-partitioned) mapping.
 
-Inherits the edge translator's CTE pipeline and simply routes each scan to
-the narrowest relation:
+Inherits the edge translator's self-joins and closures and routes each
+scan to the narrowest relation:
 
-* a step/hop with a *named* test touches only that label's partition —
-  the mapping's published advantage on label-selective queries;
+* a step/hop with a *named* test, on any axis, touches only that
+  label's partition — the mapping's published advantage on
+  label-selective queries;
 * ``text()`` and ``comment()`` steps are label-selective too: every text
   node lives in the ``#text`` partition, every comment in ``#comment``;
 * wildcards, ``node()``, ``processing-instruction()`` (a PI's label
@@ -18,7 +19,7 @@ view, which simply finds nothing.
 
 from __future__ import annotations
 
-from repro.query.plan import AXIS_ATTRIBUTE, AXIS_CHILD, StepPlan
+from repro.query.plan import StepPlan
 from repro.query.translate_edge import EdgeTranslator
 from repro.storage.binary import EDGES_VIEW
 from repro.storage.edge import COMMENT_LABEL, TEXT_LABEL
@@ -37,21 +38,13 @@ class BinaryTranslator(EdgeTranslator):
         return self.scheme.partition_for(label) or EDGES_VIEW
 
     def step_table(self, step: StepPlan) -> str:
-        if (
-            step.axis in (AXIS_CHILD, AXIS_ATTRIBUTE)
-            and isinstance(step.test, NameTest)
-            and not step.test.is_wildcard
-        ):
+        # Every step's alias is the selected node's own row, so its test
+        # picks the partition whatever the axis.
+        if isinstance(step.test, NameTest) and not step.test.is_wildcard:
             return self._partition_or_view(step.test.name)
-        if (
-            step.axis == AXIS_CHILD
-            and isinstance(step.test, KindTest)
-            and step.test.kind in _LABEL_OF_KIND
-        ):
-            return self._partition_or_view(_LABEL_OF_KIND[step.test.kind])
-        return EDGES_VIEW
-
-    def closure_table(self) -> str:
+        kind = step.test.kind if isinstance(step.test, KindTest) else None
+        if kind in _LABEL_OF_KIND:
+            return self._partition_or_view(_LABEL_OF_KIND[kind])
         return EDGES_VIEW
 
     def element_table(self, name: str) -> str:
@@ -62,6 +55,3 @@ class BinaryTranslator(EdgeTranslator):
 
     def text_table(self) -> str:
         return self._partition_or_view(TEXT_LABEL)
-
-    def position_table(self, step: StepPlan) -> str:
-        return self.step_table(step)

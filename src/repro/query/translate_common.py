@@ -1,15 +1,20 @@
 """Shared translator machinery for single-node-table mappings.
 
-The interval and Dewey mappings both store every node in one relation with
-``doc_id/kind/name/value/content/ordinal`` columns plus their respective
-order encodings.  :class:`TableTranslator` implements everything that does
-not depend on the encoding — test conditions, predicate compilation, value
-chains, sibling-position counting — through two hooks the concrete
-translators provide:
+The interval, Dewey, edge and binary mappings all store every node in one
+relation (binary: one per label) with ``doc_id/kind/name/value/content/
+ordinal`` columns plus their own structural encoding.
+:class:`TableTranslator` builds each XPath as one statement, a self-join
+per location step, and implements everything that does not depend on the
+encoding — test conditions, predicate compilation, value chains,
+sibling-position counting — through hooks the concrete translators
+provide:
 
 * :meth:`axis_conditions` — how one location step constrains the new
-  table alias relative to the previous one, and
-* :meth:`child_link` — the parent→child join used inside value chains.
+  table alias relative to the previous one,
+* :meth:`child_link` — the parent→child join used inside value chains,
+* :meth:`step_table` — the relation one step scans, and
+* :meth:`closure` — a recursive CTE standing in for a step no join
+  expresses (edge and binary's ``//`` and ancestor axes).
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from repro.relational.sql import (
     Raw,
     Select,
     SqlExpr,
+    Union,
+    WithQuery,
 )
 from repro.xml.dom import NodeKind
 from repro.xpath.ast import AnyKindTest, NameTest, NodeTest, KindTest
@@ -140,9 +147,21 @@ class TableTranslator(BaseTranslator):
         """Relation holding text nodes."""
         return self.table
 
-    def position_table(self, step: StepPlan) -> str:
-        """Relation to count preceding siblings in."""
+    def step_table(self, step: StepPlan) -> str:
+        """Relation one location step scans, and its siblings are
+        counted in."""
         return self.table
+
+    def closure(
+        self, step: StepPlan, seed: Select, prev: str, name: str
+    ) -> tuple[Union, StepPlan] | None:
+        """A recursive CTE *name* for a *step* no join expresses, or
+        None.
+
+        *seed* is the statement so far, ending at alias *prev*; the CTE
+        selects from it and exposes a ``target`` column.  Returned with
+        it is the step that then joins the CTE as its context."""
+        return None
 
     def link_columns(self) -> tuple[str, str]:
         """(child-side parent column, parent-side key column).
@@ -160,8 +179,9 @@ class TableTranslator(BaseTranslator):
         "following-sibling", "preceding-sibling", "following", "preceding",
     )
 
-    def translate(self, doc_id: int, xpath) -> Select:
+    def translate(self, doc_id: int, xpath) -> Select | WithQuery:
         plan = self.plan(xpath)
+        statement = WithQuery()
         query = Select()
         prev: str | None = None
         prev_step = None
@@ -176,23 +196,37 @@ class TableTranslator(BaseTranslator):
                 raise self.scheme.unsupported(
                     f"{step.axis} from an attribute context"
                 )
+            closure = (
+                None if prev is None
+                else self.closure(step, query, prev, f"c{i}")
+            )
+            if closure is not None:
+                cte, step = closure
+                prev = f"c{i}"
+                statement.recursive = True
+                statement.add_cte(prev, cte)
+                query = Select().from_table(prev)
             alias = f"n{i}"
+            table = self.step_table(step)
             conditions = [Col("doc_id", alias).eq(DocParam())]
             conditions += self.axis_conditions(step, alias, prev)
             conditions += self.step_conditions(step, alias, doc_id)
-            if prev is None:
-                query.from_table(self.table, alias)
+            if query.from_item is None:
+                query.from_table(table, alias)
                 for condition in conditions:
                     query.where(condition)
             else:
-                query.join(self.table, alias, And(tuple(conditions)))
+                query.join(table, alias, And(tuple(conditions)))
             prev = alias
             prev_step = step
         assert prev is not None
         query.select(Col(self.pre_column, prev))
         query.distinct = True
         query.order_by(Col(self.pre_column, prev))
-        return query
+        if not statement.ctes:
+            return query
+        statement.final = query
+        return statement
 
     # -- node tests -----------------------------------------------------------------
 
@@ -249,7 +283,7 @@ class TableTranslator(BaseTranslator):
         ordinal = Col("ordinal", sibling)
         siblings = (
             Select()
-            .from_table(self.position_table(step), sibling)
+            .from_table(self.step_table(step), sibling)
             .select(Raw("1"))
             .where(Col("doc_id", sibling).eq(DocParam()))
             .where(self.same_parent(sibling, alias))

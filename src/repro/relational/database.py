@@ -73,6 +73,9 @@ DURABILITY_PROFILES: dict[str, tuple[tuple[str, str], ...]] = {
     ),
 }
 
+#: The linked sqlite library's version (the bench tables record it).
+SQLITE_VERSION = sqlite3.sqlite_version
+
 #: Plan-lint modes: ``default`` attaches diagnostics to cached plans
 #: (walked when first read), ``strict`` additionally raises
 #: :class:`~repro.errors.PlanLintError` on error-severity findings.

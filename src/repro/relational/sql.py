@@ -360,9 +360,12 @@ class Select:
         """Number of join clauses — the E8 plan-complexity metric.
 
         Counts joins in this statement plus any nested EXISTS/IN subqueries
-        (a subquery's FROM also costs a join at execution time).
+        in its ``JOIN … ON`` and WHERE conditions (a subquery's FROM also
+        costs a join at execution time).
         """
         total = len(self.joins)
+        for join in self.joins:
+            total += _nested_join_count(join.condition)
         for condition in self.conditions:
             total += _nested_join_count(condition)
         return total
@@ -431,9 +434,10 @@ class Union:
 class WithQuery:
     """A ``WITH [RECURSIVE] name AS (...), ... <final select>`` statement.
 
-    The edge/binary translators build one CTE per location step; a
-    descendant step's CTE is recursive (the transitive closure that makes
-    ``//`` expensive on those mappings — experiment E4's subject).
+    The edge/binary translators add one recursive CTE per closure step
+    (the transitive closure that makes ``//`` expensive on those
+    mappings — experiment E4's subject); the inlining translator one
+    CTE holding the union of its branches.
     """
 
     ctes: list[tuple[str, "Select | Union"]] = field(default_factory=list)

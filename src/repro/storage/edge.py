@@ -14,12 +14,14 @@ the paper's better-performing "edge with inlined values" variant; the
 separate-value-table variant is exercised by the binary mapping instead.
 ``content`` caches text-only element content for value predicates.
 
-A child step is one self-join on ``source = target``; a descendant step
-needs the transitive closure (a recursive CTE here), which is this
-mapping's published weakness and the subject of experiment E4.  The
-mapping also records each document's element label paths in
-``edge_paths`` while it shreds, so ``query_pres`` can run a mid-path
-``//`` as the concrete child chains that occur instead (DESIGN §7).
+Every step is one self-join (a child step on ``source = target``) in the
+statement builder interval and Dewey use too; a descendant or ancestor
+step needs the transitive closure, one recursive CTE seeded by the
+steps before it, which is this mapping's published weakness and the
+subject of experiment E4.  The mapping also records each document's
+element label paths in ``edge_paths`` while it shreds, so
+``query_pres`` can run a mid-path ``//`` as the concrete child chains
+that occur instead (DESIGN §7).
 """
 
 from __future__ import annotations

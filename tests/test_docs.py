@@ -14,6 +14,9 @@ EXPERIMENTS.md true to the code.
     or ROADMAP.md has its ``## n.`` heading, and every experiment id
     (``E12``, ``A3``) and deviation number cited there has its
     EXPERIMENTS.md section, table row or numbered entry.
+(d) Every committed ``benchmarks/results/*.md`` table says where it was
+    measured: the commit, the sqlite version and the CPU count that
+    ``write_report`` stamps.
 
 Each check is a function over texts and paths that returns its
 problems, so the mutant tests at the bottom run it on a small fixture.
@@ -353,6 +356,21 @@ def cited_paths(root: Path) -> list[Path]:
     return [p for p in paths if p.is_file() and p != Path(__file__).resolve()]
 
 
+# -- (d) results tables -------------------------------------------------------------
+
+RESULTS_STAMP = re.compile(
+    r"^\*Measured at:\* commit \S+, sqlite \d+(?:\.\d+)+, \d+ CPUs$", re.M
+)
+
+
+def check_stamps(paths: list[Path]) -> list[str]:
+    return [
+        f"{path.name}: no measurement stamp"
+        for path in paths
+        if not RESULTS_STAMP.search(path.read_text(encoding="utf-8"))
+    ]
+
+
 # -- the repository ----------------------------------------------------------------
 
 
@@ -372,6 +390,12 @@ def test_cited_sections_experiments_and_deviations_resolve():
     assert check_citations(
         _read("DESIGN.md"), _read("EXPERIMENTS.md"), cited_paths(ROOT)
     ) == []
+
+
+def test_every_results_table_is_stamped():
+    tables = sorted((ROOT / "benchmarks" / "results").glob("*.md"))
+    assert tables
+    assert check_stamps(tables) == []
 
 
 # -- the guard against its mutants -------------------------------------------------
@@ -555,3 +579,22 @@ def test_guard_fails_an_unresolved_experiment_or_deviation(fixture_tree):
         "test_y.py: E7 not in EXPERIMENTS",
         "test_y.py: deviation 4 not in EXPERIMENTS",
     ]
+
+
+def test_guard_fails_a_results_table_with_no_stamp(tmp_path):
+    from repro.bench import ExperimentResult, write_report
+
+    result = ExperimentResult("E1", "t", "w", "e")
+    result.add_row("edge", ms=1.0)
+    stamped = Path(write_report(result, directory=str(tmp_path)))
+    assert check_stamps([stamped]) == []
+    text = stamped.read_text(encoding="utf-8")
+    bare = tmp_path / "e2.md"
+    bare.write_text(
+        "\n".join(
+            line for line in text.splitlines()
+            if not line.startswith("*Measured at:*")
+        ),
+        encoding="utf-8",
+    )
+    assert check_stamps([bare]) == ["e2.md: no measurement stamp"]

@@ -35,6 +35,11 @@ from repro.errors import UnsupportedQueryError
 from repro.obs.report import Explanation
 from repro.relational.schema import quote_identifier
 from repro.storage.binary import partition_table_name
+from repro.workloads import AUCTION_QUERIES
+from repro.xml import parse_document
+
+from tests.conftest import BIB_XML
+from tests.test_extended_axes import ANCESTOR_QUERIES, SIBLING_QUERIES
 
 SCHEMES = available_schemes()
 
@@ -232,9 +237,10 @@ SIBLING_PROBE = {
     "dewey": ("dewey_parent", "parent_label"),
 }
 
-#: ``join_count`` of Q13 / Q14 before the bound existed.
+#: ``join_count`` of Q13 / Q14 before the bound existed (subqueries in
+#: ``JOIN … ON`` conditions counted, as in WHERE).
 POSITION_JOINS = {
-    "edge": (5, 5), "binary": (5, 5), "interval": (4, 4), "dewey": (4, 4),
+    "edge": (5, 5), "binary": (5, 5), "interval": (5, 5), "dewey": (5, 5),
     "inlining": (3, 3),
 }
 
@@ -388,3 +394,51 @@ def test_p007_reports_exactly_what_the_plans_show(explained):
         ), cell
         assert {d.code for d in findings} <= {"P007"}
         assert not any(d.is_error for d in findings)
+
+
+# -- one statement builder: a recursive CTE only where a closure is needed -------
+#
+# Edge and binary build every step as a self-join; a closure — a ``//``
+# below the first step that the label paths did not expand, or an
+# ancestor axis — is the one recursive CTE, seeded by the steps before it.
+
+CLOSURE_SCHEMES = ("edge", "binary")
+
+
+@pytest.fixture(scope="module")
+def bib_stores():
+    stores = {}
+    for scheme in CLOSURE_SCHEMES:
+        store = XmlRelStore.open(scheme=scheme)
+        stores[scheme] = (store, store.store(parse_document(BIB_XML), "bib"))
+    yield stores
+    for store, _doc_id in stores.values():
+        store.close()
+
+
+@pytest.mark.parametrize("scheme", CLOSURE_SCHEMES)
+def test_steps_run_as_joins_without_a_cte(auction_stores, bib_stores, scheme):
+    cases = [
+        (auction_stores[scheme], spec.xpath) for spec in AUCTION_QUERIES
+    ] + [(bib_stores[scheme], xpath) for xpath in SIBLING_QUERIES]
+    for (store, doc_id), xpath in cases:
+        plans, _cached = store.scheme.translator().plans_for(doc_id, xpath)
+        assert plans, xpath
+        for plan in plans:
+            assert "WITH" not in plan.sql, (xpath, plan.sql)
+
+
+@pytest.mark.parametrize("scheme", CLOSURE_SCHEMES)
+def test_closures_stay_recursive_ctes(auction_stores, bib_stores, scheme):
+    store, doc_id = bib_stores[scheme]
+    translator = store.scheme.translator()
+    for xpath in ANCESTOR_QUERIES:
+        plans, _cached = translator.plans_for(doc_id, xpath)
+        assert [plan.sql.count("WITH RECURSIVE") for plan in plans] == [1], (
+            xpath
+        )
+    store, doc_id = auction_stores[scheme]
+    sql, _params = store.scheme.translator().sql_for(
+        doc_id, "/site/open_auctions//date"
+    )
+    assert sql.count("WITH RECURSIVE") == 1, sql

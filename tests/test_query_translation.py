@@ -654,7 +654,7 @@ def generated_probes(document, pairs=3, templates=PROBE_TEMPLATES):
 def test_predicate_probes_on_generated_documents(document):
     probes = generated_probes(document)
     expected = {probe: expected_pres(document, probe) for probe in probes}
-    for scheme_name in ("xrel", "universal", "binary"):
+    for scheme_name in ("xrel", "universal", "edge", "binary"):
         with Database() as db:
             scheme = make_scheme(scheme_name, db)
             try:

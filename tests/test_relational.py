@@ -335,6 +335,14 @@ class TestSqlBuilder:
             .where(Exists(sub))
         )
         assert query.join_count == 2  # one JOIN + one subquery FROM
+        # An ON condition's subquery costs what a WHERE one does.
+        on_query = (
+            Select()
+            .from_table("t", "a")
+            .join("t", "b", And((Raw("1"), Exists(sub))))
+            .select(Col("x", "a"))
+        )
+        assert on_query.join_count == 2
 
     def test_union(self):
         one = Select().from_table("t", "a").select(Col("x", "a"))
