@@ -197,18 +197,23 @@ class BaseTranslator(abc.ABC):
     def _render_plans(self, statements) -> tuple[CachedPlan, ...]:
         """Render *statements* to cached-plan entries.
 
-        Each plan carries the memoized lint verdict for its SQL text, or
-        a walk over this render's catalog snapshot that runs when
+        One render pass per statement gives its SQL, parameters, join
+        count and the tables it names.  Each plan carries the memoized
+        lint verdict for its SQL text, or a walk that runs when
         :attr:`CachedPlan.diagnostics` is first read (most plans never
-        are).  Lint mode ``strict`` reads it here and raises
+        are) over this render's catalog snapshot: the tables the
+        statements name, taken now, so the walk touches no connection.
+        Lint mode ``strict`` reads it here and raises
         :class:`~repro.errors.PlanLintError` when any diagnostic is
         error-severity.
         """
-        catalog = self.db.schema_catalog()
+        rendered = [statement.render() for statement in statements]
+        catalog = self.db.catalog_of(
+            {table for _sql, params in rendered for table in params.tables}
+        )
         memo = self.db.lint_memo
         plans = []
-        for statement in statements:
-            sql, params = statement.render()
+        for statement, (sql, params) in zip(statements, rendered):
             # Rendering is deterministic, so the SQL text (plus the
             # schema generation) is a sound memo key.  It holds the
             # verdict or the one pending walk all renders of the text
@@ -225,9 +230,7 @@ class BaseTranslator(abc.ABC):
                 (entry, None) if isinstance(entry, tuple) else (None, entry)
             )
             plans.append(
-                CachedPlan(
-                    sql, tuple(params), statement.join_count, verdict, lint
-                )
+                CachedPlan(sql, tuple(params), params.joins, verdict, lint)
             )
         plans = tuple(plans)
         if self.db.lint_mode == "strict":

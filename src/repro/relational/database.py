@@ -49,7 +49,12 @@ from repro.errors import (
     XmlRelError,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.relational.introspect import SchemaCatalog, build_catalog
+from repro.relational.introspect import (
+    SchemaCatalog,
+    TableInfo,
+    describe_table,
+    stored_tables,
+)
 from repro.relational.plancache import PlanCache
 from repro.relational.retry import RetryPolicy, is_transient_error, with_retries
 from repro.relational.schema import Table, quote_identifier
@@ -188,7 +193,14 @@ class Database:
         #: Plan-lint mode: every translation is linted when its verdict
         #: is first read (see :mod:`repro.analysis.sqllint`).
         self.lint_mode = lint
-        self._catalog_cache: SchemaCatalog | None = None
+        #: The plan linter's view of the schema at one ``PRAGMA
+        #: schema_version``: that version, every stored table and view
+        #: (lower-cased name → ``(name, type)``), and the
+        #: :class:`TableInfo` of each one introspected so far — each at
+        #: most once per version.  Replaced whole when the version moves.
+        self._catalog: tuple[
+            int, dict[str, tuple[str, str]], dict[str, TableInfo]
+        ] | None = None
         #: Plan-lint verdicts keyed ``(schema_version, sql)``, or the
         #: pending walk that computes one — rendering is deterministic,
         #: so an identical statement never re-lints.
@@ -707,24 +719,48 @@ class Database:
         self.execute("VACUUM INTO ?", (path,))
 
     def schema_catalog(self) -> SchemaCatalog:
-        """The current schema as the plan linter sees it.
+        """The current schema as the plan linter sees it: every stored
+        table and view (see :meth:`catalog_of`)."""
+        state = self._catalog_state()
+        return self._snapshot(state, state[1])
 
-        Cached keyed on ``PRAGMA schema_version`` (bumped by every DDL
-        statement, including the schemes' dynamic ALTER/CREATE), so
-        steady-state lints pay one PRAGMA.  Runs on the raw connection
-        deliberately: catalog introspection must not emit
-        ``sql.statement`` spans — the fast-path tests count those per
-        query — nor pass through fault injection.
+    def catalog_of(self, tables: Iterable[str]) -> SchemaCatalog:
+        """The plan linter's snapshot of those of *tables* that exist —
+        a render passes the tables its statement names, so the snapshot
+        grows with the statement, not the database.
+
+        Each table is introspected at most once per ``PRAGMA
+        schema_version`` (bumped by every DDL statement, including the
+        schemes' dynamic ALTER/CREATE), so a steady-state render pays
+        one PRAGMA.  Runs on the raw connection deliberately:
+        introspection must not emit ``sql.statement`` spans — the
+        fast-path tests count those per query — nor pass through fault
+        injection.
         """
+        return self._snapshot(self._catalog_state(), tables)
+
+    def _catalog_state(self):
+        """:attr:`_catalog` at the current schema version."""
         version = int(
             self._conn.execute("PRAGMA schema_version").fetchone()[0]
         )
-        cached = self._catalog_cache
-        if cached is not None and cached.schema_version == version:
-            return cached
-        catalog = build_catalog(self._conn, schema_version=version)
-        self._catalog_cache = catalog
-        return catalog
+        state = self._catalog
+        if state is None or state[0] != version:
+            state = self._catalog = (version, stored_tables(self._conn), {})
+        return state
+
+    def _snapshot(self, state, tables: Iterable[str]) -> SchemaCatalog:
+        version, stored, infos = state
+        snapshot: dict[str, TableInfo] = {}
+        for table in tables:
+            key = table.lower()
+            info = infos.get(key)
+            if info is None:
+                if key not in stored:
+                    continue  # a CTE, or a table that does not exist
+                info = infos[key] = describe_table(self._conn, *stored[key])
+            snapshot[key] = info
+        return SchemaCatalog(tables=snapshot, schema_version=version)
 
     def explain_plan(self, sql: str, params: Sequence = ()) -> list[str]:
         """The EXPLAIN QUERY PLAN detail lines (index-usage inspection)."""

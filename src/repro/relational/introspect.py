@@ -9,19 +9,19 @@ describes.  A :class:`SchemaCatalog` is therefore built from the live
 connection via the sqlite PRAGMA surface, not from the scheme's table
 list.
 
-The catalog is cached by :meth:`repro.relational.database.Database
-.schema_catalog` keyed on ``PRAGMA schema_version`` (sqlite bumps it on
-every DDL statement), so steady-state translation pays one PRAGMA per
-lint, not a re-introspection.  Introspection runs on the raw connection:
-it must never emit ``sql.statement`` spans, which the fast-path tests
-count per query.
+The database keeps one map of :class:`TableInfo` per ``PRAGMA
+schema_version`` (sqlite bumps it on every DDL statement), filled a table
+at a time (:meth:`repro.relational.database.Database.catalog_of`): a
+translation snapshots only the tables its statement names, so its cost
+grows with the statement, not with the database, and steady-state
+translation pays one PRAGMA per render, not a re-introspection.
+Introspection runs on the raw connection: it must never emit
+``sql.statement`` spans, which the fast-path tests count per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.relational.schema import quote_identifier
 
 #: How deep into an index's column list a join column may sit and still
 #: count as covered.  Every scheme's composite indexes lead with
@@ -56,7 +56,10 @@ class TableInfo:
 
 @dataclass(frozen=True)
 class SchemaCatalog:
-    """Every user table/view of one database, keyed by lower-cased name."""
+    """User tables/views of one database, keyed by lower-cased name:
+    every one (:meth:`~repro.relational.database.Database
+    .schema_catalog`) or the ones a statement names (a render-time lint
+    snapshot)."""
 
     tables: dict[str, TableInfo]
     #: The ``PRAGMA schema_version`` this catalog was built at — the
@@ -70,43 +73,43 @@ class SchemaCatalog:
         return name.lower() in self.tables
 
 
-def build_catalog(conn, schema_version: int = 0) -> SchemaCatalog:
-    """Introspect *conn* (a raw sqlite3 connection) into a catalog."""
-    tables: dict[str, TableInfo] = {}
+def stored_tables(conn) -> dict[str, tuple[str, str]]:
+    """Every user table and view of *conn* (a raw sqlite3 connection):
+    lower-cased name → ``(name, type)``."""
     rows = conn.execute(
         "SELECT name, type FROM sqlite_master "
         "WHERE type IN ('table', 'view') AND name NOT LIKE 'sqlite_%'"
     ).fetchall()
-    for name, kind in rows:
-        quoted = quote_identifier(name)
-        columns: set[str] = set()
-        indexed: set[str] = set()
-        pk_columns: list[tuple[int, str]] = []
-        for _cid, col_name, _type, _notnull, _dflt, pk in conn.execute(
-            f"PRAGMA table_info({quoted})"
-        ):
-            columns.add(col_name.lower())
-            if pk:
-                pk_columns.append((pk, col_name.lower()))
-        for pk_rank, col_name in sorted(pk_columns):
-            if pk_rank <= INDEX_PREFIX_DEPTH:
-                indexed.add(col_name)
-        if kind == "table":
-            for index_row in conn.execute(f"PRAGMA index_list({quoted})"):
-                index_name = index_row[1]
-                members = sorted(
-                    conn.execute(
-                        "PRAGMA index_info("
-                        f"{quote_identifier(index_name)})"
-                    ).fetchall()
-                )
-                for seqno, _cid, col_name in members:
-                    if col_name and seqno < INDEX_PREFIX_DEPTH:
-                        indexed.add(col_name.lower())
-        tables[name.lower()] = TableInfo(
-            name=name.lower(),
-            columns=frozenset(columns),
-            is_view=(kind == "view"),
-            indexed_columns=frozenset(indexed),
-        )
-    return SchemaCatalog(tables=tables, schema_version=schema_version)
+    return {name.lower(): (name, kind) for name, kind in rows}
+
+
+#: One table's columns (with primary-key rank) and the members of each
+#: of its indexes (with their position), in one statement.
+_DESCRIBE = (
+    "SELECT 0, name, pk FROM pragma_table_info(?1) UNION ALL "
+    "SELECT 1, member.name, member.seqno FROM pragma_index_list(?1) AS idx, "
+    "pragma_index_info(idx.name) AS member"
+)
+
+
+def describe_table(conn, name: str, kind: str) -> TableInfo:
+    """Introspect table or view *name* (of sqlite_master *kind*)."""
+    columns: set[str] = set()
+    indexed: set[str] = set()
+    for is_index, column, position in conn.execute(_DESCRIBE, (name,)):
+        if not column:
+            continue  # an index member that is an expression
+        column = column.lower()
+        if is_index:
+            if position < INDEX_PREFIX_DEPTH:
+                indexed.add(column)
+        else:
+            columns.add(column)
+            if 0 < position <= INDEX_PREFIX_DEPTH:  # primary-key rank
+                indexed.add(column)
+    return TableInfo(
+        name=name.lower(),
+        columns=frozenset(columns),
+        is_view=(kind == "view"),
+        indexed_columns=frozenset(indexed),
+    )

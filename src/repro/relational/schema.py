@@ -8,7 +8,6 @@ column count — inputs to the inlining experiment E9).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError
@@ -19,7 +18,6 @@ TEXT = "TEXT"
 REAL = "REAL"
 
 _VALID_TYPES = frozenset({INTEGER, TEXT, REAL})
-_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def quote_identifier(name: str) -> str:
@@ -28,7 +26,9 @@ def quote_identifier(name: str) -> str:
     Plain identifiers pass through (keeps generated SQL readable); anything
     else is double-quoted with embedded quotes doubled.
     """
-    if _IDENTIFIER_RE.match(name):
+    # For ASCII text, isidentifier() is exactly [A-Za-z_][A-Za-z0-9_]*,
+    # at a fraction of a regex match's cost (it runs ~50 times a render).
+    if name.isascii() and name.isidentifier():
         return name
     return '"' + name.replace('"', '""') + '"'
 

@@ -3,7 +3,9 @@
 The XPath→SQL translators build queries as objects rather than strings so
 that (a) user values are always bound parameters, never interpolated, and
 (b) the plan-complexity experiment (E8) can *count joins* structurally
-instead of parsing SQL text.
+instead of parsing SQL text.  One render pass yields all three: the SQL
+text, the parameters and a :class:`Rendering`'s join count and table
+names, so nothing walks a statement a second time.
 
 Only the SELECT surface the translators need is modelled: column refs,
 parameters, comparison/boolean operators, LIKE as GLOB, IN, EXISTS subqueries,
@@ -17,6 +19,33 @@ from dataclasses import dataclass, field
 
 from repro.errors import XmlRelError
 from repro.relational.schema import quote_identifier
+
+
+class Rendering(list):
+    """One render pass: the bound parameters in render order (the list
+    itself), plus what the pass saw on the way — every table a ``FROM``
+    or ``JOIN`` item names at any depth (CTE names included) and the
+    join count, the E8 plan-complexity metric: one per ``JOIN`` clause,
+    plus one per subquery (its ``FROM`` costs a join at execution time)
+    and that subquery's own joins."""
+
+    __slots__ = ("tables", "joins")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tables: set[str] = set()
+        self.joins = 0
+
+
+def _subquery(query: "Select", params: list) -> str:
+    """*query* rendered inside an expression: its parameters, tables and
+    joins (plus one for its ``FROM``) go to the enclosing render."""
+    if isinstance(params, Rendering):
+        params.joins += 1
+        return query.render_into(params)
+    sql, sub_params = query.render()  # an expression rendered on its own
+    params.extend(sub_params)
+    return sql
 
 
 class SqlExpr:
@@ -246,9 +275,7 @@ class Exists(SqlExpr):
     query: "Select"
 
     def render(self, params: list) -> str:
-        sql, sub_params = self.query.render()
-        params.extend(sub_params)
-        return f"EXISTS ({sql})"
+        return f"EXISTS ({_subquery(self.query, params)})"
 
 
 @dataclass(frozen=True)
@@ -264,8 +291,7 @@ class CountAtMost(SqlExpr):
     bound: float
 
     def render(self, params: list) -> str:
-        sql, sub_params = self.query.render()
-        params.extend(sub_params)
+        sql = _subquery(self.query, params)
         limit = int(min(max(self.bound, 0), 2**62))
         return f"(SELECT COUNT(*) FROM ({sql}\nLIMIT {limit}))"
 
@@ -277,9 +303,7 @@ class InSubquery(SqlExpr):
 
     def render(self, params: list) -> str:
         left = self.operand.render(params)
-        sql, sub_params = self.query.render()
-        params.extend(sub_params)
-        return f"{left} IN ({sql})"
+        return f"{left} IN ({_subquery(self.query, params)})"
 
 
 # -- FROM items --------------------------------------------------------------
@@ -292,7 +316,8 @@ class TableRef:
     table: str
     alias: str
 
-    def render(self) -> str:
+    def render(self, params: Rendering) -> str:
+        params.tables.add(self.table)
         if self.table == self.alias:
             return quote_identifier(self.table)
         return f"{quote_identifier(self.table)} AS {quote_identifier(self.alias)}"
@@ -307,8 +332,30 @@ class Join:
     kind: str = "JOIN"  # or "LEFT JOIN"
 
 
+class _Statement:
+    """A whole statement (SELECT, UNION or WITH), rendered in one pass."""
+
+    __slots__ = ()
+
+    def render(self) -> tuple[str, Rendering]:
+        """Produce ``(sql_text, parameters)``; the parameters are a
+        :class:`Rendering`, which also carries the tables and joins."""
+        params = Rendering()
+        return self.render_into(params), params
+
+    def render_into(self, params: Rendering) -> str:
+        """This statement's text; its parameters, tables and joins are
+        added to *params*."""
+        raise NotImplementedError
+
+    @property
+    def join_count(self) -> int:
+        """The E8 plan-complexity metric, as :class:`Rendering` counts it."""
+        return self.render()[1].joins
+
+
 @dataclass
-class Select:
+class Select(_Statement):
     """A SELECT statement under construction.
 
     ``select(...)`` / ``where(...)`` / ``join(...)`` mutate and return self
@@ -355,26 +402,10 @@ class Select:
         self.limit_count = count
         return self
 
-    @property
-    def join_count(self) -> int:
-        """Number of join clauses — the E8 plan-complexity metric.
-
-        Counts joins in this statement plus any nested EXISTS/IN subqueries
-        in its ``JOIN … ON`` and WHERE conditions (a subquery's FROM also
-        costs a join at execution time).
-        """
-        total = len(self.joins)
-        for join in self.joins:
-            total += _nested_join_count(join.condition)
-        for condition in self.conditions:
-            total += _nested_join_count(condition)
-        return total
-
-    def render(self) -> tuple[str, list]:
-        """Produce ``(sql_text, parameters)``."""
+    def render_into(self, params: Rendering) -> str:
         if self.from_item is None:
             raise XmlRelError("SELECT without FROM")
-        params: list = []
+        params.joins += len(self.joins)
         cols = []
         for expr, alias in self.columns or [(Raw("*"), None)]:
             text = expr.render(params)
@@ -385,10 +416,10 @@ class Select:
             ("SELECT DISTINCT " if self.distinct else "SELECT ")
             + ", ".join(cols)
         ]
-        parts.append(f"FROM {self.from_item.render()}")
+        parts.append(f"FROM {self.from_item.render(params)}")
         for join in self.joins:
             parts.append(
-                f"{join.kind} {join.table.render()} "
+                f"{join.kind} {join.table.render(params)} "
                 f"ON {join.condition.render(params)}"
             )
         if self.conditions:
@@ -405,33 +436,25 @@ class Select:
             parts.append("ORDER BY " + ", ".join(order_parts))
         if self.limit_count is not None:
             parts.append(f"LIMIT {int(self.limit_count)}")
-        return "\n".join(parts), params
+        return "\n".join(parts)
 
 
 @dataclass(frozen=True)
-class Union:
+class Union(_Statement):
     """``UNION ALL`` (or ``UNION``) of several SELECTs."""
 
     selects: tuple[Select, ...]
     all: bool = True
 
-    def render(self) -> tuple[str, list]:
+    def render_into(self, params: Rendering) -> str:
         keyword = "\nUNION ALL\n" if self.all else "\nUNION\n"
-        parts: list[str] = []
-        params: list = []
-        for select in self.selects:
-            sql, select_params = select.render()
-            parts.append(sql)
-            params.extend(select_params)
-        return keyword.join(parts), params
-
-    @property
-    def join_count(self) -> int:
-        return sum(s.join_count for s in self.selects)
+        return keyword.join(
+            select.render_into(params) for select in self.selects
+        )
 
 
 @dataclass
-class WithQuery:
+class WithQuery(_Statement):
     """A ``WITH [RECURSIVE] name AS (...), ... <final select>`` statement.
 
     The edge/binary translators add one recursive CTE per closure step
@@ -448,44 +471,20 @@ class WithQuery:
         self.ctes.append((name, query))
         return self
 
-    def render(self) -> tuple[str, list]:
+    def render_into(self, params: Rendering) -> str:
         if self.final is None:
             raise XmlRelError("WITH query without a final SELECT")
         if not self.ctes:
-            return self.final.render()
-        # Parameters must be collected in render order: CTEs first.
-        params: list = []
+            return self.final.render_into(params)
+        # Parameters are collected in render order: CTEs first.
         rendered_ctes = []
         for name, query in self.ctes:
-            sql, cte_params = query.render()
+            sql = query.render_into(params)
             indented = "\n".join("  " + line for line in sql.splitlines())
             rendered_ctes.append(f"{quote_identifier(name)} AS (\n{indented}\n)")
-            params.extend(cte_params)
-        final_sql, final_params = self.final.render()
-        params.extend(final_params)
+        final_sql = self.final.render_into(params)
         keyword = "WITH RECURSIVE " if self.recursive else "WITH "
-        return keyword + ",\n".join(rendered_ctes) + "\n" + final_sql, params
-
-    @property
-    def join_count(self) -> int:
-        total = sum(q.join_count for _, q in self.ctes)
-        if self.final is not None:
-            total += self.final.join_count
-        return total
-
-
-def _nested_join_count(expr: SqlExpr) -> int:
-    """Joins hidden inside EXISTS/IN subqueries of *expr*."""
-    if isinstance(expr, (Exists, InSubquery, CountAtMost)):
-        # The subquery itself costs one join (its FROM) plus its own joins.
-        return 1 + expr.query.join_count
-    if isinstance(expr, (And, Or)):
-        return sum(_nested_join_count(op) for op in expr.operands)
-    if isinstance(expr, Not):
-        return _nested_join_count(expr.operand)
-    if isinstance(expr, (Comparison, Arith)):
-        return _nested_join_count(expr.left) + _nested_join_count(expr.right)
-    return 0
+        return keyword + ",\n".join(rendered_ctes) + "\n" + final_sql
 
 
 def like_escape(text: str) -> str:

@@ -73,7 +73,6 @@ runs under it.
 from __future__ import annotations
 
 import asyncio
-import functools
 import math
 import threading
 import time
@@ -126,9 +125,6 @@ _REASONS = {
 
 #: Header lines one request may carry.
 MAX_HEADERS = 100
-
-#: Distinct XPath strings whose syntax check the gateway remembers.
-XPATH_PARSE_CACHE = 256
 
 #: Route labels used in ``gateway.route.<route>.seconds`` histograms:
 #: the query routes (the only ones that emit an ``http`` wide event),
@@ -256,12 +252,6 @@ class Gateway:
         self.analyzer = analyzer
         self.idle_timeout = idle_timeout
         self.quotas = ClientQuotas(quota_rate, quota_burst)
-        #: The early syntax check (typed 400 before admission),
-        #: remembered per string; a syntax error raises and so is never
-        #: cached.  Only the event loop calls it.
-        self._parse_xpath = functools.lru_cache(maxsize=XPATH_PARSE_CACHE)(
-            parse_xpath
-        )
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
@@ -575,7 +565,9 @@ class Gateway:
                 raise ProtocolError(
                     f"method {method} not allowed on /query"
                 )
-            parsed = self._parse_xpath(spec.xpath)
+            # The early syntax check (typed 400 before admission); the
+            # shards' translators read the same per-process memo.
+            parsed = parse_xpath(spec.xpath)
         with self.tracer.span("gateway.admit", client=spec.client):
             retry_after = self.quotas.try_admit(spec.client)
         if retry_after is not None:

@@ -38,6 +38,8 @@ the preceding token is an operand terminator.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import XPathSyntaxError
 from repro.xpath.ast import (
     AnyKindTest,
@@ -64,9 +66,19 @@ from repro.xpath.tokens import (
 
 _DESCENDANT_STEP = Step("descendant-or-self", AnyKindTest())
 
+#: Distinct XPath strings whose AST the process remembers.
+XPATH_PARSE_CACHE = 256
 
+
+@lru_cache(maxsize=XPATH_PARSE_CACHE)
 def parse_xpath(expression: str) -> Expr:
-    """Parse *expression* and return its AST root."""
+    """Parse *expression* and return its AST root.
+
+    One parse per string per process: the result is memoized (AST nodes
+    are frozen, so callers share them), and the gateway's early syntax
+    check, the translators, the planner, the analyzer and the evaluator
+    all read the one memo.  A syntax error raises and so is never
+    cached."""
     parser = _Parser(tokenize(expression))
     expr = parser.parse_expr()
     parser.expect_end()

@@ -56,6 +56,23 @@ def all_pools(store):
     ]
 
 
+@pytest.fixture()
+def tokenized(monkeypatch):
+    """Every string the XPath parser tokenizes during the test, with the
+    process's parse memo emptied first."""
+    from repro.xpath import lexer, parser
+
+    calls: list[str] = []
+
+    def counting(text):
+        calls.append(text)
+        return lexer.tokenize(text)
+
+    parser.parse_xpath.cache_clear()
+    monkeypatch.setattr(parser, "tokenize", counting)
+    return calls
+
+
 def free_slots(executor):
     """How many admission slots a ``QueryExecutor``'s gate hands out
     right now."""

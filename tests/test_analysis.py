@@ -17,6 +17,7 @@ Four families of tests pin the layer down:
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,10 @@ class TestWorkloadPlansClean:
         # the read, so a walk over the read-time schema would disagree.
         # Edge and binary translate a mid-path ``//`` as the label
         # paths' child chains, so the walk is over the arms that ran.
+        # The snapshot holds only the tables each statement names, taken
+        # at render: on binary and universal a second document then adds
+        # partitions or label columns (a newer schema version whose
+        # catalog has the indexes back) before the read.
         from tests.test_query_translation import generated_probes
 
         xpaths = [spec.xpath for spec in AUCTION_QUERIES]
@@ -189,6 +194,16 @@ class TestWorkloadPlansClean:
                 plans[xpath] = translator.plans_for(doc_id, xpath)[0]
             for _name, sql in indexes:
                 store.db.execute(sql)
+            if scheme_name in ("binary", "universal"):
+                before = store.db.schema_catalog()
+                store.store_text(
+                    "<site><extra_region><extra_item id='e1'>x</extra_item>"
+                    "</extra_region></site>",
+                    "second",
+                )
+                after = store.db.schema_catalog()
+                assert after.schema_version > before.schema_version
+                assert after.tables != before.tables
         assert len(plans) > len(AUCTION_QUERIES)
         for xpath, xpath_plans in plans.items():
             assert [
@@ -198,6 +213,36 @@ class TestWorkloadPlansClean:
             "interval", "dewey", "xrel", "edge", "binary",
         ):
             assert any(any(verdicts) for verdicts in expected.values())
+
+    def test_introspection_grows_with_the_statement(self, auction_doc):
+        # A cold render snapshots only the tables its SQL names: binary
+        # Q1 introspects its five partitions, not the store's dozens,
+        # and a second path over the same tables at the same schema
+        # version introspects none.
+        introspected = re.compile(
+            r"(?:pragma_|PRAGMA )(?:table_info|index_list)\W+(\w+)"
+        )
+        with open_scheme_store("binary", "auction") as store:
+            doc_id = store.store(auction_doc, "auction")
+            traced: list[str] = []
+            store.db._conn.set_trace_callback(traced.append)
+            q1 = AUCTION_QUERIES[0].xpath
+            store.query_pres(doc_id, q1)
+            named = set(re.findall(r"(?:FROM|JOIN) (\w+)", store.sql_for(
+                doc_id, q1
+            )[0]))
+            assert len(named) == 5
+            assert {
+                name for line in traced
+                for name in introspected.findall(line)
+            } == named
+            traced.clear()
+            assert store.query_pres(doc_id, "/site/regions/africa/item")
+            assert not [
+                line for line in traced if introspected.search(line)
+            ]
+            store.db._conn.set_trace_callback(None)
+            assert len(store.db.schema_catalog().tables) > 2 * len(named)
 
     def test_sweep_runs_clean(self):
         report = run_sweep(["edge", "interval"])

@@ -868,7 +868,9 @@ class TestWireRobustness:
             assert json.loads(body) == {"ok": True}
             assert f"Content-Length: {len(body)}".encode() in head
 
-    def test_syntax_check_is_remembered_but_errors_are_not(self, tmp_path):
+    def test_syntax_check_is_remembered_but_errors_are_not(
+        self, tmp_path, tokenized
+    ):
         store, _ = _open(tmp_path)
         with store:
             gateway = store.serve_gateway()
@@ -883,9 +885,31 @@ class TestWireRobustness:
                 )
                 assert status == 400
                 assert body["error"] == "XPathSyntaxError"
-            info = gateway._parse_xpath.cache_info()
-            assert (info.hits, info.currsize) == (2, 1)
-            assert info.misses == 1 + 3  # the bad string parses each time
+        # The good string parses once; the bad one parses each time.
+        assert tokenized == ["/bib/book"] + ["/bib/book["] * 3
+
+    def test_a_cold_scatter_parses_once(self, tmp_path, tokenized):
+        # The gateway's syntax check and every shard's translator read
+        # the one per-process parse memo: a cold doc-less request on
+        # four shards tokenizes its XPath once, not once per shard more.
+        store = ShardedStore.open(
+            str(tmp_path / "four"), scheme="interval", shards=4
+        )
+        for i in range(8):  # every shard holds a document
+            store.store_text(BIB_XML, name=f"bib-{i}")
+        with store:
+            gateway = store.serve_gateway()
+            status, body = _post(
+                gateway.url + "/query", {"xpath": "/bib/book/author"}
+            )
+            assert status == 200 and body["row_count"]
+            assert body["shards_queried"] == 4
+            assert all(
+                pool.stats()["plan_cache"]["misses"] == 1
+                for pool in store.pools.values()
+            )
+        assert tokenized == ["/bib/book/author"]
+
 
 
 # -- tracing + wide events ----------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from repro import Tracer, XmlRelStore
 from repro.errors import UnsupportedQueryError
 from repro.workloads import AUCTION_QUERIES, auction_dtd, generate_auction
+from repro.xpath.parser import parse_xpath
 from tests.conftest import SCHEMALESS_SCHEMES
 
 ALL_SCHEMES = SCHEMALESS_SCHEMES + ["inlining"]
@@ -90,3 +91,31 @@ def test_report_and_explain_describe_what_runs(
             if xpath == UNION:
                 assert len(plans) >= 2 and pres
         assert len(store.db.plan_cache) == answered
+
+
+@pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+def test_the_join_count_is_observable(scheme_name, auction_doc):
+    # The render pass counts joins (the E8 metric): a cold traced
+    # translation's span, ``query_report`` and every cached plan carry
+    # the count the statement tree gives.
+    kwargs = {"dtd": auction_dtd()} if scheme_name == "inlining" else {}
+    tracer = Tracer()
+    with XmlRelStore.open(
+        scheme=scheme_name, tracer=tracer, **kwargs
+    ) as store:
+        doc_id = store.store(auction_doc, "auction")
+        translator = store.scheme.translator()
+        for spec in AUCTION_QUERIES:
+            try:
+                store.query_pres(doc_id, spec.xpath)
+            except UnsupportedQueryError:
+                continue
+            span = tracer.spans_named("translate")[-1]
+            assert span.attributes["joins"] == store.query_report(
+                doc_id, spec.xpath
+            ).join_count, spec.key
+            plans, _hit = translator.plans_for(doc_id, spec.xpath)
+            arms, _version = translator._arms(parse_xpath(spec.xpath))
+            assert [plan.join_count for plan in plans] == [
+                translator.translate(doc_id, arm).join_count for arm in arms
+            ], spec.key

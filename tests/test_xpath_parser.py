@@ -253,3 +253,64 @@ class TestRoundtripStr:
         first = parse_xpath(expression)
         again = parse_xpath(str(first))
         assert first == again
+
+
+class TestParseMemo:
+    """One parse per XPath string per process."""
+
+    def test_a_repeated_parse_returns_the_same_ast(self, tokenized):
+        first = parse_xpath("/site/people/person[@id = 'person0']/name")
+        assert parse_xpath("/site/people/person[@id = 'person0']/name") is first
+        assert parse_path("/site/people/person[@id = 'person0']/name") is first
+        assert tokenized == ["/site/people/person[@id = 'person0']/name"]
+
+    def test_a_syntax_error_is_raised_every_time_and_never_cached(
+        self, tokenized
+    ):
+        for _ in range(3):
+            with pytest.raises(XPathSyntaxError):
+                parse_xpath("/a/b[")
+        assert tokenized == ["/a/b["] * 3
+        assert parse_xpath.cache_info().currsize == 0
+
+    def test_threads_share_the_memo(self):
+        # The gateway's loop and the executor's threads parse through the
+        # one memo at once: every result equals a fresh parse, and the
+        # memo stays within its bound.
+        import sys
+        import threading
+
+        from repro.xpath.parser import XPATH_PARSE_CACHE, _Parser
+
+        def fresh(text):
+            parser = _Parser(tokenize(text))
+            expr = parser.parse_expr()
+            parser.expect_end()
+            return expr
+
+        texts = [f"/a/b{i % 300}[@id = '{i}']/c" for i in range(600)]
+        expected = {text: fresh(text) for text in texts}
+        wrong: list[str] = []
+
+        def worker(offset):
+            for text in texts[offset:] + texts[:offset]:
+                if parse_xpath(text) != expected[text]:
+                    wrong.append(text)
+
+        parse_xpath.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n * 75,))
+                for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert parse_xpath.cache_info().currsize <= XPATH_PARSE_CACHE
