@@ -105,12 +105,12 @@ def label_name_sql(columns: str = "") -> str:
 
 
 def fetch_edge_rows(
-    db, relation: str, doc_id: int, pres: list[int] | None
+    db, doc_id: int, pres: list[int] | None
 ) -> list[tuple]:
     """Publish rows ``(root, pre, parent_pre, kind, name, value)`` from
-    an edge-shaped *relation* (the ``edge`` table, or binary's
-    ``binary_edges`` view): the subtrees rooted at *pres*, or with
-    ``pres=None`` the whole document as one run under root 0.
+    the ``edge`` table: the subtrees rooted at *pres*, or with
+    ``pres=None`` the whole document as one run under root 0.  (Binary
+    has its own level-by-level fetch over its partitions.)
 
     No region encoding exists, so a subtree is collected by the
     parent→child closure — one recursive CTE seeded by all roots at
@@ -133,12 +133,12 @@ def fetch_edge_rows(
                                value, level, ordinal) AS (
           SELECT {root}, target, source, kind, {label_name_sql()},
                  value, 0, ordinal
-          FROM {relation} WHERE doc_id = ? AND {seed}
+          FROM edge WHERE doc_id = ? AND {seed}
           UNION ALL
           SELECT s.root, e.target, e.source, e.kind,
                  {label_name_sql("e.")}, e.value, s.level + 1,
                  e.ordinal
-          FROM {relation} e JOIN subtree s ON e.source = s.target
+          FROM edge e JOIN subtree s ON e.source = s.target
           WHERE e.doc_id = ?
           ORDER BY 7 DESC, 8, 2
         )
@@ -205,12 +205,12 @@ class EdgeScheme(MappingScheme):
         return _EdgeStreamInserter(self, doc_id)
 
     def fetch_records(self, doc_id: int) -> list[tuple]:
-        return fetch_edge_rows(self.db, "edge", doc_id, None)
+        return fetch_edge_rows(self.db, doc_id, None)
 
     def fetch_records_many(
         self, doc_id: int, pres: list[int]
     ) -> list[tuple]:
-        return fetch_edge_rows(self.db, "edge", doc_id, pres)
+        return fetch_edge_rows(self.db, doc_id, pres)
 
     def _delete_rows(self, doc_id: int) -> None:
         self.db.execute("DELETE FROM edge WHERE doc_id = ?", (doc_id,))

@@ -103,6 +103,25 @@ class TestCorruptionDetected:
         assert report.failed("binary-catalog")
         db.close()
 
+    def test_binary_child_label_pair_audited(self):
+        # Clean: the check runs and finds every stored pair.
+        db, scheme, doc_id = stored_scheme("binary")
+        report = scheme.verify_document(doc_id)
+        assert "binary-child-labels" in report.checks
+        assert not report.failed("binary-child-labels")
+        # A pair removed by hand would drop <title> from every fetch of
+        # a <book>: the audit names it.
+        db.execute(
+            "DELETE FROM binary_child_labels "
+            "WHERE parent_label = 'book' AND child_label = 'title'"
+        )
+        report = scheme.verify_document(doc_id)
+        assert [issue.check for issue in report.issues] == [
+            "binary-child-labels"
+        ]
+        assert "('book', 'title')" in report.issues[0].message
+        db.close()
+
     def test_universal_dangling_path_detected(self):
         self.check_detects(
             "universal",
