@@ -1,6 +1,7 @@
 """XPath→SQL for the Dewey order-label mapping.
 
-Axis conditions are string operations on the zero-padded labels:
+Axis conditions are string operations on the length-prefixed labels
+(:func:`~repro.storage.numbering.dewey_component`):
 
 * ``child``       — ``n.parent_label = p.label``
 * ``descendant``  — ``n.label > p.label || '.'  AND  n.label < p.label || '/'``

@@ -1,7 +1,9 @@
 """Dewey-order mapping (Tatarinov et al., SIGMOD 2002).
 
 Every node is labelled with the path of sibling ordinals from the root
-("1.3.2"), stored zero-padded so that
+("1.3.12"), each component stored as its digit count then its digits
+("11.13.212", :func:`~repro.storage.numbering.dewey_component`), so
+that
 
 * lexicographic order on labels  ==  document order, and
 * label prefix-of               ==  ancestor-of.
@@ -29,7 +31,11 @@ from repro.storage.base import (
     StreamInserter,
     roots_param,
 )
-from repro.storage.numbering import DEWEY_SEPARATOR, dewey_parent
+from repro.storage.numbering import (
+    DEWEY_SEPARATOR,
+    dewey_label_fault,
+    dewey_parent,
+)
 
 # The smallest character strictly greater than the separator '.' — used to
 # close prefix ranges: descendants of label p are in (p + '.', p + '/').
@@ -157,9 +163,15 @@ class DeweyScheme(MappingScheme):
             (doc_id,),
         )
         labels = {label for label, __, __ in rows}
+        report.ran("dewey-label-form")
         report.ran("dewey-prefix-closed")
         report.ran("dewey-depth")
         for label, parent_label, depth in rows:
+            # A label of another form (a file shredded with six-digit
+            # zero-padded components) does not sort among these.
+            fault = dewey_label_fault(label)
+            if fault is not None:
+                report.add("dewey-label-form", f"label {label!r}: {fault}")
             expected_parent = dewey_parent(label)
             if parent_label != expected_parent:
                 report.add(

@@ -22,8 +22,9 @@ processing instructions — everything except the document node itself):
     (their document-order slot).
 ``dewey``
     The Dewey order label: the ``ordinal`` components along the path from
-    the root, zero-padded so that *lexicographic order equals document
-    order* and prefix-of equals ancestor-of.
+    the root, each written length-prefixed (:func:`dewey_component`) so
+    that *lexicographic order equals document order* and prefix-of
+    equals ancestor-of.
 """
 
 from __future__ import annotations
@@ -33,24 +34,52 @@ from typing import NamedTuple
 from repro.errors import StorageError
 from repro.xml.dom import NodeKind
 
-# Width of one zero-padded Dewey component; 6 digits supports up to
-# 999 999 siblings, far beyond any generated workload.
-DEWEY_WIDTH = 6
 DEWEY_SEPARATOR = "."
+# One length digit: a component holds an ordinal of up to nine digits.
+DEWEY_MAX_ORDINAL = 10 ** 9 - 1
 
 
 def dewey_component(ordinal: int) -> str:
-    """Zero-padded component for one sibling ordinal."""
-    if ordinal <= 0 or ordinal >= 10 ** DEWEY_WIDTH:
+    """Component for one sibling ordinal: its digit count, then its
+    digits (3 → ``"13"``, 12 → ``"212"``, 250 → ``"3250"``).
+
+    As strings, a longer ordinal sorts after a shorter one on the length
+    digit and equal lengths compare digit by digit, so component order
+    is ordinal order.  No component is a proper prefix of another (the
+    length digit fixes its width), so a label prefix that ends at a
+    separator is exactly an ancestor.
+    """
+    if ordinal <= 0 or ordinal > DEWEY_MAX_ORDINAL:
         raise StorageError(f"dewey ordinal out of range: {ordinal}")
-    return str(ordinal).zfill(DEWEY_WIDTH)
+    digits = str(ordinal)
+    return f"{len(digits)}{digits}"
 
 
-# Small-ordinal components, precomputed: sibling ordinals are almost
-# always tiny and the streaming shredder needs one per stored node.
-_DEWEY_CACHE = tuple(
-    str(i).zfill(DEWEY_WIDTH) for i in range(1024)
-)
+# Small-ordinal components, precomputed and indexed by ordinal (slot 0
+# is never read): sibling ordinals are almost always tiny and the
+# streaming shredder needs one per stored node.  Building each with
+# dewey_component instead costs about a fifth of shred_into's time.
+_DEWEY_CACHE = ("",) + tuple(dewey_component(i) for i in range(1, 1024))
+
+
+def dewey_label_fault(label: str) -> str | None:
+    """Why *label* is not a run of canonical components, or None: a
+    component that is empty, not digits, has a length digit other than
+    the count of digits after it, or a leading zero (labels written
+    six-digit zero-padded fail the length digit)."""
+    for component in label.split(DEWEY_SEPARATOR):
+        if not (component.isascii() and component.isdigit()):
+            return f"component {component!r} is not a digit string"
+        if component[0] == "0":
+            return f"component {component!r} has length digit 0"
+        if int(component[0]) != len(component) - 1:
+            return (
+                f"component {component!r} has length digit "
+                f"{component[0]} but {len(component) - 1} digit(s)"
+            )
+        if component[1] == "0":
+            return f"component {component!r} has a leading zero"
+    return None
 
 
 def dewey_parent(label: str) -> str | None:

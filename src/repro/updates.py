@@ -48,9 +48,9 @@ from repro.storage.edge import EdgeScheme
 from repro.storage.interval import IntervalScheme
 from repro.storage.numbering import (
     DEWEY_SEPARATOR,
-    DEWEY_WIDTH,
     NodeRecord,
     dewey_component,
+    dewey_label_fault,
     shred_into,
 )
 from repro.xml.dom import Element, NodeKind
@@ -300,16 +300,19 @@ def _relocate(
     move by *offset*, levels hang below *parent*, and the fragment's
     root (the one record with no parent) takes *parent* and *ordinal*.
     *label* is the root's new Dewey label (None where no label is
-    stored): it replaces the root's single component in every label.
+    stored): it replaces the root's own component, the first of every
+    label, whatever its width.
     """
     is_root = not record.parent_pre
+    if label is not None:
+        __, separator, below = record.dewey.partition(DEWEY_SEPARATOR)
+        label += separator + below
     return record._replace(
         pre=record.pre + offset,
         level=record.level + parent.level,
         parent_pre=parent.pre if is_root else record.parent_pre + offset,
         ordinal=ordinal if is_root else record.ordinal,
-        dewey=(record.dewey if label is None
-               else label + record.dewey[DEWEY_WIDTH:]),
+        dewey=record.dewey if label is None else label,
     )
 
 
@@ -455,6 +458,15 @@ def _cut_interval(db, shape, doc_id, node):
 
 
 def _open_dewey_gap(db, shape, doc_id, parent, following, ordinal, size):
+    # A document shredded with another label form would take new
+    # labels that do not sort among its old ones.
+    fault = dewey_label_fault(parent.key)
+    if fault is not None:
+        raise UpdateError(
+            f"dewey label {parent.key!r} of node {parent.pre} in document "
+            f"{doc_id} is not in the current label form ({fault}); "
+            "store the document again before updating it"
+        )
     # Relabel following siblings' subtrees, last first (labels are a
     # primary key, so shifts must not collide mid-flight).
     updated = 0

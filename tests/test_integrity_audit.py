@@ -10,12 +10,13 @@ import pytest
 
 from repro.core.registry import available_schemes
 from repro.core.store import XmlRelStore, open_store
-from repro.errors import StorageError
+from repro.errors import StorageError, UpdateError
 from repro.relational.database import Database
+from repro.updates import insert_subtree
 from repro.workloads import auction_dtd, generate_auction
 
 from tests.conftest import BIB_DTD_XML, make_scheme
-from repro.xml.parser import parse_document
+from repro.xml.parser import parse_document, parse_fragment
 
 ALL_SCHEMES = available_schemes()
 
@@ -207,6 +208,67 @@ class TestCorruptionDetected:
             (),
             ["catalog-count"],
         )
+
+
+def six_digit(label):
+    """*label* in the six-digit zero-padded form dewey stores wrote
+    before components were length-prefixed."""
+    return ".".join(
+        component[1:].zfill(6) for component in label.split(".")
+    )
+
+
+class TestDeweyLabelForm:
+    def test_clean_store_runs_the_check(self):
+        db, scheme, doc_id = stored_scheme("dewey")
+        report = scheme.verify_document(doc_id)
+        assert report.ok, report.issues
+        assert "dewey-label-form" in report.checks
+        db.close()
+
+    @pytest.mark.parametrize("edit", [
+        "label || '0'",              # length digit one short
+        "SUBSTR(label, 1, LENGTH(label) - 1) || '0' "
+        "|| SUBSTR(label, LENGTH(label))",   # one digit too many
+    ])
+    def test_hand_edited_label_detected(self, edit):
+        db, scheme, doc_id = stored_scheme("dewey")
+        db.execute(
+            f"UPDATE dewey SET label = {edit} WHERE pre = "
+            "(SELECT MAX(pre) FROM dewey WHERE kind = 3)"
+        )
+        report = scheme.verify_document(doc_id)
+        assert report.failed("dewey-label-form"), report.issues
+        db.close()
+
+    def test_six_digit_store_reported_and_not_updated(self, tmp_path):
+        path = tmp_path / "old.db"
+        with XmlRelStore.open(path, scheme="dewey") as store:
+            doc_id = store.store_text(BIB_DTD_XML, "bib")
+            for label, parent in store.db.query(
+                "SELECT label, parent_label FROM dewey WHERE doc_id = ?",
+                (doc_id,),
+            ):
+                store.db.execute(
+                    "UPDATE dewey SET label = ?, parent_label = ? "
+                    "WHERE doc_id = ? AND label = ?",
+                    (six_digit(label), parent and six_digit(parent),
+                     doc_id, label),
+                )
+        with XmlRelStore.open(path, scheme="dewey") as store:
+            report = store.verify(doc_id)
+            assert report.failed("dewey-label-form")
+            assert {issue.check for issue in report.issues} == {
+                "dewey-label-form"
+            }
+            # Reads still answer; an insert would mix label forms.
+            published = store.reconstruct_xml(doc_id)
+            (book,) = store.query_pres(doc_id, "/bib/book[1]")
+            with pytest.raises(UpdateError, match="label form"):
+                insert_subtree(
+                    store.scheme, doc_id, book, parse_fragment("<x/>")
+                )
+            assert store.reconstruct_xml(doc_id) == published
 
 
 class TestPublishLaneOnCorruptRows:

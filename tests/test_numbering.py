@@ -1,11 +1,13 @@
 """Unit tests for node numbering (pre/post/size/level/dewey)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import StorageError, XmlRelError
 from repro.xml import parse_document
-from repro.xml.dom import NodeKind
+from repro.xml.dom import Document, Element, NodeKind
 from repro.storage.numbering import (
+    DEWEY_MAX_ORDINAL,
     DEWEY_SEPARATOR,
     dewey_component,
     dewey_depth,
@@ -134,14 +136,26 @@ class TestEventStackNumbering(TestNumbering):
 
 
 class TestDeweyHelpers:
-    def test_component_padding(self):
-        assert dewey_component(7) == "000007"
+    def test_component_length_prefix(self):
+        assert dewey_component(7) == "17"
+        assert dewey_component(12) == "212"
+        assert dewey_component(250) == "3250"
 
     def test_component_bounds(self):
+        assert dewey_component(10 ** 6) == "71000000"
+        assert dewey_component(DEWEY_MAX_ORDINAL) == "9" + "9" * 9
         with pytest.raises(StorageError):
             dewey_component(0)
         with pytest.raises(StorageError):
-            dewey_component(10 ** 7)
+            dewey_component(10 ** 9)
+
+    @given(st.integers(1, DEWEY_MAX_ORDINAL),
+           st.integers(1, DEWEY_MAX_ORDINAL))
+    @example(9, 10)
+    @example(99, 100)
+    @example(999_999, 1_000_000)
+    def test_component_order_is_ordinal_order(self, a, b):
+        assert (a < b) == (dewey_component(a) < dewey_component(b))
 
     def test_parent(self):
         assert dewey_parent("000001.000002") == "000001"
@@ -150,6 +164,54 @@ class TestDeweyHelpers:
     def test_is_ancestor_is_proper(self):
         assert not dewey_is_ancestor("000001", "000001")
         assert not dewey_is_ancestor("000001", "000010")  # not a prefix
+
+
+@st.composite
+def wide_trees(draw, depth=3):
+    """An element whose sibling runs cross the one-, two- and
+    three-digit ordinal widths, attributes (which take the first
+    ordinals) and text mixed in; a few children get subtrees of their
+    own."""
+    element = Element("n")
+    if draw(st.booleans()):
+        element.set_attribute("a", "1")
+    if depth == 0:
+        return element
+    width = draw(st.one_of(
+        st.integers(0, 3), st.sampled_from((8, 9, 10, 98, 99, 100))
+    ))
+    deep = draw(st.sets(st.integers(0, max(width - 1, 0)), max_size=2))
+    for index in range(width):
+        if index in deep:
+            element.append_child(draw(wide_trees(depth - 1)))
+        elif index % 7 == 3:
+            element.append_text("t")
+        else:
+            element.append_child(Element("n"))
+    return element
+
+
+class TestMixedWidthLabels:
+    @given(wide_trees())
+    @settings(max_examples=25, deadline=None)
+    def test_label_order_and_ancestry(self, root):
+        document = Document()
+        document.append_child(root)
+        records = shred_records(stream_events(document))[0]
+        labels = [r.dewey for r in records]      # pre order
+        assert labels == sorted(labels)
+        by_pre = {r.pre: r for r in records}
+        ancestors = {}
+        for record in records:
+            parent = by_pre.get(record.parent_pre)
+            ancestors[record.pre] = (
+                ancestors[parent.pre] | {parent.dewey} if parent else set()
+            )
+        for record in records:
+            for other in records:
+                assert dewey_is_ancestor(other.dewey, record.dewey) == (
+                    other.dewey in ancestors[record.pre]
+                )
 
 
 def publish_rows(records, root=0):

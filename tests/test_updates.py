@@ -14,6 +14,7 @@ from repro.xml import parse_document, parse_fragment, serialize
 from repro.xml.dom import deep_equal
 from repro.xpath import evaluate_nodes
 
+from tests.numbering_oracle import number_document
 from tests.test_property import documents, elements
 
 UPDATABLE = ("edge", "binary", "interval", "dewey")
@@ -468,3 +469,67 @@ class TestUnsupportedSchemes:
 def test_update_stats_accounting():
     stats = UpdateStats(rows_inserted=3, rows_updated=2, rows_deleted=1)
     assert stats.rows_touched == 6
+
+
+class TestDeweyOrdinalWidths:
+    """Dewey components grow a character at ordinals 10 and 100: an
+    inserted root and the following siblings it pushes up must take the
+    wider labels, and their subtrees with them."""
+
+    FRAGMENT = "<c n='new'><v>new</v><w/></c>"
+    XPATHS = (
+        "/r/c/v", "/r/c[10]", "/r/c[100]/v", "/r/c[last()]", "//w",
+        "/r/c[@n='new']/following-sibling::c/v",
+        "/r/c[@n='new']/preceding-sibling::c",
+        "//v[. = 'new']/ancestor::c",
+    )
+
+    def check(self, scheme, doc_id, document):
+        document.assign_order()
+        assert scheme.reconstruct_xml(doc_id) == serialize(document)
+        # Answers as multisets: after an insert, results come in node
+        # id order, which is no longer document order.
+        for xpath in self.XPATHS:
+            assert sorted(scheme.query_xml(doc_id, xpath)) == sorted(
+                serialize(n) for n in evaluate_nodes(document, xpath)
+            ), xpath
+        assert scheme.verify_document(doc_id).ok
+        # Sorting the labels as strings gives document order.
+        rows = sorted(scheme.db.query(
+            "SELECT label, depth, kind, name, value FROM dewey "
+            "WHERE doc_id = ?", (doc_id,),
+        ))
+        expected = number_document(document)
+        assert [row[1:] for row in rows] == [
+            (r.level, r.kind, r.name, r.value) for r in expected
+        ]
+        return [row[0] for row in rows], [r.dewey for r in expected]
+
+    @pytest.mark.parametrize("count, index", [
+        (9, 8), (9, 9), (8, 0), (99, 98), (99, 99), (98, 0),
+    ])
+    def test_labels_grow_across_digit_boundaries(self, count, index):
+        source = "<r a='x'>" + "".join(
+            f"<c n='{i}'><v>{i}</v></c>" for i in range(1, count + 1)
+        ) + "</r>"
+        document = parse_document(source)
+        with Database() as db:
+            scheme = create_scheme("dewey", db)
+            doc_id = scheme.store(document, "wide").doc_id
+            insert_subtree(
+                scheme, doc_id, document.root_element.order_key,
+                parse_fragment(self.FRAGMENT), index,
+            )
+            document.root_element.insert_child(
+                index, parse_fragment(self.FRAGMENT)
+            )
+            labels, fresh = self.check(scheme, doc_id, document)
+            # Inserts alone leave the labels a fresh store writes.
+            assert labels == fresh
+            for which in (f"{count}", "new"):
+                xpath = f"/r/c[@n='{which}']"
+                (pre,) = scheme.query_pres(doc_id, xpath)
+                delete_subtree(scheme, doc_id, pre)
+                (node,) = evaluate_nodes(document, xpath)
+                document.root_element.remove_child(node)
+                self.check(scheme, doc_id, document)
