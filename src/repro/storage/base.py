@@ -37,6 +37,7 @@ from repro.storage.numbering import (
     NodeRecord,
     records_to_events,
     shred_into,
+    write_records,
 )
 from repro.xml.dom import Document, Node, NodeKind
 from repro.xml.events import (
@@ -45,7 +46,6 @@ from repro.xml.events import (
     build_tree,
     stream_events,
 )
-from repro.xml.serialize import write_events
 
 
 #: The subtree roots of a batched fetch as a relation, bound as one JSON
@@ -81,6 +81,12 @@ def carve_subtrees(rows: list[tuple], pres: list[int]) -> list[tuple]:
                     (root, pre, parent_pre, kind, name, value)
                 )
     return [row for run in runs.values() for row in run]
+
+
+def _build_run(run) -> Node:
+    """One subtree's run of rows as a tree: the tree lane of publishing
+    (``query_nodes``, ``reconstruct_subtrees``)."""
+    return build_fragment(records_to_events(run))
 
 
 @dataclass(frozen=True)
@@ -487,10 +493,13 @@ class MappingScheme(abc.ABC):
 
     # -- retrieval -----------------------------------------------------------------
     #
-    # Publishing is one lane, the reverse of store_stream: the scheme
-    # yields its stored rows in document order, records_to_events turns
-    # them into the token stream, and one consumer — write_events for
-    # text, build_tree / build_fragment for a DOM — takes it from there.
+    # Publishing is the reverse of store_stream: the scheme yields its
+    # stored rows in document order, one run per root, and each run has
+    # one reader per output.  Text (reconstruct_xml, query_xml) is
+    # write_records, one loop from rows to XML; a tree (reconstruct,
+    # query_nodes) is records_to_events into build_tree /
+    # build_fragment, the builder the parser shares.  Both walks live in
+    # storage/numbering.py and reject the same rows alike.
 
     @abc.abstractmethod
     def fetch_records(self, doc_id: int) -> list[tuple]:
@@ -522,11 +531,14 @@ class MappingScheme(abc.ABC):
     def publish_events(self, doc_id: int) -> Iterator[Event]:
         """The stored document as a token stream (what
         :meth:`store_stream` consumed, minus the document markers)."""
+        return records_to_events(self._document_rows(doc_id))
+
+    def _document_rows(self, doc_id: int) -> list[tuple]:
         self.catalog.get(doc_id)  # raises DocumentNotFoundError if absent
         rows = self.fetch_records(doc_id)
         if not rows:
             raise StorageError(f"document {doc_id} has no stored rows")
-        return records_to_events(rows)
+        return rows
 
     def reconstruct(self, doc_id: int) -> Document:
         """Rebuild the full document from its rows."""
@@ -534,19 +546,22 @@ class MappingScheme(abc.ABC):
 
     def reconstruct_xml(self, doc_id: int) -> str:
         """The full document as XML text, straight from its rows."""
-        return write_events(self.publish_events(doc_id))
+        return write_records(self._document_rows(doc_id))
 
-    def _publish_subtrees(self, doc_id: int, pres: list[int], consume):
-        """``consume(events)`` of each subtree rooted at *pres*, in
-        *pres* order, through one batched fetch (none for no roots)."""
-        if not pres:
-            return []
-        unique = list(dict.fromkeys(pres))
+    def _publish_subtrees(
+        self, doc_id: int, pres: list[int], publish, span=None
+    ):
+        """``publish(run)`` of each subtree rooted at *pres*, in *pres*
+        order, through one batched fetch (none for no roots).  A live
+        *span* gets ``rows``, the number of rows fetched."""
+        rows = (
+            self.fetch_records_many(doc_id, list(dict.fromkeys(pres)))
+            if pres else []
+        )
+        if span:
+            span.set(rows=len(rows))
         published = {
-            root: consume(records_to_events(run))
-            for root, run in groupby(
-                self.fetch_records_many(doc_id, unique), itemgetter(0)
-            )
+            root: publish(run) for root, run in groupby(rows, itemgetter(0))
         }
         try:
             return [published[pre] for pre in pres]
@@ -565,7 +580,7 @@ class MappingScheme(abc.ABC):
     ) -> list[Node]:
         """Rebuild many subtrees through one batched fetch: the
         round-trip count does not grow with ``len(pres)``."""
-        return self._publish_subtrees(doc_id, pres, build_fragment)
+        return self._publish_subtrees(doc_id, pres, _build_run)
 
     # -- deletion -----------------------------------------------------------------------
 
@@ -625,19 +640,21 @@ class MappingScheme(abc.ABC):
 
     def query_nodes(self, doc_id: int, xpath: str) -> list[Node]:
         """Run an XPath query via SQL and rebuild each result node."""
-        return self._query_published(doc_id, xpath, build_fragment)
+        return self._query_published(doc_id, xpath, _build_run)
 
     def query_xml(self, doc_id: int, xpath: str) -> list[str]:
         """Run an XPath query via SQL and serialize each result node —
-        rows to text, no tree in between."""
-        return self._query_published(doc_id, xpath, write_events)
+        rows to text in one loop, no tree and no token in between."""
+        return self._query_published(doc_id, xpath, write_records)
 
-    def _query_published(self, doc_id: int, xpath: str, consume):
+    def _query_published(self, doc_id: int, xpath: str, publish):
         tracer = self.db.tracer
         with tracer.span("query.nodes") as span:
             pres = self.query_pres(doc_id, xpath)
             with tracer.span("reconstruct") as reconstruct_span:
-                published = self._publish_subtrees(doc_id, pres, consume)
+                published = self._publish_subtrees(
+                    doc_id, pres, publish, reconstruct_span
+                )
                 if reconstruct_span:
                     reconstruct_span.set(nodes=len(published), batched=True)
             if span:

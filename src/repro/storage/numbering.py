@@ -29,10 +29,12 @@ processing instructions — everything except the document node itself):
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from repro.errors import StorageError
 from repro.xml.dom import NodeKind
+from repro.xml.serialize import escape_attribute, escape_text
 
 DEWEY_SEPARATOR = "."
 # One length digit: a component holds an ordinal of up to nine digits.
@@ -392,6 +394,37 @@ def shred_into(events, add, enter=None) -> tuple[int, str]:
     return node_count, root_tag
 
 
+#: The rows no shredder wrote, worded once for both run walkers
+#: (:func:`records_to_events`, :func:`write_records`) so that they
+#: cannot drift in what they report.
+_ROW_FAULTS = {
+    "missing parent": "record {pre} references missing parent {parent_pre}",
+    "beside root": (
+        "record {pre} lies beside subtree root {root}, not under it"
+    ),
+    "late attribute": "attribute record {pre} outside a start tag",
+    "kind": "cannot rebuild node of kind {kind}",
+}
+
+
+def _row_fault(fault, root, pre, parent_pre, kind) -> StorageError:
+    """The :class:`~repro.errors.StorageError` a run walker raises for
+    a row no shredder wrote (a key of :data:`_ROW_FAULTS`)."""
+    return StorageError(_ROW_FAULTS[fault].format(
+        root=root, pre=pre, parent_pre=parent_pre, kind=kind,
+    ))
+
+
+def _first_and_rest(rows):
+    """``(first row, every row)`` of a run, or ``(None, ())`` for an
+    empty one: a walker reads the run's holder off the first row."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return None, ()
+    return first, chain((first,), rows)
+
+
 def records_to_events(rows):
     """Token stream of one run of stored rows — :func:`shred_into` in
     reverse, and the one place rows turn back into structure.
@@ -407,10 +440,14 @@ def records_to_events(rows):
     Rows no shredder wrote — a parent that is not an open element (never
     stored, or a leaf), a second node beside a subtree's root, an
     attribute after its element's first child, an unknown kind — raise
-    :class:`~repro.errors.StorageError`.
+    :class:`~repro.errors.StorageError`.  :func:`write_records` is the
+    same walk writing text; the two reject the same rows alike.
     """
     from repro.xml.events import Event, EventKind
 
+    first, rows = _first_and_rest(rows)
+    if first is None:
+        return
     # tuple.__new__ is Event's generated __new__ minus its Python frame
     # (the pull parser builds its events the same way).
     new, event = tuple.__new__, Event
@@ -424,36 +461,32 @@ def records_to_events(rows):
     comment_kind = int(NodeKind.COMMENT)
     pi_kind = int(NodeKind.PROCESSING_INSTRUCTION)
 
-    # open_pres[0] stands for whatever holds the run: the first row's
-    # parent (the document for a whole-document run).
-    open_pres: list[int] = []
+    # open_pres[0] is whatever holds the run: the first row's parent
+    # (the document for a whole-document run).
+    outer = first[2]
+    open_pres = [outer]
     open_names: list[str | None] = [None]
     in_start_tag = False
     for root, pre, parent_pre, kind, name, value in rows:
-        if not open_pres:
-            open_pres.append(parent_pre)
         while open_pres[-1] != parent_pre:
             if len(open_pres) == 1:
-                raise StorageError(
-                    f"record {pre} references missing parent {parent_pre}"
+                raise _row_fault(
+                    "missing parent", root, pre, parent_pre, kind
                 )
             open_pres.pop()
             yield new(event, (kind_end, open_names.pop(), None))
             in_start_tag = False
-        if len(open_pres) == 1 and root and pre != root:
-            raise StorageError(
-                f"record {pre} lies beside subtree root {root}, not "
-                "under it"
-            )
+        if parent_pre == outer and root and pre != root:
+            raise _row_fault("beside root", root, pre, parent_pre, kind)
         if kind == element_kind:
             yield new(event, (kind_start, name, None))
             open_pres.append(pre)
             open_names.append(name)
             in_start_tag = True
         elif kind == attribute_kind:
-            if not in_start_tag and pre != root:
-                raise StorageError(
-                    f"attribute record {pre} outside a start tag"
+            if not in_start_tag and (pre != root or parent_pre != outer):
+                raise _row_fault(
+                    "late attribute", root, pre, parent_pre, kind
                 )
             yield new(event, (kind_attribute, name, value or ""))
         else:
@@ -468,6 +501,85 @@ def records_to_events(rows):
                     (EventKind.PROCESSING_INSTRUCTION, name, value or ""),
                 )
             else:
-                raise StorageError(f"cannot rebuild node of kind {kind}")
+                raise _row_fault("kind", root, pre, parent_pre, kind)
     while len(open_names) > 1:
         yield new(event, (kind_end, open_names.pop(), None))
+
+
+def write_records(rows) -> str:
+    """XML text of one run of stored rows: :func:`records_to_events`
+    and :func:`~repro.xml.serialize.write_events` in one loop, with no
+    token in between.
+
+    The walk is :func:`records_to_events`' — the same *rows*, the same
+    stack of open ``pre`` ids, the same rows rejected with the same
+    :class:`~repro.errors.StorageError` — and the text is
+    ``write_events``' byte for byte: ``<a/>`` for a childless element,
+    a lone attribute root as ``name="value"``, an empty run as ``""``.
+    ``query_xml`` and ``reconstruct_xml`` publish through it.
+    """
+    first, rows = _first_and_rest(rows)
+    if first is None:
+        return ""
+    element_kind = int(NodeKind.ELEMENT)
+    attribute_kind = int(NodeKind.ATTRIBUTE)
+    text_kind = int(NodeKind.TEXT)
+    comment_kind = int(NodeKind.COMMENT)
+    pi_kind = int(NodeKind.PROCESSING_INSTRUCTION)
+
+    parts: list[str] = []
+    append = parts.append
+    outer = first[2]
+    open_pres = [outer]
+    open_names: list[str | None] = [None]
+    in_start_tag = False  # the innermost start tag still lacks its '>'
+    for root, pre, parent_pre, kind, name, value in rows:
+        while open_pres[-1] != parent_pre:
+            if len(open_pres) == 1:
+                raise _row_fault(
+                    "missing parent", root, pre, parent_pre, kind
+                )
+            open_pres.pop()
+            tag = open_names.pop()
+            append("/>" if in_start_tag else f"</{tag}>")
+            in_start_tag = False
+        if parent_pre == outer and root and pre != root:
+            raise _row_fault("beside root", root, pre, parent_pre, kind)
+        if kind == element_kind:
+            append(f"><{name}" if in_start_tag else f"<{name}")
+            open_pres.append(pre)
+            open_names.append(name)
+            in_start_tag = True
+        elif kind == text_kind:
+            if in_start_tag:
+                append(">" + escape_text(value or ""))
+                in_start_tag = False
+            else:
+                append(escape_text(value or ""))
+        elif kind == attribute_kind:
+            if in_start_tag:
+                append(f' {name}="{escape_attribute(value or "")}"')
+            elif pre != root or parent_pre != outer:
+                raise _row_fault(
+                    "late attribute", root, pre, parent_pre, kind
+                )
+            else:
+                append(f'{name}="{escape_attribute(value or "")}"')
+        else:
+            if kind == comment_kind:
+                text = f"<!--{value or ''}-->"
+            elif kind == pi_kind:
+                text = f"<?{name} {value}?>" if value else f"<?{name}?>"
+            else:
+                raise _row_fault("kind", root, pre, parent_pre, kind)
+            if in_start_tag:
+                append(">" + text)
+                in_start_tag = False
+            else:
+                append(text)
+    if in_start_tag:
+        append("/>")
+        open_names.pop()
+    while len(open_names) > 1:
+        append(f"</{open_names.pop()}>")
+    return "".join(parts)

@@ -31,6 +31,7 @@ from repro.workloads import (
     generate_auction,
     generate_dblp,
 )
+from repro.xpath import evaluate_nodes
 from repro.xpath.parser import parse_xpath
 from tests.conftest import BIB_XML, SCHEMALESS_SCHEMES
 
@@ -250,6 +251,47 @@ class TestBatchedReconstruction:
                     # the query, the label map, the path list, a read
                     # per path
                     assert wide_stmts == 3 + paths
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_text_publishing_builds_no_events(
+        self, scheme_name, auction_doc, monkeypatch
+    ):
+        # Stored rows have one writer per output: text is write_records,
+        # rows to XML in one loop; only the tree lane makes events.
+        from repro.storage import base
+
+        class EventsBuilt(Exception):
+            pass
+
+        def refuse(rows):
+            raise EventsBuilt
+
+        items = [serialize(n) for n in evaluate_nodes(auction_doc, "//item")]
+        with open_scheme_store(scheme_name) as store:
+            doc_id = store.store(auction_doc, "auction")
+            monkeypatch.setattr(base, "records_to_events", refuse)
+            assert store.query_xml(doc_id, "//item") == items
+            assert store.reconstruct_xml(doc_id) == serialize(auction_doc)
+            with pytest.raises(EventsBuilt):
+                store.query(doc_id, "//item")
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_reconstruct_span_counts_the_rows_fetched(
+        self, scheme_name, auction_doc
+    ):
+        tracer = Tracer()
+        with open_scheme_store(scheme_name, tracer=tracer) as store:
+            doc_id = store.store(auction_doc, "auction")
+            pres = store.query_pres(doc_id, "//item")
+            rows = store.scheme.fetch_records_many(doc_id, pres)
+            for publish in (store.query_xml, store.query):
+                publish(doc_id, "//item")
+                span = tracer.spans_named("reconstruct")[-1]
+                assert span.attributes["rows"] == len(rows), publish
+                assert span.attributes["nodes"] == len(pres)
+            store.query_xml(doc_id, "/site/nothing")
+            span = tracer.spans_named("reconstruct")[-1]
+            assert span.attributes["rows"] == 0
 
 
 class TestPlanCache:

@@ -1,5 +1,7 @@
 """Unit tests for node numbering (pre/post/size/level/dewey)."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.storage.numbering import (
     dewey_is_ancestor,
     dewey_parent,
     records_to_events,
+    write_records,
 )
 from repro.xml.events import (
     Event,
@@ -23,6 +26,7 @@ from repro.xml.events import (
     parse_events,
     stream_events,
 )
+from repro.xml.serialize import serialize
 
 from tests.conftest import shred_records
 from tests.numbering_oracle import number_document
@@ -214,6 +218,16 @@ class TestMixedWidthLabels:
                 )
 
 
+#: The two walks of a run of stored rows, which reject the same rows
+#: with the same message.
+WALKERS = [lambda rows: list(records_to_events(rows)), write_records]
+WALKER_IDS = ["records_to_events", "write_records"]
+
+
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
 def publish_rows(records, root=0):
     """NodeRecords as the slim rows a scheme's fetch yields."""
     return [
@@ -259,13 +273,24 @@ class TestRebuild:
         with pytest.raises(XmlRelError, match="0 top-level nodes"):
             build_fragment(records_to_events([]))
 
-    def test_build_missing_parent_rejected(self):
+    @pytest.mark.parametrize("walk", WALKERS, ids=WALKER_IDS)
+    def test_build_missing_parent_rejected(self, walk):
         doc = parse_document(SRC)
         records = number_document(doc)
         # Drop an intermediate node: its child's parent is missing.
+        y = by_name(records, "y")
         broken = [r for r in records if r.name != "y"]
-        with pytest.raises(StorageError, match="missing parent"):
-            list(records_to_events(publish_rows(broken)))
+        text = next(r for r in broken if r.parent_pre == y.pre)
+        with pytest.raises(StorageError, match=exactly(
+            f"record {text.pre} references missing parent {y.pre}"
+        )):
+            walk(publish_rows(broken))
+
+    @pytest.mark.parametrize(
+        ("walk", "nothing"), list(zip(WALKERS, ([], ""))), ids=WALKER_IDS
+    )
+    def test_an_empty_run_walks_to_nothing(self, walk, nothing):
+        assert walk([]) == nothing
 
     def test_leaf_roots_publish_as_single_events(self):
         records = number_document(parse_document(SRC))
@@ -278,7 +303,8 @@ class TestRebuild:
             records_to_events(publish_rows([text], root=text.pre))
         ) == [Event(EventKind.TEXT, None, "t")]
 
-    def test_rows_no_shredder_wrote_are_typed_errors(self):
+    @pytest.mark.parametrize("walk", WALKERS, ids=WALKER_IDS)
+    def test_rows_no_shredder_wrote_are_typed_errors(self, walk):
         records = number_document(parse_document(SRC))
         rows = publish_rows(records)
         text = next(r for r in records if r.kind == NodeKind.TEXT)
@@ -295,25 +321,55 @@ class TestRebuild:
             ]
 
         comment = next(r for r in records if r.kind == NodeKind.COMMENT)
+        b = by_name(records, "b")
         cases = [
             # a parent that was never stored
-            ("missing parent", corrupt(y.pre, parent_pre=999)),
+            (f"record {y.pre} references missing parent 999",
+             corrupt(y.pre, parent_pre=999)),
             # a parent that is a leaf: nothing can be under a text node
-            ("missing parent", corrupt(
-                by_name(records, "b").pre, parent_pre=text.pre
-            )),
+            (f"record {b.pre} references missing parent {text.pre}",
+             corrupt(b.pre, parent_pre=text.pre)),
             # an attribute after its element's first child
-            ("outside a start tag", corrupt(
-                comment.pre, kind=int(NodeKind.ATTRIBUTE), name="late"
-            )),
-            ("kind 99", corrupt(text.pre, kind=99)),
+            (f"attribute record {comment.pre} outside a start tag",
+             corrupt(comment.pre, kind=int(NodeKind.ATTRIBUTE), name="late")),
+            ("cannot rebuild node of kind 99", corrupt(text.pre, kind=99)),
         ]
         for message, broken in cases:
-            with pytest.raises(StorageError, match=message):
-                list(records_to_events(broken))
-        # a second node beside a subtree's root
+            with pytest.raises(StorageError, match=exactly(message)):
+                walk(broken)
+
+    @pytest.mark.parametrize("walk", WALKERS, ids=WALKER_IDS)
+    def test_a_node_beside_the_subtree_root_is_rejected(self, walk):
+        records = number_document(parse_document(SRC))
+        x = by_name(records, "x").pre
         beside = subtree_rows(records, "x") + [
-            (by_name(records, "x").pre, 900, 1, int(NodeKind.TEXT), None, "?")
+            (x, 900, 1, int(NodeKind.TEXT), None, "?")
         ]
+        message = f"record 900 lies beside subtree root {x}, not under it"
+        with pytest.raises(StorageError, match=exactly(message)):
+            walk(beside)
+        # beside a leaf root too: nothing closes before the second row
+        a = by_name(records, "a")
         with pytest.raises(StorageError, match="beside subtree root"):
-            list(records_to_events(beside))
+            walk(publish_rows([a], root=a.pre) + [
+                (a.pre, 900, a.parent_pre, int(NodeKind.TEXT), None, "?")
+            ])
+
+    def test_write_records_is_serialize_of_every_subtree(self):
+        """The text walker writes what the tree writer writes, for the
+        whole document and for a run rooted at every stored node."""
+        source = (
+            '<r a="1&amp;&quot;" b="x&#9;y"><?p?><?q d?><!--c-->'
+            '<e/><f k="v"/>x&lt;y&gt;&amp;z&#13;<g><h>t</h></g></r>'
+        )
+        doc = parse_document(source)
+        records = number_document(doc)
+        assert write_records(publish_rows(records)) == serialize(doc)
+        nodes = {node.order_key: node for node in doc.iter_with_attributes()}
+        for record in records:
+            run = publish_rows(
+                [r for r in records
+                 if record.pre <= r.pre <= record.pre + record.size],
+                root=record.pre,
+            )
+            assert write_records(run) == serialize(nodes[record.pre])

@@ -1,4 +1,4 @@
-"""Publishing: stored rows → token stream → text, against two referees.
+"""Publishing: stored rows → text (``write_records``), against two referees.
 
 ``reconstruct_xml`` must hand back a document that stdlib expat reads
 as the very events it read from the source text — for every scheme, on
