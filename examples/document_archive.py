@@ -1,5 +1,5 @@
 """Document archive: a persistent (file-backed) bibliography store with
-point lookups, FLWOR-style queries, and in-place updates.
+point lookups, predicate queries, and in-place updates.
 
 Run:  python examples/document_archive.py
 """
@@ -8,7 +8,6 @@ import os
 import tempfile
 
 from repro import XmlRelStore, serialize
-from repro.query.flwor import compile_flwor, run_flwor
 from repro.updates import delete_subtree, insert_subtree
 from repro.workloads import generate_dblp
 from repro.xml import parse_fragment
@@ -30,15 +29,10 @@ def main() -> None:
         ):
             print("  ", xml)
 
-        print("\n-- FLWOR-lite: VLDB papers --")
-        flwor = (
-            "for $p in /dblp/inproceedings "
-            "where $p/booktitle = 'VLDB' and $p/year > 1999 "
-            "return $p/title"
-        )
-        print("   query   :", flwor)
-        print("   compiles:", compile_flwor(flwor).xpath)
-        titles = run_flwor(store, doc_id, flwor)
+        print("\n-- VLDB papers since 2000 --")
+        xpath = "/dblp/inproceedings[booktitle = 'VLDB'][year > 1999]/title"
+        print("   query   :", xpath)
+        titles = store.query(doc_id, xpath)
         for node in titles[:5]:
             print("  ", node.string_value)
         print(f"   ... {len(titles)} results")

@@ -23,7 +23,7 @@ higher rank** than every lock it already holds:
     SQL or a connection acquire underneath is expected.
 ``map`` (rank 1)
     The catalog locks of :mod:`repro.relational.shardmap`: the one
-    ``catalog_lock`` its map, journal and shard state share (every
+    ``catalog_lock`` its map and journal share (every
     method running catalog SQL takes it itself, so SQL underneath is
     part of the contract; anything else blocking is not) and the
     in-memory mirrors' ``_lock``, taken inside it or alone.
@@ -143,11 +143,11 @@ LOCK_SITES: dict[str, dict[str, str]] = {
     "repro/serve/sharded.py": {"_shard_locks": "shard"},
     # ConnectionPool._lock and ResultCache._lock (one name, one class).
     "repro/serve/pool.py": {"_lock": "pool"},
-    "repro/serve/executor.py": {"_replica_lock": "pool", "_gate": "pool"},
+    "repro/serve/executor.py": {"_gate": "pool"},
     "repro/serve/gateway.py": {"_lock": "pool"},
     "repro/relational/plancache.py": {"_lock": "pool"},
     # The mirrors' _lock; catalog_lock is built once by open_catalog
-    # and handed to the three classes that share the connection.
+    # and handed to the two classes that share the connection.
     "repro/relational/shardmap.py": {"_lock": "map", "catalog_lock": "map"},
     "repro/obs/metrics.py": {"_lock": "metrics"},
     "repro/obs/window.py": {"_lock": "metrics"},

@@ -345,13 +345,12 @@ def instrument_sharded_store(store, watcher: LockWatcher) -> None:
     """Swap a live :class:`~repro.serve.sharded.ShardedStore`'s locks
     for watched :class:`OrderedLock` shims (idempotent).
 
-    Wraps the store's shard locks, the catalog lock its shard map,
-    journal and shard state share (one shim, handed back to all three),
-    the shard-map and shard-state mirrors, every primary pool's
-    bookkeeping, plan-cache and result-cache locks, the executor's
-    replica round-robin lock, and the metrics registry lock — the lock set whose relative order the
-    registry declares.  Queue internals, per-instrument metric locks,
-    and replica pools built after instrumentation stay unwrapped.
+    Wraps the store's shard locks, the catalog lock its shard map and
+    journal share (one shim, handed back to both), the shard-map
+    mirror, every pool's bookkeeping, plan-cache and result-cache
+    locks, and the metrics registry lock — the lock set whose relative
+    order the registry declares.  Queue internals and per-instrument
+    metric locks stay unwrapped.
     """
     store._shard_locks = [
         watcher.wrap(lock, f"shard[{index}]", "shard", index=index)
@@ -361,12 +360,8 @@ def instrument_sharded_store(store, watcher: LockWatcher) -> None:
         store.shard_map.catalog_lock, "map.catalog", "map"
     )
     store.shard_map.catalog_lock = store.journal.catalog_lock = catalog_lock
-    store.shard_state.catalog_lock = catalog_lock
     store.shard_map._lock = watcher.wrap(
         store.shard_map._lock, "map.mirror", "map"
-    )
-    store.shard_state._lock = watcher.wrap(
-        store.shard_state._lock, "map.state", "map"
     )
     for shard, pool in store.pools.items():
         pool._lock = watcher.wrap(
@@ -378,9 +373,6 @@ def instrument_sharded_store(store, watcher: LockWatcher) -> None:
         pool.result_cache._lock = watcher.wrap(
             pool.result_cache._lock, f"pool[{shard}].results", "pool"
         )
-    store.executor._replica_lock = watcher.wrap(
-        store.executor._replica_lock, "pool.replica_rr", "pool"
-    )
     store.metrics._lock = watcher.wrap(
         store.metrics._lock, "metrics", "metrics"
     )

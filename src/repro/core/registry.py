@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.errors import XmlRelError
+import inspect
+
+from repro.errors import StorageError, XmlRelError
 from repro.relational.database import Database
 from repro.storage.base import MappingScheme
 from repro.storage.binary import BinaryScheme
@@ -41,6 +43,19 @@ def scheme_class(name: str) -> type[MappingScheme]:
             f"unknown scheme {name!r}; available: "
             + ", ".join(available_schemes())
         ) from None
+
+
+def check_scheme_kwargs(name: str, kwargs: dict) -> None:
+    """Raise before anything is opened or written when scheme *name* is
+    unknown or does not take every keyword of *kwargs*: a store opened
+    with a misspelt option must leave no file behind."""
+    parameters = inspect.signature(scheme_class(name)).parameters
+    unknown = sorted(set(kwargs) - set(list(parameters)[1:]))
+    if unknown:
+        raise StorageError(
+            f"scheme {name!r} takes no keyword argument(s): "
+            + ", ".join(unknown)
+        )
 
 
 def create_scheme(name: str, db: Database, **kwargs) -> MappingScheme:

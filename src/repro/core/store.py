@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.registry import create_scheme
+from repro.core.registry import check_scheme_kwargs, create_scheme
 from repro.errors import XmlRelError
 from repro.obs.report import Explanation, QueryReport
 from repro.obs.trace import Tracer
@@ -62,13 +62,11 @@ def build_query_report(
     scheme: MappingScheme,
     doc_id: int,
     xpath: str,
-    **extra,
 ) -> QueryReport:
     """Run *xpath* against one document and assemble the full per-query
     cost record over the plans ``query_pres`` runs.  Shared by
     :meth:`XmlRelStore.query_report` and the sharded store (which runs
-    it on a pooled read session and adds routing/staleness fields
-    through ``extra``)."""
+    it on a pooled read session)."""
     translator = scheme.translator()
     started = time.perf_counter()
     plans, cache_hit = translator.plans_for(doc_id, xpath)
@@ -93,7 +91,6 @@ def build_query_report(
         cache_hits=cache_stats["hits"],
         cache_misses=cache_stats["misses"],
         analysis=tuple(d for plan in plans for d in plan.diagnostics),
-        **extra,
     )
 
 
@@ -148,8 +145,11 @@ class XmlRelStore:
         :data:`repro.relational.database.LINT_MODES`; ``strict`` raises
         :class:`~repro.errors.PlanLintError` on error-severity
         diagnostics).  ``kwargs`` pass through to the scheme (e.g.
-        ``dtd=``/``strategy=`` for ``inlining``).
+        ``dtd=``/``strategy=`` for ``inlining``); one it does not take
+        raises :class:`~repro.errors.StorageError` before *path* is
+        opened.
         """
+        check_scheme_kwargs(scheme, kwargs)
         opened = open_scheme(
             path, scheme, scheme_kwargs=kwargs,
             profile=profile, retry=retry, tracer=tracer, lint=lint,

@@ -2,11 +2,11 @@
 
 The serving layer emits exactly one event per request — a "wide event"
 carrying everything known about it (shard fan-out breakdown, per-shard
-latency, replica choice + staleness, plan- and result-cache warmth,
-lint verdict, deadline slack, outcome) — instead of scattering the same
-facts over a dozen log lines.  One record per request is what makes
-questions like "show me the p99 queries that fell back from a replica
-AND missed the plan cache" answerable with a single ``jq`` filter.
+latency, plan- and result-cache warmth, lint verdict, deadline slack,
+outcome) — instead of scattering the same facts over a dozen log lines.
+One record per request is what makes questions like "show me the p99
+queries that missed both the result and the plan cache" answerable with
+a single ``jq`` filter.
 
 :class:`RequestLog` is the bounded, non-blocking sink those events go
 through.  The serving hot path calls :meth:`RequestLog.emit`, which

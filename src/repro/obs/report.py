@@ -75,15 +75,6 @@ class QueryReport:
     #: (:class:`repro.analysis.Diagnostic` records; empty when every
     #: plan is clean).
     analysis: tuple = ()
-    #: Where a sharded store answered from: ``"primary"`` or
-    #: ``"replica"`` (empty for single-file stores).
-    read_from: str = ""
-    #: When replica-served: committed writes the replica's snapshot is
-    #: behind its primary (the staleness bound in writes).
-    replica_lag_writes: int | None = None
-    #: When replica-served: seconds since the replica's snapshot
-    #: shipped (the staleness bound in time).
-    replica_age_seconds: float | None = None
 
     @property
     def sql_length(self) -> int:
@@ -104,20 +95,6 @@ class QueryReport:
                 f"execute:   {self.execute_seconds * 1000:.3f} ms",
                 f"plan cache: {'hit' if self.cache_hit else 'miss'} "
                 f"({self.cache_hits} hits / {self.cache_misses} misses)",
-                *(
-                    [
-                        f"read from: {self.read_from}"
-                        + (
-                            f" (lag {self.replica_lag_writes} write(s), "
-                            f"age {self.replica_age_seconds:.3f}s)"
-                            if self.replica_lag_writes is not None
-                            and self.replica_age_seconds is not None
-                            else ""
-                        )
-                    ]
-                    if self.read_from
-                    else []
-                ),
                 "plan:",
                 *("    " + line for line in self.plan),
                 *(

@@ -2,8 +2,8 @@
 
 Polls a gateway's ``/snapshot`` route
 (:func:`repro.obs.ops.snapshot_document`) and renders a ``top``-style
-table: per-shard qps / windowed p50 / p99 / pool occupancy / replica
-lag, plus request outcomes and health, updated in place.
+table: per-shard qps / windowed p50 / p99 / pool occupancy, plus
+request outcomes and health, updated in place.
 
 Run it against a store serving with ``ShardedStore.serve_gateway()``::
 
@@ -62,7 +62,7 @@ def render_snapshot(snapshot: dict) -> str:
         f"{gauges.get('serve.in_flight', {}).get('value', 0):g}",
         "",
         f"{'shard':>6} {'qps':>8} {'p50 ms':>9} {'p99 ms':>9} "
-        f"{'pool in_use':>12} {'repl lag':>9} {'state':>8}",
+        f"{'pool in_use':>12} {'state':>8}",
     ]
 
     shard_health = {
@@ -86,14 +86,12 @@ def render_snapshot(snapshot: dict) -> str:
             f"{in_use:g}/{pool_size}" if pool_size is not None
             else f"{in_use:g}"
         )
-        lag = entry.get("max_replica_lag_writes")
         lines.append(
             f"{shard:>6} "
             f"{summary.get('qps', 0) or 0:>8.1f} "
             f"{_ms(summary.get('p50')):>9} "
             f"{_ms(summary.get('p99')):>9} "
             f"{pool_text:>12} "
-            f"{('-' if lag is None else str(lag)):>9} "
             f"{entry.get('status', '?'):>8}"
         )
 

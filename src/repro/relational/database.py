@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 import sqlite3
-import threading
 from contextlib import contextmanager
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from urllib.parse import quote
@@ -205,10 +204,6 @@ class Database:
         #: pending walk that computes one — rendering is deterministic,
         #: so an identical statement never re-lints.
         self.lint_memo: dict[tuple[int, str], tuple | Callable] = {}
-        #: Per-thread holder of the most recent statement span, so
-        #: ``query()``'s post-hoc row-count attachment never races when
-        #: a connection is handed between pool threads.
-        self._span_local = threading.local()
         self._txn_depth = 0
         self._savepoint_seq = 0
         pragmas = DURABILITY_PROFILES[profile]
@@ -270,14 +265,6 @@ class Database:
 
     # -- execution -------------------------------------------------------------------
 
-    @property
-    def _last_statement_span(self):
-        return getattr(self._span_local, "span", None)
-
-    @_last_statement_span.setter
-    def _last_statement_span(self, span) -> None:
-        self._span_local.span = span
-
     def _check_writable(self, sql: str) -> None:
         """Reject write statements early on a read-only connection."""
         if self.read_only and _statement_keyword(sql) in _WRITE_KEYWORDS:
@@ -333,8 +320,11 @@ class Database:
         runner: Callable,
         kind: str,
         batch_size: int | None = None,
+        fetch: bool = False,
     ):
-        """Run one statement under a ``sql.statement`` span.
+        """Run one statement under a ``sql.statement`` span — with
+        *fetch*, its ``fetchall()`` too, so the span covers the stepping
+        and carries the row count.
 
         Records duration, SQL text, parameter count, retry-attempt
         count (wired through :func:`with_retries`' ``on_retry`` hook),
@@ -357,9 +347,10 @@ class Database:
             sql=tracer.clip_sql(sql),
             params=batch_size if batch_size is not None else len(params),
         )
-        self._last_statement_span = span
         try:
             result = runner(on_retry)
+            if fetch:
+                result = result.fetchall()
         except sqlite3.Error as error:
             metrics.counter("db.errors").inc()
             if is_transient_error(error):
@@ -376,11 +367,11 @@ class Database:
             tracer.end_span(span)
             metrics.histogram("db.statement_seconds").observe(span.duration)
             raise
-        tracer.end_span(span)
         span.set(retries=retries)
-        metrics.counter("db.statements").inc()
-        metrics.histogram("db.statement_seconds").observe(span.duration)
-        if batch_size is not None:
+        if fetch:
+            span.set(rows=len(result))
+            metrics.counter("db.rows_fetched").inc(len(result))
+        elif batch_size is not None:
             span.set(rows=batch_size)
             metrics.counter("db.rows_written").inc(batch_size)
         elif (
@@ -388,6 +379,9 @@ class Database:
             and _statement_keyword(sql) != "SELECT"
         ):
             span.set(rows=result.rowcount)
+        tracer.end_span(span)
+        metrics.counter("db.statements").inc()
+        metrics.histogram("db.statement_seconds").observe(span.duration)
         threshold = tracer.slow_query_threshold
         if threshold is not None and span.duration >= threshold:
             span.set(plan=self._capture_plan(sql, params))
@@ -420,11 +414,19 @@ class Database:
         surface as :class:`~repro.errors.TransientStorageError` once
         exhausted; other engine errors raise :class:`StorageError`.
         """
+        return self._statement(sql, params, fetch=False)
+
+    def _statement(self, sql: str, params: Sequence, fetch: bool):
+        """:meth:`execute`, and with *fetch* :meth:`query`: the rows are
+        fetched inside the same error conversion and the same span, so
+        an error raised while stepping is a :class:`StorageError` too."""
         self._check_writable(sql)
         if not self.tracer.enabled:
             try:
-                return with_retries(self.retry, self._raw_execute, sql,
-                                    params)
+                cursor = with_retries(
+                    self.retry, self._raw_execute, sql, params
+                )
+                return cursor.fetchall() if fetch else cursor
             except sqlite3.Error as error:
                 raise self._convert_error(error, sql) from error
         return self._traced_statement(
@@ -435,6 +437,7 @@ class Database:
                 on_retry=on_retry,
             ),
             kind="execute",
+            fetch=fetch,
         )
 
     def executemany(self, sql: str, rows: Iterable[Sequence]) -> None:
@@ -479,18 +482,8 @@ class Database:
             raise StorageError(f"SQL error: {error}") from error
 
     def query(self, sql: str, params: Sequence = ()) -> list[tuple]:
-        """Execute and fetch all rows."""
-        cursor = self.execute(sql, params)
-        rows = cursor.fetchall()
-        if self.tracer.enabled:
-            # The statement span ended inside execute(); result
-            # cardinality is only known now, so attach it post hoc (the
-            # span object stays mutable until exported).
-            span = self._last_statement_span
-            if span is not None:
-                span.set(rows=len(rows))
-            self.tracer.metrics.counter("db.rows_fetched").inc(len(rows))
-        return rows
+        """Execute and fetch all rows (see :meth:`_statement`)."""
+        return self._statement(sql, params, fetch=True)
 
     def query_one(self, sql: str, params: Sequence = ()) -> tuple | None:
         """Execute and fetch the first row (or None)."""
@@ -701,22 +694,6 @@ class Database:
         page_size = int(self.scalar("PRAGMA page_size"))
         free = int(self.scalar("PRAGMA freelist_count"))
         return (page_count - free) * page_size
-
-    def snapshot_into(self, path: str) -> None:
-        """Write a consistent point-in-time copy of this database to
-        *path* (``VACUUM INTO``): a compact snapshot taken under
-        sqlite's own locking, safe while WAL readers proceed.  The
-        target must not already exist.  Runs through the statement
-        pipeline, so fault injection can crash a replica ship
-        mid-snapshot like any other statement.
-        """
-        if self._txn_depth or self._conn.in_transaction:
-            raise StorageError(
-                "snapshot_into() runs VACUUM INTO, which cannot execute "
-                "inside an open transaction; call it after the "
-                "transaction commits"
-            )
-        self.execute("VACUUM INTO ?", (path,))
 
     def schema_catalog(self) -> SchemaCatalog:
         """The current schema as the plan linter sees it: every stored

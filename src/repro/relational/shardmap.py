@@ -6,7 +6,7 @@ database.  This module owns that catalog's SQL — the relational layer
 is the only place allowed to speak raw SQL (lint rule L001), so the
 serve layer calls in here instead of embedding statements.
 
-Four pieces:
+Three pieces:
 
 * :class:`ShardMap` — the ``xmlrel_shard_map`` table (global doc id →
   shard, per-shard local doc id, document name), mirrored in memory
@@ -14,24 +14,20 @@ Four pieces:
 * :func:`open_catalog` — pins the ``xmlrel_shard_config`` key/value
   table (:func:`pin_shard_config`: scheme/shards/placement persisted on
   first open and verified on reopen, turning a mismatched reopen into a
-  loud error instead of silent misrouting), then opens the map, the
-  journal and the shard state on the catalog database.
+  loud error instead of silent misrouting), then opens the map and the
+  journal on the catalog database.
 * :class:`RebalanceJournal` — the ``xmlrel_rebalance_journal`` table:
   one row per in-flight document move, stepping through the
   ``copying → copied → flipped`` state machine so a crash at any point
   leaves enough state to roll the move back or forward on recovery
   (see :meth:`repro.serve.sharded.ShardedStore.recover`).
-* :class:`ShardState` — the ``xmlrel_shard_state`` /
-  ``xmlrel_replica_state`` tables: a monotonic per-shard write
-  sequence number and, per read replica, the sequence/wall-time of its
-  last shipped snapshot — the two numbers a staleness bound is made of.
 
 The catalog database is one shared connection, so :func:`open_catalog`
-hands the map, the journal and the shard state one ``catalog_lock``
+hands the map and the journal one ``catalog_lock``
 and every method here that runs catalog SQL takes it itself; callers
 (the sharded store) hold no catalog lock of their own.  The in-memory
 mirrors sit behind their own short ``_lock``: reads (``resolve``,
-``docs_for_shard``, ``shard_counts``, ``staleness``) take only that one
+``docs_for_shard``, ``shard_counts``) take only that one
 and never wait on catalog SQL.  Both are class ``map`` in
 :data:`repro.analysis.concurrency.LOCK_ORDER`; a mirror lock is only
 ever taken inside the catalog lock, never around it.
@@ -40,12 +36,11 @@ ever taken inside the catalog lock, never around it.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, replace
 
 from repro.errors import DocumentNotFoundError, StorageError
 from repro.relational.database import Database
-from repro.relational.schema import Column, INTEGER, REAL, TEXT, Table
+from repro.relational.schema import Column, INTEGER, TEXT, Table
 
 SHARD_MAP_TABLE = Table(
     name="xmlrel_shard_map",
@@ -77,25 +72,6 @@ REBALANCE_JOURNAL_TABLE = Table(
         Column("state", TEXT, nullable=False),
         Column("name", TEXT, nullable=False),
     ],
-)
-
-SHARD_STATE_TABLE = Table(
-    name="xmlrel_shard_state",
-    columns=[
-        Column("shard", INTEGER, primary_key=True),
-        Column("write_seq", INTEGER, nullable=False),
-    ],
-)
-
-REPLICA_STATE_TABLE = Table(
-    name="xmlrel_replica_state",
-    columns=[
-        Column("shard", INTEGER, nullable=False),
-        Column("replica", INTEGER, nullable=False),
-        Column("shipped_seq", INTEGER, nullable=False),
-        Column("shipped_at", REAL, nullable=False),
-    ],
-    primary_key=("shard", "replica"),
 )
 
 #: Rebalance state machine, in order.  ``copying``: journal row exists,
@@ -145,8 +121,8 @@ def pin_shard_config(
 
 def open_catalog(
     catalog_db: Database, scheme: str, shards: int, placement: str
-) -> tuple[ShardMap, RebalanceJournal, ShardState]:
-    """Pin the store's config, then open the three views of its catalog
+) -> tuple[ShardMap, RebalanceJournal]:
+    """Pin the store's config, then open the two views of its catalog
     database — sharing one ``catalog_lock``, as they share one
     connection."""
     pin_shard_config(catalog_db, scheme, shards, placement)
@@ -154,7 +130,6 @@ def open_catalog(
     return (
         ShardMap(catalog_db, catalog_lock),
         RebalanceJournal(catalog_db, catalog_lock),
-        ShardState(catalog_db, shards, catalog_lock),
     )
 
 
@@ -355,83 +330,3 @@ class RebalanceJournal:
             )
         return [RebalanceEntry(*row) for row in rows]
 
-
-class ShardState:
-    """Per-shard write sequence and per-replica shipped positions.
-
-    ``write_seq`` increments on every committed write to a shard's
-    primary; a replica records the sequence it was snapshotted at when
-    a ship completes.  The difference is the replica's staleness in
-    writes, and ``now - shipped_at`` its staleness in seconds — the
-    two bounds the executor surfaces on replica-served queries.
-    """
-
-    def __init__(
-        self, db: Database, shards: int, catalog_lock: threading.Lock
-    ) -> None:
-        self.db = db
-        self.catalog_lock = catalog_lock
-        db.create_table(SHARD_STATE_TABLE)
-        db.create_table(REPLICA_STATE_TABLE)
-        for shard in range(shards):
-            db.execute(
-                "INSERT OR IGNORE INTO xmlrel_shard_state "
-                "(shard, write_seq) VALUES (?, 0)",
-                (shard,),
-            )
-        self._lock = threading.Lock()
-        self._write_seq: dict[int, int] = {
-            row[0]: row[1]
-            for row in db.query(
-                "SELECT shard, write_seq FROM xmlrel_shard_state"
-            )
-        }
-        self._shipped: dict[tuple[int, int], tuple[int, float]] = {
-            (row[0], row[1]): (row[2], row[3])
-            for row in db.query(
-                "SELECT shard, replica, shipped_seq, shipped_at "
-                "FROM xmlrel_replica_state"
-            )
-        }
-
-    def write_seq(self, shard: int) -> int:
-        with self._lock:
-            return self._write_seq.get(shard, 0)
-
-    def bump_write(self, shard: int) -> int:
-        """Record one committed write on *shard*; returns the new seq."""
-        with self.catalog_lock:
-            with self._lock:
-                seq = self._write_seq.get(shard, 0) + 1
-                self._write_seq[shard] = seq
-            self.db.execute(
-                "UPDATE xmlrel_shard_state SET write_seq = ? WHERE shard = ?",
-                (seq, shard),
-            )
-        return seq
-
-    def record_ship(self, shard: int, replica: int, seq: int) -> None:
-        """A replica snapshot of *shard* at write *seq* just landed."""
-        shipped_at = time.time()
-        with self.catalog_lock:
-            self.db.execute(
-                "INSERT INTO xmlrel_replica_state "
-                "(shard, replica, shipped_seq, shipped_at) "
-                "VALUES (?, ?, ?, ?) "
-                "ON CONFLICT (shard, replica) DO UPDATE SET "
-                "shipped_seq = excluded.shipped_seq, "
-                "shipped_at = excluded.shipped_at",
-                (shard, replica, seq, shipped_at),
-            )
-            with self._lock:
-                self._shipped[(shard, replica)] = (seq, shipped_at)
-
-    def staleness(self, shard: int, replica: int) -> tuple[int, float] | None:
-        """``(lag_writes, age_seconds)`` of a replica, if ever shipped."""
-        with self._lock:
-            state = self._shipped.get((shard, replica))
-            write_seq = self._write_seq.get(shard, 0)
-        if state is None:
-            return None
-        shipped_seq, shipped_at = state
-        return write_seq - shipped_seq, max(0.0, time.time() - shipped_at)

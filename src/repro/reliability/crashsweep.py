@@ -2,8 +2,7 @@
 
 Proves the crash-safety claim mechanically: for every mapping scheme
 and every fault-sensitive operation (subtree insert/delete, document
-rebalance, replica ship, corpus load), run the operation once
-uninjured to count how
+rebalance, corpus load), run the operation once uninjured to count how
 many statements it executes on each shard, then re-run it once per
 statement boundary with a :class:`~repro.reliability.faults.
 ShardFaultPolicy` crash injected exactly there.  After each crash the
@@ -72,7 +71,7 @@ CORPUS_XMLS = tuple(
 
 #: Operations swept per scheme; insert/delete only where the scheme's
 #: update machinery exists.
-OPERATIONS = ("insert", "delete", "rebalance", "ship", "load")
+OPERATIONS = ("insert", "delete", "rebalance", "load")
 
 
 def _open_store(directory: str, scheme: str, policy: ShardFaultPolicy):
@@ -82,7 +81,6 @@ def _open_store(directory: str, scheme: str, policy: ShardFaultPolicy):
         directory,
         scheme=scheme,
         shards=2,
-        replicas=1,
         placement="round_robin",
         profile="bulk_load",
         pool_size=2,
@@ -128,8 +126,6 @@ def _run_operation(store: ShardedStore, doc_id: int, operation: str) -> None:
         store.delete_subtree(doc_id, victim)
     elif operation == "rebalance":
         store.rebalance(doc_id, 1 - store.resolve(doc_id).shard)
-    elif operation == "ship":
-        store.ship_replicas(store.resolve(doc_id).shard)
     elif operation == "load":
         store.store_corpus(
             CORPUS_XMLS,
@@ -215,7 +211,6 @@ def _sweep_point(
                 "orphans_removed": [
                     list(pair) for pair in report.orphans_removed
                 ],
-                "tmp_files_removed": report.tmp_files_removed,
             }
             _audit(store, point)
             # All-or-nothing: the recovered content must be exactly the
@@ -248,7 +243,6 @@ def _reopen(directory: str, scheme: str, policy: ShardFaultPolicy):
         directory,
         scheme=scheme,
         shards=2,
-        replicas=1,
         placement="round_robin",
         profile="bulk_load",
         pool_size=2,

@@ -4,12 +4,12 @@ The pieces, bottom-up:
 
 * :class:`~repro.serve.pool.ConnectionPool` — a bounded per-shard pool
   of read-only WAL connections, health-checked on acquire, sharing one
-  thread-safe plan cache.
+  thread-safe plan cache and one result cache, each with its own
+  invalidation channel (the shard's plan epoch; the data version, which
+  a write moves for the one document it changed).
 * :class:`~repro.serve.executor.QueryExecutor` — thread-pool
   scatter-gather with per-query deadlines, a max-in-flight admission
   gate, and configurable degraded modes for shard failures.
-* :class:`~repro.serve.replicas.ReplicaSet` — N snapshot-shipped read
-  replicas per shard (atomic-rename ships, generation-recycled pools).
 * :class:`~repro.serve.sharded.ShardedStore` — documents partitioned
   across N shard databases behind the familiar store API, with a
   persistent shard-map catalog, serialized per-shard writes, journaled
@@ -17,7 +17,6 @@ The pieces, bottom-up:
 """
 
 from repro.serve.executor import (
-    READ_FROM_MODES,
     SHARD_ERROR_MODES,
     QueryExecutor,
     ScatterResult,
@@ -32,7 +31,6 @@ from repro.serve.protocol import (
     parse_query_payload,
     result_body,
 )
-from repro.serve.replicas import ReplicaSet, replica_fault_key
 from repro.serve.sharded import (
     PLACEMENTS,
     RecoveryReport,
@@ -43,7 +41,6 @@ from repro.serve.sharded import (
 )
 
 __all__ = [
-    "READ_FROM_MODES",
     "SHARD_ERROR_MODES",
     "PLACEMENTS",
     "ClientQuotas",
@@ -53,7 +50,6 @@ __all__ = [
     "QuerySpec",
     "ReadSession",
     "RecoveryReport",
-    "ReplicaSet",
     "ScatterResult",
     "ScatterStream",
     "ShardMap",
@@ -64,5 +60,4 @@ __all__ = [
     "outcome_for",
     "parse_query_payload",
     "result_body",
-    "replica_fault_key",
 ]

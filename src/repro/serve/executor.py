@@ -10,9 +10,10 @@ document order (the natural order key, since ``pre`` *is* document
 order within one document), releases the admission slot and accounts
 for the request — on one exit path, whoever drives it.
 
-The thread that opens the stream runs each shard's **lookup**: route it, look its documents up in that pool's
-result cache, and fold a full hit in at once — no connection, no
-statement, no wait, so a fully cached request is *settled* when open.
+The thread that opens the stream runs each shard's **lookup**: look its
+documents up in that shard pool's result cache, and fold a full hit in
+at once — no connection, no statement, no wait, so a fully cached
+request is *settled* when open.
 Only a shard with a miss owes an **execute** phase, that lookup with it:
 
 * :meth:`QueryExecutor.query` drives it to completion on the calling
@@ -45,24 +46,14 @@ shards, never a timing accident.
 
 Result cache: each pool keeps finished per-document runs — rows plus
 their wire fragment (:class:`~repro.serve.pool.Run`) — looked up once
-per routed pool by every request, one document or many; misses are
+per shard pool by every request, one document or many; misses are
 filled, and encoded, in the one place SQL runs
-(``ScatterStream._read_pool``).  Every committed write on a shard, and
-every replica re-ship, drops that pool's cache.  There is one read
+(``ScatterStream._read_pool``).  Every committed write on a shard drops
+the written document's cached runs from that pool.  There is one read
 path: "doc-scoped" (``len(targets) <= 1`` — it counts *shards*) only
 picks the counter a request lands in, ``serve.doc_scoped_queries`` or
 ``serve.scatter_queries``, and :meth:`ScatterStream.gather`'s inline
 lane for the one read such a request can owe.
-
-Replica routing (``read_from="replica"``): when a shard has shipped
-read replicas (``replica_pools``), its read lands on one of them
-(round-robin) instead of the primary, and the answer carries the
-replica's *staleness bound* — how many committed writes it is behind
-and how old its snapshot is (from
-:class:`~repro.relational.shardmap.ShardState`).  A replica that is
-down or overloaded falls back to the primary
-(``serve.replica_fallbacks`` counts these), so replica reads degrade to
-primary reads, never to failures the primary could have answered.
 """
 
 from __future__ import annotations
@@ -92,9 +83,8 @@ from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RequestContext, Tracer
 from repro.relational.plancache import plan_key
-from repro.relational.shardmap import ShardState
-from repro.serve.pool import ConnectionPool, ReadSession, Run
-from repro.serve.protocol import READ_FROM_MODES, encode_rows, join_fragments
+from repro.serve.pool import ConnectionPool, Run
+from repro.serve.protocol import encode_rows, join_fragments
 
 #: Request outcomes used as the dimension on ``serve.query_seconds.*``
 #: histograms, ``serve.query.outcome.*`` counters, and wide events.
@@ -114,13 +104,9 @@ MIN_WORKERS = 4
 
 @dataclass(frozen=True)
 class ShardAnswer:
-    """One shard's per-document runs, in target order, plus where they
-    were read from."""
+    """One shard's per-document runs, in target order."""
 
     runs: list | tuple = ()
-    replica: int | None = None
-    lag_writes: int | None = None
-    age_seconds: float | None = None
 
     @property
     def row_count(self) -> int:
@@ -141,11 +127,6 @@ class ScatterResult:
     then document order.  ``partial`` is True when at least one shard
     failed under the ``"partial"`` degraded mode; ``failed_shards``
     then carries ``(shard, error message)`` pairs.
-
-    ``replica_reads`` counts shards answered from a read replica; when
-    any were, ``max_replica_lag_writes`` / ``max_replica_age_seconds``
-    bound how stale the answer can be — the worst replica's committed
-    writes behind its primary and snapshot age at ship time.
     """
 
     rows: tuple
@@ -153,9 +134,6 @@ class ScatterResult:
     elapsed_seconds: float
     partial: bool = False
     failed_shards: tuple = ()
-    replica_reads: int = 0
-    max_replica_lag_writes: int | None = None
-    max_replica_age_seconds: float | None = None
 
     @property
     def pres(self) -> list[int]:
@@ -173,13 +151,11 @@ class QueryExecutor:
     def __init__(
         self,
         pools: dict[int, ConnectionPool],
-        shard_state: ShardState,
         metrics: MetricsRegistry,
         tracer: Tracer,
         max_in_flight: int = 32,
         default_deadline: float | None = None,
         on_shard_error: str = "fail",
-        read_from: str = "primary",
         request_log: RequestLog | None = None,
     ) -> None:
         if not pools:
@@ -191,20 +167,7 @@ class QueryExecutor:
                 f"unknown shard-error mode {on_shard_error!r}; available: "
                 + ", ".join(SHARD_ERROR_MODES)
             )
-        if read_from not in READ_FROM_MODES:
-            raise StorageError(
-                f"unknown read-from mode {read_from!r}; available: "
-                + ", ".join(READ_FROM_MODES)
-            )
         self.pools = dict(pools)
-        #: Per-shard replica pools; the owning store attaches entries as
-        #: replica snapshots ship, so routing sees them appear live.
-        self.replica_pools: dict[int, list[ConnectionPool]] = {}
-        self.read_from = read_from
-        #: The staleness bookkeeping replica-served answers report from.
-        self.shard_state = shard_state
-        self._replica_rr: dict[int, int] = {}
-        self._replica_lock = threading.Lock()
         self.max_in_flight = max_in_flight
         self.default_deadline = default_deadline
         self.on_shard_error = on_shard_error
@@ -264,54 +227,6 @@ class QueryExecutor:
             )
         return pair
 
-    # -- replica routing ----------------------------------------------------------
-
-    def _route(
-        self, shard: int, read_from: str
-    ) -> tuple[ConnectionPool, int | None]:
-        """Where *read_from* sends a read of *shard*: ``(pool,
-        replica)`` — its next replica, round-robin, when asked and one
-        exists, else the primary (``replica`` is then None)."""
-        replicas = (
-            self.replica_pools.get(shard) if read_from == "replica" else None
-        )
-        if not replicas:
-            return self.pools[shard], None
-        with self._replica_lock:
-            index = self._replica_rr.get(shard, 0) % len(replicas)
-            self._replica_rr[shard] = index + 1
-        return replicas[index], index
-
-    def _read_routed(
-        self,
-        shard: int,
-        pool: ConnectionPool,
-        replica: int | None,
-        read,
-        info: dict | None = None,
-    ) -> tuple:
-        """Run ``read(pool, replica)`` on the :meth:`_route` of a read
-        and, when that is a replica that is down or overloaded, again
-        on the primary (``replica`` None).  Returns ``(result,
-        replica)``: what *read* returned and the replica index that
-        served it.
-
-        *info*, when given, is the shard's entry of a wide event's
-        per-shard breakdown; a fallback is flagged on it.
-        """
-        if replica is not None:
-            try:
-                result = read(pool, replica)
-            except (Overloaded, StorageError):
-                # The replica could not answer; its primary still can.
-                self.metrics.counter("serve.replica_fallbacks").inc()
-                if info is not None:
-                    info["replica_fallback"] = True
-            else:
-                self.metrics.counter("serve.replica_reads").inc()
-                return result, replica
-        return read(self.pools[shard], None), None
-
     @staticmethod
     def _lint_verdict(plans) -> str:
         """The plan linter's word on this query's cached plans:
@@ -347,7 +262,6 @@ class QueryExecutor:
         xpath: str,
         targets: dict[int, list[tuple[int, int]]],
         deadline: float | None = None,
-        read_from: str | None = None,
         ctx: RequestContext | None = None,
     ) -> ScatterResult:
         """Execute *xpath* against *targets* and merge the answers.
@@ -355,12 +269,10 @@ class QueryExecutor:
         *targets* maps each shard to its ``(global_doc_id,
         local_doc_id)`` pairs; a single-shard target set is the pruned
         doc-scoped fast lane (no thread handoff), anything else
-        scatters its misses across the worker pool.  *read_from*
-        overrides the executor default per query (``"primary"`` or
-        ``"replica"``).  *ctx* carries an upstream request's identity
-        (e.g. the gateway's): the wide event and span tree reuse its
-        request id instead of minting a fresh one, and the
-        ``serve.query`` span parents under its span.
+        scatters its misses across the worker pool.  *ctx* carries an
+        upstream request's identity (e.g. the gateway's): the wide event
+        and span tree reuse its request id instead of minting a fresh
+        one, and the ``serve.query`` span parents under its span.
 
         Every exit — success, Overloaded shed, deadline miss, shard
         failure — lands in ``serve.query_seconds`` (plus the
@@ -372,16 +284,13 @@ class QueryExecutor:
         This is :class:`ScatterStream` driven to completion on the
         calling thread (:meth:`ScatterStream.gather`).
         """
-        return ScatterStream(
-            self, xpath, targets, deadline, read_from, ctx
-        ).gather()
+        return ScatterStream(self, xpath, targets, deadline, ctx).gather()
 
     def stream(
         self,
         xpath: str,
         targets: dict[int, list[tuple[int, int]]],
         deadline: float | None = None,
-        read_from: str | None = None,
         ctx: RequestContext | None = None,
     ) -> "ScatterStream":
         """Begin the same request as :meth:`query`, but hand the
@@ -398,40 +307,21 @@ class QueryExecutor:
         is what releases the admission slot and lands the
         latency/outcome metrics and the wide event.
         """
-        stream = ScatterStream(self, xpath, targets, deadline, read_from, ctx)
+        stream = ScatterStream(self, xpath, targets, deadline, ctx)
         stream.submit()
         return stream
 
-    def run_on_shard_routed(
-        self,
-        shard: int,
-        fn,
-        timeout: float | None = None,
-        read_from: str = "primary",
-    ) -> tuple:
+    def run_on_shard(self, shard: int, fn, timeout: float | None = None):
         """Run ``fn(session)`` on one shard's pooled connection, under
-        the admission gate — the door for read work that is not a plain
-        pre-id query (node reconstruction, verification, query reports,
-        raw reads), routable to a replica.
-
-        Returns ``(result, replica)`` where ``replica`` is the replica
-        index that served (None when the primary did — including after
-        a replica fallback)."""
+        the admission gate, and return what it returns — the door for
+        read work that is not a plain pre-id query (node
+        reconstruction, verification, query reports, raw reads)."""
         if self._closed:
             raise StorageError("query executor is closed")
-
-        def read(pool: ConnectionPool, _replica):
-            session = pool.acquire(timeout=timeout)
-            try:
-                return fn(session)
-            finally:
-                pool.release(session)
-
         self._admit()
         try:
-            return self._read_routed(
-                shard, *self._route(shard, read_from), read
-            )
+            with self.pools[shard].connection(timeout) as session:
+                return fn(session)
         finally:
             self._release()
 
@@ -502,21 +392,13 @@ class ScatterStream:
         xpath: str,
         targets: dict[int, list[tuple[int, int]]],
         deadline: float | None = None,
-        read_from: str | None = None,
         ctx: RequestContext | None = None,
     ) -> None:
         if executor._closed:
             raise StorageError("query executor is closed")
-        route = executor.read_from if read_from is None else read_from
-        if route not in READ_FROM_MODES:
-            raise StorageError(
-                f"unknown read-from mode {route!r}; available: "
-                + ", ".join(READ_FROM_MODES)
-            )
         self.executor = executor
         self.xpath = xpath
         self.targets = targets
-        self.route = route
         self.budget = (
             executor.default_deadline if deadline is None else deadline
         )
@@ -615,18 +497,18 @@ class ScatterStream:
     # -- per-shard work -----------------------------------------------------------
 
     def _open_shards(self) -> None:
-        """The lookup phase, on the opening thread: route each shard,
-        take its read's one result-cache lookup (the data version with
-        it), and fold a full hit in at once; a shard with a miss goes
-        to :attr:`_owed`, that lookup with it.  Bounded work: one short
-        lock hold per shard; no connection, no statement, no wait."""
+        """The lookup phase, on the opening thread: take each shard's
+        one result-cache lookup (the data version with it), and fold a
+        full hit in at once; a shard with a miss goes to :attr:`_owed`,
+        that lookup with it.  Bounded work: one short lock hold per
+        shard; no connection, no statement, no wait."""
+        pools = self.executor.pools
         for shard, docs in self.targets.items():
             read = ShardAnswer  # no targeted document: the empty answer
             if docs:
-                pool, replica = self.executor._route(shard, self.route)
-                looked = pool.result_cache.lookup(docs, self.xpath)
+                looked = pools[shard].result_cache.lookup(docs, self.xpath)
                 read = functools.partial(
-                    self._read_shard, shard, docs, pool, replica, looked
+                    self._read_shard, shard, docs, looked
                 )
                 if None in looked[1]:
                     self._owed.append((shard, read))
@@ -637,55 +519,36 @@ class ScatterStream:
         self,
         shard: int,
         docs: list[tuple[int, int]],
-        pool: ConnectionPool,
-        replica: int | None,
         looked: tuple[int, list],
     ) -> ShardAnswer:
-        """Answer one shard's *docs* from *looked* — the routed
-        *pool*'s lookup — running the XPath over the documents it
-        missed; a *replica* that is down or overloaded falls back to
-        the primary (looked up afresh: another pool, another cache).
-        With nothing missed this touches no connection, which is why a
-        full hit runs it while opening.
+        """Answer one shard's *docs* from *looked* — its pool's lookup —
+        running the XPath over the documents it missed.  With nothing
+        missed this touches no connection, which is why a full hit runs
+        it while opening.
 
         Adopts the request's trace context, so this shard's spans nest
         under the request root even on a pool thread, and — when the
         wide-event log is on — fills this shard's entry of the
-        per-shard fan-out record (latency, replica choice, plan- and
-        result-cache warmth, lint verdict, outcome).
+        per-shard fan-out record (latency, plan- and result-cache
+        warmth, lint verdict, outcome).
         """
         executor = self.executor
         tracer = executor.tracer
+        pool = executor.pools[shard]
         with tracer.adopt(self.ctx), tracer.span(
             "serve.shard", shard=shard, docs=len(docs)
         ) as span:
             info: dict | None = None
             if self.breakdown is not None:
                 info = self.breakdown[shard] = {
-                    "shard": shard, "docs": len(docs), "read_from": "primary",
+                    "shard": shard, "docs": len(docs),
                 }
-
-            def read(target: ConnectionPool, replica: int | None):
-                opened = (
-                    tracer.span("serve.execute", shard=shard)
-                    if replica is None
-                    else tracer.span("serve.replica_read", replica=replica)
-                )
-                with opened as read_span:
-                    runs, served = self._read_pool(
-                        target, docs,
-                        looked if target is pool
-                        else target.result_cache.lookup(docs, self.xpath),
-                    )
-                    if read_span:
-                        read_span.set(result_cache=served)
-                return runs, served
-
             started = time.perf_counter()
             try:
-                (runs, served), replica = executor._read_routed(
-                    shard, pool, replica, read, info
-                )
+                with tracer.span("serve.execute", shard=shard) as read_span:
+                    runs, served = self._read_pool(pool, docs, looked)
+                    if read_span:
+                        read_span.set(result_cache=served)
             except XmlRelError as error:
                 if info is not None:
                     info["outcome"] = "error"
@@ -696,28 +559,15 @@ class ScatterStream:
                 executor._shard_histogram(shard).observe(elapsed)
                 if info is not None:
                     info["elapsed_seconds"] = elapsed
-            lag = age = None
-            if replica is not None:
-                staleness = executor.shard_state.staleness(shard, replica)
-                if staleness is not None:
-                    lag, age = staleness
-            answer = ShardAnswer(runs, replica, lag, age)
+            answer = ShardAnswer(runs)
             if span:
                 span.set(rows=answer.row_count)
-                if replica is not None:
-                    span.set(replica=replica)
             if info is not None:
                 info["outcome"] = "ok"
                 info["rows"] = answer.row_count
                 info["result_cache"] = served
-                if replica is not None:
-                    info["read_from"] = "replica"
-                    info["replica"] = replica
-                    info["replica_lag_writes"] = answer.lag_writes
-                    info["replica_age_seconds"] = answer.age_seconds
-                source = executor.pools[shard] if replica is None else pool
-                plans = source.plan_cache.peek(
-                    plan_key(source.scheme_name, source.epoch, self.xpath)
+                plans = pool.plan_cache.peek(
+                    plan_key(pool.scheme_name, pool.epoch, self.xpath)
                 )
                 info["plan_cached"] = plans is not None
                 info["lint"] = executor._lint_verdict(plans)
@@ -737,10 +587,10 @@ class ScatterStream:
 
         A missed document's rows are encoded here, on the thread that
         read them.  The data version came with the lookup, before the
-        acquire and before any statement runs, so rows read across a
-        write or a recycle are refused by ``put``.  Checks the deadline
-        between documents so a slow shard stops burning its pool slot
-        once the query has already missed."""
+        acquire and before any statement runs, so rows of a document
+        read across a write to it are refused by ``put``.  Checks the
+        deadline between documents so a slow shard stops burning its
+        pool slot once the query has already missed."""
         xpath = self.xpath
         deadline_at = self.deadline_at
         timeout = pool.acquire_timeout
@@ -890,9 +740,8 @@ class ScatterStream:
         return self.result
 
     def _merge(self, answers: list[ShardAnswer]) -> ScatterResult:
-        """Fold the collected per-shard *answers* into one sorted,
-        staleness-bounded result (and :attr:`fragment`'s runs)."""
-        replicas = [a for a in answers if a.replica is not None]
+        """Fold the collected per-shard *answers* into one sorted
+        result (and :attr:`fragment`'s runs)."""
         # Each run is one document in document order, so the sorted
         # answer is the runs in doc-id order, end to end.
         self._runs = sorted(
@@ -905,16 +754,6 @@ class ScatterStream:
             elapsed_seconds=time.perf_counter() - self.started,
             partial=bool(self._failures),
             failed_shards=tuple(self._failures),
-            replica_reads=len(replicas),
-            max_replica_lag_writes=max(
-                (a.lag_writes for a in replicas if a.lag_writes is not None),
-                default=None,
-            ),
-            max_replica_age_seconds=max(
-                (a.age_seconds for a in replicas
-                 if a.age_seconds is not None),
-                default=None,
-            ),
         )
 
     def _finish_query(self, outcome: str, error_text: str | None) -> None:
@@ -941,7 +780,6 @@ class ScatterStream:
             "request_id": request_id,
             "ts": time.time(),
             "xpath": str(self.xpath),
-            "read_from": self.route,
             "shards": len(self.targets),
             "docs": sum(len(docs) for docs in self.targets.values()),
             "outcome": outcome,
@@ -958,15 +796,6 @@ class ScatterStream:
             event["partial"] = result.partial
             if result.failed_shards:
                 event["failed_shards"] = list(result.failed_shards)
-            event["replica_reads"] = result.replica_reads
-            if result.max_replica_lag_writes is not None:
-                event["max_replica_lag_writes"] = (
-                    result.max_replica_lag_writes
-                )
-            if result.max_replica_age_seconds is not None:
-                event["max_replica_age_seconds"] = (
-                    result.max_replica_age_seconds
-                )
         if self.breakdown:
             event["per_shard"] = [
                 self.breakdown[shard] for shard in sorted(self.breakdown)

@@ -626,7 +626,7 @@ class Gateway:
             # below like any typed error, streamed or not.
             stream = None if short_circuit else ScatterStream(
                 self.executor, spec.xpath, targets,
-                spec.deadline, spec.read_from, ctx,
+                spec.deadline, ctx,
             )
             # From here a streamed response (short-circuit ones
             # included) is chunked with Connection: close — never reuse.

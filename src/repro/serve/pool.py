@@ -25,20 +25,15 @@ Two invalidation channels exist for writable shards:
   ``acquire`` stamps it onto the handed-out scheme's ``plan_epoch``, so
   cached plans from before the write become unreachable *on this shard
   only* — other shards' pools keep serving their cached plans.
-* **Generation** — :meth:`ConnectionPool.recycle` retires every pooled
-  connection (idle now, checked-out ones at release) after the shard
-  file is atomically replaced underneath the pool (replica snapshot
-  ship); new acquires build connections against the new file.
-
-**Result cache.**  Beside the plan cache every pool carries a
-:class:`ResultCache`: one finished :class:`Run` — ``(global_doc_id,
-pre)`` rows *and* their wire fragment — per ``(document, xpath)``, so a
-read that repeats one seen since the shard's last write — one document
-or many — executes no SQL, acquires no connection and encodes nothing.
-Its invalidation is a third channel, the **data version**:
-:meth:`ConnectionPool.bump_data_version` (every committed write on the
-shard; :meth:`ConnectionPool.recycle`) drops the whole cache and makes
-rows read under the previous version unpublishable.
+* **Data version** — beside the plan cache every pool carries a
+  :class:`ResultCache`: one finished :class:`Run` — ``(global_doc_id,
+  pre)`` rows *and* their wire fragment — per ``(document, xpath)``, so
+  a read that repeats one seen since that document's last write — one
+  document or many — executes no SQL, acquires no connection and
+  encodes nothing.  :meth:`ConnectionPool.bump_data_version` drops the
+  cached results of the one document a write changed (or of the whole
+  shard, for a load, a rebalance or a recovery) and makes rows of it
+  read under an earlier version unpublishable.
 
 A fresh connection failing its health check normally means the shard is
 down; with a ``retry`` policy the pool backs off and rebuilds up to
@@ -50,7 +45,7 @@ Pool state is observable through gauges/counters in the owning
 ``pool.<name>.in_use``, ``pool.<name>.open`` (gauges),
 ``pool.<name>.acquires``, ``pool.<name>.releases``,
 ``pool.<name>.timeouts``, ``pool.<name>.health_failures``,
-``pool.<name>.health_retries``, ``pool.<name>.recycled`` (counters),
+``pool.<name>.health_retries`` (counters),
 and the result cache's ``pool.<name>.result_cache.hits`` / ``misses`` /
 ``evictions`` / ``invalidations`` (counters) and ``rows`` (gauge).
 """
@@ -118,12 +113,16 @@ class ResultCache:
 
     Invalidation is by **version**.  A reader takes the version together
     with its lookups (:meth:`lookup`, one lock hold), runs its
-    statements, and offers the rows back under that version;
-    :meth:`put` refuses a version that is no longer current.  A write
-    commits, then calls :meth:`invalidate`, then returns: a statement
-    that ran before the commit can only ever publish under a dead
-    version, and a reader that starts after the write returned finds
-    only rows read after the commit.
+    statements, and offers the rows back under that version.  A write
+    to one document commits, then calls :meth:`invalidate_doc`, then
+    returns; that moves the version and makes the new value the
+    document's *floor*, and :meth:`put` refuses a version below the
+    floor of the document it publishes (or below the whole cache's
+    floor, which :meth:`invalidate` moves).  So a statement that ran
+    before the commit can never publish the written document's rows,
+    and a reader that starts after the write returned finds only rows
+    of it read after the commit — while every other document's cached
+    runs, which the write did not change, stay.
     """
 
     def __init__(self, metrics: MetricsRegistry, prefix: str) -> None:
@@ -133,6 +132,11 @@ class ResultCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, Run] = OrderedDict()
         self._version = 0
+        #: Below this version nothing may publish (:meth:`invalidate`).
+        self._floor = 0
+        #: global doc id → the version its last write moved to: rows of
+        #: that document read under an earlier version are refused.
+        self._doc_floors: dict[int, int] = {}
         self._rows = 0
         self._hits = metrics.counter(f"{prefix}.hits")
         self._misses = metrics.counter(f"{prefix}.misses")
@@ -166,14 +170,16 @@ class ResultCache:
         self, version: int, doc: tuple[int, int], xpath: str, run: Run
     ) -> None:
         """Publish *run*, read under *version*, for one document —
-        unless the version is dead or the result alone exceeds the
-        budget."""
+        unless a write to that document (or to the whole shard) came
+        after *version*, or the result alone exceeds the budget."""
         cost = _cost(run)
         if cost > RESULT_CACHE_ROWS:
             return
         evicted = 0
         with self._lock:
-            if version != self._version:
+            if version < self._floor or version < self._doc_floors.get(
+                doc[0], 0
+            ):
                 return
             entries = self._entries
             key = (doc[0], doc[1], xpath)
@@ -194,10 +200,24 @@ class ResultCache:
         """Drop everything and start the next version (returned)."""
         with self._lock:
             self._version += 1
-            version = self._version
+            version = self._floor = self._version
+            self._doc_floors.clear()
             self._entries.clear()
             self._rows = 0
             self._rows_gauge.set(0)
+        self._invalidations.inc()
+        return version
+
+    def invalidate_doc(self, global_doc: int) -> int:
+        """Drop one document's cached runs and start the next version
+        (returned), below which that document's rows are refused."""
+        with self._lock:
+            self._version += 1
+            version = self._doc_floors[global_doc] = self._version
+            entries = self._entries
+            for key in [key for key in entries if key[0] == global_doc]:
+                self._rows -= _cost(entries.pop(key))
+            self._rows_gauge.set(self._rows)
         self._invalidations.inc()
         return version
 
@@ -229,19 +249,15 @@ class ReadSession:
     :meth:`ConnectionPool.connection`).
     """
 
-    __slots__ = ("db", "scheme", "fresh", "generation")
+    __slots__ = ("db", "scheme", "fresh")
 
-    def __init__(self, db: Database, scheme, generation: int = 0) -> None:
+    def __init__(self, db: Database, scheme) -> None:
         self.db = db
         self.scheme = scheme
         #: True only between construction and first release — a fresh
         #: connection that fails its health check is a hard error (the
         #: shard is down), not a stale-connection retry.
         self.fresh = True
-        #: The pool generation this connection was built under; a
-        #: :meth:`ConnectionPool.recycle` bumps the pool's generation so
-        #: stale connections are discarded instead of re-pooled.
-        self.generation = generation
 
     def close(self) -> None:
         self.db.close()
@@ -291,7 +307,6 @@ class ConnectionPool:
         self._created = 0
         self._closed = False
         self._epoch = 0
-        self._generation = 0
         self._open = partial(
             open_scheme, path, scheme, factory, scheme_kwargs,
             profile=profile, read_only=True, check_same_thread=False,
@@ -311,19 +326,13 @@ class ConnectionPool:
     def _build(self) -> ReadSession:
         scheme = self._open()
         self._counter("created").inc()
-        with self._lock:
-            generation = self._generation
-        return ReadSession(scheme.db, scheme, generation)
+        return ReadSession(scheme.db, scheme)
 
     def _healthy(self, session: ReadSession) -> bool:
         """One cheap round trip proving the connection still answers
         (:meth:`~repro.relational.database.Database.ping`: untraced and
         unmetered, so per-acquire checks bury no query spans)."""
         return session.db.ping()
-
-    def _stale(self, session: ReadSession) -> bool:
-        with self._lock:
-            return session.generation != self._generation
 
     def _discard(self, session: ReadSession) -> None:
         with self._lock:
@@ -334,15 +343,13 @@ class ConnectionPool:
         except XmlRelError:
             pass
 
-    def _drain_idle(self, recycled: bool = False) -> None:
+    def _drain_idle(self) -> None:
         """Discard every currently idle session."""
         while True:
             try:
                 session = self._idle.get_nowait()
             except queue.Empty:
                 break
-            if recycled:
-                self._counter("recycled").inc()
             self._discard(session)
 
     # -- acquire / release --------------------------------------------------------
@@ -364,12 +371,6 @@ class ConnectionPool:
         fresh_failures = 0
         while True:
             session = self._checkout(deadline)
-            if self._stale(session):
-                # Built before the last recycle() — the shard file was
-                # replaced underneath it; never hand it out again.
-                self._counter("recycled").inc()
-                self._discard(session)
-                continue
             if self._healthy(session):
                 session.fresh = False
                 with self._lock:
@@ -383,7 +384,7 @@ class ConnectionPool:
                 # A brand-new connection failing means the shard itself
                 # is unhealthy, not that this connection went stale.
                 # With a retry policy, back off and rebuild — a
-                # transiently-stalled shard (mid-recovery, mid-ship)
+                # transiently-stalled shard (mid-recovery)
                 # answers on a later attempt; without one, or once the
                 # attempts run out, report the shard down.
                 fresh_failures += 1
@@ -440,11 +441,11 @@ class ConnectionPool:
             ) from None
 
     def release(self, session: ReadSession) -> None:
-        """Return a session to the pool (closes it if the pool closed,
-        or was recycled, while it was out)."""
+        """Return a session to the pool (closes it if the pool closed
+        while it was out)."""
         self._gauge("in_use").add(-1)
         self._counter("releases").inc()
-        if self._closed or self._stale(session):
+        if self._closed:
             self._discard(session)
             return
         self._idle.put(session)
@@ -452,8 +453,7 @@ class ConnectionPool:
             # close() may have set the flag and drained the queue
             # between our check above and the put — drain again so no
             # connection outlives the pool.  (Found by the concurrency
-            # audit: the same window for recycle() is benign, because
-            # acquire() re-checks staleness at checkout.)
+            # audit.)
             self._drain_idle()
 
     @contextmanager
@@ -481,30 +481,13 @@ class ConnectionPool:
             self._epoch += 1
             return self._epoch
 
-    @property
-    def generation(self) -> int:
-        with self._lock:
-            return self._generation
-
-    def bump_data_version(self) -> int:
-        """The shard file's committed contents changed: drop every
-        cached result and refuse rows still in flight from before."""
-        return self.result_cache.invalidate()
-
-    def recycle(self) -> None:
-        """Retire every pooled connection: idle ones now, checked-out
-        ones when released.  Called after the shard file was atomically
-        replaced (replica snapshot ship) so no connection keeps reading
-        the unlinked old file.
-
-        The generation moves *before* the data version: a reader takes
-        its version before it acquires, so one that still got an
-        old-generation connection took the old version too.
-        """
-        with self._lock:
-            self._generation += 1
-        self.bump_data_version()
-        self._drain_idle(recycled=True)
+    def bump_data_version(self, doc_id: int | None = None) -> int:
+        """The shard file's committed contents changed: drop the cached
+        results of global document *doc_id* — of every document when
+        None — and refuse its rows still in flight from before."""
+        if doc_id is None:
+            return self.result_cache.invalidate()
+        return self.result_cache.invalidate_doc(doc_id)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -528,13 +511,11 @@ class ConnectionPool:
         with self._lock:
             open_count = self._created
             epoch = self._epoch
-            generation = self._generation
         return {
             "open": open_count,
             "idle": self._idle.qsize(),
             "size": self.size,
             "epoch": epoch,
-            "generation": generation,
             "plan_cache": self.plan_cache.stats(),
             "result_cache": self.result_cache.stats(),
         }

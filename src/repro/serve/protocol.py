@@ -40,10 +40,6 @@ from dataclasses import dataclass
 
 from repro.errors import ProtocolError, error_payload
 
-#: Where a read may land: the shard primary, or its replicas (with
-#: primary fallback).
-READ_FROM_MODES = ("primary", "replica")
-
 #: Content type of streamed responses.
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
@@ -71,7 +67,6 @@ class QuerySpec:
     xpath: str
     doc_id: int | None = None
     deadline: float | None = None
-    read_from: str | None = None
     stream: bool = False
     client: str = ANONYMOUS_CLIENT
 
@@ -126,22 +121,13 @@ def parse_query_payload(
     """
     if not isinstance(payload, dict):
         raise _bad("request body must be a JSON object")
-    known = {
-        "xpath", "doc_id", "deadline_seconds", "read_from", "stream",
-        "client",
-    }
+    known = {"xpath", "doc_id", "deadline_seconds", "stream", "client"}
     unknown = sorted(set(payload) - known)
     if unknown:
         raise _bad(f"unknown request field(s): {', '.join(unknown)}")
     xpath = payload.get("xpath")
     if not isinstance(xpath, str) or not xpath.strip():
         raise _bad("xpath must be a non-empty string")
-    read_from = payload.get("read_from")
-    if read_from is not None and read_from not in READ_FROM_MODES:
-        raise _bad(
-            f"unknown read_from {read_from!r}; available: "
-            + ", ".join(READ_FROM_MODES)
-        )
     client = payload.get("client", default_client)
     if not isinstance(client, str) or not client:
         raise _bad("client must be a non-empty string")
@@ -149,7 +135,6 @@ def parse_query_payload(
         xpath=xpath,
         doc_id=_coerce_doc_id(payload.get("doc_id")),
         deadline=_coerce_deadline(payload.get("deadline_seconds")),
-        read_from=read_from,
         stream=_coerce_bool(payload.get("stream", False), "stream"),
         client=client,
     )
@@ -239,10 +224,6 @@ def _envelope(result) -> dict:
             {"shard": shard, "message": message}
             for shard, message in result.failed_shards
         ]
-    if result.replica_reads:
-        body["replica_reads"] = result.replica_reads
-        body["max_replica_lag_writes"] = result.max_replica_lag_writes
-        body["max_replica_age_seconds"] = result.max_replica_age_seconds
     return body
 
 

@@ -42,10 +42,10 @@ Subtree updates (:meth:`insert_subtree` / :meth:`delete_subtree`) run
 :mod:`repro.updates` inside a writer transaction: each update is one
 atomic unit — checks, rows, cached content, catalog count — so one
 fault anywhere rolls the whole update back.  After a write the shard's read
-pool drops its cached results (its *data version* moves) and bumps its
-*shard-local* plan epoch (only for schemes whose translations depend on
-stored data), so cached plans and results of other shards are
-untouched.
+pool drops the written document's cached results (its *data version*
+moves) and bumps its *shard-local* plan epoch (only for schemes whose
+translations depend on stored data), so cached plans of other shards,
+and cached results of every other document, are untouched.
 
 **Crash-safe ordering.**  A ``store`` commits shard rows *before*
 registering the shard-map entry; a ``delete`` removes the map entry
@@ -61,14 +61,6 @@ copied → flipped``; a crash at any statement leaves a state
 :meth:`recover` rolls back (copy never flipped into the map) or forward
 (flip + drop the source copy).  Readers always see exactly one
 committed copy through the map.
-
-**Replicas.**  With ``replicas=N`` each shard gets a
-:class:`~repro.serve.replicas.ReplicaSet`; :meth:`ship_replicas`
-snapshots the primary into each replica file (atomic rename) and
-records the shipped write sequence, giving every replica-served answer
-a staleness bound (writes behind + snapshot age) surfaced through
-:class:`~repro.serve.executor.ScatterResult` and
-:class:`~repro.obs.report.QueryReport`.
 
 **Lock order.**  The canonical order for every lock in the tree is
 declared once, in :data:`repro.analysis.concurrency.LOCK_ORDER`:
@@ -90,10 +82,10 @@ import threading
 import time
 import zlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro import updates as updates_module
-from repro.core.registry import scheme_class
+from repro.core.registry import check_scheme_kwargs
 from repro.core.store import XmlRelStore, build_query_report, open_scheme
 from repro.errors import DocumentNotFoundError, Overloaded, StorageError
 from repro.obs.events import RequestLog
@@ -107,12 +99,10 @@ from repro.relational.shardmap import (
     RebalanceJournal,
     ShardedDocument,
     ShardMap,
-    ShardState,
     open_catalog,
 )
 from repro.serve.executor import QueryExecutor, ScatterResult
 from repro.serve.pool import ConnectionPool
-from repro.serve.replicas import ReplicaSet
 from repro.storage.base import BulkSession
 from repro.updates import UpdateStats
 from repro.xml.dom import Document, Element, Node
@@ -136,8 +126,6 @@ class RecoveryReport:
     #: ``(shard, local_doc_id)`` of swept orphans (committed shard rows
     #: no map entry referenced).
     orphans_removed: tuple = ()
-    #: stale mid-ship replica temporaries removed.
-    tmp_files_removed: int = 0
 
     @property
     def acted(self) -> bool:
@@ -146,7 +134,6 @@ class RecoveryReport:
             or self.rolled_forward
             or self.cleaned_up
             or self.orphans_removed
-            or self.tmp_files_removed
         )
 
 
@@ -159,10 +146,8 @@ class ShardedStore:
         catalog_db: Database,
         shard_map: ShardMap,
         journal: RebalanceJournal,
-        shard_state: ShardState,
         writers: list[XmlRelStore],
         pools: dict[int, ConnectionPool],
-        replica_sets: dict[int, ReplicaSet],
         executor: QueryExecutor,
         placement: str,
         metrics: MetricsRegistry,
@@ -172,10 +157,8 @@ class ShardedStore:
         self.catalog_db = catalog_db
         self.shard_map = shard_map
         self.journal = journal
-        self.shard_state = shard_state
         self.writers = writers
         self.pools = pools
-        self.replica_sets = replica_sets
         self.executor = executor
         self.placement = placement
         self.metrics = metrics
@@ -210,8 +193,6 @@ class ShardedStore:
         retry=None,
         lint: str = "default",
         fault_policy=None,
-        replicas: int = 0,
-        read_from: str = "primary",
         request_log: RequestLog | None = None,
         **scheme_kwargs,
     ) -> "ShardedStore":
@@ -222,32 +203,29 @@ class ShardedStore:
         *fault_policy* (a
         :class:`~repro.reliability.faults.ShardFaultPolicy`) wires both
         the writer connections and the read pools through
-        fault-injecting connections, so crash sweeps reach the update,
-        rebalance, and replica-ship paths.  *replicas* creates that many
-        snapshot-shipped read replicas per shard (served once
-        :meth:`ship_replicas` runs); *read_from* sets the default read
-        routing (``"primary"`` / ``"replica"``).  *request_log* attaches
-        a wide-event sink: one structured record per query/update (see
+        fault-injecting connections, so crash sweeps reach the update
+        and rebalance paths.  *request_log* attaches a wide-event sink:
+        one structured record per query/update (see
         :class:`~repro.obs.events.RequestLog`).  *retry* backs off
         transient busy errors on writers **and** fresh-connection health
         failures in the read pools.  Remaining arguments parallel
-        :meth:`XmlRelStore.open`; ``scheme_kwargs`` pass to the scheme.
+        :meth:`XmlRelStore.open`; ``scheme_kwargs`` pass to the scheme
+        and are checked against its constructor before anything is
+        written.
 
         Crash recovery (:meth:`recover`) runs before the store is
         returned: interrupted rebalances are rolled back or forward,
-        orphans swept, stale replica temporaries removed.
+        orphans swept.
         """
         directory = fs_path(directory)
         if shards < 1:
             raise StorageError("shard count must be >= 1")
-        if replicas < 0:
-            raise StorageError("replica count must be >= 0")
         if placement not in PLACEMENTS:
             raise StorageError(
                 f"unknown placement {placement!r}; available: "
                 + ", ".join(PLACEMENTS)
             )
-        scheme_class(scheme)  # fail fast on unknown scheme names
+        check_scheme_kwargs(scheme, scheme_kwargs)
         os.makedirs(directory, exist_ok=True)
         metrics = tracer.metrics if tracer is not None else MetricsRegistry()
         the_tracer = tracer if tracer is not None else NULL_TRACER
@@ -257,14 +235,6 @@ class ShardedStore:
                 return Database
             return fault_policy.factory(fault_key)
 
-        def pool_for(path, name, fault_key, size) -> ConnectionPool:
-            return ConnectionPool(
-                path, scheme, size=size, acquire_timeout=acquire_timeout,
-                name=name, metrics=metrics, retry=retry,
-                factory=factory(fault_key), scheme_kwargs=scheme_kwargs,
-                profile=profile, lint=lint, tracer=the_tracer,
-            )
-
         # Everything opened so far closes again if a later step raises.
         with ExitStack() as opened:
             catalog_db = Database(
@@ -273,12 +243,11 @@ class ShardedStore:
                 check_same_thread=False,
             )
             opened.callback(catalog_db.close)
-            shard_map, journal, shard_state = open_catalog(
+            shard_map, journal = open_catalog(
                 catalog_db, scheme, shards, placement
             )
             writers = []
             pools: dict[int, ConnectionPool] = {}
-            replica_sets: dict[int, ReplicaSet] = {}
             for shard in range(shards):
                 path = os.path.join(directory, f"shard-{shard:02d}.db")
                 writer = open_scheme(
@@ -288,31 +257,27 @@ class ShardedStore:
                 )
                 opened.callback(writer.db.close)
                 writers.append(XmlRelStore(writer.db, writer))
-                pool = pools[shard] = pool_for(
-                    path, f"shard{shard}", shard, pool_size
+                pool = pools[shard] = ConnectionPool(
+                    path, scheme, size=pool_size,
+                    acquire_timeout=acquire_timeout, name=f"shard{shard}",
+                    metrics=metrics, retry=retry, factory=factory(shard),
+                    scheme_kwargs=scheme_kwargs, profile=profile,
+                    lint=lint, tracer=the_tracer,
                 )
                 opened.callback(pool.close)
-                if replicas:
-                    replica_sets[shard] = ReplicaSet(
-                        shard, directory, replicas, pool_for, metrics
-                    )
-                    opened.callback(replica_sets[shard].close)
             executor = QueryExecutor(
                 pools,
-                shard_state,
                 metrics,
                 the_tracer,
                 max_in_flight=max_in_flight,
                 default_deadline=default_deadline,
                 on_shard_error=on_shard_error,
-                read_from=read_from,
                 request_log=request_log,
             )
             opened.callback(executor.close)
             store = cls(
-                directory, catalog_db, shard_map, journal, shard_state,
-                writers, pools, replica_sets, executor, placement,
-                metrics, the_tracer,
+                directory, catalog_db, shard_map, journal, writers, pools,
+                executor, placement, metrics, the_tracer,
             )
             store.recover()
             opened.pop_all()
@@ -379,22 +344,20 @@ class ShardedStore:
                     event["error"] = error_text
                 log.emit(event)
 
-    def _post_write(self, shard: int) -> None:
+    def _post_write(self, shard: int, doc_id: int | None = None) -> None:
         """Bookkeeping after one committed write to *shard* (shard lock
         held), before the write returns to its caller: drop the shard
-        pool's cached results (every scheme — first, so a failing
-        catalog write below cannot leave stale rows being served), bump
-        the persistent write sequence (the replica staleness
-        denominator) and — only for schemes whose translations depend
-        on stored data (universal's label columns, binary's partition
-        tables, edge's and binary's label paths) — bump the shard-local
-        plan epoch so this shard's pooled readers stop using stale
-        cached plans.  A ``//`` expansion a reader cached before the
-        bump reached it still checks the catalog version on its hit.
-        Other shards' caches are never touched.
+        pool's cached results of global document *doc_id* — of every
+        document when None (a corpus load, a rebalance, a recovery) —
+        for every scheme, and — only for schemes whose translations
+        depend on stored data (universal's label columns, binary's
+        partition tables, edge's and binary's label paths) — bump the
+        shard-local plan epoch so this shard's pooled readers stop
+        using stale cached plans.  A ``//`` expansion a reader cached
+        before the bump reached it still checks the catalog version on
+        its hit.  Other shards' caches are never touched.
         """
-        self.pools[shard].bump_data_version()
-        self.shard_state.bump_write(shard)
+        self.pools[shard].bump_data_version(doc_id)
         if self.writers[shard].scheme.translation_depends_on_data:
             self.pools[shard].bump_epoch()
 
@@ -415,7 +378,7 @@ class ShardedStore:
                     current = self.shard_map.resolve(doc_id)
                     if current.shard == record.shard:
                         yield current
-                        self._post_write(current.shard)
+                        self._post_write(current.shard, doc_id)
                         return
                 # Moved mid-acquire; chase it.
 
@@ -453,7 +416,7 @@ class ShardedStore:
             with self._shard_locks[shard]:
                 local = self.writers[shard].store_stream(source, name)
                 doc_id = self.shard_map.register(shard, local, name)
-                self._post_write(shard)
+                self._post_write(shard, doc_id)
             self.metrics.counter("serve.documents_stored").inc()
             return doc_id
 
@@ -763,9 +726,8 @@ class ShardedStore:
         Journal rows roll back (``copying``) or forward (``copied`` /
         ``flipped``); orphaned shard documents (committed rows no map
         entry references — interrupted stores, deletes, or rolled-back
-        moves) are swept; stale replica-ship temporaries are removed.
-        Runs automatically at :meth:`open`; callable any time the store
-        is quiesced.
+        moves) are swept.  Runs automatically at :meth:`open`; callable
+        any time the store is quiesced.
         """
         with self._all_shards():
             return self._recover_locked()
@@ -805,10 +767,6 @@ class ShardedStore:
                     writer.delete(record.doc_id)
                     orphans.append((shard, record.doc_id))
                     touched.add(shard)
-        tmp_removed = sum(
-            replica_set.sweep_tmp()
-            for replica_set in self.replica_sets.values()
-        )
         for shard in sorted(touched):
             self._post_write(shard)
         report = RecoveryReport(
@@ -816,60 +774,10 @@ class ShardedStore:
             rolled_forward=tuple(rolled_forward),
             cleaned_up=tuple(cleaned_up),
             orphans_removed=tuple(orphans),
-            tmp_files_removed=tmp_removed,
         )
         if report.acted:
             self.metrics.counter("serve.recoveries").inc()
         return report
-
-    # -- replicas -----------------------------------------------------------------
-
-    def ship_replicas(self, shard: int | None = None) -> dict[int, list[int]]:
-        """Snapshot-ship each shard's primary to its replicas.
-
-        Holds the shard's writer lock for the duration, so the shipped
-        write sequence is exact; reads keep flowing.  Returns the
-        shipped replica indices per shard.  A crash mid-ship leaves the
-        previous replica files intact plus at worst one stale temporary
-        (swept by :meth:`recover`).
-        """
-        if shard is not None and shard not in self.replica_sets:
-            raise StorageError(f"shard {shard} has no replicas configured")
-        targets = (
-            [shard] if shard is not None else sorted(self.replica_sets)
-        )
-        shipped: dict[int, list[int]] = {}
-        for target in targets:
-            replica_set = self.replica_sets[target]
-            with self._shard_locks[target]:
-                seq = self.shard_state.write_seq(target)
-                indices: list[int] = []
-                try:
-                    for replica in range(replica_set.count):
-                        replica_set.ship_one(
-                            self.writers[target].db, replica
-                        )
-                        self.shard_state.record_ship(target, replica, seq)
-                        indices.append(replica)
-                finally:
-                    pools = replica_set.shipped_pools()
-                    if pools:
-                        self.executor.replica_pools[target] = pools
-            shipped[target] = indices
-        return shipped
-
-    def replica_staleness(self) -> dict[int, dict[int, tuple[int, float]]]:
-        """Per shard, per replica: ``(lag_writes, age_seconds)`` of the
-        last shipped snapshot (replicas never shipped are absent)."""
-        out: dict[int, dict[int, tuple[int, float]]] = {}
-        for shard, replica_set in self.replica_sets.items():
-            per: dict[int, tuple[int, float]] = {}
-            for replica in range(replica_set.count):
-                staleness = self.shard_state.staleness(shard, replica)
-                if staleness is not None:
-                    per[replica] = staleness
-            out[shard] = per
-        return out
 
     # -- catalog ------------------------------------------------------------------
 
@@ -897,7 +805,7 @@ class ShardedStore:
         pooled read connection of its shard.  The report carries the
         *global* doc id and the shard it ran on."""
         record = self.shard_map.resolve(doc_id)
-        report, _ = self.executor.run_on_shard_routed(
+        report = self.executor.run_on_shard(
             record.shard,
             lambda session: session.scheme.verify_document(
                 record.local_doc_id
@@ -990,15 +898,11 @@ class ShardedStore:
         doc_id: int,
         xpath: str,
         deadline: float | None = None,
-        read_from: str | None = None,
     ) -> list[int]:
         """Matching node ids of one document — pruned to its shard,
         executed on a pooled read connection."""
         return self.executor.query(
-            xpath,
-            self.targets(doc_id),
-            deadline=deadline,
-            read_from=read_from,
+            xpath, self.targets(doc_id), deadline=deadline
         ).pres
 
     def _on_document(self, doc_id: int, call, deadline: float | None = None):
@@ -1006,12 +910,11 @@ class ShardedStore:
         the document's shard (admission-gated like every serving
         read)."""
         record = self.shard_map.resolve(doc_id)
-        result, _ = self.executor.run_on_shard_routed(
+        return self.executor.run_on_shard(
             record.shard,
             lambda session: call(session.scheme, record.local_doc_id),
             timeout=deadline,
         )
-        return result
 
     def query(
         self, doc_id: int, xpath: str, deadline: float | None = None
@@ -1038,46 +941,22 @@ class ShardedStore:
         self,
         xpath: str,
         deadline: float | None = None,
-        read_from: str | None = None,
     ) -> ScatterResult:
         """Scatter *xpath* to every shard; gather ``(doc_id, pre)``
         rows merged in (document, document-order).  Every shard is
         queried — including empty ones, which simply contribute nothing.
         """
-        return self.executor.query(
-            xpath, self.targets(), deadline=deadline, read_from=read_from
-        )
+        return self.executor.query(xpath, self.targets(), deadline=deadline)
 
-    def query_report(
-        self,
-        doc_id: int,
-        xpath: str,
-        read_from: str | None = None,
-    ) -> QueryReport:
-        """The full per-query cost record for one doc-scoped query,
-        annotated with where it was served from and — when a replica
-        answered — the staleness bound of that answer."""
+    def query_report(self, doc_id: int, xpath: str) -> QueryReport:
+        """The full per-query cost record for one doc-scoped query, run
+        on a pooled read connection of the document's shard."""
         record = self.shard_map.resolve(doc_id)
-        route = (
-            self.executor.read_from if read_from is None else read_from
-        )
-        report, replica = self.executor.run_on_shard_routed(
+        return self.executor.run_on_shard(
             record.shard,
             lambda session: build_query_report(
                 session.db, session.scheme, record.local_doc_id, xpath
             ),
-            read_from=route,
-        )
-        lag = age = None
-        if replica is not None:
-            staleness = self.shard_state.staleness(record.shard, replica)
-            if staleness is not None:
-                lag, age = staleness
-        return replace(
-            report,
-            read_from="replica" if replica is not None else "primary",
-            replica_lag_writes=lag,
-            replica_age_seconds=age,
         )
 
     def reconstruct(self, doc_id: int) -> Document:
@@ -1136,8 +1015,8 @@ class ShardedStore:
 
     def health(self, window_seconds: float = 60.0) -> dict:
         """Liveness and load: per-shard pool reachability, document
-        counts, replica staleness, in-flight occupancy, and error-budget
-        burn per operation class.
+        counts, in-flight occupancy, and error-budget burn per operation
+        class.
 
         ``status`` is ``"ok"`` unless some shard is down (``"degraded"``)
         — a busy shard (pool momentarily exhausted) stays ``ok``: it is
@@ -1145,7 +1024,6 @@ class ShardedStore:
         statuses to HTTP 503.
         """
         counts = self.shard_counts()
-        staleness = self.replica_staleness() if self.replica_sets else {}
         shards = []
         status = "ok"
         for shard in range(len(self.writers)):
@@ -1163,21 +1041,12 @@ class ShardedStore:
                 # that cannot even acquire a connection is a down shard.
                 shard_status = "down"
                 status = "degraded"
-            entry: dict = {
+            shards.append({
                 "shard": shard,
                 "status": shard_status,
                 "docs": counts.get(shard, 0),
                 "pool": pool.stats(),
-            }
-            per_replica = staleness.get(shard)
-            if per_replica:
-                entry["max_replica_lag_writes"] = max(
-                    lag for lag, _ in per_replica.values()
-                )
-                entry["max_replica_age_seconds"] = max(
-                    age for _, age in per_replica.values()
-                )
-            shards.append(entry)
+            })
         return {
             "status": status,
             "scheme": self.scheme_name,
@@ -1198,10 +1067,6 @@ class ShardedStore:
             "shards": len(self.writers),
             "documents": len(self.shard_map),
             "shard_counts": self.shard_counts(),
-            "replicas": {
-                shard: replica_set.count
-                for shard, replica_set in self.replica_sets.items()
-            },
         }
 
     def serve_gateway(
@@ -1247,8 +1112,6 @@ class ShardedStore:
         self.executor.close()
         for pool in self.pools.values():
             pool.close()
-        for replica_set in self.replica_sets.values():
-            replica_set.close()
         for writer in self.writers:
             writer.close()
         self.catalog_db.close()

@@ -46,16 +46,6 @@ BIB_XML = """\
 </bib>
 """
 
-def all_pools(store):
-    """Every connection pool of a ``ShardedStore``: the primaries, then
-    each shard's replicas."""
-    return list(store.pools.values()) + [
-        pool
-        for replicas in store.executor.replica_pools.values()
-        for pool in replicas
-    ]
-
-
 @pytest.fixture()
 def tokenized(monkeypatch):
     """Every string the XPath parser tokenizes during the test, with the

@@ -731,9 +731,8 @@ class TestInstrumentedStore:
         instrument_sharded_store(store, watcher)
         catalog_lock = store.shard_map.catalog_lock
         assert isinstance(catalog_lock, OrderedLock)
-        # One shim for the one catalog connection's three views.
+        # One shim for the one catalog connection's two views.
         assert store.journal.catalog_lock is catalog_lock
-        assert store.shard_state.catalog_lock is catalog_lock
         instrument_sharded_store(store, watcher)  # idempotent
         assert store.shard_map.catalog_lock is catalog_lock
         with store:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.compare import compare_schemes
 from repro.core.registry import available_schemes, create_scheme, scheme_class
 from repro.core.store import XmlRelStore, open_store
-from repro.errors import DocumentNotFoundError, XmlRelError
+from repro.errors import DocumentNotFoundError, StorageError, XmlRelError
 from repro.relational.database import Database
 from repro.serve import ShardedStore
 from repro.xml import parse_document
@@ -131,6 +131,30 @@ class TestOpenDoors:
     def test_sharded_door_rejects_a_non_path(self):
         with pytest.raises(XmlRelError, match="path must be a string"):
             ShardedStore.open(123)
+
+    def test_embedded_door_rejects_an_unknown_keyword_before_writing(
+        self, tmp_path
+    ):
+        path = tmp_path / "xml.db"
+        with pytest.raises(StorageError, match="no keyword.*bogus"):
+            XmlRelStore.open(path, scheme="edge", bogus=1)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(StorageError, match="strategy"):
+            XmlRelStore.open(path, scheme="interval", strategy="shared")
+        with XmlRelStore.open(path, scheme="edge") as store:
+            assert store.scheme.name == "edge"
+
+    def test_sharded_door_rejects_an_unknown_keyword_before_writing(
+        self, tmp_path
+    ):
+        directory = tmp_path / "store.d"
+        for keyword in ("bogus", "replicas", "read_from"):
+            with pytest.raises(StorageError, match=f"no keyword.*{keyword}"):
+                ShardedStore.open(directory, shards=2, **{keyword: 1})
+            assert list(tmp_path.iterdir()) == []
+        # Nothing was pinned, so the corrected open is a first open.
+        with ShardedStore.open(directory, shards=3) as store:
+            assert store.shard_count == 3
 
     def test_open_store_accepts_a_path(self, tmp_path):
         with open_store(tmp_path / "xml.db", scheme="edge") as store:

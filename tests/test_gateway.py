@@ -41,7 +41,7 @@ from repro.xml import parse_document, parse_fragment
 from repro.xml.dtd import parse_dtd
 from repro.xpath import evaluate_nodes
 
-from tests.conftest import BIB_XML, all_pools, free_slots
+from tests.conftest import BIB_XML, free_slots
 
 BIB_DTD = """\
 <!ELEMENT bib (book*, article*)>
@@ -193,8 +193,10 @@ class TestProtocol:
             parse_query_payload({"xpath": "/a", "doc_id": "first"})
         with pytest.raises(ProtocolError, match="stream"):
             parse_query_payload({"xpath": "/a", "stream": "maybe"})
-        with pytest.raises(ProtocolError, match="read_from"):
-            parse_query_payload({"xpath": "/a", "read_from": "moon"})
+        with pytest.raises(
+            ProtocolError, match="unknown request field.*read_from"
+        ):
+            parse_query_payload({"xpath": "/a", "read_from": "primary"})
         with pytest.raises(ProtocolError, match="JSON object"):
             parse_query_payload(["not", "a", "dict"])
 
@@ -383,6 +385,13 @@ class TestGatewayQueries:
                 expect_error=True,
             )
             assert status == 400 and body["error"] == "ProtocolError"
+            status, body = _post(
+                gateway.url + "/query",
+                {"xpath": "/bib", "read_from": "primary"},
+                expect_error=True,
+            )
+            assert status == 400 and body["error"] == "ProtocolError"
+            assert "unknown request field(s): read_from" in body["message"]
             status, body = _get(
                 gateway.url + "/query?xpath=/bib&doc=9999",
                 expect_error=True,
@@ -1556,17 +1565,15 @@ class TestOnLoopLane:
     def test_no_statement_and_no_acquire_on_the_loop_thread(
         self, tmp_path, monkeypatch
     ):
-        """Cold, warm, replica-routed and partially invalidated
-        requests — for one document and for all — through both doors:
-        whoever acquires a connection or runs a statement, it is never
-        the event loop."""
-        store, ids = _open(tmp_path, replicas=1)
+        """Cold, warm and partially invalidated requests — for one
+        document and for all — through both doors: whoever acquires a
+        connection or runs a statement, it is never the event loop."""
+        store, ids = _open(tmp_path)
         with store:
-            store.ship_replicas()
             gateway = store.serve_gateway()
             loop_thread = gateway._thread.ident
             acquirers, statements = [], []
-            pools = all_pools(store)
+            pools = list(store.pools.values())
             for pool in pools:
                 def acquire(timeout=None, real=pool.acquire):
                     acquirers.append(threading.get_ident())
@@ -1590,51 +1597,44 @@ class TestOnLoopLane:
             for streamed in (False, True):
                 for pool in pools:
                     pool.result_cache.invalidate()
-                for route in ("primary", "replica"):
-                    def read(**fields):
-                        return self.read(
-                            gateway, streamed, read_from=route, **fields
-                        )
 
-                    def read_one():
-                        return read(doc_id=ids[0])
+                def read(**fields):
+                    return self.read(gateway, streamed, **fields)
 
-                    # One document first: cold it executes on a worker,
-                    # warm it is the loop's, like the scatter after it
-                    # (which finds that one document already cached).
-                    assert acquired_by(read_one, ids[:1]) == 1
-                    assert acquired_by(read_one, ids[:1]) == 0
-                    assert acquired_by(read) == len(store.pools)  # cold
-                    assert acquired_by(read) == 0  # warm: all on the loop
+                def read_one():
+                    return read(doc_id=ids[0])
+
+                # One document first: cold it executes on a worker, warm
+                # it is the loop's, like the scatter after it (which
+                # finds that one document already cached).
+                assert acquired_by(read_one, ids[:1]) == 1
+                assert acquired_by(read_one, ids[:1]) == 0
+                assert acquired_by(read) == len(store.pools)  # cold
+                assert acquired_by(read) == 0  # warm: all on the loop
                 # A write lands between two reads: its shard executes
                 # again (on a worker), the other shards still hit.
                 ids.append(store.store_text(BIB_XML, name="late"))
-                assert acquired_by(lambda: self.read(gateway, streamed)) == 1
-                store.ship_replicas()
+                assert acquired_by(read) == 1
             assert acquirers and statements
             assert loop_thread not in acquirers
             assert loop_thread not in statements
 
-    @pytest.mark.parametrize("route", ("primary", "replica"))
     @pytest.mark.parametrize(
         "streamed", (False, True), ids=("materialized", "streamed")
     )
     def test_a_warm_single_document_request_never_leaves_the_loop(
-        self, tmp_path, streamed, route, monkeypatch
+        self, tmp_path, streamed, monkeypatch
     ):
         """``doc_id`` requests take the same lane as a scatter: the
         repeat puts nothing on the worker pool, acquires no connection
         and runs no statement — on any thread."""
-        store, ids = _open(tmp_path, replicas=1)
+        store, ids = _open(tmp_path)
         with store:
-            store.ship_replicas()
             gateway = store.serve_gateway()
             doc = ids[1]
 
             def read():
-                return self.read(
-                    gateway, streamed, doc_id=doc, read_from=route
-                )
+                return self.read(gateway, streamed, doc_id=doc)
 
             assert read() == self.expected([doc])  # cold: executes
             handed_off, acquirers, statements = [], [], []
@@ -1642,7 +1642,7 @@ class TestOnLoopLane:
                 store.executor._threads, "submit",
                 lambda *args: handed_off.append(args),
             )
-            for pool in all_pools(store):
+            for pool in store.pools.values():
                 monkeypatch.setattr(
                     pool, "acquire",
                     lambda timeout=None: acquirers.append(timeout),
@@ -1664,10 +1664,7 @@ class TestOnLoopLane:
             )
             monkeypatch.undo()  # closing the store runs statements
 
-    WRITES = (
-        "insert_subtree", "delete_subtree", "store_text", "rebalance",
-        "reship",
-    )
+    WRITES = ("insert_subtree", "delete_subtree", "store_text", "rebalance")
 
     @pytest.mark.parametrize("write", WRITES)
     @pytest.mark.parametrize(
@@ -1680,18 +1677,14 @@ class TestOnLoopLane:
         identical ``doc_id`` requests makes the second equal the
         evaluator's answer on the *post-write* document — whatever the
         first one left in the cache."""
-        store, ids = _open(tmp_path, replicas=1)
+        store, ids = _open(tmp_path)
         with store:
-            store.ship_replicas()
             gateway = store.serve_gateway()
             doc = ids[1]
             document = parse_document(BIB_XML)
-            route = "replica" if write == "reship" else "primary"
 
             def read():
-                return self.read(
-                    gateway, streamed, doc_id=doc, read_from=route
-                )
+                return self.read(gateway, streamed, doc_id=doc)
 
             def insert():
                 fragment = (
@@ -1707,13 +1700,8 @@ class TestOnLoopLane:
             before = self.expected([doc], document)
             assert read() == before
             assert read() == before  # cached now
-            if write in ("insert_subtree", "reship"):
+            if write == "insert_subtree":
                 insert()
-                if write == "reship":
-                    # The replica's snapshot, and its cache, are as
-                    # shipped until the next ship.
-                    assert read() == before
-                    store.ship_replicas()
             elif write == "delete_subtree":
                 victim = next(
                     element for element in document.iter_elements()
@@ -1731,7 +1719,7 @@ class TestOnLoopLane:
                 store.rebalance(doc, (shard + 1) % len(store.pools))
             after = self.expected([doc], document)
             assert (after != before) == (
-                write in ("insert_subtree", "delete_subtree", "reship")
+                write in ("insert_subtree", "delete_subtree")
             )
             assert read() == after
             assert read() == after

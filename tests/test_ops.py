@@ -276,37 +276,10 @@ class TestWideEventLog:
                 assert event["request_id"].startswith("req-")
                 assert event["deadline_seconds"] is None
                 assert len(event["per_shard"]) == 1
-                assert event["per_shard"][0]["read_from"] == "primary"
                 assert "lint" in event["per_shard"][0]
             # plan_cached reflects the cache at event time (the cold
             # query populated it), and the warm query reused it.
             assert warm["per_shard"][0]["plan_cached"] is True
-
-    @pytest.mark.parametrize("scheme", ["interval", "edge", "binary"])
-    def test_a_replica_read_logs_the_replicas_plan_cache(
-        self, tmp_path, scheme
-    ):
-        # The event describes the pool that answered: a replica read
-        # translated into the replica's plan cache, not the primary's.
-        log = RequestLog(capacity=64)
-        with ShardedStore.open(
-            str(tmp_path / "store"),
-            scheme=scheme,
-            shards=1,
-            replicas=1,
-            read_from="replica",
-            request_log=log,
-        ) as store:
-            doc = store.store_text(BOOK.format(i=1), name="doc")
-            store.ship_replicas()
-            store.query_pres(doc, "//title")
-            store.query_pres(doc, "//title")
-            events = [e for e in log.tail() if e["event"] == "query"]
-            shards = [event["per_shard"][0] for event in events]
-            assert [s["read_from"] for s in shards] == ["replica"] * 2
-            assert [s["result_cache"] for s in shards] == ["miss", "hit"]
-            assert [s["plan_cached"] for s in shards] == [True, True]
-            assert [s["lint"] for s in shards] == ["clean", "clean"]
 
     @pytest.mark.parametrize("lint, verdict", [
         ("default", "clean"),

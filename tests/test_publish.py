@@ -7,7 +7,8 @@ legal spelling, comments and PIs at document level, mixed content,
 ``\\r`` in text and attributes).  ``query_xml`` must equal ``serialize``
 of the in-memory evaluator's nodes on the result shapes the benchmark's
 three reconstruction queries never draw: attribute, text, comment, PI,
-empty-element, mixed-content, nested and duplicate roots.
+empty-element, mixed-content, nested and duplicate roots — and, after
+inserts, in document order.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from repro.xml import parse_document, serialize
 from repro.xpath import evaluate_nodes
 
 from tests.conftest import SCHEMALESS_SCHEMES
+from tests.test_query_translation import ID_ORDERED, UPDATED_QUERIES, updated
 from tests.test_property import xml_sources
 from tests.xml_oracle import expat_events, parser_outcome
 
@@ -117,3 +119,23 @@ def test_query_xml_equals_the_evaluators_nodes(scheme_name):
             serialize(node)
             for node in store.scheme.reconstruct_subtrees(doc_id, asked)
         ] == [by_pre[pre] for pre in asked]
+
+
+@pytest.mark.parametrize("scheme_name", [
+    pytest.param(name, marks=() if name == "interval" else ID_ORDERED)
+    for name in ("edge", "binary", "interval", "dewey")
+])
+def test_an_updated_document_publishes_in_document_order(scheme_name):
+    """``reconstruct_xml`` follows the edited DOM on every updatable
+    scheme; ``query_xml`` answers in document order only where ids are
+    renumbered (EXPERIMENTS.md deviation 9)."""
+    scheme, doc_id, doc = updated(scheme_name)
+    try:
+        assert scheme.reconstruct_xml(doc_id) == serialize(doc)
+        for query in UPDATED_QUERIES:
+            expected = [serialize(n) for n in evaluate_nodes(doc, query)]
+            got = scheme.query_xml(doc_id, query)
+            assert sorted(got) == sorted(expected), query
+            assert got == expected, query
+    finally:
+        scheme.db.close()

@@ -3,10 +3,11 @@
 import math
 import os
 import sqlite3
+import time
 
 import pytest
 
-from repro import XmlRelStore
+from repro import Tracer, XmlRelStore
 from repro.core.registry import available_schemes
 from repro.errors import (
     DocumentNotFoundError,
@@ -172,6 +173,53 @@ class TestDatabase:
     def test_sql_error_carries_statement(self, db):
         with pytest.raises(StorageError, match="SELECT nonsense"):
             db.execute("SELECT nonsense FROM nothing")
+
+    @pytest.mark.parametrize("traced", (False, True), ids=("plain", "traced"))
+    def test_an_error_while_stepping_is_a_storage_error(self, traced):
+        """The third row overflows ``abs``: sqlite raises while
+        ``fetchall`` steps, after the first row came back from the
+        execute — still typed, and the traced span records it."""
+        tracer = Tracer() if traced else None
+        db = Database(":memory:", tracer=tracer)
+        db.execute("CREATE TABLE t (x INTEGER)")
+        db.executemany("INSERT INTO t VALUES (?)", [(1,), (2,), (3,)])
+        sql = (
+            "SELECT CASE WHEN x = 3 THEN abs(-9223372036854775808) "
+            "ELSE x END FROM t"
+        )
+        with pytest.raises(StorageError, match="integer overflow"):
+            db.query(sql)
+        if traced:
+            (span,) = [
+                s for s in tracer.spans_named("sql.statement")
+                if s.attributes["sql"].startswith("SELECT CASE")
+            ]
+            assert "integer overflow" in span.attributes["error"]
+        db.close()
+
+    def test_the_traced_statement_span_covers_the_fetch(self):
+        tracer = Tracer()
+        db = Database(":memory:", tracer=tracer)
+        db.execute("CREATE TABLE t (x INTEGER)")
+        db.executemany("INSERT INTO t VALUES (?)", [(n,) for n in range(5)])
+        stepped = []
+        db.create_function(
+            "stamp", 1,
+            lambda x: stepped.append(time.perf_counter()) or x,
+            deterministic=False,
+        )
+        assert db.query("SELECT stamp(x) FROM t") == [
+            (n,) for n in range(5)
+        ]
+        (span,) = [
+            s for s in tracer.spans_named("sql.statement")
+            if s.attributes["sql"].startswith("SELECT stamp")
+        ]
+        assert len(stepped) == 5
+        assert span.start <= min(stepped) and max(stepped) <= span.end
+        assert span.attributes["rows"] == 5
+        assert tracer.metrics.counter("db.rows_fetched").value == 5
+        db.close()
 
     def test_xpath_num_udf(self, db):
         assert db.scalar("SELECT xpath_num(' 42 ')") == 42.0

@@ -2,14 +2,15 @@
 
 A request that repeats a ``(document, xpath)`` — one document or many,
 there is one read path — is answered without SQL and without a pooled
-connection; every committed write on a shard, and every replica
-re-ship, drops that pool's cache.  A cache entry is one ``Run`` — rows
-and their encoded wire fragment — so the suites below hold the
-*response bytes* of every read door (embedded, executor query and
-stream, gateway materialized and streamed) to the in-memory evaluator
-through generated write/read interleavings, race a reader against a
-writer, pin the row budget (and what a full cache weighs) and the LRU
-order, and check that a rolled-back write changes nothing.
+connection; every committed write drops the written document's cached
+runs from its shard's pool, and leaves every other document's.  A cache
+entry is one ``Run`` — rows and their encoded wire fragment — so the
+suites below hold the *response bytes* of every read door (embedded,
+executor query and stream, gateway materialized and streamed) to the
+in-memory evaluator through generated write/read interleavings, race a
+reader against a writer, pin the row budget (and what a full cache
+weighs) and the LRU order, and check that a rolled-back write changes
+nothing and that a write leaves other documents' runs cached.
 
 Runs under ``XMLREL_LOCK_HARNESS=1`` in CI next to the serving suites.
 """
@@ -53,7 +54,6 @@ from repro.serve.protocol import (
     rows_event,
 )
 from repro.xml import parse_document, parse_fragment
-from repro.xml.serialize import serialize
 from repro.xpath import evaluate_nodes
 
 TEMPLATES = (
@@ -122,7 +122,7 @@ def cache_stats(store, shard):
 
 class CacheMachine(RuleBasedStateMachine):
     """Writes of every kind interleaved with reads of every kind on a
-    2-shard store with one replica per shard, its gateway up.  Every
+    2-shard store, its gateway up.  Every
     read is issued twice: both answers — for the gateway doors, what
     the response body decodes to — equal the evaluator's; the repeat —
     a full hit, whether the request names one document or all of them,
@@ -132,12 +132,10 @@ class CacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.directory = tempfile.mkdtemp(prefix="xmlrel-result-cache-")
-        self.store = open_store(self.directory, replicas=1)
+        self.store = open_store(self.directory)
         self.gateway = self.store.serve_gateway()
-        #: doc id -> the DOM the primary must equal.
+        #: doc id -> the DOM the store must equal.
         self.docs = {}
-        #: shard -> {local doc id: DOM} as of that shard's last ship.
-        self.shipped = {}
         self.stored = 0
 
     def teardown(self):
@@ -200,33 +198,16 @@ class CacheMachine(RuleBasedStateMachine):
         doc_id, _ = self._doc(pick)
         self.store.rebalance(doc_id, 1 - self.store.resolve(doc_id).shard)
 
-    @rule()
-    def ship_replicas(self):
-        self.store.ship_replicas()
-        self.shipped = {shard: {} for shard in self.store.pools}
-        for doc_id, document in self.docs.items():
-            record = self.store.resolve(doc_id)
-            self.shipped[record.shard][record.local_doc_id] = (
-                parse_document(serialize(document))
-            )
-
     # reads -------------------------------------------------------------------
 
-    def _expected(self, xpath, doc_ids, replica):
+    def _expected(self, xpath, doc_ids):
         rows = []
         for doc_id in doc_ids:
-            document = self.docs[doc_id]
-            if replica:
-                record = self.store.resolve(doc_id)
-                snapshot = self.shipped.get(record.shard)
-                if snapshot is not None:  # else: the primary answers
-                    document = snapshot.get(record.local_doc_id)
-            if document is not None:
-                rows.extend(evaluator_rows(doc_id, document, xpath))
+            rows.extend(evaluator_rows(doc_id, self.docs[doc_id], xpath))
         return sorted(rows)
 
-    def _streamed(self, xpath, targets, route):
-        stream = self.store.executor.stream(xpath, targets, read_from=route)
+    def _streamed(self, xpath, targets):
+        stream = self.store.executor.stream(xpath, targets)
         answers = [answer for _, answer in stream.folded]
         try:
             for future in as_completed(stream.futures, timeout=10):
@@ -243,10 +224,10 @@ class CacheMachine(RuleBasedStateMachine):
         ]
         return rows
 
-    def _http(self, xpath, doc_id, route, streamed):
+    def _http(self, xpath, doc_id, streamed):
         """The rows one gateway response body decodes to: materialized
         as sent, streamed as the sorted union of its ``rows`` events."""
-        payload = {"xpath": xpath, "read_from": route, "stream": streamed}
+        payload = {"xpath": xpath, "stream": streamed}
         if doc_id is not None:
             payload["doc_id"] = doc_id
         request = urllib.request.Request(
@@ -276,12 +257,10 @@ class CacheMachine(RuleBasedStateMachine):
             ("embedded", "query", "stream", "http", "http_stream")
         ),
         one_document=st.booleans(),
-        replica=st.booleans(),
     )
-    def read(self, pick, door, one_document, replica):
+    def read(self, pick, door, one_document):
         """Every query of the pool through one door, twice — for one
-        document or for all of them, off the primary or a replica."""
-        route = "replica" if replica else "primary"
+        document or for all of them."""
         doc_id, doc_ids = None, sorted(self.docs)
         if one_document:
             if not self.docs:
@@ -292,26 +271,21 @@ class CacheMachine(RuleBasedStateMachine):
         def run(xpath):
             if door == "embedded" and one_document:
                 return [
-                    (doc_id, pre) for pre in self.store.query_pres(
-                        doc_id, xpath, read_from=route
-                    )
+                    (doc_id, pre)
+                    for pre in self.store.query_pres(doc_id, xpath)
                 ]
             if door == "embedded":
-                return list(
-                    self.store.query_all(xpath, read_from=route).rows
-                )
+                return list(self.store.query_all(xpath).rows)
             if door == "query":
                 return list(self.store.executor.query(
-                    xpath, self.store.targets(doc_id), read_from=route
+                    xpath, self.store.targets(doc_id)
                 ).rows)
             if door == "stream":
-                return self._streamed(
-                    xpath, self.store.targets(doc_id), route
-                )
-            return self._http(xpath, doc_id, route, door == "http_stream")
+                return self._streamed(xpath, self.store.targets(doc_id))
+            return self._http(xpath, doc_id, door == "http_stream")
 
         for xpath in QUERIES:
-            expected = self._expected(xpath, doc_ids, replica)
+            expected = self._expected(xpath, doc_ids)
             assert run(xpath) == expected
             before = acquires(self.store)
             assert run(xpath) == expected
@@ -349,17 +323,14 @@ class TestWireFragments:
         joined = join_fragments(encode_rows(rows) for rows in runs)
         assert joined == encode_rows([row for rows in runs for row in rows])
 
-    @given(rows=ROWS, partial=st.booleans(), replicas=st.integers(0, 2))
-    def test_spliced_bodies_are_the_encoded_dicts(self, rows, partial, replicas):
+    @given(rows=ROWS, partial=st.booleans())
+    def test_spliced_bodies_are_the_encoded_dicts(self, rows, partial):
         """The gateway splices; the parent encoded these dicts — same
         bytes, so same fields in the same order."""
         result = ScatterResult(
             rows=rows, shards_queried=3, elapsed_seconds=0.00123,
             partial=partial,
             failed_shards=((1, 'shard "1" is down'),) if partial else (),
-            replica_reads=replicas,
-            max_replica_lag_writes=4 if replicas else None,
-            max_replica_age_seconds=0.5 if replicas else None,
         )
         fragment = encode_rows(rows)
         assert result_line(result, 'req-"7"', fragment) == ndjson_line(
@@ -464,7 +435,9 @@ class TestReaderWriterRace:
     ):
         """Forced interleaving: the reader's statement runs, the write
         commits and bumps the version, only then does the reader reach
-        ``put`` — which must store nothing on the written shard."""
+        ``put`` — which must store nothing of the written document,
+        while the other document of that shard, read under the same
+        version and untouched by the write, is cached."""
         store, ids = self._loaded(tmp_path)
         with store:
             target = ids[0]
@@ -503,7 +476,11 @@ class TestReaderWriterRace:
             assert not thread.is_alive()
             monkeypatch.undo()
             assert answers == [stale]  # concurrent with the write: legal
-            assert cache.stats()["entries"] == 0
+            docs = store.targets()[shard]
+            assert docs[0][0] == target and len(docs) == 2
+            _, found = cache.lookup(docs, "//item")
+            assert [run is not None for run in found] == [False, True]
+            assert cache.stats()["entries"] == 1
             assert len(store.query_all("//item").rows) == len(stale) + 1
 
 
@@ -603,6 +580,27 @@ class TestBudget:
         cache.put(version + 1, (1, 1), "//x", self.rows(1, 2))
         assert cache.stats()["entries"] == 1
 
+    def test_a_document_write_refuses_only_that_documents_rows(self, cache):
+        version, _ = cache.lookup([(1, 1), (2, 2)], "//x")
+        cache.put(version, (1, 1), "//x", self.rows(1, 1))
+        assert cache.invalidate_doc(1) == version + 1
+        assert self.held(cache, [1]) == []
+        cache.put(version, (1, 1), "//x", self.rows(1, 1))  # read before
+        cache.put(version, (2, 2), "//x", self.rows(2, 1))  # untouched
+        assert self.held(cache, [1, 2]) == [2]
+        cache.put(version + 1, (1, 1), "//x", self.rows(1, 1))
+        assert self.held(cache, [1, 2]) == [1, 2]
+        assert cache.stats()["rows"] == 2 * pool_module._cost(
+            self.rows(1, 1)
+        )
+
+    def test_a_shard_write_refuses_every_older_version(self, cache):
+        version, _ = cache.lookup([(1, 1)], "//x")
+        cache.invalidate_doc(1)
+        cache.invalidate()
+        cache.put(version + 1, (2, 2), "//x", self.rows(2, 1))
+        assert self.held(cache, [2]) == []
+
     def test_a_reused_local_id_is_another_key(self, cache):
         """Local ids are rowids, reused after a delete: rows read for
         ``(global 1, local 5)`` must not answer ``(global 2, local 5)``."""
@@ -645,8 +643,8 @@ class TestFailedWrites:
             assert store.verify_ok()
 
     def test_the_crash_sweep_stays_green(self):
-        """Every statement boundary of insert, delete, rebalance, ship
-        and load on the renumbering scheme; the sweep's observation
+        """Every statement boundary of insert, delete, rebalance and
+        load on the renumbering scheme; the sweep's observation
         includes a read the result cache serves."""
         report = sweep(schemes=["interval"])
         assert report["points_run"] > 0
@@ -871,23 +869,53 @@ class TestHits:
             }
             assert scraped["xmlrel_pool_shard0_result_cache_hits_total"] == 5
 
-    def test_a_reship_drops_the_replica_cache(self, tmp_path):
-        with open_store(tmp_path, shards=1, replicas=1) as store:
-            doc = store.store_text(TEMPLATES[0], name="a")
-            store.store_text(TEMPLATES[0], name="b")
-            root = store.query_pres(doc, "/inventory")[0]
-            store.ship_replicas()
-            shipped = store.query_all("//item", read_from="replica").rows
-            store.insert_subtree(doc, root, parse_fragment(TOGGLE), 0)
-            # The primary's write leaves the replica's snapshot — and
-            # its cache — alone.
-            before = acquires(store)
-            assert (
-                store.query_all("//item", read_from="replica").rows
-                == shipped
-            )
+    def test_a_write_keeps_the_other_documents_cached_runs(
+        self, tmp_path
+    ):
+        """A write to document A drops only A's runs: B, on the same
+        shard, is answered from the cache — no connection, no SQL — and
+        a scatter right after the write equals the evaluator."""
+        tracer = Tracer()
+        with open_store(tmp_path, shards=1, tracer=tracer) as store:
+            a = store.store_text(TEMPLATES[0], name="a")
+            b = store.store_text(TEMPLATES[2], name="b")
+            root = store.query_pres(a, "/inventory")[0]
+            b_items = store.query_pres(b, "//item")
+            store.query_all("//item")
+            store.insert_subtree(a, root, parse_fragment(TOGGLE), 0)
+            before, hits = acquires(store), cache_stats(store, 0)["hits"]
+            tracer.reset()
+            assert store.query_pres(b, "//item") == b_items
             assert acquires(store) == before
-            store.ship_replicas()
-            assert len(
-                store.query_all("//item", read_from="replica").rows
-            ) == len(shipped) + 1
+            assert cache_stats(store, 0)["hits"] == hits + 1
+            assert not [
+                span for root_span in tracer.roots
+                for span in root_span.walk() if span.name == "sql.statement"
+            ]
+            edited = parse_document(TEMPLATES[0])
+            edited.root_element.insert_child(0, parse_fragment(TOGGLE))
+            expected = sorted(
+                evaluator_rows(a, edited, "//item")
+                + evaluator_rows(b, parse_document(TEMPLATES[2]), "//item")
+            )
+            assert list(store.query_all("//item").rows) == expected
+            # A's run was read again, B's was not.
+            assert cache_stats(store, 0)["hits"] == hits + 2
+            assert store.verify_ok()
+
+    def test_a_deleted_documents_runs_go_and_its_neighbours_stay(
+        self, tmp_path
+    ):
+        with open_store(tmp_path, shards=1) as store:
+            a = store.store_text(TEMPLATES[0], name="a")
+            b = store.store_text(TEMPLATES[2], name="b")
+            store.query_all("//item")
+            held = cache_stats(store, 0)
+            store.delete(a)
+            after = cache_stats(store, 0)
+            assert (after["entries"], after["invalidations"]) == (
+                held["entries"] - 1, held["invalidations"] + 1,
+            )
+            before = acquires(store)
+            assert store.query_all("//item").doc_ids() == [b]
+            assert acquires(store) == before

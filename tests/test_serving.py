@@ -27,7 +27,7 @@ from repro.serve import executor as executor_module
 from repro.xml.parser import parse_document
 from repro.xpath import evaluate_nodes
 
-from .conftest import BIB_XML, all_pools, free_slots
+from .conftest import BIB_XML, free_slots
 
 THREADS = 8
 
@@ -254,18 +254,17 @@ class TestConnectionPool:
         # drains the idle queue, then release() puts the session back —
         # leaving an open connection idling in a closed pool forever.
         # Reproduce the interleaving deterministically by closing the
-        # pool from inside release's staleness check.
+        # pool just before release's put.
         path = make_shard_file(tmp_path)
         pool = ConnectionPool(path, "interval", size=1)
         session = pool.acquire()
-        real_stale = pool._stale
+        real_put = pool._idle.put
 
-        def stale_then_close(candidate):
-            verdict = real_stale(candidate)
+        def close_then_put(candidate):
             pool.close()  # lands between release's check and its put
-            return verdict
+            real_put(candidate)
 
-        pool._stale = stale_then_close
+        pool._idle.put = close_then_put
         pool.release(session)
         assert pool.stats()["idle"] == 0
         assert pool.stats()["open"] == 0
@@ -705,7 +704,7 @@ class TestOneRequestPath:
             assert event["request_id"] == "req-UPSTREAM"
 
     @pytest.mark.parametrize(
-        "shape", ("doc_scoped", "scatter", "replica", "partial")
+        "shape", ("doc_scoped", "scatter", "partial")
     )
     def test_both_doors_give_one_answer_and_one_event_shape(
         self, tmp_path, shape
@@ -716,53 +715,42 @@ class TestOneRequestPath:
             tmp_path,
             fault_policy=policy,
             request_log=log,
-            replicas=1 if shape == "replica" else 0,
             on_shard_error="partial" if shape == "partial" else "fail",
         )
         xpath = "//book | //title"
         with store:
-            kwargs = {}
             targets = store.targets()
             expected = evaluator_rows(ids, xpath)
             if shape == "doc_scoped":
                 targets = store.targets(ids[1])
                 expected = tuple(row for row in expected if row[0] == ids[1])
-            elif shape == "replica":
-                store.ship_replicas()
-                kwargs["read_from"] = "replica"
-            store.executor.query(xpath, targets, **kwargs)  # warm the plans
+            store.executor.query(xpath, targets)  # warm the plans
             if shape == "partial":
                 policy.fail_shard(1)
                 expected = tuple(
                     row for row in expected
                     if store.resolve(row[0]).shard != 1
                 )
-            pools = all_pools(store)
             answers, events = {}, {}
             for door, drive in DOORS.items():
-                for pool in pools:  # both doors execute; neither hits
+                for pool in store.pools.values():  # both doors execute
                     pool.result_cache.invalidate()
-                answers[door] = drive(store, xpath, targets, **kwargs)
+                answers[door] = drive(store, xpath, targets)
                 events[door] = log.tail()[-1]
 
             def comparable(result):
-                return replace(
-                    result, elapsed_seconds=0.0, max_replica_age_seconds=None
-                )
+                return replace(result, elapsed_seconds=0.0)
 
             assert answers["query"].rows == expected
             assert comparable(answers["query"]) == comparable(
                 answers["stream"]
             )
-            if shape == "replica":
-                assert answers["query"].replica_reads == len(targets)
             if shape == "partial":
                 assert [s for s, _ in answers["query"].failed_shards] == [1]
 
             timing = {
                 "request_id", "ts", "elapsed_seconds",
-                "deadline_slack_seconds", "max_replica_age_seconds",
-                "replica_age_seconds",
+                "deadline_slack_seconds",
             }
 
             def stable(record):
@@ -781,30 +769,26 @@ class TestOneRequestPath:
                 stable(entry) for entry in by_stream["per_shard"]
             ]
 
-    def test_run_on_shard_routed_uses_the_same_router_and_slot(
-        self, tmp_path
-    ):
-        store, ids = open_rr(tmp_path, replicas=1, max_in_flight=MAX_IN_FLIGHT)
+    def test_run_on_shard_takes_the_slot_and_gives_it_back(self, tmp_path):
+        store, ids = open_rr(tmp_path, max_in_flight=MAX_IN_FLIGHT)
         with store:
-            store.ship_replicas()
             executor = store.executor
+            shard = store.resolve(ids[0]).shard
             sessions = []
 
             def fn(session):
                 sessions.append(session)
-                if len(sessions) == 1:
-                    raise StorageError("the replica cannot answer")
                 assert free_slots(executor) == MAX_IN_FLIGHT - 1
-                return "from the primary"
+                if len(sessions) == 1:
+                    raise StorageError("the shard cannot answer")
+                return "answered"
 
-            answer = executor.run_on_shard_routed(
-                store.resolve(ids[0]).shard, fn, read_from="replica"
-            )
-            assert answer == ("from the primary", None)
+            with pytest.raises(StorageError, match="cannot answer"):
+                executor.run_on_shard(shard, fn)
+            assert executor.run_on_shard(shard, fn) == "answered"
             assert len(sessions) == 2
-            counters = store.metrics.snapshot()["counters"]
-            assert counters["serve.replica_fallbacks"] == 1
-            assert "serve.replica_reads" not in counters
+            assert store.pools[shard].stats()["open"] >= 1
+            assert store.metrics.gauge(f"pool.shard{shard}.in_use").value == 0
             assert store.metrics.gauge("serve.in_flight").value == 0
             assert free_slots(executor) == MAX_IN_FLIGHT
 

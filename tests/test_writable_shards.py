@@ -1,4 +1,4 @@
-"""Writable shards: serialized updates, rebalancing, recovery, replicas."""
+"""Writable shards: serialized updates, rebalancing, recovery."""
 
 import threading
 
@@ -11,7 +11,7 @@ from repro.relational.database import Database
 from repro.relational.retry import RetryPolicy
 from repro.relational.shardmap import ShardMap
 from repro.reliability.faults import ShardFaultPolicy, SimulatedCrash
-from repro.serve import ConnectionPool, ShardedStore, replica_fault_key
+from repro.serve import ConnectionPool, ShardedStore
 from repro.xml import parse_fragment
 
 SMALL_XML = "<bib><book><title>one</title></book><book><title>two</title></book></bib>"
@@ -276,71 +276,6 @@ class TestRebalance:
             with pytest.raises(StorageError, match=f"no shard {missing} "):
                 store.rebalance_shard(*args)
             assert store.shard_counts() == {0: 1, 1: 0}
-
-
-# -- replica fan-out -------------------------------------------------------------
-
-
-class TestReplicas:
-    def test_ship_then_read_from_replica_with_staleness(self, tmp_path):
-        with open_store(tmp_path, replicas=2) as store:
-            doc = store.store_text(SMALL_XML, name="a")
-            shard = store.resolve(doc).shard
-            shipped = store.ship_replicas()
-            assert shipped[shard] == [0, 1]
-            report = store.query_report(doc, "/bib/book", read_from="replica")
-            assert report.read_from == "replica"
-            assert report.replica_lag_writes == 0
-            assert report.replica_age_seconds is not None
-            assert "read from: replica" in report.format()
-            # A write the replicas have not seen widens the bound.
-            root = store.query_pres(doc, "/bib")[0]
-            store.insert_subtree(
-                doc, root, parse_fragment(FRAGMENT), index=0
-            )
-            report = store.query_report(doc, "/bib/book", read_from="replica")
-            assert report.replica_lag_writes == 1
-            staleness = store.replica_staleness()[shard]
-            assert staleness[0][0] == 1 and staleness[1][0] == 1
-            # Replica answers are the shipped snapshot (2 books), the
-            # primary has 3 — a bounded-staleness read, not a wrong one.
-            assert len(store.query_pres(doc, "/bib/book", read_from="replica")) == 2
-            assert len(store.query_pres(doc, "/bib/book")) == 3
-            # Re-shipping closes the gap.
-            store.ship_replicas(shard)
-            assert store.replica_staleness()[shard][0][0] == 0
-            assert len(store.query_pres(doc, "/bib/book", read_from="replica")) == 3
-
-    def test_replica_reads_before_any_ship_fall_back(self, tmp_path):
-        with open_store(tmp_path, replicas=1) as store:
-            doc = store.store_text(SMALL_XML, name="a")
-            report = store.query_report(doc, "/bib/book", read_from="replica")
-            assert report.read_from == "primary"  # nothing shipped yet
-
-    def test_crashed_replica_falls_back_to_primary(self, tmp_path):
-        policy = ShardFaultPolicy()
-        with open_store(
-            tmp_path, replicas=1, fault_policy=policy
-        ) as store:
-            doc = store.store_text(SMALL_XML, name="a")
-            shard = store.resolve(doc).shard
-            store.ship_replicas()
-            policy.fail_shard(replica_fault_key(shard, 0))
-            pres = store.query_pres(doc, "/bib/book", read_from="replica")
-            assert len(pres) == 2  # primary answered
-            assert (
-                store.metrics.counter_value("serve.replica_fallbacks") >= 1
-            )
-
-    def test_scatter_reports_replica_staleness_bound(self, tmp_path):
-        with open_store(tmp_path, replicas=1, read_from="replica") as store:
-            store.store_text(SMALL_XML, name="a")
-            store.store_text(SMALL_XML, name="b")
-            store.ship_replicas()
-            result = store.query_all("/bib/book")
-            assert result.replica_reads == 2
-            assert result.max_replica_lag_writes == 0
-            assert result.max_replica_age_seconds is not None
 
 
 # -- integrity across shards -----------------------------------------------------
