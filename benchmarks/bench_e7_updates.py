@@ -14,7 +14,7 @@ trade-off):
 
 import pytest
 
-from repro.bench import ExperimentResult, time_call, write_report
+from repro.bench import ExperimentResult, write_report
 from repro.core.registry import create_scheme
 from repro.errors import UpdateError
 from repro.relational.database import Database

@@ -11,8 +11,6 @@ WHERE conditions alike — and the joins of any CTE.  Expected shape:
   inlined by the DTD.
 """
 
-import pytest
-
 from repro.bench import ExperimentResult, write_report
 
 from benchmarks.conftest import SCHEMES

@@ -11,8 +11,6 @@ merely-shared elements too (fewest relations, duplicated columns — so
 as relations under every strategy.
 """
 
-import pytest
-
 from repro.bench import ExperimentResult, write_report
 from repro.storage.inlining import build_mapping
 from repro.workloads import auction_dtd, dblp_dtd

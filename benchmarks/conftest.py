@@ -7,7 +7,7 @@ compare *shapes* across schemes, which are scale-stable (see DESIGN.md).
 
 import pytest
 
-from repro.core.registry import available_schemes, create_scheme
+from repro.core.registry import create_scheme
 from repro.relational.database import Database
 from repro.workloads import (
     auction_dtd,

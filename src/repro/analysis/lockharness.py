@@ -38,7 +38,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 
-from repro.analysis.concurrency import LOCK_CLASSES, LOCK_ORDER, LockClass
+from repro.analysis.concurrency import LOCK_ORDER, LockClass
 from repro.errors import LockDisciplineError
 from repro.obs.metrics import MetricsRegistry
 

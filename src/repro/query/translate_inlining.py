@@ -25,7 +25,6 @@ from repro.query.plan import (
     AXIS_ATTRIBUTE,
     AXIS_CHILD,
     AXIS_SELF,
-    PathPlan,
     PositionPredicate,
     StepPlan,
     ValuePath,

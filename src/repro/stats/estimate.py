@@ -21,7 +21,6 @@ from repro.errors import UnsupportedQueryError
 from repro.query.plan import (
     AXIS_ATTRIBUTE,
     AXIS_CHILD,
-    AXIS_SELF,
     BooleanPredicate,
     ComparisonPredicate,
     ExistsPredicate,

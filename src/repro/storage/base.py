@@ -520,9 +520,12 @@ class MappingScheme(abc.ABC):
 
         Schemes with a subtree handle (a region, a label prefix, a
         parent→child closure) override this with one statement over
-        :data:`ROOTS`.  Those without one (universal, inlining) must
-        read the document whatever is asked for, and this default carves
-        every root out of that one read in one pass.
+        :data:`ROOTS`; binary and inlining with one statement for the
+        roots and one per level below them; universal, which has none,
+        with its whole per-path read, publishing only the leaf chains
+        through a root.  This default carves every root out of the
+        whole document in one pass: inlining takes it for roots that
+        are not a relation row of their own.
         """
         if not pres:
             return []

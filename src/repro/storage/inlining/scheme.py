@@ -11,12 +11,19 @@ rather than silently corrupting the mapping.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.errors import SchemaMappingError, StorageError
 from repro.relational.database import Database
 from repro.relational.schema import Column, INTEGER, Table, TEXT, quote_identifier
-from repro.storage.base import BufferedStreamInserter, MappingScheme
+from repro.storage.base import (
+    ROOTS,
+    BufferedStreamInserter,
+    MappingScheme,
+    carve_subtrees,
+    roots_param,
+)
 from repro.storage.inlining.graph import SHARED, STRATEGIES
 from repro.storage.inlining.mapping import (
     InlinedPosition,
@@ -37,6 +44,121 @@ SCHEMA_TABLE = Table(
         Column("dtd_text", TEXT, nullable=False),
     ],
 )
+
+_ELEMENT = int(NodeKind.ELEMENT)
+_ATTRIBUTE = int(NodeKind.ATTRIBUTE)
+_TEXT = int(NodeKind.TEXT)
+
+
+@dataclass(frozen=True)
+class _RowPlan:
+    """How one relation's rows are read and published.  Every index is
+    into a fetched row, whose first value is the relation's number."""
+
+    table: str
+    columns: list[str]
+    pre_at: int  # the row's own element's pre
+    # per node a row can hold: (pre, parent pre, kind, name, value),
+    # kind and name as such, the others as indexes (an element's value
+    # index is None)
+    nodes: list[tuple]
+    # per position rows of other relations can hang under: (its pre's
+    # index, the numbers of those relations)
+    links: list[tuple]
+
+
+def _probe(db, doc_id: int, column: str, plans: list[_RowPlan],
+           arms: dict[int, int], ids: list[list[int]]) -> list[tuple]:
+    """One statement: for each relation number of *arms*, its rows of
+    *doc_id* whose *column* is one of ``ids[arms[number]]``, tagged
+    with the number and padded with NULLs to the widest relation read.
+
+    Each id list binds as one JSON array, read once into a CTE however
+    many arms probe it; an arm walks its list and probes the
+    relation's ``(doc_id, column)`` index.
+    """
+    width = max(len(plans[number].columns) for number in arms)
+    ctes = ", ".join(
+        f"ids{n}(id) AS ({ROOTS})" for n in range(len(ids))
+    )
+    arm_sql = []
+    for number, n in arms.items():
+        plan = plans[number]
+        selected = [f"p.{name}" for name in plan.columns]
+        selected += ["NULL"] * (width - len(selected))
+        arm_sql.append(
+            f"SELECT {number}, {', '.join(selected)} FROM ids{n} "
+            f"CROSS JOIN {quote_identifier(plan.table)} p "
+            f"ON p.doc_id = ? AND p.{column} = ids{n}.id"
+        )
+    return db.query(
+        f"WITH {ctes} {' UNION ALL '.join(arm_sql)}",
+        [roots_param(group) for group in ids] + [doc_id] * len(arms),
+    )
+
+
+def _node_rows(plans: list[_RowPlan], fetched: list[tuple]) -> list[tuple]:
+    """The nodes of *fetched* relation rows as ``(0, pre, parent_pre,
+    kind, name, value)`` rows, merged into document order by one sort
+    on ``pre``; an optional position left empty holds no node."""
+    rows: list[tuple] = []
+    append = rows.append
+    for values in fetched:
+        for pre_at, parent_at, kind, name, value_at in plans[values[0]].nodes:
+            pre = values[pre_at]
+            if pre is not None:
+                append((
+                    0, pre, values[parent_at], kind, name,
+                    None if value_at is None else values[value_at],
+                ))
+    rows.sort(key=itemgetter(1))
+    return rows
+
+
+def _row_plans(mapping: Mapping) -> list[_RowPlan]:
+    """The :class:`_RowPlan` of every relation of *mapping*, in mapping
+    order.  A position's child relations are those ``_insert_all``
+    stores under it: its ``relation_children``, or every relation
+    under an ``ANY`` model."""
+    number = {element: n for n, element in enumerate(mapping.relations)}
+    everything = tuple(number.values())
+    plans = []
+    for relation in mapping.relations.values():
+        columns = relation.table.column_names
+        at = {column: index + 1 for index, column in enumerate(columns)}
+        nodes: list[tuple] = []
+        links: list[tuple] = []
+        for position in relation.positions.values():
+            pre_at = at[position.pre_column]
+            parent_at = (
+                at["parent_pre"] if position.is_root
+                else at[relation.positions[position.path[:-1]].pre_column]
+            )
+            nodes.append(
+                (pre_at, parent_at, _ELEMENT, position.element, None)
+            )
+            for name, (val_col, pre_col) in position.attr_columns.items():
+                nodes.append(
+                    (at[pre_col], pre_at, _ATTRIBUTE, name, at[val_col])
+                )
+            if position.content_column is not None:
+                nodes.append((
+                    at[position.content_pre_column], pre_at, _TEXT, None,
+                    at[position.content_column],
+                ))
+            children = (
+                everything
+                if mapping.dtd.elements[position.element].model.is_any
+                else tuple(
+                    number[child] for child in position.relation_children
+                )
+            )
+            if children:
+                links.append((pre_at, children))
+        plans.append(
+            _RowPlan(relation.table.name, columns, at["pre"], nodes, links)
+        )
+    return plans
 
 
 class InliningScheme(MappingScheme):
@@ -271,55 +393,77 @@ class InliningScheme(MappingScheme):
         row[pre_column] = attribute.pre
 
     # -- retrieval --------------------------------------------------------------------
+    #
+    # A relation row holds one element of the relation and everything
+    # inlined into it; the rows of the relations below hang off its
+    # element pres by their indexed parent_pre.  Both reads tag each row
+    # with its relation's index in the mapping, and _node_rows turns a
+    # row into its nodes through that relation's _RowPlan.
 
     def fetch_records(self, doc_id: int) -> list[tuple]:
-        # Inlined rows have no subtree handle: whatever is asked for,
-        # every relation of the mapping is read.  Each relation's
-        # positions are resolved to row indexes once; the nodes of all
-        # relations then merge into document order by one sort on pre.
-        element_kind = int(NodeKind.ELEMENT)
-        attribute_kind = int(NodeKind.ATTRIBUTE)
-        text_kind = int(NodeKind.TEXT)
-        rows: list[tuple] = []
-        for relation in self.require_mapping().relations.values():
-            columns = relation.table.column_names
-            at = {column: index for index, column in enumerate(columns)}
-            # (pre index, parent-pre index, kind, name, value index)
-            plan: list[tuple] = []
-            for position in relation.positions.values():
-                pre_at = at[position.pre_column]
-                parent_at = (
-                    at["parent_pre"] if position.is_root
-                    else at[relation.positions[position.path[:-1]].pre_column]
-                )
-                plan.append(
-                    (pre_at, parent_at, element_kind, position.element, None)
-                )
-                for name, (val_col, pre_col) in position.attr_columns.items():
-                    plan.append(
-                        (at[pre_col], pre_at, attribute_kind, name,
-                         at[val_col])
-                    )
-                if position.content_column is not None:
-                    plan.append(
-                        (at[position.content_pre_column], pre_at, text_kind,
-                         None, at[position.content_column])
-                    )
-            for values in self.db.query(
-                f"SELECT {', '.join(columns)} "
-                f"FROM {quote_identifier(relation.table.name)} "
-                "WHERE doc_id = ?",
+        # The whole document is every row of every relation, one
+        # statement per relation.
+        plans = _row_plans(self.require_mapping())
+        fetched: list[tuple] = []
+        for number, plan in enumerate(plans):
+            fetched += self.db.query(
+                f"SELECT {number}, {', '.join(plan.columns)} "
+                f"FROM {quote_identifier(plan.table)} WHERE doc_id = ?",
                 (doc_id,),
-            ):
-                for pre_at, parent_at, kind, name, value_at in plan:
+            )
+        return _node_rows(plans, fetched)
+
+    def fetch_records_many(
+        self, doc_id: int, pres: list[int]
+    ) -> list[tuple]:
+        """Publish rows of the subtrees rooted at *pres*, read down the
+        DTD relation graph: one statement probes every relation's
+        ``(doc_id, pre)`` key for the roots, and each further one reads
+        a level, from every relation the level's element pres can hold
+        (what :meth:`_insert_all` stores under them), through its
+        ``(doc_id, parent_pre)`` index.  The root count never adds a
+        statement.  The nodes merge into document order by one sort on
+        ``pre`` (inlining is not updatable) and the roots are carved
+        out as the whole-document read would carve them.
+
+        A root that is not a relation row's own ``pre`` (an inlined
+        element, an attribute, a text, no node at all) sends the call
+        to that whole-document read.
+        """
+        if not pres:
+            return []
+        plans = _row_plans(self.require_mapping())
+        wanted = sorted(set(pres))
+        level = _probe(
+            self.db, doc_id, "pre", plans,
+            dict.fromkeys(range(len(plans)), 0), [wanted],
+        )
+        if len(level) < len(wanted):
+            return super().fetch_records_many(doc_id, pres)
+        root_ids = set(wanted)
+        fetched = level
+        while level:
+            # child relation -> the level's element pres that can hold it
+            parents: dict[int, list[int]] = {}
+            for values in level:
+                for pre_at, children in plans[values[0]].links:
                     pre = values[pre_at]
-                    if pre is not None:  # optional positions may be absent
-                        rows.append((
-                            0, pre, values[parent_at], kind, name,
-                            None if value_at is None else values[value_at],
-                        ))
-        rows.sort(key=itemgetter(1))
-        return rows
+                    if pre is not None:
+                        for child in children:
+                            parents.setdefault(child, []).append(pre)
+            if not parents:
+                break
+            level = [
+                values for values in _probe(
+                    self.db, doc_id, "parent_pre", plans,
+                    dict(zip(parents, range(len(parents)))),
+                    list(parents.values()),
+                )
+                # a nested root met again was read, and expanded, above
+                if values[plans[values[0]].pre_at] not in root_ids
+            ]
+            fetched += level
+        return carve_subtrees(_node_rows(plans, fetched), wanted)
 
     def _delete_rows(self, doc_id: int) -> None:
         mapping = self.require_mapping()

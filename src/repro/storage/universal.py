@@ -109,6 +109,35 @@ def label_name(label: str) -> str | None:
     return None
 
 
+def _emit_chains(rows: list[tuple], chains: list[tuple], start: int,
+                 tag: int) -> None:
+    """Append to *rows* the nodes of leaf *chains* ``(ids, nodes,
+    value)`` from chain position *start* on, as publish rows tagged
+    *tag*, in document order.
+
+    One chain per leaf, and a leaf closes its chain: sorted by leaf id,
+    each chain repeats a prefix of the chain before it and every
+    position past that prefix is a node not yet seen.  The chains of
+    one root's run all pass through it at *start*; the whole document
+    is emitted from 0 under tag 0.
+    """
+    chains.sort(key=lambda chain: chain[0][-1])
+    seen: tuple = ()
+    for ids, nodes, value in chains:
+        depth = leaf = len(ids) - 1
+        while depth > start and (
+            depth > len(seen) or ids[depth - 1] != seen[depth - 1]
+        ):
+            depth -= 1
+        for at in range(depth, leaf + 1):
+            kind, name = nodes[at]
+            rows.append((
+                tag, ids[at], ids[at - 1] if at else 0, kind, name,
+                value if at == leaf else None,
+            ))
+        seen = ids
+
+
 class UniversalScheme(MappingScheme):
     """The single wide denormalized relation."""
 
@@ -237,16 +266,23 @@ class UniversalScheme(MappingScheme):
         }
 
     # -- retrieval -----------------------------------------------------------------------
+    #
+    # The table has no subtree handle and no order: whatever is asked
+    # for, every stored path of the document is read (the published
+    # behaviour), one statement per path through the (doc_id, path_id)
+    # index and only the chain's columns.  Each row is one leaf's chain
+    # of ids, root first; publishing keeps the chains it needs and
+    # emits their nodes in document order (_emit_chains).
 
-    def fetch_records(self, doc_id: int) -> list[tuple]:
-        # The table has no subtree handle and no order: whatever is
-        # asked for, every row of the document is read (the published
-        # behaviour), but path by path through the (doc_id, path_id)
-        # index and only the chain's columns.  The paths come from the
-        # rows, so one missing from the catalog is still seen.
+    def _read_paths(self, doc_id: int):
+        """Each stored path of the document as ``(nodes, rows, ids)``:
+        the ``(kind, name)`` of each chain position, the rows ``(id, …,
+        id, leaf value)`` read, and their id columns, one per position.
+        Raises :class:`StorageError` on a path missing from the catalog
+        (the paths come from the rows, so it is still seen), a label
+        with no column, and a row with a NULL id."""
         labels = self.label_columns()
         element_kind = int(NodeKind.ELEMENT)
-        leaves = []
         for path_id, pathexp in self.db.query(
             f"SELECT u.path_id, p.pathexp FROM (SELECT DISTINCT path_id "
             f"FROM {UNIVERSAL} WHERE doc_id = ?) AS u "
@@ -274,37 +310,57 @@ class UniversalScheme(MappingScheme):
                 "NULL" if nodes[-1][0] == element_kind else triples[-1][2]
             )
             columns = [id_col for _, id_col, _ in triples] + [leaf_value]
-            for *ids, value in self.db.query(
+            rows = self.db.query(
                 f"SELECT {', '.join(columns)} FROM {UNIVERSAL} "
                 "WHERE doc_id = ? AND path_id = ?",
                 (doc_id, path_id),
-            ):
-                if None in ids:
-                    raise StorageError(
-                        "universal row missing id for label "
-                        f"{chain[ids.index(None)]!r}"
-                    )
-                leaves.append((ids, nodes, value))
-        # One row per leaf, and a leaf closes its chain: sorted by leaf
-        # id, each row repeats a prefix of the row before it and every
-        # position past that prefix is a node not yet seen — in
-        # document order.
-        leaves.sort(key=lambda leaf: leaf[0][-1])
+            )
+            ids = list(zip(*rows))[:-1]
+            if any(None in column for column in ids):
+                for row in rows:
+                    if None in row[:-1]:
+                        raise StorageError(
+                            "universal row missing id for label "
+                            f"{chain[row.index(None)]!r}"
+                        )
+            yield nodes, rows, ids
+
+    def fetch_records(self, doc_id: int) -> list[tuple]:
+        chains = [
+            (row[:-1], nodes, row[-1])
+            for nodes, rows, _ids in self._read_paths(doc_id)
+            for row in rows
+        ]
         rows: list[tuple] = []
-        seen: list[int] = []
-        for ids, nodes, value in leaves:
-            depth = leaf = len(ids) - 1
-            while depth and (
-                depth > len(seen) or ids[depth - 1] != seen[depth - 1]
-            ):
-                depth -= 1
-            for at in range(depth, leaf + 1):
-                kind, name = nodes[at]
-                rows.append((
-                    0, ids[at], ids[at - 1] if at else 0, kind, name,
-                    value if at == leaf else None,
-                ))
-            seen = ids
+        _emit_chains(rows, chains, 0, 0)
+        return rows
+
+    def fetch_records_many(
+        self, doc_id: int, pres: list[int]
+    ) -> list[tuple]:
+        """Publish rows of the subtrees rooted at *pres*.  Every path is
+        read and checked as for the whole document, but each root's run
+        is built from only the chains through it; a path none of whose
+        id columns holds a root contributes nothing past its check."""
+        if not pres:
+            return []
+        wanted = set(pres)
+        # root -> (its chain position, the chains through it)
+        through: dict[int, tuple[int, list[tuple]]] = {}
+        for nodes, rows, ids in self._read_paths(doc_id):
+            for depth, column in enumerate(ids):
+                if wanted.isdisjoint(column):
+                    continue
+                for row, pre in zip(rows, column):
+                    if pre in wanted:
+                        found = through.get(pre)
+                        if found is None:
+                            found = through[pre] = (depth, [])
+                        found[1].append((row[:-1], nodes, row[-1]))
+        rows: list[tuple] = []
+        for root in sorted(through):
+            depth, chains = through[root]
+            _emit_chains(rows, chains, depth, root)
         return rows
 
     def _delete_rows(self, doc_id: int) -> None:

@@ -16,6 +16,7 @@ paths they replace:
 import sqlite3
 from itertools import groupby
 
+import networkx as nx
 import pytest
 
 from repro import XmlRelStore, parse_document, parse_fragment, serialize
@@ -188,6 +189,79 @@ class TestBatchedReconstruction:
             for root in pres[::9_999]:
                 assert runs[root] == scheme.fetch_records_many(wide, [root])
             assert all(len(run) == 2 for run in runs.values())
+
+    def test_inlining_statements_follow_relation_depth(self, auction_doc):
+        # Inlining probes every relation's key for the roots, then reads
+        # one relation level per statement, each only from the relations
+        # the DTD lets that level's positions hold: the count follows
+        # the relation depth below the roots, never the root count.
+        tracer = Tracer()
+        with open_scheme_store("inlining", tracer=tracer) as store:
+            doc_id = store.store(auction_doc, "auction")
+            scheme = store.scheme
+            relations = scheme.mapping.relations
+
+            def fetch(roots):
+                before = len(tracer.spans_named("sql.statement"))
+                seen = []  # full text: span attributes clip it
+                store.db._conn.set_trace_callback(seen.append)
+                try:
+                    scheme.fetch_records_many(doc_id, roots)
+                finally:
+                    store.db._conn.set_trace_callback(None)
+                statements = tracer.spans_named("sql.statement")[before:]
+                assert len(statements) == len(seen)
+                # the first statement probes every relation for the roots
+                assert all(r.table.name in seen[0] for r in relations.values())
+                return seen
+
+            # an item: the roots, then its quantity/name/description rows
+            items = store.query_pres(doc_id, "//item")
+            single = [len(fetch([pre])) for pre in items]
+            assert len(fetch(items)) == max(single) == 2, set(single)
+            # an auction: the roots, bidder/itemref/seller, its bids' dates
+            (auction,) = store.query_pres(
+                doc_id, "/site/open_auctions/open_auction[1]"
+            )
+            assert store.query_pres(
+                doc_id, "/site/open_auctions/open_auction[1]/bidder/date"
+            )
+            seen = fetch([auction])
+            assert len(seen) == 3
+            reachable = nx.descendants(
+                scheme.mapping.graph.digraph, "open_auction"
+            )
+            unreachable = [
+                relation.table.name
+                for element, relation in relations.items()
+                if element not in reachable | {"open_auction"}
+            ]
+            assert unreachable
+            for sql in seen[1:]:
+                assert not any(table in sql for table in unreachable), sql
+            # a root that is not a relation row reads the whole document
+            (email,) = store.query_pres(
+                doc_id, "/site/people/person[1]/emailaddress"
+            )
+            assert len(fetch([email])) == 1 + len(relations)
+
+    def test_universal_reads_every_path_for_any_root_count(
+        self, auction_doc
+    ):
+        tracer = Tracer()
+        with open_scheme_store("universal", tracer=tracer) as store:
+            doc_id = store.store(auction_doc, "auction")
+            paths = store.db.scalar(
+                "SELECT COUNT(*) FROM universal_paths WHERE doc_id = ?",
+                (doc_id,),
+            )
+            people = store.query_pres(doc_id, "/site/people/person")
+            for roots in (people[:1], people, []):
+                before = len(tracer.spans_named("sql.statement"))
+                store.scheme.fetch_records_many(doc_id, roots)
+                statements = len(tracer.spans_named("sql.statement")) - before
+                # the label map, the path list, a read per path
+                assert statements == (2 + paths if roots else 0)
 
     def test_sqlite_has_json_each(self):
         # Every batched subtree fetch binds its roots through json_each

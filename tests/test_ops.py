@@ -3,7 +3,6 @@ serving stack, Prometheus exposition, the gateway's ops routes, the
 wide-event request log, and the ``obs.top`` renderer."""
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request

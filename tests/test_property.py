@@ -31,7 +31,6 @@ from repro.xml.dom import (
     Comment,
     Document,
     Element,
-    NodeKind,
     ProcessingInstruction,
     Text,
     deep_equal,

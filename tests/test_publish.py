@@ -8,14 +8,22 @@ legal spelling, comments and PIs at document level, mixed content,
 of the in-memory evaluator's nodes on the result shapes the benchmark's
 three reconstruction queries never draw: attribute, text, comment, PI,
 empty-element, mixed-content, nested and duplicate roots — and, after
-inserts, in document order.
+inserts, in document order.  Inlining gets the same matrix on its DTD
+documents (roots that are relation rows walk the relation graph, the
+others read the whole document), and universal on paths that hold no
+root; both fetch exactly the rows the whole-document read carves.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from repro import XmlRelStore
-from repro.errors import SchemaMappingError, UnsupportedQueryError
+from repro.errors import (
+    SchemaMappingError,
+    StorageError,
+    UnsupportedQueryError,
+)
+from repro.storage.base import carve_subtrees
 from repro.workloads import (
     auction_dtd,
     dblp_dtd,
@@ -139,3 +147,175 @@ def test_an_updated_document_publishes_in_document_order(scheme_name):
             assert got == expected, query
     finally:
         scheme.db.close()
+
+
+def carved(scheme, doc_id, pres):
+    """The whole-document read with every root carved out of it: what
+    a subtree fetch must equal, row for row."""
+    return carve_subtrees(scheme.fetch_records(doc_id), pres)
+
+
+#: workload → (document, DTD, result shape → query).  Inlining walks its
+#: relation graph down from roots that are relation rows and reads the
+#: whole document for every other root.
+INLINING_SHAPES = {
+    "auction": (
+        lambda: generate_auction(0.05, seed=3), auction_dtd, {
+            "relation-rows": "//item",
+            "relation-row-positional": "/site/open_auctions/open_auction[1]",
+            "relation-rows-two-levels-down": "//bidder",
+            "inlined-element": "//person/emailaddress",
+            "attribute": "//person/@id",
+            "text": "//name/text()",
+            "nested-relation-roots": "//person | //person/name",
+            "nested-across-levels": "//open_auction | //bidder | //date",
+            "nested-inlined-root": "//person | //person/emailaddress",
+            "whole-root": "/site",
+            "nothing": "/site/absent",
+        },
+    ),
+    "dblp": (
+        lambda: generate_dblp(40, seed=3), dblp_dtd, {
+            "relation-rows": "//article",
+            "relation-row-positional": "/dblp/book[1]",
+            "inlined-element": "//article/journal",
+            "attribute": "//article/@key",
+            "text": "//title/text()",
+            "nested-relation-roots": "//article | //article/author",
+            "nested-inlined-root": "//book | //book/isbn",
+            "whole-root": "/dblp",
+            "nothing": "/dblp/absent",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(INLINING_SHAPES))
+def test_inlining_publishes_every_result_shape(workload):
+    generate, dtd, shapes = INLINING_SHAPES[workload]
+    document = generate()
+    with XmlRelStore.open(scheme="inlining", dtd=dtd()) as store:
+        doc_id = store.store_text(serialize(document))
+        scheme = store.scheme
+        for shape, xpath in shapes.items():
+            expected = [
+                serialize(node) for node in evaluate_nodes(document, xpath)
+            ]
+            assert bool(expected) == (shape != "nothing"), shape
+            pres = store.query_pres(doc_id, xpath)
+            assert store.query_xml(doc_id, xpath) == expected, shape
+            for nodes in (
+                store.query(doc_id, xpath),
+                scheme.reconstruct_subtrees(doc_id, pres),
+            ):
+                assert [serialize(node) for node in nodes] == expected, shape
+            assert scheme.fetch_records_many(doc_id, pres) == carved(
+                scheme, doc_id, pres
+            ), shape
+        # Duplicate and out-of-order roots, nested ones among them.
+        nested = shapes["nested-relation-roots"]
+        pres = store.query_pres(doc_id, nested)
+        by_pre = {
+            node.order_key: serialize(node)
+            for node in evaluate_nodes(document, nested)
+        }
+        asked = [pres[1], pres[0], pres[1], pres[-1]]
+        assert [
+            serialize(node)
+            for node in scheme.reconstruct_subtrees(doc_id, asked)
+        ] == [by_pre[pre] for pre in asked]
+        assert scheme.fetch_records_many(doc_id, asked) == carved(
+            scheme, doc_id, asked
+        )
+        # No roots; a pre with no node beside a relation row's.
+        assert scheme.fetch_records_many(doc_id, []) == []
+        assert scheme.reconstruct_subtrees(doc_id, []) == []
+        missing = [pres[0], 999_999]
+        assert scheme.fetch_records_many(doc_id, missing) == carved(
+            scheme, doc_id, missing
+        )
+        with pytest.raises(
+            StorageError,
+            match=f"^no stored node with pre=999999 in document {doc_id}$",
+        ):
+            scheme.reconstruct_subtrees(doc_id, missing)
+
+
+@pytest.mark.parametrize("scheme_name", ["universal", "inlining"])
+def test_reconstruction_queries_fetch_what_the_carve_gives(scheme_name):
+    # R1–R3 of the benchmark's reconstruction set (universal cannot
+    # translate R3's position).
+    document = generate_auction(0.05, seed=5)
+    kwargs = {"dtd": auction_dtd()} if scheme_name == "inlining" else {}
+    with XmlRelStore.open(scheme=scheme_name, **kwargs) as store:
+        doc_id = store.store_text(serialize(document))
+        scheme = store.scheme
+        for xpath in (
+            "/site/people/person",
+            "//item",
+            "/site/open_auctions/open_auction[1]",
+        ):
+            try:
+                pres = store.query_pres(doc_id, xpath)
+            except UnsupportedQueryError:
+                assert scheme_name == "universal", xpath
+                continue
+            assert pres, xpath
+            assert scheme.fetch_records_many(doc_id, pres) == carved(
+                scheme, doc_id, pres
+            ), xpath
+
+
+#: One path per leaf: /r/a/b/#text runs alone below <a>, and /r/c/d and
+#: /r/c/@k hold no root of the queries under /r/a.
+UNIVERSAL_XML = '<r><a><b>x</b></a><c k="v"><d/></c><a><b>y</b></a></r>'
+
+
+def test_universal_publishes_only_the_chains_through_a_root():
+    document = parse_document(UNIVERSAL_XML)
+    with XmlRelStore.open(scheme="universal") as store:
+        doc_id = store.store_text(UNIVERSAL_XML)
+        scheme = store.scheme
+        for xpath in (
+            "/r/a/b",          # a root on a path with no sibling path
+            "/r/a",            # paths under /r/c hold no root
+            "/r/a/b/text()",
+            "/r/c/@k",
+            "/r/a | /r/a/b",   # nested roots
+            "/r",
+        ):
+            expected = [
+                serialize(node) for node in evaluate_nodes(document, xpath)
+            ]
+            assert store.query_xml(doc_id, xpath) == expected, xpath
+            pres = store.query_pres(doc_id, xpath)
+            assert scheme.fetch_records_many(doc_id, pres) == carved(
+                scheme, doc_id, pres
+            ), xpath
+
+
+@pytest.mark.parametrize("corrupt_sql, message", [
+    # the NULL id lies on /r/c/d, a path that holds no root of /r/a
+    ("UPDATE universal SET {c_id} = NULL WHERE {d_id} IS NOT NULL",
+     "missing id for label 'c'"),
+    ("DELETE FROM universal_labels WHERE label = 'd'",
+     "uses label 'd' with no column assignment"),
+    ("UPDATE universal SET path_id = 4242 WHERE {d_id} IS NOT NULL",
+     "path_id 4242 absent from universal_paths"),
+])
+def test_universal_checks_every_path_it_reads(corrupt_sql, message):
+    with XmlRelStore.open(scheme="universal") as store:
+        doc_id = store.store_text(UNIVERSAL_XML)
+        scheme = store.scheme
+        pres = store.query_pres(doc_id, "/r/a")
+        columns = {
+            f"{label}_id": scheme.column_triple(index)[1]
+            for label, index in scheme.label_columns().items()
+        }
+        store.db.execute(corrupt_sql.format(**columns))
+        for fetch in (
+            lambda: scheme.fetch_records(doc_id),
+            lambda: scheme.fetch_records_many(doc_id, pres),
+        ):
+            with pytest.raises(StorageError, match=message):
+                fetch()

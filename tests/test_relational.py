@@ -1,6 +1,5 @@
 """Unit tests for the relational substrate (schema, SQL builder, db)."""
 
-import math
 import os
 import sqlite3
 import time
@@ -31,7 +30,6 @@ from repro.relational.sql import (
     And,
     Arith,
     Col,
-    Comparison,
     CountAtMost,
     Exists,
     Func,

@@ -12,7 +12,7 @@ import sqlite3
 import pytest
 
 from repro.core.registry import available_schemes, create_scheme
-from repro.errors import StorageError, TransientStorageError, UpdateError
+from repro.errors import StorageError, TransientStorageError
 from repro.relational.database import DURABILITY_PROFILES, Database
 from repro.relational.retry import RetryPolicy, is_transient_error
 from repro.reliability import (

@@ -10,7 +10,7 @@ from repro.xml import parse_document
 from repro.xml.dom import deep_equal
 from repro.xml.parser import ParseOptions
 
-from tests.conftest import BIB_DTD_XML, BIB_XML, make_scheme
+from tests.conftest import BIB_DTD_XML, make_scheme
 
 ALL_SCHEMES = available_schemes()
 

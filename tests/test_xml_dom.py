@@ -6,11 +6,9 @@ from repro.errors import XmlRelError
 from repro.xml import parse_document
 from repro.xml.dom import (
     Attribute,
-    Comment,
     Document,
     Element,
     NodeKind,
-    Text,
     deep_equal,
 )
 

@@ -6,7 +6,6 @@ from repro.errors import DtdSyntaxError, XmlSyntaxError
 from repro.xml.contentmodel import (
     ChoiceParticle,
     ContentModel,
-    NameParticle,
     OPTIONAL,
     PLUS,
     STAR,
@@ -14,7 +13,6 @@ from repro.xml.contentmodel import (
     simplify,
 )
 from repro.xml.dtd import (
-    ATTR_CDATA,
     ATTR_ENUMERATION,
     ATTR_ID,
     ATTR_IDREF,
