@@ -145,11 +145,14 @@ class StreamInserter:
 class BufferedStreamInserter(StreamInserter):
     """Inserter for schemes whose rows need global context: collect
     every record, then hand the whole set to *insert_all(doc_id,
-    records, contents)* — *records* in pre order, *contents* the
-    shredder's text-only-element cache keyed by ``pre``.
+    records, contents)* — *records* sorted into pre order (elements
+    arrive at their end tag), *contents* the shredder's element-content
+    cache keyed by ``pre``: ``""`` for a childless element, the text of
+    a text-only one, no entry otherwise.
 
-    Memory is O(document), the price of such layouts; it is still one
-    pass over the input.
+    Memory is O(document) — the records and what *insert_all* builds
+    from them — the price of such layouts; it is still one pass over
+    the input.
     """
 
     def __init__(

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import SchemaMappingError
 from repro.xml.contentmodel import SIMPLE_STAR
 from repro.xml.dtd import AttributeDecl, Dtd
@@ -39,11 +37,12 @@ STRATEGIES = (BASIC, SHARED, HYBRID)
 
 @dataclass
 class DtdGraph:
-    """Element graph of one DTD."""
+    """Element graph of one DTD: *fields* maps each declared element to
+    its simplified content model as ``{child: quantifier}``, in model
+    order."""
 
     dtd: Dtd
-    fields: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
-    digraph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    fields: dict[str, dict[str, str]] = field(default_factory=dict)
 
     @classmethod
     def from_dtd(cls, dtd: Dtd) -> "DtdGraph":
@@ -55,11 +54,7 @@ class DtdGraph:
             )
         graph = cls(dtd)
         for name, decl in dtd.elements.items():
-            graph.fields[name] = decl.simplified()
-            graph.digraph.add_node(name)
-        for parent, fields in graph.fields.items():
-            for child, quantifier in fields:
-                graph.digraph.add_edge(parent, child, quantifier=quantifier)
+            graph.fields[name] = dict(decl.simplified())
         return graph
 
     # -- node classifications -------------------------------------------------
@@ -72,37 +67,37 @@ class DtdGraph:
 
     def in_degree(self, element: str) -> int:
         """Number of distinct parents referencing *element*."""
-        return self.digraph.in_degree(element)
+        return sum(element in children for children in self.fields.values())
 
     def set_valued(self) -> set[str]:
         """Elements reached by at least one ``*`` edge."""
         return {
             child
-            for __, child, data in self.digraph.edges(data=True)
-            if data["quantifier"] == SIMPLE_STAR
+            for children in self.fields.values()
+            for child, quantifier in children.items()
+            if quantifier == SIMPLE_STAR
         }
 
+    def reachable(self, element: str) -> set[str]:
+        """Elements at the end of a path of one or more edges from
+        *element*; it is among them only if it lies on a cycle."""
+        found: set[str] = set()
+        todo = [element]
+        while todo:
+            for child in self.fields[todo.pop()]:
+                if child not in found:
+                    found.add(child)
+                    todo.append(child)
+        return found
+
     def recursive(self) -> set[str]:
-        """Elements on a cycle (including self-loops)."""
-        result: set[str] = set()
-        for component in nx.strongly_connected_components(self.digraph):
-            if len(component) > 1:
-                result |= component
-        result |= {
-            node for node in self.digraph.nodes
-            if self.digraph.has_edge(node, node)
-        }
-        return result
+        """Elements on a cycle (including self-loops): those reachable
+        from themselves."""
+        return {node for node in self.fields if node in self.reachable(node)}
 
     def roots(self) -> set[str]:
         """Unreferenced elements (potential document roots)."""
-        return {
-            node for node in self.digraph.nodes if self.in_degree(node) == 0
-        }
-
-    def quantifier(self, parent: str, child: str) -> str | None:
-        data = self.digraph.get_edge_data(parent, child)
-        return data["quantifier"] if data else None
+        return {node for node in self.fields if self.in_degree(node) == 0}
 
     def is_pcdata_capable(self, element: str) -> bool:
         """True if *element* may directly contain text."""
@@ -126,7 +121,7 @@ def decide_relations(graph: DtdGraph, strategy: str = SHARED) -> set[str]:
         relations.add(graph.dtd.root_name)
     if strategy == SHARED:
         relations |= {
-            node for node in graph.digraph.nodes if graph.in_degree(node) >= 2
+            node for node in graph.fields if graph.in_degree(node) >= 2
         }
     if not relations:
         # Degenerate single-element DTDs and pure chains: the root set is

@@ -201,7 +201,7 @@ def _expand_relation(
             columns.append(Column(val_column, TEXT))
             columns.append(Column(pre_column_attr, INTEGER))
         positions[path] = position
-        for child, child_quantifier in graph.fields.get(name, []):
+        for child, child_quantifier in graph.fields[name].items():
             if child in relation_elements or child_quantifier == SIMPLE_STAR:
                 position.relation_children[child] = child_quantifier
             else:

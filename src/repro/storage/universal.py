@@ -194,74 +194,78 @@ class UniversalScheme(MappingScheme):
         records: list[NodeRecord],
         contents: dict[int, str],
     ) -> dict[str, int]:
-        by_pre = {r.pre: r for r in records}
-        children_of: dict[int, list[NodeRecord]] = {}
-        for record in records:
-            children_of.setdefault(record.parent_pre, []).append(record)
+        """One row per leaf, filling the ``(ord, id, val)`` triple of
+        every node on its root-to-leaf chain.  *records* come in pre
+        order, so the open chain is a stack and a node is a leaf unless
+        the next record is its child.  Each distinct leaf path is
+        numbered, checked for a repeated label and given its columns
+        and ``INSERT`` once; every leaf is one tuple of values, and a
+        path's rows insert as one batch, paths in order of first
+        sighting and rows in leaf order."""
+        element = int(NodeKind.ELEMENT)
+        # leaf label path -> (path_id, its rows)
+        paths: dict[tuple[str, ...], tuple[int, list[tuple]]] = {}
+        # (pre, label path, flattened (ord, id, val) triples) of each
+        # open node, the document first
+        stack: list[tuple[int, tuple[str, ...], tuple]] = [(0, (), ())]
+        last = len(records) - 1
+        for at, record in enumerate(records):
+            while stack[-1][0] != record.parent_pre:
+                stack.pop()
+            __, labels, values = stack[-1]
+            labels += (node_label(record),)
+            value = (
+                contents.get(record.pre) if record.kind == element
+                else record.value
+            )
+            if at < last and records[at + 1].parent_pre == record.pre:
+                stack.append((
+                    record.pre, labels,
+                    (*values, record.ordinal, record.pre, value),
+                ))
+                continue
+            path = paths.get(labels)
+            if path is None:
+                if len(set(labels)) != len(labels):
+                    raise SchemaMappingError(
+                        "universal table cannot store recursive paths "
+                        f"(label repeats along {PATH_SEP.join(labels)})"
+                    )
+                path = paths[labels] = (len(paths) + 1, [])
+            path[1].append((
+                doc_id, path[0], *values, record.ordinal, record.pre, value,
+            ))
         known = self.label_columns()
-        path_ids: dict[str, int] = {}
-        rows: list[dict[str, object]] = []
-
-        def value_of(record: NodeRecord) -> str | None:
-            if record.kind == int(NodeKind.ELEMENT):
-                return contents.get(record.pre)
-            return record.value
-
-        def emit(leaf: NodeRecord) -> None:
-            chain: list[NodeRecord] = []
-            current: NodeRecord | None = leaf
-            while current is not None:
-                chain.append(current)
-                current = by_pre.get(current.parent_pre)
-            chain.reverse()
-            labels = [node_label(r) for r in chain]
-            if len(set(labels)) != len(labels):
-                raise SchemaMappingError(
-                    "universal table cannot store recursive paths "
-                    f"(label repeats along {PATH_SEP.join(labels)})"
-                )
-            pathexp = "".join(PATH_SEP + label for label in labels)
-            if pathexp not in path_ids:
-                path_ids[pathexp] = len(path_ids) + 1
-            row: dict[str, object] = {
-                "doc_id": doc_id,
-                "path_id": path_ids[pathexp],
-            }
-            for record, label in zip(chain, labels):
-                index = self._ensure_label(label, known)
-                ord_col, id_col, val_col = self.column_triple(index)
-                row[ord_col] = record.ordinal
-                row[id_col] = record.pre
-                row[val_col] = value_of(record)
-            rows.append(row)
-
         known_before = len(known)
-        for record in records:
-            if not children_of.get(record.pre):
-                emit(record)
+        # Every column exists before the first row goes in.
+        columns = [
+            [
+                column
+                for label in labels
+                for column in self.column_triple(
+                    self._ensure_label(label, known)
+                )
+            ]
+            for labels in paths
+        ]
         self.db.executemany(
             "INSERT INTO universal_paths (doc_id, path_id, pathexp) "
             "VALUES (?, ?, ?)",
             [
-                (doc_id, path_id, pathexp)
-                for pathexp, path_id in path_ids.items()
+                (doc_id, path_id, PATH_SEP + PATH_SEP.join(labels))
+                for path_id, labels in enumerate(paths, 1)
             ],
         )
-        # Rows sharing a column signature (same path shape) insert as one
-        # batch instead of one statement per row.
-        by_shape: dict[tuple[str, ...], list[dict[str, object]]] = {}
-        for row in rows:
-            by_shape.setdefault(tuple(row), []).append(row)
-        for columns, shaped_rows in by_shape.items():
-            marks = ", ".join("?" for _ in columns)
+        for triples, (__, rows) in zip(columns, paths.values()):
+            marks = ", ".join(["?"] * (len(triples) + 2))
             self.db.executemany(
-                f"INSERT INTO {UNIVERSAL} ({', '.join(columns)}) "
-                f"VALUES ({marks})",
-                [[row[c] for c in columns] for row in shaped_rows],
+                f"INSERT INTO {UNIVERSAL} (doc_id, path_id, "
+                f"{', '.join(triples)}) VALUES ({marks})",
+                rows,
             )
         return {
-            UNIVERSAL: len(rows),
-            PATHS_TABLE.name: len(path_ids),
+            UNIVERSAL: sum(len(rows) for __, rows in paths.values()),
+            PATHS_TABLE.name: len(paths),
             LABELS_TABLE.name: len(known) - known_before,
         }
 

@@ -16,7 +16,6 @@ paths they replace:
 import sqlite3
 from itertools import groupby
 
-import networkx as nx
 import pytest
 
 from repro import XmlRelStore, parse_document, parse_fragment, serialize
@@ -228,9 +227,7 @@ class TestBatchedReconstruction:
             )
             seen = fetch([auction])
             assert len(seen) == 3
-            reachable = nx.descendants(
-                scheme.mapping.graph.digraph, "open_auction"
-            )
+            reachable = scheme.mapping.graph.reachable("open_auction")
             unreachable = [
                 relation.table.name
                 for element, relation in relations.items()

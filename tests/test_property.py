@@ -5,6 +5,8 @@
 * Dewey labels: lexicographic order == document order, prefix == ancestor,
 * interval encoding: the pre/size window is exactly the descendant set,
 * content-model simplification only generalizes,
+* the DTD graph's classifications and relation choices agree with a
+  brute-force reachability oracle,
 * all SQL translators agree with the reference evaluator on random
   documents × a pool of queries.
 """
@@ -16,6 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.registry import available_schemes
 from repro.relational.database import Database
+from repro.storage.inlining import (
+    BASIC,
+    HYBRID,
+    SHARED,
+    DtdGraph,
+    decide_relations,
+)
 from repro.storage.numbering import dewey_is_ancestor
 from repro.workloads.treegen import TreeProfile, generate_tree
 from repro.xml import parse_document, serialize
@@ -27,6 +36,7 @@ from repro.xml.contentmodel import (
     fields_accept,
     simplify,
 )
+from repro.xml.dtd import parse_dtd
 from repro.xml.dom import (
     Comment,
     Document,
@@ -446,6 +456,92 @@ class TestSimplificationProperty:
         names = [name for name, __ in fields]
         assert len(set(names)) == len(names)  # merged duplicates
         assert all(q in ("1", "?", "*") for __, q in fields)
+
+
+# ---------------------------------------------------------------------------
+# DTD graph: classifications against a brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+class DtdCase(NamedTuple):
+    text: str
+    elements: list[str]
+    #: (parent, child, set-valued) per distinct child a model names
+    edges: list[tuple[str, str, bool]]
+
+
+@st.composite
+def dtd_graphs(draw):
+    """A random DTD over up to six elements: each has EMPTY, #PCDATA, a
+    sequence, a choice or a mixed model over distinct children, itself
+    included, with random occurrences."""
+    elements = [f"e{i}" for i in range(draw(st.integers(1, 6)))]
+    declarations = []
+    edges = []
+    for parent in elements:
+        children = draw(st.lists(st.sampled_from(elements), unique=True))
+        kind = draw(st.sampled_from(["seq", "choice", "mixed"]))
+        if not children:
+            model = draw(st.sampled_from(["EMPTY", "(#PCDATA)"]))
+        elif kind == "mixed":
+            model = f"(#PCDATA | {' | '.join(children)})*"
+            edges += [(parent, child, True) for child in children]
+        else:
+            group = draw(st.sampled_from(["", "?", "*", "+"]))
+            marks = [
+                draw(st.sampled_from(["", "?", "*", "+"])) for __ in children
+            ]
+            joiner = ", " if kind == "seq" else " | "
+            model = "(" + joiner.join(
+                child + mark for child, mark in zip(children, marks)
+            ) + ")" + group
+            edges += [
+                (parent, child, mark in ("*", "+") or group in ("*", "+"))
+                for child, mark in zip(children, marks)
+            ]
+        declarations.append(f"<!ELEMENT {parent} {model}>")
+    return DtdCase("".join(declarations), elements, edges)
+
+
+def closure(case: DtdCase) -> dict[str, set[str]]:
+    """Warshall's transitive closure: element → everything one or more
+    edges reach."""
+    reach = {element: set() for element in case.elements}
+    for parent, child, __ in case.edges:
+        reach[parent].add(child)
+    for middle in case.elements:
+        for element in case.elements:
+            if middle in reach[element]:
+                reach[element] |= reach[middle]
+    return reach
+
+
+class TestDtdGraphProperty:
+    @given(dtd_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_graph_matches_reachability_oracle(self, case):
+        graph = DtdGraph.from_dtd(parse_dtd(case.text))
+        reach = closure(case)
+        parents = {
+            element: {p for p, c, __ in case.edges if c == element}
+            for element in case.elements
+        }
+        recursive = {e for e in case.elements if e in reach[e]}
+        roots = {e for e in case.elements if not parents[e]}
+        starred = {c for __, c, star in case.edges if star}
+        assert graph.recursive() == recursive
+        assert graph.roots() == roots
+        assert graph.set_valued() == starred
+        for element in case.elements:
+            assert graph.reachable(element) == reach[element]
+            assert graph.in_degree(element) == len(parents[element])
+        # The module's rules, from the oracle's sets; the first declared
+        # element is the DTD's root.
+        hybrid = roots | starred | recursive | {case.elements[0]}
+        shared = hybrid | {e for e in case.elements if len(parents[e]) > 1}
+        assert decide_relations(graph, BASIC) == set(case.elements)
+        assert decide_relations(graph, SHARED) == shared
+        assert decide_relations(graph, HYBRID) == hybrid
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Unit tests for scheme-internal helpers (xrel patterns, universal
-labels, binary partitions, inlining mapping structure)."""
+labels and rows, binary partitions, inlining mapping structure)."""
+
+import hashlib
 
 import pytest
 
+from repro import XmlRelStore
 from repro.errors import SchemaMappingError
 from repro.query.translate_xrel import xrel_path_match
 from repro.relational.database import Database
@@ -19,7 +22,8 @@ from repro.storage.inlining import (
 from repro.storage.inlining.scheme import InliningScheme
 from repro.storage.numbering import NodeRecord
 from repro.storage.universal import label_kind, label_name, node_label
-from repro.xml import parse_document
+from repro.workloads import generate_auction
+from repro.xml import parse_document, serialize
 from repro.xml.dom import NodeKind
 from repro.xml.dtd import dtd_to_text, parse_dtd
 
@@ -138,6 +142,113 @@ class TestUniversalLabels:
         assert label_name("title") == "title"
 
 
+#: Attributes, empty elements, mixed content, a comment, a PI, and
+#: leaves that share a path (``r/a/#text`` twice, ``r/m/#text`` three
+#: times, split by other paths).
+SMALL_XML = (
+    '<r id="1" kind="x"><a>one</a><a>two</a><e/>'
+    '<m>lead <b k="v">bold</b> tail</m><a/><e x="1"/><!--c--><?pi data?>'
+    "<m>only</m></r>"
+)
+
+
+def universal_digest(store):
+    """sha1 of each universal table's rows in rowid order, and of the
+    wide table's column list."""
+
+    def sha1(value):
+        return hashlib.sha1(repr(value).encode()).hexdigest()
+
+    digests = {
+        table: sha1([
+            tuple(row)
+            for row in store.db.query(f"SELECT * FROM {table} ORDER BY rowid")
+        ])
+        for table in ("universal", "universal_paths", "universal_labels")
+    }
+    digests["columns"] = sha1(universal_columns(store))
+    return digests
+
+
+def universal_columns(store):
+    return [row[1] for row in store.db.query("PRAGMA table_info(universal)")]
+
+
+class TestUniversalRows:
+    """The stored rows are pinned to digests of what the shredder wrote
+    before it handled each distinct path once (4a53422)."""
+
+    PINNED = {
+        "small": {
+            "universal": "62aa50bf179288e3205d140a83267d1c1d142e2a",
+            "universal_paths": "2732f9c58efe7dbe5ab8134101769ff9d1305c80",
+            "universal_labels": "2bfe9d30b114212e34594b27aedb9e506b1dd1ad",
+            "columns": "64cb3ad73a7a01be9165a886ef03444d1e8bde3e",
+        },
+        "auction": {
+            "universal": "03e089824efbe7d9f75548bd038ca5c6b6511b63",
+            "universal_paths": "b619b8bbcfcf4fc6815f3fa6d1a4739d5b854fc1",
+            "universal_labels": "4c82f8fda307f4bbe19329b0323db2b9a1b81299",
+            "columns": "ce1b14484337cc38b8a529e1e5d35f625c50816a",
+        },
+        # the auction after the small document: new labels widen the
+        # table under rows already stored
+        "both": {
+            "universal": "3ba746d57d5f14a60b131278bf37c1f464111138",
+            "universal_paths": "491cc40f3e867d9557f6041c8770d42f8666b0b2",
+            "universal_labels": "677f7c110e4ba9752abea1c1dd3b6729a5e89b5b",
+            "columns": "54242e3bcbcac03c195104bd241722e99eeab4c9",
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_rows_equal_the_pinned_digests(self, case):
+        auction = serialize(generate_auction(0.02, seed=1))
+        texts = {
+            "small": [SMALL_XML], "auction": [auction],
+            "both": [SMALL_XML, auction],
+        }[case]
+        with XmlRelStore.open(scheme="universal") as store:
+            for text in texts:
+                store.store_text(text)
+            assert universal_digest(store) == self.PINNED[case]
+
+    def test_small_document_columns(self):
+        with XmlRelStore.open(scheme="universal") as store:
+            store.store_text(SMALL_XML)
+            labels = store.db.query(
+                "SELECT label FROM universal_labels ORDER BY col_index"
+            )
+            assert [label for (label,) in labels] == [
+                "r", "@id", "@kind", "a", "#text", "e", "m", "b", "@k",
+                "@x", "#comment", "#pi:pi",
+            ]
+            assert universal_columns(store) == ["doc_id", "path_id"] + [
+                f"n{index}_{part}"
+                for index in range(12) for part in ("ord", "id", "val")
+            ]
+            # the three r/m/#text leaves insert together, in leaf order
+            path_5 = store.db.query(
+                "SELECT n4_id, n4_val FROM universal WHERE path_id = 5 "
+                "ORDER BY rowid"
+            )
+            assert path_5 == [(10, "lead "), (14, " tail"), (21, "only")]
+
+    def test_recursive_document_leaves_the_file_unchanged(self, tmp_path):
+        path = str(tmp_path / "universal.db")
+        with XmlRelStore.open(path, scheme="universal") as store:
+            store.store_text(SMALL_XML)
+            before = universal_digest(store)
+            with pytest.raises(
+                SchemaMappingError,
+                match=r"label repeats along r#/s#/r#/#text\)",
+            ):
+                store.store_text("<r><s><t>1</t><r>2</r></s><n/></r>")
+        with XmlRelStore.open(path, scheme="universal") as store:
+            assert universal_digest(store) == before
+            assert len(store.documents()) == 1
+
+
 RECURSIVE_DTD = (
     "<!ELEMENT book (title, author*)>"
     "<!ELEMENT author (name, book*)>"
@@ -153,6 +264,54 @@ class TestDtdGraph:
         assert graph.set_valued() == {"author", "book"}
         assert graph.recursive() == {"book", "author"}
         assert graph.roots() == set()
+
+    def test_mutual_recursion(self):
+        graph = DtdGraph.from_dtd(parse_dtd(
+            "<!ELEMENT r (a)><!ELEMENT a (b?)><!ELEMENT b (a?)>"
+        ))
+        assert graph.recursive() == {"a", "b"}
+        assert graph.reachable("r") == {"a", "b"}
+        assert graph.reachable("a") == {"a", "b"}
+        assert graph.roots() == {"r"}
+        assert decide_relations(graph, HYBRID) == {"r", "a", "b"}
+
+    def test_self_loop(self):
+        graph = DtdGraph.from_dtd(parse_dtd(
+            "<!ELEMENT part (name, part?)><!ELEMENT name (#PCDATA)>"
+        ))
+        assert graph.recursive() == {"part"}
+        assert graph.in_degree("part") == 1
+        assert graph.roots() == set()
+        assert decide_relations(graph, SHARED) == {"part"}
+
+    def test_below_a_cycle_is_not_recursive(self):
+        graph = DtdGraph.from_dtd(parse_dtd(
+            "<!ELEMENT a (b?, c)><!ELEMENT b (a)><!ELEMENT c (#PCDATA)>"
+        ))
+        assert graph.recursive() == {"a", "b"}
+        assert "c" in graph.reachable("b")
+        assert "c" not in graph.reachable("c")
+        assert decide_relations(graph, SHARED) == {"a", "b"}
+
+    def test_child_with_two_parents(self):
+        graph = DtdGraph.from_dtd(parse_dtd(
+            "<!ELEMENT r (x, y)><!ELEMENT x (c, d, c)><!ELEMENT y (c?)>"
+            "<!ELEMENT c (#PCDATA)><!ELEMENT d EMPTY>"
+        ))
+        # x names c twice: still one parent, and the merged field is *
+        assert graph.in_degree("c") == 2
+        assert graph.in_degree("d") == 1
+        assert graph.set_valued() == {"c"}
+        assert graph.recursive() == set()
+        assert decide_relations(graph, SHARED) == {"r", "c"}
+        assert decide_relations(graph, HYBRID) == {"r", "c"}
+        shared_only = DtdGraph.from_dtd(parse_dtd(
+            "<!ELEMENT r (x, y)><!ELEMENT x (c)><!ELEMENT y (c?)>"
+            "<!ELEMENT c (#PCDATA)>"
+        ))
+        assert shared_only.set_valued() == set()
+        assert decide_relations(shared_only, SHARED) == {"r", "c"}
+        assert decide_relations(shared_only, HYBRID) == {"r"}
 
     def test_undeclared_reference_rejected(self):
         with pytest.raises(SchemaMappingError, match="undeclared"):
